@@ -16,13 +16,14 @@
 //     timeouts, fanned out across a worker pool with a result cache keyed by
 //     (target, normalized SQL). The guided search is deterministic at any
 //     worker count — parallelism changes wall-clock, never the findings.
-//   - internal/engine, internal/vexec, internal/cexec, internal/datagen and
+//   - internal/engine, internal/vexec, internal/datagen and
 //     internal/workload are the execution substrate: the engine registry
 //     spans six engines across four SQL execution paradigms with genuinely
 //     different performance profiles — tuplestore 1.0 (tuple-at-a-time),
-//     columba 1.0/2.0 (column-at-a-time), vektor 1.0/2.0 (the
-//     batch-vectorized executor built on internal/vexec) and fusil 1.0 (the
-//     data-centric compiled executor built on internal/cexec) — plus
+//     columba 1.0/2.0 (column-at-a-time), and on the one typed executor
+//     core internal/vexec: vektor 1.0/2.0 (batch-vectorized) and fusil 1.0
+//     (data-centric compiled: the scan→filter segment fused into one loop
+//     of compiled closures, same operators above it) — plus
 //     deterministic TPC-H / SSB / airtraffic data generators and the
 //     corresponding query workloads. The typed data layer the vectorized
 //     and compiled engines scan is encoded at import: dictionary-encoded

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -39,25 +41,40 @@ func (r *Result) String() string {
 	return sb.String()
 }
 
-// Fingerprint returns an order-insensitive hashable summary of the result,
-// used by tests to check that two engines agree.
+// Fingerprint encodes the result exactly: every value keeps its kind and,
+// for floats, its full bit pattern, so two engines only share a fingerprint
+// when their answers are bit-identical — the six-engine contract. Rows are
+// sorted (the fingerprint is a multiset identity) because not every query
+// carries a total ORDER BY; column names stay positional.
 func (r *Result) Fingerprint() string {
+	lines := r.fingerprintRows()
+	sort.Strings(lines)
+	return strings.Join(r.Columns, ",") + "\n" + strings.Join(lines, "\n")
+}
+
+// OrderedFingerprint is Fingerprint without the row sort: engines must
+// agree on row order too. For queries whose ORDER BY is total.
+func (r *Result) OrderedFingerprint() string {
+	return strings.Join(r.Columns, ",") + "\n" + strings.Join(r.fingerprintRows(), "\n")
+}
+
+func (r *Result) fingerprintRows() []string {
 	lines := make([]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		parts := make([]string, len(row))
 		for i, v := range row {
-			// Round floats so the two engines' different summation orders do
-			// not produce spurious mismatches.
-			if v.Kind == KindFloat {
-				parts[i] = fmt.Sprintf("%.4f", v.F)
-			} else {
-				parts[i] = v.String()
+			switch v.Kind {
+			case KindNull:
+				parts[i] = "null"
+			case KindFloat:
+				parts[i] = "float:" + strconv.FormatUint(math.Float64bits(v.F), 16)
+			default:
+				parts[i] = v.Kind.String() + ":" + v.String()
 			}
 		}
 		lines = append(lines, strings.Join(parts, "|"))
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	return lines
 }
 
 // ExecOptions control one execution.
@@ -79,8 +96,10 @@ type ExecOptions struct {
 }
 
 // Engine is a database system under test: it accepts SQL text and executes
-// it against a Database. The two implementations (RowEngine and ColEngine)
-// model the two systems the paper compares.
+// it against a Database. The registry holds six engines in four paradigms —
+// the row and column interpreters (baseEngine) and the vectorized and
+// compiled engines on typed vectors (typedEngine) — standing in for the
+// systems the paper compares.
 type Engine interface {
 	// Name returns the engine's product name.
 	Name() string
@@ -152,7 +171,7 @@ func (e *baseEngine) Execute(db *Database, sql string, opts ExecOptions) (*Resul
 	return e.ExecutePlan(db, p, opts)
 }
 
-// ExecutePlan runs an already planned query; the vektor adapter uses it to
+// ExecutePlan runs an already planned query; the typed adapter uses it to
 // fall back to the interpreter without re-planning.
 func (e *baseEngine) ExecutePlan(db *Database, p *plan.Plan, opts ExecOptions) (*Result, error) {
 	limits := executionLimits{maxJoinRows: opts.MaxJoinRows}
@@ -223,12 +242,14 @@ func NewColEngineWithOptions(opts ColEngineOptions) Engine {
 
 // Registry maps engine keys ("name-version") to constructed engines, the way
 // the platform's DBMS catalog refers to them. All engines registered in one
-// registry share one plan cache: a measurement cell that runs the same query
-// on six engines pays the front-end analysis once.
+// registry share one plan cache — a measurement cell that runs the same query
+// on six engines pays the front-end analysis once — and the typed engines
+// share one typed-table cache, so each table version is decoded once.
 type Registry struct {
 	engines map[string]Engine
 	order   []string
 	plans   *plan.Cache
+	typed   *typedCache
 }
 
 // NewRegistry returns a registry pre-populated with the built-in engines:
@@ -236,7 +257,7 @@ type Registry struct {
 // batch-vectorized, data-centric compiled), the middle two in two releases
 // each, all sharing one plan cache.
 func NewRegistry() *Registry {
-	r := &Registry{engines: map[string]Engine{}, plans: plan.NewCache(0)}
+	r := &Registry{engines: map[string]Engine{}, plans: plan.NewCache(0), typed: newTypedCache()}
 	r.Register(NewRowEngine())
 	r.Register(NewColEngine())
 	r.Register(NewColEngineWithOptions(ColEngineOptions{Version: "2.0", DisableGuardCasts: true}))
@@ -247,7 +268,8 @@ func NewRegistry() *Registry {
 }
 
 // Register adds an engine under its canonical key, attaching the registry's
-// shared plan cache when the engine supports one.
+// shared plan cache when the engine supports one and its shared typed-table
+// cache when the engine is a typed one.
 func (r *Registry) Register(e Engine) {
 	key := EngineKey(e.Name(), e.Version())
 	if _, exists := r.engines[key]; !exists {
@@ -256,6 +278,9 @@ func (r *Registry) Register(e Engine) {
 	r.engines[key] = e
 	if pc, ok := e.(PlanCached); ok && r.plans != nil {
 		pc.SetPlanCache(r.plans)
+	}
+	if te, ok := e.(*typedEngine); ok {
+		te.typed = r.typed
 	}
 }
 
@@ -308,21 +333,16 @@ func (r *Registry) Routes(db *Database, sql string) ([]EngineRoute, error) {
 	for _, key := range r.order {
 		rt := EngineRoute{Engine: key}
 		switch e := r.engines[key].(type) {
-		case *vektorEngine:
-			if p.Vectorizable {
-				rt.Paradigm = "batch-vectorized"
-			} else {
+		case *typedEngine:
+			switch {
+			case !p.Vectorizable:
 				rt.Paradigm = "column-at-a-time interpreter (fallback)"
 				rt.Fallback = true
 				rt.Reason = p.NotVectorizableReason
-			}
-		case *fusilEngine:
-			if p.Vectorizable {
+			case e.fused:
 				rt.Paradigm = "data-centric compiled"
-			} else {
-				rt.Paradigm = "column-at-a-time interpreter (fallback)"
-				rt.Fallback = true
-				rt.Reason = p.NotVectorizableReason
+			default:
+				rt.Paradigm = "batch-vectorized"
 			}
 		case *baseEngine:
 			if e.mode == ModeRow {

@@ -56,6 +56,11 @@ func (ev *evaluator) resolve(table, name string) (Value, error) {
 	for s := ev.sc; s != nil; s = s.outer {
 		idx, err := s.rel.findColumn(table, name)
 		if err == nil {
+			if s == ev.sc && ev.group != nil && len(ev.group) == 0 {
+				// The global group of an ungrouped aggregate over empty input
+				// has no first row: its plain columns are NULL.
+				return Null(), nil
+			}
 			return s.rel.value(s.row, idx), nil
 		}
 		if err != errColumnNotFound {

@@ -130,6 +130,28 @@ func TestAggregateOverEmptyInput(t *testing.T) {
 			t.Errorf("sum over empty input should be NULL, got %v", res.Rows[0][1])
 		}
 	}
+
+	// A bare column next to the aggregate reads the group's first row; the
+	// global group of an empty input has none, so it is NULL on every
+	// engine (the interpreters used to index row 0 of nothing).
+	reg := NewRegistry()
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT o_status, count(*) FROM orders WHERE o_total < 0", "NULL|0"},
+		{"SELECT o_nationkey + 1, sum(o_total) FROM orders WHERE o_total < 0", "NULL|NULL"},
+	} {
+		for _, key := range reg.Keys() {
+			res, err := reg.Get(key).Execute(db, tc.sql, ExecOptions{})
+			if err != nil {
+				t.Fatalf("%s: %q: %v", key, tc.sql, err)
+			}
+			if res.NumRows() != 1 {
+				t.Fatalf("%s: %q: %d rows, want 1", key, tc.sql, res.NumRows())
+			}
+			if got := res.Rows[0][0].String() + "|" + res.Rows[0][1].String(); got != tc.want {
+				t.Errorf("%s: %q = %s, want %s", key, tc.sql, got, tc.want)
+			}
+		}
+	}
 }
 
 func TestGroupByHavingOrderLimit(t *testing.T) {

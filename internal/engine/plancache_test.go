@@ -14,7 +14,7 @@ import (
 
 // TestPlanCacheDifferentialAllWorkloads is the conformance test of the
 // shared logical-plan layer: every workload query must produce bit-identical
-// results on all five registry engines, (a) planned fresh with caching
+// results on all six registry engines, (a) planned fresh with caching
 // disabled, (b) on a cold shared cache, and (c) on a warm shared cache —
 // so neither plan sharing nor cache state can change an answer.
 func TestPlanCacheDifferentialAllWorkloads(t *testing.T) {
@@ -29,6 +29,11 @@ func TestPlanCacheDifferentialAllWorkloads(t *testing.T) {
 		{"tpch", tpchDB, workload.TPCH()},
 		{"ssb", ssbDB, workload.SSB()},
 		{"airtraffic", airDB, workload.Airtraffic()},
+		// Shapes outside the three workloads that once split the engines.
+		{"shapes", tpchDB, []workload.Query{
+			{ID: "empty-agg-bare-column", SQL: "SELECT o_orderstatus, count(*) FROM orders WHERE o_totalprice < 0"},
+			{ID: "empty-agg-bare-expr", SQL: "SELECT o_custkey + 1, sum(o_totalprice) FROM orders WHERE o_totalprice < 0"},
+		}},
 	}
 
 	cached := engine.NewRegistry() // shares one plan cache across engines

@@ -11,20 +11,24 @@ import (
 	"sqalpel/internal/vexec"
 )
 
-// vektorEngine is the third execution paradigm next to the row and column
-// interpreters: the batch-vectorized executor of internal/vexec ("vektor"),
-// working on typed unboxed vectors with selection vectors. The adapter owns
-// the column-import shim — engine.Database stores boxed []Value columns,
-// which are decoded into typed vectors once per table data version and
-// cached — and routes to the interpreter from the plan's precomputed
-// Vectorizable verdict; only data-dependent value shapes (mixed-kind
-// columns, eager-evaluation type errors) still fall back at runtime.
-type vektorEngine struct {
+// typedEngine is the one adapter of the engines that execute on typed
+// unboxed vectors through internal/vexec: the batch-vectorized paradigm
+// ("vektor": pull-based batch pipelines, one vector pass per filter
+// conjunct) and the data-centric compiled paradigm ("fusil": scan and
+// filters fused into one loop of compiled per-row closures). The two differ
+// in one executor option, vexec.Options.Fused; plan routing, fallback,
+// counters and result boxing exist once. The adapter owns the column-import
+// shim — engine.Database stores boxed []Value columns, which are decoded
+// into typed vectors once per table data version and cached — and routes to
+// the interpreter from the plan's precomputed Vectorizable verdict; only
+// data-dependent value shapes (mixed-kind columns, eager-evaluation type
+// errors) still fall back at runtime.
+type typedEngine struct {
 	name        string
 	version     string
-	dialect     string
-	batchSize   int
+	batchSize   int // 0 takes vexec's default
 	parallelism int
+	fused       bool
 	fallback    *baseEngine
 	plans       *plan.Cache
 	typed       *typedCache
@@ -75,31 +79,40 @@ func NewVektorEngineWithOptions(opts VektorOptions) Engine {
 	if version == "" {
 		version = "1.0"
 	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = vexec.DefaultBatchSize
-	}
-	return &vektorEngine{
-		name:        "vektor",
-		version:     version,
-		dialect:     "vektor",
-		batchSize:   batchSize,
-		parallelism: opts.Parallelism,
-		fallback:    &baseEngine{name: "vektor", version: version, dialect: "vektor", mode: ModeColumn},
-		plans:       plan.NewCache(0),
-		typed:       newTypedCache(),
+	e := newTypedEngine("vektor", version)
+	e.batchSize = opts.BatchSize
+	e.parallelism = opts.Parallelism
+	return e
+}
+
+// NewFusilEngine returns the compiled engine ("fusil 1.0"): per-query
+// closure compilation of the scan→filter segment into one fused loop, on
+// the vectorized engine's pipeline breakers.
+func NewFusilEngine() Engine {
+	e := newTypedEngine("fusil", "1.0")
+	e.fused = true
+	return e
+}
+
+func newTypedEngine(name, version string) *typedEngine {
+	return &typedEngine{
+		name:     name,
+		version:  version,
+		fallback: &baseEngine{name: name, version: version, dialect: name, mode: ModeColumn},
+		plans:    plan.NewCache(0),
+		typed:    newTypedCache(),
 	}
 }
 
-func (e *vektorEngine) Name() string    { return e.name }
-func (e *vektorEngine) Version() string { return e.version }
-func (e *vektorEngine) Dialect() string { return e.dialect }
+func (e *typedEngine) Name() string    { return e.name }
+func (e *typedEngine) Version() string { return e.version }
+func (e *typedEngine) Dialect() string { return e.name }
 
 // SetPlanCache implements PlanCached.
-func (e *vektorEngine) SetPlanCache(c *plan.Cache) { e.plans = c }
+func (e *typedEngine) SetPlanCache(c *plan.Cache) { e.plans = c }
 
 // PlanCacheStats implements PlanCached.
-func (e *vektorEngine) PlanCacheStats() (hits, misses uint64) {
+func (e *typedEngine) PlanCacheStats() (hits, misses uint64) {
 	if e.plans == nil {
 		return 0, 0
 	}
@@ -107,10 +120,10 @@ func (e *vektorEngine) PlanCacheStats() (hits, misses uint64) {
 }
 
 // Execute resolves the shared logical plan and routes on its Vectorizable
-// verdict: supported statements compile into the vectorized executor,
-// everything else goes straight to the column interpreter — consuming the
-// same plan, so neither path re-parses or re-analyzes.
-func (e *vektorEngine) Execute(db *Database, sql string, opts ExecOptions) (*Result, error) {
+// verdict: supported statements run on the typed executor, everything else
+// goes straight to the column interpreter — consuming the same plan, so
+// neither path re-parses or re-analyzes.
+func (e *typedEngine) Execute(db *Database, sql string, opts ExecOptions) (*Result, error) {
 	p, err := planFor(e.plans, db, sql)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.name, err)
@@ -118,7 +131,7 @@ func (e *vektorEngine) Execute(db *Database, sql string, opts ExecOptions) (*Res
 	if !p.Vectorizable {
 		return e.fallback.ExecutePlan(db, p, opts)
 	}
-	vopts := vexec.Options{BatchSize: e.batchSize, MaxJoinRows: opts.MaxJoinRows, Parallelism: e.parallelism, Tracer: opts.Tracer}
+	vopts := vexec.Options{BatchSize: e.batchSize, MaxJoinRows: opts.MaxJoinRows, Parallelism: e.parallelism, Tracer: opts.Tracer, Fused: e.fused}
 	if opts.Parallelism > 0 {
 		vopts.Parallelism = opts.Parallelism
 	}
@@ -129,8 +142,8 @@ func (e *vektorEngine) Execute(db *Database, sql string, opts ExecOptions) (*Res
 	if err != nil {
 		if errors.Is(err, vexec.ErrUnsupported) {
 			// Runtime value shapes outside the typed subset defer to the
-			// interpreter, re-using the plan. An aborted vectorized attempt
-			// may have recorded partial spans; drop them so the trace
+			// interpreter, re-using the plan. An aborted typed attempt may
+			// have recorded partial spans; drop them so the trace
 			// reflects the run that actually produced the result.
 			opts.Tracer.Reset()
 			return e.fallback.ExecutePlan(db, p, opts)
@@ -181,9 +194,10 @@ func (e *vektorEngine) Execute(db *Database, sql string, opts ExecOptions) (*Res
 	return out, nil
 }
 
-// typedCache holds the typed decodings of boxed tables, shared by every
-// engine consuming the typed columnar form (the vectorized and compiled
-// paradigms each own one instance).
+// typedCache holds the typed decodings of boxed tables. A Registry hands
+// every typed engine it registers one shared instance, like the plan
+// cache, so a table version is decoded and dictionary-encoded once per
+// registry; an engine constructed on its own starts with a private one.
 type typedCache struct {
 	mu     sync.Mutex
 	cache  map[*Table]*typedTableEntry
@@ -195,9 +209,8 @@ func newTypedCache() *typedCache {
 	return &typedCache{cache: map[*Table]*typedTableEntry{}}
 }
 
-// typedCatalog adapts an engine.Database to the typed-table catalog the
-// vectorized and compiled executors consume, decoding boxed columns into
-// typed vectors through a per-engine cache.
+// typedCatalog adapts an engine.Database to the typed-table catalog vexec
+// consumes, decoding boxed columns into typed vectors through the cache.
 type typedCatalog struct {
 	cache *typedCache
 	db    *Database

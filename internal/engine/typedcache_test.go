@@ -1,10 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
-
-	"sqalpel/internal/vexec"
 )
 
 // cacheFixture builds a database with one string-keyed table big enough to
@@ -29,7 +28,7 @@ func cacheFixture(rows int) (*Database, *Table) {
 // table — including its string dictionary and zone maps — exactly once.
 func TestTypedCacheRebuildsEncodingsOnVersionBump(t *testing.T) {
 	db, tab := cacheFixture(2500)
-	tc := newTypedCache()
+	tc := NewRegistry().typed
 
 	vt1, err := tc.typedTable(db, tab)
 	if err != nil {
@@ -72,39 +71,67 @@ func TestTypedCacheRebuildsEncodingsOnVersionBump(t *testing.T) {
 	}
 }
 
-// TestTypedCacheConcurrentBuildOnce races many importers of one table
-// version against each other: every caller must receive the same typed
-// table and the decode (with its dictionary and zone-map construction) must
-// run exactly once.
+// TestTypedCacheConcurrentBuildOnce races many executions of one table
+// version against each other, through all three typed engines of one
+// registry — which share the registry's typed cache the way they share its
+// plan cache: the decode (with its dictionary and zone-map construction)
+// must run exactly once per registry, not once per engine, every engine
+// must have been handed that one typed table, and a version bump rebuilds
+// it once for all of them.
 func TestTypedCacheConcurrentBuildOnce(t *testing.T) {
 	db, tab := cacheFixture(5000)
-	tc := newTypedCache()
+	reg := NewRegistry()
+	var typed []*typedEngine
+	for _, e := range reg.Engines() {
+		if te, ok := e.(*typedEngine); ok {
+			if te.typed != reg.typed {
+				t.Fatalf("%s-%s does not share the registry's typed cache", te.name, te.version)
+			}
+			typed = append(typed, te)
+		}
+	}
+	if len(typed) != 3 {
+		t.Fatalf("registry holds %d typed engines, want vektor-1.0, vektor-2.0 and fusil-1.0", len(typed))
+	}
 
-	const goroutines = 32
-	results := make([]*vexec.Table, goroutines)
-	errs := make([]error, goroutines)
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			vt, err := tc.typedTable(db, tab)
-			results[g], errs[g] = vt, err
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
+	const perEngine = 12
+	race := func(want string) {
+		t.Helper()
+		errs := make(chan error, len(typed)*perEngine)
+		var wg sync.WaitGroup
+		for _, te := range typed {
+			for g := 0; g < perEngine; g++ {
+				wg.Add(1)
+				go func(te *typedEngine) {
+					defer wg.Done()
+					res, err := te.Execute(db, "SELECT count(*) FROM t WHERE s = 'beta'", ExecOptions{})
+					if err == nil && res.Rows[0][0].String() != want {
+						err = fmt.Errorf("%s-%s counted %s, want %s", te.name, te.version, res.Rows[0][0], want)
+					}
+					errs <- err
+				}(te)
+			}
 		}
-		if results[g] != results[0] {
-			t.Fatalf("goroutine %d received a different typed table", g)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if results[0] == nil {
-		t.Fatal("no typed table built")
+	race("1667")
+	if reg.typed.builds != 1 {
+		t.Fatalf("builds = %d across %d concurrent executions on %d engines, want 1", reg.typed.builds, len(typed)*perEngine, len(typed))
 	}
-	if tc.builds != 1 {
-		t.Fatalf("builds = %d across %d concurrent importers, want 1", tc.builds, goroutines)
+	vt, err := reg.typed.typedTable(db, tab)
+	if err != nil || vt == nil || reg.typed.builds != 1 {
+		t.Fatalf("cached lookup: table %v, err %v, builds %d", vt, err, reg.typed.builds)
+	}
+
+	tab.MustAppendRow(NewString("beta"), NewInt(-1))
+	race("1668")
+	if reg.typed.builds != 2 {
+		t.Fatalf("builds = %d after one version bump, want 2", reg.typed.builds)
 	}
 }

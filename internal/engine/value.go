@@ -16,10 +16,11 @@
 //     on typed unboxed vectors with selection vectors and fixed-size batch
 //     pipelines — the VectorWise-style profile; statements outside its
 //     subset fall back to the column interpreter.
-//   - FusilEngine: a data-centric compiled engine (see internal/cexec) that
-//     fuses each plan pipeline into a chain of Go closures and pushes rows
-//     through with no batch handoffs — the HyPer-style profile; it covers
-//     the same subset as the vectorized engine with the same fallback.
+//   - FusilEngine: a data-centric compiled engine (internal/vexec with
+//     Options.Fused) that compiles each scan→filter segment into one loop
+//     of Go closures over the typed columns — the HyPer-style profile; above
+//     that segment it runs the vectorized engine's operators, and it covers
+//     the same subset with the same fallback.
 //
 // The engines stand in for the external DBMSs the paper drives over JDBC:
 // discriminative benchmarking needs systems that accept the same dialect

@@ -220,13 +220,20 @@ func TestVektorAgreesOnTrickyShapes(t *testing.T) {
 // must produce bit-identical results — same rows, same order, same value
 // kinds, floats equal to the last bit — at Parallelism 1 and 8. The
 // parallel executor guarantees this by merging every morsel stage in
-// morsel order and folding aggregate groups in serial row order.
+// morsel order and folding aggregate groups in serial row order. The
+// compiled engine runs the same breakers: its fused source stays serial
+// under Parallelism 8, the joins and aggregations above it fan out.
 func TestVektorParallelDeterminism(t *testing.T) {
 	ssbDB := datagen.SSB(datagen.SSBOptions{ScaleFactor: 0.0003})
 	airDB := datagen.Airtraffic(datagen.AirtrafficOptions{Flights: 2000})
-	serial := engine.NewVektorEngine()
 	parallel := engine.NewVektorEngineWithOptions(engine.VektorOptions{Parallelism: 8})
 	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	for _, serial := range []engine.Engine{engine.NewVektorEngine(), engine.NewFusilEngine()} {
+		testParallelDeterminism(t, serial, parallel, tpchDB, ssbDB, airDB, opts)
+	}
+}
+
+func testParallelDeterminism(t *testing.T, serial, parallel engine.Engine, tpchDB, ssbDB, airDB *engine.Database, opts engine.ExecOptions) {
 	for _, tc := range []struct {
 		db      *engine.Database
 		queries []workload.Query

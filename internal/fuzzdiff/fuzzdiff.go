@@ -18,9 +18,6 @@ package fuzzdiff
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
 	"strings"
 
 	"sqalpel/internal/datagen"
@@ -239,9 +236,9 @@ func Run(opts Options) (*Report, error) {
 			if err != nil {
 				oc.Err = normalizeError(e.Name(), err)
 			} else if ordered {
-				oc.Fingerprint = OrderedFingerprint(res)
+				oc.Fingerprint = res.OrderedFingerprint()
 			} else {
-				oc.Fingerprint = Fingerprint(res)
+				oc.Fingerprint = res.Fingerprint()
 			}
 			outcomes = append(outcomes, oc)
 		}
@@ -275,44 +272,9 @@ func totallyOrdered(sql string) bool {
 		!strings.Contains(sql, "JOIN dim")
 }
 
-// Fingerprint encodes a result exactly: every value keeps its kind and, for
-// floats, its full bit pattern, so two engines only share a fingerprint
-// when their answers are bit-identical. Rows are sorted (the fingerprint is
-// a multiset identity) because not every derived query carries a total
-// ORDER BY; column names stay positional. For queries whose ORDER BY is
-// provably total the fuzzer uses OrderedFingerprint instead, so row-order
-// divergences stay visible.
-func Fingerprint(r *engine.Result) string {
-	lines := fingerprintRows(r)
-	sort.Strings(lines)
-	return strings.Join(r.Columns, ",") + "\n" + strings.Join(lines, "\n")
-}
-
-// OrderedFingerprint is Fingerprint without the row sort: engines must
-// agree on row order too. Used for queries with a total ORDER BY.
-func OrderedFingerprint(r *engine.Result) string {
-	lines := fingerprintRows(r)
-	return strings.Join(r.Columns, ",") + "\n" + strings.Join(lines, "\n")
-}
-
-func fingerprintRows(r *engine.Result) []string {
-	lines := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			switch v.Kind {
-			case engine.KindNull:
-				parts[i] = "null"
-			case engine.KindFloat:
-				parts[i] = "float:" + strconv.FormatUint(math.Float64bits(v.F), 16)
-			default:
-				parts[i] = v.Kind.String() + ":" + v.String()
-			}
-		}
-		lines = append(lines, strings.Join(parts, "|"))
-	}
-	return lines
-}
+// Fingerprint is the exact-bit multiset fingerprint of a result,
+// engine.Result.Fingerprint under the name the benchmark imports.
+func Fingerprint(r *engine.Result) string { return r.Fingerprint() }
 
 // normalizeError strips the engine-name prefix Execute attaches, so two
 // engines failing for the same underlying reason compare equal.

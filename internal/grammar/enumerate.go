@@ -59,10 +59,22 @@ func (t *Template) Signature() string {
 // uses this as the "number of components" of a query.
 func (t *Template) Size() int {
 	n := 0
+	//lint:ordered a sum does not observe iteration order
 	for _, c := range t.Counts {
 		n += c
 	}
 	return n
+}
+
+// Classes lists the lexical classes the template draws literals from,
+// sorted — the order every seeded or error-reporting walk over Counts uses.
+func (t *Template) Classes() []string {
+	classes := make([]string, 0, len(t.Counts))
+	for c := range t.Counts {
+		classes = append(classes, c)
+	}
+	sort.Strings(classes)
+	return classes
 }
 
 // Text renders the template with ${class} placeholders.
@@ -80,6 +92,7 @@ func (t *Template) Text() string {
 // occurrences of a class than it has literals yield zero.
 func (t *Template) Combinations(classSizes map[string]int) uint64 {
 	total := uint64(1)
+	//lint:ordered a saturating product with a zero short-circuit is the same in any order
 	for class, occ := range t.Counts {
 		n := classSizes[class]
 		c := binomial(n, occ)
@@ -98,6 +111,7 @@ func (t *Template) Combinations(classSizes map[string]int) uint64 {
 // space.
 func (t *Template) OrderedCombinations(classSizes map[string]int) uint64 {
 	total := uint64(1)
+	//lint:ordered a saturating product with a zero short-circuit is the same in any order
 	for class, occ := range t.Counts {
 		n := classSizes[class]
 		if occ > n {
@@ -400,6 +414,7 @@ func buildTemplate(elems []Element) *Template {
 // fitsCapacity reports whether the template respects the literal-once rule:
 // no lexical class is referenced more often than it has literals.
 func fitsCapacity(t *Template, classSizes map[string]int) bool {
+	//lint:ordered a for-all test does not observe iteration order
 	for class, occ := range t.Counts {
 		if occ > classSizes[class] {
 			return false

@@ -87,6 +87,7 @@ type Sentence struct {
 // matching the node-size metric of the paper's experiment-history figure.
 func (s *Sentence) Components() int {
 	n := 0
+	//lint:ordered a sum does not observe iteration order
 	for _, lits := range s.Literals {
 		n += len(lits)
 	}
@@ -158,8 +159,11 @@ func (g *Generator) GenerateFromTemplate(tpl *Template) (*Sentence, error) {
 // literals of each class are used in order (deterministic realisation).
 func (g *Generator) realize(tpl *Template, random bool) (*Sentence, error) {
 	// Build per-class pools and verify capacity.
+	// Classes are visited sorted: the shuffles consume the seeded generator,
+	// so map order here would make a seed realise differently on every call.
 	pools := map[string][]Literal{}
-	for class, occ := range tpl.Counts {
+	for _, class := range tpl.Classes() {
+		occ := tpl.Counts[class]
 		avail := g.classes[class]
 		if occ > len(avail) {
 			return nil, fmt.Errorf("template needs %d literals of class %q, grammar offers %d (dialect %q)",
@@ -194,11 +198,7 @@ func (g *Generator) realize(tpl *Template, random bool) (*Sentence, error) {
 // sentences. A limit of zero means no limit. It is used by exhaustive small
 // projects and by tests.
 func (g *Generator) Realizations(tpl *Template, limit int) ([]*Sentence, error) {
-	classes := make([]string, 0, len(tpl.Counts))
-	for c := range tpl.Counts {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
+	classes := tpl.Classes()
 	for _, c := range classes {
 		if tpl.Counts[c] > len(g.classes[c]) {
 			return nil, fmt.Errorf("template needs %d literals of class %q, grammar offers %d",
@@ -241,8 +241,8 @@ func (g *Generator) ClassLiterals(class string) []Literal {
 // occurrence counts. It is the hook the query-pool morphing strategies use
 // to build precise variants (swap one literal, add one, drop one).
 func (g *Generator) Materialize(tpl *Template, chosen map[string][]Literal) (*Sentence, error) {
-	for class, occ := range tpl.Counts {
-		if len(chosen[class]) != occ {
+	for _, class := range tpl.Classes() {
+		if occ := tpl.Counts[class]; len(chosen[class]) != occ {
 			return nil, fmt.Errorf("template needs %d literals of class %q, got %d", occ, class, len(chosen[class]))
 		}
 	}

@@ -30,13 +30,17 @@ import (
 // Markers lists the determinism-critical packages: the planner (plans feed
 // the plan cache and the EXPLAIN goldens), the trace plane (span documents
 // are differentially compared bit for bit), the fuzzer (fingerprints must
-// be stable across runs) and the discriminative ranking (findings must not
-// depend on iteration order).
+// be stable across runs), the discriminative ranking (findings must not
+// depend on iteration order), and the grammar generator and query pool (a
+// seed must realise the same sentences and grow the same pool every time —
+// Generator.realize once shuffled its literal classes in map order).
 var Markers = []string{
 	"internal/plan",
 	"internal/trace",
 	"internal/fuzzdiff",
 	"internal/discriminative",
+	"internal/grammar",
+	"internal/pool",
 }
 
 // Token is the suppression token: //lint:ordered <reason>.
@@ -44,7 +48,7 @@ const Token = "ordered"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "mapiterdet",
-	Doc: "flag map iteration in determinism-critical packages (plan, trace, fuzzdiff, discriminative) " +
+	Doc: "flag map iteration in determinism-critical packages (plan, trace, fuzzdiff, discriminative, grammar, pool) " +
 		"unless the body is an order-insensitive set build, a collect-then-sort, or carries //lint:ordered <reason>",
 	Run: run,
 }

@@ -8,8 +8,7 @@
 // UNKNOWN, AND/OR over collapsed booleans — and all five engines agreed on
 // the wrong answers, so the differential oracle was blind to the bug.
 //
-// Two shapes are flagged in internal/engine, internal/vexec and
-// internal/cexec:
+// Two shapes are flagged in internal/engine and internal/vexec:
 //
 //   - v1 == v2 / v1 != v2 where either operand is an engine.Value: Go
 //     struct equality compares the raw {Kind,I,F,S} fields, which is both
@@ -38,7 +37,6 @@ import (
 var Markers = []string{
 	"internal/engine",
 	"internal/vexec",
-	"internal/cexec",
 }
 
 // ValueMarker/ValueType locate the nullable SQL value type.

@@ -9,8 +9,8 @@
 // silently regrows allocations that no test of the *traced* path would
 // ever catch.
 //
-// The analyzer recognises three guard forms in internal/engine,
-// internal/vexec and internal/cexec:
+// The analyzer recognises three guard forms in internal/engine and
+// internal/vexec:
 //
 //	if ex.tracer != nil { ... }            // direct nil-check
 //	if ex.traceOn(prefix) { ... }          // the executors' guard helpers
@@ -39,7 +39,6 @@ import (
 var Markers = []string{
 	"internal/engine",
 	"internal/vexec",
-	"internal/cexec",
 }
 
 // TraceMarker locates the trace package.
@@ -49,7 +48,7 @@ const TraceMarker = "internal/trace"
 const Token = "tracealloc"
 
 // guardFuncs are the executors' boolean guard helpers: engine.traced,
-// vexec/cexec.traceOn (each wraps the nil-check plus the untraced-prefix
+// vexec.traceOn (each wraps the nil-check plus the untraced-prefix
 // convention).
 var guardFuncs = map[string]bool{"traceOn": true, "traced": true, "traceEnabled": true}
 

@@ -253,6 +253,7 @@ func (p *Pool) AlterFrom(src *Entry) (*Entry, error) {
 		sent := src.sentence
 		// Candidate classes: used in the sentence and with spare literals.
 		var classes []string
+		//lint:ordered filtered collect, sorted right below
 		for class, used := range sent.Literals {
 			if len(p.allowedLiterals(class)) > len(used) {
 				classes = append(classes, class)
@@ -361,7 +362,9 @@ func (p *Pool) resizeFrom(src *Entry, delta int, strategy Strategy) (*Entry, err
 
 		chosen := map[string][]grammar.Literal{}
 		ok := true
-		for class, occ := range target.Counts {
+		// Sorted: randomUnusedLiteral consumes the seeded generator.
+		for _, class := range target.Classes() {
+			occ := target.Counts[class]
 			existing := sent.Literals[class]
 			if len(existing) > occ {
 				existing = existing[:occ]
@@ -398,6 +401,7 @@ func (p *Pool) resizeFrom(src *Entry, delta int, strategy Strategy) (*Entry, err
 
 // covers reports whether counts a dominate counts b (a[c] >= b[c] for all c).
 func covers(a, b map[string]int) bool {
+	//lint:ordered a for-all test does not observe iteration order
 	for c, n := range b {
 		if a[c] < n {
 			return false

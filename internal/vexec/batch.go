@@ -52,30 +52,29 @@ func (b *Batch) physRow(i int) int {
 	return i
 }
 
-// errColumnNotFound distinguishes "not in this batch" from ambiguity.
-var errColumnNotFound = fmt.Errorf("column not found")
-
 // findColumn resolves a possibly qualified column reference with the same
 // rules as the interpreter's relation: unqualified lookups over columns of
 // the same name in different tables are ambiguous.
 func (b *Batch) findColumn(table, name string) (int, error) {
-	table = strings.ToLower(table)
-	name = strings.ToLower(name)
+	lt, ln := strings.ToLower(table), strings.ToLower(name)
 	found := -1
 	for i, m := range b.meta {
-		if m.name != name {
+		if m.name != ln {
 			continue
 		}
-		if table != "" && m.table != table {
+		if lt != "" && m.table != lt {
 			continue
 		}
 		if found >= 0 {
-			return -1, fmt.Errorf("ambiguous column reference %q", name)
+			return -1, fmt.Errorf("ambiguous column reference %q", ln)
 		}
 		found = i
 	}
 	if found < 0 {
-		return -1, errColumnNotFound
+		if table != "" {
+			return -1, fmt.Errorf("unknown column %s.%s", table, name)
+		}
+		return -1, fmt.Errorf("unknown column %s", name)
 	}
 	return found, nil
 }

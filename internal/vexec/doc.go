@@ -1,7 +1,13 @@
-// Package vexec is sqalpel's third execution paradigm: a batch-at-a-time
+// Package vexec is sqalpel's typed executor core: a batch-at-a-time
 // vectorized executor in the VectorWise tradition, contrasting with the
 // tuple-at-a-time interpreter (tuplestore) and the full-column materializing
-// interpreter (columba) of internal/engine.
+// interpreter (columba) of internal/engine. It carries two of the four
+// execution paradigms. By default (vektor) scans and filters are pulled
+// batches with one vector pass per conjunct; with Options.Fused (fusil,
+// the data-centric compiled paradigm) the segment between a table and the
+// first pipeline breaker is one loop of compiled per-row closures
+// (compile.go, fused.go) emitting the same batches. Everything above that
+// segment — joins, aggregation, the epilogue, sub-queries — exists once.
 //
 // Its distinguishing mechanics:
 //
@@ -33,11 +39,13 @@
 // pre-built plan's classified conjuncts and join steps (Execute plans on
 // the fly for standalone use). It executes the dialect subset that
 // vectorizes well (conjunctive filters, equi hash joins, hash aggregation,
-// ordering, DISTINCT, LIMIT and the full scalar expression repertoire);
-// statements using sub-queries, outer joins, derived tables or set
-// operations carry a negative Vectorizable verdict on their plan and
-// return ErrUnsupported, which the engine-level adapter (internal/engine's
-// vektor family) turns into interpreter execution of the same plan. The
+// ordering, DISTINCT, LIMIT, derived tables, uncorrelated and
+// decorrelatable sub-queries and the full scalar expression repertoire);
+// other statements (set operations, correlated sub-queries without an
+// equi-join correlation) carry a negative Vectorizable verdict on their
+// plan and return ErrUnsupported, which the engine-level adapter
+// (internal/engine's typedEngine) turns into interpreter execution of the
+// same plan. The
 // conversion from the boxed []Value storage of engine.Database into typed
 // vectors happens once per table data version in that adapter, not here.
 package vexec

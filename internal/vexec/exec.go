@@ -41,12 +41,24 @@ type Options struct {
 	// bit-identical at every worker count: morsel workers accumulate
 	// thread-local span deltas that merge in morsel order.
 	Tracer *trace.Tracer
+	// Fused selects the data-centric compiled paradigm for the segment
+	// between a table and the first pipeline breaker: scan and filter
+	// conjuncts run as one loop of compiled per-row closures (fused.go)
+	// instead of pulled batches with one vector pass per conjunct. Every
+	// operator above that segment, and every result, is the same. The fused
+	// source is not morsel-split: under Parallelism > 1 it runs serially
+	// below the parallel breakers.
+	Fused bool
 }
 
 // Stats are the execution counters of one run.
 type Stats struct {
-	RowsScanned  int64
-	Batches      int64
+	RowsScanned int64
+	Batches     int64
+	// FilterPasses counts vector passes: one per conjunct and batch that
+	// filterOp evaluates. Conjuncts compiled into the fused source
+	// (Options.Fused) run per row, not per vector, and are not counted — a
+	// fully fused filter reports 0.
 	FilterPasses int64
 	HashJoins    int64
 	LoopJoins    int64
@@ -248,15 +260,7 @@ func (ex *executor) runBatch(sp *plan.Select, schema []plan.ColumnMeta, prefix s
 // residual conjuncts filter after the joins.
 func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) {
 	if len(sp.From) == 0 {
-		var op operator = &dualOp{}
-		if len(sp.VexecResidual) > 0 {
-			f := &filterOp{ex: ex, child: op, conjuncts: sp.VexecResidual}
-			if ex.traceOn(prefix) {
-				f.span = ex.tracer.Span(trace.FilterID(prefix), trace.KindFilter)
-			}
-			op = f
-		}
-		return op, nil
+		return ex.residualFilter(&dualOp{}, sp, prefix), nil
 	}
 
 	pipes := make([]operator, len(sp.From))
@@ -272,11 +276,11 @@ func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) 
 			if sc, ok := p.(*scanOp); ok && ex.opts.BatchSize%ZoneBlockRows == 0 {
 				sc.zones = sc.table.ZonePreds(sc.alias, sp.VexecPushdown[i])
 			}
-			f := &filterOp{ex: ex, child: p, conjuncts: sp.VexecPushdown[i]}
+			var span *trace.Span
 			if ex.traceOn(prefix) {
-				f.span = ex.tracer.Span(trace.PushFilterID(prefix, i), trace.KindFilter)
+				span = ex.tracer.Span(trace.PushFilterID(prefix, i), trace.KindFilter)
 			}
-			p = f
+			p = ex.filter(p, sp.VexecPushdown[i], span)
 		}
 		pipes[i] = p
 	}
@@ -319,14 +323,32 @@ func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) 
 		current = &matOp{ex: ex, b: cur}
 	}
 
-	if len(sp.VexecResidual) > 0 {
-		f := &filterOp{ex: ex, child: current, conjuncts: sp.VexecResidual}
-		if ex.traceOn(prefix) {
-			f.span = ex.tracer.Span(trace.FilterID(prefix), trace.KindFilter)
-		}
-		current = f
+	return ex.residualFilter(current, sp, prefix), nil
+}
+
+// residualFilter stacks the statement's residual conjuncts on its pipeline.
+func (ex *executor) residualFilter(child operator, sp *plan.Select, prefix string) operator {
+	if len(sp.VexecResidual) == 0 {
+		return child
 	}
-	return current, nil
+	var span *trace.Span
+	if ex.traceOn(prefix) {
+		span = ex.tracer.Span(trace.FilterID(prefix), trace.KindFilter)
+	}
+	return ex.filter(child, sp.VexecResidual, span)
+}
+
+// filter stacks one conjunct list on a pipeline: a filterOp, or under
+// Options.Fused a stage of the fused source below, with a filterOp only for
+// the conjuncts the closure compiler does not cover.
+func (ex *executor) filter(child operator, conjuncts []sqlparser.Expr, span *trace.Span) operator {
+	if ex.opts.Fused {
+		child, conjuncts, span = fuse(child, conjuncts, span)
+	}
+	if len(conjuncts) == 0 {
+		return child
+	}
+	return &filterOp{ex: ex, child: child, conjuncts: conjuncts, span: span}
 }
 
 // buildInput builds the pipeline of one planned FROM input. idx is the

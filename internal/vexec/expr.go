@@ -132,12 +132,6 @@ func (ctx *evalCtx) resolveColumn(v *sqlparser.ColumnRef) (*Vector, error) {
 		}
 	}
 	idx, err := ctx.batch.findColumn(v.Table, v.Column)
-	if err == errColumnNotFound {
-		if v.Table != "" {
-			return nil, fmt.Errorf("unknown column %s.%s", v.Table, v.Column)
-		}
-		return nil, fmt.Errorf("unknown column %s", v.Column)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -1112,15 +1106,7 @@ func (ctx *evalCtx) evalExtract(v *sqlparser.ExtractExpr) (*Vector, error) {
 		if s.kind != KindDate {
 			return nil, errEval(v, fmt.Errorf("EXTRACT requires a date, got %s", s.kind))
 		}
-		y, m, d := dateParts(s.i)
-		switch v.Unit {
-		case "YEAR":
-			out.Ints[i] = int64(y)
-		case "MONTH":
-			out.Ints[i] = int64(m)
-		default:
-			out.Ints[i] = int64(d)
-		}
+		out.Ints[i] = datePart(v.Unit, s.i)
 	}
 	return out, nil
 }
@@ -1148,25 +1134,11 @@ func (ctx *evalCtx) evalSubstring(v *sqlparser.SubstringExpr) (*Vector, error) {
 			out.SetNull(i)
 			continue
 		}
-		str := s.render()
-		from := int(start.At(i).intVal()) - 1
-		if from < 0 {
-			from = 0
-		}
-		if from > len(str) {
-			from = len(str)
-		}
-		to := len(str)
+		var lv scalar
 		if length != nil {
-			to = from + int(length.At(i).intVal())
-			if to > len(str) {
-				to = len(str)
-			}
-			if to < from {
-				to = from
-			}
+			lv = length.At(i)
 		}
-		out.Strs[i] = str[from:to]
+		out.Strs[i] = substringOf(s.render(), start.At(i), lv, length != nil)
 	}
 	return out, nil
 }
@@ -1184,26 +1156,11 @@ func (ctx *evalCtx) evalCast(v *sqlparser.CastExpr) (*Vector, error) {
 			bld.append(nullScalar)
 			continue
 		}
-		switch strings.ToLower(v.Type) {
-		case "integer", "int", "bigint", "smallint":
-			bld.append(scalar{kind: KindInt, i: s.intVal()})
-		case "double", "float", "real", "decimal", "numeric":
-			bld.append(scalar{kind: KindFloat, f: s.floatVal()})
-		case "varchar", "char", "text", "string":
-			bld.append(scalar{kind: KindString, s: s.render()})
-		case "date":
-			if s.kind == KindDate {
-				bld.append(s)
-				continue
-			}
-			d, err := parseDate(s.render())
-			if err != nil {
-				return nil, fmt.Errorf("invalid date %q: %w", s.render(), err)
-			}
-			bld.append(scalar{kind: KindDate, i: d})
-		default:
-			return nil, fmt.Errorf("unsupported cast target %q", v.Type)
+		c, err := castScalar(s, v.Type)
+		if err != nil {
+			return nil, err
 		}
+		bld.append(c)
 	}
 	return bld.finalize()
 }
@@ -1239,15 +1196,7 @@ func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
 				bld.append(nullScalar)
 				continue
 			}
-			f := s.floatVal()
-			if f < 0 {
-				f = -f
-			}
-			if s.kind == KindInt {
-				bld.append(scalar{kind: KindInt, i: int64(f)})
-			} else {
-				bld.append(scalar{kind: KindFloat, f: f})
-			}
+			bld.append(absScalar(s))
 		}
 		return bld.finalize()
 	case "length", "char_length":
@@ -1288,20 +1237,11 @@ func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
 		}
 		out := NewVector(KindFloat, n)
 		for i := 0; i < n; i++ {
-			f := args[0].At(i).floatVal()
 			scale := 0
 			if len(args) > 1 {
 				scale = int(args[1].At(i).intVal())
 			}
-			mult := 1.0
-			for j := 0; j < scale; j++ {
-				mult *= 10
-			}
-			half := 0.5
-			if f < 0 {
-				half = -0.5
-			}
-			out.Floats[i] = float64(int64(f*mult+half)) / mult
+			out.Floats[i] = roundHalfAway(args[0].At(i).floatVal(), scale)
 		}
 		return out, nil
 	default:

@@ -31,6 +31,7 @@ type scanOp struct {
 	alias  string
 	meta   []colMeta
 	pos    int
+	lo     int // table row of the last emitted batch's first row
 	zones  []ZonePred
 	runs   [][2]int // kept runs of the current window, [lo, hi) row ranges
 	runIdx int
@@ -120,6 +121,7 @@ func (s *scanOp) next() (*Batch, error) {
 			t0 = time.Now()
 		}
 		lo, hi := r[0], r[1]
+		s.lo = lo
 		var b *Batch
 		if s.reuse {
 			b = s.frameBatch(lo, hi)
@@ -172,6 +174,9 @@ func markScanReuse(op operator) {
 		switch o := op.(type) {
 		case *filterOp:
 			op = o.child
+		case *fusedScanOp:
+			o.scan.reuse = true
+			return
 		case *scanOp:
 			o.reuse = true
 			return

@@ -106,11 +106,7 @@ type morselSource struct {
 }
 
 func (s *scanOp) morselSource() morselSource {
-	cols := make([]*Vector, len(s.table.Cols))
-	for i, c := range s.table.Cols {
-		cols[i] = c.Vec
-	}
-	return morselSource{cols: cols, meta: s.meta, rows: s.table.NumRows(),
+	return morselSource{cols: s.table.vectors(), meta: s.meta, rows: s.table.NumRows(),
 		scan: true, span: s.span, table: s.table, zones: s.zones}
 }
 

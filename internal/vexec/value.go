@@ -1,6 +1,7 @@
 package vexec
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -145,12 +146,6 @@ func formatDate(days int64) string {
 	return epoch.AddDate(0, 0, int(days)).Format("2006-01-02")
 }
 
-// dateParts returns the year, month and day of a day number.
-func dateParts(days int64) (year, month, day int) {
-	t := epoch.AddDate(0, 0, int(days))
-	return t.Year(), int(t.Month()), t.Day()
-}
-
 // addInterval adds n DAY/MONTH/YEAR units to a day number.
 func addInterval(days, n int64, unit string) (int64, bool) {
 	t := epoch.AddDate(0, 0, int(days))
@@ -165,6 +160,98 @@ func addInterval(days, n int64, unit string) (int64, bool) {
 		return 0, false
 	}
 	return int64(t.Sub(epoch).Hours() / 24), true
+}
+
+// datePart extracts one calendar field of a day number; units other than
+// YEAR and MONTH read the day of the month, like the interpreters.
+func datePart(unit string, days int64) int64 {
+	t := epoch.AddDate(0, 0, int(days))
+	switch unit {
+	case "YEAR":
+		return int64(t.Year())
+	case "MONTH":
+		return int64(t.Month())
+	default:
+		return int64(t.Day())
+	}
+}
+
+// --- scalar function kernels ---------------------------------------------------
+//
+// One implementation per function, shared by the vectorized evaluator's
+// per-row loops and the fused scan's compiled closures.
+
+// substringOf is SUBSTRING over a rendered string: a 1-based start and an
+// optional length, both clamped to the string.
+func substringOf(str string, start, length scalar, hasLength bool) string {
+	from := int(start.intVal()) - 1
+	if from < 0 {
+		from = 0
+	}
+	if from > len(str) {
+		from = len(str)
+	}
+	to := len(str)
+	if hasLength {
+		to = from + int(length.intVal())
+		if to > len(str) {
+			to = len(str)
+		}
+		if to < from {
+			to = from
+		}
+	}
+	return str[from:to]
+}
+
+// castScalar converts a non-NULL scalar to the named SQL type. The target
+// check is a data-shape property: it fires per non-NULL row, so an unknown
+// target over an all-NULL (or empty) input does not error.
+func castScalar(s scalar, typeName string) (scalar, error) {
+	switch strings.ToLower(typeName) {
+	case "integer", "int", "bigint", "smallint":
+		return scalar{kind: KindInt, i: s.intVal()}, nil
+	case "double", "float", "real", "decimal", "numeric":
+		return scalar{kind: KindFloat, f: s.floatVal()}, nil
+	case "varchar", "char", "text", "string":
+		return scalar{kind: KindString, s: s.render()}, nil
+	case "date":
+		if s.kind == KindDate {
+			return s, nil
+		}
+		d, err := parseDate(s.render())
+		if err != nil {
+			return scalar{}, fmt.Errorf("invalid date %q: %w", s.render(), err)
+		}
+		return scalar{kind: KindDate, i: d}, nil
+	default:
+		return scalar{}, fmt.Errorf("unsupported cast target %q", typeName)
+	}
+}
+
+// absScalar is abs over a non-NULL scalar, integer-preserving.
+func absScalar(s scalar) scalar {
+	f := s.floatVal()
+	if f < 0 {
+		f = -f
+	}
+	if s.kind == KindInt {
+		return scalar{kind: KindInt, i: int64(f)}
+	}
+	return scalar{kind: KindFloat, f: f}
+}
+
+// roundHalfAway rounds to scale decimal places, halves away from zero.
+func roundHalfAway(f float64, scale int) float64 {
+	mult := 1.0
+	for j := 0; j < scale; j++ {
+		mult *= 10
+	}
+	half := 0.5
+	if f < 0 {
+		half = -0.5
+	}
+	return float64(int64(f*mult+half)) / mult
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards (greedy two-pointer

@@ -8,7 +8,7 @@ import (
 
 // ZoneBlockRows is the zone-map block granularity. Both shipped batch sizes
 // (1024 and 4096) are multiples of it, which is what lets the serial scan,
-// the morsel-parallel scan and cexec's fused loop make identical skip
+// the morsel-parallel scan and the fused scan make identical skip
 // decisions: a block never straddles a batch or morsel boundary.
 const ZoneBlockRows = 1024
 
