@@ -41,6 +41,7 @@ import (
 	"sqalpel/internal/pool"
 	"sqalpel/internal/server"
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/tpcsurvey"
 	"sqalpel/internal/trace"
 	"sqalpel/internal/vexec"
@@ -669,17 +670,17 @@ func (c vexecBenchCatalog) TableColumns(name string) ([]string, bool) {
 }
 
 func newVexecBenchCatalog(rows, dims int) vexecBenchCatalog {
-	ik := vexec.NewVector(vexec.KindInt, rows)
-	sk := vexec.NewVector(vexec.KindString, rows)
-	v := vexec.NewVector(vexec.KindFloat, rows)
+	ik := vexec.NewVector(sqlsem.KindInt, rows)
+	sk := vexec.NewVector(sqlsem.KindString, rows)
+	v := vexec.NewVector(sqlsem.KindFloat, rows)
 	for i := 0; i < rows; i++ {
 		ik.Ints[i] = int64(i % dims)
 		sk.Strs[i] = fmt.Sprintf("key-%d", i%dims)
 		v.Floats[i] = float64(i) / 3
 	}
-	dik := vexec.NewVector(vexec.KindInt, dims)
-	dsk := vexec.NewVector(vexec.KindString, dims)
-	dv := vexec.NewVector(vexec.KindInt, dims)
+	dik := vexec.NewVector(sqlsem.KindInt, dims)
+	dsk := vexec.NewVector(sqlsem.KindString, dims)
+	dv := vexec.NewVector(sqlsem.KindInt, dims)
 	for i := 0; i < dims; i++ {
 		dik.Ints[i] = int64(i)
 		dsk.Strs[i] = fmt.Sprintf("key-%d", i)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sqalpel/internal/engine"
+	"sqalpel/internal/sqlsem"
 )
 
 // AirtrafficOptions parameterise the airtraffic (on-time performance) data
@@ -42,10 +43,10 @@ func Airtraffic(opts AirtrafficOptions) *engine.Database {
 		engine.Column{Name: "distance", Type: engine.TypeInt},
 		engine.Column{Name: "cancelled", Type: engine.TypeInt},
 	)
-	start := engine.MustParseDate("2015-01-01")
+	start := sqlsem.MustParseDate("2015-01-01")
 	for i := 0; i < opts.Flights; i++ {
 		day := start + int64(r.Intn(365))
-		y, m, d := engine.DateParts(day)
+		y, m, d := sqlsem.DateParts(day)
 		origin := r.Pick(airports)
 		dest := r.Pick(airports)
 		for dest == origin {
@@ -55,25 +56,25 @@ func Airtraffic(opts AirtrafficOptions) *engine.Database {
 		if r.Intn(100) < 2 {
 			cancelled = 1
 		}
-		depDelay := engine.NewFloat(float64(r.Range(-10, 180)) * r.Float())
-		arrDelay := engine.NewFloat(depDelay.Float() + float64(r.Range(-20, 40)))
+		depDelay := sqlsem.NewFloat(float64(r.Range(-10, 180)) * r.Float())
+		arrDelay := sqlsem.NewFloat(depDelay.Float() + float64(r.Range(-20, 40)))
 		if cancelled == 1 {
-			depDelay = engine.Null()
-			arrDelay = engine.Null()
+			depDelay = sqlsem.Null()
+			arrDelay = sqlsem.Null()
 		}
 		flights.MustAppendRow(
-			engine.NewInt(int64(y)),
-			engine.NewInt(int64(m)),
-			engine.NewInt(int64(d)),
-			engine.NewDate(day),
-			engine.NewString(r.Pick(carriers)),
-			engine.NewInt(int64(r.Range(1, 9999))),
-			engine.NewString(origin),
-			engine.NewString(dest),
+			sqlsem.NewInt(int64(y)),
+			sqlsem.NewInt(int64(m)),
+			sqlsem.NewInt(int64(d)),
+			sqlsem.NewDate(day),
+			sqlsem.NewString(r.Pick(carriers)),
+			sqlsem.NewInt(int64(r.Range(1, 9999))),
+			sqlsem.NewString(origin),
+			sqlsem.NewString(dest),
 			depDelay,
 			arrDelay,
-			engine.NewInt(int64(r.Range(100, 3000))),
-			engine.NewInt(int64(cancelled)),
+			sqlsem.NewInt(int64(r.Range(100, 3000))),
+			sqlsem.NewInt(int64(cancelled)),
 		)
 	}
 	db.AddTable(flights)

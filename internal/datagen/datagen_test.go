@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"sqalpel/internal/engine"
+	"sqalpel/internal/sqlsem"
 )
 
 func TestTPCHSchemaAndSizes(t *testing.T) {
@@ -69,8 +69,8 @@ func TestTPCHValueDomains(t *testing.T) {
 	taxIdx := li.ColumnIndex("l_tax")
 	qtyIdx := li.ColumnIndex("l_quantity")
 	shipIdx := li.ColumnIndex("l_shipdate")
-	lo := engine.MustParseDate("1992-01-01")
-	hi := engine.MustParseDate("1999-01-01")
+	lo := sqlsem.MustParseDate("1992-01-01")
+	hi := sqlsem.MustParseDate("1999-01-01")
 	for i := 0; i < li.NumRows(); i++ {
 		d := li.Value(i, discountIdx).Float()
 		if d < 0 || d > 0.10001 {
@@ -85,7 +85,7 @@ func TestTPCHValueDomains(t *testing.T) {
 			t.Fatalf("quantity %f out of range", q)
 		}
 		sd := li.Value(i, shipIdx)
-		if sd.Kind != engine.KindDate || sd.I < lo || sd.I > hi {
+		if sd.Kind != sqlsem.KindDate || sd.I < lo || sd.I > hi {
 			t.Fatalf("shipdate %s out of range", sd)
 		}
 	}
@@ -252,7 +252,11 @@ func TestNamedDatabase(t *testing.T) {
 			t.Errorf("NamedDatabase(%s) failed: %v", name, err)
 			continue
 		}
-		if db.TotalRows() == 0 {
+		rows := 0
+		for _, tbl := range db.Tables() {
+			rows += tbl.NumRows()
+		}
+		if rows == 0 {
 			t.Errorf("NamedDatabase(%s) produced no rows", name)
 		}
 	}

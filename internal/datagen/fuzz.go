@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sqalpel/internal/engine"
+	"sqalpel/internal/sqlsem"
 )
 
 // FuzzOptions parameterise the NULL-rich data set the differential fuzzer
@@ -54,12 +55,12 @@ func Fuzz(opts FuzzOptions) *engine.Database {
 
 	nullable := func(v engine.Value) engine.Value {
 		if r.Float() < opts.NullRate {
-			return engine.Null()
+			return sqlsem.Null()
 		}
 		return v
 	}
 
-	baseDate := engine.MustParseDate("1997-01-01")
+	baseDate := sqlsem.MustParseDate("1997-01-01")
 
 	t := engine.NewTable("t",
 		engine.Column{Name: "id", Type: engine.TypeInt},
@@ -73,14 +74,14 @@ func Fuzz(opts FuzzOptions) *engine.Database {
 	)
 	for i := 0; i < opts.Rows; i++ {
 		t.MustAppendRow(
-			engine.NewInt(int64(i+1)),
-			engine.NewInt(int64(r.Intn(8))),
-			nullable(engine.NewInt(int64(r.Intn(10)))),
-			nullable(engine.NewInt(int64(r.Range(-50, 50)))),
-			nullable(engine.NewFloat(float64(r.Range(0, 2000))/10)),
-			nullable(engine.NewString(r.Pick(fuzzWords))),
-			nullable(engine.NewDate(baseDate+int64(r.Intn(4*365)))),
-			nullable(engine.NewInt(int64(r.Intn(5)))),
+			sqlsem.NewInt(int64(i+1)),
+			sqlsem.NewInt(int64(r.Intn(8))),
+			nullable(sqlsem.NewInt(int64(r.Intn(10)))),
+			nullable(sqlsem.NewInt(int64(r.Range(-50, 50)))),
+			nullable(sqlsem.NewFloat(float64(r.Range(0, 2000))/10)),
+			nullable(sqlsem.NewString(r.Pick(fuzzWords))),
+			nullable(sqlsem.NewDate(baseDate+int64(r.Intn(4*365)))),
+			nullable(sqlsem.NewInt(int64(r.Intn(5)))),
 		)
 	}
 	db.AddTable(t)
@@ -92,9 +93,9 @@ func Fuzz(opts FuzzOptions) *engine.Database {
 	)
 	for k := 0; k < 8; k++ {
 		dim.MustAppendRow(
-			engine.NewInt(int64(k)),
-			nullable(engine.NewString(fuzzLabels[k%len(fuzzLabels)])),
-			nullable(engine.NewInt(int64(k*k))),
+			sqlsem.NewInt(int64(k)),
+			nullable(sqlsem.NewString(fuzzLabels[k%len(fuzzLabels)])),
+			nullable(sqlsem.NewInt(int64(k*k))),
 		)
 	}
 	db.AddTable(dim)

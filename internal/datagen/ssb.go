@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sqalpel/internal/engine"
+	"sqalpel/internal/sqlsem"
 )
 
 // SSBOptions parameterise the Star Schema Benchmark generator.
@@ -41,19 +42,19 @@ func SSB(opts SSBOptions) *engine.Database {
 		engine.Column{Name: "d_month", Type: engine.TypeInt},
 		engine.Column{Name: "d_weeknuminyear", Type: engine.TypeInt},
 	)
-	start := engine.MustParseDate("1992-01-01")
-	end := engine.MustParseDate("1998-12-31")
+	start := sqlsem.MustParseDate("1992-01-01")
+	end := sqlsem.MustParseDate("1998-12-31")
 	var dateKeys []int64
 	for d := start; d <= end; d++ {
-		y, m, day := engine.DateParts(d)
+		y, m, day := sqlsem.DateParts(d)
 		key := int64(y*10000 + m*100 + day)
 		dateKeys = append(dateKeys, key)
 		dates.MustAppendRow(
-			engine.NewInt(key),
-			engine.NewDate(d),
-			engine.NewInt(int64(y)),
-			engine.NewInt(int64(m)),
-			engine.NewInt(int64((d-start)/7%53)+1),
+			sqlsem.NewInt(key),
+			sqlsem.NewDate(d),
+			sqlsem.NewInt(int64(y)),
+			sqlsem.NewInt(int64(m)),
+			sqlsem.NewInt(int64((d-start)/7%53)+1),
 		)
 	}
 	db.AddTable(dates)
@@ -71,11 +72,11 @@ func SSB(opts SSBOptions) *engine.Database {
 		region := r.Pick(ssbRegions)
 		nation := nations[r.Intn(len(nations))].name
 		customer.MustAppendRow(
-			engine.NewInt(int64(i)),
-			engine.NewString(fmt.Sprintf("Customer#%08d", i)),
-			engine.NewString(fmt.Sprintf("%s %d", nation[:min(5, len(nation))], r.Range(0, 9))),
-			engine.NewString(nation),
-			engine.NewString(region),
+			sqlsem.NewInt(int64(i)),
+			sqlsem.NewString(fmt.Sprintf("Customer#%08d", i)),
+			sqlsem.NewString(fmt.Sprintf("%s %d", nation[:min(5, len(nation))], r.Range(0, 9))),
+			sqlsem.NewString(nation),
+			sqlsem.NewString(region),
 		)
 	}
 	db.AddTable(customer)
@@ -93,11 +94,11 @@ func SSB(opts SSBOptions) *engine.Database {
 		region := r.Pick(ssbRegions)
 		nation := nations[r.Intn(len(nations))].name
 		supplier.MustAppendRow(
-			engine.NewInt(int64(i)),
-			engine.NewString(fmt.Sprintf("Supplier#%08d", i)),
-			engine.NewString(fmt.Sprintf("%s %d", nation[:min(5, len(nation))], r.Range(0, 9))),
-			engine.NewString(nation),
-			engine.NewString(region),
+			sqlsem.NewInt(int64(i)),
+			sqlsem.NewString(fmt.Sprintf("Supplier#%08d", i)),
+			sqlsem.NewString(fmt.Sprintf("%s %d", nation[:min(5, len(nation))], r.Range(0, 9))),
+			sqlsem.NewString(nation),
+			sqlsem.NewString(region),
 		)
 	}
 	db.AddTable(supplier)
@@ -116,12 +117,12 @@ func SSB(opts SSBOptions) *engine.Database {
 		mfgr := r.Range(1, 5)
 		cat := r.Range(1, 5)
 		part.MustAppendRow(
-			engine.NewInt(int64(i)),
-			engine.NewString(r.Pick(partColors)+" "+r.Pick(partColors)),
-			engine.NewString(fmt.Sprintf("MFGR#%d", mfgr)),
-			engine.NewString(fmt.Sprintf("MFGR#%d%d", mfgr, cat)),
-			engine.NewString(fmt.Sprintf("MFGR#%d%d%02d", mfgr, cat, r.Range(1, 40))),
-			engine.NewString(r.Pick(partColors)),
+			sqlsem.NewInt(int64(i)),
+			sqlsem.NewString(r.Pick(partColors)+" "+r.Pick(partColors)),
+			sqlsem.NewString(fmt.Sprintf("MFGR#%d", mfgr)),
+			sqlsem.NewString(fmt.Sprintf("MFGR#%d%d", mfgr, cat)),
+			sqlsem.NewString(fmt.Sprintf("MFGR#%d%d%02d", mfgr, cat, r.Range(1, 40))),
+			sqlsem.NewString(r.Pick(partColors)),
 		)
 	}
 	db.AddTable(part)
@@ -145,17 +146,17 @@ func SSB(opts SSBOptions) *engine.Database {
 		price := float64(r.Range(100, 100000)) / 10
 		discount := r.Range(0, 10)
 		lineorder.MustAppendRow(
-			engine.NewInt(int64(i/4+1)),
-			engine.NewInt(int64(i%7+1)),
-			engine.NewInt(int64(r.Range(1, numCustomer))),
-			engine.NewInt(int64(r.Range(1, numPart))),
-			engine.NewInt(int64(r.Range(1, numSupplier))),
-			engine.NewInt(dateKeys[r.Intn(len(dateKeys))]),
-			engine.NewInt(int64(r.Range(1, 50))),
-			engine.NewFloat(price),
-			engine.NewInt(int64(discount)),
-			engine.NewFloat(price*(1-float64(discount)/100)),
-			engine.NewFloat(price*0.6),
+			sqlsem.NewInt(int64(i/4+1)),
+			sqlsem.NewInt(int64(i%7+1)),
+			sqlsem.NewInt(int64(r.Range(1, numCustomer))),
+			sqlsem.NewInt(int64(r.Range(1, numPart))),
+			sqlsem.NewInt(int64(r.Range(1, numSupplier))),
+			sqlsem.NewInt(dateKeys[r.Intn(len(dateKeys))]),
+			sqlsem.NewInt(int64(r.Range(1, 50))),
+			sqlsem.NewFloat(price),
+			sqlsem.NewInt(int64(discount)),
+			sqlsem.NewFloat(price*(1-float64(discount)/100)),
+			sqlsem.NewFloat(price*0.6),
 		)
 	}
 	db.AddTable(lineorder)

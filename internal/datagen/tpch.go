@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sqalpel/internal/engine"
+	"sqalpel/internal/sqlsem"
 )
 
 // TPCHOptions parameterise the TPC-H data generator.
@@ -81,7 +82,7 @@ func TPCH(opts TPCHOptions) *engine.Database {
 		engine.Column{Name: "r_comment", Type: engine.TypeString},
 	)
 	for i, name := range regions {
-		region.MustAppendRow(engine.NewInt(int64(i)), engine.NewString(name), engine.NewString(comment(r, 6)))
+		region.MustAppendRow(sqlsem.NewInt(int64(i)), sqlsem.NewString(name), sqlsem.NewString(comment(r, 6)))
 	}
 	db.AddTable(region)
 
@@ -93,7 +94,7 @@ func TPCH(opts TPCHOptions) *engine.Database {
 		engine.Column{Name: "n_comment", Type: engine.TypeString},
 	)
 	for i, n := range nations {
-		nation.MustAppendRow(engine.NewInt(int64(i)), engine.NewString(n.name), engine.NewInt(int64(n.region)), engine.NewString(comment(r, 8)))
+		nation.MustAppendRow(sqlsem.NewInt(int64(i)), sqlsem.NewString(n.name), sqlsem.NewInt(int64(n.region)), sqlsem.NewString(comment(r, 8)))
 	}
 	db.AddTable(nation)
 
@@ -116,13 +117,13 @@ func TPCH(opts TPCHOptions) *engine.Database {
 			c = "the Customer has Complaints about " + c
 		}
 		supplier.MustAppendRow(
-			engine.NewInt(int64(i)),
-			engine.NewString(fmt.Sprintf("Supplier#%09d", i)),
-			engine.NewString(fmt.Sprintf("addr %d %s", r.Range(1, 999), comment(r, 2))),
-			engine.NewInt(int64(nk)),
-			engine.NewString(phone(r, nk)),
-			engine.NewFloat(float64(r.Range(-99999, 999999))/100),
-			engine.NewString(c),
+			sqlsem.NewInt(int64(i)),
+			sqlsem.NewString(fmt.Sprintf("Supplier#%09d", i)),
+			sqlsem.NewString(fmt.Sprintf("addr %d %s", r.Range(1, 999), comment(r, 2))),
+			sqlsem.NewInt(int64(nk)),
+			sqlsem.NewString(phone(r, nk)),
+			sqlsem.NewFloat(float64(r.Range(-99999, 999999))/100),
+			sqlsem.NewString(c),
 		)
 	}
 	db.AddTable(supplier)
@@ -146,15 +147,15 @@ func TPCH(opts TPCHOptions) *engine.Database {
 		ptype := r.Pick(typeSyllable1) + " " + r.Pick(typeSyllable2) + " " + r.Pick(typeSyllable3)
 		name := r.Pick(partColors) + " " + r.Pick(partColors) + " " + r.Pick(partColors) + " " + r.Pick(partColors) + " " + r.Pick(partColors)
 		part.MustAppendRow(
-			engine.NewInt(int64(i)),
-			engine.NewString(name),
-			engine.NewString(fmt.Sprintf("Manufacturer#%d", mfgr)),
-			engine.NewString(brand),
-			engine.NewString(ptype),
-			engine.NewInt(int64(r.Range(1, 50))),
-			engine.NewString(r.Pick(containers)),
-			engine.NewFloat(900+float64(i%1000)+float64(r.Intn(100))/100),
-			engine.NewString(comment(r, 4)),
+			sqlsem.NewInt(int64(i)),
+			sqlsem.NewString(name),
+			sqlsem.NewString(fmt.Sprintf("Manufacturer#%d", mfgr)),
+			sqlsem.NewString(brand),
+			sqlsem.NewString(ptype),
+			sqlsem.NewInt(int64(r.Range(1, 50))),
+			sqlsem.NewString(r.Pick(containers)),
+			sqlsem.NewFloat(900+float64(i%1000)+float64(r.Intn(100))/100),
+			sqlsem.NewString(comment(r, 4)),
 		)
 	}
 	db.AddTable(part)
@@ -171,11 +172,11 @@ func TPCH(opts TPCHOptions) *engine.Database {
 		for s := 0; s < 4; s++ {
 			suppkey := (p+s*(numSupplier/4+1))%numSupplier + 1
 			partsupp.MustAppendRow(
-				engine.NewInt(int64(p)),
-				engine.NewInt(int64(suppkey)),
-				engine.NewInt(int64(r.Range(1, 9999))),
-				engine.NewFloat(float64(r.Range(100, 100000))/100),
-				engine.NewString(comment(r, 6)),
+				sqlsem.NewInt(int64(p)),
+				sqlsem.NewInt(int64(suppkey)),
+				sqlsem.NewInt(int64(r.Range(1, 9999))),
+				sqlsem.NewFloat(float64(r.Range(100, 100000))/100),
+				sqlsem.NewString(comment(r, 6)),
 			)
 		}
 	}
@@ -196,22 +197,22 @@ func TPCH(opts TPCHOptions) *engine.Database {
 	for i := 1; i <= numCustomer; i++ {
 		nk := r.Intn(len(nations))
 		customer.MustAppendRow(
-			engine.NewInt(int64(i)),
-			engine.NewString(fmt.Sprintf("Customer#%09d", i)),
-			engine.NewString(fmt.Sprintf("addr %d %s", r.Range(1, 999), comment(r, 2))),
-			engine.NewInt(int64(nk)),
-			engine.NewString(phone(r, nk)),
-			engine.NewFloat(float64(r.Range(-99999, 999999))/100),
-			engine.NewString(r.Pick(mktSegments)),
-			engine.NewString(comment(r, 10)),
+			sqlsem.NewInt(int64(i)),
+			sqlsem.NewString(fmt.Sprintf("Customer#%09d", i)),
+			sqlsem.NewString(fmt.Sprintf("addr %d %s", r.Range(1, 999), comment(r, 2))),
+			sqlsem.NewInt(int64(nk)),
+			sqlsem.NewString(phone(r, nk)),
+			sqlsem.NewFloat(float64(r.Range(-99999, 999999))/100),
+			sqlsem.NewString(r.Pick(mktSegments)),
+			sqlsem.NewString(comment(r, 10)),
 		)
 	}
 	db.AddTable(customer)
 
 	// orders and lineitem
 	numOrders := opts.scaled(1500000, 30)
-	startDate := engine.MustParseDate("1992-01-01")
-	endDate := engine.MustParseDate("1998-08-02")
+	startDate := sqlsem.MustParseDate("1992-01-01")
+	endDate := sqlsem.MustParseDate("1998-08-02")
 	dateRange := int(endDate - startDate)
 
 	orders := engine.NewTable("orders",
@@ -244,7 +245,7 @@ func TPCH(opts TPCHOptions) *engine.Database {
 		engine.Column{Name: "l_comment", Type: engine.TypeString},
 	)
 
-	currentDate := engine.MustParseDate("1995-06-17")
+	currentDate := sqlsem.MustParseDate("1995-06-17")
 	for o := 1; o <= numOrders; o++ {
 		// As in the TPC-H specification, a third of the customers (custkey
 		// divisible by three) never place orders; Q13's zero bucket and the
@@ -290,22 +291,22 @@ func TPCH(opts TPCHOptions) *engine.Database {
 			}
 			totalPrice += price * (1 - discount) * (1 + tax)
 			lineRows = append(lineRows, lineRow{vals: []engine.Value{
-				engine.NewInt(int64(o)),
-				engine.NewInt(int64(partkey)),
-				engine.NewInt(int64(suppkey)),
-				engine.NewInt(int64(ln)),
-				engine.NewFloat(quantity),
-				engine.NewFloat(price),
-				engine.NewFloat(discount),
-				engine.NewFloat(tax),
-				engine.NewString(returnflag),
-				engine.NewString(linestatus),
-				engine.NewDate(shipdate),
-				engine.NewDate(commitdate),
-				engine.NewDate(receiptdate),
-				engine.NewString(r.Pick(shipInstructs)),
-				engine.NewString(r.Pick(shipModes)),
-				engine.NewString(comment(r, 4)),
+				sqlsem.NewInt(int64(o)),
+				sqlsem.NewInt(int64(partkey)),
+				sqlsem.NewInt(int64(suppkey)),
+				sqlsem.NewInt(int64(ln)),
+				sqlsem.NewFloat(quantity),
+				sqlsem.NewFloat(price),
+				sqlsem.NewFloat(discount),
+				sqlsem.NewFloat(tax),
+				sqlsem.NewString(returnflag),
+				sqlsem.NewString(linestatus),
+				sqlsem.NewDate(shipdate),
+				sqlsem.NewDate(commitdate),
+				sqlsem.NewDate(receiptdate),
+				sqlsem.NewString(r.Pick(shipInstructs)),
+				sqlsem.NewString(r.Pick(shipModes)),
+				sqlsem.NewString(comment(r, 4)),
 			}})
 		}
 		status := "P"
@@ -320,15 +321,15 @@ func TPCH(opts TPCHOptions) *engine.Database {
 			oc = "special packages requests " + oc
 		}
 		orders.MustAppendRow(
-			engine.NewInt(int64(o)),
-			engine.NewInt(int64(custkey)),
-			engine.NewString(status),
-			engine.NewFloat(totalPrice),
-			engine.NewDate(orderdate),
-			engine.NewString(r.Pick(orderPriorities)),
-			engine.NewString(fmt.Sprintf("Clerk#%09d", r.Range(1, 1000))),
-			engine.NewInt(0),
-			engine.NewString(oc),
+			sqlsem.NewInt(int64(o)),
+			sqlsem.NewInt(int64(custkey)),
+			sqlsem.NewString(status),
+			sqlsem.NewFloat(totalPrice),
+			sqlsem.NewDate(orderdate),
+			sqlsem.NewString(r.Pick(orderPriorities)),
+			sqlsem.NewString(fmt.Sprintf("Clerk#%09d", r.Range(1, 1000))),
+			sqlsem.NewInt(0),
+			sqlsem.NewString(oc),
 		)
 		for _, lr := range lineRows {
 			lineitem.MustAppendRow(lr.vals...)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sqalpel/internal/plan"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -64,9 +65,9 @@ func (r *Result) fingerprintRows() []string {
 		parts := make([]string, len(row))
 		for i, v := range row {
 			switch v.Kind {
-			case KindNull:
+			case sqlsem.KindNull:
 				parts[i] = "null"
-			case KindFloat:
+			case sqlsem.KindFloat:
 				parts[i] = "float:" + strconv.FormatUint(math.Float64bits(v.F), 16)
 			default:
 				parts[i] = v.Kind.String() + ":" + v.String()

@@ -8,26 +8,6 @@ import (
 	"sqalpel/internal/sqlsem"
 )
 
-// tri lifts a runtime value into the shared ternary-logic domain: NULL is
-// UNKNOWN, everything else its two-valued truth.
-func tri(v Value) sqlsem.Tri {
-	if v.IsNull() {
-		return sqlsem.Unknown
-	}
-	return sqlsem.Of(v.Bool())
-}
-
-// triValue lowers a ternary truth value back into the value domain: UNKNOWN
-// becomes NULL. Predicate consumers (filters, HAVING, CASE arms, join
-// conditions) never see the NULL — they collapse it with Value.Bool — but a
-// predicate in projection position surfaces it.
-func triValue(t sqlsem.Tri) Value {
-	if !t.Known() {
-		return Null()
-	}
-	return NewBool(t == sqlsem.True)
-}
-
 // scope is one level of column visibility: a relation plus the current row,
 // chained to the enclosing query's scope for correlated sub-queries.
 type scope struct {
@@ -59,7 +39,7 @@ func (ev *evaluator) resolve(table, name string) (Value, error) {
 			if s == ev.sc && ev.group != nil && len(ev.group) == 0 {
 				// The global group of an ungrouped aggregate over empty input
 				// has no first row: its plain columns are NULL.
-				return Null(), nil
+				return sqlsem.Null(), nil
 			}
 			return s.rel.value(s.row, idx), nil
 		}
@@ -77,24 +57,24 @@ func (ev *evaluator) resolve(table, name string) (Value, error) {
 func (ev *evaluator) eval(e sqlparser.Expr) (Value, error) {
 	switch v := e.(type) {
 	case *sqlparser.NumberLit:
-		return parseNumber(v.Value), nil
+		return sqlsem.ParseNumber(v.Value)
 	case *sqlparser.StringLit:
-		return NewString(v.Value), nil
+		return sqlsem.NewString(v.Value), nil
 	case *sqlparser.BoolLit:
-		return NewBool(v.Value), nil
+		return sqlsem.NewBool(v.Value), nil
 	case *sqlparser.NullLit:
-		return Null(), nil
+		return sqlsem.Null(), nil
 	case *sqlparser.DateLit:
-		d, err := ParseDate(v.Value)
+		d, err := sqlsem.ParseDate(v.Value)
 		if err != nil {
 			return Value{}, errEval(e, err)
 		}
-		return NewDate(d), nil
+		return sqlsem.NewDate(d), nil
 	case *sqlparser.IntervalLit:
 		// Bare intervals only appear as the right operand of date arithmetic
 		// which is handled in the BinaryExpr case; evaluating one directly
 		// yields its numeric count (used for day intervals).
-		return parseNumber(v.Value), nil
+		return sqlsem.ParseNumber(v.Value)
 	case *sqlparser.ColumnRef:
 		return ev.resolve(v.Table, v.Column)
 	case *sqlparser.ParenExpr:
@@ -117,25 +97,25 @@ func (ev *evaluator) eval(e sqlparser.Expr) (Value, error) {
 			return Value{}, errEval(e, err)
 		}
 		if v.Not {
-			return NewBool(rel.numRows() == 0), nil
+			return sqlsem.NewBool(rel.numRows() == 0), nil
 		}
-		return NewBool(rel.numRows() > 0), nil
+		return sqlsem.NewBool(rel.numRows() > 0), nil
 	case *sqlparser.IsNullExpr:
 		val, err := ev.eval(v.Expr)
 		if err != nil {
 			return Value{}, err
 		}
 		if v.Not {
-			return NewBool(!val.IsNull()), nil
+			return sqlsem.NewBool(!val.IsNull()), nil
 		}
-		return NewBool(val.IsNull()), nil
+		return sqlsem.NewBool(val.IsNull()), nil
 	case *sqlparser.SubqueryExpr:
 		rel, err := ev.ex.executeSubquery(v.Select, ev.sc)
 		if err != nil {
 			return Value{}, errEval(e, err)
 		}
 		if rel.numRows() == 0 || len(rel.cols) == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
 		return rel.value(0, 0), nil
 	case *sqlparser.ExtractExpr:
@@ -144,20 +124,12 @@ func (ev *evaluator) eval(e sqlparser.Expr) (Value, error) {
 			return Value{}, err
 		}
 		if val.IsNull() {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
-		if val.Kind != KindDate {
+		if val.Kind != sqlsem.KindDate {
 			return Value{}, errEval(e, fmt.Errorf("EXTRACT requires a date, got %s", val.Kind))
 		}
-		y, m, d := DateParts(val.I)
-		switch v.Unit {
-		case "YEAR":
-			return NewInt(int64(y)), nil
-		case "MONTH":
-			return NewInt(int64(m)), nil
-		default:
-			return NewInt(int64(d)), nil
-		}
+		return sqlsem.NewInt(sqlsem.DatePart(v.Unit, val.I)), nil
 	case *sqlparser.SubstringExpr:
 		return ev.evalSubstring(v)
 	case *sqlparser.CastExpr:
@@ -169,38 +141,6 @@ func (ev *evaluator) eval(e sqlparser.Expr) (Value, error) {
 	}
 }
 
-func parseNumber(s string) Value {
-	if !strings.ContainsAny(s, ".eE") {
-		var n int64
-		neg := false
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if i == 0 && (c == '-' || c == '+') {
-				neg = c == '-'
-				continue
-			}
-			if c < '0' || c > '9' {
-				return NewFloat(atof(s))
-			}
-			n = n*10 + int64(c-'0')
-		}
-		if neg {
-			n = -n
-		}
-		return NewInt(n)
-	}
-	return NewFloat(atof(s))
-}
-
-func atof(s string) float64 {
-	var f float64
-	_, err := fmt.Sscanf(s, "%g", &f)
-	if err != nil {
-		return 0
-	}
-	return f
-}
-
 func (ev *evaluator) evalUnary(v *sqlparser.UnaryExpr) (Value, error) {
 	val, err := ev.eval(v.Expr)
 	if err != nil {
@@ -208,15 +148,9 @@ func (ev *evaluator) evalUnary(v *sqlparser.UnaryExpr) (Value, error) {
 	}
 	switch v.Op {
 	case "NOT":
-		return triValue(sqlsem.Not(tri(val))), nil
+		return sqlsem.Not(val.Tri()).Value(), nil
 	case "-":
-		if val.IsNull() {
-			return Null(), nil
-		}
-		if val.Kind == KindInt {
-			return NewInt(-val.I), nil
-		}
-		return NewFloat(-val.Float()), nil
+		return val.Neg(), nil
 	case "+":
 		return val, nil
 	default:
@@ -231,31 +165,31 @@ func (ev *evaluator) evalBinary(v *sqlparser.BinaryExpr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		lt := tri(l)
+		lt := l.Tri()
 		if lt == sqlsem.False {
 			// Definite FALSE short-circuits; UNKNOWN must still see the
 			// right side (UNKNOWN AND FALSE is FALSE, not UNKNOWN).
-			return NewBool(false), nil
+			return sqlsem.NewBool(false), nil
 		}
 		r, err := ev.eval(v.Right)
 		if err != nil {
 			return Value{}, err
 		}
-		return triValue(sqlsem.And(lt, tri(r))), nil
+		return sqlsem.And(lt, r.Tri()).Value(), nil
 	case "OR":
 		l, err := ev.eval(v.Left)
 		if err != nil {
 			return Value{}, err
 		}
-		lt := tri(l)
+		lt := l.Tri()
 		if lt == sqlsem.True {
-			return NewBool(true), nil
+			return sqlsem.NewBool(true), nil
 		}
 		r, err := ev.eval(v.Right)
 		if err != nil {
 			return Value{}, err
 		}
-		return triValue(sqlsem.Or(lt, tri(r))), nil
+		return sqlsem.Or(lt, r.Tri()).Value(), nil
 	}
 
 	// Date +/- INTERVAL handled before generic arithmetic.
@@ -265,20 +199,24 @@ func (ev *evaluator) evalBinary(v *sqlparser.BinaryExpr) (Value, error) {
 			return Value{}, err
 		}
 		if l.IsNull() {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
-		n := parseNumber(iv.Value).Int()
-		if v.Op == "-" {
-			n = -n
-		}
-		if l.Kind != KindDate {
-			return Value{}, fmt.Errorf("interval arithmetic requires a date, got %s", l.Kind)
-		}
-		d, err := AddInterval(l.I, n, iv.Unit)
+		nv, err := sqlsem.ParseNumber(iv.Value)
 		if err != nil {
 			return Value{}, err
 		}
-		return NewDate(d), nil
+		n := nv.Int()
+		if v.Op == "-" {
+			n = -n
+		}
+		if l.Kind != sqlsem.KindDate {
+			return Value{}, fmt.Errorf("interval arithmetic requires a date, got %s", l.Kind)
+		}
+		d, err := sqlsem.AddInterval(l.I, n, iv.Unit)
+		if err != nil {
+			return Value{}, err
+		}
+		return sqlsem.NewDate(d), nil
 	}
 
 	l, err := ev.eval(v.Left)
@@ -291,23 +229,20 @@ func (ev *evaluator) evalBinary(v *sqlparser.BinaryExpr) (Value, error) {
 	}
 	switch v.Op {
 	case "+", "-", "*", "/", "%", "||":
-		val, err := Arithmetic(v.Op, l, r)
+		val, err := sqlsem.Arithmetic(v.Op, l, r)
 		if err != nil {
 			return Value{}, errEval(v, err)
 		}
 		return val, nil
 	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return triValue(sqlsem.Unknown), nil
-		}
-		return triValue(sqlsem.Compare(v.Op, Compare(l, r))), nil
+		return sqlsem.CompareValues(v.Op, l, r).Value(), nil
 	case "LIKE", "NOT LIKE":
 		eitherNull := l.IsNull() || r.IsNull()
 		matched := false
 		if !eitherNull {
-			matched = Like(l.String(), r.String())
+			matched = sqlsem.LikeMatch(l.String(), r.String())
 		}
-		return triValue(sqlsem.Like(eitherNull, matched, v.Op == "NOT LIKE")), nil
+		return sqlsem.Like(eitherNull, matched, v.Op == "NOT LIKE").Value(), nil
 	default:
 		return Value{}, fmt.Errorf("unknown binary operator %q", v.Op)
 	}
@@ -329,7 +264,7 @@ func (ev *evaluator) evalCase(v *sqlparser.CaseExpr) (Value, error) {
 		}
 		matched := false
 		if v.Operand != nil {
-			matched = Equal(operand, cond)
+			matched = operand.Equal(cond)
 		} else {
 			matched = cond.Bool()
 		}
@@ -340,7 +275,7 @@ func (ev *evaluator) evalCase(v *sqlparser.CaseExpr) (Value, error) {
 	if v.Else != nil {
 		return ev.eval(v.Else)
 	}
-	return Null(), nil
+	return sqlsem.Null(), nil
 }
 
 func (ev *evaluator) evalBetween(v *sqlparser.BetweenExpr) (Value, error) {
@@ -356,19 +291,8 @@ func (ev *evaluator) evalBetween(v *sqlparser.BetweenExpr) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	geLo := sqlsem.CompareNullable(">=", val.IsNull() || lo.IsNull(), compareNonNull(val, lo))
-	leHi := sqlsem.CompareNullable("<=", val.IsNull() || hi.IsNull(), compareNonNull(val, hi))
-	return triValue(sqlsem.Between(geLo, leHi, v.Not)), nil
-}
-
-// compareNonNull compares two values when neither is NULL; with a NULL
-// operand the result is unused (CompareNullable short-circuits to UNKNOWN)
-// and zero is returned.
-func compareNonNull(a, b Value) int {
-	if a.IsNull() || b.IsNull() {
-		return 0
-	}
-	return Compare(a, b)
+	geLo, leHi := sqlsem.CompareValues(">=", val, lo), sqlsem.CompareValues("<=", val, hi)
+	return sqlsem.Between(geLo, leHi, v.Not).Value(), nil
 }
 
 func (ev *evaluator) evalIn(v *sqlparser.InExpr) (Value, error) {
@@ -394,7 +318,7 @@ func (ev *evaluator) evalIn(v *sqlparser.InExpr) (Value, error) {
 			if err != nil {
 				return Value{}, err
 			}
-			if Equal(val, iv) {
+			if val.Equal(iv) {
 				found = true
 				break
 			}
@@ -407,7 +331,7 @@ func (ev *evaluator) evalIn(v *sqlparser.InExpr) (Value, error) {
 	if v.Not {
 		t = sqlsem.Not(t)
 	}
-	return triValue(t), nil
+	return t.Value(), nil
 }
 
 func (ev *evaluator) evalSubstring(v *sqlparser.SubstringExpr) (Value, error) {
@@ -416,35 +340,19 @@ func (ev *evaluator) evalSubstring(v *sqlparser.SubstringExpr) (Value, error) {
 		return Value{}, err
 	}
 	if s.IsNull() {
-		return Null(), nil
+		return sqlsem.Null(), nil
 	}
 	start, err := ev.eval(v.Start)
 	if err != nil {
 		return Value{}, err
 	}
-	str := s.String()
-	from := int(start.Int()) - 1
-	if from < 0 {
-		from = 0
-	}
-	if from > len(str) {
-		from = len(str)
-	}
-	to := len(str)
+	var length Value
 	if v.Length != nil {
-		length, err := ev.eval(v.Length)
-		if err != nil {
+		if length, err = ev.eval(v.Length); err != nil {
 			return Value{}, err
 		}
-		to = from + int(length.Int())
-		if to > len(str) {
-			to = len(str)
-		}
-		if to < from {
-			to = from
-		}
 	}
-	return NewString(str[from:to]), nil
+	return sqlsem.Substring(s, start, length, v.Length != nil), nil
 }
 
 func (ev *evaluator) evalCast(v *sqlparser.CastExpr) (Value, error) {
@@ -452,28 +360,7 @@ func (ev *evaluator) evalCast(v *sqlparser.CastExpr) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if val.IsNull() {
-		return Null(), nil
-	}
-	switch strings.ToLower(v.Type) {
-	case "integer", "int", "bigint", "smallint":
-		return NewInt(val.Int()), nil
-	case "double", "float", "real", "decimal", "numeric":
-		return NewFloat(val.Float()), nil
-	case "varchar", "char", "text", "string":
-		return NewString(val.String()), nil
-	case "date":
-		if val.Kind == KindDate {
-			return val, nil
-		}
-		d, err := ParseDate(val.String())
-		if err != nil {
-			return Value{}, err
-		}
-		return NewDate(d), nil
-	default:
-		return Value{}, fmt.Errorf("unsupported cast target %q", v.Type)
-	}
+	return sqlsem.Cast(val, v.Type)
 }
 
 // evalFunc evaluates scalar functions and, in aggregate context, aggregate
@@ -493,63 +380,10 @@ func (ev *evaluator) evalFunc(v *sqlparser.FuncCall) (Value, error) {
 		}
 		args[i] = val
 	}
-	switch v.Name {
-	case "abs":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("abs expects 1 argument")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f := args[0].Float()
-		if f < 0 {
-			f = -f
-		}
-		if args[0].Kind == KindInt {
-			return NewInt(int64(f)), nil
-		}
-		return NewFloat(f), nil
-	case "length", "char_length":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("%s expects 1 argument", v.Name)
-		}
-		return NewInt(int64(len(args[0].String()))), nil
-	case "upper":
-		return NewString(strings.ToUpper(args[0].String())), nil
-	case "lower":
-		return NewString(strings.ToLower(args[0].String())), nil
-	case "coalesce":
-		for _, a := range args {
-			if !a.IsNull() {
-				return a, nil
-			}
-		}
-		return Null(), nil
-	case "round":
-		if len(args) == 0 {
-			return Value{}, fmt.Errorf("round expects at least 1 argument")
-		}
-		f := args[0].Float()
-		scale := 0
-		if len(args) > 1 {
-			scale = int(args[1].Int())
-		}
-		mult := 1.0
-		for i := 0; i < scale; i++ {
-			mult *= 10
-		}
-		rounded := float64(int64(f*mult+copySign(0.5, f))) / mult
-		return NewFloat(rounded), nil
-	default:
-		return Value{}, fmt.Errorf("unknown function %q", v.Name)
+	if err := sqlsem.CheckFunc(v.Name, len(args)); err != nil {
+		return Value{}, err
 	}
-}
-
-func copySign(mag, sign float64) float64 {
-	if sign < 0 {
-		return -mag
-	}
-	return mag
+	return sqlsem.ApplyFunc(v.Name, args), nil
 }
 
 // evalAggregate computes an aggregate over the evaluator's group rows.
@@ -562,7 +396,7 @@ func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
 		if name != "count" {
 			return Value{}, fmt.Errorf("%s(*) is not valid", name)
 		}
-		return NewInt(int64(len(ev.group))), nil
+		return sqlsem.NewInt(int64(len(ev.group))), nil
 	}
 	if len(v.Args) != 1 {
 		return Value{}, fmt.Errorf("aggregate %s expects exactly 1 argument", name)
@@ -601,16 +435,16 @@ func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
 			distinct[k] = true
 		}
 		count++
-		if val.Kind == KindInt {
+		if val.Kind == sqlsem.KindInt {
 			sumInt += val.I
 		} else {
 			sumIsInt = false
 		}
 		sum += val.Float()
-		if min.Kind == KindNull || Compare(val, min) < 0 {
+		if min.Kind == sqlsem.KindNull || val.Compare(min) < 0 {
 			min = val
 		}
-		if max.Kind == KindNull || Compare(val, max) > 0 {
+		if max.Kind == sqlsem.KindNull || val.Compare(max) > 0 {
 			max = val
 		}
 	}
@@ -633,28 +467,28 @@ func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
 
 	switch name {
 	case "count":
-		return NewInt(count), nil
+		return sqlsem.NewInt(count), nil
 	case "sum":
 		if count == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
 		if sumIsInt {
-			return NewInt(sumInt), nil
+			return sqlsem.NewInt(sumInt), nil
 		}
-		return NewFloat(sum), nil
+		return sqlsem.NewFloat(sum), nil
 	case "avg":
 		if count == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
-		return NewFloat(sum / float64(count)), nil
+		return sqlsem.NewFloat(sum / float64(count)), nil
 	case "min":
 		if count == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
 		return min, nil
 	case "max":
 		if count == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
 		return max, nil
 	default:
@@ -690,7 +524,7 @@ func (ev *evaluator) materializeVector(e sqlparser.Expr) ([]Value, error) {
 			}
 			out := make([]Value, len(rows))
 			for i := range rows {
-				val, err := Arithmetic(v.Op, left[i], right[i])
+				val, err := sqlsem.Arithmetic(v.Op, left[i], right[i])
 				if err != nil {
 					return nil, errEval(v, err)
 				}
@@ -764,11 +598,11 @@ func widenVector(in []Value, stats *Stats) []Value {
 			out[i] = v
 			continue
 		}
-		if v.Kind == KindString || v.Kind == KindDate {
+		if v.Kind == sqlsem.KindString || v.Kind == sqlsem.KindDate {
 			out[i] = v
 			continue
 		}
-		out[i] = NewFloat(v.Float())
+		out[i] = sqlsem.NewFloat(v.Float())
 	}
 	if stats != nil {
 		stats.IntermediatesMaterialized += int64(len(out))

@@ -8,6 +8,7 @@ import (
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -131,15 +132,9 @@ type executor struct {
 	deadlineTick int
 }
 
-// untracedPrefix marks execution contexts without an operator id — the
-// operands of explicit JOIN trees (traced as one input operator) and nested
-// statements the prefix walk does not enumerate. Span emission is skipped
-// under it.
-const untracedPrefix = "\x00"
-
 // traced reports whether spans should be emitted for the given prefix.
 func (ex *executor) traced(prefix string) bool {
-	return ex.tracer != nil && prefix != untracedPrefix
+	return ex.tracer != nil && prefix != trace.UntracedPrefix
 }
 
 func newExecutor(db *Database, mode Mode, limits executionLimits, guardCasts bool, p *plan.Plan) *executor {
@@ -185,7 +180,7 @@ func (ex *executor) executeSubquery(stmt *sqlparser.SelectStatement, outer *scop
 	}
 	// The prefix walk assigns this statement its operator id; statements it
 	// does not enumerate (inside explicit JOIN trees) run untraced.
-	prefix := untracedPrefix
+	prefix := trace.UntracedPrefix
 	var sp *trace.Span
 	if ex.tracer != nil {
 		if p, ok := ex.subPrefix[stmt]; ok {
@@ -259,7 +254,7 @@ func (ex *executor) subquerySet(stmt *sqlparser.SelectStatement, outer *scope) (
 
 // executeSelect is the top of the interpreter: it runs one planned SELECT
 // and folds its set-operation continuations in. prefix keys the statement's
-// operator spans (empty at the root, untracedPrefix to disable).
+// operator spans (empty at the root, trace.UntracedPrefix to disable).
 func (ex *executor) executeSelect(sp *plan.Select, outer *scope, prefix string) (*relation, error) {
 	rel, err := ex.executeSelectCore(sp, outer, prefix)
 	if err != nil {
@@ -268,7 +263,7 @@ func (ex *executor) executeSelect(sp *plan.Select, outer *scope, prefix string) 
 	// Set operations chain on the plan, mirroring the statement chain.
 	j := 1
 	for cur := sp; cur.SetNext != nil; cur = cur.SetNext {
-		branchPrefix := untracedPrefix
+		branchPrefix := trace.UntracedPrefix
 		if ex.traced(prefix) {
 			branchPrefix = trace.SetPrefix(prefix, j)
 		}
@@ -294,13 +289,13 @@ func applySetOp(op string, left, right *relation) (*relation, error) {
 	if len(left.cols) != len(right.cols) {
 		return nil, fmt.Errorf("set operation requires matching column counts (%d vs %d)", len(left.cols), len(right.cols))
 	}
+	var buf []byte
 	rowKey := func(r *relation, i int) string {
-		var sb strings.Builder
+		buf = buf[:0]
 		for _, c := range r.cols {
-			sb.WriteString(c.vals[i].Key())
-			sb.WriteByte('|')
+			buf = append(c.vals[i].AppendKey(buf), '|')
 		}
-		return sb.String()
+		return string(buf)
 	}
 	switch op {
 	case "UNION ALL":
@@ -398,13 +393,13 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 	var out *relation
 	var sortKeys [][]Value
 	if sp.Grouped {
-		out, sortKeys, err = ex.projectGrouped(stmt, filtered, outer, prefix)
+		out, sortKeys, err = ex.projectGrouped(sp, filtered, outer, prefix)
 	} else {
 		tm = trace.Timer{}
 		if ex.traced(prefix) {
 			tm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
 		}
-		out, sortKeys, err = ex.projectRows(stmt, filtered, outer)
+		out, sortKeys, err = ex.projectRows(sp, filtered, outer)
 		if err == nil {
 			tm.Done(int64(out.numRows()))
 		}
@@ -427,7 +422,7 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 		if ex.traced(prefix) {
 			tm = ex.tracer.Span(trace.SortID(prefix), trace.KindSort).Start()
 		}
-		out = sortRelation(out, sortKeys, stmt.OrderBy)
+		out = sortRelation(out, sortKeys, sp.OrderBy)
 		tm.Done(int64(out.numRows()))
 	}
 
@@ -504,7 +499,7 @@ func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool
 		tm.Done(int64(rel.numRows()))
 		return rel, nil
 	case in.Derived != nil:
-		derivedPrefix := untracedPrefix
+		derivedPrefix := trace.UntracedPrefix
 		var tm trace.Timer
 		if ex.traced(prefix) {
 			derivedPrefix = trace.DerivedPrefix(prefix, idx)
@@ -542,11 +537,11 @@ func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool
 // buildJoin executes an explicit JOIN tree node whose ON condition the plan
 // already classified into equi-join keys and residual predicates.
 func (ex *executor) buildJoin(j *plan.Join, needed map[string]map[string]bool, outer *scope) (*relation, error) {
-	left, err := ex.buildInput(j.Left, needed, outer, untracedPrefix, -1)
+	left, err := ex.buildInput(j.Left, needed, outer, trace.UntracedPrefix, -1)
 	if err != nil {
 		return nil, err
 	}
-	right, err := ex.buildInput(j.Right, needed, outer, untracedPrefix, -1)
+	right, err := ex.buildInput(j.Right, needed, outer, trace.UntracedPrefix, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -642,7 +637,7 @@ func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlpar
 // rows can never satisfy the join condition — callers must skip them
 // instead of letting NULL keys bucket together.
 func joinKey(ev *evaluator, keys []sqlparser.Expr) (key string, hasNull bool, err error) {
-	var sb strings.Builder
+	var buf []byte
 	for _, k := range keys {
 		v, err := ev.eval(k)
 		if err != nil {
@@ -651,10 +646,9 @@ func joinKey(ev *evaluator, keys []sqlparser.Expr) (key string, hasNull bool, er
 		if v.IsNull() {
 			hasNull = true
 		}
-		sb.WriteString(v.Key())
-		sb.WriteByte('|')
+		buf = append(v.AppendKey(buf), '|')
 	}
-	return sb.String(), hasNull, nil
+	return string(buf), hasNull, nil
 }
 
 // crossJoin builds the cartesian product, guarded by the join-size limit.
@@ -775,7 +769,7 @@ func (ex *executor) leftOuterJoin(left, right *relation, j *plan.Join, outer *sc
 		vals := make([]Value, len(rightIdx))
 		for i, ri := range rightIdx {
 			if ri < 0 {
-				vals[i] = Null()
+				vals[i] = sqlsem.Null()
 			} else {
 				vals[i] = c.vals[ri]
 			}
@@ -866,21 +860,21 @@ func (ex *executor) applyFilter(rel *relation, conjuncts []sqlparser.Expr, outer
 	return rel.selectRows(keep), nil
 }
 
+// outputRelation lays out the statement's output columns (plan.OutSchema)
+// with no rows yet.
+func outputRelation(sp *plan.Select) *relation {
+	out := &relation{}
+	for _, m := range sp.OutSchema {
+		out.cols = append(out.cols, &relColumn{table: m.Table, name: m.Name})
+	}
+	return out
+}
+
 // projectRows computes the projection of a non-grouped query, returning the
 // output relation plus the ORDER BY sort keys evaluated in the same context.
-func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, outer *scope) (*relation, [][]Value, error) {
-	items, starCols := expandProjection(stmt, rel)
-	out := &relation{n: rel.numRows()}
-	for _, sc := range starCols {
-		out.cols = append(out.cols, &relColumn{table: sc.table, name: sc.name, vals: nil})
-	}
-	for _, it := range items {
-		if it.star {
-			continue
-		}
-		out.cols = append(out.cols, &relColumn{table: "", name: it.name, vals: nil})
-	}
-
+func (ex *executor) projectRows(sp *plan.Select, rel *relation, outer *scope) (*relation, [][]Value, error) {
+	out := outputRelation(sp)
+	out.n = rel.numRows()
 	sortKeys := make([][]Value, rel.numRows())
 	ev := &evaluator{ex: ex, sc: &scope{rel: rel, outer: outer}}
 	for ri := 0; ri < rel.numRows(); ri++ {
@@ -888,24 +882,19 @@ func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, 
 			return nil, nil, err
 		}
 		ev.sc.row = ri
-		col := 0
-		for _, sc := range starCols {
-			out.cols[col].vals = append(out.cols[col].vals, sc.vals[ri])
-			col++
+		for col, ci := range sp.StarCols {
+			out.cols[col].vals = append(out.cols[col].vals, rel.cols[ci].vals[ri])
 		}
-		for _, it := range items {
-			if it.star {
-				continue
-			}
-			v, err := ev.eval(it.expr)
+		for k, e := range sp.Items {
+			v, err := ev.eval(e)
 			if err != nil {
 				return nil, nil, err
 			}
+			col := len(sp.StarCols) + k
 			out.cols[col].vals = append(out.cols[col].vals, v)
-			col++
 		}
-		if len(stmt.OrderBy) > 0 {
-			keys, err := ex.orderKeys(stmt, ev, out, ri, items)
+		if len(sp.OrderBy) > 0 {
+			keys, err := orderKeys(sp, ev, out, ri)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -917,7 +906,8 @@ func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, 
 
 // projectGrouped computes grouping, aggregation, HAVING and the projection
 // of a grouped query.
-func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relation, outer *scope, prefix string) (*relation, [][]Value, error) {
+func (ex *executor) projectGrouped(sp *plan.Select, rel *relation, outer *scope, prefix string) (*relation, [][]Value, error) {
+	stmt := sp.Stmt
 	// Build groups.
 	var atm trace.Timer
 	if ex.traced(prefix) {
@@ -935,21 +925,21 @@ func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relatio
 		order = append(order, key)
 	} else {
 		ev := &evaluator{ex: ex, sc: &scope{rel: rel, outer: outer}}
+		var buf []byte
 		for ri := 0; ri < rel.numRows(); ri++ {
 			if err := ex.checkDeadline(); err != nil {
 				return nil, nil, err
 			}
 			ev.sc.row = ri
-			var sb strings.Builder
+			buf = buf[:0]
 			for _, g := range stmt.GroupBy {
 				v, err := ev.eval(g)
 				if err != nil {
 					return nil, nil, err
 				}
-				sb.WriteString(v.Key())
-				sb.WriteByte('|')
+				buf = append(v.AppendKey(buf), '|')
 			}
-			key := sb.String()
+			key := string(buf)
 			entry, ok := groups[key]
 			if !ok {
 				entry = &groupEntry{}
@@ -964,16 +954,10 @@ func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relatio
 	// formed, pre-HAVING — the same accounting as the vectorized engine's.
 	atm.Done(int64(len(order)))
 
-	items, _ := expandProjection(stmt, rel)
-	for _, it := range items {
-		if it.star {
-			return nil, nil, fmt.Errorf("SELECT * is not supported with GROUP BY or aggregates")
-		}
+	if len(sp.Items) < len(stmt.Projection) {
+		return nil, nil, fmt.Errorf("SELECT * is not supported with GROUP BY or aggregates")
 	}
-	out := &relation{}
-	for _, it := range items {
-		out.cols = append(out.cols, &relColumn{table: "", name: it.name, vals: nil})
-	}
+	out := outputRelation(sp)
 
 	var ptm trace.Timer
 	if ex.traced(prefix) {
@@ -997,16 +981,16 @@ func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relatio
 				continue
 			}
 		}
-		for i, it := range items {
-			v, err := gev.eval(it.expr)
+		for i, e := range sp.Items {
+			v, err := gev.eval(e)
 			if err != nil {
 				return nil, nil, err
 			}
 			out.cols[i].vals = append(out.cols[i].vals, v)
 		}
 		out.n++
-		if len(stmt.OrderBy) > 0 {
-			keys, err := ex.orderKeys(stmt, gev, out, out.n-1, items)
+		if len(sp.OrderBy) > 0 {
+			keys, err := orderKeys(sp, gev, out, out.n-1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -1017,70 +1001,17 @@ func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relatio
 	return out, sortKeys, nil
 }
 
-// projectionItem is one resolved projection element.
-type projectionItem struct {
-	name string
-	expr sqlparser.Expr
-	star bool
-}
-
-// expandProjection resolves projection items: star items expand to the input
-// columns, others get their output name from the alias, column name or
-// rendered expression.
-func expandProjection(stmt *sqlparser.SelectStatement, rel *relation) ([]projectionItem, []*relColumn) {
-	var items []projectionItem
-	var starCols []*relColumn
-	for _, p := range stmt.Projection {
-		if p.Star {
-			items = append(items, projectionItem{star: true})
-			for _, c := range rel.cols {
-				if p.Qualifier == "" || strings.EqualFold(p.Qualifier, c.table) {
-					starCols = append(starCols, c)
-				}
-			}
+// orderKeys reads the plan's resolved ORDER BY keys for the current output
+// row: an output column, or an expression evaluated in the current row/group
+// context.
+func orderKeys(sp *plan.Select, ev *evaluator, out *relation, outRow int) ([]Value, error) {
+	keys := make([]Value, len(sp.OrderBy))
+	for i, k := range sp.OrderBy {
+		if k.Col >= 0 {
+			keys[i] = out.cols[k.Col].vals[outRow]
 			continue
 		}
-		name := p.Alias
-		if name == "" {
-			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = strings.ToLower(p.Expr.SQL())
-			}
-		}
-		items = append(items, projectionItem{name: strings.ToLower(name), expr: p.Expr})
-	}
-	return items, starCols
-}
-
-// orderKeys evaluates the ORDER BY expressions for the current output row.
-// A bare column reference naming a projection alias sorts by that output
-// column; everything else is evaluated in the current row/group context.
-func (ex *executor) orderKeys(stmt *sqlparser.SelectStatement, ev *evaluator, out *relation, outRow int, items []projectionItem) ([]Value, error) {
-	keys := make([]Value, len(stmt.OrderBy))
-	for i, ob := range stmt.OrderBy {
-		if cr, ok := ob.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			matched := false
-			for ci, it := range items {
-				if !it.star && it.name == strings.ToLower(cr.Column) {
-					keys[i] = out.cols[itemColumn(items, len(out.cols), ci)].vals[outRow]
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-		}
-		if num, ok := ob.Expr.(*sqlparser.NumberLit); ok {
-			// ORDER BY <ordinal>.
-			idx := int(parseNumber(num.Value).Int()) - 1
-			if idx >= 0 && idx < len(out.cols) {
-				keys[i] = out.cols[idx].vals[outRow]
-				continue
-			}
-		}
-		v, err := ev.eval(ob.Expr)
+		v, err := ev.eval(k.Expr)
 		if err != nil {
 			return nil, err
 		}
@@ -1089,37 +1020,17 @@ func (ex *executor) orderKeys(stmt *sqlparser.SelectStatement, ev *evaluator, ou
 	return keys, nil
 }
 
-// itemColumn maps a projection item index to its output column index: star
-// items expand to the full star block ahead of the computed columns, so a
-// computed item's column sits after the star block at its non-star rank.
-func itemColumn(items []projectionItem, numOutCols, itemIdx int) int {
-	nonStar := 0
-	for _, it := range items {
-		if !it.star {
-			nonStar++
-		}
-	}
-	starWidth := numOutCols - nonStar
-	rank := 0
-	for i := 0; i < itemIdx; i++ {
-		if !items[i].star {
-			rank++
-		}
-	}
-	return starWidth + rank
-}
-
 // distinctRows removes duplicate output rows (and their sort keys).
 func distinctRows(rel *relation, sortKeys [][]Value) (*relation, [][]Value) {
 	seen := map[string]bool{}
 	var keep []int
+	var buf []byte
 	for i := 0; i < rel.numRows(); i++ {
-		var sb strings.Builder
+		buf = buf[:0]
 		for _, c := range rel.cols {
-			sb.WriteString(c.vals[i].Key())
-			sb.WriteByte('|')
+			buf = append(c.vals[i].AppendKey(buf), '|')
 		}
-		k := sb.String()
+		k := string(buf)
 		if !seen[k] {
 			seen[k] = true
 			keep = append(keep, i)
@@ -1139,12 +1050,12 @@ func distinctRows(rel *relation, sortKeys [][]Value) (*relation, [][]Value) {
 }
 
 // sortRelation sorts the output rows by the precomputed keys.
-func sortRelation(rel *relation, keys [][]Value, orderBy []sqlparser.OrderItem) *relation {
+func sortRelation(rel *relation, keys [][]Value, orderBy []plan.OrderKey) *relation {
 	idx := allRows(rel.numRows())
 	sort.SliceStable(idx, func(a, b int) bool {
 		ka, kb := keys[idx[a]], keys[idx[b]]
 		for i := range orderBy {
-			c := Compare(ka[i], kb[i])
+			c := ka[i].Compare(kb[i])
 			if c == 0 {
 				continue
 			}

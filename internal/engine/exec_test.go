@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // miniDB builds a small hand-written database shared by the executor tests.
@@ -18,7 +20,7 @@ func miniDB() *Database {
 	)
 	names := []string{"ALGERIA", "ARGENTINA", "BRAZIL", "CANADA", "EGYPT", "FRANCE", "GERMANY", "INDIA"}
 	for i, n := range names {
-		nation.MustAppendRow(NewInt(int64(i)), NewString(n), NewInt(int64(i%3)), NewString("comment "+n))
+		nation.MustAppendRow(sqlsem.NewInt(int64(i)), sqlsem.NewString(n), sqlsem.NewInt(int64(i%3)), sqlsem.NewString("comment "+n))
 	}
 	db.AddTable(nation)
 
@@ -27,7 +29,7 @@ func miniDB() *Database {
 		Column{Name: "r_name", Type: TypeString},
 	)
 	for i, n := range []string{"AFRICA", "AMERICA", "ASIA"} {
-		region.MustAppendRow(NewInt(int64(i)), NewString(n))
+		region.MustAppendRow(sqlsem.NewInt(int64(i)), sqlsem.NewString(n))
 	}
 	db.AddTable(region)
 
@@ -40,11 +42,11 @@ func miniDB() *Database {
 	)
 	for i := 1; i <= 20; i++ {
 		orders.MustAppendRow(
-			NewInt(int64(i)),
-			NewInt(int64(i%8)),
-			NewFloat(float64(i)*10.5),
-			NewDate(MustParseDate("1995-01-01")+int64(i*10)),
-			NewString([]string{"F", "O", "P"}[i%3]),
+			sqlsem.NewInt(int64(i)),
+			sqlsem.NewInt(int64(i%8)),
+			sqlsem.NewFloat(float64(i)*10.5),
+			sqlsem.NewDate(sqlsem.MustParseDate("1995-01-01")+int64(i*10)),
+			sqlsem.NewString([]string{"F", "O", "P"}[i%3]),
 		)
 	}
 	db.AddTable(orders)
@@ -202,7 +204,7 @@ func TestJoins(t *testing.T) {
 func TestLeftOuterJoin(t *testing.T) {
 	db := miniDB()
 	// region ASIA (key 2) has nations; add a region with no nations.
-	db.Table("region").MustAppendRow(NewInt(9), NewString("NOWHERE"))
+	db.Table("region").MustAppendRow(sqlsem.NewInt(9), sqlsem.NewString("NOWHERE"))
 	sql := `SELECT r_name, count(n_nationkey) AS cnt
 		FROM region LEFT JOIN nation ON n_regionkey = r_regionkey
 		GROUP BY r_name ORDER BY r_name`
@@ -423,7 +425,7 @@ func TestTimeout(t *testing.T) {
 	// An extremely small timeout on a query with enough work must abort.
 	big := NewTable("big", Column{Name: "x", Type: TypeInt})
 	for i := 0; i < 200000; i++ {
-		big.MustAppendRow(NewInt(int64(i)))
+		big.MustAppendRow(sqlsem.NewInt(int64(i)))
 	}
 	db.AddTable(big)
 	_, err := NewColEngine().Execute(db, "SELECT count(*) FROM big a, big b WHERE a.x = b.x AND a.x % 7 = 1", ExecOptions{Timeout: time.Microsecond})

@@ -3,6 +3,8 @@ package engine
 import (
 	"strings"
 	"testing"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // nullDB is a tiny table with NULL-rich columns used to pin the ternary
@@ -27,15 +29,15 @@ func nullDB() *Database {
 		a  Value
 		s  Value
 	}{
-		{1, NewInt(1), NewString("alpha")},
-		{2, NewInt(2), Null()},
-		{3, Null(), NewString("beta")},
-		{4, NewInt(4), Null()},
-		{5, Null(), NewString("gamma")},
-		{6, NewInt(6), NewString("alto")},
+		{1, sqlsem.NewInt(1), sqlsem.NewString("alpha")},
+		{2, sqlsem.NewInt(2), sqlsem.Null()},
+		{3, sqlsem.Null(), sqlsem.NewString("beta")},
+		{4, sqlsem.NewInt(4), sqlsem.Null()},
+		{5, sqlsem.Null(), sqlsem.NewString("gamma")},
+		{6, sqlsem.NewInt(6), sqlsem.NewString("alto")},
 	}
 	for _, r := range rows {
-		t.MustAppendRow(NewInt(r.id), r.a, r.s)
+		t.MustAppendRow(sqlsem.NewInt(r.id), r.a, r.s)
 	}
 	db.AddTable(t)
 	return db
@@ -272,12 +274,12 @@ func TestNullAndOrCase(t *testing.T) {
 func TestNullJoinKeys(t *testing.T) {
 	db := NewDatabase("nulljoin")
 	t1 := NewTable("t1", Column{Name: "x", Type: TypeInt})
-	for _, v := range []Value{NewInt(1), Null(), NewInt(2)} {
+	for _, v := range []Value{sqlsem.NewInt(1), sqlsem.Null(), sqlsem.NewInt(2)} {
 		t1.MustAppendRow(v)
 	}
 	db.AddTable(t1)
 	t2 := NewTable("t2", Column{Name: "y", Type: TypeInt})
-	for _, v := range []Value{NewInt(1), Null(), NewInt(3)} {
+	for _, v := range []Value{sqlsem.NewInt(1), sqlsem.Null(), sqlsem.NewInt(3)} {
 		t2.MustAppendRow(v)
 	}
 	db.AddTable(t2)

@@ -9,6 +9,7 @@ import (
 	"sqalpel/internal/datagen"
 	"sqalpel/internal/engine"
 	"sqalpel/internal/plan"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/workload"
 )
 
@@ -120,7 +121,7 @@ func TestPlanCacheInvalidationOnMutation(t *testing.T) {
 		engine.Column{Name: "v", Type: engine.TypeInt},
 	)
 	for i := 1; i <= 4; i++ {
-		tbl.MustAppendRow(engine.NewInt(int64(i)), engine.NewInt(int64(10*i)))
+		tbl.MustAppendRow(sqlsem.NewInt(int64(i)), sqlsem.NewInt(int64(10*i)))
 	}
 	db.AddTable(tbl)
 
@@ -144,7 +145,7 @@ func TestPlanCacheInvalidationOnMutation(t *testing.T) {
 	}
 
 	// In-place update: same row count, so only the data version betrays it.
-	if err := tbl.SetValue(0, 1, engine.NewInt(1010)); err != nil {
+	if err := tbl.SetValue(0, 1, sqlsem.NewInt(1010)); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range reg.Keys() {
@@ -154,7 +155,7 @@ func TestPlanCacheInvalidationOnMutation(t *testing.T) {
 	}
 
 	// Append: grows the table.
-	tbl.MustAppendRow(engine.NewInt(5), engine.NewInt(900))
+	tbl.MustAppendRow(sqlsem.NewInt(5), sqlsem.NewInt(900))
 	for _, key := range reg.Keys() {
 		if got := sum(key); got != 2000 {
 			t.Errorf("%s: sum after append = %d, want 2000 (stale cache?)", key, got)
@@ -166,7 +167,7 @@ func TestPlanCacheInvalidationOnMutation(t *testing.T) {
 		engine.Column{Name: "id", Type: engine.TypeInt},
 		engine.Column{Name: "v", Type: engine.TypeInt},
 	)
-	fresh.MustAppendRow(engine.NewInt(1), engine.NewInt(7))
+	fresh.MustAppendRow(sqlsem.NewInt(1), sqlsem.NewInt(7))
 	before := db.Version()
 	db.AddTable(fresh)
 	if db.Version() <= before {
@@ -234,8 +235,8 @@ func TestPlanCacheConcurrentExecutions(t *testing.T) {
 func TestVektorTypedCacheInvalidation(t *testing.T) {
 	db := engine.NewDatabase("typed")
 	tbl := engine.NewTable("m", engine.Column{Name: "x", Type: engine.TypeInt})
-	tbl.MustAppendRow(engine.NewInt(1))
-	tbl.MustAppendRow(engine.NewInt(2))
+	tbl.MustAppendRow(sqlsem.NewInt(1))
+	tbl.MustAppendRow(sqlsem.NewInt(2))
 	db.AddTable(tbl)
 
 	vek := engine.NewVektorEngine()
@@ -247,7 +248,7 @@ func TestVektorTypedCacheInvalidation(t *testing.T) {
 	if got := res.Rows[0][0].Int(); got != 3 {
 		t.Fatalf("warm-up sum = %d, want 3", got)
 	}
-	if err := tbl.SetValue(1, 0, engine.NewInt(40)); err != nil {
+	if err := tbl.SetValue(1, 0, sqlsem.NewInt(40)); err != nil {
 		t.Fatal(err)
 	}
 	res, err = vek.Execute(db, "SELECT sum(x) AS s FROM m", opts)

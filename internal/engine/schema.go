@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // ColumnType is the declared type of a table column.
@@ -131,13 +133,13 @@ func (t *Table) MustAppendRow(vals ...Value) {
 func typeCompatible(ct ColumnType, k Kind) bool {
 	switch ct {
 	case TypeInt:
-		return k == KindInt || k == KindBool
+		return k == sqlsem.KindInt || k == sqlsem.KindBool
 	case TypeFloat:
-		return k == KindFloat || k == KindInt
+		return k == sqlsem.KindFloat || k == sqlsem.KindInt
 	case TypeString:
-		return k == KindString
+		return k == sqlsem.KindString
 	case TypeDate:
-		return k == KindDate
+		return k == sqlsem.KindDate
 	default:
 		return false
 	}
@@ -157,23 +159,6 @@ func (t *Table) Row(row int) []Value {
 		out[c] = t.cols[c][row]
 	}
 	return out
-}
-
-// EstimatedBytes returns a rough size of the table payload, used by the
-// catalog pages of the platform.
-func (t *Table) EstimatedBytes() int64 {
-	var total int64
-	for c := range t.Columns {
-		for _, v := range t.cols[c] {
-			switch v.Kind {
-			case KindString:
-				total += int64(len(v.S)) + 16
-			default:
-				total += 16
-			}
-		}
-	}
-	return total
 }
 
 // Database is a named collection of tables.
@@ -248,29 +233,4 @@ func (d *Database) Tables() []*Table {
 		out = append(out, d.tables[n])
 	}
 	return out
-}
-
-// TotalRows returns the sum of row counts over all tables.
-func (d *Database) TotalRows() int {
-	total := 0
-	for _, t := range d.tables {
-		total += t.rows
-	}
-	return total
-}
-
-// Describe renders a short textual schema summary.
-func (d *Database) Describe() string {
-	var sb strings.Builder
-	for _, t := range d.Tables() {
-		fmt.Fprintf(&sb, "%s(%d rows):", t.Name, t.rows)
-		for i, c := range t.Columns {
-			if i > 0 {
-				sb.WriteString(",")
-			}
-			fmt.Fprintf(&sb, " %s %s", c.Name, c.Type)
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }

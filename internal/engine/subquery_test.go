@@ -1,6 +1,10 @@
 package engine
 
-import "testing"
+import (
+	"testing"
+
+	"sqalpel/internal/sqlsem"
+)
 
 // subqueryDB is a small two-table database for pinning sub-query edge
 // cases on every engine: an outer table with nullable columns and an
@@ -19,10 +23,10 @@ func subqueryDB() *Database {
 		Column{Name: "k", Type: TypeInt},
 		Column{Name: "a", Type: TypeInt},
 	)
-	outer.MustAppendRow(NewInt(1), NewInt(1), NewInt(10))
-	outer.MustAppendRow(NewInt(2), NewInt(2), Null())
-	outer.MustAppendRow(NewInt(3), NewInt(3), NewInt(30))
-	outer.MustAppendRow(NewInt(4), NewInt(1), NewInt(40))
+	outer.MustAppendRow(sqlsem.NewInt(1), sqlsem.NewInt(1), sqlsem.NewInt(10))
+	outer.MustAppendRow(sqlsem.NewInt(2), sqlsem.NewInt(2), sqlsem.Null())
+	outer.MustAppendRow(sqlsem.NewInt(3), sqlsem.NewInt(3), sqlsem.NewInt(30))
+	outer.MustAppendRow(sqlsem.NewInt(4), sqlsem.NewInt(1), sqlsem.NewInt(40))
 	db.AddTable(outer)
 
 	inner := NewTable("inner_t",
@@ -30,10 +34,10 @@ func subqueryDB() *Database {
 		Column{Name: "v", Type: TypeInt},
 		Column{Name: "w", Type: TypeInt},
 	)
-	inner.MustAppendRow(NewInt(1), NewInt(100), NewInt(7))
-	inner.MustAppendRow(NewInt(1), NewInt(200), Null())
-	inner.MustAppendRow(NewInt(2), NewInt(300), NewInt(9))
-	inner.MustAppendRow(NewInt(9), Null(), NewInt(5))
+	inner.MustAppendRow(sqlsem.NewInt(1), sqlsem.NewInt(100), sqlsem.NewInt(7))
+	inner.MustAppendRow(sqlsem.NewInt(1), sqlsem.NewInt(200), sqlsem.Null())
+	inner.MustAppendRow(sqlsem.NewInt(2), sqlsem.NewInt(300), sqlsem.NewInt(9))
+	inner.MustAppendRow(sqlsem.NewInt(9), sqlsem.Null(), sqlsem.NewInt(5))
 	db.AddTable(inner)
 	return db
 }

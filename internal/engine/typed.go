@@ -168,26 +168,11 @@ func (e *typedEngine) Execute(db *Database, sql string, opts ExecOptions) (*Resu
 			BlocksSkipped:      res.Stats.BlocksSkipped,
 		},
 	}
-	n := res.NumRows()
-	out.Rows = make([][]Value, n)
-	for i := 0; i < n; i++ {
+	out.Rows = make([][]Value, res.NumRows())
+	for i := range out.Rows {
 		row := make([]Value, len(res.Cols))
 		for c, vec := range res.Cols {
-			kind, iv, fv, sv := vec.ValueAt(i)
-			switch kind {
-			case vexec.KindNull:
-				row[c] = Null()
-			case vexec.KindBool:
-				row[c] = Value{Kind: KindBool, I: iv}
-			case vexec.KindInt:
-				row[c] = NewInt(iv)
-			case vexec.KindFloat:
-				row[c] = NewFloat(fv)
-			case vexec.KindString:
-				row[c] = NewString(sv)
-			case vexec.KindDate:
-				row[c] = NewDate(iv)
-			}
+			row[c] = vec.At(i)
 		}
 		out.Rows[i] = row
 	}
@@ -285,7 +270,12 @@ func (tc *typedCache) typedTable(db *Database, t *Table) (*vexec.Table, error) {
 func buildTypedTable(t *Table) (*vexec.Table, error) {
 	cols := make([]vexec.TableColumn, len(t.Columns))
 	for ci, col := range t.Columns {
-		vec, err := typedColumn(t.ColumnValues(ci))
+		// vexec's value builder decodes boxed storage with the executor's own
+		// kind promotion (incl. the per-row int/float duality a float column
+		// may carry); all-NULL columns become KindNull vectors, and columns
+		// mixing incompatible kinds report ErrUnsupported, routing such
+		// databases to the interpreter.
+		vec, err := vexec.FromValues(t.ColumnValues(ci))
 		if err != nil {
 			return nil, fmt.Errorf("%w: table %s column %s: %v", vexec.ErrUnsupported, t.Name, col.Name, err)
 		}
@@ -297,33 +287,3 @@ func buildTypedTable(t *Table) (*vexec.Table, error) {
 // maxTypedTables bounds the typed-column import cache; workloads hold at
 // most a dozen or so tables, so the cap only matters under churn.
 const maxTypedTables = 64
-
-// typedColumn decodes one boxed column into a typed vector through vexec's
-// value builder, so boxed-storage decoding and the executor's own kind
-// promotion (including the per-row int/float duality a float column may
-// legally carry) share one algorithm. All-NULL columns become KindNull
-// vectors, which behave identically to typed all-NULL vectors. Columns
-// mixing incompatible kinds report ErrUnsupported, routing such databases
-// to the interpreter.
-func typedColumn(vals []Value) (*vexec.Vector, error) {
-	vb := vexec.NewValueBuilder(len(vals))
-	for _, v := range vals {
-		switch v.Kind {
-		case KindNull:
-			vb.AppendNull()
-		case KindBool:
-			vb.Append(vexec.KindBool, v.I, 0, "")
-		case KindInt:
-			vb.Append(vexec.KindInt, v.I, 0, "")
-		case KindFloat:
-			vb.Append(vexec.KindFloat, 0, v.F, "")
-		case KindString:
-			vb.Append(vexec.KindString, 0, 0, v.S)
-		case KindDate:
-			vb.Append(vexec.KindDate, v.I, 0, "")
-		default:
-			vb.AppendNull()
-		}
-	}
-	return vb.Finalize()
-}

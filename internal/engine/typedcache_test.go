@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // cacheFixture builds a database with one string-keyed table big enough to
@@ -15,7 +17,7 @@ func cacheFixture(rows int) (*Database, *Table) {
 		Column{Name: "x", Type: TypeInt},
 	)
 	for i := 0; i < rows; i++ {
-		tab.MustAppendRow(NewString(words[i%len(words)]), NewInt(int64(i)))
+		tab.MustAppendRow(sqlsem.NewString(words[i%len(words)]), sqlsem.NewInt(int64(i)))
 	}
 	db := NewDatabase("d")
 	db.AddTable(tab)
@@ -49,7 +51,7 @@ func TestTypedCacheRebuildsEncodingsOnVersionBump(t *testing.T) {
 
 	// A mutation invalidates: the rebuilt table must carry the new value in
 	// its dictionary and cover the appended row with its zone maps.
-	tab.MustAppendRow(NewString("zeta"), NewInt(9999))
+	tab.MustAppendRow(sqlsem.NewString("zeta"), sqlsem.NewInt(9999))
 	vt2, err := tc.typedTable(db, tab)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +131,7 @@ func TestTypedCacheConcurrentBuildOnce(t *testing.T) {
 		t.Fatalf("cached lookup: table %v, err %v, builds %d", vt, err, reg.typed.builds)
 	}
 
-	tab.MustAppendRow(NewString("beta"), NewInt(-1))
+	tab.MustAppendRow(sqlsem.NewString("beta"), sqlsem.NewInt(-1))
 	race("1668")
 	if reg.typed.builds != 2 {
 		t.Fatalf("builds = %d after one version bump, want 2", reg.typed.builds)

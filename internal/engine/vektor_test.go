@@ -10,6 +10,7 @@ import (
 	"sqalpel/internal/datagen"
 	"sqalpel/internal/engine"
 	"sqalpel/internal/plan"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/workload"
 )
 
@@ -170,8 +171,8 @@ func TestVektorAgreesOnTrickyShapes(t *testing.T) {
 		engine.Column{Name: "s", Type: engine.TypeString},
 	)
 	for i, y := range []int64{10, 30, 20} {
-		tbl.MustAppendRow(engine.NewString("num"), engine.NewInt(1), engine.NewInt(y),
-			engine.NewString(string(rune('a'+i))))
+		tbl.MustAppendRow(sqlsem.NewString("num"), sqlsem.NewInt(1), sqlsem.NewInt(y),
+			sqlsem.NewString(string(rune('a'+i))))
 	}
 	db.AddTable(tbl)
 

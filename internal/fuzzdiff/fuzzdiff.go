@@ -223,33 +223,11 @@ func Run(opts Options) (*Report, error) {
 
 	db := datagen.Fuzz(datagen.FuzzOptions{Rows: opts.Rows, Seed: uint64(opts.Seed)})
 	reg := engine.NewRegistry()
-	keys := reg.Keys()
 
 	rep := &Report{Seed: opts.Seed, Rows: db.Table("t").NumRows(), Derived: p.Size()}
 	for _, entry := range p.Entries() {
-		ordered := totallyOrdered(entry.SQL)
-		outcomes := make([]EngineOutcome, 0, len(keys))
-		for _, key := range keys {
-			e := reg.Get(key)
-			oc := EngineOutcome{Engine: key}
-			res, err := e.Execute(db, entry.SQL, engine.ExecOptions{})
-			if err != nil {
-				oc.Err = normalizeError(e.Name(), err)
-			} else if ordered {
-				oc.Fingerprint = res.OrderedFingerprint()
-			} else {
-				oc.Fingerprint = res.Fingerprint()
-			}
-			outcomes = append(outcomes, oc)
-		}
+		outcomes, agree := differential(reg, db, entry.SQL)
 		rep.Executed++
-		agree := true
-		for _, oc := range outcomes[1:] {
-			if oc.Fingerprint != outcomes[0].Fingerprint || oc.Err != outcomes[0].Err {
-				agree = false
-				break
-			}
-		}
 		if !agree {
 			rep.Divergences = append(rep.Divergences, Divergence{SQL: entry.SQL, Outcomes: outcomes})
 			continue
@@ -259,6 +237,31 @@ func Run(opts Options) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// differential executes one query on every registry engine, in registry
+// order, and reports whether all outcomes — fingerprint or error — agree.
+func differential(reg *engine.Registry, db *engine.Database, sql string) ([]EngineOutcome, bool) {
+	ordered := totallyOrdered(sql)
+	var outcomes []EngineOutcome
+	agree := true
+	for _, key := range reg.Keys() {
+		e := reg.Get(key)
+		oc := EngineOutcome{Engine: key}
+		res, err := e.Execute(db, sql, engine.ExecOptions{})
+		if err != nil {
+			oc.Err = normalizeError(e.Name(), err)
+		} else if ordered {
+			oc.Fingerprint = res.OrderedFingerprint()
+		} else {
+			oc.Fingerprint = res.Fingerprint()
+		}
+		if len(outcomes) > 0 && (oc.Fingerprint != outcomes[0].Fingerprint || oc.Err != outcomes[0].Err) {
+			agree = false
+		}
+		outcomes = append(outcomes, oc)
+	}
+	return outcomes, agree
 }
 
 // totallyOrdered reports whether the grammar guarantees a total row order

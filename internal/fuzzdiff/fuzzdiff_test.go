@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"sqalpel/internal/datagen"
 	"sqalpel/internal/engine"
 	"sqalpel/internal/grammar"
+	"sqalpel/internal/sqlsem"
 )
 
 // TestDifferentialFuzz is the standing correctness oracle: at least 500
@@ -102,16 +104,39 @@ func TestFingerprintExactness(t *testing.T) {
 	mk := func(v engine.Value) string {
 		return Fingerprint(&engine.Result{Columns: []string{"c"}, Rows: [][]engine.Value{{v}}})
 	}
-	if mk(engine.Null()) == mk(engine.NewBool(false)) {
+	if mk(sqlsem.Null()) == mk(sqlsem.NewBool(false)) {
 		t.Error("fingerprint confuses NULL with false")
 	}
 	// Runtime addition (constant folding would make these equal): 0.1+0.2
 	// differs from 0.3 in the last bit, and the fingerprint must see it.
 	a, b := 0.1, 0.2
-	if mk(engine.NewFloat(a+b)) == mk(engine.NewFloat(0.3)) {
+	if mk(sqlsem.NewFloat(a+b)) == mk(sqlsem.NewFloat(0.3)) {
 		t.Error("fingerprint rounds floats (0.1+0.2 vs 0.3 must differ)")
 	}
-	if mk(engine.NewInt(1)) == mk(engine.NewBool(true)) {
+	if mk(sqlsem.NewInt(1)) == mk(sqlsem.NewBool(true)) {
 		t.Error("fingerprint confuses int 1 with bool true")
+	}
+}
+
+// TestMalformedNumericLiteralsAgree: literals the lexer admits but
+// sqlsem.ParseNumber rejects fail at plan build, so all six engines report
+// the same error instead of one coercing the literal and another deferring;
+// an integer literal past int64 is a float on every engine.
+func TestMalformedNumericLiteralsAgree(t *testing.T) {
+	db := datagen.Fuzz(datagen.FuzzOptions{Rows: 50, Seed: 1})
+	reg := engine.NewRegistry()
+	for _, sql := range []string{
+		"SELECT id FROM t WHERE a < 1e999 ORDER BY id",
+		"SELECT id, a + 1e+ FROM t ORDER BY id",
+		"SELECT id FROM t WHERE d < DATE '1995-01-01' + INTERVAL 'x' DAY ORDER BY id",
+	} {
+		outcomes, agree := differential(reg, db, sql)
+		if !agree || !strings.Contains(outcomes[0].Err, "malformed numeric literal") {
+			t.Errorf("engines do not agree on a malformed-literal error:\n%s", Divergence{SQL: sql, Outcomes: outcomes}.Describe())
+		}
+	}
+	sql := "SELECT id FROM t WHERE a < 99999999999999999999 ORDER BY id"
+	if outcomes, agree := differential(reg, db, sql); !agree || outcomes[0].Err != "" {
+		t.Errorf("engines do not agree on an integer literal past int64:\n%s", Divergence{SQL: sql, Outcomes: outcomes}.Describe())
 	}
 }

@@ -95,10 +95,11 @@ func Deref(t types.Type) types.Type {
 	}
 }
 
-// NamedIn reports whether t (possibly behind pointers) is the named type
-// with the given name declared in a package matching the marker path.
+// NamedIn reports whether t (possibly behind pointers or an alias) is the
+// named type with the given name declared in a package matching the marker
+// path.
 func NamedIn(t types.Type, marker, name string) bool {
-	n, ok := Deref(t).(*types.Named)
+	n, ok := types.Unalias(Deref(t)).(*types.Named)
 	if !ok {
 		return false
 	}

@@ -8,12 +8,15 @@
 // UNKNOWN, AND/OR over collapsed booleans — and all five engines agreed on
 // the wrong answers, so the differential oracle was blind to the bug.
 //
-// Two shapes are flagged in internal/engine and internal/vexec:
+// Two shapes are flagged in internal/engine and internal/vexec — the
+// interpreters, the vectorized evaluator and the fused scan's closure
+// compiler all hold the one sqlsem.Value (engine.Value is its alias), so the
+// checks see every paradigm:
 //
-//   - v1 == v2 / v1 != v2 where either operand is an engine.Value: Go
+//   - v1 == v2 / v1 != v2 where either operand is a sqlsem.Value: Go
 //     struct equality compares the raw {Kind,I,F,S} fields, which is both
 //     NULL-blind (NULL == NULL is true) and representation-sensitive
-//     (1 != 1.0); route through sqlsem.CompareNullable or compare the
+//     (1 != 1.0); route through sqlsem.CompareValues or compare the
 //     fields you mean explicitly;
 //   - b1 && b2 / b1 || b2 / !b where an operand is a Value.Bool() call:
 //     Bool() collapses NULL to false *inside* the expression, which is the
@@ -39,9 +42,11 @@ var Markers = []string{
 	"internal/vexec",
 }
 
-// ValueMarker/ValueType locate the nullable SQL value type.
+// ValueMarker/ValueType locate the nullable SQL value type. internal/sqlsem
+// itself is not a marked package: it holds the kernels the executors are
+// routed to.
 const (
-	ValueMarker = "internal/engine"
+	ValueMarker = "internal/sqlsem"
 	ValueType   = "Value"
 )
 
@@ -50,7 +55,7 @@ const Token = "nullsafe"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "sqlsemroute",
-	Doc: "flag raw ==/!= over engine.Value and &&/||/! over Value.Bool() in executor packages: " +
+	Doc: "flag raw ==/!= over sqlsem.Value and &&/||/! over Value.Bool() in executor packages: " +
 		"ternary NULL logic must route through internal/sqlsem; suppress with //lint:nullsafe <reason>",
 	Run: run,
 }
@@ -67,9 +72,9 @@ func run(pass *analysis.Pass) (any, error) {
 			case token.EQL, token.NEQ:
 				if isValue(pass, n.X) || isValue(pass, n.Y) {
 					report(pass, sup, n.OpPos,
-						"raw %s comparison of engine.Value compares struct fields two-valuedly "+
-							"(NULL-blind, representation-sensitive); use sqlsem.CompareNullable via the "+
-							"value comparison helpers, or compare the intended fields explicitly", n.Op)
+						"raw %s comparison of sqlsem.Value compares struct fields two-valuedly "+
+							"(NULL-blind, representation-sensitive); use sqlsem.CompareValues, "+
+							"or compare the intended fields explicitly", n.Op)
 				}
 			case token.LAND, token.LOR:
 				if isValueBoolCall(pass, n.X) || isValueBoolCall(pass, n.Y) {
@@ -98,7 +103,7 @@ func report(pass *analysis.Pass, sup *lintutil.Suppressions, pos token.Pos, form
 	pass.Reportf(pos, format+" (or annotate //lint:"+Token+" <reason>)", args...)
 }
 
-// isValue reports whether the expression's type is engine.Value. Untyped
+// isValue reports whether the expression's type is sqlsem.Value. Untyped
 // nils and non-Value operands (including Kind, which has its own identity)
 // do not match.
 func isValue(pass *analysis.Pass, e ast.Expr) bool {
@@ -109,7 +114,7 @@ func isValue(pass *analysis.Pass, e ast.Expr) bool {
 	return lintutil.NamedIn(tv.Type, ValueMarker, ValueType)
 }
 
-// isValueBoolCall matches <engine.Value>.Bool() call expressions.
+// isValueBoolCall matches <sqlsem.Value>.Bool() call expressions.
 func isValueBoolCall(pass *analysis.Pass, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

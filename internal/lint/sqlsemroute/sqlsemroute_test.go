@@ -8,5 +8,5 @@ import (
 )
 
 func TestSQLSemRoute(t *testing.T) {
-	analysistest.Run(t, "testdata", sqlsemroute.Analyzer, "internal/engine")
+	analysistest.Run(t, "testdata", sqlsemroute.Analyzer, "internal/engine", "internal/vexec", "internal/sqlsem")
 }

@@ -1,35 +1,22 @@
-// Package engine is the sqlsemroute fixture: a miniature of the real
-// nullable Value type and the two-valued expression shapes the analyzer
-// must flag, plus the shapes it must leave alone.
+// Package engine is the sqlsemroute fixture for the interpreters: the
+// two-valued expression shapes the analyzer must flag over the (aliased)
+// shared Value type, plus the shapes it must leave alone.
 package engine
 
-// Kind discriminates the value representations; KindNull marks SQL NULL.
-type Kind int
+import "internal/sqlsem"
 
-const (
-	KindNull Kind = iota
-	KindInt
-	KindFloat
-)
-
-// Value is the nullable SQL value (a miniature of the real engine.Value).
-type Value struct {
-	Kind Kind
-	I    int64
-	F    float64
-}
-
-// Bool collapses NULL to false — legitimate only at a predicate consumer.
-func (v Value) Bool() bool { return v.Kind == KindInt && v.I != 0 }
+// Value is the interpreters' spelling of the shared value type; the analyzer
+// must see through the alias.
+type Value = sqlsem.Value
 
 // rawEq is the NULL-blind, representation-sensitive shape: struct equality
 // says NULL == NULL and 1 != 1.0.
 func rawEq(a, b Value) bool {
-	return a == b // want `raw == comparison of engine.Value`
+	return a == b // want `raw == comparison of sqlsem.Value`
 }
 
 func rawNeq(a, b Value) bool {
-	return a != b // want `raw != comparison of engine.Value`
+	return a != b // want `raw != comparison of sqlsem.Value`
 }
 
 // collapsedAnd combines predicates after collapsing each to a bool,

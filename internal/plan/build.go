@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 )
 
 // Build parses and plans a query against the catalog. Parse failures are
@@ -67,8 +68,9 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStatement) (*Select, error) 
 
 	// Plan every sub-query reachable through the statement's expressions, so
 	// the executors can look their plans (and correlation verdicts) up by
-	// statement pointer instead of re-analyzing.
-	if err := b.registerSubqueries(stmt); err != nil {
+	// statement pointer instead of re-analyzing; the same walk checks the
+	// numeric literals.
+	if err := b.walkExpressions(stmt); err != nil {
 		return nil, err
 	}
 
@@ -144,7 +146,7 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStatement) (*Select, error) 
 	}
 
 	sp.Needed = b.neededColumns(stmt)
-	sp.OutSchema = outSchema(stmt, sp.Schema)
+	resolveOutput(sp)
 	return sp, nil
 }
 
@@ -312,10 +314,18 @@ func (b *builder) planJoins(sp *Select) {
 	}
 }
 
-// registerSubqueries plans every nested SELECT reachable through the
-// statement's expressions and records its correlation verdict.
-func (b *builder) registerSubqueries(stmt *sqlparser.SelectStatement) error {
+// walkExpressions visits every expression of one SELECT core once. It plans
+// each nested SELECT reachable through them and records its correlation
+// verdict, and it parses each numeric literal: the lexer admits `1e+` and
+// `1e999` and an INTERVAL count is an arbitrary string, so a malformed one
+// is a build error here and no executor ever sees it.
+func (b *builder) walkExpressions(stmt *sqlparser.SelectStatement) error {
 	var firstErr error
+	checkNumber := func(lit string) {
+		if _, err := sqlsem.ParseNumber(lit); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	register := func(s *sqlparser.SelectStatement) {
 		if s == nil || b.p.subs[s] != nil {
 			return
@@ -342,6 +352,10 @@ func (b *builder) registerSubqueries(stmt *sqlparser.SelectStatement) error {
 				register(v.Subquery)
 			case *sqlparser.ExistsExpr:
 				register(v.Subquery)
+			case *sqlparser.NumberLit:
+				checkNumber(v.Value)
+			case *sqlparser.IntervalLit:
+				checkNumber(v.Value)
 			}
 			return true
 		})
@@ -540,20 +554,20 @@ func statementHasAggregates(stmt *sqlparser.SelectStatement) bool {
 	return stmt.Having != nil && sqlparser.HasAggregate(stmt.Having)
 }
 
-// --- projection & output schema ----------------------------------------------
+// --- output contract -----------------------------------------------------------
 
-// outSchema computes the statement's output schema against the joined input
-// schema: star items expand to the matching input columns ahead of the
-// computed items, which carry an empty table tag — mirroring the
-// interpreters' projection layout.
-func outSchema(stmt *sqlparser.SelectStatement, input []ColumnMeta) []ColumnMeta {
-	var stars []ColumnMeta
+// resolveOutput resolves the statement's output contract against the joined
+// input schema, once for every executor: star items expand to the matching
+// input ordinals ahead of the computed items, every output column gets its
+// name, and each ORDER BY key becomes an output ordinal or an expression.
+func resolveOutput(sp *Select) {
 	var computed []ColumnMeta
-	for _, p := range stmt.Projection {
+	for _, p := range sp.Stmt.Projection {
 		if p.Star {
-			for _, m := range input {
+			for ci, m := range sp.Schema {
 				if p.Qualifier == "" || strings.EqualFold(p.Qualifier, m.Table) {
-					stars = append(stars, m)
+					sp.StarCols = append(sp.StarCols, ci)
+					sp.OutSchema = append(sp.OutSchema, m)
 				}
 			}
 			continue
@@ -563,12 +577,39 @@ func outSchema(stmt *sqlparser.SelectStatement, input []ColumnMeta) []ColumnMeta
 			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
 				name = cr.Column
 			} else {
-				name = strings.ToLower(p.Expr.SQL())
+				name = p.Expr.SQL()
 			}
 		}
-		computed = append(computed, ColumnMeta{Table: "", Name: strings.ToLower(name)})
+		sp.Items = append(sp.Items, p.Expr)
+		computed = append(computed, ColumnMeta{Name: strings.ToLower(name)})
 	}
-	return append(stars, computed...)
+	sp.OutSchema = append(sp.OutSchema, computed...)
+
+	for _, ob := range sp.Stmt.OrderBy {
+		key := OrderKey{Col: -1, Desc: ob.Desc}
+		switch e := ob.Expr.(type) {
+		case *sqlparser.ColumnRef:
+			// An unqualified reference sorts by the first computed item of
+			// that output name; star columns are reached through the
+			// expression like any input column.
+			name := strings.ToLower(e.Column)
+			for k, m := range computed {
+				if e.Table == "" && m.Name == name {
+					key.Col = len(sp.StarCols) + k
+					break
+				}
+			}
+		case *sqlparser.NumberLit:
+			// walkExpressions already rejected a malformed literal.
+			if n, _ := sqlsem.ParseNumber(e.Value); n.Int() >= 1 && n.Int() <= int64(len(sp.OutSchema)) {
+				key.Col = int(n.Int()) - 1
+			}
+		}
+		if key.Col < 0 {
+			key.Expr = ob.Expr
+		}
+		sp.OrderBy = append(sp.OrderBy, key)
+	}
 }
 
 // --- column pruning ----------------------------------------------------------

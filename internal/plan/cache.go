@@ -28,15 +28,19 @@ func Key(catalog any, version uint64, sql string) CacheKey {
 // the scheduler should not re-parse either.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[CacheKey]cacheEntry
+	entries map[CacheKey]*cacheEntry
 	cap     int
 	hits    uint64
 	misses  uint64
 }
 
+// cacheEntry is installed as a placeholder before its build runs: ready
+// closes once p/err are set, so concurrent lookups of one cold key wait for
+// the single build instead of planning the statement again.
 type cacheEntry struct {
-	p   *Plan
-	err error
+	p     *Plan
+	err   error
+	ready chan struct{}
 }
 
 // NewCache creates a plan cache holding at most capEntries plans (0 means
@@ -45,26 +49,22 @@ func NewCache(capEntries int) *Cache {
 	if capEntries <= 0 {
 		capEntries = DefaultCacheEntries
 	}
-	return &Cache{entries: map[CacheKey]cacheEntry{}, cap: capEntries}
+	return &Cache{entries: map[CacheKey]*cacheEntry{}, cap: capEntries}
 }
 
 // GetOrBuild returns the cached plan for the key, building and inserting it
-// on a miss. The build runs outside the lock; concurrent misses on the same
-// key may build twice and the last insert wins — plans are immutable and
-// equivalent, so sharing either is correct.
+// on a miss. Each key is built exactly once: the first miss installs a
+// placeholder and builds outside the lock; concurrent lookups of the same
+// key count as hits, block until that build finishes and share its result.
 func (c *Cache) GetOrBuild(key CacheKey, build func() (*Plan, error)) (*Plan, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
 		c.mu.Unlock()
+		<-e.ready
 		return e.p, e.err
 	}
 	c.misses++
-	c.mu.Unlock()
-
-	p, err := build()
-
-	c.mu.Lock()
 	// A miss with a newer catalog version means every entry of the same
 	// catalog at an older version is permanently unreachable (keys embed the
 	// version); drop them now instead of letting them pin the catalog's data
@@ -78,16 +78,21 @@ func (c *Cache) GetOrBuild(key CacheKey, build func() (*Plan, error)) (*Plan, er
 	if len(c.entries) >= c.cap {
 		// Coarse eviction: drop an arbitrary entry per overflowing insert.
 		// The cache exists to absorb the repetition discipline (the same few
-		// hundred variants measured over and over), not to be an LRU.
+		// hundred variants measured over and over), not to be an LRU. An
+		// evicted in-flight placeholder still serves the waiters holding it.
 		//lint:ordered eviction victim is documented as arbitrary; plans are rebuilt identically on re-miss
 		for k := range c.entries {
 			delete(c.entries, k)
 			break
 		}
 	}
-	c.entries[key] = cacheEntry{p: p, err: err}
+	e := &cacheEntry{ready: make(chan struct{})}
+	c.entries[key] = e
 	c.mu.Unlock()
-	return p, err
+
+	defer close(e.ready)
+	e.p, e.err = build()
+	return e.p, e.err
 }
 
 // DropCatalog removes every entry of the given catalog, releasing the

@@ -1,8 +1,8 @@
 // Package plan is the shared logical-plan layer of the execution substrate:
-// the paradigm-neutral front end that all three executor stacks (the
+// the paradigm-neutral front end that both executor families (the
 // tuple-at-a-time and column-at-a-time interpreters in internal/engine and
-// the batch-vectorized kernel in internal/vexec) consume instead of
-// re-walking the raw AST on every execution.
+// the typed executor of internal/vexec, vectorized or fused) consume instead
+// of re-walking the raw AST on every execution.
 //
 // A Plan is built once per (schema, normalized SQL) and captures everything
 // the engines previously re-derived on each Execute call:
@@ -15,6 +15,11 @@
 //   - column pruning (the per-alias needed-column sets of the column
 //     engine),
 //   - constant folding of integer literal arithmetic in filter predicates,
+//     and the one check of every numeric literal (sqlsem.ParseNumber), so a
+//     malformed literal is the same build error on every engine,
+//   - the SELECT output contract: star expansion to input ordinals, output
+//     names, and ORDER BY keys resolved to an output ordinal (alias or
+//     ordinal) or an expression,
 //   - sub-query classification (correlated or cacheable) for every nested
 //     SELECT reachable from the statement,
 //   - a precomputed Vectorizable verdict with the reason a statement is
@@ -131,8 +136,7 @@ type Join struct {
 // chain).
 type Select struct {
 	// Stmt is the parsed statement this plan was built from; the executors
-	// still read the projection, grouping, ordering and limit clauses from
-	// it (those are positional and need no resolution pass).
+	// still read the grouping, HAVING, DISTINCT and limit clauses from it.
 	Stmt *sqlparser.SelectStatement
 	// From are the resolved FROM items.
 	From []*Input
@@ -161,12 +165,35 @@ type Select struct {
 	Needed map[string]map[string]bool
 	// Schema is the joined FROM schema in join order.
 	Schema []ColumnMeta
-	// OutSchema is the statement's output schema (star columns expanded,
-	// computed columns with an empty table tag).
+	// OutSchema is the statement's output schema: the star block first (its
+	// columns keep their table tag), then one column per computed item with
+	// an empty table tag, named by its alias, its column or its lower-cased
+	// SQL text.
 	OutSchema []ColumnMeta
+	// StarCols are the Schema ordinals the projection's star items expand
+	// to: output column i < len(StarCols) is input column StarCols[i].
+	StarCols []int
+	// Items are the computed (non-star) projection expressions in projection
+	// order; Items[k] is output column len(StarCols)+k. Fewer items than
+	// Stmt.Projection entries means the projection has a star.
+	Items []sqlparser.Expr
+	// OrderBy are the resolved ORDER BY keys.
+	OrderBy []OrderKey
 	// SetNext chains the plan of the next set-operation branch; the
 	// operator is Stmt.SetOp.
 	SetNext *Select
+}
+
+// OrderKey is one resolved ORDER BY key. A bare reference naming a computed
+// item's output name, or an integer literal within 1..len(OutSchema), sorts
+// by that output column; any other expression is evaluated in the
+// projection's row or group context.
+type OrderKey struct {
+	// Col is the output ordinal to sort by, or -1 when Expr is evaluated.
+	Col int
+	// Expr is the key expression; nil when Col >= 0.
+	Expr sqlparser.Expr
+	Desc bool
 }
 
 // ApplyShape classifies how a decorrelated sub-query's per-group result is

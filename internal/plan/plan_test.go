@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sqalpel/internal/sqlparser"
@@ -295,4 +297,136 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("cache holds %d plans, want 2", c.Len())
 	}
+}
+
+// TestCacheSingleFlight: concurrent lookups of one cold key run the build
+// once and all receive that build's plan.
+func TestCacheSingleFlight(t *testing.T) {
+	c := NewCache(0)
+	var builds atomic.Int32
+	const workers = 16
+	start := make(chan struct{})
+	plans := make([]*Plan, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			p, err := c.GetOrBuild(Key(nil, 1, "SELECT o_total FROM orders"), func() (*Plan, error) {
+				builds.Add(1)
+				return Build(testCat, "SELECT o_total FROM orders")
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			plans[w] = p
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("build ran %d times for one cold key, want 1", n)
+	}
+	for w, p := range plans {
+		if p == nil || p != plans[0] {
+			t.Fatalf("worker %d got plan %p, worker 0 got %p", w, p, plans[0])
+		}
+	}
+	if hits, misses := c.Stats(); misses != 1 || hits != workers-1 {
+		t.Errorf("stats = %d hits / %d misses, want %d/1", hits, misses, workers-1)
+	}
+}
+
+// TestResolvedOutputContract pins star expansion, output naming and ORDER BY
+// resolution at the layer that owns them; the executors only index.
+func TestResolvedOutputContract(t *testing.T) {
+	type key struct {
+		col  int
+		expr string // SQL of the evaluated expression when col < 0
+		desc bool
+	}
+	cases := []struct {
+		name  string
+		sql   string
+		stars []int
+		items []string
+		names []string // output column names
+		order []key
+	}{
+		{"alias key", "SELECT o_total * 2 AS dbl, o_custkey FROM orders ORDER BY dbl DESC",
+			nil, []string{"o_total * 2", "o_custkey"}, []string{"dbl", "o_custkey"}, []key{{col: 0, desc: true}}},
+		{"ordinal key", "SELECT o_custkey, o_total FROM orders ORDER BY 2, 1 DESC",
+			nil, []string{"o_custkey", "o_total"}, []string{"o_custkey", "o_total"}, []key{{col: 1}, {col: 0, desc: true}}},
+		{"out-of-range ordinal is an expression", "SELECT o_total FROM orders ORDER BY 2, 0",
+			nil, []string{"o_total"}, []string{"o_total"}, []key{{col: -1, expr: "2"}, {col: -1, expr: "0"}}},
+		// The PR 1 indexing bug: a computed item sits after the whole star
+		// block, not at its projection position.
+		{"star + alias", "SELECT *, o_total * 2 AS a FROM orders ORDER BY a",
+			[]int{0, 1, 2}, []string{"o_total * 2"}, []string{"o_orderkey", "o_custkey", "o_total", "a"}, []key{{col: 3}}},
+		{"alias ahead of star", "SELECT o_total * 2 AS a, * FROM orders ORDER BY a, o_custkey",
+			[]int{0, 1, 2}, []string{"o_total * 2"}, []string{"o_orderkey", "o_custkey", "o_total", "a"}, []key{{col: 3}, {col: -1, expr: "o_custkey"}}},
+		{"qualified star", "SELECT o.*, c_name FROM customer, orders o WHERE c_custkey = o_custkey ORDER BY c_name",
+			[]int{3, 4, 5}, []string{"c_name"}, []string{"o_orderkey", "o_custkey", "o_total", "c_name"}, []key{{col: 3}}},
+		{"alias shadows an input column", "SELECT o_custkey AS o_total FROM orders ORDER BY o_total, orders.o_total",
+			nil, []string{"o_custkey"}, []string{"o_total"}, []key{{col: 0}, {col: -1, expr: "orders.o_total"}}},
+		{"unnamed item takes its lower-cased SQL", "SELECT O_TOTAL + 1 FROM orders ORDER BY o_total + 1",
+			nil, []string{"O_TOTAL + 1"}, []string{"o_total + 1"}, []key{{col: -1, expr: "o_total + 1"}}},
+		{"grouped", "SELECT o_custkey, sum(o_total) AS s FROM orders GROUP BY o_custkey ORDER BY s DESC, o_custkey, count(*)",
+			nil, []string{"o_custkey", "sum(o_total)"}, []string{"o_custkey", "s"}, []key{{col: 1, desc: true}, {col: 0}, {col: -1, expr: "count(*)"}}},
+	}
+	for _, tc := range cases {
+		sp := mustBuild(t, tc.sql).Root
+		if !slices.Equal(sp.StarCols, tc.stars) {
+			t.Errorf("%s: star cols = %v, want %v", tc.name, sp.StarCols, tc.stars)
+		}
+		var items, names []string
+		for _, e := range sp.Items {
+			items = append(items, e.SQL())
+		}
+		for _, m := range sp.OutSchema {
+			names = append(names, m.Name)
+		}
+		if !slices.Equal(items, tc.items) {
+			t.Errorf("%s: items = %q, want %q", tc.name, items, tc.items)
+		}
+		if !slices.Equal(names, tc.names) {
+			t.Errorf("%s: output names = %q, want %q", tc.name, names, tc.names)
+		}
+		var order []key
+		for _, k := range sp.OrderBy {
+			got := key{col: k.Col, desc: k.Desc}
+			if (k.Col < 0) != (k.Expr != nil) {
+				t.Errorf("%s: key %+v must carry exactly one of an ordinal and an expression", tc.name, k)
+			}
+			if k.Expr != nil {
+				got.expr = k.Expr.SQL()
+			}
+			order = append(order, got)
+		}
+		if !slices.Equal(order, tc.order) {
+			t.Errorf("%s: order keys = %+v, want %+v", tc.name, order, tc.order)
+		}
+	}
+}
+
+// TestMalformedNumericLiterals: a numeric literal the lexer admits but
+// sqlsem.ParseNumber rejects is a build error wherever it sits, so no
+// executor ever sees it; an integer past int64 plans as a float.
+func TestMalformedNumericLiterals(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT o_total FROM orders WHERE o_total < 1e999",
+		"SELECT o_total + 1e+ FROM orders",
+		"SELECT o_total FROM orders ORDER BY 1e999",
+		"SELECT o_custkey FROM orders GROUP BY o_custkey HAVING sum(o_total) > 1e999",
+		"SELECT o_total FROM orders JOIN customer ON o_custkey = c_custkey + 1e999",
+		"SELECT o_total FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_custkey > 1e999)",
+		"SELECT x FROM (SELECT o_total * 1e999 AS x FROM orders) d",
+		"SELECT o_total FROM orders WHERE DATE '1995-01-01' + INTERVAL 'many' DAY > DATE '1995-01-02'",
+	} {
+		if _, err := Build(testCat, sql); err == nil || !strings.Contains(err.Error(), "malformed numeric literal") {
+			t.Errorf("Build(%q) err = %v, want a malformed numeric literal error", sql, err)
+		}
+	}
+	mustBuild(t, "SELECT o_total FROM orders WHERE o_total < 99999999999999999999 AND o_total > 1e3")
 }

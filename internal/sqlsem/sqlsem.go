@@ -1,9 +1,15 @@
-// Package sqlsem is the single source of truth for SQL's three-valued
-// (ternary) logic, shared by every execution paradigm: the row and column
-// interpreters of internal/engine and the batch-vectorized executor of
-// internal/vexec all route their boolean connectives, comparisons, LIKE,
-// IN and BETWEEN through the truth tables defined here, so the engines
-// cannot drift apart on NULL handling.
+// Package sqlsem is the single source of truth for the SQL semantics every
+// execution paradigm must agree on bit for bit — a leaf package the
+// interpreters of internal/engine and the typed executor of internal/vexec
+// both import. It holds two things. The one SQL scalar (value.go,
+// kernels.go): the Value representation with its kind enum, truthiness,
+// comparison, hash-key encoding, arithmetic, date handling, LIKE matching,
+// CAST, SUBSTRING, the scalar functions and numeric-literal parsing, one
+// kernel per operation — a paradigm contributes only how it drives them
+// (per row, per vector, per closure). And SQL's three-valued (ternary)
+// logic (this file): all executors route their boolean connectives,
+// comparisons, LIKE, IN and BETWEEN through the truth tables defined here,
+// so the engines cannot drift apart on NULL handling.
 //
 // The contract, in one paragraph: inside an expression NULL means UNKNOWN
 // and propagates through comparisons, LIKE, NOT, AND, OR, BETWEEN and IN
@@ -102,7 +108,7 @@ func Or(a, b Tri) Tri {
 // Compare maps a comparison operator and a three-way comparison outcome
 // (c < 0, c == 0, c > 0 as from a compare function that only ran because
 // both operands were non-NULL) to a truth value. Callers must route NULL
-// operands to Unknown instead of calling this; CompareNullable does both.
+// operands to Unknown instead of calling this; CompareValues does both.
 // An operator outside the SQL six is an internal invariant violation and
 // panics — as the single source of truth, silently returning FALSE here
 // would make every engine uniformly wrong, which the differential fuzzer
@@ -128,14 +134,14 @@ func Compare(op string, c int) Tri {
 	return Of(ok)
 }
 
-// CompareNullable is the full comparison semantics: any NULL operand makes
-// the comparison UNKNOWN, otherwise the operator is applied to the compare
-// outcome.
-func CompareNullable(op string, eitherNull bool, c int) Tri {
-	if eitherNull {
+// CompareValues is the full comparison semantics over two values: any NULL
+// operand makes the comparison UNKNOWN, otherwise the operator is applied to
+// their ordering (Value.Compare).
+func CompareValues(op string, a, b Value) Tri {
+	if a.IsNull() || b.IsNull() {
 		return Unknown
 	}
-	return Compare(op, c)
+	return Compare(op, a.Compare(b))
 }
 
 // Like is the LIKE / NOT LIKE semantics: a NULL string or NULL pattern

@@ -48,9 +48,9 @@ func TestAcceptCollapsesUnknownToFalse(t *testing.T) {
 	}
 }
 
-func TestCompareNullable(t *testing.T) {
+func TestCompareValues(t *testing.T) {
 	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-		if got := CompareNullable(op, true, 0); got != Unknown {
+		if got := CompareValues(op, Null(), NewInt(1)); got != Unknown {
 			t.Errorf("NULL %s x = %s, want UNKNOWN", op, got)
 		}
 	}
@@ -67,7 +67,7 @@ func TestCompareNullable(t *testing.T) {
 		{">=", 0, True}, {">=", -1, False},
 	}
 	for _, c := range cases {
-		if got := CompareNullable(c.op, false, c.c); got != c.want {
+		if got := CompareValues(c.op, NewInt(int64(c.c)), NewFloat(0)); got != c.want {
 			t.Errorf("op %s cmp %d = %s, want %s", c.op, c.c, got, c.want)
 		}
 	}

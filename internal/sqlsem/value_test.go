@@ -1,4 +1,4 @@
-package engine
+package sqlsem
 
 import (
 	"testing"
@@ -44,14 +44,14 @@ func TestCompareAndEqual(t *testing.T) {
 		{Null(), Null(), 0},
 	}
 	for _, c := range cases {
-		if got := Compare(c.a, c.b); got != c.want {
+		if got := c.a.Compare(c.b); got != c.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-	if Equal(Null(), Null()) {
+	if Null().Equal(Null()) {
 		t.Error("NULL = NULL must be false in SQL semantics")
 	}
-	if !Equal(NewInt(3), NewFloat(3)) {
+	if !NewInt(3).Equal(NewFloat(3)) {
 		t.Error("3 should equal 3.0")
 	}
 }
@@ -133,7 +133,7 @@ func TestDatePropertyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLike(t *testing.T) {
+func TestLikeMatch(t *testing.T) {
 	cases := []struct {
 		s, p string
 		want bool
@@ -153,8 +153,8 @@ func TestLike(t *testing.T) {
 		{"abc", "ab", false},
 	}
 	for _, c := range cases {
-		if got := Like(c.s, c.p); got != c.want {
-			t.Errorf("Like(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
+		if got := LikeMatch(c.s, c.p); got != c.want {
+			t.Errorf("LikeMatch(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
 		}
 	}
 }
@@ -168,56 +168,5 @@ func TestValueKeyDistinguishesKinds(t *testing.T) {
 	}
 	if NewDate(3).Key() == NewInt(3).Key() {
 		t.Error("date and int keys should differ")
-	}
-}
-
-func TestTableSchemaEnforcement(t *testing.T) {
-	tbl := NewTable("t",
-		Column{Name: "a", Type: TypeInt},
-		Column{Name: "b", Type: TypeString},
-	)
-	if err := tbl.AppendRow(NewInt(1), NewString("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.AppendRow(NewInt(1)); err == nil {
-		t.Error("wrong arity should fail")
-	}
-	if err := tbl.AppendRow(NewString("bad"), NewString("x")); err == nil {
-		t.Error("type mismatch should fail")
-	}
-	if err := tbl.AppendRow(Null(), Null()); err != nil {
-		t.Errorf("nulls should be accepted: %v", err)
-	}
-	if tbl.NumRows() != 2 {
-		t.Errorf("rows = %d, want 2", tbl.NumRows())
-	}
-	if tbl.ColumnIndex("B") != 1 || tbl.ColumnIndex("missing") != -1 {
-		t.Error("column index lookup wrong")
-	}
-	row := tbl.Row(0)
-	if row[0].I != 1 || row[1].S != "x" {
-		t.Errorf("Row(0) = %v", row)
-	}
-	if tbl.EstimatedBytes() <= 0 {
-		t.Error("estimated bytes should be positive")
-	}
-}
-
-func TestDatabaseOperations(t *testing.T) {
-	db := NewDatabase("test")
-	db.AddTable(NewTable("alpha", Column{Name: "x", Type: TypeInt}))
-	db.AddTable(NewTable("beta", Column{Name: "y", Type: TypeInt}))
-	if db.Table("ALPHA") == nil {
-		t.Error("table lookup should be case insensitive")
-	}
-	if db.Table("gamma") != nil {
-		t.Error("unknown table should be nil")
-	}
-	tables := db.Tables()
-	if len(tables) != 2 || tables[0].Name != "alpha" {
-		t.Errorf("Tables() = %v", tables)
-	}
-	if db.Describe() == "" {
-		t.Error("Describe should render something")
 	}
 }

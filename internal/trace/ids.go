@@ -29,6 +29,12 @@ import (
 // P+"input.<i>.", of sub-query k under P+"sub.<k>.", of set branch j under
 // P+"set.<j>.".
 
+// UntracedPrefix marks execution contexts without an operator id — the
+// operands of explicit JOIN trees (traced as one input operator) and nested
+// statements the prefix walk does not enumerate. Executors emit no span
+// under it.
+const UntracedPrefix = "\x00"
+
 // ScanID is the id of base-table FROM input i.
 func ScanID(prefix string, i int) string { return prefix + "scan." + strconv.Itoa(i) }
 

@@ -3,6 +3,8 @@ package vexec
 import (
 	"fmt"
 	"strings"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // colMeta names one column of a batch: the table alias it came from (empty
@@ -147,17 +149,17 @@ func concatBatches(batches []*Batch) *Batch {
 // slices of one scan or gathers of one join share it — except that KindNull
 // (empty) chunks and float chunks with/without the IsInt mask may mix.
 func concatVectors(batches []*Batch, ci, total int) *Vector {
-	kind := KindNull
+	kind := sqlsem.KindNull
 	anyIsInt := false
 	var dict *Dictionary
 	dictOK := true
 	for _, b := range batches {
 		c := b.cols[ci]
-		if c.Kind != KindNull {
+		if c.Kind != sqlsem.KindNull {
 			kind = c.Kind
 			// chunks stay dictionary-coded only when every string chunk
 			// shares one dictionary; mixed encodings fall back to raw
-			if c.Kind == KindString {
+			if c.Kind == sqlsem.KindString {
 				if c.Dict == nil || (dict != nil && c.Dict != dict) {
 					dictOK = false
 				} else {
@@ -170,12 +172,12 @@ func concatVectors(batches []*Batch, ci, total int) *Vector {
 		}
 	}
 	var out *Vector
-	if kind == KindString && dictOK && dict != nil {
-		out = &Vector{Kind: KindString, n: total, Dict: dict, Codes: make([]uint32, total)}
+	if kind == sqlsem.KindString && dictOK && dict != nil {
+		out = &Vector{Kind: sqlsem.KindString, n: total, Dict: dict, Codes: make([]uint32, total)}
 	} else {
 		out = NewVector(kind, total)
 	}
-	if kind == KindFloat && anyIsInt {
+	if kind == sqlsem.KindFloat && anyIsInt {
 		out.Ints = make([]int64, total)
 		out.IsInt = make([]bool, total)
 	}
@@ -189,15 +191,15 @@ func concatVectors(batches []*Batch, ci, total int) *Vector {
 				continue
 			}
 			switch kind {
-			case KindInt, KindDate, KindBool:
+			case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
 				out.Ints[pos] = v.Ints[i]
-			case KindFloat:
+			case sqlsem.KindFloat:
 				out.Floats[pos] = v.Floats[i]
 				if v.IsInt != nil && v.IsInt[i] {
 					out.Ints[pos] = v.Ints[i]
 					out.IsInt[pos] = true
 				}
-			case KindString:
+			case sqlsem.KindString:
 				if out.Codes != nil {
 					out.Codes[pos] = v.Codes[i]
 				} else {

@@ -2,7 +2,6 @@ package vexec
 
 import (
 	"fmt"
-	"strings"
 
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/sqlsem"
@@ -12,12 +11,11 @@ import (
 // turns a filter conjunct into one Go closure that reads the table's typed
 // column vectors at a row cursor. Compilation mirrors the vectorized
 // evaluator (expr.go) case for case — the same resolution rules, the same
-// NULL semantics (through the shared sqlsem kernels and the scalar kernels
-// of value.go), the same error texts, and the same split between errors
-// that are statement properties (unknown columns, malformed literals —
-// raised at compile time) and errors that are data properties (type
-// mismatches — raised from inside the closure, only when a row actually
-// exhibits them).
+// NULL semantics and scalar kernels (internal/sqlsem), the same error texts,
+// and the same split between errors that are statement properties (unknown
+// columns — raised at compile time) and errors that are data properties
+// (type mismatches — raised from inside the closure, only when a row
+// actually exhibits them).
 //
 // One structural rule keeps the two evaluators' observable behaviour
 // aligned: the vectorized evaluator computes every sub-expression eagerly
@@ -32,35 +30,10 @@ import (
 
 // rowFn is one compiled expression: evaluate at physical row i of the
 // vectors it was compiled against.
-type rowFn func(i int) (scalar, error)
+type rowFn func(i int) (sqlsem.Value, error)
 
-func constFn(s scalar) rowFn {
-	return func(int) (scalar, error) { return s, nil }
-}
-
-func boolScalar(b bool) scalar {
-	if b {
-		return scalar{kind: KindBool, i: 1}
-	}
-	return scalar{kind: KindBool}
-}
-
-// tri lifts the scalar into the shared ternary-logic domain, the row image
-// of triAt.
-func (s scalar) tri() sqlsem.Tri {
-	if s.isNull() {
-		return sqlsem.Unknown
-	}
-	return sqlsem.Of(s.boolVal())
-}
-
-// triScalar lowers a ternary truth value into a boolean scalar, the row
-// image of setTri: UNKNOWN becomes NULL.
-func triScalar(t sqlsem.Tri) scalar {
-	if t == sqlsem.Unknown {
-		return nullScalar
-	}
-	return boolScalar(t == sqlsem.True)
+func constFn(s sqlsem.Value) rowFn {
+	return func(int) (sqlsem.Value, error) { return s, nil }
 }
 
 // compileExpr builds the closure of one expression over the vectors of b, a
@@ -69,27 +42,27 @@ func triScalar(t sqlsem.Tri) scalar {
 func compileExpr(e sqlparser.Expr, b *Batch) (rowFn, error) {
 	switch v := e.(type) {
 	case *sqlparser.NumberLit:
-		s, err := parseNumberScalar(v.Value)
+		s, err := sqlsem.ParseNumber(v.Value)
 		if err != nil {
 			return nil, err
 		}
 		return constFn(s), nil
 	case *sqlparser.StringLit:
-		return constFn(scalar{kind: KindString, s: v.Value}), nil
+		return constFn(sqlsem.NewString(v.Value)), nil
 	case *sqlparser.BoolLit:
-		return constFn(boolScalar(v.Value)), nil
+		return constFn(sqlsem.NewBool(v.Value)), nil
 	case *sqlparser.NullLit:
-		return constFn(nullScalar), nil
+		return constFn(sqlsem.Null()), nil
 	case *sqlparser.DateLit:
-		d, err := parseDate(v.Value)
+		d, err := sqlsem.ParseDate(v.Value)
 		if err != nil {
-			return nil, errEval(e, fmt.Errorf("invalid date %q: %w", v.Value, err))
+			return nil, errEval(e, err)
 		}
-		return constFn(scalar{kind: KindDate, i: d}), nil
+		return constFn(sqlsem.NewDate(d)), nil
 	case *sqlparser.IntervalLit:
 		// Bare intervals evaluate to their numeric count; date arithmetic
 		// with a unit is handled in the BinaryExpr case.
-		s, err := parseNumberScalar(v.Value)
+		s, err := sqlsem.ParseNumber(v.Value)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +73,7 @@ func compileExpr(e sqlparser.Expr, b *Batch) (rowFn, error) {
 			return nil, err
 		}
 		vec := b.cols[idx]
-		return func(i int) (scalar, error) { return vec.At(i), nil }, nil
+		return func(i int) (sqlsem.Value, error) { return vec.At(i), nil }, nil
 	case *sqlparser.ParenExpr:
 		return compileExpr(v.Expr, b)
 	case *sqlparser.UnaryExpr:
@@ -121,27 +94,27 @@ func compileExpr(e sqlparser.Expr, b *Batch) (rowFn, error) {
 			return nil, err
 		}
 		not := v.Not
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			s, err := val(i)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
-			return boolScalar(s.isNull() != not), nil
+			return sqlsem.NewBool(s.IsNull() != not), nil
 		}, nil
 	case *sqlparser.ExtractExpr:
 		val, err := compileExpr(v.From, b)
 		if err != nil {
 			return nil, err
 		}
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			s, err := val(i)
-			if err != nil || s.isNull() {
-				return nullScalar, err
+			if err != nil || s.IsNull() {
+				return sqlsem.Null(), err
 			}
-			if s.kind != KindDate {
-				return scalar{}, errEval(v, fmt.Errorf("EXTRACT requires a date, got %s", s.kind))
+			if s.Kind != sqlsem.KindDate {
+				return sqlsem.Value{}, errEval(v, fmt.Errorf("EXTRACT requires a date, got %s", s.Kind))
 			}
-			return scalar{kind: KindInt, i: datePart(v.Unit, s.i)}, nil
+			return sqlsem.NewInt(sqlsem.DatePart(v.Unit, s.I)), nil
 		}, nil
 	case *sqlparser.SubstringExpr:
 		return compileSubstring(v, b)
@@ -150,12 +123,12 @@ func compileExpr(e sqlparser.Expr, b *Batch) (rowFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			s, err := val(i)
-			if err != nil || s.isNull() {
-				return nullScalar, err
+			if err != nil {
+				return sqlsem.Value{}, err
 			}
-			return castScalar(s, v.Type)
+			return sqlsem.Cast(s, v.Type)
 		}, nil
 	case *sqlparser.ParamRef:
 		return nil, fmt.Errorf("unresolved template parameter ${%s}", v.Name)
@@ -173,24 +146,17 @@ func compileUnary(v *sqlparser.UnaryExpr, b *Batch) (rowFn, error) {
 	}
 	switch v.Op {
 	case "NOT":
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			s, err := val(i)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
-			return triScalar(sqlsem.Not(s.tri())), nil
+			return sqlsem.Not(s.Tri()).Value(), nil
 		}, nil
 	case "-":
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			s, err := val(i)
-			switch {
-			case err != nil || s.isNull():
-				return nullScalar, err
-			case s.kind == KindInt:
-				return scalar{kind: KindInt, i: -s.i}, nil
-			default:
-				return scalar{kind: KindFloat, f: -s.floatVal()}, nil
-			}
+			return s.Neg(), err
 		}, nil
 	case "+":
 		return val, nil
@@ -210,19 +176,19 @@ func compileBinary(v *sqlparser.BinaryExpr, b *Batch) (rowFn, error) {
 			return nil, deferToFallback(err)
 		}
 		and := v.Op == "AND"
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			ls, err := l(i)
 			if err != nil {
-				return scalar{}, deferToFallback(err)
+				return sqlsem.Value{}, deferToFallback(err)
 			}
 			rs, err := r(i)
 			if err != nil {
-				return scalar{}, deferToFallback(err)
+				return sqlsem.Value{}, deferToFallback(err)
 			}
 			if and {
-				return triScalar(sqlsem.And(ls.tri(), rs.tri())), nil
+				return sqlsem.And(ls.Tri(), rs.Tri()).Value(), nil
 			}
-			return triScalar(sqlsem.Or(ls.tri(), rs.tri())), nil
+			return sqlsem.Or(ls.Tri(), rs.Tri()).Value(), nil
 		}, nil
 	}
 
@@ -232,27 +198,24 @@ func compileBinary(v *sqlparser.BinaryExpr, b *Batch) (rowFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		ns, err := parseNumberScalar(iv.Value)
+		ns, err := sqlsem.ParseNumber(iv.Value)
 		if err != nil {
 			return nil, err
 		}
-		nv := ns.intVal()
+		nv := ns.Int()
 		if v.Op == "-" {
 			nv = -nv
 		}
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			s, err := l(i)
-			if err != nil || s.isNull() {
-				return nullScalar, err
+			if err != nil || s.IsNull() {
+				return sqlsem.Null(), err
 			}
-			if s.kind != KindDate {
-				return scalar{}, fmt.Errorf("interval arithmetic requires a date, got %s", s.kind)
+			if s.Kind != sqlsem.KindDate {
+				return sqlsem.Value{}, fmt.Errorf("interval arithmetic requires a date, got %s", s.Kind)
 			}
-			d, ok := addInterval(s.i, nv, iv.Unit)
-			if !ok {
-				return scalar{}, fmt.Errorf("unknown interval unit %q", iv.Unit)
-			}
-			return scalar{kind: KindDate, i: d}, nil
+			d, err := sqlsem.AddInterval(s.I, nv, iv.Unit)
+			return sqlsem.NewDate(d), err
 		}, nil
 	}
 
@@ -266,7 +229,7 @@ func compileBinary(v *sqlparser.BinaryExpr, b *Batch) (rowFn, error) {
 	}
 	// both evaluates the operands in order, the shared prologue of the
 	// operator closures below.
-	both := func(i int) (ls, rs scalar, err error) {
+	both := func(i int) (ls, rs sqlsem.Value, err error) {
 		if ls, err = l(i); err == nil {
 			rs, err = r(i)
 		}
@@ -274,35 +237,32 @@ func compileBinary(v *sqlparser.BinaryExpr, b *Batch) (rowFn, error) {
 	}
 	switch op := v.Op; op {
 	case "+", "-", "*", "/", "%", "||":
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			ls, rs, err := both(i)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
-			out, err := arithScalar(op, ls, rs)
+			out, err := sqlsem.Arithmetic(op, ls, rs)
 			if err != nil {
-				return scalar{}, errEval(v, err)
+				return sqlsem.Value{}, errEval(v, err)
 			}
 			return out, nil
 		}, nil
 	case "=", "<>", "<", "<=", ">", ">=":
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			ls, rs, err := both(i)
-			if err != nil || ls.isNull() || rs.isNull() {
-				return nullScalar, err
-			}
-			return boolScalar(sqlsem.Compare(op, compareScalars(ls, rs)) == sqlsem.True), nil
+			return sqlsem.CompareValues(op, ls, rs).Value(), err
 		}, nil
 	case "LIKE", "NOT LIKE":
 		negate := op == "NOT LIKE"
-		return func(i int) (scalar, error) {
+		return func(i int) (sqlsem.Value, error) {
 			ls, rs, err := both(i)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
-			eitherNull := ls.isNull() || rs.isNull()
-			matched := !eitherNull && likeMatch(ls.render(), rs.render())
-			return triScalar(sqlsem.Like(eitherNull, matched, negate)), nil
+			eitherNull := ls.IsNull() || rs.IsNull()
+			matched := !eitherNull && sqlsem.LikeMatch(ls.String(), rs.String())
+			return sqlsem.Like(eitherNull, matched, negate).Value(), nil
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown binary operator %q", v.Op)
@@ -327,40 +287,40 @@ func compileCase(v *sqlparser.CaseExpr, b *Batch) (rowFn, error) {
 			return nil, deferToFallback(err)
 		}
 	}
-	elseFn := constFn(nullScalar)
+	elseFn := constFn(sqlsem.Null())
 	if v.Else != nil {
 		if elseFn, err = compileExpr(v.Else, b); err != nil {
 			return nil, deferToFallback(err)
 		}
 	}
-	return func(i int) (scalar, error) {
-		var opVal scalar
+	return func(i int) (sqlsem.Value, error) {
+		var opVal sqlsem.Value
 		if operand != nil {
 			var err error
 			if opVal, err = operand(i); err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
 		}
 		// Every arm evaluates, also past the first hit: arm errors defer the
 		// statement wherever they sit.
-		var out scalar
+		var out sqlsem.Value
 		matched := false
 		for wi := range conds {
 			c, err := conds[wi](i)
 			if err != nil {
-				return scalar{}, deferToFallback(err)
+				return sqlsem.Value{}, deferToFallback(err)
 			}
 			t, err := thens[wi](i)
 			if err != nil {
-				return scalar{}, deferToFallback(err)
+				return sqlsem.Value{}, deferToFallback(err)
 			}
 			if matched {
 				continue
 			}
 			if operand != nil {
-				matched = equalScalars(opVal, c)
+				matched = opVal.Equal(c)
 			} else {
-				matched = c.boolVal()
+				matched = c.Bool()
 			}
 			if matched {
 				out = t
@@ -368,7 +328,7 @@ func compileCase(v *sqlparser.CaseExpr, b *Batch) (rowFn, error) {
 		}
 		ev, err := elseFn(i)
 		if err != nil {
-			return scalar{}, deferToFallback(err)
+			return sqlsem.Value{}, deferToFallback(err)
 		}
 		if !matched {
 			out = ev
@@ -390,22 +350,21 @@ func compileBetween(v *sqlparser.BetweenExpr, b *Batch) (rowFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(i int) (scalar, error) {
+	return func(i int) (sqlsem.Value, error) {
 		a, err := val(i)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
 		l, err := lo(i)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
 		h, err := hi(i)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
-		geLo := sqlsem.CompareNullable(">=", a.isNull() || l.isNull(), compareScalarsNonNull(a, l))
-		leHi := sqlsem.CompareNullable("<=", a.isNull() || h.isNull(), compareScalarsNonNull(a, h))
-		return triScalar(sqlsem.Between(geLo, leHi, v.Not)), nil
+		geLo, leHi := sqlsem.CompareValues(">=", a, l), sqlsem.CompareValues("<=", a, h)
+		return sqlsem.Between(geLo, leHi, v.Not).Value(), nil
 	}, nil
 }
 
@@ -423,27 +382,27 @@ func compileIn(v *sqlparser.InExpr, b *Batch) (rowFn, error) {
 			return nil, deferToFallback(err)
 		}
 	}
-	return func(i int) (scalar, error) {
+	return func(i int) (sqlsem.Value, error) {
 		a, err := val(i)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
 		// Every item evaluates, also past the match: item errors defer.
 		var found, listHasNull bool
 		for _, item := range items {
 			s, err := item(i)
 			if err != nil {
-				return scalar{}, deferToFallback(err)
+				return sqlsem.Value{}, deferToFallback(err)
 			}
 			switch {
 			case found:
-			case equalScalars(a, s):
+			case a.Equal(s):
 				found = true
-			case s.isNull():
+			case s.IsNull():
 				listHasNull = true
 			}
 		}
-		return triScalar(inTri(a.isNull(), found, listHasNull, v.Not)), nil
+		return inTri(a.IsNull(), found, listHasNull, v.Not).Value(), nil
 	}, nil
 }
 
@@ -456,26 +415,23 @@ func compileSubstring(v *sqlparser.SubstringExpr, b *Batch) (rowFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	length := constFn(nullScalar)
+	length := constFn(sqlsem.Null())
 	if v.Length != nil {
 		if length, err = compileExpr(v.Length, b); err != nil {
 			return nil, err
 		}
 	}
-	return func(i int) (scalar, error) {
+	return func(i int) (sqlsem.Value, error) {
 		s, err := val(i)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
 		st, err := start(i)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
 		lv, err := length(i)
-		if err != nil || s.isNull() {
-			return nullScalar, err
-		}
-		return scalar{kind: KindString, s: substringOf(s.render(), st, lv, v.Length != nil)}, nil
+		return sqlsem.Substring(s, st, lv, v.Length != nil), err
 	}, nil
 }
 
@@ -490,65 +446,21 @@ func compileFunc(v *sqlparser.FuncCall, b *Batch) (rowFn, error) {
 			return nil, err
 		}
 	}
-	switch v.Name {
-	case "abs", "length", "char_length":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("%s expects 1 argument", v.Name)
-		}
-	case "round":
-		if len(args) == 0 {
-			return nil, fmt.Errorf("round expects at least 1 argument")
-		}
-	case "upper", "lower", "coalesce":
-	default:
-		return nil, fmt.Errorf("unknown function %q", v.Name)
+	if err := sqlsem.CheckFunc(v.Name, len(args)); err != nil {
+		return nil, err
 	}
-	return func(i int) (scalar, error) {
+	return func(i int) (sqlsem.Value, error) {
 		// All arguments evaluate before the function applies; the common
 		// arities fit the stack buffer.
-		var buf [4]scalar
+		var buf [4]sqlsem.Value
 		vals := buf[:0]
 		for _, a := range args {
 			s, err := a(i)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
 			vals = append(vals, s)
 		}
-		return applyFunc(v.Name, vals), nil
+		return sqlsem.ApplyFunc(v.Name, vals), nil
 	}, nil
-}
-
-// applyFunc applies a scalar function to its evaluated arguments with the
-// semantics of evalFunc's per-row loops; name and arity were checked at
-// compile time.
-func applyFunc(name string, vals []scalar) scalar {
-	switch name {
-	case "abs":
-		if vals[0].isNull() {
-			return nullScalar
-		}
-		return absScalar(vals[0])
-	case "length", "char_length":
-		// No NULL check: the interpreters measure the rendered value, and
-		// NULL renders as the 4-character string "NULL".
-		return scalar{kind: KindInt, i: int64(len(vals[0].render()))}
-	case "upper":
-		return scalar{kind: KindString, s: strings.ToUpper(vals[0].render())}
-	case "lower":
-		return scalar{kind: KindString, s: strings.ToLower(vals[0].render())}
-	case "round":
-		scale := 0
-		if len(vals) > 1 {
-			scale = int(vals[1].intVal())
-		}
-		return scalar{kind: KindFloat, f: roundHalfAway(vals[0].floatVal(), scale)}
-	default: // coalesce
-		for _, s := range vals {
-			if !s.isNull() {
-				return s
-			}
-		}
-		return nullScalar
-	}
 }

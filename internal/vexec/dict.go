@@ -1,6 +1,10 @@
 package vexec
 
-import "sort"
+import (
+	"sort"
+
+	"sqalpel/internal/sqlsem"
+)
 
 // Dictionary is the sorted, deduplicated value set of a dictionary-encoded
 // string column. Codes index into Vals; because Vals is sorted and unique,
@@ -37,7 +41,7 @@ var DictMaxCardinality = 1 << 20
 // preserved in the bitmap and carry code 0 so the codes array is always
 // safe to index.
 func dictEncode(v *Vector) *Vector {
-	if v == nil || v.Kind != KindString || v.Dict != nil {
+	if v == nil || v.Kind != sqlsem.KindString || v.Dict != nil {
 		return v
 	}
 	distinct := map[string]struct{}{}
@@ -59,7 +63,7 @@ func dictEncode(v *Vector) *Vector {
 	for i, s := range vals {
 		codeOf[s] = uint32(i)
 	}
-	out := &Vector{Kind: KindString, n: v.n, Dict: &Dictionary{Vals: vals}, Codes: make([]uint32, v.n)}
+	out := &Vector{Kind: sqlsem.KindString, n: v.n, Dict: &Dictionary{Vals: vals}, Codes: make([]uint32, v.n)}
 	for i := 0; i < v.n; i++ {
 		if v.IsNull(i) {
 			out.SetNull(i)
@@ -78,7 +82,7 @@ func (v *Vector) decode() *Vector {
 	if v == nil || v.Dict == nil {
 		return v
 	}
-	out := &Vector{Kind: KindString, n: v.n, Strs: make([]string, v.n), Nulls: v.Nulls}
+	out := &Vector{Kind: sqlsem.KindString, n: v.n, Strs: make([]string, v.n), Nulls: v.Nulls}
 	for i := 0; i < v.n; i++ {
 		if !v.IsNull(i) {
 			out.Strs[i] = v.Dict.Vals[v.Codes[i]]

@@ -13,9 +13,12 @@
 //
 //   - Typed, unboxed columnar vectors ([]int64, []float64, []string) with
 //     separate null bitmaps instead of boxed []Value cells. Numeric vectors
-//     may carry a per-row int/float duality mask so the SQL value semantics
-//     of internal/engine (exact integer arithmetic, int-preserving division)
-//     are reproduced bit for bit.
+//     may carry a per-row int/float duality mask so unboxed storage keeps the
+//     per-row SQL value semantics (exact integer arithmetic, int-preserving
+//     division). A row is boxed (Vector.At) into the one sqlsem.Value only
+//     at block boundaries — group accumulators, sort keys, sub-query sets,
+//     result rows — and every scalar operation outside the typed fast paths
+//     is a kernel of internal/sqlsem, the same one the interpreters call.
 //   - Selection vectors: filters shrink an index list over a batch instead
 //     of copying payload columns; one pass per conjunct, like a column store,
 //     but over fixed-size batches.
@@ -34,10 +37,12 @@
 //     pool, with every merge walking morsel order — results are
 //     bit-identical at any worker count, float summation order included.
 //
-// The package depends only on internal/sqlparser and the shared logical
-// plan of internal/plan: ExecutePlan compiles its pipeline straight from a
-// pre-built plan's classified conjuncts and join steps (Execute plans on
-// the fly for standalone use). It executes the dialect subset that
+// The package depends on internal/sqlparser, the value layer of
+// internal/sqlsem and the shared logical plan of internal/plan — never on
+// internal/engine: ExecutePlan compiles its pipeline straight from a
+// pre-built plan's classified conjuncts and join steps and indexes with
+// its resolved output contract (star ordinals, output names, ORDER BY
+// keys). It executes the dialect subset that
 // vectorizes well (conjunctive filters, equi hash joins, hash aggregation,
 // ordering, DISTINCT, LIMIT, derived tables, uncorrelated and
 // decorrelatable sub-queries and the full scalar expression repertoire);
@@ -45,7 +50,7 @@
 // equi-join correlation) carry a negative Vectorizable verdict on their
 // plan and return ErrUnsupported, which the engine-level adapter
 // (internal/engine's typedEngine) turns into interpreter execution of the
-// same plan. The
-// conversion from the boxed []Value storage of engine.Database into typed
-// vectors happens once per table data version in that adapter, not here.
+// same plan. The conversion from the boxed []Value storage of
+// engine.Database into typed vectors (FromValues) happens once per table
+// data version in that adapter, not here.
 package vexec

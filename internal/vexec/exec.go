@@ -9,6 +9,7 @@ import (
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -116,31 +117,14 @@ type executor struct {
 	subs map[*sqlparser.SelectStatement]*subState
 	// tracer is the per-operator span collector; nil when tracing is off.
 	// Operator ids are keyed by the plan's prefix scheme: "" at the root,
-	// trace.DerivedPrefix/SubPrefix below, noTracePrefix for pipelines the
+	// trace.DerivedPrefix/SubPrefix below, trace.UntracedPrefix for pipelines the
 	// prefix walk does not enumerate.
 	tracer *trace.Tracer
 }
 
-// noTracePrefix marks execution contexts without an operator id — the
-// operands of explicit JOIN trees (traced as one input operator) and nested
-// statements the prefix walk does not enumerate. Span emission is skipped
-// under it, mirroring the interpreters' untraced prefix.
-const noTracePrefix = "\x00"
-
 // traceOn reports whether spans should be emitted for the given prefix.
 func (ex *executor) traceOn(prefix string) bool {
-	return ex.tracer != nil && !strings.HasPrefix(prefix, noTracePrefix)
-}
-
-// Execute runs a parsed SELECT against the catalog, planning it on the fly.
-// The engine-level adapter uses ExecutePlan instead, handing in the shared
-// plan so no per-execution analysis happens here.
-func Execute(cat Catalog, stmt *sqlparser.SelectStatement, opts Options) (*Result, error) {
-	p, err := plan.BuildStmt(schemaCatalog{cat}, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return ExecutePlan(cat, p, opts)
+	return ex.tracer != nil && !strings.HasPrefix(prefix, trace.UntracedPrefix)
 }
 
 // ExecutePlan runs a planned SELECT against the catalog. Statements outside
@@ -176,23 +160,6 @@ func ExecutePlan(cat Catalog, p *plan.Plan, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// schemaCatalog adapts vexec's typed catalog to the planner's schema-only
-// view; unknown tables resolve to no columns so execution reports the error.
-type schemaCatalog struct{ cat Catalog }
-
-// TableColumns implements plan.Catalog.
-func (c schemaCatalog) TableColumns(name string) ([]string, bool) {
-	t, err := c.cat.VTable(name)
-	if err != nil {
-		return nil, false
-	}
-	out := make([]string, len(t.Cols))
-	for i, col := range t.Cols {
-		out[i] = col.Name
-	}
-	return out, true
-}
-
 // checkDeadline aborts overdue queries; called once per batch.
 func (ex *executor) checkDeadline() error {
 	if ex.opts.Deadline.IsZero() {
@@ -213,7 +180,7 @@ func (ex *executor) checkDeadline() error {
 // plan's classified conjuncts and join steps.
 
 // run executes one SELECT core. prefix keys the statement's operator spans:
-// "" at the root, a derived/sub prefix below, noTracePrefix to disable.
+// "" at the root, a derived/sub prefix below, trace.UntracedPrefix to disable.
 func (ex *executor) run(sp *plan.Select, prefix string) (*Result, error) {
 	stmt := sp.Stmt
 	if len(stmt.Projection) == 0 {
@@ -229,9 +196,9 @@ func (ex *executor) run(sp *plan.Select, prefix string) (*Result, error) {
 		return nil, err
 	}
 	if sp.Grouped {
-		return ex.runGrouped(stmt, pipe, prefix)
+		return ex.runGrouped(sp, pipe, prefix)
 	}
-	return ex.runRows(stmt, pipe, prefix)
+	return ex.runRows(sp, pipe, prefix)
 }
 
 // runBatch executes a nested SELECT core and re-frames its projected output
@@ -372,7 +339,7 @@ func (ex *executor) buildInput(in *plan.Input, idx int, prefix string) (operator
 		// result in as a dense input batch, renamed to the derived alias.
 		// Only top-level FROM positions have an operator id; operands of
 		// explicit JOIN trees run untraced, like the interpreters.
-		childPrefix := noTracePrefix
+		childPrefix := trace.UntracedPrefix
 		var tm trace.Timer
 		if idx >= 0 && ex.traceOn(prefix) {
 			childPrefix = trace.DerivedPrefix(prefix, idx)
@@ -401,7 +368,7 @@ func (ex *executor) buildInput(in *plan.Input, idx int, prefix string) (operator
 // plan already classified. The operands carry no operator ids of their own
 // (idx -1): the whole tree is traced as one input operator.
 func (ex *executor) buildJoinBatch(j *plan.Join) (*Batch, error) {
-	leftOp, err := ex.buildInput(j.Left, -1, noTracePrefix)
+	leftOp, err := ex.buildInput(j.Left, -1, trace.UntracedPrefix)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +376,7 @@ func (ex *executor) buildJoinBatch(j *plan.Join) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	rightOp, err := ex.buildInput(j.Right, -1, noTracePrefix)
+	rightOp, err := ex.buildInput(j.Right, -1, trace.UntracedPrefix)
 	if err != nil {
 		return nil, err
 	}
@@ -448,87 +415,51 @@ func (ex *executor) buildJoinBatch(j *plan.Join) (*Batch, error) {
 
 // --- projection and epilogue -------------------------------------------------
 
-// projItem is one resolved projection element.
-type projItem struct {
-	name string
-	expr sqlparser.Expr
-	star bool
-}
-
-// expandProjection resolves the projection list against the input schema.
-func expandProjection(stmt *sqlparser.SelectStatement, meta []colMeta) ([]projItem, []int) {
-	var items []projItem
-	var starCols []int
-	for _, p := range stmt.Projection {
-		if p.Star {
-			items = append(items, projItem{star: true})
-			for ci, m := range meta {
-				if p.Qualifier == "" || strings.EqualFold(p.Qualifier, m.table) {
-					starCols = append(starCols, ci)
-				}
-			}
-			continue
-		}
-		name := p.Alias
-		if name == "" {
-			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = strings.ToLower(p.Expr.SQL())
-			}
-		}
-		items = append(items, projItem{name: strings.ToLower(name), expr: p.Expr})
-	}
-	return items, starCols
-}
-
 // runRows executes a non-grouped query: drain the pipeline, project, then
 // run the shared epilogue.
-func (ex *executor) runRows(stmt *sqlparser.SelectStatement, pipe operator, prefix string) (*Result, error) {
+func (ex *executor) runRows(sp *plan.Select, pipe operator, prefix string) (*Result, error) {
 	b, err := ex.materializeOp(pipe)
 	if err != nil {
 		return nil, err
 	}
-	items, starCols := expandProjection(stmt, b.meta)
 	ctx := &evalCtx{ex: ex, batch: b}
 
 	var tm trace.Timer
 	if ex.traceOn(prefix) {
 		tm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
 	}
-	var cols []*Vector
-	var names []string
-	for _, ci := range starCols {
+	cols := make([]*Vector, 0, len(sp.OutSchema))
+	for _, ci := range sp.StarCols {
 		cols = append(cols, b.dense(ci))
-		names = append(names, b.meta[ci].name)
 	}
-	for _, it := range items {
-		if it.star {
-			continue
-		}
-		v, err := ctx.eval(it.expr)
+	if cols, err = ctx.evalAppend(cols, sp.Items); err != nil {
+		return nil, err
+	}
+	tm.Done(int64(b.Len()))
+	return ex.epilogue(sp, cols, ctx, b.Len(), prefix)
+}
+
+// evalAppend evaluates the expressions in order, appending their vectors.
+func (ctx *evalCtx) evalAppend(cols []*Vector, exprs []sqlparser.Expr) ([]*Vector, error) {
+	for _, e := range exprs {
+		v, err := ctx.eval(e)
 		if err != nil {
 			return nil, err
 		}
 		cols = append(cols, v)
-		names = append(names, it.name)
 	}
-	tm.Done(int64(b.Len()))
-	sortKeys, err := ex.orderKeyVectors(stmt, items, cols, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ex.epilogue(stmt, names, cols, sortKeys, b.Len(), prefix)
+	return cols, nil
 }
 
 // runGrouped executes a grouped query: hash-aggregate the pipeline, apply
 // HAVING, project the groups, then run the shared epilogue.
-func (ex *executor) runGrouped(stmt *sqlparser.SelectStatement, pipe operator, prefix string) (*Result, error) {
+func (ex *executor) runGrouped(sp *plan.Select, pipe operator, prefix string) (*Result, error) {
+	stmt := sp.Stmt
 	var atm trace.Timer
 	if ex.traceOn(prefix) {
 		atm = ex.tracer.Span(trace.AggID(prefix), trace.KindAgg).Start()
 	}
-	agg, err := ex.hashAggregate(pipe, stmt)
+	agg, err := ex.hashAggregate(pipe, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -559,110 +490,38 @@ func (ex *executor) runGrouped(stmt *sqlparser.SelectStatement, pipe operator, p
 		}
 	}
 
-	items, _ := expandProjection(stmt, nil)
-	for _, it := range items {
-		if it.star {
-			return nil, fmt.Errorf("SELECT * is not supported with GROUP BY or aggregates")
-		}
+	if len(sp.Items) < len(stmt.Projection) {
+		return nil, fmt.Errorf("SELECT * is not supported with GROUP BY or aggregates")
 	}
 	var tm trace.Timer
 	if ex.traceOn(prefix) {
 		tm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
 	}
-	var cols []*Vector
-	var names []string
-	for _, it := range items {
-		v, err := ctx.eval(it.expr)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, v)
-		names = append(names, it.name)
-	}
-	tm.Done(int64(n))
-	sortKeys, err := ex.orderKeyVectors(stmt, items, cols, ctx)
+	cols, err := ctx.evalAppend(nil, sp.Items)
 	if err != nil {
 		return nil, err
 	}
-	return ex.epilogue(stmt, names, cols, sortKeys, n, prefix)
-}
-
-// orderKeyVectors evaluates the ORDER BY expressions: a bare reference
-// naming a projection alias sorts by that output column, a numeric literal
-// in range sorts by ordinal, everything else is evaluated in the current
-// context.
-func (ex *executor) orderKeyVectors(stmt *sqlparser.SelectStatement, items []projItem, cols []*Vector, ctx *evalCtx) ([]*Vector, error) {
-	if len(stmt.OrderBy) == 0 {
-		return nil, nil
-	}
-	// Map projection item index to output column index (stars expand ahead
-	// of the computed columns).
-	itemCol := make([]int, len(items))
-	base := 0
-	for _, it := range items {
-		if it.star {
-			base = -1 // star present: computed columns start after the star block
-		}
-	}
-	if base == 0 {
-		for i := range items {
-			itemCol[i] = i
-		}
-	} else {
-		starWidth := len(cols)
-		nonStar := 0
-		for _, it := range items {
-			if !it.star {
-				nonStar++
-			}
-		}
-		starWidth -= nonStar
-		next := starWidth
-		for i, it := range items {
-			if it.star {
-				itemCol[i] = -1
-				continue
-			}
-			itemCol[i] = next
-			next++
-		}
-	}
-
-	keys := make([]*Vector, len(stmt.OrderBy))
-	for oi, ob := range stmt.OrderBy {
-		if cr, ok := ob.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			matched := false
-			for ii, it := range items {
-				if !it.star && it.name == strings.ToLower(cr.Column) {
-					keys[oi] = cols[itemCol[ii]]
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-		}
-		if num, ok := ob.Expr.(*sqlparser.NumberLit); ok {
-			if ns, err := parseNumberScalar(num.Value); err == nil {
-				if idx := int(ns.intVal()) - 1; idx >= 0 && idx < len(cols) {
-					keys[oi] = cols[idx]
-					continue
-				}
-			}
-		}
-		v, err := ctx.eval(ob.Expr)
-		if err != nil {
-			return nil, err
-		}
-		keys[oi] = v
-	}
-	return keys, nil
+	tm.Done(int64(n))
+	return ex.epilogue(sp, cols, ctx, n, prefix)
 }
 
 // epilogue applies DISTINCT, ORDER BY and LIMIT/OFFSET to the projected
-// columns and finishes the result.
-func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, cols []*Vector, sortKeys []*Vector, n int, prefix string) (*Result, error) {
+// columns and finishes the result. The plan's resolved sort keys are output
+// columns or expressions, which evaluate in the projection's context ctx.
+func (ex *executor) epilogue(sp *plan.Select, cols []*Vector, ctx *evalCtx, n int, prefix string) (*Result, error) {
+	stmt := sp.Stmt
+	sortKeys := make([]*Vector, len(sp.OrderBy))
+	for i, k := range sp.OrderBy {
+		if k.Col >= 0 {
+			sortKeys[i] = cols[k.Col]
+			continue
+		}
+		v, err := ctx.eval(k.Expr)
+		if err != nil {
+			return nil, err
+		}
+		sortKeys[i] = v
+	}
 	if stmt.Distinct {
 		var tm trace.Timer
 		if ex.traceOn(prefix) {
@@ -686,7 +545,7 @@ func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, co
 		tm.Done(int64(n))
 	}
 
-	if len(stmt.OrderBy) > 0 {
+	if len(sortKeys) > 0 {
 		var tm trace.Timer
 		if ex.traceOn(prefix) {
 			tm = ex.tracer.Span(trace.SortID(prefix), trace.KindSort).Start()
@@ -698,11 +557,10 @@ func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, co
 		// The multi-key comparator is compiled once per query: one
 		// kind-specialized closure per sort key instead of boxing two
 		// scalars per comparison.
-		cmps := make([]func(a, b int) int, len(stmt.OrderBy))
-		descs := make([]bool, len(stmt.OrderBy))
-		for i := range stmt.OrderBy {
+		order := sp.OrderBy
+		cmps := make([]func(a, b int) int, len(sortKeys))
+		for i := range sortKeys {
 			cmps[i] = compiledCmp(sortKeys[i])
-			descs[i] = stmt.OrderBy[i].Desc
 		}
 		sort.SliceStable(idx, func(a, b int) bool {
 			ra, rb := idx[a], idx[b]
@@ -711,7 +569,7 @@ func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, co
 				if c == 0 {
 					continue
 				}
-				if descs[i] {
+				if order[i].Desc {
 					return c > 0
 				}
 				return c < 0
@@ -757,6 +615,10 @@ func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, co
 	}
 
 	ex.stats.RowsReturned += int64(n)
+	names := make([]string, len(sp.OutSchema))
+	for i, m := range sp.OutSchema {
+		names[i] = m.Name
+	}
 	return &Result{Columns: names, Cols: cols}, nil
 }
 
@@ -779,10 +641,10 @@ func gatherAll(cols []*Vector, rows []int) []*Vector {
 func compiledCmp(v *Vector) func(a, b int) int {
 	nulls := v.Nulls
 	switch v.Kind {
-	case KindNull:
+	case sqlsem.KindNull:
 		// All rows NULL: every pair ties.
 		return func(a, b int) int { return 0 }
-	case KindString:
+	case sqlsem.KindString:
 		if v.Dict != nil {
 			// The dictionary is sorted and deduplicated, so code order is
 			// exactly strings.Compare order.
@@ -808,7 +670,7 @@ func compiledCmp(v *Vector) func(a, b int) int {
 			}
 			return strings.Compare(strs[a], strs[b])
 		}
-	case KindFloat:
+	case sqlsem.KindFloat:
 		// Under the int/float duality mask a flagged row's float payload
 		// is the exact float64 image of its integer, which is what the
 		// scalar path compares too.

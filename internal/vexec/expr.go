@@ -3,7 +3,6 @@ package vexec
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"sqalpel/internal/plan"
@@ -51,31 +50,27 @@ func (ctx *evalCtx) eval(e sqlparser.Expr) (*Vector, error) {
 	n := ctx.batch.Len()
 	switch v := e.(type) {
 	case *sqlparser.NumberLit:
-		s, err := parseNumberScalar(v.Value)
+		s, err := sqlsem.ParseNumber(v.Value)
 		if err != nil {
 			return nil, err
 		}
 		return constVec(s, n), nil
 	case *sqlparser.StringLit:
-		return constVec(scalar{kind: KindString, s: v.Value}, n), nil
+		return constVec(sqlsem.NewString(v.Value), n), nil
 	case *sqlparser.BoolLit:
-		b := int64(0)
-		if v.Value {
-			b = 1
-		}
-		return constVec(scalar{kind: KindBool, i: b}, n), nil
+		return constVec(sqlsem.NewBool(v.Value), n), nil
 	case *sqlparser.NullLit:
 		return NewNullVector(n), nil
 	case *sqlparser.DateLit:
-		d, err := parseDate(v.Value)
+		d, err := sqlsem.ParseDate(v.Value)
 		if err != nil {
-			return nil, errEval(e, fmt.Errorf("invalid date %q: %w", v.Value, err))
+			return nil, errEval(e, err)
 		}
-		return constVec(scalar{kind: KindDate, i: d}, n), nil
+		return constVec(sqlsem.NewDate(d), n), nil
 	case *sqlparser.IntervalLit:
 		// Bare intervals evaluate to their numeric count; date arithmetic
 		// with a unit is handled in the BinaryExpr case.
-		s, err := parseNumberScalar(v.Value)
+		s, err := sqlsem.ParseNumber(v.Value)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +96,7 @@ func (ctx *evalCtx) eval(e sqlparser.Expr) (*Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := NewVector(KindBool, n)
+		out := NewVector(sqlsem.KindBool, n)
 		for i := 0; i < n; i++ {
 			if val.IsNull(i) != v.Not {
 				out.Ints[i] = 1
@@ -140,69 +135,27 @@ func (ctx *evalCtx) resolveColumn(v *sqlparser.ColumnRef) (*Vector, error) {
 
 // constVec fills a vector with one scalar and marks it as a broadcast
 // constant, which is what arms the dictionary fast paths downstream.
-func constVec(s scalar, n int) *Vector {
-	if s.kind == KindNull {
+func constVec(s sqlsem.Value, n int) *Vector {
+	if s.Kind == sqlsem.KindNull {
 		return NewNullVector(n)
 	}
-	out := NewVector(s.kind, n)
+	out := NewVector(s.Kind, n)
 	out.constVal = true
-	switch s.kind {
-	case KindInt, KindDate, KindBool:
+	switch s.Kind {
+	case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
 		for i := range out.Ints {
-			out.Ints[i] = s.i
+			out.Ints[i] = s.I
 		}
-	case KindFloat:
+	case sqlsem.KindFloat:
 		for i := range out.Floats {
-			out.Floats[i] = s.f
+			out.Floats[i] = s.F
 		}
-	case KindString:
+	case sqlsem.KindString:
 		for i := range out.Strs {
-			out.Strs[i] = s.s
+			out.Strs[i] = s.S
 		}
 	}
 	return out
-}
-
-// parseNumberScalar mirrors the interpreter's numeric literal parsing:
-// integers stay exact, everything else becomes a float. Literals vexec
-// cannot parse cleanly are NOT silently coerced (the interpreter's atof
-// collapses garbage to 0); they defer the statement to the interpreter via
-// ErrUnsupported so the engines cannot disagree on such input.
-func parseNumberScalar(s string) (scalar, error) {
-	if !strings.ContainsAny(s, ".eE") {
-		var n int64
-		neg := false
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if i == 0 && (c == '-' || c == '+') {
-				neg = c == '-'
-				continue
-			}
-			if c < '0' || c > '9' {
-				f, err := atof(s)
-				return scalar{kind: KindFloat, f: f}, err
-			}
-			n = n*10 + int64(c-'0')
-		}
-		if neg {
-			n = -n
-		}
-		return scalar{kind: KindInt, i: n}, nil
-	}
-	f, err := atof(s)
-	return scalar{kind: KindFloat, f: f}, err
-}
-
-// atof parses a float literal strictly (the whole string must parse, no
-// trailing garbage). Unlike the interpreter's variant it reports failure
-// instead of silently coercing: the caller defers the statement back to
-// the interpreter, which owns the semantics of malformed numerics.
-func atof(s string) (float64, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: unparsable numeric literal %q", ErrUnsupported, s)
-	}
-	return f, nil
 }
 
 // truthy is the two-valued truth of row i: NULL is false. It implements
@@ -214,9 +167,9 @@ func truthy(v *Vector, i int) bool {
 		return false
 	}
 	switch v.Kind {
-	case KindBool, KindInt, KindDate:
+	case sqlsem.KindBool, sqlsem.KindInt, sqlsem.KindDate:
 		return v.Ints[i] != 0
-	case KindFloat:
+	case sqlsem.KindFloat:
 		return v.Floats[i] != 0
 	default:
 		return false
@@ -251,23 +204,23 @@ func (ctx *evalCtx) evalUnary(v *sqlparser.UnaryExpr) (*Vector, error) {
 	n := val.Len()
 	switch v.Op {
 	case "NOT":
-		out := NewVector(KindBool, n)
+		out := NewVector(sqlsem.KindBool, n)
 		for i := 0; i < n; i++ {
 			setTri(out, i, sqlsem.Not(triAt(val, i)))
 		}
 		return out, nil
 	case "-":
 		// Fast paths for homogeneous numeric vectors.
-		if val.Kind == KindInt {
-			out := NewVector(KindInt, n)
+		if val.Kind == sqlsem.KindInt {
+			out := NewVector(sqlsem.KindInt, n)
 			for i := 0; i < n; i++ {
 				out.Ints[i] = -val.Ints[i]
 			}
 			out.Nulls = copyNulls(val.Nulls)
 			return out, nil
 		}
-		if val.Kind == KindFloat && val.IsInt == nil {
-			out := NewVector(KindFloat, n)
+		if val.Kind == sqlsem.KindFloat && val.IsInt == nil {
+			out := NewVector(sqlsem.KindFloat, n)
 			for i := 0; i < n; i++ {
 				out.Floats[i] = -val.Floats[i]
 			}
@@ -276,15 +229,7 @@ func (ctx *evalCtx) evalUnary(v *sqlparser.UnaryExpr) (*Vector, error) {
 		}
 		bld := newBuilder(n)
 		for i := 0; i < n; i++ {
-			s := val.At(i)
-			switch s.kind {
-			case KindNull:
-				bld.append(nullScalar)
-			case KindInt:
-				bld.append(scalar{kind: KindInt, i: -s.i})
-			default:
-				bld.append(scalar{kind: KindFloat, f: -s.floatVal()})
-			}
+			bld.append(val.At(i).Neg())
 		}
 		return bld.finalize()
 	case "+":
@@ -315,7 +260,7 @@ func (ctx *evalCtx) evalBinary(v *sqlparser.BinaryExpr) (*Vector, error) {
 			return nil, deferToFallback(err)
 		}
 		n := l.Len()
-		out := NewVector(KindBool, n)
+		out := NewVector(sqlsem.KindBool, n)
 		if v.Op == "AND" {
 			for i := 0; i < n; i++ {
 				setTri(out, i, sqlsem.And(triAt(l, i), triAt(r, i)))
@@ -334,30 +279,28 @@ func (ctx *evalCtx) evalBinary(v *sqlparser.BinaryExpr) (*Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		ns, err := parseNumberScalar(iv.Value)
+		ns, err := sqlsem.ParseNumber(iv.Value)
 		if err != nil {
 			return nil, err
 		}
-		nv := ns.intVal()
+		nv := ns.Int()
 		if v.Op == "-" {
 			nv = -nv
 		}
 		n := l.Len()
-		out := NewVector(KindDate, n)
+		out := NewVector(sqlsem.KindDate, n)
 		for i := 0; i < n; i++ {
 			s := l.At(i)
-			if s.isNull() {
+			if s.IsNull() {
 				out.SetNull(i)
 				continue
 			}
-			if s.kind != KindDate {
-				return nil, fmt.Errorf("interval arithmetic requires a date, got %s", s.kind)
+			if s.Kind != sqlsem.KindDate {
+				return nil, fmt.Errorf("interval arithmetic requires a date, got %s", s.Kind)
 			}
-			d, ok := addInterval(s.i, nv, iv.Unit)
-			if !ok {
-				return nil, fmt.Errorf("unknown interval unit %q", iv.Unit)
+			if out.Ints[i], err = sqlsem.AddInterval(s.I, nv, iv.Unit); err != nil {
+				return nil, err
 			}
-			out.Ints[i] = d
 		}
 		return out, nil
 	}
@@ -386,89 +329,16 @@ func (ctx *evalCtx) evalBinary(v *sqlparser.BinaryExpr) (*Vector, error) {
 	}
 }
 
-// arithScalar mirrors engine.Arithmetic exactly: numeric promotion, date
-// day-count arithmetic, integer-preserving division, NULL on division by
-// zero.
-func arithScalar(op string, a, b scalar) (scalar, error) {
-	if a.isNull() || b.isNull() {
-		return nullScalar, nil
-	}
-	if a.kind == KindDate && b.isNumeric() {
-		switch op {
-		case "+":
-			return scalar{kind: KindDate, i: a.i + b.intVal()}, nil
-		case "-":
-			return scalar{kind: KindDate, i: a.i - b.intVal()}, nil
-		}
-	}
-	if a.kind == KindDate && b.kind == KindDate && op == "-" {
-		return scalar{kind: KindInt, i: a.i - b.i}, nil
-	}
-	if a.kind == KindString || b.kind == KindString {
-		if op == "||" {
-			return scalar{kind: KindString, s: a.render() + b.render()}, nil
-		}
-		return scalar{}, fmt.Errorf("cannot apply %q to %s and %s", op, a.kind, b.kind)
-	}
-	if op == "||" {
-		return scalar{kind: KindString, s: a.render() + b.render()}, nil
-	}
-	if a.kind == KindInt && b.kind == KindInt {
-		switch op {
-		case "+":
-			return scalar{kind: KindInt, i: a.i + b.i}, nil
-		case "-":
-			return scalar{kind: KindInt, i: a.i - b.i}, nil
-		case "*":
-			return scalar{kind: KindInt, i: a.i * b.i}, nil
-		case "%":
-			if b.i == 0 {
-				return nullScalar, nil
-			}
-			return scalar{kind: KindInt, i: a.i % b.i}, nil
-		case "/":
-			if b.i == 0 {
-				return nullScalar, nil
-			}
-			if a.i%b.i == 0 {
-				return scalar{kind: KindInt, i: a.i / b.i}, nil
-			}
-			return scalar{kind: KindFloat, f: float64(a.i) / float64(b.i)}, nil
-		}
-	}
-	af, bf := a.floatVal(), b.floatVal()
-	switch op {
-	case "+":
-		return scalar{kind: KindFloat, f: af + bf}, nil
-	case "-":
-		return scalar{kind: KindFloat, f: af - bf}, nil
-	case "*":
-		return scalar{kind: KindFloat, f: af * bf}, nil
-	case "/":
-		if bf == 0 {
-			return nullScalar, nil
-		}
-		return scalar{kind: KindFloat, f: af / bf}, nil
-	case "%":
-		if bf == 0 {
-			return nullScalar, nil
-		}
-		return scalar{kind: KindFloat, f: float64(int64(af) % int64(bf))}, nil
-	default:
-		return scalar{}, fmt.Errorf("unknown arithmetic operator %q", op)
-	}
-}
-
 // arithVec applies an arithmetic operator element-wise with typed fast
 // paths for the hot shapes (pure int and pure float vectors) and a generic
 // scalar loop for everything else.
 func arithVec(op string, l, r *Vector) (*Vector, error) {
 	n := l.Len()
-	pureFloat := func(v *Vector) bool { return v.Kind == KindFloat && v.IsInt == nil }
+	pureFloat := func(v *Vector) bool { return v.Kind == sqlsem.KindFloat && v.IsInt == nil }
 
 	// int op int for the exact operators.
-	if l.Kind == KindInt && r.Kind == KindInt && (op == "+" || op == "-" || op == "*") {
-		out := NewVector(KindInt, n)
+	if l.Kind == sqlsem.KindInt && r.Kind == sqlsem.KindInt && (op == "+" || op == "-" || op == "*") {
+		out := NewVector(sqlsem.KindInt, n)
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) || r.IsNull(i) {
 				out.SetNull(i)
@@ -487,17 +357,17 @@ func arithVec(op string, l, r *Vector) (*Vector, error) {
 	}
 
 	// Mixes of pure int and pure float vectors for + - *.
-	numericPure := func(v *Vector) bool { return v.Kind == KindInt || pureFloat(v) }
+	numericPure := func(v *Vector) bool { return v.Kind == sqlsem.KindInt || pureFloat(v) }
 	if numericPure(l) && numericPure(r) && (pureFloat(l) || pureFloat(r)) && (op == "+" || op == "-" || op == "*") {
-		out := NewVector(KindFloat, n)
+		out := NewVector(sqlsem.KindFloat, n)
 		lf := func(i int) float64 {
-			if l.Kind == KindInt {
+			if l.Kind == sqlsem.KindInt {
 				return float64(l.Ints[i])
 			}
 			return l.Floats[i]
 		}
 		rf := func(i int) float64 {
-			if r.Kind == KindInt {
+			if r.Kind == sqlsem.KindInt {
 				return float64(r.Ints[i])
 			}
 			return r.Floats[i]
@@ -523,7 +393,7 @@ func arithVec(op string, l, r *Vector) (*Vector, error) {
 	// bools and the int/float duality masks.
 	bld := newBuilder(n)
 	for i := 0; i < n; i++ {
-		s, err := arithScalar(op, l.At(i), r.At(i))
+		s, err := sqlsem.Arithmetic(op, l.At(i), r.At(i))
 		if err != nil {
 			return nil, err
 		}
@@ -534,18 +404,18 @@ func arithVec(op string, l, r *Vector) (*Vector, error) {
 
 // cmpVec applies a comparison operator with ternary NULL semantics: any
 // NULL operand marks the output row NULL (UNKNOWN), matching the
-// interpreters and sqlsem.CompareNullable. The typed fast paths only skip
+// interpreters and sqlsem.CompareValues. The typed fast paths only skip
 // the boxing, never the null bitmap.
 func cmpVec(op string, l, r *Vector) *Vector {
 	n := l.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	set := func(i, c int) {
 		if sqlsem.Compare(op, c) == sqlsem.True {
 			out.Ints[i] = 1
 		}
 	}
 	intKinds := func(v *Vector) bool {
-		return v.Kind == KindInt || v.Kind == KindDate || v.Kind == KindBool
+		return v.Kind == sqlsem.KindInt || v.Kind == sqlsem.KindDate || v.Kind == sqlsem.KindBool
 	}
 	switch {
 	case intKinds(l) && intKinds(r):
@@ -563,7 +433,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, c)
 		}
-	case l.Kind == KindFloat && l.IsInt == nil && r.Kind == KindFloat && r.IsInt == nil:
+	case l.Kind == sqlsem.KindFloat && l.IsInt == nil && r.Kind == sqlsem.KindFloat && r.IsInt == nil:
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) || r.IsNull(i) {
 				out.SetNull(i)
@@ -578,7 +448,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, c)
 		}
-	case l.Kind == KindString && r.Kind == KindString && l.Dict != nil && l.Dict == r.Dict:
+	case l.Kind == sqlsem.KindString && r.Kind == sqlsem.KindString && l.Dict != nil && l.Dict == r.Dict:
 		// Shared dictionary: code order is value order, so the comparison
 		// never touches the strings.
 		for i := 0; i < n; i++ {
@@ -595,7 +465,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, c)
 		}
-	case n > 0 && l.Dict != nil && r.constVal && r.Kind == KindString:
+	case n > 0 && l.Dict != nil && r.constVal && r.Kind == sqlsem.KindString:
 		// Column-vs-literal: one binary search resolves the literal to a
 		// code (or its insertion point), then every row compares codes.
 		code, exact := l.Dict.Code(r.Strs[0])
@@ -606,7 +476,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, dictCmp(l.Codes[i], code, exact))
 		}
-	case n > 0 && r.Dict != nil && l.constVal && l.Kind == KindString:
+	case n > 0 && r.Dict != nil && l.constVal && l.Kind == sqlsem.KindString:
 		code, exact := r.Dict.Code(l.Strs[0])
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) || r.IsNull(i) {
@@ -615,7 +485,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, -dictCmp(r.Codes[i], code, exact))
 		}
-	case l.Kind == KindString && r.Kind == KindString:
+	case l.Kind == sqlsem.KindString && r.Kind == sqlsem.KindString:
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) || r.IsNull(i) {
 				out.SetNull(i)
@@ -625,12 +495,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 		}
 	default:
 		for i := 0; i < n; i++ {
-			a, b := l.At(i), r.At(i)
-			if a.isNull() || b.isNull() {
-				out.SetNull(i)
-				continue
-			}
-			set(i, compareScalars(a, b))
+			setTri(out, i, sqlsem.CompareValues(op, l.At(i), r.At(i)))
 		}
 	}
 	return out
@@ -660,13 +525,13 @@ func dictCmp(c, code uint32, exact bool) int {
 // UNKNOWN).
 func likeVec(l, r *Vector, negate bool) *Vector {
 	n := l.Len()
-	out := NewVector(KindBool, n)
-	if n > 0 && l.Dict != nil && r.constVal && r.Kind == KindString && len(l.Dict.Vals) <= 4*n {
+	out := NewVector(sqlsem.KindBool, n)
+	if n > 0 && l.Dict != nil && r.constVal && r.Kind == sqlsem.KindString && len(l.Dict.Vals) <= 4*n {
 		// Low-cardinality dictionary against a constant pattern: match each
 		// distinct value once, then the scan loop is a table lookup.
 		table := make([]bool, len(l.Dict.Vals))
 		for c, s := range l.Dict.Vals {
-			table[c] = likeMatch(s, r.Strs[0])
+			table[c] = sqlsem.LikeMatch(s, r.Strs[0])
 		}
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) {
@@ -679,10 +544,10 @@ func likeVec(l, r *Vector, negate bool) *Vector {
 	}
 	for i := 0; i < n; i++ {
 		a, b := l.At(i), r.At(i)
-		eitherNull := a.isNull() || b.isNull()
+		eitherNull := a.IsNull() || b.IsNull()
 		matched := false
 		if !eitherNull {
-			matched = likeMatch(a.render(), b.render())
+			matched = sqlsem.LikeMatch(a.String(), b.String())
 		}
 		setTri(out, i, sqlsem.Like(eitherNull, matched, negate))
 	}
@@ -721,7 +586,7 @@ func (ctx *evalCtx) evalCase(v *sqlparser.CaseExpr) (*Vector, error) {
 		for wi := range v.Whens {
 			var hit bool
 			if operand != nil {
-				hit = equalScalars(operand.At(i), conds[wi].At(i))
+				hit = operand.At(i).Equal(conds[wi].At(i))
 			} else {
 				hit = truthy(conds[wi], i)
 			}
@@ -735,7 +600,7 @@ func (ctx *evalCtx) evalCase(v *sqlparser.CaseExpr) (*Vector, error) {
 			if elseVec != nil {
 				bld.append(elseVec.At(i))
 			} else {
-				bld.append(nullScalar)
+				bld.append(sqlsem.Null())
 			}
 		}
 	}
@@ -756,24 +621,13 @@ func (ctx *evalCtx) evalBetween(v *sqlparser.BetweenExpr) (*Vector, error) {
 		return nil, err
 	}
 	n := val.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	for i := 0; i < n; i++ {
 		a, l, h := val.At(i), lo.At(i), hi.At(i)
-		geLo := sqlsem.CompareNullable(">=", a.isNull() || l.isNull(), compareScalarsNonNull(a, l))
-		leHi := sqlsem.CompareNullable("<=", a.isNull() || h.isNull(), compareScalarsNonNull(a, h))
+		geLo, leHi := sqlsem.CompareValues(">=", a, l), sqlsem.CompareValues("<=", a, h)
 		setTri(out, i, sqlsem.Between(geLo, leHi, v.Not))
 	}
 	return out, nil
-}
-
-// compareScalarsNonNull compares two scalars when neither is NULL; with a
-// NULL operand the result is unused (CompareNullable short-circuits to
-// UNKNOWN) and zero is returned.
-func compareScalarsNonNull(a, b scalar) int {
-	if a.isNull() || b.isNull() {
-		return 0
-	}
-	return compareScalars(a, b)
 }
 
 func (ctx *evalCtx) evalIn(v *sqlparser.InExpr) (*Vector, error) {
@@ -791,7 +645,7 @@ func (ctx *evalCtx) evalIn(v *sqlparser.InExpr) (*Vector, error) {
 		}
 	}
 	n := val.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	if codes, listHasNull, ok := dictInCodes(val, items); ok {
 		// Dictionary-coded value against an all-literal string list: the
 		// list resolves to a code set once, and each row is code lookups.
@@ -817,15 +671,15 @@ func (ctx *evalCtx) evalIn(v *sqlparser.InExpr) (*Vector, error) {
 		var found, listHasNull bool
 		for _, item := range items {
 			s := item.At(i)
-			if equalScalars(a, s) {
+			if a.Equal(s) {
 				found = true
 				break
 			}
-			if s.isNull() {
+			if s.IsNull() {
 				listHasNull = true
 			}
 		}
-		t := sqlsem.In(a.isNull(), found, listHasNull, false)
+		t := sqlsem.In(a.IsNull(), found, listHasNull, false)
 		if v.Not {
 			t = sqlsem.Not(t)
 		}
@@ -854,9 +708,9 @@ func dictInCodes(val *Vector, items []*Vector) (codes []uint32, listHasNull, ok 
 	}
 	for _, item := range items {
 		switch {
-		case item.Kind == KindNull:
+		case item.Kind == sqlsem.KindNull:
 			listHasNull = true
-		case item.constVal && item.Kind == KindString:
+		case item.constVal && item.Kind == sqlsem.KindString:
 			if c, exact := val.Dict.Code(item.Strs[0]); exact {
 				codes = append(codes, c)
 			}
@@ -957,7 +811,7 @@ func (ctx *evalCtx) evalExists(v *sqlparser.ExistsExpr) (*Vector, error) {
 		return nil, err
 	}
 	n := ctx.batch.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	if !st.correlated {
 		if st.exists != v.Not {
 			for i := range out.Ints {
@@ -1024,7 +878,7 @@ func (ctx *evalCtx) evalScalarSub(v *sqlparser.SubqueryExpr) (*Vector, error) {
 		if off[i+1] > off[i] {
 			bld.append(as.projVals.At(int(cand[off[i]])))
 		} else {
-			bld.append(nullScalar)
+			bld.append(sqlsem.Null())
 		}
 	}
 	return bld.finalize()
@@ -1044,17 +898,17 @@ func (ctx *evalCtx) evalInSub(v *sqlparser.InExpr) (*Vector, error) {
 		return nil, err
 	}
 	n := val.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	if !st.correlated {
 		var buf []byte
 		for i := 0; i < n; i++ {
 			a := val.At(i)
 			found := false
-			if !a.isNull() && len(st.set) > 0 {
-				buf = appendScalarKey(buf[:0], a)
+			if !a.IsNull() && len(st.set) > 0 {
+				buf = a.AppendKey(buf[:0])
 				found = st.set[string(buf)]
 			}
-			t := sqlsem.In(a.isNull(), found, st.setHasNull, st.setEmpty)
+			t := sqlsem.In(a.IsNull(), found, st.setHasNull, st.setEmpty)
 			if v.Not {
 				t = sqlsem.Not(t)
 			}
@@ -1072,16 +926,16 @@ func (ctx *evalCtx) evalInSub(v *sqlparser.InExpr) (*Vector, error) {
 		var found, hasNull bool
 		for k := off[i]; k < off[i+1]; k++ {
 			s := as.projVals.At(int(cand[k]))
-			if s.isNull() {
+			if s.IsNull() {
 				hasNull = true
 				continue
 			}
-			if equalScalars(a, s) {
+			if a.Equal(s) {
 				found = true
 				break
 			}
 		}
-		t := sqlsem.In(a.isNull(), found, hasNull, off[i+1] == off[i])
+		t := sqlsem.In(a.IsNull(), found, hasNull, off[i+1] == off[i])
 		if v.Not {
 			t = sqlsem.Not(t)
 		}
@@ -1096,17 +950,17 @@ func (ctx *evalCtx) evalExtract(v *sqlparser.ExtractExpr) (*Vector, error) {
 		return nil, err
 	}
 	n := val.Len()
-	out := NewVector(KindInt, n)
+	out := NewVector(sqlsem.KindInt, n)
 	for i := 0; i < n; i++ {
 		s := val.At(i)
-		if s.isNull() {
+		if s.IsNull() {
 			out.SetNull(i)
 			continue
 		}
-		if s.kind != KindDate {
-			return nil, errEval(v, fmt.Errorf("EXTRACT requires a date, got %s", s.kind))
+		if s.Kind != sqlsem.KindDate {
+			return nil, errEval(v, fmt.Errorf("EXTRACT requires a date, got %s", s.Kind))
 		}
-		out.Ints[i] = datePart(v.Unit, s.i)
+		out.Ints[i] = sqlsem.DatePart(v.Unit, s.I)
 	}
 	return out, nil
 }
@@ -1127,18 +981,17 @@ func (ctx *evalCtx) evalSubstring(v *sqlparser.SubstringExpr) (*Vector, error) {
 		}
 	}
 	n := val.Len()
-	out := NewVector(KindString, n)
+	out := NewVector(sqlsem.KindString, n)
 	for i := 0; i < n; i++ {
-		s := val.At(i)
-		if s.isNull() {
-			out.SetNull(i)
-			continue
-		}
-		var lv scalar
+		var lv sqlsem.Value
 		if length != nil {
 			lv = length.At(i)
 		}
-		out.Strs[i] = substringOf(s.render(), start.At(i), lv, length != nil)
+		if s := sqlsem.Substring(val.At(i), start.At(i), lv, length != nil); s.IsNull() {
+			out.SetNull(i)
+		} else {
+			out.Strs[i] = s.S
+		}
 	}
 	return out, nil
 }
@@ -1151,12 +1004,7 @@ func (ctx *evalCtx) evalCast(v *sqlparser.CastExpr) (*Vector, error) {
 	n := val.Len()
 	bld := newBuilder(n)
 	for i := 0; i < n; i++ {
-		s := val.At(i)
-		if s.isNull() {
-			bld.append(nullScalar)
-			continue
-		}
-		c, err := castScalar(s, v.Type)
+		c, err := sqlsem.Cast(val.At(i), v.Type)
 		if err != nil {
 			return nil, err
 		}
@@ -1184,67 +1032,16 @@ func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
 			return nil, err
 		}
 	}
-	switch v.Name {
-	case "abs":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("abs expects 1 argument")
-		}
-		bld := newBuilder(n)
-		for i := 0; i < n; i++ {
-			s := args[0].At(i)
-			if s.isNull() {
-				bld.append(nullScalar)
-				continue
-			}
-			bld.append(absScalar(s))
-		}
-		return bld.finalize()
-	case "length", "char_length":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("%s expects 1 argument", v.Name)
-		}
-		out := NewVector(KindInt, n)
-		for i := 0; i < n; i++ {
-			out.Ints[i] = int64(len(args[0].At(i).render()))
-		}
-		return out, nil
-	case "upper", "lower":
-		out := NewVector(KindString, n)
-		for i := 0; i < n; i++ {
-			if v.Name == "upper" {
-				out.Strs[i] = strings.ToUpper(args[0].At(i).render())
-			} else {
-				out.Strs[i] = strings.ToLower(args[0].At(i).render())
-			}
-		}
-		return out, nil
-	case "coalesce":
-		bld := newBuilder(n)
-		for i := 0; i < n; i++ {
-			picked := nullScalar
-			for _, a := range args {
-				if s := a.At(i); !s.isNull() {
-					picked = s
-					break
-				}
-			}
-			bld.append(picked)
-		}
-		return bld.finalize()
-	case "round":
-		if len(args) == 0 {
-			return nil, fmt.Errorf("round expects at least 1 argument")
-		}
-		out := NewVector(KindFloat, n)
-		for i := 0; i < n; i++ {
-			scale := 0
-			if len(args) > 1 {
-				scale = int(args[1].At(i).intVal())
-			}
-			out.Floats[i] = roundHalfAway(args[0].At(i).floatVal(), scale)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("unknown function %q", v.Name)
+	if err := sqlsem.CheckFunc(v.Name, len(args)); err != nil {
+		return nil, err
 	}
+	bld := newBuilder(n)
+	vals := make([]sqlsem.Value, len(args))
+	for i := 0; i < n; i++ {
+		for ai, a := range args {
+			vals[ai] = a.At(i)
+		}
+		bld.append(sqlsem.ApplyFunc(v.Name, vals))
+	}
+	return bld.finalize()
 }

@@ -84,7 +84,8 @@ func (f *fusedScanOp) next() (*Batch, error) {
 					if err != nil {
 						return nil, deferToFallback(err)
 					}
-					if !v.boolVal() {
+					//lint:nullsafe consumer collapse: the fused filter rejects UNKNOWN rows, per SQL semantics
+					if !v.Bool() {
 						continue rows
 					}
 				}

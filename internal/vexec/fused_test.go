@@ -7,6 +7,7 @@ import (
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -22,19 +23,19 @@ func whereExpr(t *testing.T, expr string) sqlparser.Expr {
 
 // sameScalar compares two boxed values exactly: kind, and the payload of
 // that kind (floats by bit pattern).
-func sameScalar(a, b scalar) bool {
-	if a.kind != b.kind {
+func sameScalar(a, b sqlsem.Value) bool {
+	if a.Kind != b.Kind {
 		return false
 	}
-	switch a.kind {
-	case KindNull:
+	switch a.Kind {
+	case sqlsem.KindNull:
 		return true
-	case KindFloat:
-		return math.Float64bits(a.f) == math.Float64bits(b.f)
-	case KindString:
-		return a.s == b.s
+	case sqlsem.KindFloat:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	case sqlsem.KindString:
+		return a.S == b.S
 	default:
-		return a.i == b.i
+		return a.I == b.I
 	}
 }
 
@@ -47,23 +48,23 @@ func nullHeavyTable(t *testing.T, n int) *Table {
 	words := []string{"alpha", "Bravo", "carol%", "", "42"}
 	var i, f, d, s, dt, b, z builder
 	for r := 0; r < n; r++ {
-		z.append(nullScalar)
+		z.append(sqlsem.Null())
 		if r%3 == 1 {
 			for _, bld := range []*builder{&i, &f, &d, &s, &dt, &b} {
-				bld.append(nullScalar)
+				bld.append(sqlsem.Null())
 			}
 			continue
 		}
-		i.append(scalar{kind: KindInt, i: int64(r%11 - 5)})
-		f.append(scalar{kind: KindFloat, f: float64(r%7)/4 - 0.75})
+		i.append(sqlsem.NewInt(int64(r%11 - 5)))
+		f.append(sqlsem.NewFloat(float64(r%7)/4 - 0.75))
 		if r%2 == 0 {
-			d.append(scalar{kind: KindInt, i: int64(r%9 - 4)})
+			d.append(sqlsem.NewInt(int64(r%9 - 4)))
 		} else {
-			d.append(scalar{kind: KindFloat, f: float64(r%9) / 3})
+			d.append(sqlsem.NewFloat(float64(r%9) / 3))
 		}
-		s.append(scalar{kind: KindString, s: words[r%len(words)]})
-		dt.append(scalar{kind: KindDate, i: int64(9000 + 37*r)})
-		b.append(scalar{kind: KindBool, i: int64(r % 2)})
+		s.append(sqlsem.NewString(words[r%len(words)]))
+		dt.append(sqlsem.NewDate(int64(9000 + 37*r)))
+		b.append(sqlsem.Value{Kind: sqlsem.KindBool, I: int64(r % 2)})
 	}
 	var cols []TableColumn
 	for _, c := range []struct {
@@ -80,7 +81,7 @@ func nullHeavyTable(t *testing.T, n int) *Table {
 	if tab.DictFor("s") == nil {
 		t.Fatal("string column was not dictionary-encoded")
 	}
-	if d := tab.Cols[2].Vec; d.Kind != KindFloat || d.IsInt == nil {
+	if d := tab.Cols[2].Vec; d.Kind != sqlsem.KindFloat || d.IsInt == nil {
 		t.Fatalf("duality column is %v without an IsInt mask", d.Kind)
 	}
 	return tab
@@ -139,9 +140,9 @@ func TestCompiledMatchesVectorized(t *testing.T) {
 		e := whereExpr(t, text)
 		vec, verr := (&evalCtx{ex: ex, batch: full}).eval(e)
 		fn, cerr := compileExpr(e, full)
-		var got []scalar
+		var got []sqlsem.Value
 		for r := 0; r < n && cerr == nil; r++ {
-			var s scalar
+			var s sqlsem.Value
 			if s, cerr = fn(r); cerr == nil {
 				got = append(got, s)
 			}
@@ -226,7 +227,7 @@ func TestFusedScanMatchesScanFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.BuildStmt(schemaCatalog{cat}, stmt)
+	p, err := plan.BuildStmt(cat, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestFusedSubqueryConjunctsStayAbove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.BuildStmt(schemaCatalog{cat}, stmt)
+	p, err := plan.BuildStmt(cat, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

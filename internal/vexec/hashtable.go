@@ -1,6 +1,6 @@
 package vexec
 
-import "strconv"
+import "sqalpel/internal/sqlsem"
 
 // This file implements the hash table shared by the hash join, hash
 // aggregation and DISTINCT operators: open addressing with linear probing
@@ -13,10 +13,10 @@ import "strconv"
 // and single string keys take typed fast paths that hash the payload value
 // without any encoding. Everything else — compound keys, float keys with
 // their int/float duality, mixed-kind join sides — is encoded row by row
-// into a reusable []byte buffer using exactly the byte scheme of the old
-// string keys (and of engine.Value.Key): kind-class prefixes keep 1 and '1'
-// apart, int-valued floats normalize to the integer digits so mixed numeric
-// keys still meet, and '|' terminates each key of a compound row. Because
+// into a reusable []byte buffer in the one key encoding of
+// sqlsem.Value.AppendKey: kind-class prefixes keep 1 and '1' apart,
+// int-valued floats normalize to the integer digits so mixed numeric keys
+// still meet, and '|' terminates each key of a compound row. Because
 // the typed modes are injective refinements of that encoding, a table can
 // migrate mid-stream: when a later batch disagrees with the stored mode
 // (an expression key that flips from int to float between batches), the
@@ -33,15 +33,8 @@ const (
 	modeBytes         // compound or mixed keys: row encodings in a byte arena
 )
 
-// Key-class prefix bytes of the byte encoding, shared with the old
-// strings.Builder scheme (and engine.Value.Key): kinds must never collide.
-const (
-	classStr  byte = 0x01
-	classDate byte = 0x02
-	classNum  byte = 0x03
-)
-
-// classWild marks an all-NULL key vector: it joins and groups only through
+// classWild marks an all-NULL key vector where a key class of the encoding
+// (sqlsem.KeyStr, KeyDate, KeyNum) would go: it joins and groups only through
 // its NULL rows, so it is compatible with every typed mode.
 const classWild byte = 0xff
 
@@ -52,7 +45,7 @@ const nullKeyHash uint64 = 0x9e3779b97f4a7c15
 // hashTable maps keys to dense group ids 0..n-1 in first-insertion order.
 type hashTable struct {
 	mode     keyMode
-	intClass byte // classNum or classDate while mode == modeInt
+	intClass byte // sqlsem.KeyNum or sqlsem.KeyDate while mode == modeInt
 
 	// Open addressing: slots holds group id + 1 (0 = empty), hashes the
 	// full 64-bit hash of the occupying key so growth never re-hashes and
@@ -350,23 +343,17 @@ func (ht *hashTable) setMode(mode keyMode, class byte, dict *Dictionary) {
 // result matches what encodeRowKey produces for a single-key row.
 func (ht *hashTable) appendGroupKey(buf []byte, g int) []byte {
 	if int32(g) == ht.nullGroup && ht.mode != modeBytes {
-		return append(buf, 0x00, 'N', '|')
+		return append(sqlsem.AppendNullKey(buf), '|')
 	}
 	switch ht.mode {
 	case modeInt:
-		buf = append(buf, ht.intClass)
-		buf = strconv.AppendInt(buf, ht.intKeys[g], 10)
-		return append(buf, '|')
+		return append(sqlsem.AppendIntKey(buf, ht.intClass, ht.intKeys[g]), '|')
 	case modeStr:
-		buf = append(buf, classStr)
-		buf = append(buf, ht.strKeys[g]...)
-		return append(buf, '|')
+		return append(sqlsem.AppendStringKey(buf, ht.strKeys[g]), '|')
 	case modeDict:
 		// decode to the modeStr byte form so dict- and raw-keyed tables
 		// produce identical encodings and can merge
-		buf = append(buf, classStr)
-		buf = append(buf, ht.dict.Vals[ht.intKeys[g]]...)
-		return append(buf, '|')
+		return append(sqlsem.AppendStringKey(buf, ht.dict.Vals[ht.intKeys[g]]), '|')
 	default:
 		return append(buf, ht.arena[ht.keyOff[g]:ht.keyOff[g+1]]...)
 	}
@@ -439,7 +426,7 @@ func (ht *hashTable) getOrInsertKeyOf(other *hashTable, g int, buf []byte) (grou
 		case ht.mode == modeInt && ht.intClass == classWild && other.mode == modeDict:
 			// Only the NULL group is stored here (int placeholder, same
 			// layout modeDict uses): adopt the other's dictionary keying.
-			ht.mode, ht.intClass, ht.dict = modeDict, classStr, other.dict
+			ht.mode, ht.intClass, ht.dict = modeDict, sqlsem.KeyStr, other.dict
 			compatible = true
 		case ht.mode == modeDict && other.mode == modeInt && other.intClass == classWild:
 			// A wildcard table only ever holds the NULL group, which the
@@ -484,13 +471,13 @@ type keyCoder struct {
 // key class its non-NULL rows encode under.
 func vecMode(v *Vector) (keyMode, byte) {
 	switch v.Kind {
-	case KindInt, KindBool:
-		return modeInt, classNum
-	case KindDate:
-		return modeInt, classDate
-	case KindString:
-		return modeStr, classStr
-	case KindNull:
+	case sqlsem.KindInt, sqlsem.KindBool:
+		return modeInt, sqlsem.KeyNum
+	case sqlsem.KindDate:
+		return modeInt, sqlsem.KeyDate
+	case sqlsem.KindString:
+		return modeStr, sqlsem.KeyStr
+	case sqlsem.KindNull:
 		// All rows NULL: compatible with any typed mode.
 		return modeInt, classWild
 	default:
@@ -540,7 +527,7 @@ func jointMode(sides ...[]*Vector) (keyMode, byte, *Dictionary) {
 		return modeInt, classWild, nil
 	}
 	if mode == modeStr && dictOK && dict != nil {
-		return modeDict, classStr, dict
+		return modeDict, sqlsem.KeyStr, dict
 	}
 	return mode, class, nil
 }
@@ -575,8 +562,8 @@ func (ht *hashTable) prepare(sides ...[]*Vector) keyCoder {
 }
 
 // encodeRowKey appends the byte encoding of row i of the key vectors: one
-// kind-prefixed key per vector, each terminated by '|'. It reproduces the
-// old strings.Builder scheme byte for byte (see appendVecKey).
+// kind-prefixed key per vector, each terminated by '|' — byte for byte the
+// interpreters' row keys.
 func encodeRowKey(buf []byte, vecs []*Vector, i int) []byte {
 	for _, v := range vecs {
 		buf = appendVecKey(buf, v, i)
@@ -585,60 +572,26 @@ func encodeRowKey(buf []byte, vecs []*Vector, i int) []byte {
 	return buf
 }
 
-// appendVecKey appends the hash-key encoding of row i of the vector,
-// matching engine.Value.Key: kinds stay separate so 1 and '1' never
-// collide, but int-valued floats normalize to the integer digits so mixed
-// numeric join and group keys match.
+// appendVecKey appends the hash-key encoding of row i of the vector — what
+// v.At(i).AppendKey(buf) would, without boxing the row.
 func appendVecKey(buf []byte, v *Vector, i int) []byte {
 	if v.IsNull(i) {
-		return append(buf, 0x00, 'N')
+		return sqlsem.AppendNullKey(buf)
 	}
 	switch v.Kind {
-	case KindString:
-		buf = append(buf, classStr)
-		return append(buf, v.StrAt(i)...)
-	case KindDate:
-		buf = append(buf, classDate)
-		return strconv.AppendInt(buf, v.Ints[i], 10)
-	case KindInt, KindBool:
-		buf = append(buf, classNum)
-		return strconv.AppendInt(buf, v.Ints[i], 10)
-	case KindFloat:
-		buf = append(buf, classNum)
+	case sqlsem.KindString:
+		return sqlsem.AppendStringKey(buf, v.StrAt(i))
+	case sqlsem.KindDate:
+		return sqlsem.AppendIntKey(buf, sqlsem.KeyDate, v.Ints[i])
+	case sqlsem.KindInt, sqlsem.KindBool:
+		return sqlsem.AppendIntKey(buf, sqlsem.KeyNum, v.Ints[i])
+	case sqlsem.KindFloat:
 		if v.IsInt != nil && v.IsInt[i] {
-			return strconv.AppendInt(buf, v.Ints[i], 10)
+			return sqlsem.AppendIntKey(buf, sqlsem.KeyNum, v.Ints[i])
 		}
-		f := v.Floats[i]
-		if f == float64(int64(f)) {
-			return strconv.AppendInt(buf, int64(f), 10)
-		}
-		return strconv.AppendFloat(buf, f, 'g', -1, 64)
+		return sqlsem.AppendFloatKey(buf, v.Floats[i])
 	}
 	return buf
-}
-
-// appendScalarKey appends the hash-key encoding of one boxed scalar, the
-// byte form of the old appendKey (used by DISTINCT aggregates).
-func appendScalarKey(buf []byte, s scalar) []byte {
-	switch s.kind {
-	case KindNull:
-		return append(buf, 0x00, 'N')
-	case KindString:
-		buf = append(buf, classStr)
-		return append(buf, s.s...)
-	case KindDate:
-		buf = append(buf, classDate)
-		return strconv.AppendInt(buf, s.i, 10)
-	case KindFloat:
-		buf = append(buf, classNum)
-		if s.f == float64(int64(s.f)) {
-			return strconv.AppendInt(buf, int64(s.f), 10)
-		}
-		return strconv.AppendFloat(buf, s.f, 'g', -1, 64)
-	default:
-		buf = append(buf, classNum)
-		return strconv.AppendInt(buf, s.i, 10)
-	}
 }
 
 // getOrInsert maps row i of the key vectors to its group, creating the

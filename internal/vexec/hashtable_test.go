@@ -3,6 +3,8 @@ package vexec
 import (
 	"fmt"
 	"testing"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // TestHashTableTypedInt locks in the int fast path: dense first-seen group
@@ -147,7 +149,7 @@ func TestHashTableNullMigration(t *testing.T) {
 // TestJointMode pins down the mode decision across join sides.
 func TestJointMode(t *testing.T) {
 	iv, sv, fv := intVec(1), strVec("a"), floatVec(1.5)
-	dv := NewVector(KindDate, 1)
+	dv := NewVector(sqlsem.KindDate, 1)
 	nv := NewNullVector(1)
 	cases := []struct {
 		sides []([]*Vector)

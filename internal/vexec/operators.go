@@ -5,7 +5,9 @@ import (
 	"strings"
 	"time"
 
+	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -670,69 +672,69 @@ type aggAcc struct {
 	sumI        int64
 	sumF        float64
 	sumIsInt    bool
-	minV        scalar
-	maxV        scalar
+	minV        sqlsem.Value
+	maxV        sqlsem.Value
 	distinct    *hashTable
 	distinctBuf []byte
 }
 
-func (a *aggAcc) fold(val scalar, distinct bool) {
-	if val.isNull() {
+func (a *aggAcc) fold(val sqlsem.Value, distinct bool) {
+	if val.IsNull() {
 		return
 	}
 	if distinct {
-		a.distinctBuf = appendScalarKey(a.distinctBuf[:0], val)
+		a.distinctBuf = val.AppendKey(a.distinctBuf[:0])
 		if _, isNew := a.distinct.getOrInsertBytes(a.distinctBuf); !isNew {
 			return
 		}
 	}
 	a.count++
-	if val.kind == KindInt {
-		a.sumI += val.i
+	if val.Kind == sqlsem.KindInt {
+		a.sumI += val.I
 	} else {
 		a.sumIsInt = false
 	}
-	a.sumF += val.floatVal()
-	if a.minV.kind == KindNull || compareScalars(val, a.minV) < 0 {
+	a.sumF += val.Float()
+	if a.minV.Kind == sqlsem.KindNull || val.Compare(a.minV) < 0 {
 		a.minV = val
 	}
-	if a.maxV.kind == KindNull || compareScalars(val, a.maxV) > 0 {
+	if a.maxV.Kind == sqlsem.KindNull || val.Compare(a.maxV) > 0 {
 		a.maxV = val
 	}
 }
 
-func (a *aggAcc) finalize(name string, star bool, groupRows int64) (scalar, error) {
+func (a *aggAcc) finalize(name string, star bool, groupRows int64) (sqlsem.Value, error) {
 	switch name {
 	case "count":
 		if star {
-			return scalar{kind: KindInt, i: groupRows}, nil
+			return sqlsem.NewInt(groupRows), nil
 		}
-		return scalar{kind: KindInt, i: a.count}, nil
+		return sqlsem.NewInt(a.count), nil
 	case "sum":
 		if a.count == 0 {
-			return nullScalar, nil
+			return sqlsem.Null(), nil
 		}
 		if a.sumIsInt {
-			return scalar{kind: KindInt, i: a.sumI}, nil
+			return sqlsem.NewInt(a.sumI), nil
 		}
-		return scalar{kind: KindFloat, f: a.sumF}, nil
+		return sqlsem.NewFloat(a.sumF), nil
 	case "avg":
 		if a.count == 0 {
-			return nullScalar, nil
+			return sqlsem.Null(), nil
 		}
-		return scalar{kind: KindFloat, f: a.sumF / float64(a.count)}, nil
+		return sqlsem.NewFloat(a.sumF / float64(a.count)), nil
 	case "min":
 		if a.count == 0 {
-			return nullScalar, nil
+			return sqlsem.Null(), nil
 		}
 		return a.minV, nil
 	case "max":
 		if a.count == 0 {
-			return nullScalar, nil
+			return sqlsem.Null(), nil
 		}
 		return a.maxV, nil
 	default:
-		return scalar{}, fmt.Errorf("unknown aggregate %q", name)
+		return sqlsem.Value{}, fmt.Errorf("unknown aggregate %q", name)
 	}
 }
 
@@ -740,7 +742,7 @@ func (a *aggAcc) finalize(name string, star bool, groupRows int64) (scalar, erro
 type aggState struct {
 	rows   int64
 	accs   []aggAcc
-	firsts []scalar
+	firsts []sqlsem.Value
 }
 
 // aggResult is the output of hash aggregation: one logical row per group.
@@ -752,7 +754,7 @@ type aggResult struct {
 
 // collectAggregates gathers the distinct aggregate calls of the statement's
 // projection, HAVING and ORDER BY.
-func collectAggregates(stmt *sqlparser.SelectStatement) ([]aggSpec, error) {
+func collectAggregates(sp *plan.Select) ([]aggSpec, error) {
 	var specs []aggSpec
 	seen := map[string]bool{}
 	walk := func(e sqlparser.Expr) {
@@ -768,11 +770,11 @@ func collectAggregates(stmt *sqlparser.SelectStatement) ([]aggSpec, error) {
 			return true
 		})
 	}
-	for _, p := range stmt.Projection {
-		walk(p.Expr)
+	for _, e := range sp.Items {
+		walk(e)
 	}
-	walk(stmt.Having)
-	for _, o := range stmt.OrderBy {
+	walk(sp.Stmt.Having)
+	for _, o := range sp.OrderBy {
 		walk(o.Expr)
 	}
 	for _, s := range specs {
@@ -790,9 +792,9 @@ func collectAggregates(stmt *sqlparser.SelectStatement) ([]aggSpec, error) {
 // collectCarriedRefs gathers the column references of projection, HAVING and
 // ORDER BY that sit outside aggregate arguments; their first-row values per
 // group reproduce the interpreter's "plain columns resolve against the first
-// row of the group" behaviour. ORDER BY items that resolve as projection
-// aliases sort by the output column instead and are not carried.
-func collectCarriedRefs(stmt *sqlparser.SelectStatement) []*sqlparser.ColumnRef {
+// row of the group" behaviour. ORDER BY keys the plan resolved to an output
+// column carry nothing.
+func collectCarriedRefs(sp *plan.Select) []*sqlparser.ColumnRef {
 	var refs []*sqlparser.ColumnRef
 	seen := map[string]bool{}
 	walk := func(e sqlparser.Expr) {
@@ -810,29 +812,11 @@ func collectCarriedRefs(stmt *sqlparser.SelectStatement) []*sqlparser.ColumnRef 
 			return true
 		})
 	}
-	itemNames := map[string]bool{}
-	for _, p := range stmt.Projection {
-		if p.Star {
-			continue
-		}
-		name := p.Alias
-		if name == "" {
-			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = p.Expr.SQL()
-			}
-		}
-		itemNames[strings.ToLower(name)] = true
+	for _, e := range sp.Items {
+		walk(e)
 	}
-	for _, p := range stmt.Projection {
-		walk(p.Expr)
-	}
-	walk(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		if cr, ok := o.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" && itemNames[strings.ToLower(cr.Column)] {
-			continue
-		}
+	walk(sp.Stmt.Having)
+	for _, o := range sp.OrderBy {
 		walk(o.Expr)
 	}
 	return refs
@@ -840,7 +824,7 @@ func collectCarriedRefs(stmt *sqlparser.SelectStatement) []*sqlparser.ColumnRef 
 
 // newAggState allocates the accumulators of one group.
 func newAggState(specs []aggSpec, carried []*sqlparser.ColumnRef) *aggState {
-	st := &aggState{accs: make([]aggAcc, len(specs)), firsts: make([]scalar, len(carried))}
+	st := &aggState{accs: make([]aggAcc, len(specs)), firsts: make([]sqlsem.Value, len(carried))}
 	for i := range st.accs {
 		st.accs[i].sumIsInt = true
 		if specs[i].call.Distinct {
@@ -918,12 +902,13 @@ func buildAggResult(specs []aggSpec, carried []*sqlparser.ColumnRef, order []*ag
 // directly — so the per-row cost is one unboxed hash probe, not a string
 // key build. With intra-query parallelism enabled and a morsel-splittable
 // pipeline below, the work fans out across the morsel pool instead.
-func (ex *executor) hashAggregate(child operator, stmt *sqlparser.SelectStatement) (*aggResult, error) {
-	specs, err := collectAggregates(stmt)
+func (ex *executor) hashAggregate(child operator, sp *plan.Select) (*aggResult, error) {
+	stmt := sp.Stmt
+	specs, err := collectAggregates(sp)
 	if err != nil {
 		return nil, err
 	}
-	carried := collectCarriedRefs(stmt)
+	carried := collectCarriedRefs(sp)
 
 	if ex.parallelism() > 1 {
 		// Single-morsel inputs skip the 3-phase machinery: its thread-local

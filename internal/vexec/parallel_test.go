@@ -4,16 +4,18 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // parCatalog builds a two-table catalog big enough to cross the morsel and
 // parallel-join thresholds: f(x int, y float, s string, nk int-with-NULLs)
 // with rows rows, and dim(k int, name string) with dims rows.
 func parCatalog(rows, dims int) mapCatalog {
-	x := NewVector(KindInt, rows)
-	y := NewVector(KindFloat, rows)
-	s := NewVector(KindString, rows)
-	nk := NewVector(KindInt, rows)
+	x := NewVector(sqlsem.KindInt, rows)
+	y := NewVector(sqlsem.KindFloat, rows)
+	s := NewVector(sqlsem.KindString, rows)
+	nk := NewVector(sqlsem.KindInt, rows)
 	for i := 0; i < rows; i++ {
 		x.Ints[i] = int64(i % (dims * 2))
 		y.Floats[i] = float64(i%97) / 7 // non-integral floats: order-sensitive sums
@@ -24,8 +26,8 @@ func parCatalog(rows, dims int) mapCatalog {
 			nk.Ints[i] = int64(i % 5)
 		}
 	}
-	k := NewVector(KindInt, dims)
-	name := NewVector(KindString, dims)
+	k := NewVector(sqlsem.KindInt, dims)
+	name := NewVector(sqlsem.KindString, dims)
 	for i := 0; i < dims; i++ {
 		k.Ints[i] = int64(i)
 		name.Strs[i] = "d" + string(rune('a'+i%19))
@@ -46,17 +48,17 @@ func parCatalog(rows, dims int) mapCatalog {
 
 // scalarEqual is bitwise scalar equality (floats compare by bit pattern, so
 // a reordered float sum cannot hide behind printf rounding).
-func scalarEqual(a, b scalar) bool {
-	if a.kind != b.kind {
+func scalarEqual(a, b sqlsem.Value) bool {
+	if a.Kind != b.Kind {
 		return false
 	}
-	switch a.kind {
-	case KindFloat:
-		return math.Float64bits(a.f) == math.Float64bits(b.f)
-	case KindString:
-		return a.s == b.s
+	switch a.Kind {
+	case sqlsem.KindFloat:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	case sqlsem.KindString:
+		return a.S == b.S
 	default:
-		return a.i == b.i
+		return a.I == b.I
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -22,7 +23,7 @@ type subState struct {
 	correlated bool
 
 	// Uncorrelated materialization.
-	scalarVal  scalar          // first row of the first column; NULL when empty
+	scalarVal  sqlsem.Value    // first row of the first column; NULL when empty
 	exists     bool            // any result rows
 	set        map[string]bool // non-NULL first-column keys (appendScalarKey)
 	setHasNull bool            // the first column had a NULL row
@@ -46,9 +47,9 @@ type applyState struct {
 	groups map[string]int32 // encoded inner key -> group id
 	lists  joinLists        // per-group inner-row chains in row order
 
-	projVals  *Vector // per inner row: the projected value (ApplyIn/ApplyFirst)
-	groupVals *Vector // per group: the aggregated projection (ApplyAgg)
-	emptyVal  scalar  // ApplyAgg value of an empty group (count 0, NULL sums)
+	projVals  *Vector      // per inner row: the projected value (ApplyIn/ApplyFirst)
+	groupVals *Vector      // per group: the aggregated projection (ApplyAgg)
+	emptyVal  sqlsem.Value // ApplyAgg value of an empty group (count 0, NULL sums)
 }
 
 // prepareSubqueries materializes the sub-query states of one SELECT core,
@@ -59,7 +60,7 @@ func (ex *executor) prepareSubqueries(stmt *sqlparser.SelectStatement, prefix st
 		if _, ok := ex.subs[s]; ok {
 			continue
 		}
-		subPrefix := noTracePrefix
+		subPrefix := trace.UntracedPrefix
 		if ex.traceOn(prefix) {
 			subPrefix = trace.SubPrefix(prefix, k)
 		}
@@ -107,7 +108,7 @@ func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) e
 	}
 	n := res.NumRows()
 	st.exists = n > 0
-	st.scalarVal = nullScalar
+	st.scalarVal = sqlsem.Null()
 	if n > 0 && len(res.Cols) > 0 {
 		// Scalar sites read the first row; extra rows are not an error, like
 		// the interpreters.
@@ -119,11 +120,11 @@ func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) e
 		var buf []byte
 		for i := 0; i < n; i++ {
 			sv := col.At(i)
-			if sv.isNull() {
+			if sv.IsNull() {
 				st.setHasNull = true
 				continue
 			}
-			buf = appendScalarKey(buf[:0], sv)
+			buf = sv.AppendKey(buf[:0])
 			st.set[string(buf)] = true
 		}
 	}
@@ -131,17 +132,6 @@ func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) e
 	tm.Done(int64(n))
 	ex.subs[s] = st
 	return nil
-}
-
-// scalarProjExpr returns the single projected expression of a scalar/IN
-// sub-query; the plan verdict guarantees exactly one non-star item.
-func scalarProjExpr(stmt *sqlparser.SelectStatement) (sqlparser.Expr, error) {
-	for _, p := range stmt.Projection {
-		if !p.Star {
-			return p.Expr, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: sub-query projects no expression", ErrUnsupported)
 }
 
 // buildApply executes the decorrelation recipe: run the sub-query's own FROM
@@ -201,18 +191,15 @@ func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply, subPrefix string
 	case plan.ApplyExists:
 		// Candidate presence decides; the projection is never evaluated.
 	case plan.ApplyIn, plan.ApplyFirst:
-		proj, err := scalarProjExpr(sp.Stmt)
-		if err != nil {
-			return nil, err
-		}
+		// The plan verdict admits these shapes with exactly one computed item.
 		ctx := &evalCtx{ex: ex, batch: b}
-		v, err := ctx.eval(proj)
+		v, err := ctx.eval(sp.Items[0])
 		if err != nil {
 			return nil, deferToFallback(err)
 		}
 		as.projVals = v
 	case plan.ApplyAgg:
-		if err := ex.buildApplyAgg(as, sp.Stmt, b, rowGroup); err != nil {
+		if err := ex.buildApplyAgg(as, sp, b, rowGroup); err != nil {
 			return nil, err
 		}
 	}
@@ -223,17 +210,14 @@ func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply, subPrefix string
 // key — the decorrelated image of "run the aggregated sub-query once per outer
 // row" — and evaluates the sub-query's projection over the groups, plus once
 // over an empty group for outer rows with no match (count 0, NULL sums).
-func (ex *executor) buildApplyAgg(as *applyState, stmt *sqlparser.SelectStatement, b *Batch, rowGroup []int32) error {
-	proj, err := scalarProjExpr(stmt)
-	if err != nil {
-		return err
-	}
-	specs, err := collectAggregates(stmt)
+func (ex *executor) buildApplyAgg(as *applyState, sp *plan.Select, b *Batch, rowGroup []int32) error {
+	proj := sp.Items[0]
+	specs, err := collectAggregates(sp)
 	if err != nil {
 		return deferToFallback(err)
 	}
-	carried := collectCarriedRefs(stmt)
-	_, argVecs, refVecs, err := aggBatchVectors(ex, b, stmt, specs, carried)
+	carried := collectCarriedRefs(sp)
+	_, argVecs, refVecs, err := aggBatchVectors(ex, b, sp.Stmt, specs, carried)
 	if err != nil {
 		return deferToFallback(err)
 	}

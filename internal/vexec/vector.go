@@ -1,39 +1,10 @@
 package vexec
 
-import "fmt"
+import (
+	"fmt"
 
-// Kind enumerates the vector element kinds. They mirror the runtime value
-// kinds of internal/engine so results can be converted loss-free.
-type Kind uint8
-
-// Vector kinds.
-const (
-	KindNull   Kind = iota // every row is NULL; no payload slice
-	KindBool               // Ints holds 0/1
-	KindInt                // Ints
-	KindFloat              // Floats (plus optional per-row IsInt duality mask)
-	KindString             // Strs
-	KindDate               // Ints holds days since 1970-01-01
+	"sqalpel/internal/sqlsem"
 )
-
-func (k Kind) String() string {
-	switch k {
-	case KindNull:
-		return "null"
-	case KindBool:
-		return "bool"
-	case KindInt:
-		return "int"
-	case KindFloat:
-		return "float"
-	case KindString:
-		return "string"
-	case KindDate:
-		return "date"
-	default:
-		return "unknown"
-	}
-}
 
 // Vector is one typed column of a batch. Exactly one payload slice is
 // populated according to Kind; Nulls is nil when no row is NULL.
@@ -49,7 +20,7 @@ func (k Kind) String() string {
 // can run on codes; StrAt and At materialize strings lazily. Null rows keep
 // code 0 so Codes is always indexable.
 type Vector struct {
-	Kind   Kind
+	Kind   sqlsem.Kind
 	Ints   []int64
 	Floats []float64
 	Strs   []string
@@ -67,28 +38,28 @@ type Vector struct {
 
 // NewVector allocates a vector of the given kind and length with all payload
 // cells zeroed.
-func NewVector(kind Kind, n int) *Vector {
+func NewVector(kind sqlsem.Kind, n int) *Vector {
 	v := &Vector{Kind: kind, n: n}
 	switch kind {
-	case KindInt, KindDate, KindBool:
+	case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
 		v.Ints = make([]int64, n)
-	case KindFloat:
+	case sqlsem.KindFloat:
 		v.Floats = make([]float64, n)
-	case KindString:
+	case sqlsem.KindString:
 		v.Strs = make([]string, n)
 	}
 	return v
 }
 
 // NewNullVector returns an all-NULL vector of length n.
-func NewNullVector(n int) *Vector { return &Vector{Kind: KindNull, n: n} }
+func NewNullVector(n int) *Vector { return &Vector{Kind: sqlsem.KindNull, n: n} }
 
 // Len returns the number of rows.
 func (v *Vector) Len() int { return v.n }
 
 // IsNull reports whether row i is NULL.
 func (v *Vector) IsNull(i int) bool {
-	if v.Kind == KindNull {
+	if v.Kind == sqlsem.KindNull {
 		return true
 	}
 	return v.Nulls != nil && v.Nulls[i]
@@ -104,7 +75,7 @@ func (v *Vector) SetNull(i int) {
 
 // HasNulls reports whether any row is NULL.
 func (v *Vector) HasNulls() bool {
-	if v.Kind == KindNull {
+	if v.Kind == sqlsem.KindNull {
 		return v.n > 0
 	}
 	for _, b := range v.Nulls {
@@ -117,24 +88,24 @@ func (v *Vector) HasNulls() bool {
 
 // rowIsInt reports whether row i is semantically a SQL integer.
 func (v *Vector) rowIsInt(i int) bool {
-	if v.Kind == KindInt {
+	if v.Kind == sqlsem.KindInt {
 		return true
 	}
-	return v.Kind == KindFloat && v.IsInt != nil && v.IsInt[i]
+	return v.Kind == sqlsem.KindFloat && v.IsInt != nil && v.IsInt[i]
 }
 
 // Gather builds a new vector containing the rows of v listed in sel.
 func (v *Vector) Gather(sel []int) *Vector {
 	out := &Vector{Kind: v.Kind, n: len(sel)}
 	switch v.Kind {
-	case KindNull:
+	case sqlsem.KindNull:
 		return out
-	case KindInt, KindDate, KindBool:
+	case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
 		out.Ints = make([]int64, len(sel))
 		for i, ri := range sel {
 			out.Ints[i] = v.Ints[ri]
 		}
-	case KindFloat:
+	case sqlsem.KindFloat:
 		out.Floats = make([]float64, len(sel))
 		for i, ri := range sel {
 			out.Floats[i] = v.Floats[ri]
@@ -147,7 +118,7 @@ func (v *Vector) Gather(sel []int) *Vector {
 				out.Ints[i] = v.Ints[ri]
 			}
 		}
-	case KindString:
+	case sqlsem.KindString:
 		if v.Dict != nil {
 			out.Dict = v.Dict
 			out.Codes = make([]uint32, len(sel))
@@ -175,15 +146,15 @@ func (v *Vector) Gather(sel []int) *Vector {
 func (v *Vector) GatherNullable(sel []int) *Vector {
 	out := &Vector{Kind: v.Kind, n: len(sel)}
 	switch v.Kind {
-	case KindInt, KindDate, KindBool:
+	case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
 		out.Ints = make([]int64, len(sel))
-	case KindFloat:
+	case sqlsem.KindFloat:
 		out.Floats = make([]float64, len(sel))
 		if v.IsInt != nil {
 			out.IsInt = make([]bool, len(sel))
 			out.Ints = make([]int64, len(sel))
 		}
-	case KindString:
+	case sqlsem.KindString:
 		if v.Dict != nil {
 			out.Dict = v.Dict
 			out.Codes = make([]uint32, len(sel))
@@ -197,15 +168,15 @@ func (v *Vector) GatherNullable(sel []int) *Vector {
 			continue
 		}
 		switch v.Kind {
-		case KindInt, KindDate, KindBool:
+		case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
 			out.Ints[i] = v.Ints[ri]
-		case KindFloat:
+		case sqlsem.KindFloat:
 			out.Floats[i] = v.Floats[ri]
 			if v.IsInt != nil && v.IsInt[ri] {
 				out.IsInt[i] = true
 				out.Ints[i] = v.Ints[ri]
 			}
-		case KindString:
+		case sqlsem.KindString:
 			if v.Dict != nil {
 				out.Codes[i] = v.Codes[ri]
 			} else {
@@ -268,85 +239,38 @@ func sliceInto(dst, src *Vector, lo, hi int) {
 	}
 }
 
-// scalar is one SQL value extracted from a vector row: the boxed form used
-// at the block boundaries of the executor (group accumulators, sort keys,
-// result conversion). kindNull is represented by Kind == KindNull.
-type scalar struct {
-	kind Kind
-	i    int64
-	f    float64
-	s    string
-}
-
-var nullScalar = scalar{kind: KindNull}
-
-// At extracts row i as a scalar.
-func (v *Vector) At(i int) scalar {
-	if v.IsNull(i) {
-		return nullScalar
-	}
-	switch v.Kind {
-	case KindInt, KindDate, KindBool:
-		return scalar{kind: v.Kind, i: v.Ints[i]}
-	case KindFloat:
-		if v.IsInt != nil && v.IsInt[i] {
-			return scalar{kind: KindInt, i: v.Ints[i]}
-		}
-		return scalar{kind: KindFloat, f: v.Floats[i]}
-	case KindString:
-		if v.Dict != nil {
-			return scalar{kind: KindString, s: v.Dict.Vals[v.Codes[i]]}
-		}
-		return scalar{kind: KindString, s: v.Strs[i]}
-	default:
-		return nullScalar
-	}
-}
-
-// ValueAt decomposes row i into its effective kind and payload, the form
-// consumers box back into their own value type. NULL rows report KindNull;
+// At boxes row i: the form used at the block boundaries of the executor
+// (group accumulators, sort keys, result rows). NULL rows report KindNull;
 // rows of a float vector flagged in the IsInt duality mask report KindInt
 // with their exact integer payload.
-func (v *Vector) ValueAt(i int) (Kind, int64, float64, string) {
-	s := v.At(i)
-	return s.kind, s.i, s.f, s.s
-}
-
-// ValueBuilder accumulates decomposed values of possibly mixed numeric
-// kinds and finalizes them into one typed vector. It is the exported face
-// of the internal builder, used by the engine adapter's column-import shim
-// so decoding boxed storage and merging expression results share a single
-// kind-promotion algorithm.
-type ValueBuilder struct {
-	b builder
-}
-
-// NewValueBuilder creates a builder for the given expected row count.
-func NewValueBuilder(capacity int) *ValueBuilder {
-	return &ValueBuilder{b: builder{vals: make([]scalar, 0, capacity)}}
-}
-
-// Append adds one value in ValueAt's decomposed form; the payload slot
-// matching the kind is read, the others are ignored.
-func (vb *ValueBuilder) Append(kind Kind, i int64, f float64, s string) {
-	switch kind {
-	case KindInt, KindDate, KindBool:
-		vb.b.append(scalar{kind: kind, i: i})
-	case KindFloat:
-		vb.b.append(scalar{kind: kind, f: f})
-	case KindString:
-		vb.b.append(scalar{kind: kind, s: s})
+func (v *Vector) At(i int) sqlsem.Value {
+	if v.IsNull(i) {
+		return sqlsem.Null()
+	}
+	switch v.Kind {
+	case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
+		return sqlsem.Value{Kind: v.Kind, I: v.Ints[i]}
+	case sqlsem.KindFloat:
+		if v.IsInt != nil && v.IsInt[i] {
+			return sqlsem.NewInt(v.Ints[i])
+		}
+		return sqlsem.NewFloat(v.Floats[i])
+	case sqlsem.KindString:
+		if v.Dict != nil {
+			return sqlsem.NewString(v.Dict.Vals[v.Codes[i]])
+		}
+		return sqlsem.NewString(v.Strs[i])
 	default:
-		vb.b.append(nullScalar)
+		return sqlsem.Null()
 	}
 }
 
-// AppendNull adds a NULL row.
-func (vb *ValueBuilder) AppendNull() { vb.b.append(nullScalar) }
-
-// Finalize builds the typed vector; mixed incompatible kinds report
-// ErrUnsupported.
-func (vb *ValueBuilder) Finalize() (*Vector, error) { return vb.b.finalize() }
+// FromValues builds one typed vector from boxed values — the column-import
+// path of the engine adapter, sharing the kind promotion of expression
+// results (see builder).
+func FromValues(vals []sqlsem.Value) (*Vector, error) {
+	return (&builder{vals: vals}).finalize()
+}
 
 // builder accumulates scalars of possibly mixed numeric kinds and finalizes
 // them into one typed vector, promoting {int,float} mixes to a KindFloat
@@ -354,14 +278,14 @@ func (vb *ValueBuilder) Finalize() (*Vector, error) { return vb.b.finalize() }
 // numeric, bool next to int, ...) report ErrUnsupported so the caller can
 // fall back to the interpreter.
 type builder struct {
-	vals []scalar
+	vals []sqlsem.Value
 }
 
 func newBuilder(capacity int) *builder {
-	return &builder{vals: make([]scalar, 0, capacity)}
+	return &builder{vals: make([]sqlsem.Value, 0, capacity)}
 }
 
-func (b *builder) append(s scalar) { b.vals = append(b.vals, s) }
+func (b *builder) append(s sqlsem.Value) { b.vals = append(b.vals, s) }
 
 func (b *builder) len() int { return len(b.vals) }
 
@@ -369,16 +293,16 @@ func (b *builder) len() int { return len(b.vals) }
 func (b *builder) finalize() (*Vector, error) {
 	var hasInt, hasFloat, hasStr, hasDate, hasBool bool
 	for _, s := range b.vals {
-		switch s.kind {
-		case KindInt:
+		switch s.Kind {
+		case sqlsem.KindInt:
 			hasInt = true
-		case KindFloat:
+		case sqlsem.KindFloat:
 			hasFloat = true
-		case KindString:
+		case sqlsem.KindString:
 			hasStr = true
-		case KindDate:
+		case sqlsem.KindDate:
 			hasDate = true
-		case KindBool:
+		case sqlsem.KindBool:
 			hasBool = true
 		}
 	}
@@ -392,18 +316,18 @@ func (b *builder) finalize() (*Vector, error) {
 		return nil, fmt.Errorf("%w: mixed value kinds in one column", ErrUnsupported)
 	}
 	n := len(b.vals)
-	var kind Kind
+	var kind sqlsem.Kind
 	switch {
 	case hasStr:
-		kind = KindString
+		kind = sqlsem.KindString
 	case hasDate:
-		kind = KindDate
+		kind = sqlsem.KindDate
 	case hasBool:
-		kind = KindBool
+		kind = sqlsem.KindBool
 	case hasFloat:
-		kind = KindFloat
+		kind = sqlsem.KindFloat
 	case hasInt:
-		kind = KindInt
+		kind = sqlsem.KindInt
 	default:
 		return NewNullVector(n), nil
 	}
@@ -414,25 +338,25 @@ func (b *builder) finalize() (*Vector, error) {
 		out.IsInt = make([]bool, n)
 	}
 	for i, s := range b.vals {
-		if s.kind == KindNull {
+		if s.Kind == sqlsem.KindNull {
 			out.SetNull(i)
 			continue
 		}
 		switch kind {
-		case KindInt, KindDate, KindBool:
-			out.Ints[i] = s.i
-		case KindFloat:
-			if s.kind == KindInt {
-				out.Floats[i] = float64(s.i)
+		case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
+			out.Ints[i] = s.I
+		case sqlsem.KindFloat:
+			if s.Kind == sqlsem.KindInt {
+				out.Floats[i] = float64(s.I)
 				if mixed {
-					out.Ints[i] = s.i
+					out.Ints[i] = s.I
 					out.IsInt[i] = true
 				}
 			} else {
-				out.Floats[i] = s.f
+				out.Floats[i] = s.F
 			}
-		case KindString:
-			out.Strs[i] = s.s
+		case sqlsem.KindString:
+			out.Strs[i] = s.S
 		}
 	}
 	return out, nil

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"testing"
 
-	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/plan"
+	"sqalpel/internal/sqlsem"
 )
 
 // mapCatalog is the test catalog: a plain name -> table map.
@@ -18,25 +19,38 @@ func (m mapCatalog) VTable(name string) (*Table, error) {
 	return nil, fmt.Errorf("unknown table %q", name)
 }
 
+// TableColumns implements plan.Catalog.
+func (m mapCatalog) TableColumns(name string) ([]string, bool) {
+	t, ok := m[name]
+	if !ok {
+		return nil, false
+	}
+	out := make([]string, len(t.Cols))
+	for i, col := range t.Cols {
+		out[i] = col.Name
+	}
+	return out, true
+}
+
 func intVec(vals ...int64) *Vector {
-	v := NewVector(KindInt, len(vals))
+	v := NewVector(sqlsem.KindInt, len(vals))
 	copy(v.Ints, vals)
 	return v
 }
 
 func floatVec(vals ...float64) *Vector {
-	v := NewVector(KindFloat, len(vals))
+	v := NewVector(sqlsem.KindFloat, len(vals))
 	copy(v.Floats, vals)
 	return v
 }
 
 func strVec(vals ...string) *Vector {
-	v := NewVector(KindString, len(vals))
+	v := NewVector(sqlsem.KindString, len(vals))
 	copy(v.Strs, vals)
 	return v
 }
 
-func allNullVec(kind Kind, n int) *Vector {
+func allNullVec(kind sqlsem.Kind, n int) *Vector {
 	v := NewVector(kind, n)
 	for i := 0; i < n; i++ {
 		v.SetNull(i)
@@ -44,26 +58,26 @@ func allNullVec(kind Kind, n int) *Vector {
 	return v
 }
 
-func run(t *testing.T, cat Catalog, sql string, opts Options) *Result {
+func run(t *testing.T, cat mapCatalog, sql string, opts Options) *Result {
 	t.Helper()
-	stmt, err := sqlparser.Parse(sql)
+	p, err := plan.Build(cat, sql)
 	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
+		t.Fatalf("plan %q: %v", sql, err)
 	}
-	res, err := Execute(cat, stmt, opts)
+	res, err := ExecutePlan(cat, p, opts)
 	if err != nil {
 		t.Fatalf("execute %q: %v", sql, err)
 	}
 	return res
 }
 
-func runErr(t *testing.T, cat Catalog, sql string, opts Options) error {
+func runErr(t *testing.T, cat mapCatalog, sql string, opts Options) error {
 	t.Helper()
-	stmt, err := sqlparser.Parse(sql)
+	p, err := plan.Build(cat, sql)
 	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
+		t.Fatalf("plan %q: %v", sql, err)
 	}
-	_, err = Execute(cat, stmt, opts)
+	_, err = ExecutePlan(cat, p, opts)
 	return err
 }
 
@@ -141,7 +155,7 @@ func TestBatchBoundarySplits(t *testing.T) {
 // column that is entirely NULL.
 func TestAllNullColumns(t *testing.T) {
 	cat := mapCatalog{"t": NewTable("t",
-		TableColumn{Name: "v", Vec: allNullVec(KindInt, 100)},
+		TableColumn{Name: "v", Vec: allNullVec(sqlsem.KindInt, 100)},
 		TableColumn{Name: "x", Vec: intVec(seq(100)...)},
 	)}
 	opts := Options{BatchSize: 32}
@@ -236,24 +250,22 @@ func TestJoinEdgeCases(t *testing.T) {
 func TestIntFloatDuality(t *testing.T) {
 	cat := mapCatalog{"t": NewTable("t", TableColumn{Name: "x", Vec: intVec(6, 7)})}
 	res := run(t, cat, "SELECT x / 2 AS h FROM t", Options{})
-	k0, i0, _, _ := res.Cols[0].ValueAt(0)
-	if k0 != KindInt || i0 != 3 {
-		t.Errorf("6/2 = kind %v value %d, want int 3", k0, i0)
+	if v := res.Cols[0].At(0); v.Kind != sqlsem.KindInt || v.I != 3 {
+		t.Errorf("6/2 = %v %v, want int 3", v.Kind, v)
 	}
-	k1, _, f1, _ := res.Cols[0].ValueAt(1)
-	if k1 != KindFloat || f1 != 3.5 {
-		t.Errorf("7/2 = kind %v value %v, want float 3.5", k1, f1)
+	if v := res.Cols[0].At(1); v.Kind != sqlsem.KindFloat || v.F != 3.5 {
+		t.Errorf("7/2 = %v %v, want float 3.5", v.Kind, v)
 	}
 
 	// The duality must survive aggregation: one inexact row makes the sum a
 	// float, all-exact rows keep it an integer.
 	res = run(t, cat, "SELECT sum(x / 2) FROM t", Options{})
-	if k, _, f, _ := res.Cols[0].ValueAt(0); k != KindFloat || f != 6.5 {
-		t.Errorf("sum = kind %v %v, want float 6.5", k, f)
+	if v := res.Cols[0].At(0); v.Kind != sqlsem.KindFloat || v.F != 6.5 {
+		t.Errorf("sum = %v %v, want float 6.5", v.Kind, v)
 	}
 	res = run(t, cat, "SELECT sum(x / 1) FROM t", Options{})
-	if k, i, _, _ := res.Cols[0].ValueAt(0); k != KindInt || i != 13 {
-		t.Errorf("sum = kind %v %v, want int 13", k, i)
+	if v := res.Cols[0].At(0); v.Kind != sqlsem.KindInt || v.I != 13 {
+		t.Errorf("sum = %v %v, want int 13", v.Kind, v)
 	}
 }
 
@@ -331,7 +343,7 @@ func TestSubqueriesAndOuterJoins(t *testing.T) {
 			continue
 		}
 		for i, w := range tc.want {
-			if _, got, _, _ := res.Cols[0].ValueAt(i); got != w {
+			if got := res.Cols[0].At(i).I; got != w {
 				t.Errorf("%q row %d = %d, want %d", tc.sql, i, got, w)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 )
 
 // ZoneBlockRows is the zone-map block granularity. Both shipped batch sizes
@@ -76,11 +77,11 @@ func buildZoneMap(cols []TableColumn, rows int) *zoneMap {
 func buildColumnZones(v *Vector, nb int) (zoneClass, []zoneEntry) {
 	var class zoneClass
 	switch v.Kind {
-	case KindInt, KindBool, KindDate:
+	case sqlsem.KindInt, sqlsem.KindBool, sqlsem.KindDate:
 		class = zoneInt
-	case KindFloat:
+	case sqlsem.KindFloat:
 		class = zoneFloat
-	case KindString:
+	case sqlsem.KindString:
 		class = zoneStr
 	default:
 		return zoneNone, nil
@@ -137,14 +138,14 @@ func buildColumnZones(v *Vector, nb int) (zoneClass, []zoneEntry) {
 
 // boundScalars returns the block's min/max as scalars in the column's
 // payload domain, matching what compareScalars would see row-at-a-time.
-func (e *zoneEntry) boundScalars(class zoneClass, kind Kind) (lo, hi scalar) {
+func (e *zoneEntry) boundScalars(class zoneClass, kind sqlsem.Kind) (lo, hi sqlsem.Value) {
 	switch class {
 	case zoneInt:
-		return scalar{kind: kind, i: e.minI}, scalar{kind: kind, i: e.maxI}
+		return sqlsem.Value{Kind: kind, I: e.minI}, sqlsem.Value{Kind: kind, I: e.maxI}
 	case zoneFloat:
-		return scalar{kind: KindFloat, f: e.minF}, scalar{kind: KindFloat, f: e.maxF}
+		return sqlsem.NewFloat(e.minF), sqlsem.NewFloat(e.maxF)
 	default:
-		return scalar{kind: KindString, s: e.minS}, scalar{kind: KindString, s: e.maxS}
+		return sqlsem.NewString(e.minS), sqlsem.NewString(e.maxS)
 	}
 }
 
@@ -155,7 +156,7 @@ func (e *zoneEntry) boundScalars(class zoneClass, kind Kind) (lo, hi scalar) {
 // skippable under any compiled predicate.
 type ZonePred struct {
 	col  int
-	test func(e *zoneEntry, class zoneClass, kind Kind) bool
+	test func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool
 }
 
 // ZonePreds compiles the pushed-down conjuncts of a scan over this table
@@ -226,43 +227,34 @@ func stripParens(e sqlparser.Expr) sqlparser.Expr {
 
 // zoneLiteral evaluates a literal expression to a scalar, mirroring
 // constVec's literal handling. ok is false for anything non-literal.
-func zoneLiteral(e sqlparser.Expr) (scalar, bool) {
+func zoneLiteral(e sqlparser.Expr) (sqlsem.Value, bool) {
 	switch v := stripParens(e).(type) {
 	case *sqlparser.NumberLit:
-		s, err := parseNumberScalar(v.Value)
-		if err != nil {
-			return scalar{}, false
-		}
-		return s, true
+		s, err := sqlsem.ParseNumber(v.Value)
+		return s, err == nil
 	case *sqlparser.StringLit:
-		return scalar{kind: KindString, s: v.Value}, true
+		return sqlsem.NewString(v.Value), true
 	case *sqlparser.BoolLit:
-		if v.Value {
-			return scalar{kind: KindBool, i: 1}, true
-		}
-		return scalar{kind: KindBool, i: 0}, true
+		return sqlsem.NewBool(v.Value), true
 	case *sqlparser.NullLit:
-		return nullScalar, true
+		return sqlsem.Null(), true
 	case *sqlparser.DateLit:
-		days, err := parseDate(v.Value)
-		if err != nil {
-			return scalar{}, false
-		}
-		return scalar{kind: KindDate, i: days}, true
+		days, err := sqlsem.ParseDate(v.Value)
+		return sqlsem.NewDate(days), err == nil
 	case *sqlparser.UnaryExpr:
 		if v.Op != "-" && v.Op != "+" {
-			return scalar{}, false
+			return sqlsem.Value{}, false
 		}
 		s, ok := zoneLiteral(v.Expr)
-		if !ok || s.isNull() || s.kind == KindString {
-			return scalar{}, false
+		if !ok || s.IsNull() || s.Kind == sqlsem.KindString {
+			return sqlsem.Value{}, false
 		}
 		if v.Op == "-" {
-			s.i, s.f = -s.i, -s.f
+			s.I, s.F = -s.I, -s.F
 		}
 		return s, true
 	default:
-		return scalar{}, false
+		return sqlsem.Value{}, false
 	}
 }
 
@@ -271,11 +263,11 @@ func zoneLiteral(e sqlparser.Expr) (scalar, bool) {
 // compares in the float domain row-at-a-time (ParseFloat-or-zero), and
 // that mapping is not monotonic in string order, so string bounds prove
 // nothing about it.
-func zoneComparable(class zoneClass, lit scalar) bool {
-	if lit.isNull() {
+func zoneComparable(class zoneClass, lit sqlsem.Value) bool {
+	if lit.IsNull() {
 		return true // handled specially: conjunct is UNKNOWN everywhere
 	}
-	if class == zoneStr && lit.kind != KindString {
+	if class == zoneStr && lit.Kind != sqlsem.KindString {
 		return false
 	}
 	return true
@@ -314,24 +306,24 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
 			return ZonePred{}, false
 		}
 		cmpOp := op
-		return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
-			if e.nonNull == 0 || lit.isNull() {
+		return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool {
+			if e.nonNull == 0 || lit.IsNull() {
 				return false
 			}
 			lo, hi := e.boundScalars(class, kind)
 			switch cmpOp {
 			case "=":
-				return compareScalars(lo, lit) <= 0 && compareScalars(hi, lit) >= 0
+				return lo.Compare(lit) <= 0 && hi.Compare(lit) >= 0
 			case "<>":
-				return !(compareScalars(lo, lit) == 0 && compareScalars(hi, lit) == 0)
+				return !(lo.Compare(lit) == 0 && hi.Compare(lit) == 0)
 			case "<":
-				return compareScalars(lo, lit) < 0
+				return lo.Compare(lit) < 0
 			case "<=":
-				return compareScalars(lo, lit) <= 0
+				return lo.Compare(lit) <= 0
 			case ">":
-				return compareScalars(hi, lit) > 0
+				return hi.Compare(lit) > 0
 			case ">=":
-				return compareScalars(hi, lit) >= 0
+				return hi.Compare(lit) >= 0
 			}
 			return true
 		}}, true
@@ -352,13 +344,13 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
 		if !zoneComparable(class, blo) || !zoneComparable(class, bhi) {
 			return ZonePred{}, false
 		}
-		return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
-			if e.nonNull == 0 || blo.isNull() || bhi.isNull() {
+		return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool {
+			if e.nonNull == 0 || blo.IsNull() || bhi.IsNull() {
 				// a NULL bound makes BETWEEN at best UNKNOWN for every row
 				return false
 			}
 			lo, hi := e.boundScalars(class, kind)
-			return compareScalars(hi, blo) >= 0 && compareScalars(lo, bhi) <= 0
+			return hi.Compare(blo) >= 0 && lo.Compare(bhi) <= 0
 		}}, true
 	case *sqlparser.InExpr:
 		if v.Not || v.Subquery != nil {
@@ -369,24 +361,24 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
 			return ZonePred{}, false
 		}
 		class := t.zones.classes[col]
-		items := make([]scalar, 0, len(v.List))
+		items := make([]sqlsem.Value, 0, len(v.List))
 		for _, it := range v.List {
 			lit, okl := zoneLiteral(it)
 			if !okl || !zoneComparable(class, lit) {
 				return ZonePred{}, false
 			}
-			if lit.isNull() {
+			if lit.IsNull() {
 				continue // a NULL item can only ever contribute UNKNOWN
 			}
 			items = append(items, lit)
 		}
-		return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
+		return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool {
 			if e.nonNull == 0 {
 				return false
 			}
 			lo, hi := e.boundScalars(class, kind)
 			for _, lit := range items {
-				if compareScalars(lo, lit) <= 0 && compareScalars(hi, lit) >= 0 {
+				if lo.Compare(lit) <= 0 && hi.Compare(lit) >= 0 {
 					return true
 				}
 			}
@@ -407,15 +399,15 @@ func (t *Table) likePred(col int, patExpr sqlparser.Expr) (ZonePred, bool) {
 		return ZonePred{}, false
 	}
 	lit, ok := zoneLiteral(patExpr)
-	if !ok || lit.kind != KindString {
+	if !ok || lit.Kind != sqlsem.KindString {
 		return ZonePred{}, false
 	}
-	prefix := likePrefix(lit.s)
+	prefix := likePrefix(lit.S)
 	if prefix == "" {
 		return ZonePred{}, false
 	}
 	upper := nextPrefix(prefix)
-	return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
+	return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool {
 		if e.nonNull == 0 {
 			return false
 		}

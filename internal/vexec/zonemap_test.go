@@ -3,6 +3,8 @@ package vexec
 import (
 	"fmt"
 	"testing"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // TestZoneMapBlockSkipping pins the block-skipping contract on an integer
@@ -182,7 +184,7 @@ func TestDictDegenerateColumns(t *testing.T) {
 		t.Errorf("empty column count = %d, want 0", got)
 	}
 
-	nulls := mapCatalog{"t": NewTable("t", TableColumn{Name: "s", Vec: allNullVec(KindString, 3000)})}
+	nulls := mapCatalog{"t": NewTable("t", TableColumn{Name: "s", Vec: allNullVec(sqlsem.KindString, 3000)})}
 	res = run(t, nulls, "SELECT count(s) FROM t", opts)
 	if got := res.Cols[0].Ints[0]; got != 0 {
 		t.Errorf("all-NULL count(s) = %d, want 0", got)
