@@ -820,6 +820,60 @@ func BenchmarkStringEncodings(b *testing.B) {
 	}
 }
 
+// --- pool growth -----------------------------------------------------------------
+
+// BenchmarkPoolGrow times the search front end of one search_variants round
+// on the four baselines the benchmark of record morphs: core.NewProject
+// (derive the grammar, enumerate its templates, seed the baseline) and
+// Project.GrowPool(60), reported apart. ns/op is the sum; Grow(1500) — more
+// than Q12's whole space holds — is its own sub-benchmark.
+func BenchmarkPoolGrow(b *testing.B) {
+	for _, id := range []string{"Q1", "Q2", "Q12", "Q18"} {
+		q, err := workload.TPCHQuery(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(id+"/GrowPool60", func(b *testing.B) {
+			b.ReportAllocs()
+			var create, grow time.Duration
+			templates := 0
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				project, err := core.NewProject(id, q.SQL, core.ProjectOptions{Pool: pool.Options{Seed: int64(i) + 1}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				if grown := project.GrowPool(60); grown != 60 {
+					b.Fatalf("GrowPool(60) added %d variants", grown)
+				}
+				create += t1.Sub(t0)
+				grow += time.Since(t1)
+				templates = len(project.Pool().Generator().Templates())
+			}
+			b.ReportMetric(float64(create.Microseconds())/float64(b.N)/1000, "newproject_ms")
+			b.ReportMetric(float64(grow.Microseconds())/float64(b.N)/1000, "growpool60_ms")
+			b.ReportMetric(float64(templates), "templates")
+		})
+		b.Run(id+"/Grow1500", func(b *testing.B) {
+			b.ReportAllocs()
+			g, err := derive.FromSQL(q.SQL, derive.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			added := 0
+			for i := 0; i < b.N; i++ {
+				pl, err := pool.New(g, pool.Options{Seed: int64(i) + 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				added = len(pl.Grow(1500))
+			}
+			b.ReportMetric(float64(added), "variants")
+		})
+	}
+}
+
 // --- ablations --------------------------------------------------------------------
 
 // BenchmarkAblationLiteralOnce quantifies how much the paper's literal-once

@@ -1,6 +1,7 @@
 package grammar
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -22,6 +23,10 @@ const DefaultMaxDepth = 400
 // to lexical token classes remain. Following the paper, the order of lexical
 // tokens is ignored; a template is therefore identified by its keyword
 // skeleton plus the multiset of lexical class occurrences.
+//
+// Templates come from Enumerate, which numbers them and computes their size
+// and sorted class list once; Size, Classes and Key read those and are only
+// meaningful on enumerated templates.
 type Template struct {
 	// Elements is one representative element sequence for the template
 	// (literal text plus references to lexical rules only). It is used to
@@ -30,12 +35,18 @@ type Template struct {
 	// Counts maps lexical class (rule name) to the number of occurrences in
 	// the template.
 	Counts map[string]int
+
+	ord     int      // index in Enumeration.Templates
+	size    int      // sum of Counts
+	classes []string // keys of Counts, sorted
 }
 
 // Signature returns the canonical identity of the template: the keyword
 // skeleton with lexical references replaced by their class name, plus the
 // sorted class counts. Two templates that differ only in the order of
-// lexical tokens share a signature.
+// lexical tokens share a signature. Enumerate builds it once per derivation
+// to deduplicate; afterwards a template is identified by its ordinal (see
+// Key), so the string is not retained.
 func (t *Template) Signature() string {
 	var kw []string
 	for _, e := range t.Elements {
@@ -43,13 +54,8 @@ func (t *Template) Signature() string {
 			kw = append(kw, strings.ToUpper(e.Text))
 		}
 	}
-	classes := make([]string, 0, len(t.Counts))
-	for c := range t.Counts {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
 	var counts []string
-	for _, c := range classes {
+	for _, c := range t.classes {
 		counts = append(counts, fmt.Sprintf("%s=%d", c, t.Counts[c]))
 	}
 	return strings.Join(kw, " ") + " | " + strings.Join(counts, ",")
@@ -57,24 +63,40 @@ func (t *Template) Signature() string {
 
 // Size returns the number of lexical token slots in the template; the paper
 // uses this as the "number of components" of a query.
-func (t *Template) Size() int {
-	n := 0
-	//lint:ordered a sum does not observe iteration order
-	for _, c := range t.Counts {
-		n += c
-	}
-	return n
-}
+func (t *Template) Size() int { return t.size }
 
 // Classes lists the lexical classes the template draws literals from,
 // sorted — the order every seeded or error-reporting walk over Counts uses.
-func (t *Template) Classes() []string {
-	classes := make([]string, 0, len(t.Counts))
-	for c := range t.Counts {
-		classes = append(classes, c)
+// The slice is shared; callers must not modify it.
+func (t *Template) Classes() []string { return t.classes }
+
+// Key is the canonical identity of the sentence that fills the template
+// with the chosen literals, for deduplication within one Enumeration: the
+// template's ordinal, then per class (sorted) the number of literals and
+// their sorted lines — order within a class is irrelevant, matching the
+// paper's order-insensitive treatment. It needs only the literal choice, so
+// a caller can tell a duplicate before rendering any SQL.
+func (t *Template) Key(chosen map[string][]Literal) string {
+	var scratch [16]int
+	buf := make([]byte, 0, 48)
+	buf = binary.AppendUvarint(buf, uint64(t.ord))
+	for _, class := range t.classes {
+		lines := scratch[:0]
+		for _, l := range chosen[class] {
+			// Insertion sort: a class contributes a handful of literals.
+			i := len(lines)
+			lines = append(lines, l.Line)
+			for ; i > 0 && lines[i-1] > l.Line; i-- {
+				lines[i] = lines[i-1]
+			}
+			lines[i] = l.Line
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(lines)))
+		for _, line := range lines {
+			buf = binary.AppendVarint(buf, int64(line))
+		}
 	}
-	sort.Strings(classes)
-	return classes
+	return string(buf)
 }
 
 // Text renders the template with ${class} placeholders.
@@ -216,6 +238,8 @@ type Enumeration struct {
 	Space uint64
 	// Tags is the total number of lexical literals defined by the grammar.
 	Tags int
+
+	lat lattice
 }
 
 // TemplateCount returns the number of distinct templates.
@@ -290,6 +314,7 @@ func (g *Grammar) Enumerate(opts EnumerateOptions) (*Enumeration, error) {
 			return true
 		}
 		seen[sig] = true
+		tpl.ord = len(enum.Templates)
 		enum.Templates = append(enum.Templates, tpl)
 		if len(enum.Templates) >= opts.TemplateCap {
 			enum.Capped = true
@@ -395,19 +420,25 @@ func (g *Grammar) Enumerate(opts EnumerateOptions) (*Enumeration, error) {
 		}
 		enum.Space = satAdd(enum.Space, c)
 	}
+	enum.lat.bucket(enum.Templates)
 	return enum, nil
 }
 
 // buildTemplate collects the lexical class counts of a fully expanded
-// element sequence.
+// element sequence, and from them the template's size and sorted classes.
 func buildTemplate(elems []Element) *Template {
-	tpl := &Template{Counts: map[string]int{}}
+	tpl := &Template{Elements: append([]Element(nil), elems...), Counts: map[string]int{}}
 	for _, e := range elems {
 		if e.IsRef() {
 			tpl.Counts[e.Ref]++
+			tpl.size++
 		}
-		tpl.Elements = append(tpl.Elements, e)
 	}
+	tpl.classes = make([]string, 0, len(tpl.Counts))
+	for c := range tpl.Counts {
+		tpl.classes = append(tpl.classes, c)
+	}
+	sort.Strings(tpl.classes)
 	return tpl
 }
 

@@ -3,7 +3,6 @@ package grammar
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -94,27 +93,10 @@ func (s *Sentence) Components() int {
 	return n
 }
 
-// Key is a canonical identity for deduplication: the template signature plus
-// the sorted set of literal lines per class (order within a class is
-// irrelevant, matching the paper's order-insensitive treatment).
-func (s *Sentence) Key() string {
-	classes := make([]string, 0, len(s.Literals))
-	for c := range s.Literals {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	var sb strings.Builder
-	sb.WriteString(s.Template.Signature())
-	for _, c := range classes {
-		lines := make([]int, 0, len(s.Literals[c]))
-		for _, l := range s.Literals[c] {
-			lines = append(lines, l.Line)
-		}
-		sort.Ints(lines)
-		fmt.Fprintf(&sb, "|%s:%v", c, lines)
-	}
-	return sb.String()
-}
+// Key is the sentence's canonical identity for deduplication among the
+// sentences of one Enumeration; see Template.Key, which computes the same
+// key from a literal choice that has not been rendered yet.
+func (s *Sentence) Key() string { return s.Template.Key(s.Literals) }
 
 // RandomTemplate picks a template uniformly at random.
 func (g *Generator) RandomTemplate() *Template {

@@ -19,6 +19,17 @@
 // Alternatives of lexical rules may be prefixed with "@dialect " to restrict
 // a snippet to a specific SQL dialect (e.g. "@monetdb" or "@mssql"); see
 // Dialect handling in generate.go.
+//
+// Enumerate expands the start rule into the grammar's distinct templates
+// (keyword skeleton plus a multiset of lexical classes) and numbers them; a
+// template's ordinal, size and sorted classes are computed there, once. The
+// Enumeration also orders its templates as a lattice — b is directly above a
+// when it has one lexical component more and at least a's count of every
+// class — with size buckets built up front and each template's neighbour
+// lists (Expansions, Reductions) memoised on first request (lattice.go);
+// the query pool's expand and prune morphs walk it. A sentence's identity
+// for deduplication (Template.Key, Sentence.Key) is the template ordinal
+// plus the sorted literal lines per class, which needs no rendered SQL.
 package grammar
 
 import (

@@ -571,16 +571,18 @@ func TestRealizationsLimit(t *testing.T) {
 }
 
 func TestSentenceKeyOrderInsensitive(t *testing.T) {
-	tpl := &Template{
-		Elements: []Element{{Text: "SELECT"}, {Ref: "l_column", Kind: RefRequired}, {Text: ","}, {Ref: "l_column", Kind: RefRequired}},
-		Counts:   map[string]int{"l_column": 2},
-	}
+	tpl := buildTemplate([]Element{{Text: "SELECT"}, {Ref: "l_column", Kind: RefRequired}, {Text: ","}, {Ref: "l_column", Kind: RefRequired}})
 	a := Literal{Rule: "l_column", Text: "n_name", Line: 10}
 	b := Literal{Rule: "l_column", Text: "n_comment", Line: 11}
 	s1 := &Sentence{Template: tpl, Literals: map[string][]Literal{"l_column": {a, b}}}
 	s2 := &Sentence{Template: tpl, Literals: map[string][]Literal{"l_column": {b, a}}}
 	if s1.Key() != s2.Key() {
 		t.Errorf("keys should be order-insensitive: %q vs %q", s1.Key(), s2.Key())
+	}
+	c := Literal{Rule: "l_column", Text: "n_regionkey", Line: 12}
+	s3 := &Sentence{Template: tpl, Literals: map[string][]Literal{"l_column": {a, c}}}
+	if s1.Key() == s3.Key() {
+		t.Errorf("different literal sets share the key %q", s1.Key())
 	}
 }
 

@@ -33,7 +33,9 @@ import (
 // be stable across runs), the discriminative ranking (findings must not
 // depend on iteration order), and the grammar generator and query pool (a
 // seed must realise the same sentences and grow the same pool every time —
-// Generator.realize once shuffled its literal classes in map order).
+// Generator.realize once shuffled its literal classes in map order), and the
+// server (what it hands the repository becomes WAL bytes and pages —
+// poolRecords once emitted a query's terms in map order).
 var Markers = []string{
 	"internal/plan",
 	"internal/trace",
@@ -41,6 +43,7 @@ var Markers = []string{
 	"internal/discriminative",
 	"internal/grammar",
 	"internal/pool",
+	"internal/server",
 }
 
 // Token is the suppression token: //lint:ordered <reason>.
@@ -48,7 +51,7 @@ const Token = "ordered"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "mapiterdet",
-	Doc: "flag map iteration in determinism-critical packages (plan, trace, fuzzdiff, discriminative, grammar, pool) " +
+	Doc: "flag map iteration in determinism-critical packages (plan, trace, fuzzdiff, discriminative, grammar, pool, server) " +
 		"unless the body is an order-insensitive set build, a collect-then-sort, or carries //lint:ordered <reason>",
 	Run: run,
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sqalpel/internal/sqlparser"
 )
@@ -268,6 +269,153 @@ func TestCacheCapEviction(t *testing.T) {
 	}
 	if c.Len() > 4 {
 		t.Errorf("cache grew to %d entries past its cap of 4", c.Len())
+	}
+}
+
+// cacheProbe looks keys up in a cache and reports which lookups built.
+type cacheProbe struct {
+	t *testing.T
+	c *Cache
+}
+
+func (p cacheProbe) get(sql string) (built bool) {
+	p.t.Helper()
+	_, err := p.c.GetOrBuild(Key(nil, 1, sql), func() (*Plan, error) {
+		built = true
+		return Build(testCat, "SELECT o_total FROM orders")
+	})
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	return built
+}
+
+// TestCacheEvictsLeastRecentlyUsed: a full cache drops its entries in the
+// order of their last use, and a hit counts as a use.
+func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	p := cacheProbe{t, NewCache(3)}
+	for _, sql := range []string{"a", "b", "c"} {
+		if !p.get(sql) {
+			t.Fatalf("cold lookup of %q did not build", sql)
+		}
+	}
+	if p.get("a") { // refresh a: b is now the least recently used
+		t.Fatal("a was evicted from a cache that was not over its cap")
+	}
+	p.get("d") // evicts b
+	p.get("e") // evicts c
+	if p.c.Len() != 3 {
+		t.Fatalf("cache holds %d entries, want 3", p.c.Len())
+	}
+	for _, sql := range []string{"a", "d", "e"} {
+		if p.get(sql) {
+			t.Errorf("%q was evicted although two older entries were colder", sql)
+		}
+	}
+	// b and c are gone; each re-miss evicts the then-coldest (a, then d).
+	if !p.get("b") || !p.get("c") {
+		t.Error("b and c should have been evicted in that order")
+	}
+	if p.get("e") {
+		t.Error("e, the most recently used entry, was evicted")
+	}
+	if !p.get("a") {
+		t.Error("a should have been evicted once it was the coldest")
+	}
+}
+
+// TestCacheNeverEvictsInFlight: an entry whose build is still running is
+// skipped by eviction (dropping it would allow a second build of its key),
+// even when it sits at the cold end of a full cache.
+func TestCacheNeverEvictsInFlight(t *testing.T) {
+	c := NewCache(2)
+	p := cacheProbe{t, c}
+	started, release := make(chan struct{}), make(chan struct{})
+	var slowBuilds atomic.Int32
+	slow := func() (*Plan, error) {
+		if slowBuilds.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return Build(testCat, "SELECT o_total FROM orders")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := c.GetOrBuild(Key(nil, 1, "slow"), slow); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-started
+	// Four inserts into a cache of two while "slow" is in flight: it is the
+	// coldest entry the whole time.
+	for _, sql := range []string{"a", "b", "c", "d"} {
+		p.get(sql)
+	}
+	if n := c.Len(); n > 2 {
+		t.Errorf("cache holds %d entries, cap 2", n)
+	}
+	waiter := make(chan struct{})
+	go func() {
+		defer close(waiter)
+		if _, err := c.GetOrBuild(Key(nil, 1, "slow"), slow); err != nil {
+			t.Error(err)
+		}
+	}()
+	// The second lookup must find the placeholder, not start a build; it
+	// cannot finish before release either way, so give it time to be wrong.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	<-done
+	<-waiter
+	if n := slowBuilds.Load(); n != 1 {
+		t.Errorf("the in-flight key was built %d times, want 1", n)
+	}
+	// Finished, it is an ordinary entry again: once d is used after it, it
+	// is the coldest and the next to go.
+	if p.get("d") {
+		t.Error("d was evicted although the cache was not over its cap")
+	}
+	p.get("e")
+	if built := p.get("slow"); !built {
+		t.Error("the finished entry at the cold end survived an eviction")
+	}
+}
+
+// TestCachePurgesStaleVersionsOnce: the first lookup at a newer catalog
+// version drops the catalog's older entries (and nobody else's); a lookup
+// at an older version afterwards is served but not purged by its peers.
+func TestCachePurgesStaleVersionsOnce(t *testing.T) {
+	c := NewCache(0)
+	a, b := new(int), new(int)
+	get := func(cat any, version uint64, sql string) {
+		t.Helper()
+		if _, err := c.GetOrBuild(Key(cat, version, sql), func() (*Plan, error) {
+			return Build(testCat, "SELECT o_total FROM orders")
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get(a, 1, "x")
+	get(a, 1, "y")
+	get(b, 1, "x")
+	get(a, 2, "x") // purges a@1 (two entries), leaves b alone
+	if c.Len() != 2 {
+		t.Fatalf("cache holds %d entries after the version bump, want 2 (a@2, b@1)", c.Len())
+	}
+	get(a, 2, "y")
+	get(a, 1, "x") // a reader still at version 1: served, kept until the next bump
+	if c.Len() != 4 {
+		t.Fatalf("cache holds %d entries, want 4", c.Len())
+	}
+	get(a, 3, "x")
+	if c.Len() != 2 {
+		t.Fatalf("cache holds %d entries after the second bump, want 2 (a@3, b@1)", c.Len())
+	}
+	c.DropCatalog(a)
+	c.DropCatalog(b)
+	if c.Len() != 0 || len(c.catalogs) != 0 {
+		t.Errorf("after dropping both catalogs: %d entries, %d catalog records", c.Len(), len(c.catalogs))
 	}
 }
 

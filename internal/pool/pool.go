@@ -11,13 +11,25 @@
 // for concurrent mutation — the concurrent search (internal/discriminative
 // with internal/sched) parallelises measurement only and keeps all pool
 // growth on one goroutine, which is what makes search results reproducible
-// at any worker count.
+// at any worker count; the server serialises the grow requests of one
+// experiment.
+//
+// The morphs walk the enumeration's template lattice (grammar.Enumeration's
+// Expansions / Reductions): expand and prune draw their target from the
+// source template's memoised neighbour list and fail at once when it is
+// empty. A candidate is identified by its key — template ordinal plus
+// literal lines, computable from the literal choice alone — and looked up in
+// the pool before anything is rendered, so the duplicates a filling pool
+// mostly produces cost a map lookup, not a Materialize. The rule that keeps
+// a seed's pool stable across such changes: only work that draws no random
+// number may be skipped, reordered or cached; the sequence of draws (source,
+// class or target, literal, victim) is part of the pool's contract and is
+// pinned by the golden variant sets in internal/core/testdata.
 package pool
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"sqalpel/internal/grammar"
@@ -123,6 +135,8 @@ type Pool struct {
 	byKey   map[string]*Entry
 	maxSize int
 	steer   Steering
+	// allowed caches allowedLiterals per class for the current steering.
+	allowed map[string][]grammar.Literal
 }
 
 // New creates a pool over the grammar and seeds it with the baseline query
@@ -153,12 +167,15 @@ func New(g *grammar.Grammar, opts Options) (*Pool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seeding pool with baseline: %w", err)
 	}
-	p.add(base, StrategyBaseline, 0)
+	p.add(base.Key(), base, StrategyBaseline, 0)
 	return p, nil
 }
 
 // SetSteering replaces the steering configuration.
-func (p *Pool) SetSteering(s Steering) { p.steer = s }
+func (p *Pool) SetSteering(s Steering) {
+	p.steer = s
+	p.allowed = nil
+}
 
 // Steering returns the current steering configuration.
 func (p *Pool) Steering() Steering { return p.steer }
@@ -185,15 +202,11 @@ func (p *Pool) Baseline() *Entry { return p.entries[0] }
 // Generator exposes the underlying sentence generator.
 func (p *Pool) Generator() *grammar.Generator { return p.gen }
 
-// add inserts a sentence unless it is already known or the cap is reached;
-// it returns the entry (existing or new) and whether it was newly added.
-func (p *Pool) add(sent *grammar.Sentence, strategy Strategy, parent int) (*Entry, bool) {
-	key := sent.Key()
-	if existing, ok := p.byKey[key]; ok {
-		return existing, false
-	}
-	if len(p.entries) >= p.maxSize {
-		return nil, false
+// add inserts a sentence under its key unless the key is already known or
+// the cap is reached; it returns the new entry, or nil.
+func (p *Pool) add(key string, sent *grammar.Sentence, strategy Strategy, parent int) *Entry {
+	if _, known := p.byKey[key]; known || len(p.entries) >= p.maxSize {
+		return nil
 	}
 	e := &Entry{
 		ID:         len(p.entries) + 1,
@@ -205,15 +218,43 @@ func (p *Pool) add(sent *grammar.Sentence, strategy Strategy, parent int) (*Entr
 	}
 	p.entries = append(p.entries, e)
 	p.byKey[key] = e
-	return e, true
+	return e
+}
+
+// admit adds the sentence that fills tpl with the chosen literals. The key
+// needs no SQL, so a choice the pool already holds costs one map lookup;
+// only a new one is rendered and checked against the steering lists. It
+// returns nil when nothing was added.
+func (p *Pool) admit(tpl *grammar.Template, chosen map[string][]grammar.Literal, strategy Strategy, parent int) (*Entry, error) {
+	key := tpl.Key(chosen)
+	if _, known := p.byKey[key]; known {
+		return nil, nil
+	}
+	sent, err := p.gen.Materialize(tpl, chosen)
+	if err != nil {
+		return nil, err
+	}
+	if !p.steer.allows(sent) {
+		return nil, nil
+	}
+	return p.add(key, sent, strategy, parent), nil
+}
+
+// full reports that the pool holds every sentence of the grammar's query
+// space: each entry is a distinct (template, literal set), the space counts
+// exactly those, so nothing can be added any more under any steering.
+func (p *Pool) full() bool {
+	enum := p.gen.Enumeration()
+	return !enum.SpaceSaturated() && uint64(len(p.entries)) >= enum.Space
 }
 
 // SeedRandom adds up to n random sentences from randomly chosen templates,
-// honouring the steering lists. It returns the entries actually added.
+// honouring the steering lists. It returns the entries actually added, and
+// returns as soon as the pool holds the whole query space.
 func (p *Pool) SeedRandom(n int) ([]*Entry, error) {
 	var added []*Entry
 	attempts := 0
-	for len(added) < n && attempts < n*20+20 {
+	for len(added) < n && attempts < n*20+20 && !p.full() {
 		attempts++
 		sent, err := p.gen.Generate()
 		if err != nil {
@@ -222,7 +263,7 @@ func (p *Pool) SeedRandom(n int) ([]*Entry, error) {
 		if !p.steer.allows(sent) {
 			continue
 		}
-		if e, ok := p.add(sent, StrategyRandom, 0); ok {
+		if e := p.add(sent.Key(), sent, StrategyRandom, 0); e != nil {
 			added = append(added, e)
 		}
 	}
@@ -249,52 +290,34 @@ func (p *Pool) Alter() (*Entry, error) {
 // AlterFrom morphs a specific pool entry by swapping one literal; the guided
 // discriminative search uses it to focus on interesting queries.
 func (p *Pool) AlterFrom(src *Entry) (*Entry, error) {
-	for attempt := 0; attempt < 20; attempt++ {
-		sent := src.sentence
-		// Candidate classes: used in the sentence and with spare literals.
-		var classes []string
-		//lint:ordered filtered collect, sorted right below
-		for class, used := range sent.Literals {
-			if len(p.allowedLiterals(class)) > len(used) {
-				classes = append(classes, class)
-			}
+	sent := src.sentence
+	// Candidate classes: used in the sentence and with spare literals.
+	var classes []string
+	for _, class := range sent.Template.Classes() {
+		if len(p.allowedLiterals(class)) > len(sent.Literals[class]) {
+			classes = append(classes, class)
 		}
-		if len(classes) == 0 {
-			continue
-		}
-		sort.Strings(classes)
+	}
+	for attempt := 0; attempt < 20 && len(classes) > 0; attempt++ {
 		class := classes[p.rng.Intn(len(classes))]
 		used := sent.Literals[class]
-		usedLines := map[int]bool{}
-		for _, l := range used {
-			usedLines[l.Line] = true
-		}
-		var spare []grammar.Literal
-		for _, l := range p.allowedLiterals(class) {
-			if !usedLines[l.Line] {
-				spare = append(spare, l)
-			}
-		}
-		if len(spare) == 0 {
+		replacement, found := p.randomUnusedLiteral(class, used)
+		if !found {
 			continue
 		}
-		replacement := spare[p.rng.Intn(len(spare))]
 		victim := p.rng.Intn(len(used))
 
-		chosen := map[string][]grammar.Literal{}
+		// The other classes keep the source's literals; nothing below writes
+		// through them, so they are shared, not copied.
+		chosen := make(map[string][]grammar.Literal, len(sent.Literals))
 		for c, lits := range sent.Literals {
-			chosen[c] = append([]grammar.Literal(nil), lits...)
+			chosen[c] = lits
 		}
-		chosen[class][victim] = replacement
-		morphed, err := p.gen.Materialize(sent.Template, chosen)
-		if err != nil {
-			return nil, err
-		}
-		if !p.steer.allows(morphed) {
-			continue
-		}
-		if e, ok := p.add(morphed, StrategyAlter, src.ID); ok {
-			return e, nil
+		altered := append([]grammar.Literal(nil), used...)
+		altered[victim] = replacement
+		chosen[class] = altered
+		if e, err := p.admit(sent.Template, chosen, StrategyAlter, src.ID); e != nil || err != nil {
+			return e, err
 		}
 	}
 	return nil, fmt.Errorf("alter: no new variant found")
@@ -334,112 +357,103 @@ func (p *Pool) resize(delta int, strategy Strategy) (*Entry, error) {
 	return nil, fmt.Errorf("%s: no new variant found", strategy)
 }
 
-// resizeFrom implements ExpandFrom (+1) and PruneFrom (-1).
+// resizeFrom implements ExpandFrom (+1) and PruneFrom (-1): the candidate
+// targets are the source template's neighbours in the enumeration's template
+// lattice, so a source with none (the largest template cannot expand) fails
+// at once.
 func (p *Pool) resizeFrom(src *Entry, delta int, strategy Strategy) (*Entry, error) {
-	templates := p.gen.Templates()
-	for attempt := 0; attempt < 20; attempt++ {
-		sent := src.sentence
-		targetSize := sent.Template.Size() + delta
-		// Collect templates of the target size whose class counts differ
-		// from the source in the right direction.
-		var candidates []*grammar.Template
-		for _, t := range templates {
-			if t.Size() != targetSize {
-				continue
-			}
-			if delta > 0 && !covers(t.Counts, sent.Template.Counts) {
-				continue
-			}
-			if delta < 0 && !covers(sent.Template.Counts, t.Counts) {
-				continue
-			}
-			candidates = append(candidates, t)
-		}
-		if len(candidates) == 0 {
-			continue
-		}
+	sent := src.sentence
+	var candidates []*grammar.Template
+	if delta > 0 {
+		candidates = p.gen.Enumeration().Expansions(sent.Template)
+	} else {
+		candidates = p.gen.Enumeration().Reductions(sent.Template)
+	}
+	for attempt := 0; attempt < 20 && len(candidates) > 0; attempt++ {
 		target := candidates[p.rng.Intn(len(candidates))]
 
-		chosen := map[string][]grammar.Literal{}
+		chosen := make(map[string][]grammar.Literal, len(target.Counts))
 		ok := true
 		// Sorted: randomUnusedLiteral consumes the seeded generator.
 		for _, class := range target.Classes() {
 			occ := target.Counts[class]
-			existing := sent.Literals[class]
-			if len(existing) > occ {
-				existing = existing[:occ]
+			lits := sent.Literals[class]
+			if len(lits) > occ {
+				lits = lits[:occ]
 			}
-			chosen[class] = append([]grammar.Literal(nil), existing...)
-			for len(chosen[class]) < occ {
-				lit, found := p.randomUnusedLiteral(class, chosen[class])
+			if len(lits) < occ {
+				// Grow a copy; a class that only keeps or drops literals shares
+				// the source's slice.
+				lits = append(make([]grammar.Literal, 0, occ), lits...)
+			}
+			for len(lits) < occ {
+				lit, found := p.randomUnusedLiteral(class, lits)
 				if !found {
 					ok = false
 					break
 				}
-				chosen[class] = append(chosen[class], lit)
+				lits = append(lits, lit)
 			}
 			if !ok {
 				break
 			}
+			chosen[class] = lits
 		}
 		if !ok {
 			continue
 		}
-		morphed, err := p.gen.Materialize(target, chosen)
-		if err != nil {
-			return nil, err
-		}
-		if !p.steer.allows(morphed) {
-			continue
-		}
-		if e, ok := p.add(morphed, strategy, src.ID); ok {
-			return e, nil
+		if e, err := p.admit(target, chosen, strategy, src.ID); e != nil || err != nil {
+			return e, err
 		}
 	}
 	return nil, fmt.Errorf("%s: no new variant found", strategy)
 }
 
-// covers reports whether counts a dominate counts b (a[c] >= b[c] for all c).
-func covers(a, b map[string]int) bool {
-	//lint:ordered a for-all test does not observe iteration order
-	for c, n := range b {
-		if a[c] < n {
-			return false
-		}
-	}
-	return true
-}
-
-// allowedLiterals filters the class literals through the steering lists.
+// allowedLiterals filters the class literals through the steering exclude
+// list, once per class and steering.
 func (p *Pool) allowedLiterals(class string) []grammar.Literal {
-	all := p.gen.ClassLiterals(class)
-	if len(p.steer.ExcludeLiterals) == 0 {
-		return all
+	if lits, ok := p.allowed[class]; ok {
+		return lits
 	}
-	var out []grammar.Literal
-	for _, l := range all {
-		excluded := false
-		for _, excl := range p.steer.ExcludeLiterals {
-			if excl != "" && strings.Contains(l.Text, excl) {
-				excluded = true
-				break
+	lits := p.gen.ClassLiterals(class)
+	if len(p.steer.ExcludeLiterals) > 0 {
+		kept := lits[:0]
+		for _, l := range lits {
+			excluded := false
+			for _, excl := range p.steer.ExcludeLiterals {
+				if excl != "" && strings.Contains(l.Text, excl) {
+					excluded = true
+					break
+				}
+			}
+			if !excluded {
+				kept = append(kept, l)
 			}
 		}
-		if !excluded {
-			out = append(out, l)
-		}
+		lits = kept
 	}
-	return out
+	if p.allowed == nil {
+		p.allowed = map[string][]grammar.Literal{}
+	}
+	p.allowed[class] = lits
+	return lits
 }
 
+// randomUnusedLiteral draws one of the class's allowed literals that is not
+// among used (literals are identified by their line).
 func (p *Pool) randomUnusedLiteral(class string, used []grammar.Literal) (grammar.Literal, bool) {
-	usedLines := map[int]bool{}
-	for _, l := range used {
-		usedLines[l.Line] = true
+	isUsed := func(line int) bool {
+		for _, u := range used {
+			if u.Line == line {
+				return true
+			}
+		}
+		return false
 	}
-	var spare []grammar.Literal
+	var buf [16]grammar.Literal // classes are small; no allocation per draw
+	spare := buf[:0]
 	for _, l := range p.allowedLiterals(class) {
-		if !usedLines[l.Line] {
+		if !isUsed(l.Line) {
 			spare = append(spare, l)
 		}
 	}
@@ -450,13 +464,13 @@ func (p *Pool) randomUnusedLiteral(class string, used []grammar.Literal) (gramma
 }
 
 // Grow runs the guided random walk: it repeatedly applies one of the allowed
-// morphing strategies until n new entries were added (or progress stalls)
-// and returns the new entries.
+// morphing strategies until n new entries were added (or progress stalls, or
+// the pool holds the whole query space) and returns the new entries.
 func (p *Pool) Grow(n int) []*Entry {
 	var added []*Entry
 	stalls := 0
 	strategies := p.steer.allowedStrategies()
-	for len(added) < n && stalls < 3*n+10 && len(p.entries) < p.maxSize {
+	for len(added) < n && stalls < 3*n+10 && len(p.entries) < p.maxSize && !p.full() {
 		strategy := strategies[p.rng.Intn(len(strategies))]
 		var e *Entry
 		var err error

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -278,5 +279,103 @@ func TestSeedRandomRepeatsForASeed(t *testing.T) {
 			t.Fatalf("SeedRandom call %d with seed 42 built a different pool:\n%s\nvs\n%s",
 				call, strings.Join(sqls, "\n"), strings.Join(first, "\n"))
 		}
+	}
+}
+
+// countingSource counts the draws a pool makes from its seeded generator.
+type countingSource struct {
+	src   rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64    { c.draws++; return c.src.Int63() }
+func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
+
+// TestFullPoolStopsAtOnce: once the pool holds the grammar's whole query
+// space (32 sentences for the Figure 1 sample) Grow and SeedRandom return
+// without drawing a single random number, instead of retrying morphs that
+// cannot succeed.
+func TestFullPoolStopsAtOnce(t *testing.T) {
+	p := nationPool(t, Options{Seed: 41})
+	space := p.Generator().Enumeration().Space
+	if _, err := p.SeedRandom(200); err != nil {
+		t.Fatal(err)
+	}
+	p.Grow(200)
+	if uint64(p.Size()) != space {
+		t.Fatalf("pool holds %d of %d sentences after asking for 400", p.Size(), space)
+	}
+
+	counter := &countingSource{src: rand.NewSource(1)}
+	p.rng = rand.New(counter)
+	if added := p.Grow(1000); len(added) != 0 {
+		t.Errorf("Grow on a full pool added %d entries", len(added))
+	}
+	if counter.draws != 0 {
+		t.Errorf("Grow on a full pool drew %d random numbers, want 0", counter.draws)
+	}
+
+	// SeedRandom draws from the generator's own source: a twin pool that never
+	// asked must generate the same next sentence.
+	twin := nationPool(t, Options{Seed: 43})
+	asked := nationPool(t, Options{Seed: 43})
+	for _, q := range []*Pool{twin, asked} {
+		if _, err := q.SeedRandom(200); err != nil {
+			t.Fatal(err)
+		}
+		q.Grow(200)
+		if uint64(q.Size()) != space {
+			t.Fatalf("pool holds %d of %d sentences", q.Size(), space)
+		}
+	}
+	if added, err := asked.SeedRandom(1000); err != nil || len(added) != 0 {
+		t.Errorf("SeedRandom on a full pool: %d entries, err %v", len(added), err)
+	}
+	a, _ := asked.Generator().Generate()
+	b, _ := twin.Generator().Generate()
+	if a.SQL != b.SQL {
+		t.Errorf("SeedRandom on a full pool consumed the generator: next sentences %q vs %q", a.SQL, b.SQL)
+	}
+}
+
+// TestSetSteeringResetsAllowedLiterals: the per-class allowed-literal lists
+// are cached per steering, so replacing the steering must drop them — in
+// both directions.
+func TestSetSteeringResetsAllowedLiterals(t *testing.T) {
+	p := nationPool(t, Options{Seed: 47})
+	if _, err := p.SeedRandom(4); err != nil {
+		t.Fatal(err)
+	}
+	p.Grow(6) // fills the cache with the unrestricted lists
+	p.SetSteering(Steering{ExcludeLiterals: []string{"n_comment"}})
+	for _, e := range p.Grow(8) {
+		if strings.Contains(e.SQL, "n_comment") {
+			t.Errorf("excluded literal appeared after SetSteering in %q", e.SQL)
+		}
+	}
+	if got := len(p.allowedLiterals("l_column")); got != 3 {
+		t.Errorf("%d l_column literals allowed under the exclude list, want 3", got)
+	}
+	p.SetSteering(Steering{})
+	if got := len(p.allowedLiterals("l_column")); got != 4 {
+		t.Errorf("%d l_column literals allowed after the list was lifted, want 4", got)
+	}
+}
+
+// TestMorphFromLargestTemplateFailsFast: the baseline is the largest template
+// and uses every literal, so it has no expansion and no alteration; both
+// report that without drawing.
+func TestMorphFromLargestTemplateFailsFast(t *testing.T) {
+	p := nationPool(t, Options{Seed: 53})
+	counter := &countingSource{src: rand.NewSource(1)}
+	p.rng = rand.New(counter)
+	if e, err := p.ExpandFrom(p.Baseline()); err == nil {
+		t.Errorf("expanded the largest template into %q", e.SQL)
+	}
+	if e, err := p.AlterFrom(p.Baseline()); err == nil {
+		t.Errorf("altered a sentence that uses every literal into %q", e.SQL)
+	}
+	if counter.draws != 0 {
+		t.Errorf("%d random numbers drawn for morphs that have no candidate", counter.draws)
 	}
 }

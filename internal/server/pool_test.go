@@ -1,0 +1,153 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"sqalpel/internal/derive"
+	"sqalpel/internal/pool"
+	"sqalpel/internal/workload"
+)
+
+// TestPoolRecordsRepeat: the records of one pool — and so the WAL bytes of
+// ReplaceQueries and the pool page — are the same on every call; terms come
+// in sorted class order, then injection order.
+func TestPoolRecordsRepeat(t *testing.T) {
+	q1, _ := workload.TPCHQuery("Q1")
+	g, err := derive.FromSQL(q1.SQL, derive.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := pool.New(g, pool.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Grow(40)
+	first := poolRecords(pl)
+	for i := 0; i < 20; i++ {
+		if again := poolRecords(pl); !reflect.DeepEqual(first, again) {
+			t.Fatalf("call %d of poolRecords differs from the first", i+2)
+		}
+	}
+	base := pl.Baseline().Sentence()
+	if len(base.Literals) < 3 {
+		t.Fatalf("baseline draws from %d classes; the order is not exercised", len(base.Literals))
+	}
+	var want []string
+	classes := make([]string, 0, len(base.Literals))
+	for c := range base.Literals {
+		classes = append(classes, c)
+	}
+	sort.Strings(classes)
+	for _, c := range classes {
+		for _, l := range base.Literals[c] {
+			want = append(want, l.Text)
+		}
+	}
+	if !reflect.DeepEqual(first[0].Terms, want) {
+		t.Errorf("baseline terms = %q, want sorted class order %q", first[0].Terms, want)
+	}
+}
+
+// TestConcurrentGrowRequests: grow requests on one experiment arriving
+// together are serialised — each is steering + growth + ReplaceQueries on a
+// pool that is not safe for concurrent mutation — both on the pool the
+// experiment was created with and on the one a restarted server rebuilds.
+// Run under -race; the stored pool must end gap-free and duplicate-free.
+func TestConcurrentGrowRequests(t *testing.T) {
+	c, s := newTestClient(t)
+	c.token = c.register("owner", "owner@example.org")
+	status, resp := c.do("POST", "/api/projects", map[string]any{"name": "q1-space", "public": true})
+	if status != http.StatusCreated {
+		t.Fatalf("create project = %d %v", status, resp)
+	}
+	pid := int(resp["project"].(map[string]any)["id"].(float64))
+	q1, _ := workload.TPCHQuery("Q1")
+	status, resp = c.do("POST", fmt.Sprintf("/api/projects/%d/experiments", pid), map[string]any{
+		"title": "q1", "baseline_sql": q1.SQL,
+	})
+	if status != http.StatusCreated {
+		t.Fatalf("create experiment = %d %v", status, resp)
+	}
+	eid := int(resp["experiment_id"].(float64))
+
+	// A second server over the same store: it has no live pool and rebuilds
+	// one from the stored grammar. Sessions live in the server, the owner in
+	// the store, so the owner logs in again.
+	restarted := &testClient{t: t, srv: httptest.NewServer(New(Options{Store: s.Store()}))}
+	t.Cleanup(restarted.srv.Close)
+	status, resp = restarted.do("POST", "/api/login", map[string]string{"nickname": "owner", "email": "owner@example.org"})
+	if status != http.StatusOK {
+		t.Fatalf("login on the restarted server = %d %v", status, resp)
+	}
+	restarted.token = resp["token"].(string)
+
+	for _, side := range []struct {
+		name   string
+		client *testClient
+	}{{"created", c}, {"rebuilt", restarted}} {
+		name, url, token := side.name, side.client.srv.URL, side.client.token
+		bodies := []map[string]any{
+			{"count": 25},
+			{"count": 25, "exclude": []string{"avg_price"}},
+			{"count": 10, "random": 5, "strategies": []string{"alter", "prune"}},
+		}
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		largest := 0 // the largest query_count a request reported
+		for _, body := range bodies {
+			payload, _ := json.Marshal(body)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req, err := http.NewRequest("POST", fmt.Sprintf("%s/api/projects/%d/experiments/%d/grow", url, pid, eid), bytes.NewReader(payload))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				req.Header.Set("Content-Type", "application/json")
+				req.Header.Set("X-Sqalpel-Token", token)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var out struct {
+					QueryCount int `json:"query_count"`
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("%s: grow = %d, %v", name, resp.StatusCode, err)
+				}
+				mu.Lock()
+				largest = max(largest, out.QueryCount)
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+
+		queries := s.Store().Project(pid).Experiment(eid).Queries
+		// The request that ran last stored the whole pool; the unrestricted
+		// one alone adds 25 (what the steered ones add depends on their turn).
+		if len(queries) != largest || largest < 1+25 {
+			t.Errorf("%s: %d queries stored, the requests reported up to %d", name, len(queries), largest)
+		}
+		seen := map[string]bool{}
+		for i, q := range queries {
+			if q.ID != i+1 {
+				t.Fatalf("%s: query %d has id %d; the sequence has a gap or a repeat", name, i, q.ID)
+			}
+			if seen[q.SQL] {
+				t.Fatalf("%s: duplicate query %q", name, q.SQL)
+			}
+			seen[q.SQL] = true
+		}
+	}
+}

@@ -34,8 +34,8 @@ type Server struct {
 	catalog *catalog.Catalog
 
 	mu       sync.Mutex
-	sessions map[string]string     // token -> nickname
-	pools    map[string]*pool.Pool // "projectID:experimentID" -> live pool
+	sessions map[string]string    // token -> nickname
+	pools    map[string]*livePool // "projectID:experimentID" -> live pool
 
 	mux *http.ServeMux
 }
@@ -56,7 +56,7 @@ func New(opts Options) *Server {
 		store:    opts.Store,
 		catalog:  opts.Catalog,
 		sessions: map[string]string{},
-		pools:    map[string]*pool.Pool{},
+		pools:    map[string]*livePool{},
 		mux:      http.NewServeMux(),
 	}
 	if s.store == nil {
@@ -475,7 +475,7 @@ func (s *Server) handleAddExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	s.pools[poolKey(id, exp.ID)] = pl
+	s.pools[poolKey(id, exp.ID)] = &livePool{pool: pl}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"experiment_id": exp.ID,
@@ -488,12 +488,16 @@ func poolKey(projectID, experimentID int) string {
 	return fmt.Sprintf("%d:%d", projectID, experimentID)
 }
 
+// poolRecords renders the pool as the repository stores it. A query's terms
+// are its literals in sorted class order, then injection order, so the same
+// pool always yields the same records (and the same WAL bytes).
 func poolRecords(pl *pool.Pool) []repository.QueryRecord {
 	var out []repository.QueryRecord
 	for _, e := range pl.Entries() {
+		sent := e.Sentence()
 		var terms []string
-		for _, lits := range e.Sentence().Literals {
-			for _, l := range lits {
+		for _, class := range sent.Template.Classes() {
+			for _, l := range sent.Literals[class] {
 				terms = append(terms, l.Text)
 			}
 		}
@@ -505,29 +509,41 @@ func poolRecords(pl *pool.Pool) []repository.QueryRecord {
 	return out
 }
 
-// livePool returns the in-memory pool of an experiment, rebuilding it from
-// the stored grammar when the server was restarted since the experiment was
-// created.
-func (s *Server) livePool(p *repository.Project, exp *repository.Experiment) (*pool.Pool, error) {
-	key := poolKey(p.ID, exp.ID)
+// livePool is the in-memory pool of one experiment. A pool.Pool is not safe
+// for concurrent mutation, and a grow request is a steering change, growth
+// and a ReplaceQueries of the whole pool that must reach the store in the
+// order they happened: mu serialises the requests of one experiment.
+type livePool struct {
+	mu   sync.Mutex
+	pool *pool.Pool // nil until the first request after a restart rebuilds it
+}
+
+// livePool returns the experiment's live pool record, creating an empty one
+// when the server was restarted since the experiment was created; the
+// caller locks it and calls rebuild before use.
+func (s *Server) livePool(projectID, experimentID int) *livePool {
+	key := poolKey(projectID, experimentID)
 	s.mu.Lock()
-	pl, ok := s.pools[key]
-	s.mu.Unlock()
-	if ok {
-		return pl, nil
+	defer s.mu.Unlock()
+	lp := s.pools[key]
+	if lp == nil {
+		lp = &livePool{}
+		s.pools[key] = lp
+	}
+	return lp
+}
+
+// rebuild restores the pool from the stored grammar; lp.mu is held.
+func (lp *livePool) rebuild(p *repository.Project, exp *repository.Experiment) error {
+	if lp.pool != nil {
+		return nil
 	}
 	g, err := grammar.Parse(exp.GrammarText)
 	if err != nil {
-		return nil, fmt.Errorf("stored grammar does not parse: %w", err)
+		return fmt.Errorf("stored grammar does not parse: %w", err)
 	}
-	pl, err = pool.New(g, pool.Options{Seed: int64(p.ID)*1000 + 7})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.pools[key] = pl
-	s.mu.Unlock()
-	return pl, nil
+	lp.pool, err = pool.New(g, pool.Options{Seed: int64(p.ID)*1000 + 7})
+	return err
 }
 
 func (s *Server) handleGrowPool(w http.ResponseWriter, r *http.Request) {
@@ -566,11 +582,14 @@ func (s *Server) handleGrowPool(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %d", eid))
 		return
 	}
-	pl, err := s.livePool(p, exp)
-	if err != nil {
+	lp := s.livePool(id, eid)
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	if err := lp.rebuild(p, exp); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	pl := lp.pool
 	var strategies []pool.Strategy
 	for _, st := range req.Strategies {
 		strategies = append(strategies, pool.Strategy(st))
