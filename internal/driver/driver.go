@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -179,7 +180,14 @@ func (c *Client) post(path string, body any, out any) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
+	// The body is drained on every path before it is closed: net/http only
+	// returns a connection to the pool when its response was read to EOF, so
+	// a reply left unread (the 201 of a report, whose JSON nobody needs)
+	// would cost the next request a new TCP connection.
+	defer func() {
+		_, _ = io.Copy(io.Discard, resp.Body) // best effort: a failed drain only costs the connection
+		resp.Body.Close()
+	}()
 	if resp.StatusCode == http.StatusNoContent {
 		return resp.StatusCode, nil
 	}

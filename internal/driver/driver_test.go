@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,5 +355,52 @@ func TestParseConfigWorkersAndBatch(t *testing.T) {
 	}
 	if _, err := ParseConfig("server = s\nkey = k\ndbms = d\nplatform = p\nexperiment = 1\nbatch = -1\n"); err == nil {
 		t.Error("negative batch should be rejected")
+	}
+}
+
+// TestReportsReuseConnections pins that the client reads every reply to its
+// end: net/http only puts a connection back into its pool then. The 201 of a
+// report carries a JSON body nobody decodes, and closing it unread used to
+// cost every completion a new TCP connection.
+func TestReportsReuseConnections(t *testing.T) {
+	var leased, opened atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /api/task/request", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Max int `json:"max"`
+		}
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		var tasks []map[string]any
+		for i := 0; i < req.Max; i++ {
+			tasks = append(tasks, map[string]any{"id": leased.Add(1), "sql": "SELECT 1"})
+		}
+		_ = json.NewEncoder(w).Encode(map[string]any{"tasks": tasks})
+	})
+	mux.HandleFunc("POST /api/task/complete", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusCreated)
+		_ = json.NewEncoder(w).Encode(map[string]any{"id": 1, "seconds": []float64{0.1}, "dbms_key": "x-1"})
+	})
+	ts := httptest.NewUnstartedServer(mux)
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	client, err := NewClient(Config{Server: ts.URL, Key: "k", DBMS: "x-1", Platform: "p", Experiment: 1, Runs: 1, Timeout: 5 * time.Second, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := metrics.TargetFunc(func(query string) (int, map[string]string, error) { return 1, nil, nil })
+	n, err := client.RunAll(target, 40)
+	if err != nil || n != 40 {
+		t.Fatalf("RunAll processed %d tasks: %v", n, err)
+	}
+	// Two workers report at once, and a lease may find both of their
+	// connections still busy: three at most, not one per report.
+	if got := opened.Load(); got > 3 {
+		t.Errorf("40 tasks on 2 workers opened %d connections, want at most 3", got)
 	}
 }

@@ -4,21 +4,24 @@
 // live pointers under the lock but marshalled them after releasing it, so
 // concurrent mutators raced the encoder. The repository's rule since PR 7
 // is that serialisation and disk writes under a write lock happen only at
-// the two blessed seams — the WAL append path (logApply/metaLogApply:
+// the one blessed seam — the WAL append path (logApply/metaLogApply:
 // durability *requires* append+fsync under the same lock as the in-memory
-// apply, so log order equals apply order) and the checkpoint path (the
-// snapshot slices alias live objects, so marshalling must not outlive the
-// lock). Anywhere else, I/O under a write lock is either a latency bug
-// (every reader of the shard stalls behind an fsync) or the PR 5 race
-// reborn with the lock on the wrong side.
+// apply, so log order equals apply order). The checkpoint path used to be a
+// second one, marshalling the whole partition under its lock because the
+// snapshot aliased live objects; it now captures an image no mutation can
+// reach under the lock and encodes and writes it after the unlock, and only
+// the final swap of the compacted log keeps an annotated critical section.
+// Anywhere else, I/O under a write lock is either a latency bug (every
+// reader of the shard stalls behind an fsync) or the PR 5 race reborn with
+// the lock on the wrong side.
 //
 // The analyzer tracks Lock/Unlock calls in source order (defer Unlock
 // keeps the lock to the end) and flags I/O performed while a write lock
 // *acquired in the same function* is held. It matches both direct stdlib
 // I/O (encoding/json Marshal family, os file operations) and calls to
 // package-local functions that themselves perform direct I/O — one hop,
-// so helpers like writeFileAtomic and checkpointPartition count as I/O at
-// their call sites. Helpers that run entirely under a caller-held lock
+// so helpers like writeAtomic and swapLogLocked count as I/O at their call
+// sites. Helpers that run entirely under a caller-held lock
 // (the repository's "Locked" suffix / "mu held" doc convention) are
 // checked at the call that enters the critical section, not line by line
 // inside — one annotation at the seam's entry documents the whole
@@ -46,7 +49,7 @@ const Token = "iolocked"
 var Analyzer = &analysis.Analyzer{
 	Name: "lockmarshal",
 	Doc: "flag json.Marshal / file I/O / fsync while a write lock is held in internal/repository " +
-		"outside the blessed WAL and checkpoint seams; suppress with //lint:iolocked <reason>",
+		"outside the blessed WAL seam; suppress with //lint:iolocked <reason>",
 	Run: run,
 }
 
@@ -87,7 +90,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// First pass: package-local functions that perform direct I/O become
 	// I/O callees themselves (one hop, no fixpoint — enough to catch
-	// writeFileAtomic/checkpointPartition-style helpers without tainting
+	// writeAtomic/swapLogLocked-style helpers without tainting
 	// every mutator that calls logApply).
 	localIO := map[string]bool{}
 	for _, file := range pass.Files {

@@ -33,9 +33,11 @@ import (
 // be stable across runs), the discriminative ranking (findings must not
 // depend on iteration order), and the grammar generator and query pool (a
 // seed must realise the same sentences and grow the same pool every time —
-// Generator.realize once shuffled its literal classes in map order), and the
+// Generator.realize once shuffled its literal classes in map order), the
 // server (what it hands the repository becomes WAL bytes and pages —
-// poolRecords once emitted a query's terms in map order).
+// poolRecords once emitted a query's terms in map order), and the repository
+// (its shards keep projects and tasks in maps and write them to snapshots —
+// two checkpoints of one state once differed byte for byte).
 var Markers = []string{
 	"internal/plan",
 	"internal/trace",
@@ -44,6 +46,7 @@ var Markers = []string{
 	"internal/grammar",
 	"internal/pool",
 	"internal/server",
+	"internal/repository",
 }
 
 // Token is the suppression token: //lint:ordered <reason>.
@@ -51,7 +54,7 @@ const Token = "ordered"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "mapiterdet",
-	Doc: "flag map iteration in determinism-critical packages (plan, trace, fuzzdiff, discriminative, grammar, pool, server) " +
+	Doc: "flag map iteration in determinism-critical packages (plan, trace, fuzzdiff, discriminative, grammar, pool, server, repository) " +
 		"unless the body is an order-insensitive set build, a collect-then-sort, or carries //lint:ordered <reason>",
 	Run: run,
 }

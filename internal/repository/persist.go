@@ -1,13 +1,17 @@
 package repository
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -25,10 +29,13 @@ import (
 //
 // Snapshot files are written atomically (temp file + rename) and named by
 // the log sequence number they cover, so replay skips records a snapshot
-// already contains. Checkpoints keep the two newest snapshots per
-// partition and rewrite the log down to the records the older one still
-// needs — a corrupt newest snapshot therefore falls back to the previous
-// one plus a longer replay. Generations make shard-count changes and
+// already contains. A snapshot is one JSON object, streamed element by
+// element in both directions (encode, decodeSnapshot) so neither side ever
+// holds the document as bytes; older snapshots, written indented and in one
+// piece, are the same object and load the same way. Checkpoints keep the
+// two newest snapshots per partition and rewrite the log down to the
+// records the older one still needs — a corrupt newest snapshot therefore
+// falls back to the previous one plus a longer replay. Generations make shard-count changes and
 // legacy migration crash-safe: a new layout is written completely before
 // CURRENT flips to it, and stale generations are pruned afterwards.
 // A pre-WAL store (a single <dir>/sqalpel.json) is detected when no
@@ -55,6 +62,145 @@ type snapshot struct {
 	// records with lsn <= WALLSN. Zero for legacy stores and fresh
 	// generations.
 	WALLSN uint64 `json:"wal_lsn,omitempty"`
+}
+
+// encode streams the snapshot as one compact JSON object: each list as an
+// array written element by element, then the scalar fields.
+func (snap snapshot) encode(w *bufio.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false) // pools are SQL, full of < and >
+	w.WriteByte('{')
+	err := errors.Join(
+		encodeList(w, enc, "users", snap.Users),
+		encodeList(w, enc, "projects", snap.Projects),
+		encodeList(w, enc, "results", snap.Results),
+		encodeList(w, enc, "comments", snap.Comments),
+		encodeList(w, enc, "tasks", snap.Tasks),
+	)
+	if err != nil {
+		return err
+	}
+	// With the lists gone (snap is a copy) what marshals is the object of
+	// the scalar fields; saved_at is always in it, so it is never empty.
+	snap.Users, snap.Projects, snap.Results, snap.Comments, snap.Tasks = nil, nil, nil, nil, nil
+	scalars, err := json.Marshal(snap)
+	if err != nil {
+		return err
+	}
+	w.Write(scalars[1:])
+	return w.Flush() // a bufio.Writer keeps its first write error for Flush
+}
+
+// encodeList writes `"name":[…],`, or nothing for an empty list.
+func encodeList[T any](w *bufio.Writer, enc *json.Encoder, name string, list []*T) error {
+	if len(list) == 0 {
+		return nil
+	}
+	fmt.Fprintf(w, "%q:[", name)
+	for i, v := range list {
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		if err := enc.Encode(v); err != nil {
+			return fmt.Errorf("encoding %s: %w", name, err)
+		}
+	}
+	w.WriteString("],")
+	return nil
+}
+
+// decodeSnapshot reads a snapshot object, compact or indented, decoding the
+// lists element by element. Nothing is returned of a document that does not
+// parse to its end, so a torn snapshot is never half-adopted.
+func decodeSnapshot(r io.Reader) (snapshot, error) {
+	var snap snapshot
+	dec := json.NewDecoder(r)
+	if err := expectDelim(dec, '{'); err != nil {
+		return snapshot{}, err
+	}
+	scalars := map[string]json.RawMessage{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return snapshot{}, err
+		}
+		switch key, _ := tok.(string); key {
+		case "users":
+			err = decodeList(dec, &snap.Users)
+		case "projects":
+			err = decodeList(dec, &snap.Projects)
+		case "results":
+			err = decodeList(dec, &snap.Results)
+		case "comments":
+			err = decodeList(dec, &snap.Comments)
+		case "tasks":
+			err = decodeList(dec, &snap.Tasks)
+		default:
+			var v json.RawMessage
+			err = dec.Decode(&v)
+			scalars[key] = v
+		}
+		if err != nil {
+			return snapshot{}, err
+		}
+	}
+	if err := expectDelim(dec, '}'); err != nil {
+		return snapshot{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return snapshot{}, fmt.Errorf("data after the snapshot object")
+	}
+	// The scalar fields go through the struct tags, like the lists would
+	// have; the lists are not in this object and stay as decoded.
+	raw, err := json.Marshal(scalars)
+	if err == nil {
+		err = json.Unmarshal(raw, &snap)
+	}
+	if err != nil {
+		return snapshot{}, err
+	}
+	return snap, nil
+}
+
+func expectDelim(dec *json.Decoder, want json.Delim) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if d, ok := tok.(json.Delim); !ok || d != want {
+		return fmt.Errorf("expected %q, found %v", want, tok)
+	}
+	return nil
+}
+
+// decodeList reads one JSON array (or null) of objects into dst.
+func decodeList[T any](dec *json.Decoder, dst *[]*T) error {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return err
+	}
+	if d, ok := tok.(json.Delim); !ok || d != '[' {
+		return fmt.Errorf("expected an array, found %v", tok)
+	}
+	for dec.More() {
+		v := new(T)
+		if err := dec.Decode(v); err != nil {
+			return err
+		}
+		*dst = append(*dst, v)
+	}
+	_, err = dec.Token()
+	return err
+}
+
+// readSnapshot loads one snapshot file.
+func readSnapshot(path string) (snapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return snapshot{}, err
+	}
+	defer f.Close()
+	return decodeSnapshot(bufio.NewReader(f))
 }
 
 const (
@@ -131,26 +277,35 @@ func partitionNames(genDir string) []string {
 	return parts
 }
 
-// writeFileAtomic writes data via a temp file + rename and fsyncs both the
-// file and (best effort) the containing directory.
-func writeFileAtomic(path string, data []byte) error {
+// createFile opens the files persistence writes whole — snapshot and log
+// temporaries, CURRENT — truncating what is there. It is the Store.create
+// seam; tests substitute sinks that block or report each step.
+func createFile(path string) (walSink, error) { return openSinkFile(path, os.O_TRUNC) }
+
+// writeAtomic writes a file via a temp file + rename: fill streams the
+// content, which is fsynced before the rename and the directory (best
+// effort) after it.
+func writeAtomic(create walSinkFactory, path string, fill func(w *bufio.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	w := bufio.NewWriterSize(f, 64<<10)
+	if err = fill(w); err == nil {
+		err = w.Flush()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: a stale temporary is ignored by recovery
 		return err
 	}
 	syncDir(filepath.Dir(path))
@@ -166,9 +321,32 @@ func syncDir(dir string) {
 	}
 }
 
-// metaSnapshotLocked builds the meta partition's image; metaMu held. The
-// global id counters ride in the meta snapshot.
-func (s *Store) metaSnapshotLocked() snapshot {
+// partition is what persistence needs of the meta partition or of a shard.
+type partition struct {
+	name string
+	mu   *sync.RWMutex
+	// wal points at the partition's log writer field, nil while none is
+	// attached; read with mu held.
+	wal **walWriter
+	// capture returns the partition's image; mu held, shared or exclusive.
+	// The image shares nothing with the partition that a later mutation can
+	// reach, so it is encoded after mu is released.
+	capture func() snapshot
+}
+
+// partitions lists the meta partition and the shards.
+func (s *Store) partitions() []partition {
+	parts := []partition{{partMeta, &s.metaMu, &s.metaWAL, s.captureMetaLocked}}
+	for i, sh := range s.shards {
+		parts = append(parts, partition{shardPartName(i), &sh.mu, &sh.wal, sh.captureLocked})
+	}
+	return parts
+}
+
+// captureMetaLocked builds the meta partition's image; metaMu held. Users
+// are copied by value and emitted by nickname; the global id counters ride
+// in the meta snapshot.
+func (s *Store) captureMetaLocked() snapshot {
 	snap := snapshot{
 		NextProjectID:      s.nextProjectID,
 		NextResultID:       int(s.nextResultID.Load()) + 1,
@@ -180,8 +358,13 @@ func (s *Store) metaSnapshotLocked() snapshot {
 	if s.metaWAL != nil {
 		snap.WALLSN = s.metaWAL.lsn
 	}
+	users := make([]User, 0, len(s.users))
 	for _, u := range s.users {
-		snap.Users = append(snap.Users, u)
+		users = append(users, *u)
+	}
+	sort.Slice(users, func(i, j int) bool { return users[i].Nickname < users[j].Nickname })
+	for i := range users {
+		snap.Users = append(snap.Users, &users[i])
 	}
 	return snap
 }
@@ -219,15 +402,22 @@ func (s *Store) applyMeta(rec walRecord) error {
 }
 
 // Save persists the store to dir. On the store's own data directory (a
-// store opened with Open) it runs a checkpoint: every partition snapshots
-// its state under its own lock and compacts its log — there is no
-// stop-the-world pass over the whole store. On any other directory (or an
-// in-memory store) it exports a complete new generation of snapshots.
+// store opened with Open) it runs a checkpoint: every partition is
+// snapshotted and its log compacted, one partition at a time and mostly
+// without its lock — there is no stop-the-world pass over the whole store.
+// On any other directory (or an in-memory store) it exports a complete new
+// generation of snapshots.
 func (s *Store) Save(dir string) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	if s.dir != "" && filepath.Clean(dir) == filepath.Clean(s.dir) {
-		return s.checkpointLocked()
+		for _, pt := range s.partitions() {
+			//lint:iolocked persistMu serialises whole-store persistence only (no reader or mutator ever takes it)
+			if err := s.checkpointPartition(pt); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	//lint:iolocked persistMu serialises whole-store persistence only (no reader ever takes it); the export must not interleave with another Save
 	_, err := s.writeGeneration(dir, nil)
@@ -243,49 +433,31 @@ func (s *Store) Checkpoint() error {
 	return s.Save(s.dir)
 }
 
-// checkpointLocked snapshots and compacts each partition in place, one
-// partition lock at a time; persistMu held.
-func (s *Store) checkpointLocked() error {
-	// Meta partition.
-	s.metaMu.Lock()
-	//lint:iolocked checkpoint seam: the snapshot aliases live objects, so marshal+swap must finish under the partition lock
-	err := checkpointPartition(s.gen, partMeta, s.metaSnapshotLocked(), s.metaWAL, s.sinks, s.logf)
-	s.metaMu.Unlock()
-	if err != nil {
-		return err
-	}
-	// Shards.
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		//lint:iolocked checkpoint seam: the snapshot aliases live objects, so marshal+swap must finish under the shard lock
-		err := checkpointPartition(s.gen, shardPartName(i), sh.snapshotLocked(), sh.wal, s.sinks, s.logf)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// checkpointPartition writes a snapshot of one partition, prunes old
+// snapshots down to keepSnapshots, and rewrites the log to the records the
+// oldest retained snapshot still needs; persistMu held. The partition's lock
+// is held twice, briefly. Shared, to capture: an image at one LSN that no
+// mutation can reach afterwards (partition.capture) — which is what lets the
+// encoding, the snapshot's write and fsync, and the bulk of the compaction
+// run with the partition fully available; the PR 5 race was encoding live
+// objects without the lock, here nothing live is encoded. Exclusive, at the
+// end, to carry over the few records appended in the meantime and swap the
+// log (swapLogLocked).
+func (s *Store) checkpointPartition(pt partition) error {
+	pt.mu.RLock()
+	snap := pt.capture()
+	healthy := *pt.wal == nil || (*pt.wal).broken == nil
+	pt.mu.RUnlock()
 
-// checkpointPartition writes a snapshot of one partition at its current
-// LSN, prunes old snapshots down to keepSnapshots, and rewrites the log to
-// the records the oldest retained snapshot still needs. The partition lock
-// is held throughout, so no append can interleave with the log rewrite;
-// other partitions stay fully available. Marshalling happens under the
-// lock too — the snapshot slices alias the live objects.
-func checkpointPartition(genDir, part string, snap snapshot, wal *walWriter, sinks walSinkFactory, logf func(string, ...any)) error {
-	data, err := json.MarshalIndent(snap, "", "  ")
+	err := writeAtomic(s.create, snapPath(s.gen, pt.name, snap.WALLSN), snap.encode)
 	if err != nil {
-		return fmt.Errorf("encoding %s snapshot: %w", part, err)
-	}
-	if err := writeFileAtomic(snapPath(genDir, part, snap.WALLSN), data); err != nil {
-		return fmt.Errorf("writing %s snapshot: %w", part, err)
+		return fmt.Errorf("writing %s snapshot: %w", pt.name, err)
 	}
 	// Prune snapshots beyond the retention window.
-	lsns := partSnapshots(genDir, part)
+	lsns := partSnapshots(s.gen, pt.name)
 	for i, lsn := range lsns {
 		if i >= keepSnapshots {
-			_ = os.Remove(snapPath(genDir, part, lsn))
+			_ = os.Remove(snapPath(s.gen, pt.name, lsn))
 		}
 	}
 	// Compact the log: keep every record the oldest retained snapshot may
@@ -297,44 +469,96 @@ func checkpointPartition(genDir, part string, snap snapshot, wal *walWriter, sin
 		}
 		keepAfter = lsns[n-1]
 	}
-	path := walPath(genDir, part)
+	path := walPath(s.gen, pt.name)
+	// Appends go on while this reads; every record up to the captured LSN
+	// was complete before the capture.
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("reading %s wal for compaction: %w", part, err)
+		return fmt.Errorf("reading %s wal for compaction: %w", pt.name, err)
 	}
-	var kept []byte
-	for _, rec := range decodeWAL(raw, part+".wal", logf) {
-		if rec.LSN <= keepAfter {
-			continue
-		}
-		frame, err := frameRecord(rec)
-		if err != nil {
-			return err
-		}
-		kept = append(kept, frame...)
-	}
-	if len(kept) == len(raw) && (wal == nil || wal.broken == nil) {
+	var walk frameWalk
+	from, to := walk.span(raw, keepAfter, snap.WALLSN)
+	if from == 0 && healthy {
 		return nil // nothing to drop; keep the append handle as is
 	}
-	if wal != nil && wal.sink != nil {
-		if err := wal.sink.Close(); err != nil {
-			return fmt.Errorf("closing %s wal: %w", part, err)
-		}
+	tmp, err := s.create(path + ".tmp")
+	if err != nil {
+		return fmt.Errorf("rewriting %s wal: %w", pt.name, err)
 	}
-	if err := writeFileAtomic(path, kept); err != nil {
-		return fmt.Errorf("rewriting %s wal: %w", part, err)
+	if _, err = tmp.Write(raw[from:to]); err == nil {
+		err = tmp.Sync()
 	}
-	if wal != nil {
-		sink, err := sinks(path)
-		if err != nil {
-			return fmt.Errorf("reopening %s wal: %w", part, err)
-		}
-		wal.sink = sink
-		// The rewrite kept exactly the records that were provably intact, so
-		// a partition disabled by a failed append is healthy again.
-		wal.broken = nil
+	if err == nil {
+		pt.mu.Lock()
+		//lint:iolocked log swap seam: no append may land between reading the log's tail and the rename, so the tail copy, its fsync and the swap of the sink run under the partition lock
+		err = s.swapLogLocked(pt, path, tmp, walk)
+		pt.mu.Unlock()
+	}
+	if err != nil {
+		_ = tmp.Close()              // twice on some paths; the error that counts is err
+		_ = os.Remove(path + ".tmp") // best effort: a stale temporary is ignored by recovery
+		return fmt.Errorf("rewriting %s wal: %w", pt.name, err)
 	}
 	return nil
+}
+
+// swapLogLocked finishes a compaction; the partition's lock is held
+// exclusively, so the log is still. It appends to tmp the records written
+// since the compaction read the log (walk stands behind the last one it
+// took), makes tmp durable, renames it over the log and moves the writer to
+// a sink on the new file. Only records the writer acknowledged are carried
+// over, so a partition disabled by a failed append is healthy again: what
+// the rewrite kept is exactly what was provably intact.
+func (s *Store) swapLogLocked(pt partition, path string, tmp walSink, walk frameWalk) error {
+	w := *pt.wal
+	if w == nil {
+		return fmt.Errorf("the log was detached during the checkpoint")
+	}
+	tail, err := readFrom(path, walk.off)
+	if err != nil {
+		return err
+	}
+	from, to := walk.span(tail, 0, w.lsn)
+	if _, err := tmp.Write(tail[from:to]); err != nil {
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	_ = w.sink.Close() // the file behind it is unlinked; nothing in it counts any more
+	sink, err := s.sinks(path)
+	if err != nil {
+		// The log on disk is whole; without a handle on it the partition
+		// refuses appends until the next checkpoint opens one.
+		w.broken = err
+		return fmt.Errorf("reopening the log: %w", err)
+	}
+	w.sink, w.broken = sink, nil
+	return nil
+}
+
+// readFrom returns what a file holds from offset off on; a missing file
+// holds nothing.
+func readFrom(path string, off int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	defer f.Close()
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return io.ReadAll(f)
 }
 
 // writeGeneration exports the full store as a brand-new generation in dir
@@ -362,41 +586,26 @@ func (s *Store) writeGeneration(dir string, attach func(part, walFile string) er
 		return "", fmt.Errorf("creating generation directory: %w", err)
 	}
 
-	write := func(part string, snap snapshot) error {
+	for _, pt := range s.partitions() {
+		pt.mu.RLock()
+		snap := pt.capture()
+		pt.mu.RUnlock()
 		snap.WALLSN = 0
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding %s snapshot: %w", part, err)
-		}
-		if err := writeFileAtomic(snapPath(genDir, part, 0), data); err != nil {
-			return fmt.Errorf("writing %s snapshot: %w", part, err)
+		if err := writeAtomic(s.create, snapPath(genDir, pt.name, 0), snap.encode); err != nil {
+			return "", fmt.Errorf("writing %s snapshot: %w", pt.name, err)
 		}
 		if attach != nil {
-			if err := attach(part, walPath(genDir, part)); err != nil {
-				return err
+			if err := attach(pt.name, walPath(genDir, pt.name)); err != nil {
+				return "", err
 			}
 		}
-		return nil
 	}
 
-	s.metaMu.RLock()
-	metaSnap := s.metaSnapshotLocked()
-	err := write(partMeta, metaSnap)
-	s.metaMu.RUnlock()
+	err := writeAtomic(s.create, filepath.Join(dir, currentFile), func(w *bufio.Writer) error {
+		_, err := w.WriteString(genName + "\n")
+		return err
+	})
 	if err != nil {
-		return "", err
-	}
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		snap := sh.snapshotLocked()
-		err := write(shardPartName(i), snap)
-		sh.mu.RUnlock()
-		if err != nil {
-			return "", err
-		}
-	}
-
-	if err := writeFileAtomic(filepath.Join(dir, currentFile), []byte(genName+"\n")); err != nil {
 		return "", fmt.Errorf("writing CURRENT: %w", err)
 	}
 	// The new generation is authoritative; prune everything stale.

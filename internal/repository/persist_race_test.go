@@ -1,10 +1,16 @@
 package repository
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sqalpel/internal/trace"
 )
@@ -163,10 +169,12 @@ func TestTraceSurvivesSaveLoad(t *testing.T) {
 // TestCheckpointConcurrentWithMutators is the sharded-durable-store version
 // of the stampede above: drivers hammer several projects (hence several
 // shards and several WALs) while checkpoints snapshot and compact each
-// partition in place. Run with -race this pins that marshalling still
-// happens under the partition locks and that the WAL append path does not
-// race with compaction's sink swap. The store must recover completely
-// afterwards.
+// partition in place, encoding each image with the partition's lock
+// released. Run with -race this pins that the image a checkpoint captures
+// shares nothing a mutator writes — results hidden and unhidden, leases
+// granted, completed and expired while the encoder runs — and that the WAL
+// append path does not race with compaction's sink swap. The store must
+// recover completely afterwards.
 func TestCheckpointConcurrentWithMutators(t *testing.T) {
 	dir := t.TempDir()
 	s, err := open(dir, 4, quietLogf, nosyncFactory)
@@ -197,19 +205,61 @@ func TestCheckpointConcurrentWithMutators(t *testing.T) {
 		if err := s.ReplaceQueries("martin", p.ID, e.ID, qs); err != nil {
 			t.Fatal(err)
 		}
+		// Something to moderate from the first checkpoint on.
+		if _, err := s.AddResult(p.Contributors[0].Key, e.ID, 1, "vektor-1.0", "seeded", []float64{0.05}, "", nil); err != nil {
+			t.Fatal(err)
+		}
 		targets = append(targets, target{p.ID, e.ID, p.Contributors[0].Key})
 	}
 
+	// The clock can jump past every lease's deadline, from any goroutine.
+	var skew atomic.Int64
+	s.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+
 	const rounds = 40
 	var wg sync.WaitGroup
-	wg.Add(len(targets) + 2)
+	wg.Add(len(targets) + 4)
+	checkpointsDone := make(chan struct{})
 	go func() {
 		defer wg.Done()
+		defer close(checkpointsDone)
 		for i := 0; i < rounds; i++ {
 			if err := s.Checkpoint(); err != nil {
 				t.Errorf("Checkpoint: %v", err)
 				return
 			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		// Moderation, for as long as checkpoints run: it flips a flag on
+		// rows the encoder may be reading.
+		for i := 0; ; i++ {
+			select {
+			case <-checkpointsDone:
+				return
+			default:
+			}
+			tg := targets[i%len(targets)]
+			r := s.Results("martin", tg.projectID)[0]
+			if err := s.HideResult("martin", r.ID, !r.Hidden); err != nil {
+				t.Errorf("HideResult: %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		// Leases nobody completes, expired by a jump of the clock: expiry
+		// rewrites tasks in place, the one kind of row a capture must copy.
+		for i := 0; i < rounds; i++ {
+			tg := targets[i%len(targets)]
+			if _, err := s.RequestTasks(tg.key, tg.expID, "vektor-1.0", "abandoned", 2); err != nil {
+				t.Errorf("RequestTasks: %v", err)
+				return
+			}
+			skew.Add(int64(s.TaskTimeout + time.Second))
+			s.ExpireTasks()
 		}
 	}()
 	go func() {
@@ -232,7 +282,8 @@ func TestCheckpointConcurrentWithMutators(t *testing.T) {
 					return
 				}
 				for _, task := range tasks {
-					if _, err := s.CompleteTask(task.ID, tg.key, []float64{0.2}, "", nil); err != nil {
+					// The jumping clock may have expired the lease meanwhile.
+					if _, err := s.CompleteTask(task.ID, tg.key, []float64{0.2}, "", nil); err != nil && !errors.Is(err, ErrLeaseLost) {
 						t.Errorf("CompleteTask: %v", err)
 						return
 					}
@@ -258,6 +309,138 @@ func TestCheckpointConcurrentWithMutators(t *testing.T) {
 	for _, tg := range targets {
 		if got := len(recovered.Results("martin", tg.projectID)); got != wantResults[tg.projectID] {
 			t.Errorf("project %d: recovered %d results, want %d", tg.projectID, got, wantResults[tg.projectID])
+		}
+	}
+}
+
+// blockingSink holds every Write until released, and says when the first one
+// arrived.
+type blockingSink struct {
+	walSink
+	arrived chan<- struct{}
+	release <-chan struct{}
+	once    *sync.Once
+}
+
+func (b blockingSink) Write(p []byte) (int, error) {
+	b.once.Do(func() { close(b.arrived) })
+	<-b.release
+	return b.walSink.Write(p)
+}
+
+// TestShardAvailableWhileItsSnapshotIsWritten pins that a checkpoint holds
+// a shard's lock to capture the image and to swap the log, not while the
+// image is encoded and written: with the snapshot's file blocked mid-write,
+// a lease and a completion on that very shard still finish — and are
+// recovered, from the log the checkpoint then compacts.
+func TestShardAvailableWhileItsSnapshotIsWritten(t *testing.T) {
+	dir := t.TempDir()
+	s, err := open(dir, 1, quietLogf, nosyncFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, expID := drainFixture(t, s, 8)
+	leaseAndComplete(t, s, key, expID)
+
+	arrived, release := make(chan struct{}), make(chan struct{})
+	s.create = func(path string) (walSink, error) {
+		f, err := createFile(path)
+		if err != nil || !strings.Contains(path, shardPartName(0)+".snap.") {
+			return f, err
+		}
+		return blockingSink{f, arrived, release, new(sync.Once)}, nil
+	}
+	checkpointed := make(chan error, 1)
+	go func() { checkpointed <- s.Checkpoint() }()
+	select {
+	case <-arrived:
+	case err := <-checkpointed:
+		t.Fatalf("the checkpoint finished without writing the shard's snapshot: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- tryLeaseAndComplete(s, key, expID) }()
+	var servedErr error
+	select {
+	case servedErr = <-served:
+		close(release)
+	case <-time.After(10 * time.Second):
+		close(release)
+		<-served
+		servedErr = errors.New("a lease and a completion wait for the shard's snapshot to be written")
+	}
+	if err := <-checkpointed; err != nil {
+		t.Fatal(err)
+	}
+	if servedErr != nil {
+		t.Fatal(servedErr)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := open(dir, 1, quietLogf, nosyncFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if n := len(recovered.Results("martin", 1)); n != 2 {
+		t.Fatalf("recovered %d results, want the one before and the one during the checkpoint", n)
+	}
+}
+
+// TestSnapshotsAreByteIdentical pins the order of what a snapshot lists: a
+// shard keeps its projects and tasks in maps, and two checkpoints of one
+// state used to write them in two orders.
+func TestSnapshotsAreByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	s, err := open(dir, 1, quietLogf, nosyncFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fixed := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	s.now = func() time.Time { return fixed }
+	for _, nick := range []string{"martin", "ying", "pedro", "stefan"} {
+		if _, err := s.RegisterUser(nick, nick+"@example.org"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		p, err := s.CreateProject("martin", fmt.Sprintf("ordered-%d", i), "", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.AddExperiment("martin", p.ID, "exp", "SELECT 1", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReplaceQueries("martin", p.ID, e.ID, []QueryRecord{{ID: 1, SQL: "SELECT 1"}, {ID: 2, SQL: "SELECT 2"}, {ID: 3, SQL: "SELECT 3"}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RequestTasks(p.Contributors[0].Key, e.ID, "vektor", "laptop", 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	images := func() map[string][]byte {
+		t.Helper()
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, part := range []string{partMeta, shardPartName(0)} {
+			data, err := os.ReadFile(snapPath(s.gen, part, partSnapshots(s.gen, part)[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[part] = data
+		}
+		return out
+	}
+	first := images()
+	for round := 0; round < 5; round++ {
+		for part, data := range images() {
+			if !bytes.Equal(data, first[part]) {
+				t.Fatalf("checkpoint %d of an unchanged store wrote a different %s snapshot", round+2, part)
+			}
 		}
 	}
 }

@@ -72,7 +72,11 @@ func (s *Store) RequestTask(contributorKey string, experimentID int, dbmsKey, pl
 // time expire and their queries are handed out again (see ExpireTasks).
 // Leasing holds the project's shard lock for the whole batch, so two
 // concurrent drivers draining the same experiment never receive the same
-// query — while drivers on other shards proceed unblocked. An empty slice
+// query — while drivers on other shards proceed unblocked. What a lease
+// costs does not depend on what the shard holds: the contributor key routes
+// to its project without touching another shard, overdue leases are looked
+// for among the running ones only, and the pool is entered at the lane's
+// cursor, behind which every query is covered (index.go). An empty slice
 // (and no error) means nothing is left to do.
 func (s *Store) RequestTasks(contributorKey string, experimentID int, dbmsKey, platformKey string, max int) ([]*Task, error) {
 	if max < 1 {
@@ -86,29 +90,24 @@ func (s *Store) RequestTasks(contributorKey string, experimentID int, dbmsKey, p
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.expireTasksLocked()
-	e := p.Experiment(experimentID)
-	if e == nil {
+	x := sh.exps[expKey{p.ID, experimentID}]
+	if x == nil || x.exp == nil {
 		return nil, fmt.Errorf("unknown experiment %d in project %q", experimentID, p.Name)
 	}
-	// Collect query ids already covered for this DBMS+platform combination:
-	// either a delivered result or an active task.
-	covered := map[int]bool{}
-	for _, r := range sh.results {
-		if r.ProjectID == p.ID && r.ExperimentID == experimentID && r.DBMSKey == dbmsKey && r.PlatformKey == platformKey {
-			covered[r.QueryID] = true
-		}
-	}
-	for _, t := range sh.tasks {
-		if t.ProjectID == p.ID && t.ExperimentID == experimentID && t.DBMSKey == dbmsKey && t.PlatformKey == platformKey && t.Active() {
-			covered[t.QueryID] = true
-		}
+	ln := x.lanes[laneKey{dbmsKey, platformKey}]
+	if ln == nil {
+		// The lane is entered by its first lease or result (indexTask,
+		// indexResult); until then nothing is covered.
+		ln = &lane{}
 	}
 	var batch []*Task
-	for _, q := range e.Queries {
-		if len(batch) >= max {
-			break
-		}
-		if covered[q.ID] {
+	for i := ln.cursor; i < len(x.exp.Queries) && len(batch) < max; i++ {
+		sh.scanned++
+		q := &x.exp.Queries[i]
+		if ln.cover[q.ID] > 0 {
+			if i == ln.cursor {
+				ln.cursor++
+			}
 			continue
 		}
 		batch = append(batch, &Task{
@@ -197,18 +196,13 @@ func (s *Store) CompleteTaskTraced(taskID int, contributorKey string, seconds []
 	return sh.results[len(sh.results)-1], nil
 }
 
-// shardWithTask returns the shard holding the task, or nil. Task ids are
-// globally unique, so at most one shard matches.
+// shardWithTask returns the shard holding the task, or nil. The route is
+// entered when the lease is applied (indexTask), so looking a task up takes
+// no shard lock at all.
 func (s *Store) shardWithTask(taskID int) *shard {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		_, ok := sh.tasks[taskID]
-		sh.mu.RUnlock()
-		if ok {
-			return sh
-		}
-	}
-	return nil
+	s.routeMu.RLock()
+	defer s.routeMu.RUnlock()
+	return s.taskRoutes[taskID]
 }
 
 // KillTask marks a running task as killed so the query can be handed out
@@ -246,16 +240,18 @@ func (s *Store) ExpireTasks() int {
 }
 
 // expireTasksLocked requeues the shard's overdue running tasks; the caller
-// holds the shard lock. Expiry is derived state — deadlines are persisted
-// with the lease, so a recovered store re-expires overdue leases on the
-// next request without needing expiry records in the log.
+// holds the shard lock. Only the leases still running are looked at, however
+// many tasks the shard has seen. Expiry is derived state — deadlines are
+// persisted with the lease, so a recovered store re-expires overdue leases on
+// the next request without needing expiry records in the log.
 func (sh *shard) expireTasksLocked() int {
 	now := sh.store.now()
 	expired := 0
-	for _, t := range sh.tasks {
-		if t.Status == TaskRunning && now.After(t.Deadline) {
-			t.Status = TaskTimeout
-			t.Finished = now
+	//lint:ordered every overdue lease gets the same timestamp and frees its own slot; no order can be observed
+	for _, t := range sh.running {
+		sh.scanned++
+		if now.After(t.Deadline) {
+			sh.settleTask(t, TaskTimeout, now)
 			expired++
 		}
 	}
@@ -271,6 +267,7 @@ func (s *Store) Tasks(viewer string, projectID int) []*Task {
 		return nil
 	}
 	var out []*Task
+	//lint:ordered filtered collect; the result is sorted by id below
 	for _, t := range sh.tasks {
 		if t.ProjectID == projectID {
 			clone := *t

@@ -85,6 +85,10 @@ func Load(dir string) (*Store, error) {
 // Close flushes and detaches the write-ahead logs; the store stays usable
 // in memory but further mutations are no longer persisted.
 func (s *Store) Close() error {
+	// A checkpoint in flight finishes first: it gives a partition's lock up
+	// between capturing the image and swapping the log.
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	var first error
 	s.metaMu.Lock()
 	if s.metaWAL != nil {
@@ -155,15 +159,12 @@ func (ld *loader) loadGeneration(genDir string) error {
 		var adopted uint64
 		found := false
 		for _, lsn := range partSnapshots(genDir, part) {
-			data, err := os.ReadFile(snapPath(genDir, part, lsn))
+			snap, err := readSnapshot(snapPath(genDir, part, lsn))
 			if err == nil {
-				var snap snapshot
-				if err = json.Unmarshal(data, &snap); err == nil {
-					ld.mergeSnapshot(snap)
-					adopted = snap.WALLSN
-					found = true
-					break
-				}
+				ld.mergeSnapshot(snap)
+				adopted = snap.WALLSN
+				found = true
+				break
 			}
 			ld.s.logf("repository: %s: snapshot at lsn %d unreadable (%v); falling back to the previous snapshot", part, lsn, err)
 		}
@@ -194,35 +195,33 @@ func (ld *loader) loadGeneration(genDir string) error {
 // empty store; a corrupt one is an error (there is no older snapshot to
 // fall back to, and silently booting empty would discard the world).
 func (ld *loader) loadLegacy(path string) error {
-	data, err := os.ReadFile(path)
+	snap, err := readSnapshot(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
 		return fmt.Errorf("reading store: %w", err)
 	}
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("decoding store: %w", err)
-	}
 	ld.mergeSnapshot(snap)
 	return nil
 }
 
 // mergeSnapshot distributes one partition image over the store's own
-// shards.
+// shards, through the same index seams shard.apply uses — projects first:
+// their routes and pools are what the rows are indexed against.
 func (ld *loader) mergeSnapshot(snap snapshot) {
 	s := ld.s
 	for _, u := range snap.Users {
 		s.users[u.Nickname] = u
 	}
 	for _, p := range snap.Projects {
-		s.shardFor(p.ID).projects[p.ID] = p
+		sh := s.shardFor(p.ID)
+		sh.projects[p.ID] = p
+		sh.indexProject(p)
 		ld.bump(&ld.maxProject, p.ID)
 	}
 	for _, r := range snap.Results {
-		sh := s.shardFor(r.ProjectID)
-		sh.results = append(sh.results, r)
+		s.shardFor(r.ProjectID).indexResult(r)
 		ld.bump(&ld.maxResult, r.ID)
 	}
 	for _, c := range snap.Comments {
@@ -231,7 +230,7 @@ func (ld *loader) mergeSnapshot(snap snapshot) {
 		ld.bump(&ld.maxComment, c.ID)
 	}
 	for _, t := range snap.Tasks {
-		s.shardFor(t.ProjectID).tasks[t.ID] = t
+		s.shardFor(t.ProjectID).indexTask(t)
 		ld.bump(&ld.maxTask, t.ID)
 	}
 	ld.bump(&ld.nextProject, snap.NextProjectID)

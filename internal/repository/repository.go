@@ -217,6 +217,16 @@ type Store struct {
 
 	shards []*shard
 
+	// Routes lead from a contributor key to its project and from a task id
+	// to its shard, so the queue never probes a shard it does not own.
+	// routeMu is a leaf lock: it is taken for the map access alone, with or
+	// without a shard lock held, and nothing is acquired under it. Routes are
+	// entered by shard.apply (project, invite, lease) and by recovery; keys
+	// and tasks are never removed.
+	routeMu    sync.RWMutex
+	keyRoutes  map[string]contributorRoute
+	taskRoutes map[int]*shard
+
 	nextResultID  atomic.Int64 // last assigned result id
 	nextCommentID atomic.Int64 // last assigned comment id
 	nextTaskID    atomic.Int64 // last assigned task id
@@ -231,6 +241,10 @@ type Store struct {
 	// sinks opens the WAL sink for a partition log file; tests inject
 	// crash-simulating sinks here.
 	sinks walSinkFactory
+	// create opens (truncating) the files persistence writes whole: snapshot
+	// and compaction temporaries and CURRENT. Tests inject sinks that block
+	// or report the steps of a checkpoint.
+	create walSinkFactory
 
 	// TaskTimeout is the interval after which an assigned task that has not
 	// reported back is considered stuck and requeued.
@@ -255,11 +269,14 @@ func NewStoreShards(n int) *Store {
 	}
 	s := &Store{
 		users:         map[string]*User{},
+		keyRoutes:     map[string]contributorRoute{},
+		taskRoutes:    map[int]*shard{},
 		nextProjectID: 1,
 		TaskTimeout:   10 * time.Minute,
 		now:           time.Now,
 		logf:          defaultLogf,
 		sinks:         openFileSink,
+		create:        createFile,
 	}
 	for i := 0; i < n; i++ {
 		s.shards = append(s.shards, newShard(s, i))
@@ -428,6 +445,7 @@ func (s *Store) Projects(viewer string) []*Project {
 	var out []*Project
 	for _, sh := range s.shards {
 		sh.mu.RLock()
+		//lint:ordered filtered collect; the result is sorted by id below
 		for id, p := range sh.projects {
 			if sh.roleOfLocked(viewer, id) != RoleNone {
 				out = append(out, p)
@@ -504,19 +522,13 @@ func (s *Store) Invite(requester string, projectID int, nickname string) (string
 
 // FindContributor resolves a contributor key to its project and nickname.
 func (s *Store) FindContributor(key string) (*Project, string, error) {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, p := range sh.projects {
-			for _, c := range p.Contributors {
-				if c.Key == key {
-					sh.mu.RUnlock()
-					return p, c.Nickname, nil
-				}
-			}
-		}
-		sh.mu.RUnlock()
+	s.routeMu.RLock()
+	rt, ok := s.keyRoutes[key]
+	s.routeMu.RUnlock()
+	if !ok {
+		return nil, "", fmt.Errorf("unknown contributor key")
 	}
-	return nil, "", fmt.Errorf("unknown contributor key")
+	return rt.project, rt.contributor.Nickname, nil
 }
 
 // --- experiments and the query pool ----------------------------------------
@@ -607,11 +619,11 @@ func (s *Store) addResultLocked(sh *shard, projectID int, contributorKey string,
 // buildResultLocked validates the submission against the project and
 // allocates the result row without recording it; shard lock held.
 func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
-	e := p.Experiment(experimentID)
-	if e == nil {
+	x := sh.exps[expKey{p.ID, experimentID}]
+	if x == nil || x.exp == nil {
 		return nil, fmt.Errorf("unknown experiment %d in project %q", experimentID, p.Name)
 	}
-	if e.Query(queryID) == nil {
+	if _, ok := x.pos[queryID]; !ok {
 		return nil, fmt.Errorf("unknown query %d in experiment %d", queryID, experimentID)
 	}
 	return &Result{

@@ -3,6 +3,7 @@ package repository
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 )
@@ -18,9 +19,21 @@ type shard struct {
 
 	mu       sync.RWMutex
 	projects map[int]*Project
+	// results and comments are append-only, and a *Result or *Comment never
+	// changes once it is in: hiding or deleting a result builds a new slice
+	// (and a new row). A prefix of either slice is therefore an immutable
+	// view a checkpoint can encode without the lock (captureLocked).
 	results  []*Result
 	comments []*Comment
 	tasks    map[int]*Task
+
+	// The queue's indexes (index.go): the experiments' pools and lanes, and
+	// the leases that can still expire.
+	exps    map[expKey]*expIndex
+	running map[int]*Task
+	// scanned counts the pool positions a lease walked and the leases an
+	// expiry sweep looked at; tests pin that it does not grow with the shard.
+	scanned uint64
 
 	// wal is nil for purely in-memory stores (NewStore); durable stores
 	// (Open) append+fsync every mutation record here before applying it.
@@ -33,6 +46,8 @@ func newShard(s *Store, idx int) *shard {
 		idx:      idx,
 		projects: map[int]*Project{},
 		tasks:    map[int]*Task{},
+		exps:     map[expKey]*expIndex{},
+		running:  map[int]*Task{},
 	}
 }
 
@@ -76,6 +91,7 @@ func (sh *shard) apply(rec walRecord) error {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
 		sh.projects[p.ID] = &p
+		sh.indexProject(&p)
 	case opVisibility:
 		var v walVisibility
 		if err := json.Unmarshal(rec.Data, &v); err != nil {
@@ -109,6 +125,7 @@ func (sh *shard) apply(rec walRecord) error {
 		}
 		if p := sh.projects[v.ProjectID]; p != nil && p.contributor(v.Contributor.Nickname) == nil {
 			p.Contributors = append(p.Contributors, v.Contributor)
+			sh.store.routeContributor(p, v.Contributor)
 		}
 	case opExperiment:
 		var v walExperiment
@@ -117,6 +134,7 @@ func (sh *shard) apply(rec walRecord) error {
 		}
 		if p := sh.projects[v.ProjectID]; p != nil {
 			p.Experiments = append(p.Experiments, v.Experiment)
+			sh.indexQueries(p.ID, v.Experiment, 0)
 		}
 	case opQueriesReplace, opQueriesAppend:
 		var v walQueries
@@ -131,25 +149,30 @@ func (sh *shard) apply(rec walRecord) error {
 		if e == nil {
 			return nil
 		}
+		from := 0
 		if rec.Op == opQueriesReplace {
-			e.Queries = append([]QueryRecord(nil), v.Queries...)
+			e.Queries = v.Queries
 		} else {
+			from = len(e.Queries)
 			e.Queries = append(e.Queries, v.Queries...)
 		}
+		sh.indexQueries(p.ID, e, from)
 	case opResult:
 		var r Result
 		if err := json.Unmarshal(rec.Data, &r); err != nil {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
-		sh.results = append(sh.results, &r)
+		sh.indexResult(&r)
 	case opResultHide:
 		var v walResultMod
 		if err := json.Unmarshal(rec.Data, &v); err != nil {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
-		for _, r := range sh.results {
+		for i, r := range sh.results {
 			if r.ID == v.ResultID {
-				r.Hidden = v.Hidden
+				flipped := *r
+				flipped.Hidden = v.Hidden
+				sh.results = spliceResults(sh.results, i, &flipped)
 				break
 			}
 		}
@@ -160,7 +183,8 @@ func (sh *shard) apply(rec walRecord) error {
 		}
 		for i, r := range sh.results {
 			if r.ID == v.ResultID {
-				sh.results = append(sh.results[:i], sh.results[i+1:]...)
+				sh.results = spliceResults(sh.results, i, nil)
+				sh.uncover(r.ProjectID, r.ExperimentID, r.DBMSKey, r.PlatformKey, r.QueryID)
 				break
 			}
 		}
@@ -176,19 +200,20 @@ func (sh *shard) apply(rec walRecord) error {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
 		for _, t := range ts {
-			sh.tasks[t.ID] = t
+			sh.indexTask(t)
 		}
 	case opTaskComplete:
 		var v walTaskComplete
 		if err := json.Unmarshal(rec.Data, &v); err != nil {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
-		if t := sh.tasks[v.TaskID]; t != nil {
-			t.Status = v.Status
-			t.Finished = v.Finished
-		}
+		// The result first: a failed task gives its slot up, and the slot
+		// must not look free in between.
 		if v.Result != nil {
-			sh.results = append(sh.results, v.Result)
+			sh.indexResult(v.Result)
+		}
+		if t := sh.tasks[v.TaskID]; t != nil {
+			sh.settleTask(t, v.Status, v.Finished)
 		}
 	case opTaskKill:
 		var v walTaskKill
@@ -196,8 +221,7 @@ func (sh *shard) apply(rec walRecord) error {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
 		if t := sh.tasks[v.TaskID]; t != nil {
-			t.Status = TaskKilled
-			t.Finished = v.Finished
+			sh.settleTask(t, TaskKilled, v.Finished)
 		}
 	default:
 		return fmt.Errorf("unknown wal op %q", rec.Op)
@@ -227,6 +251,7 @@ func (sh *shard) roleOfLocked(nickname string, projectID int) Role {
 // projectByNameLocked returns the shard's project with the given name, or
 // nil; the caller holds the shard lock.
 func (sh *shard) projectByNameLocked(name string) *Project {
+	//lint:ordered names are unique across the platform (CreateProject), so at most one project matches
 	for _, p := range sh.projects {
 		if strings.EqualFold(p.Name, name) {
 			return p
@@ -235,13 +260,31 @@ func (sh *shard) projectByNameLocked(name string) *Project {
 	return nil
 }
 
-// snapshotLocked builds the shard's persistent image; the caller holds the
-// shard lock. The slices alias the live objects, so marshalling must also
-// happen under the lock (see persist.go).
-func (sh *shard) snapshotLocked() snapshot {
+// spliceResults returns a copy of results with the row at position i
+// replaced by r, or removed when r is nil. Moderation copies on write — the
+// row and the slice — so readers and a checkpoint's capture keep what they
+// hold.
+func spliceResults(results []*Result, i int, r *Result) []*Result {
+	out := make([]*Result, 0, len(results))
+	out = append(out, results[:i]...)
+	if r != nil {
+		out = append(out, r)
+	}
+	return append(out, results[i+1:]...)
+}
+
+// captureLocked builds the shard's persistent image; the caller holds the
+// shard lock, shared or exclusive. The image shares nothing with the shard
+// that a later mutation can reach, so it is encoded and written after the
+// lock is released: results and comments are prefixes of append-only slices
+// of immutable rows, projects are copied down to the slice headers of their
+// append-only lists (captured), and tasks — the one kind of row that changes
+// in place — are copied by value. Projects and tasks are emitted in id
+// order, so two images of one state are the same bytes.
+func (sh *shard) captureLocked() snapshot {
 	snap := snapshot{
-		Results:  sh.results,
-		Comments: sh.comments,
+		Results:  sh.results[:len(sh.results):len(sh.results)],
+		Comments: sh.comments[:len(sh.comments):len(sh.comments)],
 		SavedAt:  sh.store.now(),
 	}
 	if sh.wal != nil {
@@ -250,8 +293,34 @@ func (sh *shard) snapshotLocked() snapshot {
 	for _, p := range sh.projects {
 		snap.Projects = append(snap.Projects, p)
 	}
+	sort.Slice(snap.Projects, func(i, j int) bool { return snap.Projects[i].ID < snap.Projects[j].ID })
+	for i, p := range snap.Projects {
+		snap.Projects[i] = p.captured()
+	}
+	tasks := make([]Task, 0, len(sh.tasks))
 	for _, t := range sh.tasks {
-		snap.Tasks = append(snap.Tasks, t)
+		tasks = append(tasks, *t)
+	}
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].ID < tasks[j].ID })
+	snap.Tasks = make([]*Task, len(tasks))
+	for i := range tasks {
+		snap.Tasks[i] = &tasks[i]
 	}
 	return snap
+}
+
+// captured returns a copy of the project that no mutation of the live one
+// can reach. The scalar fields are copied; DBMSKeys and PlatformKeys are only
+// ever replaced whole; Contributors, Experiments and an experiment's Queries
+// only grow by append (or, for Queries, are replaced whole), and the copied
+// slice headers keep the length they had — an append writes beyond it or
+// into a new array. Contributors and query records never change in place.
+func (p *Project) captured() *Project {
+	cp := *p
+	cp.Experiments = nil
+	for _, e := range p.Experiments {
+		ce := *e
+		cp.Experiments = append(cp.Experiments, &ce)
+	}
+	return &cp
 }

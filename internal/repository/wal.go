@@ -128,8 +128,12 @@ type walSinkFactory func(path string) (walSink, error)
 // record.
 type fileSink struct{ f *os.File }
 
-func openFileSink(path string) (walSink, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+func openFileSink(path string) (walSink, error) { return openSinkFile(path, os.O_APPEND) }
+
+// openSinkFile opens a file for writing, created if missing; how decides
+// between appending to it and truncating it.
+func openSinkFile(path string, how int) (walSink, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|how, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -197,6 +201,27 @@ func (w *walWriter) append(rec walRecord) error {
 	return nil
 }
 
+// frameAt parses the frame at the start of data and returns its payload,
+// or what is wrong with it: a short header or payload (a torn write), an
+// implausible length, a checksum mismatch.
+func frameAt(data []byte) (body []byte, problem string) {
+	if len(data) < walHeaderSize {
+		return nil, fmt.Sprintf("torn wal tail (%d trailing bytes)", len(data))
+	}
+	length := int(binary.LittleEndian.Uint32(data[0:4]))
+	if length <= 0 || length > maxWALRecord {
+		return nil, fmt.Sprintf("corrupt wal tail (implausible record length %d)", length)
+	}
+	if len(data)-walHeaderSize < length {
+		return nil, fmt.Sprintf("torn wal record (%d of %d payload bytes)", len(data)-walHeaderSize, length)
+	}
+	body = data[walHeaderSize : walHeaderSize+length]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[4:8]) {
+		return nil, "corrupt wal tail (checksum mismatch)"
+	}
+	return body, ""
+}
+
 // decodeWAL decodes the framed records of one log image. It stops at the
 // first torn or corrupt record — short header, short payload, length out of
 // range, CRC mismatch, undecodable JSON, or an LSN break — logging a
@@ -206,23 +231,9 @@ func decodeWAL(data []byte, name string, logf func(string, ...any)) []walRecord 
 	var recs []walRecord
 	off := 0
 	for off < len(data) {
-		if len(data)-off < walHeaderSize {
-			logf("repository: %s: dropping torn wal tail (%d trailing bytes)", name, len(data)-off)
-			break
-		}
-		length := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length <= 0 || length > maxWALRecord {
-			logf("repository: %s: dropping corrupt wal tail at offset %d (implausible record length %d)", name, off, length)
-			break
-		}
-		if len(data)-off-walHeaderSize < length {
-			logf("repository: %s: dropping torn wal record at offset %d (%d of %d payload bytes)", name, off, len(data)-off-walHeaderSize, length)
-			break
-		}
-		body := data[off+walHeaderSize : off+walHeaderSize+length]
-		if crc32.ChecksumIEEE(body) != sum {
-			logf("repository: %s: dropping corrupt wal tail at offset %d (checksum mismatch)", name, off)
+		body, problem := frameAt(data[off:])
+		if problem != "" {
+			logf("repository: %s: dropping %s at offset %d", name, problem, off)
 			break
 		}
 		var rec walRecord
@@ -235,7 +246,53 @@ func decodeWAL(data []byte, name string, logf func(string, ...any)) []walRecord 
 			break
 		}
 		recs = append(recs, rec)
-		off += walHeaderSize + length
+		off += walHeaderSize + len(body)
 	}
 	return recs
+}
+
+// frameWalk steps over the intact frames of a log without decoding them, so
+// compaction copies records as the bytes they are. The writer numbers a
+// partition's records consecutively (append), which decodeWAL checks on
+// every recovery; only the first frame is therefore decoded, for its LSN,
+// and every later frame's LSN follows from its position.
+type frameWalk struct {
+	off  int64  // file offset behind the last frame stepped over
+	next uint64 // LSN of the frame at off; 0 until the first frame was seen
+}
+
+// span steps over the frames at the start of data — the log's bytes from
+// w.off on — that carry an LSN of at most hi, and returns the byte range,
+// within data, of those with an LSN above lo. It stops early at the first
+// frame that is torn or corrupt, like recovery would.
+func (w *frameWalk) span(data []byte, lo, hi uint64) (from, to int) {
+	from = -1
+	for {
+		body, problem := frameAt(data[to:])
+		if problem != "" {
+			break
+		}
+		if w.next == 0 {
+			var first struct {
+				LSN uint64 `json:"lsn"`
+			}
+			if err := json.Unmarshal(body, &first); err != nil || first.LSN == 0 {
+				break
+			}
+			w.next = first.LSN
+		}
+		if w.next > hi {
+			break
+		}
+		if from < 0 && w.next > lo {
+			from = to
+		}
+		to += walHeaderSize + len(body)
+		w.next++
+	}
+	if from < 0 {
+		from = to
+	}
+	w.off += int64(to)
+	return from, to
 }

@@ -2,8 +2,10 @@ package repository
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -527,6 +529,124 @@ func TestCrashAfterCheckpoint(t *testing.T) {
 		if other := recovered.Results("martin", p2.id); len(other) != len(p2.acked) {
 			t.Fatalf("cut %d: untouched shard lost results: %d of %d", cut, len(other), len(p2.acked))
 		}
+		if err := recovered.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// stepSink reports each successful Sync of a file persistence writes whole.
+type stepSink struct {
+	walSink
+	synced func()
+}
+
+func (s stepSink) Sync() error {
+	err := s.walSink.Sync()
+	if err == nil {
+		s.synced()
+	}
+	return err
+}
+
+// TestCrashInsideCheckpoint cuts the checkpoint sequence of a shard at every
+// step that changes the disk — snapshot temporary created, written, renamed;
+// compacted log temporary written; tail appended; log renamed; sink reopened
+// — with acknowledged mutations landing on the same shard while the
+// checkpoint is between its two lock holds (the snapshot is being encoded;
+// the bulk of the log is already copied, so the record must travel in the
+// tail). Every image must recover to exactly what was acknowledged when it
+// was taken, with no slot double-leased, and drain to one measurement a slot.
+func TestCrashInsideCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s, err := open(dir, 1, quietLogf, nosyncFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := runGoldenWorkload(t, s)
+	acked := append([]int(nil), g.resultsAt[len(g.resultsAt)-1]...)
+	extra := 0
+	ack := func() { // one more acknowledged result, off the drained lane
+		t.Helper()
+		extra++
+		r, err := s.AddResult(g.ownerKey, g.expID, 1, g.dbms, fmt.Sprintf("cloud-%d", extra), []float64{0.5}, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, r.ID)
+	}
+	// A first checkpoint, then more work: the second one has a snapshot to
+	// retire and a log prefix to drop.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ack()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ack()
+
+	type image struct {
+		step  string
+		dir   string
+		acked []int
+	}
+	var images []image
+	cut := func(step string) {
+		crashDir := t.TempDir()
+		copyTree(t, dir, crashDir)
+		images = append(images, image{step, crashDir, append([]int(nil), acked...)})
+	}
+	shardFile := func(path string) bool { return strings.HasPrefix(filepath.Base(path), shardPartName(0)+".") }
+	walSyncs := 0
+	s.create = func(path string) (walSink, error) {
+		f, err := createFile(path)
+		if err != nil || !shardFile(path) {
+			return f, err
+		}
+		if strings.Contains(path, ".snap.") {
+			cut("snapshot temporary created")
+			ack() // lands while the image is being encoded: beyond the snapshot, in the log
+			return stepSink{f, func() { cut("snapshot temporary written") }}, nil
+		}
+		cut("snapshot renamed, old one pruned")
+		return stepSink{f, func() {
+			if walSyncs++; walSyncs == 1 {
+				cut("compacted log temporary written")
+				ack() // lands in the old log behind what was copied: must travel in the tail
+				return
+			}
+			cut("tail appended") // the shard is locked from here on
+		}}, nil
+	}
+	s.sinks = func(path string) (walSink, error) {
+		if shardFile(path) {
+			cut("log renamed")
+		}
+		return nosyncFactory(path)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cut("sink reopened")
+	ack() // the new sink takes appends
+	cut("appended to the swapped log")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(images) != 8 {
+		t.Fatalf("%d crash images, want 8: the checkpoint sequence changed", len(images))
+	}
+	for _, img := range images {
+		recovered, err := open(img.dir, 1, quietLogf, nosyncFactory)
+		if err != nil {
+			t.Fatalf("%s: recovery failed: %v", img.step, err)
+		}
+		if got := resultIDs(recovered, g); !sameIDs(got, img.acked) {
+			t.Fatalf("%s: recovered results %v, want %v", img.step, got, img.acked)
+		}
+		assertNoDoubleLease(t, recovered, g)
+		drainQueue(t, recovered, g)
 		if err := recovered.Close(); err != nil {
 			t.Fatal(err)
 		}
