@@ -743,6 +743,45 @@ func BenchmarkVexecHashPaths(b *testing.B) {
 	}
 }
 
+// BenchmarkHashAggregate isolates the aggregation breaker's per-row and
+// per-group costs on the four shapes that stress different parts of the
+// typed aggregation table: many aggregates over few groups (the Q1 shape:
+// kernel cost per row), one aggregate over many groups (state growth — the
+// allocation count must not follow the group count), a DISTINCT aggregate
+// (one (group, value) set instead of a table per group) and the global
+// group. Plans are prebuilt; allocations are the second headline number.
+func BenchmarkHashAggregate(b *testing.B) {
+	few, many := newVexecBenchCatalog(200000, 4), newVexecBenchCatalog(200000, 20000)
+	for _, tc := range []struct {
+		name string
+		cat  vexecBenchCatalog
+		sql  string
+	}{
+		{"few_groups_8_aggs", few, "SELECT sk, sum(v), sum(ik), avg(v), avg(ik), min(v), max(v), count(v), count(*) FROM f GROUP BY sk"},
+		{"many_groups_1_agg", many, "SELECT ik, sum(v) FROM f GROUP BY ik"},
+		{"count_distinct", many, "SELECT ik, count(DISTINCT sk), sum(DISTINCT ik) FROM f GROUP BY ik"},
+		{"global_group", few, "SELECT sum(v), avg(v), max(ik), count(*) FROM f"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			stmt, err := sqlparser.Parse(tc.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := plan.BuildStmt(tc.cat, stmt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := vexec.ExecutePlan(tc.cat, p, vexec.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkVexecParallelism measures morsel-driven intra-query parallelism
 // on a scan-heavy aggregation and a fact-dimension join at 1, 2, 4 and 8
 // morsel workers. The results are bit-identical at every worker count (the

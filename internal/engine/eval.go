@@ -33,8 +33,9 @@ func errEval(e sqlparser.Expr, err error) error {
 
 // resolve looks a column reference up in the scope chain.
 func (ev *evaluator) resolve(table, name string) (Value, error) {
+	lt, ln := strings.ToLower(table), strings.ToLower(name)
 	for s := ev.sc; s != nil; s = s.outer {
-		idx, err := s.rel.findColumn(table, name)
+		idx, err := s.rel.findColumn(lt, ln)
 		if err == nil {
 			if s == ev.sc && ev.group != nil && len(ev.group) == 0 {
 				// The global group of an ungrouped aggregate over empty input

@@ -34,11 +34,11 @@ func (r *relation) addColumn(table, name string, vals []Value) {
 // numRows returns the number of rows.
 func (r *relation) numRows() int { return r.n }
 
-// findColumn resolves a (possibly qualified) column reference. It returns
-// the column index, or an error when the reference is unknown or ambiguous.
+// findColumn resolves a (possibly qualified) column reference whose table
+// and name the caller has already lower-cased (columns are stored that way).
+// It returns the column index, or an error when the reference is unknown or
+// ambiguous.
 func (r *relation) findColumn(table, name string) (int, error) {
-	table = strings.ToLower(table)
-	name = strings.ToLower(name)
 	found := -1
 	for i, c := range r.cols {
 		if c.name != name {

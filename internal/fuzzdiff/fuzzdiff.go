@@ -138,6 +138,17 @@ l_agg:
 	MAX(d)
 	MIN(f)
 	SUM(CASE WHEN a IS NULL THEN 1 ELSE 0 END)
+	COUNT(*)
+	COUNT(DISTINCT a)
+	COUNT(DISTINCT s)
+	SUM(DISTINCT b)
+	AVG(a)
+	AVG(DISTINCT g)
+	MIN(a)
+	MAX(b)
+	MIN(a > 2)
+	MAX(s LIKE 'a%')
+	SUM(CASE WHEN a > 3 THEN 1 ELSE 0.5 END)
 
 l_limit:
 	LIMIT 25

@@ -96,6 +96,17 @@ func TestGrammarCoversTernaryConstructs(t *testing.T) {
 			t.Errorf("grammar literals lost dictionary-string shape %q", want)
 		}
 	}
+	// The aggregates whose typed kernels have special cases: the row count,
+	// DISTINCT sets, int-preserving sum/avg/min/max, extremes of a bool, and
+	// a sum whose argument mixes int and float rows.
+	for _, want := range []string{
+		"COUNT(*)", "COUNT(DISTINCT a)", "COUNT(DISTINCT s)", "SUM(DISTINCT b)", "AVG(a)", "MIN(a)", "MAX(b)",
+		"MIN(a > 2)", "MAX(s LIKE 'a%')", "THEN 1 ELSE 0.5 END",
+	} {
+		if !strings.Contains(all, want) {
+			t.Errorf("grammar literals lost aggregate shape %q", want)
+		}
+	}
 }
 
 // TestFingerprintExactness makes sure the fingerprint distinguishes what

@@ -147,6 +147,9 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStatement) (*Select, error) 
 
 	sp.Needed = b.neededColumns(stmt)
 	resolveOutput(sp)
+	if sp.Grouped {
+		resolveAggregates(sp)
+	}
 	return sp, nil
 }
 
@@ -609,6 +612,59 @@ func resolveOutput(sp *Select) {
 			key.Expr = ob.Expr
 		}
 		sp.OrderBy = append(sp.OrderBy, key)
+	}
+}
+
+// resolveAggregates fills the aggregation contract of a grouped core in one
+// walk over projection, HAVING and ORDER BY (keys resolved to an output
+// column carry nothing): the executors read it instead of re-walking and
+// re-rendering the clauses on every execution.
+func resolveAggregates(sp *Select) {
+	sp.AggOf = map[*sqlparser.FuncCall]int{}
+	sp.CarriedOf = map[*sqlparser.ColumnRef]int{}
+	aggs, refs := map[string]int{}, map[string]int{}
+	visit := func(x sqlparser.Expr) bool {
+		switch v := x.(type) {
+		case *sqlparser.FuncCall:
+			if !v.IsAggregate() {
+				return true
+			}
+			key := v.SQL()
+			i, ok := aggs[key]
+			if !ok {
+				i = len(sp.Aggs)
+				aggs[key] = i
+				sp.Aggs = append(sp.Aggs, Agg{Call: v, Func: strings.ToLower(v.Name)})
+			}
+			sp.AggOf[v] = i
+			return false
+		case *sqlparser.ColumnRef:
+			key := strings.ToLower(v.Table) + "." + strings.ToLower(v.Column)
+			i, ok := refs[key]
+			if !ok {
+				i = len(sp.Carried)
+				refs[key] = i
+				sp.Carried = append(sp.Carried, v)
+			}
+			sp.CarriedOf[v] = i
+		}
+		return true
+	}
+	for _, e := range sp.Items {
+		sqlparser.WalkExprs(e, visit)
+	}
+	sqlparser.WalkExprs(sp.Stmt.Having, visit)
+	for _, o := range sp.OrderBy {
+		sqlparser.WalkExprs(o.Expr, visit)
+	}
+	for _, a := range sp.Aggs {
+		switch {
+		case sp.AggErr != nil:
+		case a.Call.Star && a.Func != "count":
+			sp.AggErr = fmt.Errorf("%s(*) is not valid", a.Func)
+		case !a.Call.Star && len(a.Call.Args) != 1:
+			sp.AggErr = fmt.Errorf("aggregate %s expects exactly 1 argument", a.Func)
+		}
 	}
 }
 

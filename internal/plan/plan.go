@@ -179,9 +179,31 @@ type Select struct {
 	Items []sqlparser.Expr
 	// OrderBy are the resolved ORDER BY keys.
 	OrderBy []OrderKey
+	// Aggs are the distinct aggregate calls of a grouped core's projection,
+	// HAVING and evaluated ORDER BY keys in first-occurrence order; AggOf maps
+	// every occurrence to its entry. Carried are the distinct column
+	// references of the same clauses outside aggregate arguments — a group
+	// answers them with its first row's value — and CarriedOf maps every
+	// such reference to its entry. AggErr is the error of a malformed call
+	// (sum(*), a missing argument); the interpreters meet it lazily, per
+	// group, so it is raised by the executor that aggregates, not by Build.
+	Aggs      []Agg
+	AggOf     map[*sqlparser.FuncCall]int
+	Carried   []*sqlparser.ColumnRef
+	CarriedOf map[*sqlparser.ColumnRef]int
+	AggErr    error
 	// SetNext chains the plan of the next set-operation branch; the
 	// operator is Stmt.SetOp.
 	SetNext *Select
+}
+
+// Agg is one distinct aggregate call of a grouped SELECT core: the first
+// occurrence of its canonical SQL text (Call.Star and Call.Distinct are
+// part of it).
+type Agg struct {
+	Call *sqlparser.FuncCall
+	// Func is the lower-cased function name: count, sum, avg, min or max.
+	Func string
 }
 
 // OrderKey is one resolved ORDER BY key. A bare reference naming a computed

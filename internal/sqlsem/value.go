@@ -42,9 +42,8 @@ func (k Kind) String() string {
 
 // Value is a runtime SQL value, the one scalar representation of every
 // executor: the interpreters' cells, the boxed form at the typed executor's
-// block boundaries (group accumulators, sort keys, result rows) and the
-// return type of the fused scan's closures. Only the payload slot matching
-// Kind is meaningful. Dates are stored as days since 1970-01-01.
+// block boundaries (sub-query sets, result rows) and the return type of the
+// fused scan's closures. Only the payload slot matching Kind is meaningful. Dates are stored as days since 1970-01-01.
 type Value struct {
 	Kind Kind
 	I    int64

@@ -138,23 +138,30 @@ func concatBatches(batches []*Batch) *Batch {
 	}
 	out := &Batch{n: total, meta: first.meta}
 	out.cols = make([]*Vector, len(first.cols))
+	chunks := make([]*Vector, len(batches))
 	for ci := range first.cols {
-		out.cols[ci] = concatVectors(batches, ci, total)
+		for bi, b := range batches {
+			chunks[bi] = b.dense(ci)
+		}
+		out.cols[ci] = concatVectors(chunks, total)
 	}
 	return out
 }
 
-// concatVectors concatenates column ci of the batches (dense views) into one
-// vector. The column kind is uniform across batches of one pipeline — all
-// slices of one scan or gathers of one join share it — except that KindNull
-// (empty) chunks and float chunks with/without the IsInt mask may mix.
-func concatVectors(batches []*Batch, ci, total int) *Vector {
+// concatVectors concatenates the chunks of one column into one vector of
+// total rows (rows beyond the chunks stay zero). The column kind is uniform
+// across batches of one pipeline — all slices of one scan or gathers of one
+// join share it — except that KindNull (empty) chunks and float chunks
+// with/without the IsInt mask may mix.
+func concatVectors(chunks []*Vector, total int) *Vector {
+	if len(chunks) == 1 && chunks[0].n == total {
+		return chunks[0]
+	}
 	kind := sqlsem.KindNull
 	anyIsInt := false
 	var dict *Dictionary
 	dictOK := true
-	for _, b := range batches {
-		c := b.cols[ci]
+	for _, c := range chunks {
 		if c.Kind != sqlsem.KindNull {
 			kind = c.Kind
 			// chunks stay dictionary-coded only when every string chunk
@@ -182,8 +189,7 @@ func concatVectors(batches []*Batch, ci, total int) *Vector {
 		out.IsInt = make([]bool, total)
 	}
 	pos := 0
-	for _, b := range batches {
-		v := b.dense(ci)
+	for _, v := range chunks {
 		for i := 0; i < v.Len(); i++ {
 			if v.IsNull(i) {
 				out.SetNull(pos)

@@ -16,9 +16,9 @@
 //     may carry a per-row int/float duality mask so unboxed storage keeps the
 //     per-row SQL value semantics (exact integer arithmetic, int-preserving
 //     division). A row is boxed (Vector.At) into the one sqlsem.Value only
-//     at block boundaries — group accumulators, sort keys, sub-query sets,
-//     result rows — and every scalar operation outside the typed fast paths
-//     is a kernel of internal/sqlsem, the same one the interpreters call.
+//     at block boundaries — sub-query sets, result rows — and every scalar
+//     operation outside the typed fast paths is a kernel of
+//     internal/sqlsem, the same one the interpreters call.
 //   - Selection vectors: filters shrink an index list over a batch instead
 //     of copying payload columns; one pass per conjunct, like a column store,
 //     but over fixed-size batches.
@@ -31,10 +31,20 @@
 //     keys and a reusable []byte encoding for compound keys — group ids are
 //     dense and in insertion order, which pins output order to the
 //     interpreters'.
+//   - Typed aggregation (aggregate.go): one aggTable of flat per-group
+//     state columns — per aggregate only what its function reads, one
+//     (group, value) set per DISTINCT aggregate, all grown amortised — and
+//     one fold shared by the serial breaker, the morsel-parallel breaker
+//     and the decorrelated sub-query, which differ only in where a batch's
+//     group ids come from: ids into a reusable []int32, then per aggregate
+//     one kernel chosen per batch from (function, vector kind) over the raw
+//     payload slices. Every group's rows are folded in global row order, so
+//     sums and extremes equal the interpreters' bit for bit.
 //   - Morsel-driven intra-query parallelism (parallel.go, enabled by
-//     Options.Parallelism): scan->filter morsels, thread-local aggregation
-//     states and partitioned hash-join builds fan across a bounded worker
-//     pool, with every merge walking morsel order — results are
+//     Options.Parallelism): scan->filter morsels, thread-local group
+//     tables and partitioned hash-join builds fan across a bounded worker
+//     pool, with every merge walking morsel order (the aggregation fold
+//     replays the morsels in order, one worker per aggregate) — results are
 //     bit-identical at any worker count, float summation order included.
 //
 // The package depends on internal/sqlparser, the value layer of

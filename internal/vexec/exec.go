@@ -465,7 +465,7 @@ func (ex *executor) runGrouped(sp *plan.Select, pipe operator, prefix string) (*
 	}
 	atm.Done(int64(agg.n))
 	n := agg.n
-	ctx := &evalCtx{ex: ex, batch: &Batch{n: n}, aggs: agg.aggs, refs: agg.refs}
+	ctx := &evalCtx{ex: ex, batch: &Batch{n: n}, grp: agg}
 
 	if stmt.Having != nil {
 		pred, err := ctx.eval(stmt.Having)
@@ -479,14 +479,9 @@ func (ex *executor) runGrouped(sp *plan.Select, pipe operator, prefix string) (*
 			}
 		}
 		if len(sel) < n {
-			for k, v := range agg.aggs {
-				agg.aggs[k] = v.Gather(sel)
-			}
-			for k, v := range agg.refs {
-				agg.refs[k] = v.Gather(sel)
-			}
 			n = len(sel)
-			ctx = &evalCtx{ex: ex, batch: &Batch{n: n}, aggs: agg.aggs, refs: agg.refs}
+			agg.aggs, agg.refs, agg.n = gatherAll(agg.aggs, sel), gatherAll(agg.refs, sel), n
+			ctx.batch = &Batch{n: n}
 		}
 	}
 

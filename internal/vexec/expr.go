@@ -11,18 +11,14 @@ import (
 )
 
 // evalCtx evaluates expressions over one batch. In grouped context the
-// batch rows are groups: aggs maps canonical aggregate SQL text to the
-// per-group aggregate column and refs maps column reference keys to the
-// per-group first-row columns; both are nil in row context.
+// batch rows are groups and grp holds their columns: aggregate calls read
+// the per-group aggregate column and column references the per-group
+// first-row column the plan's aggregation contract (Select.AggOf/CarriedOf)
+// points them to; grp is nil in row context.
 type evalCtx struct {
 	ex    *executor
 	batch *Batch
-	aggs  map[string]*Vector
-	refs  map[string]*Vector
-}
-
-func refKey(table, col string) string {
-	return strings.ToLower(table) + "." + strings.ToLower(col)
+	grp   *aggResult
 }
 
 // errEval wraps evaluation failures with the failing expression.
@@ -121,9 +117,9 @@ func (ctx *evalCtx) eval(e sqlparser.Expr) (*Vector, error) {
 }
 
 func (ctx *evalCtx) resolveColumn(v *sqlparser.ColumnRef) (*Vector, error) {
-	if ctx.refs != nil {
-		if vec, ok := ctx.refs[refKey(v.Table, v.Column)]; ok {
-			return vec, nil
+	if ctx.grp != nil {
+		if i, ok := ctx.grp.sp.CarriedOf[v]; ok {
+			return ctx.grp.refs[i], nil
 		}
 	}
 	idx, err := ctx.batch.findColumn(v.Table, v.Column)
@@ -1015,14 +1011,14 @@ func (ctx *evalCtx) evalCast(v *sqlparser.CastExpr) (*Vector, error) {
 
 func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
 	if v.IsAggregate() {
-		if ctx.aggs == nil {
+		if ctx.grp == nil {
 			return nil, fmt.Errorf("aggregate %s used outside GROUP BY context", v.Name)
 		}
-		vec, ok := ctx.aggs[v.SQL()]
+		i, ok := ctx.grp.sp.AggOf[v]
 		if !ok {
 			return nil, fmt.Errorf("internal: aggregate %s was not precomputed", v.SQL())
 		}
-		return vec, nil
+		return ctx.grp.aggs[i], nil
 	}
 	n := ctx.batch.Len()
 	args := make([]*Vector, len(v.Args))

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
-	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -652,338 +650,4 @@ func (ex *executor) applyFilterBatch(b *Batch, conjuncts []sqlparser.Expr) (*Bat
 		return nil, err
 	}
 	return b.compact(), nil
-}
-
-// --- hash aggregation --------------------------------------------------------
-
-// aggSpec is one distinct aggregate call of the statement.
-type aggSpec struct {
-	call *sqlparser.FuncCall
-	key  string // canonical SQL text
-}
-
-// aggAcc accumulates one aggregate for one group, mirroring the
-// interpreter's fold (distinct sets, int-preserving sums, scalar min/max).
-// The distinct set is a byte-keyed hash table with a reusable encoding
-// buffer: seen values cost no allocation at all, new ones only grow the
-// table's arena.
-type aggAcc struct {
-	count       int64
-	sumI        int64
-	sumF        float64
-	sumIsInt    bool
-	minV        sqlsem.Value
-	maxV        sqlsem.Value
-	distinct    *hashTable
-	distinctBuf []byte
-}
-
-func (a *aggAcc) fold(val sqlsem.Value, distinct bool) {
-	if val.IsNull() {
-		return
-	}
-	if distinct {
-		a.distinctBuf = val.AppendKey(a.distinctBuf[:0])
-		if _, isNew := a.distinct.getOrInsertBytes(a.distinctBuf); !isNew {
-			return
-		}
-	}
-	a.count++
-	if val.Kind == sqlsem.KindInt {
-		a.sumI += val.I
-	} else {
-		a.sumIsInt = false
-	}
-	a.sumF += val.Float()
-	if a.minV.Kind == sqlsem.KindNull || val.Compare(a.minV) < 0 {
-		a.minV = val
-	}
-	if a.maxV.Kind == sqlsem.KindNull || val.Compare(a.maxV) > 0 {
-		a.maxV = val
-	}
-}
-
-func (a *aggAcc) finalize(name string, star bool, groupRows int64) (sqlsem.Value, error) {
-	switch name {
-	case "count":
-		if star {
-			return sqlsem.NewInt(groupRows), nil
-		}
-		return sqlsem.NewInt(a.count), nil
-	case "sum":
-		if a.count == 0 {
-			return sqlsem.Null(), nil
-		}
-		if a.sumIsInt {
-			return sqlsem.NewInt(a.sumI), nil
-		}
-		return sqlsem.NewFloat(a.sumF), nil
-	case "avg":
-		if a.count == 0 {
-			return sqlsem.Null(), nil
-		}
-		return sqlsem.NewFloat(a.sumF / float64(a.count)), nil
-	case "min":
-		if a.count == 0 {
-			return sqlsem.Null(), nil
-		}
-		return a.minV, nil
-	case "max":
-		if a.count == 0 {
-			return sqlsem.Null(), nil
-		}
-		return a.maxV, nil
-	default:
-		return sqlsem.Value{}, fmt.Errorf("unknown aggregate %q", name)
-	}
-}
-
-// aggState is the running state of one group.
-type aggState struct {
-	rows   int64
-	accs   []aggAcc
-	firsts []sqlsem.Value
-}
-
-// aggResult is the output of hash aggregation: one logical row per group.
-type aggResult struct {
-	n    int
-	aggs map[string]*Vector // canonical aggregate SQL -> per-group values
-	refs map[string]*Vector // column reference key -> first-row values
-}
-
-// collectAggregates gathers the distinct aggregate calls of the statement's
-// projection, HAVING and ORDER BY.
-func collectAggregates(sp *plan.Select) ([]aggSpec, error) {
-	var specs []aggSpec
-	seen := map[string]bool{}
-	walk := func(e sqlparser.Expr) {
-		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
-			if f, ok := x.(*sqlparser.FuncCall); ok && f.IsAggregate() {
-				key := f.SQL()
-				if !seen[key] {
-					seen[key] = true
-					specs = append(specs, aggSpec{call: f, key: key})
-				}
-				return false
-			}
-			return true
-		})
-	}
-	for _, e := range sp.Items {
-		walk(e)
-	}
-	walk(sp.Stmt.Having)
-	for _, o := range sp.OrderBy {
-		walk(o.Expr)
-	}
-	for _, s := range specs {
-		name := strings.ToLower(s.call.Name)
-		if s.call.Star && name != "count" {
-			return nil, fmt.Errorf("%s(*) is not valid", name)
-		}
-		if !s.call.Star && len(s.call.Args) != 1 {
-			return nil, fmt.Errorf("aggregate %s expects exactly 1 argument", name)
-		}
-	}
-	return specs, nil
-}
-
-// collectCarriedRefs gathers the column references of projection, HAVING and
-// ORDER BY that sit outside aggregate arguments; their first-row values per
-// group reproduce the interpreter's "plain columns resolve against the first
-// row of the group" behaviour. ORDER BY keys the plan resolved to an output
-// column carry nothing.
-func collectCarriedRefs(sp *plan.Select) []*sqlparser.ColumnRef {
-	var refs []*sqlparser.ColumnRef
-	seen := map[string]bool{}
-	walk := func(e sqlparser.Expr) {
-		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
-			if f, ok := x.(*sqlparser.FuncCall); ok && f.IsAggregate() {
-				return false
-			}
-			if c, ok := x.(*sqlparser.ColumnRef); ok {
-				key := refKey(c.Table, c.Column)
-				if !seen[key] {
-					seen[key] = true
-					refs = append(refs, c)
-				}
-			}
-			return true
-		})
-	}
-	for _, e := range sp.Items {
-		walk(e)
-	}
-	walk(sp.Stmt.Having)
-	for _, o := range sp.OrderBy {
-		walk(o.Expr)
-	}
-	return refs
-}
-
-// newAggState allocates the accumulators of one group.
-func newAggState(specs []aggSpec, carried []*sqlparser.ColumnRef) *aggState {
-	st := &aggState{accs: make([]aggAcc, len(specs)), firsts: make([]sqlsem.Value, len(carried))}
-	for i := range st.accs {
-		st.accs[i].sumIsInt = true
-		if specs[i].call.Distinct {
-			st.accs[i].distinct = newByteKeyTable(8)
-		}
-	}
-	return st
-}
-
-// aggBatchVectors evaluates the grouping keys, aggregate arguments and
-// carried references over one batch.
-func aggBatchVectors(ex *executor, b *Batch, stmt *sqlparser.SelectStatement, specs []aggSpec, carried []*sqlparser.ColumnRef) (keyVecs, argVecs, refVecs []*Vector, err error) {
-	ctx := &evalCtx{ex: ex, batch: b}
-	keyVecs = make([]*Vector, len(stmt.GroupBy))
-	for i, g := range stmt.GroupBy {
-		if keyVecs[i], err = ctx.eval(g); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	argVecs = make([]*Vector, len(specs))
-	for i, s := range specs {
-		if s.call.Star {
-			continue
-		}
-		if argVecs[i], err = ctx.eval(s.call.Args[0]); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	refVecs = make([]*Vector, len(carried))
-	for i, r := range carried {
-		if refVecs[i], err = ctx.resolveColumn(r); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return keyVecs, argVecs, refVecs, nil
-}
-
-// buildAggResult finalizes the per-group accumulators into the aggregate
-// and carried-reference columns.
-func buildAggResult(specs []aggSpec, carried []*sqlparser.ColumnRef, order []*aggState) (*aggResult, error) {
-	res := &aggResult{n: len(order), aggs: map[string]*Vector{}, refs: map[string]*Vector{}}
-	for ai, s := range specs {
-		bld := newBuilder(len(order))
-		name := strings.ToLower(s.call.Name)
-		for _, st := range order {
-			val, err := st.accs[ai].finalize(name, s.call.Star, st.rows)
-			if err != nil {
-				return nil, err
-			}
-			bld.append(val)
-		}
-		vec, err := bld.finalize()
-		if err != nil {
-			return nil, err
-		}
-		res.aggs[s.key] = vec
-	}
-	for ri, r := range carried {
-		bld := newBuilder(len(order))
-		for _, st := range order {
-			bld.append(st.firsts[ri])
-		}
-		vec, err := bld.finalize()
-		if err != nil {
-			return nil, err
-		}
-		res.refs[refKey(r.Table, r.Column)] = vec
-	}
-	return res, nil
-}
-
-// hashAggregate drains the pipeline into per-group accumulators: the
-// streaming pipeline breaker of grouped queries. Groups live in the typed
-// hash table — dense ids in first-seen order index the order slice
-// directly — so the per-row cost is one unboxed hash probe, not a string
-// key build. With intra-query parallelism enabled and a morsel-splittable
-// pipeline below, the work fans out across the morsel pool instead.
-func (ex *executor) hashAggregate(child operator, sp *plan.Select) (*aggResult, error) {
-	stmt := sp.Stmt
-	specs, err := collectAggregates(sp)
-	if err != nil {
-		return nil, err
-	}
-	carried := collectCarriedRefs(sp)
-
-	if ex.parallelism() > 1 {
-		// Single-morsel inputs skip the 3-phase machinery: its thread-local
-		// tables and remap passes only pay off with morsels to fan out.
-		if src, layers, ok := splitPipeline(child); ok && src.rows > ex.opts.BatchSize {
-			return ex.parallelHashAggregate(src, layers, stmt, specs, carried)
-		}
-	}
-
-	// The serial drain fully consumes each batch before pulling the next
-	// and retains only boxed scalars, so the scan can recycle one frame.
-	markScanReuse(child)
-
-	ht := newHashTable(64)
-	var order []*aggState
-	if len(stmt.GroupBy) == 0 {
-		// Aggregates without GROUP BY form one global group even over an
-		// empty input.
-		order = append(order, newAggState(specs, carried))
-	}
-
-	for {
-		b, err := child.next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if err := ex.checkDeadline(); err != nil {
-			return nil, err
-		}
-		n := b.Len()
-		if n == 0 {
-			continue
-		}
-		ex.stats.AggRows += int64(n)
-		keyVecs, argVecs, refVecs, err := aggBatchVectors(ex, b, stmt, specs, carried)
-		if err != nil {
-			return nil, err
-		}
-		var kc keyCoder
-		if len(stmt.GroupBy) > 0 {
-			kc = ht.prepare(keyVecs)
-		}
-		for j := 0; j < n; j++ {
-			var st *aggState
-			if len(stmt.GroupBy) == 0 {
-				st = order[0]
-			} else {
-				g, isNew := kc.getOrInsert(ht, keyVecs, j)
-				if isNew {
-					st = newAggState(specs, carried)
-					order = append(order, st)
-					for ri, rv := range refVecs {
-						st.firsts[ri] = rv.At(j)
-					}
-				} else {
-					st = order[g]
-				}
-			}
-			if len(stmt.GroupBy) == 0 && st.rows == 0 {
-				for ri, rv := range refVecs {
-					st.firsts[ri] = rv.At(j)
-				}
-			}
-			st.rows++
-			for ai := range specs {
-				if specs[ai].call.Star {
-					continue
-				}
-				st.accs[ai].fold(argVecs[ai].At(j), specs[ai].call.Distinct)
-			}
-		}
-	}
-	ex.stats.Groups += int64(len(order))
-	return buildAggResult(specs, carried, order)
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/trace"
 )
@@ -328,8 +329,7 @@ type aggMorsel struct {
 	argVecs   []*Vector
 	refVecs   []*Vector
 	table     *hashTable
-	rowGroups []int32
-	firstRows []int32 // local group -> first surviving row
+	rowGroups []int32 // per surviving row: local group id, global after phase 2
 	stats     Stats
 	deltas    []trace.SpanDelta // per-layer span deltas; nil when tracing is off
 	err       error
@@ -341,14 +341,16 @@ type aggMorsel struct {
 // thread-local group ids. Phase 2 (serial, morsel order): the local tables
 // merge into one global table — visiting local groups in local insertion
 // order reproduces the serial first-seen group order exactly — and every
-// row is bucketed under its global group in global row order. Phase 3
-// (parallel over groups): each group folds its rows in that order, which
-// is the serial fold order, so order-sensitive accumulations (float sums)
-// come out bit-identical to the serial path at any worker count.
-func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer, stmt *sqlparser.SelectStatement, specs []aggSpec, carried []*sqlparser.ColumnRef) (*aggResult, error) {
+// morsel's rows are remapped to global ids and admitted to the one
+// aggregation table. Phase 3 (parallel over aggregates): each aggregate
+// folds the morsels in morsel order, so every group sees its rows in global
+// row order — the serial fold order; no partial states are merged — and
+// order-sensitive accumulations (float sums) come out bit-identical to the
+// serial path at any worker count.
+func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer, sp *plan.Select) (*aggResult, error) {
 	p := ex.parallelism()
 	bs := ex.opts.BatchSize
-	grouped := len(stmt.GroupBy) > 0
+	grouped := len(sp.Stmt.GroupBy) > 0
 	nm := src.numMorsels(bs)
 	morsels := make([]aggMorsel, nm)
 	parallelFor(p, nm, func(m int) {
@@ -408,21 +410,19 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 		mo.n = n
 		mo.stats.AggRows += int64(n)
 		var err error
-		mo.keyVecs, mo.argVecs, mo.refVecs, err = aggBatchVectors(ex, b, stmt, specs, carried)
+		mo.keyVecs, mo.argVecs, mo.refVecs, err = aggBatchVectors(ex, b, sp)
 		if err != nil {
 			mo.err = err
 			return
 		}
+		// Aggregates without GROUP BY form one global group: id 0 throughout.
+		mo.rowGroups = make([]int32, n)
 		if grouped {
 			mo.table = newHashTable(64)
 			kc := mo.table.prepare(mo.keyVecs)
-			mo.rowGroups = make([]int32, n)
-			for j := 0; j < n; j++ {
-				g, isNew := kc.getOrInsert(mo.table, mo.keyVecs, j)
+			for j := range mo.rowGroups {
+				g, _ := kc.getOrInsert(mo.table, mo.keyVecs, j)
 				mo.rowGroups[j] = int32(g)
-				if isNew {
-					mo.firstRows = append(mo.firstRows, int32(j))
-				}
 			}
 		}
 	})
@@ -442,95 +442,44 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 	}
 
 	// Phase 2: merge the thread-local tables in morsel order.
-	var order []*aggState
-	var rowsOf [][]int64 // per global group: rows packed as morsel<<32|row
-	if grouped {
-		global := newHashTable(64)
-		var buf []byte
-		remaps := make([][]int32, len(morsels))
-		for m := range morsels {
-			mo := &morsels[m]
-			if mo.n == 0 {
-				continue
-			}
-			remap := make([]int32, mo.table.numGroups())
-			remaps[m] = remap
-			for lg := 0; lg < mo.table.numGroups(); lg++ {
+	t := newAggTable(sp)
+	global := newHashTable(64)
+	var buf []byte
+	var remap []int32
+	for m := range morsels {
+		mo := &morsels[m]
+		if mo.n == 0 {
+			continue
+		}
+		if grouped {
+			remap = growTo(remap[:0], mo.table.numGroups())
+			for lg := range remap {
 				var g int
-				var isNew bool
-				g, isNew, buf = global.getOrInsertKeyOf(mo.table, lg, buf)
+				g, _, buf = global.getOrInsertKeyOf(mo.table, lg, buf)
 				remap[lg] = int32(g)
-				if isNew {
-					st := newAggState(specs, carried)
-					j := int(mo.firstRows[lg])
-					for ri, rv := range mo.refVecs {
-						st.firsts[ri] = rv.At(j)
-					}
-					order = append(order, st)
-				}
+			}
+			for j, lg := range mo.rowGroups {
+				mo.rowGroups[j] = remap[lg]
 			}
 		}
-		// Bucket every row under its global group in global row order,
-		// sized exactly up front so the fill pass never reallocates.
-		counts := make([]int, len(order))
-		for m := range morsels {
-			for _, lg := range morsels[m].rowGroups {
-				counts[remaps[m][lg]]++
-			}
-		}
-		rowsOf = make([][]int64, len(order))
-		for g, c := range counts {
-			rowsOf[g] = make([]int64, 0, c)
-		}
-		for m := range morsels {
-			for j, lg := range morsels[m].rowGroups {
-				g := remaps[m][lg]
-				rowsOf[g] = append(rowsOf[g], int64(m)<<32|int64(j))
-			}
-		}
-	} else {
-		// Aggregates without GROUP BY form one global group even over an
-		// empty input; its carried references resolve against the first
-		// surviving row overall.
-		st := newAggState(specs, carried)
-		order = []*aggState{st}
-		total := 0
-		for m := range morsels {
-			total += morsels[m].n
-		}
-		rowsOf = [][]int64{make([]int64, 0, total)}
-		first := true
-		for m := range morsels {
-			mo := &morsels[m]
-			for j := 0; j < mo.n; j++ {
-				if first {
-					for ri, rv := range mo.refVecs {
-						st.firsts[ri] = rv.At(j)
-					}
-					first = false
-				}
-				rowsOf[0] = append(rowsOf[0], int64(m)<<32|int64(j))
-			}
-		}
+		t.admit(mo.rowGroups, mo.refVecs)
 	}
 
-	// Phase 3: fold every group's rows in global row order.
-	parallelFor(p, len(order), func(g int) {
-		st := order[g]
-		for _, packed := range rowsOf[g] {
-			mo := &morsels[packed>>32]
-			j := int(packed & 0xffffffff)
-			st.rows++
-			for ai := range specs {
-				if specs[ai].call.Star {
-					continue
-				}
-				st.accs[ai].fold(mo.argVecs[ai].At(j), specs[ai].call.Distinct)
+	// Phase 3: fold every aggregate over the morsels in morsel order.
+	errs := make([]error, len(sp.Aggs))
+	parallelFor(p, len(sp.Aggs), func(ai int) {
+		for m := range morsels {
+			if mo := &morsels[m]; mo.n > 0 && errs[ai] == nil {
+				errs[ai] = t.fold(ai, mo.rowGroups, mo.argVecs[ai])
 			}
 		}
 	})
-	ex.stats.Groups += int64(len(order))
-	return buildAggResult(specs, carried, order)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ex.finishAggregate(t, grouped), nil
 }
 
 // --- parallel hash join -------------------------------------------------------

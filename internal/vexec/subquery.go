@@ -211,59 +211,33 @@ func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply, subPrefix string
 // row" — and evaluates the sub-query's projection over the groups, plus once
 // over an empty group for outer rows with no match (count 0, NULL sums).
 func (ex *executor) buildApplyAgg(as *applyState, sp *plan.Select, b *Batch, rowGroup []int32) error {
-	proj := sp.Items[0]
-	specs, err := collectAggregates(sp)
+	if sp.AggErr != nil {
+		return deferToFallback(sp.AggErr)
+	}
+	_, argVecs, refVecs, err := aggBatchVectors(ex, b, sp)
 	if err != nil {
 		return deferToFallback(err)
 	}
-	carried := collectCarriedRefs(sp)
-	_, argVecs, refVecs, err := aggBatchVectors(ex, b, sp.Stmt, specs, carried)
+	ex.stats.AggRows += int64(b.Len())
+	t := newAggTable(sp)
+	if err := t.foldBatch(rowGroup, argVecs, refVecs); err != nil {
+		return err
+	}
+	ex.stats.Groups += int64(t.n)
+	if as.groupVals, err = ex.evalOverGroups(t, 0, sp.Items[0]); err != nil {
+		return err
+	}
+	ev, err := ex.evalOverGroups(newAggTable(sp), 1, sp.Items[0])
 	if err != nil {
-		return deferToFallback(err)
-	}
-	order := make([]*aggState, len(as.groups))
-	n := b.Len()
-	ex.stats.AggRows += int64(n)
-	for i := 0; i < n; i++ {
-		g := rowGroup[i]
-		if g < 0 {
-			continue
-		}
-		st := order[g]
-		if st == nil {
-			st = newAggState(specs, carried)
-			order[g] = st
-			for ri, rv := range refVecs {
-				st.firsts[ri] = rv.At(i)
-			}
-		}
-		st.rows++
-		for ai := range specs {
-			if specs[ai].call.Star {
-				continue
-			}
-			st.accs[ai].fold(argVecs[ai].At(i), specs[ai].call.Distinct)
-		}
-	}
-	ex.stats.Groups += int64(len(order))
-	res, err := buildAggResult(specs, carried, order)
-	if err != nil {
-		return deferToFallback(err)
-	}
-	gctx := &evalCtx{ex: ex, batch: &Batch{n: len(order)}, aggs: res.aggs, refs: res.refs}
-	if as.groupVals, err = gctx.eval(proj); err != nil {
-		return deferToFallback(err)
-	}
-
-	empty, err := buildAggResult(specs, carried, []*aggState{newAggState(specs, carried)})
-	if err != nil {
-		return deferToFallback(err)
-	}
-	ectx := &evalCtx{ex: ex, batch: &Batch{n: 1}, aggs: empty.aggs, refs: empty.refs}
-	ev, err := ectx.eval(proj)
-	if err != nil {
-		return deferToFallback(err)
+		return err
 	}
 	as.emptyVal = ev.At(0)
 	return nil
+}
+
+// evalOverGroups evaluates a grouped projection over the table's groups.
+func (ex *executor) evalOverGroups(t *aggTable, minGroups int, proj sqlparser.Expr) (*Vector, error) {
+	res := t.result(minGroups)
+	v, err := (&evalCtx{ex: ex, batch: &Batch{n: res.n}, grp: res}).eval(proj)
+	return v, deferToFallback(err)
 }

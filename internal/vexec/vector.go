@@ -240,9 +240,9 @@ func sliceInto(dst, src *Vector, lo, hi int) {
 }
 
 // At boxes row i: the form used at the block boundaries of the executor
-// (group accumulators, sort keys, result rows). NULL rows report KindNull;
-// rows of a float vector flagged in the IsInt duality mask report KindInt
-// with their exact integer payload.
+// (sub-query sets, scalar function arguments, result rows). NULL rows report
+// KindNull; rows of a float vector flagged in the IsInt duality mask report
+// KindInt with their exact integer payload.
 func (v *Vector) At(i int) sqlsem.Value {
 	if v.IsNull(i) {
 		return sqlsem.Null()
