@@ -782,6 +782,84 @@ func BenchmarkHashAggregate(b *testing.B) {
 	}
 }
 
+// newJoinChainCatalog builds c1..c6 of rows rows each: ci.k joins c(i-1).j
+// one to one, f is a filter column, p a payload and w0..w<width-1> columns
+// no query below reads — the width late materialization must not pay for.
+func newJoinChainCatalog(rows, width int) vexecBenchCatalog {
+	cat := vexecBenchCatalog{}
+	for ti := 1; ti <= 6; ti++ {
+		k := vexec.NewVector(sqlsem.KindInt, rows)
+		j := vexec.NewVector(sqlsem.KindInt, rows)
+		p := vexec.NewVector(sqlsem.KindFloat, rows)
+		for i := 0; i < rows; i++ {
+			k.Ints[i] = int64(i)
+			j.Ints[i] = int64((i + ti) % rows)
+			p.Floats[i] = float64(i%1000) / 8
+		}
+		cols := []vexec.TableColumn{{Name: "k", Vec: k}, {Name: "j", Vec: j}, {Name: "f", Vec: k}, {Name: "p", Vec: p}}
+		for w := 0; w < width; w++ {
+			cols = append(cols, vexec.TableColumn{Name: fmt.Sprintf("w%d", w), Vec: p})
+		}
+		name := fmt.Sprintf("c%d", ti)
+		cat[name] = vexec.NewTable(name, cols...)
+	}
+	return cat
+}
+
+// benchVexecPlan runs one prebuilt plan per iteration, reporting allocations.
+func benchVexecPlan(b *testing.B, cat vexecBenchCatalog, sql string) {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := plan.BuildStmt(cat, stmt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := vexec.ExecutePlan(cat, p, vexec.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJoinChain measures a Q5-shaped chain of filtered inputs joined
+// one to one, aggregating the first and last payloads: 2, 4 and 6 tables of
+// 12 columns, and 6 tables of 40. Joins compose row ids and a column is
+// gathered once, where read, so bytes and allocations follow the number of
+// steps and of referenced columns — not the width of the tables (6_tables
+// and 6_tables_wide allocate the same) and not the position of a column in
+// the chain.
+func BenchmarkJoinChain(b *testing.B) {
+	chain := func(n int) string {
+		from, where := "c1", "c1.f < 40000"
+		for i := 2; i <= n; i++ {
+			from += fmt.Sprintf(", c%d", i)
+			where += fmt.Sprintf(" AND c%d.j = c%d.k AND c%d.f < 45000", i-1, i, i)
+		}
+		return fmt.Sprintf("SELECT count(*), sum(c1.p), sum(c%d.p) FROM %s WHERE %s", n, from, where)
+	}
+	narrow, wide := newJoinChainCatalog(50000, 8), newJoinChainCatalog(50000, 36)
+	for _, n := range []int{2, 4, 6} {
+		b.Run(fmt.Sprintf("%d_tables", n), func(b *testing.B) { benchVexecPlan(b, narrow, chain(n)) })
+	}
+	b.Run("6_tables_wide", func(b *testing.B) { benchVexecPlan(b, wide, chain(6)) })
+}
+
+// BenchmarkExistsPairConjunct is the Q21 shape: a correlated EXISTS and NOT
+// EXISTS over the same fact table, each with a non-equi pair conjunct next
+// to the correlation key. The probe hashes typed keys and evaluates the
+// pair conjuncts over a view that gathers the two columns they name, not
+// the full width of both sides.
+func BenchmarkExistsPairConjunct(b *testing.B) {
+	benchVexecPlan(b, newJoinChainCatalog(50000, 8),
+		"SELECT count(*) FROM c1 l1, c2 WHERE c2.k = l1.j AND c2.f < 30000 "+
+			"AND EXISTS (SELECT * FROM c1 l2 WHERE l2.j = l1.j AND l2.p <> l1.p + 1) "+
+			"AND NOT EXISTS (SELECT * FROM c1 l3 WHERE l3.j = l1.j AND l3.k <> l1.k AND l3.p > 100)")
+}
+
 // BenchmarkVexecParallelism measures morsel-driven intra-query parallelism
 // on a scan-heavy aggregation and a fact-dimension join at 1, 2, 4 and 8
 // morsel workers. The results are bit-identical at every worker count (the

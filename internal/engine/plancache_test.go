@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +35,26 @@ func TestPlanCacheDifferentialAllWorkloads(t *testing.T) {
 		{"shapes", tpchDB, []workload.Query{
 			{ID: "empty-agg-bare-column", SQL: "SELECT o_orderstatus, count(*) FROM orders WHERE o_totalprice < 0"},
 			{ID: "empty-agg-bare-expr", SQL: "SELECT o_custkey + 1, sum(o_totalprice) FROM orders WHERE o_totalprice < 0"},
+			// Scan pruning and late materialization change no answer.
+			{ID: "star-over-join", SQL: "SELECT * FROM nation, region WHERE n_regionkey = r_regionkey AND r_name <> 'ASIA' ORDER BY n_nationkey"},
+			{ID: "qualified-star-beside-inputs", SQL: "SELECT n.*, r_name FROM nation n, region r, supplier s WHERE n_regionkey = r_regionkey AND s_nationkey = n_nationkey ORDER BY s_suppkey"},
+			{ID: "count-star-no-referenced-column", SQL: "SELECT count(*) FROM nation, region"},
+			{ID: "count-star-one-side-unreferenced", SQL: "SELECT count(*) FROM supplier, nation WHERE s_acctbal > 0"},
+			{ID: "outer-column-only-in-subquery", SQL: "SELECT r_name FROM region WHERE EXISTS (SELECT 1 FROM nation WHERE n_regionkey = r_regionkey AND n_name < 'K') ORDER BY r_name"},
+			{ID: "outer-column-only-in-pair-conjunct", SQL: "SELECT s_name FROM supplier WHERE EXISTS (SELECT * FROM customer WHERE c_nationkey = s_nationkey AND c_acctbal > s_acctbal) ORDER BY s_name"},
+			{ID: "aliases-in-join-tree-and-derived", SQL: "SELECT c.c_name, d.total, n.n_name FROM customer c JOIN (SELECT o_custkey AS ck, sum(o_totalprice) AS total FROM orders GROUP BY o_custkey) d ON d.ck = c.c_custkey LEFT JOIN nation n ON n.n_nationkey = c.c_nationkey AND n.n_name <> 'FRANCE' WHERE d.total > 100000 ORDER BY c.c_name"},
+			{ID: "self-join-different-columns", SQL: "SELECT a.n_name, b.n_comment FROM nation a, nation b WHERE a.n_nationkey = b.n_regionkey ORDER BY a.n_name, b.n_comment"},
+			{ID: "date-interval-chain", SQL: "SELECT count(*), min(o_orderdate), max(o_orderdate) FROM orders WHERE o_orderdate >= DATE '1994-01-31' + INTERVAL '1' MONTH AND o_orderdate < (DATE '1994-01-01' + INTERVAL '1' YEAR) - INTERVAL '1' DAY"},
 		}},
+	}
+	// Shapes every engine must reject, with the same complaint: pruning a
+	// scan must not make an ambiguous reference resolvable, and a malformed
+	// literal must not fold away.
+	rejected := []struct{ id, sql, want string }{
+		{"ambiguous-unqualified", "SELECT n_name FROM nation a, nation b WHERE a.n_nationkey = b.n_regionkey", "ambiguous column reference"},
+		{"ambiguous-in-filter", "SELECT a.n_name FROM nation a, nation b WHERE a.n_nationkey = b.n_regionkey AND n_comment <> ''", "ambiguous column reference"},
+		{"malformed-date-interval", "SELECT count(*) FROM orders WHERE o_orderdate < DATE '1994-13-01' + INTERVAL '1' YEAR", "invalid date"},
+		{"malformed-interval-count", "SELECT count(*) FROM orders WHERE o_orderdate < DATE '1994-01-01' + INTERVAL 'x' YEAR", "malformed numeric literal"},
 	}
 
 	cached := engine.NewRegistry() // shares one plan cache across engines
@@ -43,6 +63,15 @@ func TestPlanCacheDifferentialAllWorkloads(t *testing.T) {
 		e.(engine.PlanCached).SetPlanCache(nil) // re-plan on every execution
 	}
 
+	for _, q := range rejected {
+		for _, key := range cached.Keys() {
+			for _, reg := range []*engine.Registry{fresh, cached} {
+				if _, err := reg.Get(key).Execute(tpchDB, q.sql, opts); err == nil || !strings.Contains(err.Error(), q.want) {
+					t.Errorf("rejected/%s on %s: err = %v, want %q", q.id, key, err, q.want)
+				}
+			}
+		}
+	}
 	for _, wl := range workloads {
 		for _, q := range wl.queries {
 			q := q

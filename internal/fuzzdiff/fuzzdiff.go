@@ -41,6 +41,8 @@ query:
 	SELECT t.id, label, ${l_proj} AS p FROM t, dim WHERE k = dk AND ${l_pred} ORDER BY t.id
 	SELECT t.id, w, ${l_proj} AS p FROM t, dim WHERE a = w AND ${l_pred} ORDER BY t.id
 	SELECT t.id, label FROM t LEFT JOIN dim ON a = w $[filter] ORDER BY t.id
+	SELECT t.id, d1.label, d2.w, ${l_proj} AS p FROM t, dim d1, dim d2 WHERE k = d1.dk AND g = d2.dk AND ${l_pred} ORDER BY t.id
+	SELECT * FROM t, dim WHERE a = w AND ${l_pred} ORDER BY id
 	SELECT id FROM t WHERE ${l_pred} ORDER BY id
 	SELECT DISTINCT a, s FROM t $[filter]
 	SELECT a FROM t WHERE ${l_pred} UNION SELECT a FROM t WHERE ${l_pred}

@@ -81,6 +81,14 @@ func TestGrammarCoversTernaryConstructs(t *testing.T) {
 			t.Errorf("grammar literals lost sub-query shape %q", want)
 		}
 	}
+	// The join shapes late materialization composes row ids over: a 3-way
+	// chain through two aliases of dim, and a star projection over a join
+	// (nothing pruned, every column read through a view).
+	for _, want := range []string{"FROM t, dim d1, dim d2 WHERE k = d1.dk AND g = d2.dk", "SELECT * FROM t, dim WHERE a = w"} {
+		if !strings.Contains(GrammarSource, want) {
+			t.Errorf("grammar templates lost join shape %q", want)
+		}
+	}
 	// The dictionary-routed shapes over the low-cardinality string key s:
 	// equality on present and absent values, prefix LIKE, IN lists with
 	// present/absent/NULL members, and code-order range comparisons — the

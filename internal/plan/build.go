@@ -671,9 +671,10 @@ func resolveAggregates(sp *Select) {
 // --- column pruning ----------------------------------------------------------
 
 // neededColumns computes, per table alias, the set of column names the
-// statement references anywhere (including sub-queries); the column engine
-// prunes its scans to these. Unqualified references are attributed to every
-// base table that has a column of that name.
+// statement references anywhere (including sub-queries); the column
+// interpreter and the typed executor prune their scans to these. Unqualified
+// references are attributed to every base table that has a column of that
+// name, so pruning never turns an ambiguous reference into a resolvable one.
 func (b *builder) neededColumns(stmt *sqlparser.SelectStatement) map[string]map[string]bool {
 	needed := map[string]map[string]bool{}
 	add := func(alias, col string) {

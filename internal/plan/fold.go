@@ -6,14 +6,19 @@ import (
 	"strings"
 
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 )
 
-// FoldExpr constant-folds integer literal arithmetic inside a filter
-// predicate: `x < 10 + 5` plans as `x < 15`, so none of the engines pays the
-// addition per row. Folding is deliberately conservative — only +, - and *
-// over plain integer literals, skipped on overflow — so the folded predicate
-// evaluates to exactly the values the original would, with the engines'
-// integer-preserving arithmetic. The input tree is never modified; nodes are
+// FoldExpr constant-folds literal arithmetic inside a filter predicate:
+// `x < 10 + 5` plans as `x < 15` and `d < DATE '1994-01-01' + INTERVAL '1'
+// YEAR` as `d < DATE '1995-01-01'`, so none of the engines pays the
+// arithmetic per row and the zone maps see a literal bound. Folding is
+// deliberately conservative — only +, - and * over plain integer literals,
+// skipped on overflow, and date ± interval (chains included) where both
+// literals parse and the engines' own sqlsem.AddInterval succeeds — so the
+// folded predicate evaluates to exactly the values the original would, and a
+// malformed literal keeps its tree and with it the runtime error, in the
+// order the engines raise it. The input tree is never modified; nodes are
 // rebuilt only on the path to a folded constant. Sub-query statements keep
 // their identity, so plan lookups by statement pointer are unaffected.
 func FoldExpr(e sqlparser.Expr) sqlparser.Expr {
@@ -31,6 +36,9 @@ func FoldExpr(e sqlparser.Expr) sqlparser.Expr {
 				}
 			}
 		}
+		if folded, ok := foldDateInterval(v.Op, left, right); ok {
+			return folded
+		}
 		if left != v.Left || right != v.Right {
 			cp := *v
 			cp.Left = left
@@ -40,7 +48,8 @@ func FoldExpr(e sqlparser.Expr) sqlparser.Expr {
 		return v
 	case *sqlparser.ParenExpr:
 		inner := FoldExpr(v.Expr)
-		if _, ok := intLit(inner); ok {
+		_, isDate := inner.(*sqlparser.DateLit)
+		if _, ok := intLit(inner); ok || isDate {
 			// A parenthesized constant is just the constant.
 			return inner
 		}
@@ -80,6 +89,31 @@ func intLit(e sqlparser.Expr) (int64, bool) {
 		return 0, false
 	}
 	return v, true
+}
+
+// foldDateInterval folds DATE '…' ± INTERVAL '…' unit into the date literal
+// the engines' runtime branch would compute, row by row, from the same
+// kernels.
+func foldDateInterval(op string, left, right sqlparser.Expr) (sqlparser.Expr, bool) {
+	d, isDate := left.(*sqlparser.DateLit)
+	iv, isInterval := right.(*sqlparser.IntervalLit)
+	if !isDate || !isInterval || (op != "+" && op != "-") {
+		return nil, false
+	}
+	days, dateErr := sqlsem.ParseDate(d.Value)
+	count, countErr := sqlsem.ParseNumber(iv.Value)
+	if dateErr != nil || countErr != nil {
+		return nil, false
+	}
+	n := count.Int()
+	if op == "-" {
+		n = -n
+	}
+	sum, err := sqlsem.AddInterval(days, n, iv.Unit)
+	if err != nil {
+		return nil, false
+	}
+	return &sqlparser.DateLit{Value: sqlsem.FormatDate(sum)}, true
 }
 
 // foldInt evaluates an exact integer operation, refusing on overflow so the

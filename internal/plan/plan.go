@@ -161,7 +161,7 @@ type Select struct {
 	// exploits it.
 	EarlyLimit int
 	// Needed are the per-alias column sets referenced anywhere in the
-	// statement — the column engine's pruning input.
+	// statement: what the column interpreter and the typed scans prune to.
 	Needed map[string]map[string]bool
 	// Schema is the joined FROM schema in join order.
 	Schema []ColumnMeta

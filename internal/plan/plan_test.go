@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 )
 
 // fakeCatalog is a minimal schema provider for the planner.
@@ -161,6 +162,15 @@ func TestNeededColumnsAndEarlyLimit(t *testing.T) {
 	}
 }
 
+func mustAddInterval(t *testing.T, date string, n int64, unit string) int64 {
+	t.Helper()
+	d, err := sqlsem.AddInterval(sqlsem.MustParseDate(date), n, unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestConstantFolding(t *testing.T) {
 	fold := func(sql string) string {
 		stmt, err := sqlparser.Parse(sql)
@@ -176,6 +186,32 @@ func TestConstantFolding(t *testing.T) {
 	// Floats and non-arithmetic operators stay untouched.
 	if got := fold("SELECT 1 FROM orders WHERE o_total < 1.5 + 2"); strings.Contains(got, "3.5") {
 		t.Errorf("float arithmetic must not fold, got %q", got)
+	}
+	// Date ± interval folds into the date AddInterval computes; chains and
+	// parentheses fold through, and a literal that does not parse (or a unit
+	// AddInterval rejects) keeps its tree, so the runtime error survives.
+	for _, tc := range []struct{ expr, want string }{
+		{"DATE '1994-01-01' + INTERVAL '1' YEAR", "DATE '1995-01-01'"},
+		{"DATE '1994-01-01' + INTERVAL '3' MONTH", "DATE '1994-04-01'"},
+		{"DATE '1998-12-01' - INTERVAL '90' DAY", "DATE '1998-09-02'"},
+		{"DATE '1995-01-31' + INTERVAL '1' MONTH", "DATE '" + sqlsem.FormatDate(mustAddInterval(t, "1995-01-31", 1, "MONTH")) + "'"},
+		{"DATE '1996-02-29' + INTERVAL '1' YEAR", "DATE '" + sqlsem.FormatDate(mustAddInterval(t, "1996-02-29", 1, "YEAR")) + "'"},
+		{"DATE '1994-01-01' + INTERVAL '-2' DAY", "DATE '1993-12-30'"},
+		{"DATE '1994-01-01' - INTERVAL '-2' DAY", "DATE '1994-01-03'"},
+		{"DATE '1994-01-01' + INTERVAL '1' YEAR - INTERVAL '1' DAY", "DATE '1994-12-31'"},
+		{"(DATE '1994-01-01' + INTERVAL '1' YEAR) + INTERVAL '1' MONTH", "DATE '1995-02-01'"},
+		{"DATE '1994-13-01' + INTERVAL '1' YEAR", "DATE '1994-13-01' + INTERVAL '1' YEAR"},
+		{"DATE '1994-01-01' + INTERVAL 'x' YEAR", "DATE '1994-01-01' + INTERVAL 'x' YEAR"},
+		{"(DATE '1994-13-01') + INTERVAL '1' YEAR", "DATE '1994-13-01' + INTERVAL '1' YEAR"},
+		{"(DATE '1994-01-01') + INTERVAL '1' YEAR", "DATE '1995-01-01'"},
+	} {
+		if got, want := fold("SELECT 1 FROM orders WHERE o_date < "+tc.expr), "o_date < "+tc.want; got != want {
+			t.Errorf("fold(%s) = %s, want %s", tc.expr, got, want)
+		}
+	}
+	// A column operand keeps the runtime branch.
+	if got := fold("SELECT 1 FROM orders WHERE o_date + INTERVAL '1' DAY < DATE '1995-01-01'"); !strings.Contains(got, "INTERVAL") {
+		t.Errorf("column ± interval must not fold, got %q", got)
 	}
 	// Folding must not lose the sub-expression's statement identity.
 	p := mustBuild(t, "SELECT 1 FROM orders WHERE o_total < 2 * 3 AND o_custkey IN (SELECT c_custkey FROM customer)")

@@ -538,12 +538,13 @@ func TestApplyAggMatchesPerRowFold(t *testing.T) {
 			if uk.IsNull(j) {
 				continue
 			}
-			g, ok := as.groups[string(encodeRowKey(nil, []*Vector{uk}, j))]
-			if !ok {
+			ht, kc := as.prober([]*Vector{uk})
+			g := kc.lookup(ht, []*Vector{uk}, j)
+			if g < 0 {
 				t.Fatalf("%s: inner key %d has no group", sql, uk.Ints[j])
 			}
-			seen = max(seen, int(g)+1)
-			if got, want := as.groupVals.At(int(g)), fold(uk.Ints[j], true); !scalarEqual(got, want) {
+			seen = max(seen, g+1)
+			if got, want := as.groupVals.At(g), fold(uk.Ints[j], true); !scalarEqual(got, want) {
 				t.Fatalf("%s: group of key %d = %#v, want %#v", sql, uk.Ints[j], got, want)
 			}
 		}

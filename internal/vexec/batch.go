@@ -18,6 +18,17 @@ type colMeta struct {
 // vectors of equal physical length plus an optional selection vector. When
 // sel is non-nil only the listed row indexes are live; filters shrink sel
 // instead of copying the payload vectors.
+//
+// A batch is either dense — cols holds every column — or a view (src is
+// non-nil): column i is the rows ids[i] of the source vector src[i], and
+// cols[i] stays nil until an expression reads the column, which gathers it
+// once and memoises it (col). Joins, sub-query pair batches and filtered
+// materialization produce views, composing row-id vectors instead of copying
+// columns, so a column travels from base storage to the breaker that reads it
+// in one gather, and columns nobody reads are never gathered. Only the
+// goroutine that owns a batch reads its columns; a batch other goroutines can
+// reach (the source of morsel windows, a sub-query's inner side) is read
+// through src and ids alone, which never change once the batch is built.
 type Batch struct {
 	cols []*Vector
 	meta []colMeta
@@ -27,6 +38,47 @@ type Batch struct {
 	// operators that reuse their output frame park the previous batch's
 	// sel here so steady-state filtering stops allocating per batch.
 	selBuf []int
+	src    []*Vector
+	ids    []*rowIDs
+	// base is the source row of physical row 0 of a window batch: the first
+	// table row of a scan window, the offset of a matOp window.
+	base int
+}
+
+// rowIDs is the row-id vector of one side of a view batch, shared by every
+// column of that side (adjacent columns: a join emits left columns then right
+// columns). It is immutable once published.
+type rowIDs struct {
+	ids      []int32
+	nullable bool // ids may hold -1: the NULL-extended rows of an outer join
+}
+
+// gatherObserver, when set, sees every gather of a view column: its source
+// vector and the number of cells copied. Tests count copies with it.
+var gatherObserver func(src *Vector, cells int)
+
+func (r *rowIDs) gather(v *Vector) *Vector {
+	if gatherObserver != nil {
+		gatherObserver(v, len(r.ids))
+	}
+	if r.nullable {
+		return gatherNullable(v, r.ids)
+	}
+	return gather(v, r.ids)
+}
+
+// compose returns the row ids of rows idx of a batch whose side has row ids
+// r; a negative idx (a NULL-extended row, when nullable) stays negative.
+func compose[I rowIndex](r *rowIDs, idx []I, nullable bool) *rowIDs {
+	out := make([]int32, len(idx))
+	for k, i := range idx {
+		if i < 0 {
+			out[k] = -1
+		} else {
+			out[k] = r.ids[i]
+		}
+	}
+	return &rowIDs{ids: out, nullable: r.nullable || nullable}
 }
 
 // newBatch builds a batch over dense vectors.
@@ -81,71 +133,126 @@ func (b *Batch) findColumn(table, name string) (int, error) {
 	return found, nil
 }
 
+// col returns column i over the physical rows; the first read of a view
+// column gathers it from its source.
+func (b *Batch) col(i int) *Vector {
+	if b.cols[i] == nil {
+		b.cols[i] = b.ids[i].gather(b.src[i])
+	}
+	return b.cols[i]
+}
+
 // dense returns column i as a dense vector over the live rows: the column
-// itself when no selection is active (zero copy), a gathered copy otherwise.
+// itself when no selection is active, a gathered copy otherwise — of a view
+// column not read yet, straight from its source.
 func (b *Batch) dense(i int) *Vector {
 	if b.sel == nil {
-		return b.cols[i]
+		return b.col(i)
 	}
-	return b.cols[i].Gather(b.sel)
+	if b.cols[i] != nil {
+		return b.cols[i].Gather(b.sel)
+	}
+	return compose(b.ids[i], b.sel, false).gather(b.src[i])
 }
 
-// compact applies the selection vector, turning the batch into a dense one.
-func (b *Batch) compact() *Batch {
+// appendRowIDs appends the live rows of b as row ids of the source b is a
+// window of (of b itself when it is no window: base 0).
+func appendRowIDs(ids []int32, b *Batch) []int32 {
 	if b.sel == nil {
+		for r := 0; r < b.n; r++ {
+			ids = append(ids, int32(b.base+r))
+		}
+		return ids
+	}
+	for _, r := range b.sel {
+		ids = append(ids, int32(b.base+r))
+	}
+	return ids
+}
+
+// appendView appends b's columns to out as views of b's physical rows idx
+// (-1, when nullable, is a NULL-extended row): a dense batch becomes the
+// source of the new columns, a view hands its sources on and composes its row
+// ids — once per side, whatever the number of columns.
+func (b *Batch) appendView(out *Batch, idx []int32, nullable bool) {
+	out.meta = append(out.meta, b.meta...)
+	out.cols = append(out.cols, make([]*Vector, len(b.meta))...)
+	if b.src == nil {
+		out.src = append(out.src, b.cols...)
+		r := &rowIDs{ids: idx, nullable: nullable}
+		for range b.cols {
+			out.ids = append(out.ids, r)
+		}
+		return
+	}
+	out.src = append(out.src, b.src...)
+	var r *rowIDs
+	for i, side := range b.ids {
+		if i == 0 || side != b.ids[i-1] {
+			r = compose(side, idx, nullable)
+		}
+		out.ids = append(out.ids, r)
+	}
+}
+
+// take returns the view of b's physical rows idx.
+func (b *Batch) take(idx []int32) *Batch {
+	out := &Batch{n: len(idx)}
+	b.appendView(out, idx, false)
+	return out
+}
+
+// joinView builds the output of a join step from its matching row pairs:
+// left columns then right columns, as views.
+func joinView(left *Batch, leftIdx []int32, right *Batch, rightIdx []int32, nullable bool) *Batch {
+	out := &Batch{n: len(leftIdx)}
+	left.appendView(out, leftIdx, false)
+	right.appendView(out, rightIdx, nullable)
+	return out
+}
+
+// window returns the rows [lo, hi) of a batch without a selection as a batch
+// of its own: zero-copy slices of dense columns, sliced row ids of a view.
+func (b *Batch) window(lo, hi int) *Batch {
+	out := &Batch{n: hi - lo, meta: b.meta, base: lo, cols: make([]*Vector, len(b.meta))}
+	if b.src == nil {
+		for i, c := range b.cols {
+			out.cols[i] = c.Slice(lo, hi)
+		}
+		return out
+	}
+	out.src = b.src
+	out.ids = make([]*rowIDs, len(b.ids))
+	for i, side := range b.ids {
+		if i > 0 && side == b.ids[i-1] {
+			out.ids[i] = out.ids[i-1]
+		} else {
+			out.ids[i] = &rowIDs{ids: side.ids[lo:hi], nullable: side.nullable}
+		}
+	}
+	return out
+}
+
+// emptyBatch is the zero-row batch of a schema.
+func emptyBatch(meta []colMeta) *Batch {
+	out := &Batch{meta: meta, cols: make([]*Vector, len(meta))}
+	for i := range out.cols {
+		out.cols[i] = NewNullVector(0)
+	}
+	return out
+}
+
+// selected returns the n rows of b that survived a drained pipeline over
+// it, ids listing them in order: b itself when all did (zero copy, ids is
+// not read), a view otherwise.
+func (b *Batch) selected(ids []int32, n int) *Batch {
+	switch n {
+	case 0:
+		return emptyBatch(b.meta)
+	case b.n:
 		return b
 	}
-	out := &Batch{n: len(b.sel), meta: b.meta}
-	out.cols = make([]*Vector, len(b.cols))
-	for i, c := range b.cols {
-		out.cols[i] = c.Gather(b.sel)
-	}
-	return out
-}
-
-// gatherRows builds a dense batch containing the given physical row indexes.
-func (b *Batch) gatherRows(rows []int) *Batch {
-	out := &Batch{n: len(rows), meta: b.meta}
-	out.cols = make([]*Vector, len(b.cols))
-	for i, c := range b.cols {
-		out.cols[i] = c.Gather(rows)
-	}
-	return out
-}
-
-// gatherRowsNullable is gatherRows with index -1 producing an all-NULL row —
-// the null-extension of outer joins.
-func (b *Batch) gatherRowsNullable(rows []int) *Batch {
-	out := &Batch{n: len(rows), meta: b.meta}
-	out.cols = make([]*Vector, len(b.cols))
-	for i, c := range b.cols {
-		out.cols[i] = c.GatherNullable(rows)
-	}
-	return out
-}
-
-// concatBatches stitches dense copies of the batches into one dense batch.
-// All batches must share the same column layout; a nil result means zero
-// batches were supplied.
-func concatBatches(batches []*Batch) *Batch {
-	if len(batches) == 0 {
-		return nil
-	}
-	first := batches[0]
-	total := 0
-	for _, b := range batches {
-		total += b.Len()
-	}
-	out := &Batch{n: total, meta: first.meta}
-	out.cols = make([]*Vector, len(first.cols))
-	chunks := make([]*Vector, len(batches))
-	for ci := range first.cols {
-		for bi, b := range batches {
-			chunks[bi] = b.dense(ci)
-		}
-		out.cols[ci] = concatVectors(chunks, total)
-	}
-	return out
+	return b.take(ids)
 }
 
 // concatVectors concatenates the chunks of one column into one vector of

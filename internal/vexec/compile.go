@@ -72,7 +72,7 @@ func compileExpr(e sqlparser.Expr, b *Batch) (rowFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		vec := b.cols[idx]
+		vec := b.col(idx)
 		return func(i int) (sqlsem.Value, error) { return vec.At(i), nil }, nil
 	case *sqlparser.ParenExpr:
 		return compileExpr(v.Expr, b)

@@ -22,6 +22,13 @@
 //   - Selection vectors: filters shrink an index list over a batch instead
 //     of copying payload columns; one pass per conjunct, like a column store,
 //     but over fixed-size batches.
+//   - Late materialization (batch.go): scans carry only the columns the
+//     statement references (plan.Select.Needed), and between a base table
+//     and the breaker that reads it a column is a view — its source vector
+//     plus the row-id vector of its join side. Filtered materialization,
+//     joins and sub-query pair batches compose row ids, once per side; a
+//     column is gathered once, from base storage, when an expression reads
+//     it, and never when none does.
 //   - A pull-based operator pipeline (scan -> filter -> hash join -> hash
 //     aggregate -> order/limit -> project) processing fixed-size batches
 //     (default 1024 rows) end to end, so intermediates stay cache resident.

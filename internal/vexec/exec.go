@@ -232,7 +232,7 @@ func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) 
 
 	pipes := make([]operator, len(sp.From))
 	for i, in := range sp.From {
-		p, err := ex.buildInput(in, i, prefix)
+		p, err := ex.buildInput(in, sp.Needed, i, prefix)
 		if err != nil {
 			return nil, err
 		}
@@ -318,17 +318,18 @@ func (ex *executor) filter(child operator, conjuncts []sqlparser.Expr, span *tra
 	return &filterOp{ex: ex, child: child, conjuncts: conjuncts, span: span}
 }
 
-// buildInput builds the pipeline of one planned FROM input. idx is the
-// input's FROM position, keying its trace span; the operands of explicit
+// buildInput builds the pipeline of one planned FROM input; needed are the
+// statement's per-alias referenced columns, which prune its scans. idx is
+// the input's FROM position, keying its trace span; the operands of explicit
 // JOIN trees pass -1 (the whole tree is traced as one input operator).
-func (ex *executor) buildInput(in *plan.Input, idx int, prefix string) (operator, error) {
+func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool, idx int, prefix string) (operator, error) {
 	switch {
 	case in.Join != nil:
 		var tm trace.Timer
 		if ex.traceOn(prefix) && idx >= 0 {
 			tm = ex.tracer.Span(trace.InputID(prefix, idx), trace.KindJoinTree).Start()
 		}
-		b, err := ex.buildJoinBatch(in.Join)
+		b, err := ex.buildJoinBatch(in.Join, needed)
 		if err != nil {
 			return nil, err
 		}
@@ -356,7 +357,7 @@ func (ex *executor) buildInput(in *plan.Input, idx int, prefix string) (operator
 		if err != nil {
 			return nil, err
 		}
-		op := newScanOp(ex, table, in.Alias)
+		op := newScanOp(ex, table, in.Alias, needed[strings.ToLower(in.Alias)])
 		if ex.traceOn(prefix) && idx >= 0 {
 			op.span = ex.tracer.Span(trace.ScanID(prefix, idx), trace.KindScan)
 		}
@@ -367,8 +368,8 @@ func (ex *executor) buildInput(in *plan.Input, idx int, prefix string) (operator
 // buildJoinBatch materializes an explicit JOIN tree whose ON condition the
 // plan already classified. The operands carry no operator ids of their own
 // (idx -1): the whole tree is traced as one input operator.
-func (ex *executor) buildJoinBatch(j *plan.Join) (*Batch, error) {
-	leftOp, err := ex.buildInput(j.Left, -1, trace.UntracedPrefix)
+func (ex *executor) buildJoinBatch(j *plan.Join, needed map[string]map[string]bool) (*Batch, error) {
+	leftOp, err := ex.buildInput(j.Left, needed, -1, trace.UntracedPrefix)
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +377,7 @@ func (ex *executor) buildJoinBatch(j *plan.Join) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	rightOp, err := ex.buildInput(j.Right, -1, trace.UntracedPrefix)
+	rightOp, err := ex.buildInput(j.Right, needed, -1, trace.UntracedPrefix)
 	if err != nil {
 		return nil, err
 	}

@@ -730,24 +730,23 @@ func (ctx *evalCtx) subFor(s *sqlparser.SelectStatement) (*subState, error) {
 // row, off[i]..off[i+1] delimiting row i's range in inner-row order. Pair
 // conjuncts (the non-equi correlation predicates) filter the candidates with
 // two-valued truth — the same collapse the interpreter's sub-query WHERE
-// filter applies. Probing mutates nothing, so filters holding probes run
-// safely from morsel workers.
+// filter applies — over a view of the (outer, inner) row pairs, so only the
+// columns they name are gathered. Probing reads the build and writes only
+// batches of its own, so filters holding probes run safely from morsel
+// workers.
 func (ctx *evalCtx) applyCandidates(as *applyState) (cand []int32, off []int32, err error) {
 	b := ctx.batch
 	n := b.Len()
-	keyVecs := make([]*Vector, len(as.outerKeys))
-	for i, k := range as.outerKeys {
-		if keyVecs[i], err = ctx.eval(k); err != nil {
-			return nil, nil, deferToFallback(err)
-		}
+	keyVecs, err := ctx.evalAppend(nil, as.outerKeys)
+	if err != nil {
+		return nil, nil, deferToFallback(err)
 	}
 	off = make([]int32, n+1)
-	var buf []byte
+	ht, kc := as.prober(keyVecs)
 	for i := 0; i < n; i++ {
 		// A NULL outer key matches nothing: equality with NULL is UNKNOWN.
 		if !nullKeyRow(keyVecs, i) {
-			buf = encodeRowKey(buf[:0], keyVecs, i)
-			if g, ok := as.groups[string(buf)]; ok {
+			if g := kc.lookup(ht, keyVecs, i); g >= 0 {
 				for r := as.lists.head[g]; r >= 0; r = as.lists.next[r] {
 					cand = append(cand, r)
 				}
@@ -759,29 +758,15 @@ func (ctx *evalCtx) applyCandidates(as *applyState) (cand []int32, off []int32, 
 		return cand, off, nil
 	}
 
-	outerIdx := make([]int, len(cand))
-	innerIdx := make([]int, len(cand))
+	outerIdx := make([]int32, len(cand))
 	for i := 0; i < n; i++ {
 		for k := off[i]; k < off[i+1]; k++ {
-			outerIdx[k] = b.physRow(i)
-			innerIdx[k] = int(cand[k])
+			outerIdx[k] = int32(b.physRow(i))
 		}
 	}
-	pctx := &evalCtx{ex: ctx.ex, batch: pairBatch(b, outerIdx, as.inner, innerIdx)}
-	pass := make([]bool, len(cand))
-	for i := range pass {
-		pass[i] = true
-	}
-	for _, c := range as.pairConjuncts {
-		v, err := pctx.eval(c)
-		if err != nil {
-			return nil, nil, deferToFallback(err)
-		}
-		for k := range pass {
-			if pass[k] && (v.IsNull(k) || !truthy(v, k)) {
-				pass[k] = false
-			}
-		}
+	pass, err := ctx.ex.pairsPassing(b, outerIdx, as.inner, cand, as.pairConjuncts)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Compact the survivors in place; the write index never overtakes the
 	// read index.
@@ -843,25 +828,20 @@ func (ctx *evalCtx) evalScalarSub(v *sqlparser.SubqueryExpr) (*Vector, error) {
 	}
 	as := st.apply
 	if as.shape == plan.ApplyAgg {
-		keyVecs := make([]*Vector, len(as.outerKeys))
-		for i, k := range as.outerKeys {
-			if keyVecs[i], err = ctx.eval(k); err != nil {
-				return nil, deferToFallback(err)
-			}
+		keyVecs, err := ctx.evalAppend(nil, as.outerKeys)
+		if err != nil {
+			return nil, deferToFallback(err)
 		}
 		bld := newBuilder(n)
-		var buf []byte
+		ht, kc := as.prober(keyVecs)
 		for i := 0; i < n; i++ {
-			if nullKeyRow(keyVecs, i) {
-				bld.append(as.emptyVal)
-				continue
+			val := as.emptyVal
+			if !nullKeyRow(keyVecs, i) {
+				if g := kc.lookup(ht, keyVecs, i); g >= 0 {
+					val = as.groupVals.At(g)
+				}
 			}
-			buf = encodeRowKey(buf[:0], keyVecs, i)
-			if g, ok := as.groups[string(buf)]; ok {
-				bld.append(as.groupVals.At(int(g)))
-			} else {
-				bld.append(as.emptyVal)
-			}
+			bld.append(val)
 		}
 		return bld.finalize()
 	}

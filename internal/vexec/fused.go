@@ -50,7 +50,7 @@ type fusedScanOp struct {
 	passed []int64 // per stage: rows of the current window that passed it
 }
 
-func (f *fusedScanOp) schema() []colMeta { return f.scan.meta }
+func (f *fusedScanOp) schema() []colMeta { return f.scan.full.meta }
 
 func (f *fusedScanOp) next() (*Batch, error) {
 	for {
@@ -69,7 +69,7 @@ func (f *fusedScanOp) next() (*Batch, error) {
 		b.selBuf = nil
 		passed := f.passed
 		clear(passed)
-		lo := f.scan.lo
+		lo := b.base
 	rows:
 		for r := 0; r < b.n; r++ {
 			for k := range f.stages {
@@ -143,10 +143,9 @@ func fuse(child operator, conjuncts []sqlparser.Expr, span *trace.Span) (operato
 	if len(covered) == 0 {
 		return child, conjuncts, span
 	}
-	// The closures compile against the whole table: they are called with
-	// table row numbers, whatever window the scan is on.
-	table := f.scan.table
-	full := &Batch{n: table.NumRows(), meta: f.scan.meta, cols: table.vectors()}
+	// The closures compile against the scan's full-length columns: they are
+	// called with table row numbers, whatever window the scan is on.
+	full := f.scan.full
 	st := fusedStage{conds: make([]cond, len(covered)), span: span, split: len(rest) > 0}
 	for i, c := range covered {
 		st.conds[i].fn, st.conds[i].err = compileExpr(c, full)

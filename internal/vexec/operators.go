@@ -19,8 +19,12 @@ type operator interface {
 
 // --- scan --------------------------------------------------------------------
 
-// scanOp emits fixed-size windows over a typed base table. The windows are
-// zero-copy slices of the table's vectors. With zone predicates attached
+// scanOp emits fixed-size windows over a typed base table, pruned to the
+// columns the statement references (plan.Select.Needed): an unreferenced
+// column is never carried, and a table nothing reads scans as bare row
+// counts. The windows are zero-copy slices of the carried vectors, which
+// full holds at table length — the source that filtered materialization,
+// morsel windows and the fused scan's closures read. With zone predicates attached
 // (pushed-down conjuncts over a block-aligned batch size) each window is
 // split into its maximal runs of satisfiable blocks and the rest is never
 // read; the same run segmentation is reproduced by the morsel-parallel
@@ -29,9 +33,8 @@ type scanOp struct {
 	ex     *executor
 	table  *Table
 	alias  string
-	meta   []colMeta
+	full   *Batch
 	pos    int
-	lo     int // table row of the last emitted batch's first row
 	zones  []ZonePred
 	runs   [][2]int // kept runs of the current window, [lo, hi) row ranges
 	runIdx int
@@ -47,18 +50,23 @@ type scanOp struct {
 	frameCols []Vector
 }
 
-func newScanOp(ex *executor, t *Table, alias string) *scanOp {
+// newScanOp scans t under alias, carrying the columns named in needed ("*"
+// keeps all, nil none). Zone predicates index the table's own ordinals, not
+// the carried ones.
+func newScanOp(ex *executor, t *Table, alias string, needed map[string]bool) *scanOp {
 	if alias == "" {
 		alias = t.Name
 	}
-	meta := make([]colMeta, len(t.Cols))
-	for i, c := range t.Cols {
-		meta[i] = colMeta{table: strings.ToLower(alias), name: strings.ToLower(c.Name)}
+	full := newBatch(t.NumRows())
+	for _, c := range t.Cols {
+		if needed["*"] || needed[strings.ToLower(c.Name)] {
+			full.addCol(alias, c.Name, c.Vec)
+		}
 	}
-	return &scanOp{ex: ex, table: t, alias: alias, meta: meta}
+	return &scanOp{ex: ex, table: t, alias: alias, full: full}
 }
 
-func (s *scanOp) schema() []colMeta { return s.meta }
+func (s *scanOp) schema() []colMeta { return s.full.meta }
 
 // keptRuns appends the maximal runs of zone-satisfiable blocks within
 // window [lo, hi) — block-aligned at lo by construction — and returns the
@@ -121,16 +129,11 @@ func (s *scanOp) next() (*Batch, error) {
 			t0 = time.Now()
 		}
 		lo, hi := r[0], r[1]
-		s.lo = lo
 		var b *Batch
 		if s.reuse {
 			b = s.frameBatch(lo, hi)
 		} else {
-			b = &Batch{n: hi - lo, meta: s.meta}
-			b.cols = make([]*Vector, len(s.table.Cols))
-			for i, c := range s.table.Cols {
-				b.cols[i] = c.Vec.Slice(lo, hi)
-			}
+			b = s.full.window(lo, hi)
 		}
 		s.ex.stats.RowsScanned += int64(hi - lo)
 		s.ex.stats.Batches++
@@ -148,21 +151,21 @@ func (s *scanOp) next() (*Batch, error) {
 // filter pass stops allocating too.
 func (s *scanOp) frameBatch(lo, hi int) *Batch {
 	b := &s.frame
-	if s.frameCols == nil {
-		s.frameCols = make([]Vector, len(s.table.Cols))
-		b.cols = make([]*Vector, len(s.table.Cols))
+	if b.cols == nil {
+		s.frameCols = make([]Vector, len(s.full.cols))
+		b.cols = make([]*Vector, len(s.full.cols))
 		for i := range s.frameCols {
 			b.cols[i] = &s.frameCols[i]
 		}
-		b.meta = s.meta
+		b.meta = s.full.meta
 	}
 	if b.sel != nil {
 		b.selBuf = b.sel[:0]
 		b.sel = nil
 	}
-	b.n = hi - lo
-	for i, c := range s.table.Cols {
-		sliceInto(&s.frameCols[i], c.Vec, lo, hi)
+	b.n, b.base = hi-lo, lo
+	for i, c := range s.full.cols {
+		sliceInto(&s.frameCols[i], c, lo, hi)
 	}
 	return b
 }
@@ -298,8 +301,9 @@ func applyConjuncts(ex *executor, b *Batch, conjuncts []sqlparser.Expr, st *Stat
 
 // --- materialization ---------------------------------------------------------
 
-// matOp re-emits a dense batch in fixed-size windows, bridging materialized
-// intermediates (join results) back into the batch pipeline.
+// matOp re-emits a materialized batch (a join result, a derived table) in
+// fixed-size windows, bridging it back into the batch pipeline; a view is
+// windowed by slicing its row ids, so nothing is gathered here.
 type matOp struct {
 	ex  *executor
 	b   *Batch
@@ -319,20 +323,42 @@ func (m *matOp) next() (*Batch, error) {
 	if hi > m.b.n {
 		hi = m.b.n
 	}
-	out := &Batch{n: hi - m.pos, meta: m.b.meta}
-	out.cols = make([]*Vector, len(m.b.cols))
-	for i, c := range m.b.cols {
-		out.cols[i] = c.Slice(m.pos, hi)
-	}
+	out := m.b.window(m.pos, hi)
 	m.ex.stats.Batches++
 	m.pos = hi
 	return out, nil
 }
 
-// materialize drains a pipeline into one dense batch. An empty stream yields
-// a zero-row batch with the pipeline's schema.
+// pipelineSource returns the full-length batch a pipeline's windows are cut
+// from — every pipeline is filter layers over one — and whether any layer
+// filters it.
+func pipelineSource(op operator) (src *Batch, filtered bool) {
+	for {
+		switch o := op.(type) {
+		case *filterOp:
+			filtered = true
+			op = o.child
+		case *fusedScanOp:
+			return o.scan.full, true
+		case *scanOp:
+			return o.full, filtered
+		case *matOp:
+			return o.b, filtered
+		default: // dualOp: the one row of a FROM-less SELECT
+			return newBatch(1), filtered
+		}
+	}
+}
+
+// materialize drains a pipeline into one batch: the pipeline's source with
+// the concatenated selection of its filter layers as row ids. No column is
+// copied; an unfiltered pipeline yields its source itself. An empty stream
+// yields a zero-row batch with the pipeline's schema.
 func materialize(op operator) (*Batch, error) {
-	var batches []*Batch
+	src, filtered := pipelineSource(op)
+	// Each window's selection is copied out before the next pull.
+	markScanReuse(op)
+	var ids []int32
 	for {
 		b, err := op.next()
 		if err != nil {
@@ -341,43 +367,28 @@ func materialize(op operator) (*Batch, error) {
 		if b == nil {
 			break
 		}
-		batches = append(batches, b)
-	}
-	if len(batches) == 0 {
-		meta := op.schema()
-		out := &Batch{n: 0, meta: meta}
-		out.cols = make([]*Vector, len(meta))
-		for i := range out.cols {
-			out.cols[i] = NewNullVector(0)
+		if filtered {
+			ids = appendRowIDs(ids, b)
 		}
-		return out, nil
 	}
-	if len(batches) == 1 {
-		return batches[0].compact(), nil
+	if !filtered {
+		return src.selected(nil, src.n), nil
 	}
-	return concatBatches(batches), nil
+	return src.selected(ids, len(ids)), nil
 }
 
 // --- joins -------------------------------------------------------------------
 
-// keyVectors evaluates the key expressions over a dense batch into one
-// vector per key; the hash table consumes the unboxed payloads directly.
+// keyVectors evaluates the key expressions over a batch into one vector per
+// key; the hash table consumes the unboxed payloads directly.
 func (ex *executor) keyVectors(b *Batch, keys []sqlparser.Expr) ([]*Vector, error) {
-	ctx := &evalCtx{ex: ex, batch: b}
-	vecs := make([]*Vector, len(keys))
-	for i, k := range keys {
-		v, err := ctx.eval(k)
-		if err != nil {
-			return nil, err
-		}
-		vecs[i] = v
-	}
-	return vecs, nil
+	return (&evalCtx{ex: ex, batch: b}).evalAppend(nil, keys)
 }
 
-// hashJoin joins two dense batches on the given key expression lists,
-// mirroring the interpreter's join exactly: build on the smaller side, probe
-// in input order, matches in build insertion order.
+// hashJoin joins two batches on the given key expression lists, mirroring
+// the interpreter's join exactly: build on the smaller side, probe in input
+// order, matches in build insertion order. Only the key columns are read;
+// the output is a view over the inputs' sources.
 func (ex *executor) hashJoin(left, right *Batch, leftKeys, rightKeys []sqlparser.Expr) (*Batch, error) {
 	ex.stats.HashJoins++
 	build, probe := right, left
@@ -396,7 +407,7 @@ func (ex *executor) hashJoin(left, right *Batch, leftKeys, rightKeys []sqlparser
 	if err != nil {
 		return nil, err
 	}
-	var probeIdx, buildIdx []int
+	var probeIdx, buildIdx []int32
 	if ex.parallelism() > 1 && probe.Len() >= 2*ex.opts.BatchSize {
 		probeIdx, buildIdx, err = ex.parallelJoinPairs(build.Len(), probe.Len(), bVecs, pVecs)
 	} else {
@@ -412,11 +423,7 @@ func (ex *executor) hashJoin(left, right *Batch, leftKeys, rightKeys []sqlparser
 	if swapped {
 		leftIdx, rightIdx = buildIdx, probeIdx
 	}
-	out := left.gatherRows(leftIdx)
-	rightPart := right.gatherRows(rightIdx)
-	out.cols = append(out.cols, rightPart.cols...)
-	out.meta = append(append([]colMeta(nil), left.meta...), right.meta...)
-	return out, nil
+	return joinView(left, leftIdx, right, rightIdx, false), nil
 }
 
 // joinLists are the per-key build-row chains of a join table: head/tail
@@ -462,7 +469,7 @@ func nullKeyRow(vecs []*Vector, i int) bool {
 
 // joinPairs builds the hash table over the build side and probes it in
 // probe-row order, emitting the matching (probe, build) row pairs.
-func (ex *executor) joinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector) (probeIdx, buildIdx []int, err error) {
+func (ex *executor) joinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector) (probeIdx, buildIdx []int32, err error) {
 	ht := newHashTable(nBuild)
 	kc := ht.prepare(bVecs, pVecs)
 	jl := newJoinLists(nBuild)
@@ -485,8 +492,8 @@ func (ex *executor) joinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector) (probe
 			continue
 		}
 		for r := jl.head[g]; r >= 0; r = jl.next[r] {
-			probeIdx = append(probeIdx, i)
-			buildIdx = append(buildIdx, int(r))
+			probeIdx = append(probeIdx, int32(i))
+			buildIdx = append(buildIdx, r)
 			if len(probeIdx) > ex.opts.MaxJoinRows {
 				return nil, nil, fmt.Errorf("join result exceeds %d rows", ex.opts.MaxJoinRows)
 			}
@@ -497,8 +504,8 @@ func (ex *executor) joinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector) (probe
 	return probeIdx, buildIdx, nil
 }
 
-// crossJoin builds the cartesian product of two dense batches, guarded by
-// the join-size limit.
+// crossJoin builds the cartesian product of two batches, guarded by the
+// join-size limit.
 func (ex *executor) crossJoin(left, right *Batch) (*Batch, error) {
 	ex.stats.LoopJoins++
 	nl, nr := left.Len(), right.Len()
@@ -509,145 +516,140 @@ func (ex *executor) crossJoin(left, right *Batch) (*Batch, error) {
 			nl, nr, ex.opts.MaxJoinRows)
 	}
 	total := nl * nr
-	leftIdx := make([]int, 0, total)
-	rightIdx := make([]int, 0, total)
+	leftIdx := make([]int32, 0, total)
+	rightIdx := make([]int32, 0, total)
 	for i := 0; i < nl; i++ {
 		for j := 0; j < nr; j++ {
-			leftIdx = append(leftIdx, i)
-			rightIdx = append(rightIdx, j)
+			leftIdx = append(leftIdx, int32(i))
+			rightIdx = append(rightIdx, int32(j))
 		}
 	}
-	out := left.gatherRows(leftIdx)
-	rightPart := right.gatherRows(rightIdx)
-	out.cols = append(out.cols, rightPart.cols...)
-	out.meta = append(append([]colMeta(nil), left.meta...), right.meta...)
-	return out, nil
+	return joinView(left, leftIdx, right, rightIdx, false), nil
 }
 
-// pairBatch gathers candidate (left, right) row pairs into one combined
-// dense batch — left columns then right columns — the evaluation context of
-// per-pair join and correlation predicates. The index slices are physical
-// row indexes.
-func pairBatch(left *Batch, leftIdx []int, right *Batch, rightIdx []int) *Batch {
-	out := left.gatherRows(leftIdx)
-	rightPart := right.gatherRows(rightIdx)
-	out.cols = append(out.cols, rightPart.cols...)
-	out.meta = append(append([]colMeta(nil), left.meta...), right.meta...)
-	return out
-}
-
-// leftJoin implements LEFT [OUTER] JOIN over dense batches, mirroring the
-// interpreter's algorithm exactly: hash the right side by the equi keys (a
-// single bucket when keyless, NULL-key build rows skipped), probe the left
-// rows in order, apply the residual ON conjuncts per candidate pair with
+// leftJoin implements LEFT [OUTER] JOIN, mirroring the interpreter's
+// algorithm exactly: hash the right side by the equi keys (every right row a
+// candidate when keyless, NULL-key build rows skipped), probe the left rows
+// in order, apply the residual ON conjuncts per candidate pair with
 // two-valued truth, and null-extend the right columns of unmatched left
-// rows.
+// rows (row id -1).
 func (ex *executor) leftJoin(left, right *Batch, leftKeys, rightKeys, residual []sqlparser.Expr) (*Batch, error) {
 	nl, nr := left.Len(), right.Len()
-	var rVecs, lVecs []*Vector
-	var err error
-	if len(rightKeys) > 0 {
-		if rVecs, err = ex.keyVectors(right, rightKeys); err != nil {
+	// Candidate pairs in probe order, each left row's in right-row order. A
+	// NULL key on either side never matches (NULL = anything is UNKNOWN);
+	// such a left row survives null-extended below.
+	var candL, candR []int32
+	off := make([]int, nl+1)
+	buildRows := int64(nr)
+	if len(rightKeys) == 0 {
+		for i := 0; i < nl; i++ {
+			for r := 0; r < nr; r++ {
+				candL = append(candL, int32(i))
+				candR = append(candR, int32(r))
+			}
+			off[i+1] = len(candL)
+		}
+	} else {
+		rVecs, err := ex.keyVectors(right, rightKeys)
+		if err != nil {
 			return nil, err
 		}
-		if lVecs, err = ex.keyVectors(left, leftKeys); err != nil {
+		lVecs, err := ex.keyVectors(left, leftKeys)
+		if err != nil {
 			return nil, err
 		}
-	}
-	buckets := map[string][]int32{}
-	var buf []byte
-	var buildRows int64
-	for i := 0; i < nr; i++ {
-		key := ""
-		if rVecs != nil {
+		ht := newHashTable(nr)
+		kc := ht.prepare(rVecs, lVecs)
+		jl := newJoinLists(nr)
+		buildRows = 0
+		for i := 0; i < nr; i++ {
 			if nullKeyRow(rVecs, i) {
-				// NULL = anything is UNKNOWN: the row cannot match.
 				continue
 			}
-			buf = encodeRowKey(buf[:0], rVecs, i)
-			key = string(buf)
+			buildRows++
+			g, isNew := kc.getOrInsert(ht, rVecs, i)
+			jl.insert(g, int32(i), isNew)
 		}
-		buildRows++
-		buckets[key] = append(buckets[key], int32(i))
+		for i := 0; i < nl; i++ {
+			if !nullKeyRow(lVecs, i) {
+				if g := kc.lookup(ht, lVecs, i); g >= 0 {
+					for r := jl.head[g]; r >= 0; r = jl.next[r] {
+						candL = append(candL, int32(i))
+						candR = append(candR, r)
+					}
+				}
+			}
+			off[i+1] = len(candL)
+		}
 	}
 	ex.stats.HashJoins++
 	ex.stats.JoinBuildRows += buildRows
 	ex.stats.JoinProbeRows += int64(nl)
 
-	// Candidate pairs in probe order (bucket order is right-row order). A
-	// NULL left key never matches; the row survives null-extended below.
-	var candL, candR []int
-	off := make([]int, nl+1)
-	for i := 0; i < nl; i++ {
-		keyNull := false
-		key := ""
-		if lVecs != nil {
-			if nullKeyRow(lVecs, i) {
-				keyNull = true
-			} else {
-				buf = encodeRowKey(buf[:0], lVecs, i)
-				key = string(buf)
-			}
-		}
-		if !keyNull {
-			for _, ri := range buckets[key] {
-				candL = append(candL, i)
-				candR = append(candR, int(ri))
-			}
-		}
-		off[i+1] = len(candL)
-	}
-
 	// Residual ON conjuncts filter the candidate pairs with two-valued
 	// truth, like the interpreter's per-pair check. Evaluation errors defer
 	// to the interpreter so it reports them in its own order.
-	pass := make([]bool, len(candL))
-	for i := range pass {
-		pass[i] = true
+	pass, err := ex.pairsPassing(left, candL, right, candR, residual)
+	if err != nil {
+		return nil, err
 	}
-	if len(residual) > 0 && len(candL) > 0 {
-		ctx := &evalCtx{ex: ex, batch: pairBatch(left, candL, right, candR)}
-		for _, c := range residual {
-			v, err := ctx.eval(c)
-			if err != nil {
-				return nil, deferToFallback(err)
-			}
-			for k := range pass {
-				if pass[k] && (v.IsNull(k) || !truthy(v, k)) {
-					pass[k] = false
-				}
-			}
-		}
-	}
-
-	var outL, outR []int
+	var outL, outR []int32
 	for i := 0; i < nl; i++ {
 		matched := false
 		for k := off[i]; k < off[i+1]; k++ {
-			if pass[k] {
+			if pass == nil || pass[k] {
 				matched = true
 				outL = append(outL, candL[k])
 				outR = append(outR, candR[k])
 			}
 		}
 		if !matched {
-			outL = append(outL, i)
+			outL = append(outL, int32(i))
 			outR = append(outR, -1)
 		}
 	}
-	out := left.gatherRows(outL)
-	rightPart := right.gatherRowsNullable(outR)
-	out.cols = append(out.cols, rightPart.cols...)
-	out.meta = append(append([]colMeta(nil), left.meta...), right.meta...)
-	return out, nil
+	return joinView(left, outL, right, outR, true), nil
 }
 
-// applyFilterBatch filters a dense batch with the conjuncts (one selection
-// pass per conjunct over a single reused selection buffer) and compacts the
-// result.
+// pairsPassing evaluates per-pair conjuncts (residual ON conditions, the
+// non-equi correlation predicates of a sub-query) over the view of candidate
+// (left, right) row pairs — left columns then right columns — and reports
+// which pairs every conjunct accepts; nil means all. Only the columns the
+// conjuncts name are gathered.
+func (ex *executor) pairsPassing(left *Batch, leftIdx []int32, right *Batch, rightIdx []int32, conjuncts []sqlparser.Expr) ([]bool, error) {
+	if len(conjuncts) == 0 || len(leftIdx) == 0 {
+		return nil, nil
+	}
+	ctx := &evalCtx{ex: ex, batch: joinView(left, leftIdx, right, rightIdx, false)}
+	pass := make([]bool, len(leftIdx))
+	for i := range pass {
+		pass[i] = true
+	}
+	for _, c := range conjuncts {
+		v, err := ctx.eval(c)
+		if err != nil {
+			return nil, deferToFallback(err)
+		}
+		for k := range pass {
+			if pass[k] && (v.IsNull(k) || !truthy(v, k)) {
+				pass[k] = false
+			}
+		}
+	}
+	return pass, nil
+}
+
+// applyFilterBatch filters a batch with the conjuncts (one selection pass
+// per conjunct over a single reused selection buffer) and returns the
+// survivors as a view.
 func (ex *executor) applyFilterBatch(b *Batch, conjuncts []sqlparser.Expr) (*Batch, error) {
 	if err := applyConjuncts(ex, b, conjuncts, &ex.stats); err != nil {
 		return nil, err
 	}
-	return b.compact(), nil
+	if b.sel == nil {
+		return b, nil
+	}
+	ids := appendRowIDs(nil, b)
+	b.sel = nil
+	return b.take(ids), nil
 }

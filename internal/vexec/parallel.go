@@ -20,8 +20,8 @@ import (
 // count:
 //
 //   - scan→filter pipelines window the source per morsel, filter with
-//     thread-local counters and concatenate the surviving batches in
-//     morsel order — exactly the batch sequence the serial pipeline emits;
+//     thread-local counters and concatenate the surviving row ids in morsel
+//     order — exactly the selection the serial pipeline's drain collects;
 //   - hash aggregation discovers groups per morsel in thread-local typed
 //     hash tables, merges them into the global table in morsel order
 //     (reproducing the serial first-seen group order), then folds every
@@ -94,35 +94,16 @@ func (s *Stats) add(o Stats) {
 // --- morsel sources -----------------------------------------------------------
 
 // morselSource is a random-access row source the morsel driver windows:
-// either a base-table scan or the re-emission of a dense materialized
-// batch. Windows are zero-copy vector slices, like the serial operators'.
+// the full-length batch of a base-table scan or a materialized intermediate.
+// Windows are zero-copy (Batch.window), like the serial operators'; workers
+// read the shared full batch through them only.
 type morselSource struct {
-	cols  []*Vector
-	meta  []colMeta
+	full  *Batch
 	rows  int
 	scan  bool        // base-table scan: windows count into RowsScanned
 	span  *trace.Span // the scan's span; nil when tracing is off
 	table *Table      // zone-map owner; nil for materialized intermediates
 	zones []ZonePred  // compiled zone predicates; empty disables skipping
-}
-
-func (s *scanOp) morselSource() morselSource {
-	return morselSource{cols: s.table.vectors(), meta: s.meta, rows: s.table.NumRows(),
-		scan: true, span: s.span, table: s.table, zones: s.zones}
-}
-
-func (m *matOp) morselSource() morselSource {
-	return morselSource{cols: m.b.cols, meta: m.b.meta, rows: m.b.n}
-}
-
-// window builds the zero-copy batch of rows [lo, hi).
-func (src *morselSource) window(lo, hi int) *Batch {
-	b := &Batch{n: hi - lo, meta: src.meta}
-	b.cols = make([]*Vector, len(src.cols))
-	for i, c := range src.cols {
-		b.cols[i] = c.Slice(lo, hi)
-	}
-	return b
 }
 
 // numMorsels returns how many BatchSize windows cover the source.
@@ -180,17 +161,55 @@ func filterMorsel(ex *executor, b *Batch, layers []filterLayer, st *Stats, d []t
 	return nil
 }
 
-// mergeMorselDeltas folds the morsel-local span deltas into the source and
-// layer spans, in morsel order; deltas is nil when tracing is off.
-func mergeMorselDeltas(src *morselSource, layers []filterLayer, deltas [][]trace.SpanDelta) {
-	for _, d := range deltas {
-		if d == nil {
-			continue
+// filterRuns drives rows [lo, hi) of the source — one morsel — through the
+// filter layers: each run of zone-satisfiable blocks is windowed, counted
+// and filtered as its own batch, and keep sees the batches with survivors.
+// Morsels start on BatchSize boundaries, which are block-aligned whenever
+// zones are attached, so the kept runs are exactly the batches the serial
+// scan emits for this window. d, when non-nil, takes the span deltas: the
+// source window's at d[0], the layers' behind it.
+func (src *morselSource) filterRuns(ex *executor, layers []filterLayer, lo, hi int, st *Stats, d []trace.SpanDelta, keep func(*Batch)) error {
+	runs, skipped := keptRuns(nil, src.table, src.zones, lo, hi)
+	if skipped > 0 {
+		st.BlocksSkipped += skipped
+		if d != nil {
+			d[0].BlocksSkipped += skipped
 		}
-		src.span.Merge(d[0])
-		for li := range layers {
-			layers[li].span.Merge(d[li+1])
+	}
+	for _, run := range runs {
+		var t0 time.Time
+		if d != nil {
+			t0 = time.Now()
 		}
+		b := src.full.window(run[0], run[1])
+		if src.scan {
+			st.RowsScanned += int64(run[1] - run[0])
+		}
+		st.Batches++
+		if d != nil {
+			d[0].WallNS += time.Since(t0).Nanoseconds()
+			d[0].Rows += int64(run[1] - run[0])
+			d[0].Batches++
+		}
+		if err := filterMorsel(ex, b, layers, st, d); err != nil {
+			return err
+		}
+		if b.Len() > 0 {
+			keep(b)
+		}
+	}
+	return nil
+}
+
+// mergeMorselDeltas folds one morsel's span deltas into the source and layer
+// spans; callers walk the morsels in order. d is nil when tracing is off.
+func mergeMorselDeltas(src *morselSource, layers []filterLayer, d []trace.SpanDelta) {
+	if d == nil {
+		return
+	}
+	src.span.Merge(d[0])
+	for li := range layers {
+		layers[li].span.Merge(d[li+1])
 	}
 }
 
@@ -211,12 +230,12 @@ func splitPipeline(op operator) (morselSource, []filterLayer, bool) {
 			if o.pos != 0 {
 				return morselSource{}, nil, false
 			}
-			return o.morselSource(), layers, true
+			return morselSource{full: o.full, rows: o.full.n, scan: true, span: o.span, table: o.table, zones: o.zones}, layers, true
 		case *matOp:
 			if o.pos != 0 || o.b.sel != nil {
 				return morselSource{}, nil, false
 			}
-			return o.morselSource(), layers, true
+			return morselSource{full: o.b, rows: o.b.n}, layers, true
 		default:
 			return morselSource{}, nil, false
 		}
@@ -225,8 +244,8 @@ func splitPipeline(op operator) (morselSource, []filterLayer, bool) {
 
 // --- parallel scan→filter materialization -------------------------------------
 
-// materializeOp drains a pipeline into one dense batch like materialize,
-// but fans morsel-splittable pipelines across the worker pool first.
+// materializeOp drains a pipeline into one batch like materialize, but fans
+// morsel-splittable pipelines across the worker pool first.
 func (ex *executor) materializeOp(op operator) (*Batch, error) {
 	p := ex.parallelism()
 	bs := ex.opts.BatchSize
@@ -238,7 +257,7 @@ func (ex *executor) materializeOp(op operator) (*Batch, error) {
 		return materialize(op)
 	}
 	nm := src.numMorsels(bs)
-	outs := make([][]*Batch, nm)
+	outs := make([][]int32, nm) // per morsel: the source rows that survive
 	errs := make([]error, nm)
 	stats := make([]Stats, nm)
 	var deltas [][]trace.SpanDelta
@@ -256,66 +275,35 @@ func (ex *executor) materializeOp(op operator) (*Batch, error) {
 			d = make([]trace.SpanDelta, len(layers)+1)
 			deltas[m] = d
 		}
-		st := &stats[m]
-		// Morsels start on BatchSize boundaries, which are block-aligned
-		// whenever zones are attached, so the kept runs here are exactly
-		// the batches the serial scan emits for this window.
-		runs, skipped := keptRuns(nil, src.table, src.zones, lo, hi)
-		if skipped > 0 {
-			st.BlocksSkipped += skipped
-			if d != nil {
-				d[0].BlocksSkipped += skipped
+		errs[m] = src.filterRuns(ex, layers, lo, hi, &stats[m], d, func(b *Batch) {
+			if len(layers) > 0 {
+				outs[m] = appendRowIDs(outs[m], b)
 			}
-		}
-		for _, run := range runs {
-			var t0 time.Time
-			if d != nil {
-				t0 = time.Now()
-			}
-			b := src.window(run[0], run[1])
-			if src.scan {
-				st.RowsScanned += int64(run[1] - run[0])
-			}
-			st.Batches++
-			if d != nil {
-				d[0].WallNS += time.Since(t0).Nanoseconds()
-				d[0].Rows += int64(run[1] - run[0])
-				d[0].Batches++
-			}
-			if err := filterMorsel(ex, b, layers, st, d); err != nil {
-				errs[m] = err
-				return
-			}
-			if b.Len() > 0 {
-				outs[m] = append(outs[m], b)
-			}
-		}
+		})
 	})
-	for _, st := range stats {
+	for m, st := range stats {
 		ex.stats.add(st)
+		if deltas != nil {
+			mergeMorselDeltas(&src, layers, deltas[m])
+		}
 	}
-	mergeMorselDeltas(&src, layers, deltas)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	var batches []*Batch
-	for _, mb := range outs {
-		batches = append(batches, mb...)
+	if len(layers) == 0 {
+		return src.full.selected(nil, src.rows), nil
 	}
-	if len(batches) == 0 {
-		out := &Batch{n: 0, meta: src.meta}
-		out.cols = make([]*Vector, len(src.meta))
-		for i := range out.cols {
-			out.cols[i] = NewNullVector(0)
-		}
-		return out, nil
+	total := 0
+	for _, chunk := range outs {
+		total += len(chunk)
 	}
-	if len(batches) == 1 {
-		return batches[0].compact(), nil
+	ids := make([]int32, 0, total)
+	for _, chunk := range outs {
+		ids = append(ids, chunk...)
 	}
-	return concatBatches(batches), nil
+	return src.full.selected(ids, total), nil
 }
 
 // --- parallel hash aggregation ------------------------------------------------
@@ -363,39 +351,13 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 		if ex.tracer != nil {
 			mo.deltas = make([]trace.SpanDelta, len(layers)+1)
 		}
-		runs, skipped := keptRuns(nil, src.table, src.zones, lo, hi)
-		if skipped > 0 {
-			mo.stats.BlocksSkipped += skipped
-			if mo.deltas != nil {
-				mo.deltas[0].BlocksSkipped += skipped
-			}
-		}
 		// Filter each kept run as its own batch — the serial scan's batch
-		// segmentation — then stitch the survivors into one dense batch for
-		// the element-wise key/argument evaluation below.
+		// segmentation — then stitch the survivors into one batch (a view
+		// of the source) for the element-wise key/argument evaluation below.
 		var kept []*Batch
-		for _, run := range runs {
-			var t0 time.Time
-			if mo.deltas != nil {
-				t0 = time.Now()
-			}
-			b := src.window(run[0], run[1])
-			if src.scan {
-				mo.stats.RowsScanned += int64(run[1] - run[0])
-			}
-			mo.stats.Batches++
-			if mo.deltas != nil {
-				mo.deltas[0].WallNS += time.Since(t0).Nanoseconds()
-				mo.deltas[0].Rows += int64(run[1] - run[0])
-				mo.deltas[0].Batches++
-			}
-			if err := filterMorsel(ex, b, layers, &mo.stats, mo.deltas); err != nil {
-				mo.err = err
-				return
-			}
-			if b.Len() > 0 {
-				kept = append(kept, b)
-			}
+		mo.err = src.filterRuns(ex, layers, lo, hi, &mo.stats, mo.deltas, func(b *Batch) { kept = append(kept, b) })
+		if mo.err != nil {
+			return
 		}
 		var b *Batch
 		switch len(kept) {
@@ -404,7 +366,11 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 		case 1:
 			b = kept[0]
 		default:
-			b = concatBatches(kept)
+			var ids []int32
+			for _, k := range kept {
+				ids = appendRowIDs(ids, k)
+			}
+			b = src.full.take(ids)
 		}
 		n := b.Len()
 		mo.n = n
@@ -428,12 +394,7 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 	})
 	for m := range morsels {
 		ex.stats.add(morsels[m].stats)
-		if morsels[m].deltas != nil {
-			src.span.Merge(morsels[m].deltas[0])
-			for li := range layers {
-				layers[li].span.Merge(morsels[m].deltas[li+1])
-			}
-		}
+		mergeMorselDeltas(&src, layers, morsels[m].deltas)
 	}
 	for m := range morsels {
 		if morsels[m].err != nil {
@@ -490,7 +451,7 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 // exactly one partition, so its match chain is the serial one), and the
 // probe side fans out morsel-wise with the pair chunks concatenated in
 // morsel order.
-func (ex *executor) parallelJoinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector) ([]int, []int, error) {
+func (ex *executor) parallelJoinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector) ([]int32, []int32, error) {
 	p := ex.parallelism()
 	bs := ex.opts.BatchSize
 	mode, class, dict := jointMode(bVecs, pVecs)
@@ -576,7 +537,7 @@ func (ex *executor) parallelJoinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector
 	// MaxJoinRows — is the serial one, so it fires identically at every
 	// worker count.
 	type pairChunk struct {
-		probe, build []int
+		probe, build []int32
 		probed       int64 // non-NULL-key probe rows, for JoinProbeRows
 		err          error
 	}
@@ -609,8 +570,8 @@ func (ex *executor) parallelJoinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector
 			}
 			before := len(ch.probe)
 			for r := lists[pt].head[g]; r >= 0; r = next[r] {
-				ch.probe = append(ch.probe, i)
-				ch.build = append(ch.build, int(r))
+				ch.probe = append(ch.probe, int32(i))
+				ch.build = append(ch.build, r)
 			}
 			if added := len(ch.probe) - before; added > 0 {
 				if matches.Add(int64(added)) > int64(maxRows) {
@@ -628,8 +589,8 @@ func (ex *executor) parallelJoinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector
 		ex.stats.JoinProbeRows += chunks[m].probed
 		total += len(chunks[m].probe)
 	}
-	probeIdx := make([]int, 0, total)
-	buildIdx := make([]int, 0, total)
+	probeIdx := make([]int32, 0, total)
+	buildIdx := make([]int32, 0, total)
 	for m := range chunks {
 		probeIdx = append(probeIdx, chunks[m].probe...)
 		buildIdx = append(buildIdx, chunks[m].build...)

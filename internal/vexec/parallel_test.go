@@ -151,7 +151,7 @@ func TestSplitPipeline(t *testing.T) {
 	cat := parCatalog(100, 10)
 	table, _ := cat.VTable("f")
 	ex := &executor{cat: cat, opts: Options{BatchSize: 16}}
-	scan := newScanOp(ex, table, "")
+	scan := newScanOp(ex, table, "", map[string]bool{"*": true})
 	src, passes, ok := splitPipeline(scan)
 	if !ok || src.rows != 100 || !src.scan || len(passes) != 0 {
 		t.Fatalf("scan split: ok=%v rows=%d scan=%v passes=%d", ok, src.rows, src.scan, len(passes))
@@ -159,7 +159,7 @@ func TestSplitPipeline(t *testing.T) {
 	if _, _, ok := splitPipeline(&dualOp{}); ok {
 		t.Error("dual must not split")
 	}
-	consumed := newScanOp(ex, table, "")
+	consumed := newScanOp(ex, table, "", map[string]bool{"*": true})
 	if _, err := consumed.next(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package vexec
 
 import (
 	"fmt"
+	"sync"
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
@@ -18,7 +19,9 @@ import (
 // statement per outer row.
 //
 // All states are built by prepareSubqueries before the enclosing pipeline
-// starts and never mutated afterwards, so probes are safe from morsel workers.
+// starts and never mutated afterwards (the one lazily built part, the byte
+// twin of applyState, sits behind a sync.Once), so probes are safe from
+// morsel workers.
 type subState struct {
 	correlated bool
 
@@ -43,9 +46,17 @@ type applyState struct {
 	outerKeys     []sqlparser.Expr
 	pairConjuncts []sqlparser.Expr
 
-	inner  *Batch           // dense inner-side rows
-	groups map[string]int32 // encoded inner key -> group id
-	lists  joinLists        // per-group inner-row chains in row order
+	// inner are the inner-side rows, a view of their tables: probes read it
+	// through the pair views they build, never through its own columns.
+	inner *Batch
+	ht    *hashTable // inner key -> group id, typed by the inner keys
+	lists joinLists  // per-group inner-row chains in row order
+	// bytes is ht re-keyed in the byte encoding (same group ids), built on
+	// the first probe whose outer keys are of another key class or
+	// dictionary than the inner ones — the pairing a join resolves up front
+	// with both sides in hand.
+	bytesOnce sync.Once
+	bytes     *hashTable
 
 	projVals  *Vector      // per inner row: the projected value (ApplyIn/ApplyFirst)
 	groupVals *Vector      // per group: the aggregated projection (ApplyAgg)
@@ -161,30 +172,25 @@ func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply, subPrefix string
 		outerKeys:     ap.OuterKeys,
 		pairConjuncts: ap.PairConjuncts,
 		inner:         b,
-		groups:        map[string]int32{},
 	}
 	n := b.Len()
 	keyVecs, err := ex.keyVectors(b, ap.InnerKeys)
 	if err != nil {
 		return nil, deferToFallback(err)
 	}
+	as.ht = newHashTable(n)
+	kc := as.ht.prepare(keyVecs)
 	as.lists = newJoinLists(n)
 	rowGroup := make([]int32, n)
-	var buf []byte
 	for i := 0; i < n; i++ {
 		rowGroup[i] = -1
 		if nullKeyRow(keyVecs, i) {
 			// NULL = anything is UNKNOWN: the row can never match an outer key.
 			continue
 		}
-		buf = encodeRowKey(buf[:0], keyVecs, i)
-		g, ok := as.groups[string(buf)]
-		if !ok {
-			g = int32(len(as.groups))
-			as.groups[string(buf)] = g
-		}
-		as.lists.insert(int(g), int32(i), !ok)
-		rowGroup[i] = g
+		g, isNew := kc.getOrInsert(as.ht, keyVecs, i)
+		as.lists.insert(g, int32(i), isNew)
+		rowGroup[i] = int32(g)
 	}
 
 	switch ap.Shape {
@@ -204,6 +210,29 @@ func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply, subPrefix string
 		}
 	}
 	return as, nil
+}
+
+// prober returns the table and coder that look the outer key vectors of one
+// batch up: the typed build when the outer keys share its key class (and
+// dictionary), its byte-encoded twin otherwise.
+func (as *applyState) prober(keyVecs []*Vector) (*hashTable, keyCoder) {
+	ht := as.ht
+	mode, class, dict := jointMode(keyVecs)
+	switch {
+	case ht.mode == modeBytes, ht.mode == modeStr && (mode == modeStr || mode == modeDict):
+	case mode == ht.mode && (mode != modeInt || class == ht.intClass) && (mode != modeDict || dict == ht.dict):
+	default:
+		as.bytesOnce.Do(func() {
+			as.bytes = newByteKeyTable(ht.n)
+			var buf []byte
+			for g := 0; g < ht.n; g++ {
+				buf = ht.appendGroupKey(buf[:0], g)
+				as.bytes.getOrInsertBytes(buf)
+			}
+		})
+		ht = as.bytes
+	}
+	return ht, keyCoder{mode: ht.mode}
 }
 
 // buildApplyAgg folds the inner rows into one aggregate group per correlation

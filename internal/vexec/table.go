@@ -49,16 +49,6 @@ func (t *Table) DictFor(name string) *Dictionary {
 // NumRows returns the number of rows.
 func (t *Table) NumRows() int { return t.rows }
 
-// vectors returns the full column vectors in column order, the random-access
-// view morsel windows and the fused scan's closures read.
-func (t *Table) vectors() []*Vector {
-	cols := make([]*Vector, len(t.Cols))
-	for i, c := range t.Cols {
-		cols[i] = c.Vec
-	}
-	return cols
-}
-
 // Catalog resolves table names to typed tables; the engine adapter
 // implements it over an engine.Database plus a conversion cache.
 type Catalog interface {

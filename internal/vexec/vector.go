@@ -86,16 +86,14 @@ func (v *Vector) HasNulls() bool {
 	return false
 }
 
-// rowIsInt reports whether row i is semantically a SQL integer.
-func (v *Vector) rowIsInt(i int) bool {
-	if v.Kind == sqlsem.KindInt {
-		return true
-	}
-	return v.Kind == sqlsem.KindFloat && v.IsInt != nil && v.IsInt[i]
-}
+// rowIndex is the index type of a gather: selection vectors are []int, the
+// row-id vectors of view batches []int32.
+type rowIndex interface{ int | int32 }
 
 // Gather builds a new vector containing the rows of v listed in sel.
-func (v *Vector) Gather(sel []int) *Vector {
+func (v *Vector) Gather(sel []int) *Vector { return gather(v, sel) }
+
+func gather[I rowIndex](v *Vector, sel []I) *Vector {
 	out := &Vector{Kind: v.Kind, n: len(sel)}
 	switch v.Kind {
 	case sqlsem.KindNull:
@@ -141,9 +139,9 @@ func (v *Vector) Gather(sel []int) *Vector {
 	return out
 }
 
-// GatherNullable is Gather where index -1 yields a NULL row — the
+// gatherNullable is gather where row id -1 yields a NULL row — the
 // null-extended side of outer joins.
-func (v *Vector) GatherNullable(sel []int) *Vector {
+func gatherNullable(v *Vector, sel []int32) *Vector {
 	out := &Vector{Kind: v.Kind, n: len(sel)}
 	switch v.Kind {
 	case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
@@ -163,7 +161,7 @@ func (v *Vector) GatherNullable(sel []int) *Vector {
 		}
 	}
 	for i, ri := range sel {
-		if ri < 0 || v.IsNull(ri) {
+		if ri < 0 || v.IsNull(int(ri)) {
 			out.SetNull(i)
 			continue
 		}
@@ -191,26 +189,8 @@ func (v *Vector) GatherNullable(sel []int) *Vector {
 // slices are shared with v, which is safe because vectors are immutable once
 // published.
 func (v *Vector) Slice(lo, hi int) *Vector {
-	out := &Vector{Kind: v.Kind, n: hi - lo}
-	if v.Ints != nil {
-		out.Ints = v.Ints[lo:hi]
-	}
-	if v.Floats != nil {
-		out.Floats = v.Floats[lo:hi]
-	}
-	if v.Strs != nil {
-		out.Strs = v.Strs[lo:hi]
-	}
-	if v.Codes != nil {
-		out.Dict = v.Dict
-		out.Codes = v.Codes[lo:hi]
-	}
-	if v.Nulls != nil {
-		out.Nulls = v.Nulls[lo:hi]
-	}
-	if v.IsInt != nil {
-		out.IsInt = v.IsInt[lo:hi]
-	}
+	out := &Vector{}
+	sliceInto(out, v, lo, hi)
 	return out
 }
 

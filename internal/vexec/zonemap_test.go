@@ -216,3 +216,18 @@ func TestDictDegenerateColumns(t *testing.T) {
 		t.Errorf("single-value <> BlocksSkipped = %d, want 3", res.Stats.BlocksSkipped)
 	}
 }
+
+// TestZoneMapSeesFoldedDateBound: plan.FoldExpr turns DATE ± INTERVAL into a
+// date literal, so a range over a date-clustered column prunes blocks the
+// unfolded bound (not a literal) could not.
+func TestZoneMapSeesFoldedDateBound(t *testing.T) {
+	d := NewVector(sqlsem.KindDate, 4096)
+	for i := range d.Ints {
+		d.Ints[i] = int64(i)
+	}
+	cat := mapCatalog{"t": NewTable("t", TableColumn{Name: "d", Vec: d})}
+	res := run(t, cat, "SELECT count(*) FROM t WHERE d >= DATE '1970-01-01' + INTERVAL '3000' DAY - INTERVAL '1' DAY", Options{})
+	if res.Cols[0].Ints[0] != 4096-2999 || res.Stats.BlocksSkipped != 2 {
+		t.Errorf("count %d, blocks skipped %d; want %d and 2", res.Cols[0].Ints[0], res.Stats.BlocksSkipped, 4096-2999)
+	}
+}
