@@ -454,15 +454,7 @@ func BenchmarkFigure7ExperimentHistory(b *testing.B) {
 // figure benchmarks so the correlated sub-query queries stay affordable.
 func BenchmarkEnginesTPCH(b *testing.B) {
 	db := datagen.TPCH(datagen.TPCHOptions{ScaleFactor: 0.002, Seed: 11})
-	engines := []engine.Engine{
-		engine.NewRowEngine(),
-		engine.NewColEngine(),
-		engine.NewColEngineWithOptions(engine.ColEngineOptions{Version: "2.0", DisableGuardCasts: true}),
-		engine.NewVektorEngine(),
-		engine.NewVektorEngineWithOptions(engine.VektorOptions{Version: "2.0", BatchSize: 4096}),
-		engine.NewFusilEngine(),
-	}
-	for _, eng := range engines {
+	for _, eng := range engine.NewRegistry().Engines() {
 		eng := eng
 		b.Run(engine.EngineKey(eng.Name(), eng.Version()), func(b *testing.B) {
 			opts := engine.ExecOptions{Timeout: time.Minute}
@@ -528,15 +520,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 func BenchmarkEnginesQ1(b *testing.B) {
 	db := smallTPCH()
 	q1, _ := workload.TPCHQuery("Q1")
-	engines := []engine.Engine{
-		engine.NewRowEngine(),
-		engine.NewColEngine(),
-		engine.NewColEngineWithOptions(engine.ColEngineOptions{Version: "2.0", DisableGuardCasts: true}),
-		engine.NewVektorEngine(),
-	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run(engine.EngineKey(eng.Name(), eng.Version()), func(b *testing.B) {
+	reg := engine.NewRegistry()
+	for _, key := range []string{"tuplestore-1.0", "columba-1.0", "columba-2.0", "vektor-1.0"} {
+		eng := reg.Get(key)
+		b.Run(key, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Execute(db, q1.SQL, engine.ExecOptions{Timeout: time.Minute}); err != nil {
 					b.Fatal(err)

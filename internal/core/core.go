@@ -268,8 +268,8 @@ func (p *Project) AddEngineTarget(name string, eng engine.Engine, db *engine.Dat
 	})
 }
 
-// AddRegistryTargets registers every built-in engine (all three execution
-// paradigms, every release) against the database and returns the target
+// AddRegistryTargets registers every built-in engine (six engines in
+// four execution paradigms) against the database and returns the target
 // names in registry order.
 func (p *Project) AddRegistryTargets(db *engine.Database) []string {
 	reg := engine.NewRegistry()

@@ -52,7 +52,8 @@ type Config struct {
 	// concurrent use, which the built-in engines are.
 	Workers int
 	// Batch is how many tasks to lease per request; zero defaults to the
-	// worker count so a full batch keeps every worker busy.
+	// worker count so a full batch keeps every worker busy. A serial driver
+	// (one worker) always leases one task at a time.
 	Batch int
 	// Trace asks the target for per-operator traces (targets that support
 	// toggling expose SetTrace, e.g. the built-in engine targets) and
@@ -317,33 +318,19 @@ func (c *Client) RunOnce(target metrics.Target) (bool, error) {
 
 // RunAll keeps requesting and measuring tasks until the pool is exhausted or
 // maxTasks have been processed (0 means no limit). It returns the number of
-// tasks processed. With Config.Workers > 1 tasks are leased in batches and
-// measured concurrently on a local worker pool; the target must then be
-// safe for concurrent use.
+// tasks measured and reported. Tasks are leased in batches of Config.Batch
+// (default, and always for a single worker: one per worker) and measured on
+// a pool of Config.Workers local workers (default 1); with more than one the
+// target must be safe for concurrent use. A report rejected because its
+// lease was lost is skipped, as in RunOnce.
 func (c *Client) RunAll(target metrics.Target, maxTasks int) (int, error) {
-	if c.cfg.Workers <= 1 {
-		done := 0
-		for maxTasks == 0 || done < maxTasks {
-			more, err := c.RunOnce(target)
-			if err != nil {
-				return done, err
-			}
-			if !more {
-				return done, nil
-			}
-			done++
-		}
-		return done, nil
-	}
-	return c.runAllParallel(target, maxTasks)
-}
-
-// runAllParallel is the batch-leasing worker-pool loop behind RunAll.
-func (c *Client) runAllParallel(target metrics.Target, maxTasks int) (int, error) {
 	c.enableTrace(target)
+	poolSize := max(1, c.cfg.Workers)
 	batch := c.cfg.Batch
-	if batch <= 0 {
-		batch = c.cfg.Workers
+	if batch <= 0 || poolSize == 1 {
+		// A serial driver leases one task at a time: a larger batch would
+		// only age in the lease while its predecessors are measured.
+		batch = poolSize
 	}
 	done := 0
 	for maxTasks == 0 || done < maxTasks {
@@ -359,10 +346,7 @@ func (c *Client) runAllParallel(target metrics.Target, maxTasks int) (int, error
 			return done, nil
 		}
 
-		workers := c.cfg.Workers
-		if workers > len(tasks) {
-			workers = len(tasks)
-		}
+		workers := min(poolSize, len(tasks))
 		taskCh := make(chan *repository.Task)
 		var wg sync.WaitGroup
 		var mu sync.Mutex

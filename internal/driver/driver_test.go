@@ -404,3 +404,57 @@ func TestReportsReuseConnections(t *testing.T) {
 		t.Errorf("40 tasks on 2 workers opened %d connections, want at most 3", got)
 	}
 }
+
+// TestRunAllSkipsLostLeases drives the one RunAll loop at one and at two
+// workers against a server that speaks both lease wire formats (a bare task
+// when no max is sent, a task list otherwise) and answers every second
+// completion with the lost-lease conflict: the loop must drain the pool,
+// count only the reports that landed and return no error.
+func TestRunAllSkipsLostLeases(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		var leased atomic.Int64
+		const poolSize = 10
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /api/task/request", func(w http.ResponseWriter, r *http.Request) {
+			var req struct {
+				Max int `json:"max"`
+			}
+			_ = json.NewDecoder(r.Body).Decode(&req)
+			var tasks []map[string]any
+			for i := 0; i < max(1, req.Max); i++ {
+				if id := leased.Add(1); id <= poolSize {
+					tasks = append(tasks, map[string]any{"id": id, "sql": "SELECT 1"})
+				}
+			}
+			switch {
+			case len(tasks) == 0:
+				w.WriteHeader(http.StatusNoContent)
+			case req.Max == 0:
+				_ = json.NewEncoder(w).Encode(tasks[0])
+			default:
+				_ = json.NewEncoder(w).Encode(map[string]any{"tasks": tasks})
+			}
+		})
+		mux.HandleFunc("POST /api/task/complete", func(w http.ResponseWriter, r *http.Request) {
+			var req struct {
+				TaskID int `json:"task_id"`
+			}
+			_ = json.NewDecoder(r.Body).Decode(&req)
+			if req.TaskID%2 == 0 {
+				http.Error(w, `{"error":"lease lost"}`, http.StatusConflict)
+				return
+			}
+			w.WriteHeader(http.StatusCreated)
+		})
+		ts := httptest.NewServer(mux)
+		client, err := NewClient(Config{Server: ts.URL, Key: "k", DBMS: "x-1", Platform: "p", Experiment: 1, Runs: 1, Timeout: 5 * time.Second, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := metrics.TargetFunc(func(query string) (int, map[string]string, error) { return 1, nil, nil })
+		if n, err := client.RunAll(target, 0); err != nil || n != poolSize/2 {
+			t.Errorf("workers %d: RunAll = %d, %v; want %d reports landed and no error", workers, n, err, poolSize/2)
+		}
+		ts.Close()
+	}
+}

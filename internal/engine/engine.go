@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -11,32 +12,72 @@ import (
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
+	"sqalpel/internal/vexec"
 )
 
-// Result is the outcome of executing a query.
+// Stats is the one counter set (internal/plan) both executors fill; the
+// alias is the name the driver and the benchmark spell.
+type Stats = plan.Stats
+
+// ResultColumn is the read-only view of one output column. It hides the
+// executor's format: the interpreters hand over boxed values (Values), the
+// typed executor its *vexec.Vector, unconverted.
+type ResultColumn interface {
+	// Len returns the number of rows.
+	Len() int
+	// At returns row i as the one SQL scalar.
+	At(i int) Value
+}
+
+// Values is a ResultColumn over boxed values.
+type Values []Value
+
+// Len implements ResultColumn.
+func (c Values) Len() int { return len(c) }
+
+// At implements ResultColumn.
+func (c Values) At(i int) Value { return c[i] }
+
+// Result is the outcome of executing a query: named output columns as the
+// executor produced them. Whoever wants rows calls Rows.
 type Result struct {
 	// Columns are the output column names in order.
 	Columns []string
-	// Rows are the output rows.
-	Rows [][]Value
+	// Cols are the output columns, one per name.
+	Cols []ResultColumn
 	// Stats are the execution counters of the run.
 	Stats Stats
 }
 
 // NumRows returns the number of result rows.
-func (r *Result) NumRows() int { return len(r.Rows) }
+func (r *Result) NumRows() int {
+	if len(r.Cols) == 0 {
+		return 0
+	}
+	return r.Cols[0].Len()
+}
+
+// Rows boxes the result into rows of values — the one place columns become
+// [][]Value.
+func (r *Result) Rows() [][]Value {
+	rows := make([][]Value, r.NumRows())
+	for i := range rows {
+		row := make([]Value, len(r.Cols))
+		for c, col := range r.Cols {
+			row[c] = col.At(i)
+		}
+		rows[i] = row
+	}
+	return rows
+}
 
 // String renders a compact tabular form, used by examples and debugging.
 func (r *Result) String() string {
 	var sb strings.Builder
 	sb.WriteString(strings.Join(r.Columns, " | "))
 	sb.WriteString("\n")
-	for _, row := range r.Rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = v.String()
-		}
-		sb.WriteString(strings.Join(parts, " | "))
+	for _, line := range r.lines(" | ", Value.String) {
+		sb.WriteString(line)
 		sb.WriteString("\n")
 	}
 	return sb.String()
@@ -48,7 +89,7 @@ func (r *Result) String() string {
 // sorted (the fingerprint is a multiset identity) because not every query
 // carries a total ORDER BY; column names stay positional.
 func (r *Result) Fingerprint() string {
-	lines := r.fingerprintRows()
+	lines := r.lines("|", exactCell)
 	sort.Strings(lines)
 	return strings.Join(r.Columns, ",") + "\n" + strings.Join(lines, "\n")
 }
@@ -56,26 +97,32 @@ func (r *Result) Fingerprint() string {
 // OrderedFingerprint is Fingerprint without the row sort: engines must
 // agree on row order too. For queries whose ORDER BY is total.
 func (r *Result) OrderedFingerprint() string {
-	return strings.Join(r.Columns, ",") + "\n" + strings.Join(r.fingerprintRows(), "\n")
+	return strings.Join(r.Columns, ",") + "\n" + strings.Join(r.lines("|", exactCell), "\n")
 }
 
-func (r *Result) fingerprintRows() []string {
-	lines := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			switch v.Kind {
-			case sqlsem.KindNull:
-				parts[i] = "null"
-			case sqlsem.KindFloat:
-				parts[i] = "float:" + strconv.FormatUint(math.Float64bits(v.F), 16)
-			default:
-				parts[i] = v.Kind.String() + ":" + v.String()
-			}
+// lines renders every row as its cells joined by sep.
+func (r *Result) lines(sep string, cell func(Value) string) []string {
+	lines := make([]string, r.NumRows())
+	parts := make([]string, len(r.Cols))
+	for i := range lines {
+		for c, col := range r.Cols {
+			parts[c] = cell(col.At(i))
 		}
-		lines = append(lines, strings.Join(parts, "|"))
+		lines[i] = strings.Join(parts, sep)
 	}
 	return lines
+}
+
+// exactCell is the fingerprint form of one value.
+func exactCell(v Value) string {
+	switch v.Kind {
+	case sqlsem.KindNull:
+		return "null"
+	case sqlsem.KindFloat:
+		return "float:" + strconv.FormatUint(math.Float64bits(v.F), 16)
+	default:
+		return v.Kind.String() + ":" + v.String()
+	}
 }
 
 // ExecOptions control one execution.
@@ -86,10 +133,9 @@ type ExecOptions struct {
 	// MaxJoinRows overrides the guard on intermediate join sizes; zero keeps
 	// the default.
 	MaxJoinRows int
-	// Parallelism caps the intra-query morsel workers of engines that
-	// support them (the vektor family); 0 falls back to the engine's
-	// configured default, 1 forces serial execution. Results are identical
-	// at every setting — only wall-clock changes.
+	// Parallelism caps the intra-query morsel workers of the engines that
+	// have them (the typed ones); 0 or 1 executes serially. Results are
+	// identical at every setting — only wall-clock changes.
 	Parallelism int
 	// Tracer collects per-operator spans keyed by the plan's operator ids
 	// (internal/trace); nil disables tracing at zero cost.
@@ -98,8 +144,8 @@ type ExecOptions struct {
 
 // Engine is a database system under test: it accepts SQL text and executes
 // it against a Database. The registry holds six engines in four paradigms —
-// the row and column interpreters (baseEngine) and the vectorized and
-// compiled engines on typed vectors (typedEngine) — standing in for the
+// the row and column interpreters and the vectorized and compiled engines on
+// typed vectors, all rows of one spec table (specs) — standing in for the
 // systems the paper compares.
 type Engine interface {
 	// Name returns the engine's product name.
@@ -138,46 +184,101 @@ func planFor(cache *plan.Cache, db *Database, sql string) (*plan.Plan, error) {
 	})
 }
 
-// baseEngine carries the shared execution logic of both interpreters.
-type baseEngine struct {
-	name       string
-	version    string
-	dialect    string
+// spec is one row of the engine table: everything that tells one built-in
+// engine from another.
+type spec struct {
+	name, version string
+	// paradigm is the label Routes reports for native execution.
+	paradigm string
+	// mode and guardCasts drive the interpreter: an interpreter engine's
+	// only executor, a typed engine's fallback (the column interpreter of
+	// the release that dropped the overflow-guard widening pass).
 	mode       Mode
 	guardCasts bool
-	plans      *plan.Cache
+	// typed engines run the vectorizable subset on internal/vexec: fused
+	// selects the compiled scan→filter loop (vexec.Options.Fused), batchSize
+	// the pipeline batch (0 takes vexec's default of 1024 rows).
+	typed     bool
+	fused     bool
+	batchSize int
 }
 
-func (e *baseEngine) Name() string    { return e.name }
-func (e *baseEngine) Version() string { return e.version }
-func (e *baseEngine) Dialect() string { return e.dialect }
+// Paradigm labels, as Routes reports them.
+const (
+	paradigmRow      = "tuple-at-a-time interpreter"
+	paradigmColumn   = "column-at-a-time interpreter"
+	paradigmVector   = "batch-vectorized"
+	paradigmCompiled = "data-centric compiled"
+)
+
+// specs is the engine table, in registry order: the four execution
+// paradigms, the middle two in two releases each. columba 2.0 drops the
+// guard casts the paper describes for MonetDB; vektor 2.0 quadruples the
+// batch, trading per-batch overhead against cache residency.
+var specs = []spec{
+	{name: "tuplestore", version: "1.0", paradigm: paradigmRow, mode: ModeRow},
+	{name: "columba", version: "1.0", paradigm: paradigmColumn, mode: ModeColumn, guardCasts: true},
+	{name: "columba", version: "2.0", paradigm: paradigmColumn, mode: ModeColumn},
+	{name: "vektor", version: "1.0", paradigm: paradigmVector, mode: ModeColumn, typed: true},
+	{name: "vektor", version: "2.0", paradigm: paradigmVector, mode: ModeColumn, typed: true, batchSize: 4096},
+	{name: "fusil", version: "1.0", paradigm: paradigmCompiled, mode: ModeColumn, typed: true, fused: true},
+}
+
+// specEngine is the one Engine implementation: a spec plus the two caches
+// it executes through. Plan routing, limit resolution, fallback, counters
+// and the result hand-over exist once, here.
+type specEngine struct {
+	spec
+	plans *plan.Cache
+	// typedTables holds the typed decodings of the boxed tables; only the
+	// typed engines read it.
+	typedTables *typedCache
+}
+
+func (e *specEngine) Name() string    { return e.name }
+func (e *specEngine) Version() string { return e.version }
+func (e *specEngine) Dialect() string { return e.name }
 
 // SetPlanCache implements PlanCached.
-func (e *baseEngine) SetPlanCache(c *plan.Cache) { e.plans = c }
+func (e *specEngine) SetPlanCache(c *plan.Cache) { e.plans = c }
 
 // PlanCacheStats implements PlanCached.
-func (e *baseEngine) PlanCacheStats() (hits, misses uint64) {
+func (e *specEngine) PlanCacheStats() (hits, misses uint64) {
 	if e.plans == nil {
 		return 0, 0
 	}
 	return e.plans.Stats()
 }
 
-// Execute plans (or fetches the cached plan of) the query and runs it.
-func (e *baseEngine) Execute(db *Database, sql string, opts ExecOptions) (*Result, error) {
+// Execute resolves the shared logical plan and the execution budget once,
+// then routes on the plan's Vectorizable verdict: a typed engine runs the
+// supported statements on the typed executor; everything else — and every
+// statement of an interpreter engine — runs on the interpreter, consuming
+// the same plan and the same budget.
+func (e *specEngine) Execute(db *Database, sql string, opts ExecOptions) (*Result, error) {
 	p, err := planFor(e.plans, db, sql)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.name, err)
 	}
-	return e.ExecutePlan(db, p, opts)
-}
-
-// ExecutePlan runs an already planned query; the typed adapter uses it to
-// fall back to the interpreter without re-planning.
-func (e *baseEngine) ExecutePlan(db *Database, p *plan.Plan, opts ExecOptions) (*Result, error) {
-	limits := executionLimits{maxJoinRows: opts.MaxJoinRows}
-	if opts.Timeout > 0 {
-		limits.deadline = time.Now().Add(opts.Timeout)
+	limits := plan.ResolveLimits(opts.Timeout, opts.MaxJoinRows)
+	if e.typed && p.Vectorizable {
+		res, err := vexec.ExecutePlan(&typedCatalog{cache: e.typedTables, db: db}, p, vexec.Options{
+			BatchSize: e.batchSize, Limits: limits, Parallelism: opts.Parallelism, Tracer: opts.Tracer, Fused: e.fused})
+		if err == nil {
+			out := &Result{Columns: res.Columns, Cols: make([]ResultColumn, len(res.Cols)), Stats: res.Stats}
+			for i, vec := range res.Cols {
+				out.Cols[i] = vec
+			}
+			return out, nil
+		}
+		if !errors.Is(err, vexec.ErrUnsupported) {
+			return nil, fmt.Errorf("%s: %w", e.name, err)
+		}
+		// Runtime value shapes outside the typed subset (mixed-kind columns,
+		// eager-evaluation type errors) defer to the interpreter. The aborted
+		// attempt may have recorded partial spans; drop them so the trace
+		// reflects the run that produces the result.
+		opts.Tracer.Reset()
 	}
 	ex := newExecutor(db, e.mode, limits, e.guardCasts, p)
 	if opts.Tracer != nil {
@@ -188,101 +289,57 @@ func (e *baseEngine) ExecutePlan(db *Database, p *plan.Plan, opts ExecOptions) (
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.name, err)
 	}
-	res := &Result{Columns: rel.columnNames(), Stats: *ex.stats}
-	res.Rows = make([][]Value, rel.numRows())
-	for i := 0; i < rel.numRows(); i++ {
-		row := make([]Value, len(rel.cols))
-		for c := range rel.cols {
-			row[c] = rel.cols[c].vals[i]
-		}
-		res.Rows[i] = row
+	out := &Result{Columns: rel.columnNames(), Cols: make([]ResultColumn, len(rel.cols)), Stats: *ex.stats}
+	for i, c := range rel.cols {
+		out.Cols[i] = Values(c.vals)
 	}
-	return res, nil
+	return out, nil
 }
 
-// RowEngine options and constructor.
+// The constructors below return one built-in engine on its own — a fresh
+// registry's, so with a plan cache and a typed-table cache nobody shares.
 
 // NewRowEngine returns the tuple-at-a-time engine ("tuplestore 1.0"): full
 // width scans, short-circuit filters, no intermediate materialisation, early
 // LIMIT exit.
-func NewRowEngine() Engine {
-	return &baseEngine{name: "tuplestore", version: "1.0", dialect: "tuplestore", mode: ModeRow, plans: plan.NewCache(0)}
-}
-
-// ColEngineOptions tune the column engine variant.
-type ColEngineOptions struct {
-	// Version overrides the reported version string.
-	Version string
-	// DisableGuardCasts models the newer engine release that no longer pays
-	// the overflow-guarding widening pass on multiplications.
-	DisableGuardCasts bool
-}
+func NewRowEngine() Engine { return NewRegistry().Get("tuplestore-1.0") }
 
 // NewColEngine returns the column-at-a-time engine ("columba 1.0") with the
 // overflow-guard materialisation behaviour the paper describes for MonetDB.
-func NewColEngine() Engine {
-	return &baseEngine{name: "columba", version: "1.0", dialect: "columba", mode: ModeColumn, guardCasts: true, plans: plan.NewCache(0)}
-}
+func NewColEngine() Engine { return NewRegistry().Get("columba-1.0") }
 
-// NewColEngineWithOptions returns a tuned column engine variant, used to
-// compare two versions of the same system.
-func NewColEngineWithOptions(opts ColEngineOptions) Engine {
-	version := opts.Version
-	if version == "" {
-		version = "2.0"
-	}
-	return &baseEngine{
-		name:       "columba",
-		version:    version,
-		dialect:    "columba",
-		mode:       ModeColumn,
-		guardCasts: !opts.DisableGuardCasts,
-		plans:      plan.NewCache(0),
-	}
-}
+// NewVektorEngine returns the batch-vectorized engine ("vektor 1.0"):
+// typed columnar vectors, selection-vector filters, batch-at-a-time
+// pull-based pipelines of 1024 rows.
+func NewVektorEngine() Engine { return NewRegistry().Get("vektor-1.0") }
+
+// NewFusilEngine returns the compiled engine ("fusil 1.0"): per-query
+// closure compilation of the scan→filter segment into one fused loop, on
+// the vectorized engine's pipeline breakers.
+func NewFusilEngine() Engine { return NewRegistry().Get("fusil-1.0") }
 
 // Registry maps engine keys ("name-version") to constructed engines, the way
-// the platform's DBMS catalog refers to them. All engines registered in one
-// registry share one plan cache — a measurement cell that runs the same query
-// on six engines pays the front-end analysis once — and the typed engines
-// share one typed-table cache, so each table version is decoded once.
+// the platform's DBMS catalog refers to them. All engines of one registry
+// share one plan cache — a measurement cell that runs the same query on six
+// engines pays the front-end analysis once — and the typed engines share
+// one typed-table cache, so each table version is decoded once.
 type Registry struct {
-	engines map[string]Engine
+	engines map[string]*specEngine
 	order   []string
 	plans   *plan.Cache
-	typed   *typedCache
 }
 
-// NewRegistry returns a registry pre-populated with the built-in engines:
-// the four execution paradigms (tuple-at-a-time, column-at-a-time,
-// batch-vectorized, data-centric compiled), the middle two in two releases
-// each, all sharing one plan cache.
+// NewRegistry returns a registry of the built-in engines: every row of the
+// engine table, around one plan cache and one typed-table cache.
 func NewRegistry() *Registry {
-	r := &Registry{engines: map[string]Engine{}, plans: plan.NewCache(0), typed: newTypedCache()}
-	r.Register(NewRowEngine())
-	r.Register(NewColEngine())
-	r.Register(NewColEngineWithOptions(ColEngineOptions{Version: "2.0", DisableGuardCasts: true}))
-	r.Register(NewVektorEngine())
-	r.Register(NewVektorEngineWithOptions(VektorOptions{Version: "2.0", BatchSize: 4096}))
-	r.Register(NewFusilEngine())
-	return r
-}
-
-// Register adds an engine under its canonical key, attaching the registry's
-// shared plan cache when the engine supports one and its shared typed-table
-// cache when the engine is a typed one.
-func (r *Registry) Register(e Engine) {
-	key := EngineKey(e.Name(), e.Version())
-	if _, exists := r.engines[key]; !exists {
+	r := &Registry{engines: map[string]*specEngine{}, plans: plan.NewCache(0)}
+	typedTables := newTypedCache()
+	for _, s := range specs {
+		key := EngineKey(s.name, s.version)
 		r.order = append(r.order, key)
+		r.engines[key] = &specEngine{spec: s, plans: r.plans, typedTables: typedTables}
 	}
-	r.engines[key] = e
-	if pc, ok := e.(PlanCached); ok && r.plans != nil {
-		pc.SetPlanCache(r.plans)
-	}
-	if te, ok := e.(*typedEngine); ok {
-		te.typed = r.typed
-	}
+	return r
 }
 
 // PlanCache returns the registry's shared plan cache.
@@ -311,20 +368,20 @@ func (r *Registry) ExplainJSON(db *Database, sql string) ([]byte, error) {
 }
 
 // EngineRoute is one engine's execution route for a statement: the
-// paradigm that will actually run it and, for the verdict-routed engines
-// (vectorized, compiled) that fall back, the plan's reason.
+// paradigm that will actually run it and, for the typed engines that fall
+// back, the plan's reason.
 type EngineRoute struct {
 	Engine   string // registry key
 	Paradigm string // the paradigm that will execute the statement
-	Fallback bool   // a verdict-routed engine routes to its interpreter
+	Fallback bool   // a typed engine routes to its interpreter
 	Reason   string // the plan's NotVectorizableReason when Fallback
 }
 
 // Routes reports, without executing, how each registered engine would run
 // the statement — from the shared plan's precomputed verdict, the same
-// bit Execute routes on. The interpreters always run natively; the
-// vectorized and compiled engines support exactly the vectorizable subset
-// and fall back to the column interpreter outside it.
+// bit Execute routes on. The interpreters always run natively; the typed
+// engines support exactly the vectorizable subset and fall back to the
+// column interpreter outside it.
 func (r *Registry) Routes(db *Database, sql string) ([]EngineRoute, error) {
 	p, err := planFor(r.plans, db, sql)
 	if err != nil {
@@ -332,27 +389,12 @@ func (r *Registry) Routes(db *Database, sql string) ([]EngineRoute, error) {
 	}
 	routes := make([]EngineRoute, 0, len(r.order))
 	for _, key := range r.order {
-		rt := EngineRoute{Engine: key}
-		switch e := r.engines[key].(type) {
-		case *typedEngine:
-			switch {
-			case !p.Vectorizable:
-				rt.Paradigm = "column-at-a-time interpreter (fallback)"
-				rt.Fallback = true
-				rt.Reason = p.NotVectorizableReason
-			case e.fused:
-				rt.Paradigm = "data-centric compiled"
-			default:
-				rt.Paradigm = "batch-vectorized"
-			}
-		case *baseEngine:
-			if e.mode == ModeRow {
-				rt.Paradigm = "tuple-at-a-time interpreter"
-			} else {
-				rt.Paradigm = "column-at-a-time interpreter"
-			}
-		default:
-			rt.Paradigm = "unknown"
+		e := r.engines[key]
+		rt := EngineRoute{Engine: key, Paradigm: e.paradigm}
+		if e.typed && !p.Vectorizable {
+			rt.Paradigm = paradigmColumn + " (fallback)"
+			rt.Fallback = true
+			rt.Reason = p.NotVectorizableReason
 		}
 		routes = append(routes, rt)
 	}
@@ -366,7 +408,10 @@ func EngineKey(name, version string) string {
 
 // Get returns the engine registered under the key, or nil.
 func (r *Registry) Get(key string) Engine {
-	return r.engines[strings.ToLower(key)]
+	if e, ok := r.engines[strings.ToLower(key)]; ok {
+		return e
+	}
+	return nil
 }
 
 // Keys lists the registered engine keys in registration order.

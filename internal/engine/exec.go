@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
@@ -27,85 +26,6 @@ const (
 	ModeColumn
 )
 
-// Stats collects execution counters; they feed the open-ended key/value list
-// the driver reports back to the platform.
-type Stats struct {
-	RowsScanned               int64
-	TuplesMaterialized        int64
-	IntermediatesMaterialized int64
-	GuardCasts                int64
-	FilterPasses              int64
-	HashJoins                 int64
-	// JoinBuildRows and JoinProbeRows count the non-NULL-key rows inserted
-	// into and probed against hash-join tables (NULL keys can never match
-	// and are skipped on both sides).
-	JoinBuildRows      int64
-	JoinProbeRows      int64
-	LoopJoins          int64
-	SubqueryExecutions int64
-	Groups             int64
-	// AggRows counts the rows folded into aggregation groups.
-	AggRows      int64
-	RowsReturned int64
-	// Batches counts the fixed-size batches processed by the vectorized
-	// engine; the interpreters always report zero.
-	Batches int64
-	// BlocksSkipped counts zone-map blocks a scan proved unsatisfiable
-	// under its pushed-down predicates and never read; only the typed
-	// engines (vectorized and compiled) can report a non-zero count.
-	BlocksSkipped int64
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.RowsScanned += other.RowsScanned
-	s.TuplesMaterialized += other.TuplesMaterialized
-	s.IntermediatesMaterialized += other.IntermediatesMaterialized
-	s.GuardCasts += other.GuardCasts
-	s.FilterPasses += other.FilterPasses
-	s.HashJoins += other.HashJoins
-	s.JoinBuildRows += other.JoinBuildRows
-	s.JoinProbeRows += other.JoinProbeRows
-	s.LoopJoins += other.LoopJoins
-	s.SubqueryExecutions += other.SubqueryExecutions
-	s.Groups += other.Groups
-	s.AggRows += other.AggRows
-	s.RowsReturned += other.RowsReturned
-	s.Batches += other.Batches
-	s.BlocksSkipped += other.BlocksSkipped
-}
-
-// Map renders the stats as the key/value list reported to the platform.
-func (s Stats) Map() map[string]int64 {
-	return map[string]int64{
-		"rows_scanned":               s.RowsScanned,
-		"tuples_materialized":        s.TuplesMaterialized,
-		"intermediates_materialized": s.IntermediatesMaterialized,
-		"guard_casts":                s.GuardCasts,
-		"filter_passes":              s.FilterPasses,
-		"hash_joins":                 s.HashJoins,
-		"join_build_rows":            s.JoinBuildRows,
-		"join_probe_rows":            s.JoinProbeRows,
-		"loop_joins":                 s.LoopJoins,
-		"subquery_executions":        s.SubqueryExecutions,
-		"groups":                     s.Groups,
-		"agg_rows":                   s.AggRows,
-		"rows_returned":              s.RowsReturned,
-		"batches":                    s.Batches,
-		"blocks_skipped":             s.BlocksSkipped,
-	}
-}
-
-// executionLimits guard against runaway queries: generated query variants
-// may drop join predicates and explode; the executor turns those into
-// errors, matching the error entries of the paper's experiment history.
-type executionLimits struct {
-	maxJoinRows int
-	deadline    time.Time
-}
-
-const defaultMaxJoinRows = 4_000_000
-
 // executor runs one planned statement against a database. The logical plan
 // (internal/plan) carries all front-end analysis — resolved FROM inputs,
 // join order, classified conjuncts, sub-query correlation, pruning sets —
@@ -114,7 +34,7 @@ type executor struct {
 	db     *Database
 	mode   Mode
 	stats  *Stats
-	limits executionLimits
+	limits plan.Limits
 	// guardCasts toggles the overflow-guard widening pass of ModeColumn;
 	// disabling it models a newer engine version that removed the cost.
 	guardCasts bool
@@ -137,10 +57,7 @@ func (ex *executor) traced(prefix string) bool {
 	return ex.tracer != nil && prefix != trace.UntracedPrefix
 }
 
-func newExecutor(db *Database, mode Mode, limits executionLimits, guardCasts bool, p *plan.Plan) *executor {
-	if limits.maxJoinRows == 0 {
-		limits.maxJoinRows = defaultMaxJoinRows
-	}
+func newExecutor(db *Database, mode Mode, limits plan.Limits, guardCasts bool, p *plan.Plan) *executor {
 	return &executor{
 		db:          db,
 		mode:        mode,
@@ -156,17 +73,11 @@ func newExecutor(db *Database, mode Mode, limits executionLimits, guardCasts boo
 // checkDeadline returns an error when the execution deadline has passed; it
 // only consults the clock every few hundred calls to stay cheap.
 func (ex *executor) checkDeadline() error {
-	if ex.limits.deadline.IsZero() {
-		return nil
-	}
 	ex.deadlineTick++
 	if ex.deadlineTick%512 != 0 {
 		return nil
 	}
-	if time.Now().After(ex.limits.deadline) {
-		return fmt.Errorf("query exceeded its time budget")
-	}
-	return nil
+	return ex.limits.Expired()
 }
 
 // executeSubquery runs a nested select through its pre-built plan;
@@ -444,9 +355,7 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 func (ex *executor) buildFrom(sp *plan.Select, outer *scope, prefix string) (*relation, error) {
 	if len(sp.From) == 0 {
 		// SELECT without FROM: a single empty row so expressions evaluate once.
-		rel := newRelation()
-		rel.n = 1
-		return rel, nil
+		return &relation{n: 1}, nil
 	}
 
 	rels := make([]*relation, len(sp.From))
@@ -615,8 +524,8 @@ func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlpar
 		for _, bi := range ht[key] {
 			probeIdx = append(probeIdx, i)
 			buildIdx = append(buildIdx, bi)
-			if len(probeIdx) > ex.limits.maxJoinRows {
-				return nil, fmt.Errorf("join result exceeds %d rows", ex.limits.maxJoinRows)
+			if err := ex.limits.JoinRows(len(probeIdx)); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -654,11 +563,10 @@ func joinKey(ev *evaluator, keys []sqlparser.Expr) (key string, hasNull bool, er
 // crossJoin builds the cartesian product, guarded by the join-size limit.
 func (ex *executor) crossJoin(left, right *relation) (*relation, error) {
 	ex.stats.LoopJoins++
-	total := left.numRows() * right.numRows()
-	if total > ex.limits.maxJoinRows {
-		return nil, fmt.Errorf("cross product of %d x %d rows exceeds the %d row limit",
-			left.numRows(), right.numRows(), ex.limits.maxJoinRows)
+	if err := ex.limits.CrossJoin(left.numRows(), right.numRows()); err != nil {
+		return nil, err
 	}
+	total := left.numRows() * right.numRows()
 	leftIdx := make([]int, 0, total)
 	rightIdx := make([]int, 0, total)
 	for i := 0; i < left.numRows(); i++ {
@@ -1091,9 +999,3 @@ func applyLimit(rel *relation, limit, offset *int64) *relation {
 	}
 	return rel.selectRows(keep)
 }
-
-// The statement-level analysis that used to live here — conjunct splitting
-// with the common-OR lift, join-edge extraction, aggregate detection,
-// needed-column computation and sub-query correlation — moved to the shared
-// logical-plan layer (internal/plan), where it runs once per (schema,
-// normalized SQL) instead of once per execution.

@@ -70,8 +70,8 @@ func TestSimpleProjectionAndFilter(t *testing.T) {
 	db := miniDB()
 	row, col := runBoth(t, db, "SELECT n_name FROM nation WHERE n_name = 'BRAZIL'")
 	for _, res := range []*Result{row, col} {
-		if res.NumRows() != 1 || res.Rows[0][0].S != "BRAZIL" {
-			t.Errorf("result = %v", res.Rows)
+		if res.NumRows() != 1 || res.Cols[0].At(0).S != "BRAZIL" {
+			t.Errorf("result = %v", res.Rows())
 		}
 		if len(res.Columns) != 1 || res.Columns[0] != "n_name" {
 			t.Errorf("columns = %v", res.Columns)
@@ -102,18 +102,18 @@ func TestCountStarAndAggregates(t *testing.T) {
 		if res.NumRows() != 1 {
 			t.Fatalf("aggregate result rows = %d", res.NumRows())
 		}
-		if res.Rows[0][0].Int() != 20 {
-			t.Errorf("count = %v", res.Rows[0][0])
+		if res.Cols[0].At(0).Int() != 20 {
+			t.Errorf("count = %v", res.Cols[0].At(0))
 		}
 		wantSum := 0.0
 		for i := 1; i <= 20; i++ {
 			wantSum += float64(i) * 10.5
 		}
-		if got := res.Rows[0][1].Float(); got < wantSum-0.01 || got > wantSum+0.01 {
+		if got := res.Cols[1].At(0).Float(); got < wantSum-0.01 || got > wantSum+0.01 {
 			t.Errorf("sum = %v, want %v", got, wantSum)
 		}
-		if res.Rows[0][2].Float() != 10.5 || res.Rows[0][3].Float() != 210 {
-			t.Errorf("min/max = %v / %v", res.Rows[0][2], res.Rows[0][3])
+		if res.Cols[2].At(0).Float() != 10.5 || res.Cols[3].At(0).Float() != 210 {
+			t.Errorf("min/max = %v / %v", res.Cols[2].At(0), res.Cols[3].At(0))
 		}
 	}
 }
@@ -125,11 +125,11 @@ func TestAggregateOverEmptyInput(t *testing.T) {
 		if res.NumRows() != 1 {
 			t.Fatalf("expected one row, got %d", res.NumRows())
 		}
-		if res.Rows[0][0].Int() != 0 {
-			t.Errorf("count over empty input = %v", res.Rows[0][0])
+		if res.Cols[0].At(0).Int() != 0 {
+			t.Errorf("count over empty input = %v", res.Cols[0].At(0))
 		}
-		if !res.Rows[0][1].IsNull() {
-			t.Errorf("sum over empty input should be NULL, got %v", res.Rows[0][1])
+		if !res.Cols[1].At(0).IsNull() {
+			t.Errorf("sum over empty input should be NULL, got %v", res.Cols[1].At(0))
 		}
 	}
 
@@ -149,7 +149,7 @@ func TestAggregateOverEmptyInput(t *testing.T) {
 			if res.NumRows() != 1 {
 				t.Fatalf("%s: %q: %d rows, want 1", key, tc.sql, res.NumRows())
 			}
-			if got := res.Rows[0][0].String() + "|" + res.Rows[0][1].String(); got != tc.want {
+			if got := res.Cols[0].At(0).String() + "|" + res.Cols[1].At(0).String(); got != tc.want {
 				t.Errorf("%s: %q = %s, want %s", key, tc.sql, got, tc.want)
 			}
 		}
@@ -169,7 +169,7 @@ func TestGroupByHavingOrderLimit(t *testing.T) {
 		t.Errorf("limit not applied: %d rows", row.NumRows())
 	}
 	// Ordering: totals must be descending.
-	if row.NumRows() == 2 && row.Rows[0][2].Float() < row.Rows[1][2].Float() {
+	if row.NumRows() == 2 && row.Cols[2].At(0).Float() < row.Cols[2].At(1).Float() {
 		t.Error("ORDER BY DESC not respected")
 	}
 }
@@ -213,7 +213,7 @@ func TestLeftOuterJoin(t *testing.T) {
 		t.Fatal("engines disagree on left join")
 	}
 	foundEmpty := false
-	for _, r := range row.Rows {
+	for _, r := range row.Rows() {
 		if r[0].S == "NOWHERE" {
 			foundEmpty = true
 			if r[1].Int() != 0 {
@@ -235,7 +235,7 @@ func TestLeftJoinWithResidualCondition(t *testing.T) {
 	}
 	// Nations in ASIA must still appear, with NULL region.
 	sawNull := false
-	for _, r := range row.Rows {
+	for _, r := range row.Rows() {
 		if r[1].IsNull() {
 			sawNull = true
 		}
@@ -258,8 +258,8 @@ func TestSubqueries(t *testing.T) {
 	// Uncorrelated scalar.
 	row, col := runBoth(t, db, "SELECT o_orderkey FROM orders WHERE o_total = (SELECT max(o_total) FROM orders)")
 	for _, res := range []*Result{row, col} {
-		if res.NumRows() != 1 || res.Rows[0][0].Int() != 20 {
-			t.Errorf("scalar subquery result = %v", res.Rows)
+		if res.NumRows() != 1 || res.Cols[0].At(0).Int() != 20 {
+			t.Errorf("scalar subquery result = %v", res.Rows())
 		}
 	}
 	// IN subquery.
@@ -311,7 +311,7 @@ func TestCaseBetweenInLike(t *testing.T) {
 	if row.Fingerprint() != col.Fingerprint() {
 		t.Error("engines disagree")
 	}
-	for _, r := range row.Rows {
+	for _, r := range row.Rows() {
 		if r[1].S != "AFR" && r[1].S != "AME" && r[1].S != "OTHER" {
 			t.Errorf("unexpected case output %v", r[1])
 		}
@@ -327,7 +327,7 @@ func TestDateArithmeticAndExtract(t *testing.T) {
 	if row.Fingerprint() != col.Fingerprint() {
 		t.Error("engines disagree")
 	}
-	for _, r := range row.Rows {
+	for _, r := range row.Rows() {
 		if r[1].Int() != 1995 {
 			t.Errorf("extract year = %v", r[1])
 		}
@@ -344,8 +344,8 @@ func TestOrderByOrdinalAndAlias(t *testing.T) {
 	if byAlias.Fingerprint() != byOrdinal.Fingerprint() {
 		t.Error("alias and ordinal ordering disagree")
 	}
-	if byAlias.Rows[0][0].S != "INDIA" {
-		t.Errorf("descending order wrong: %v", byAlias.Rows[0][0])
+	if byAlias.Cols[0].At(0).S != "INDIA" {
+		t.Errorf("descending order wrong: %v", byAlias.Cols[0].At(0))
 	}
 }
 
@@ -353,8 +353,8 @@ func TestLimitOffset(t *testing.T) {
 	db := miniDB()
 	row, col := runBoth(t, db, "SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT 5 OFFSET 10")
 	for _, res := range []*Result{row, col} {
-		if res.NumRows() != 5 || res.Rows[0][0].Int() != 11 {
-			t.Errorf("limit/offset wrong: %v", res.Rows)
+		if res.NumRows() != 5 || res.Cols[0].At(0).Int() != 11 {
+			t.Errorf("limit/offset wrong: %v", res.Rows())
 		}
 	}
 }
@@ -380,8 +380,8 @@ func TestCountDistinct(t *testing.T) {
 	db := miniDB()
 	row, col := runBoth(t, db, "SELECT count(DISTINCT n_regionkey) FROM nation")
 	for _, res := range []*Result{row, col} {
-		if res.Rows[0][0].Int() != 3 {
-			t.Errorf("count distinct = %v, want 3", res.Rows[0][0])
+		if res.Cols[0].At(0).Int() != 3 {
+			t.Errorf("count distinct = %v, want 3", res.Cols[0].At(0))
 		}
 	}
 }
@@ -477,7 +477,7 @@ func TestStatsDifferBetweenEngines(t *testing.T) {
 		t.Error("column engine should pay guard casts on multiplications")
 	}
 	// The improved column engine version drops the guard casts.
-	v2 := NewColEngineWithOptions(ColEngineOptions{Version: "2.0", DisableGuardCasts: true})
+	v2 := NewRegistry().Get("columba-2.0")
 	res2, err := v2.Execute(db, sql, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

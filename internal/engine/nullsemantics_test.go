@@ -68,7 +68,7 @@ func runAllEngines(t *testing.T, db *Database, sql string) *Result {
 
 func renderRows(r *Result) string {
 	var sb strings.Builder
-	for _, row := range r.Rows {
+	for _, row := range r.Rows() {
 		parts := make([]string, len(row))
 		for i, v := range row {
 			parts[i] = v.String()

@@ -164,7 +164,7 @@ func TestPlanCacheInvalidationOnMutation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		return res.Rows[0][0].Int()
+		return res.Cols[0].At(0).Int()
 	}
 
 	for _, key := range reg.Keys() {
@@ -274,7 +274,7 @@ func TestVektorTypedCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].Int(); got != 3 {
+	if got := res.Cols[0].At(0).Int(); got != 3 {
 		t.Fatalf("warm-up sum = %d, want 3", got)
 	}
 	if err := tbl.SetValue(1, 0, sqlsem.NewInt(40)); err != nil {
@@ -284,7 +284,7 @@ func TestVektorTypedCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].Int(); got != 41 {
+	if got := res.Cols[0].At(0).Int(); got != 41 {
 		t.Errorf("sum after in-place mutation = %d, want 41 (stale typed columns)", got)
 	}
 }

@@ -21,16 +21,6 @@ type relation struct {
 	n    int
 }
 
-func newRelation() *relation { return &relation{} }
-
-// addColumn appends a column; all columns must have the same length.
-func (r *relation) addColumn(table, name string, vals []Value) {
-	r.cols = append(r.cols, &relColumn{table: strings.ToLower(table), name: strings.ToLower(name), vals: vals})
-	if len(r.cols) == 1 {
-		r.n = len(vals)
-	}
-}
-
 // numRows returns the number of rows.
 func (r *relation) numRows() int { return r.n }
 
@@ -108,15 +98,11 @@ func tableRelation(t *Table, alias string, needed map[string]bool, copyCols bool
 			cp := make([]Value, len(vals))
 			copy(cp, vals)
 			vals = cp
-			if stats != nil {
-				stats.TuplesMaterialized += int64(len(cp))
-			}
+			stats.TuplesMaterialized += int64(len(cp))
 		}
 		rel.cols = append(rel.cols, &relColumn{table: strings.ToLower(alias), name: lname, vals: vals})
 	}
-	if stats != nil {
-		stats.RowsScanned += int64(t.NumRows())
-	}
+	stats.RowsScanned += int64(t.NumRows())
 	return rel
 }
 

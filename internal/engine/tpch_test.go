@@ -62,7 +62,7 @@ func TestTPCHResultShapes(t *testing.T) {
 		t.Errorf("Q1 columns = %d, want 10", len(res.Columns))
 	}
 	// sum_charge >= sum_disc_price >= 0 for every group.
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		discPrice := r[4].Float()
 		charge := r[5].Float()
 		if charge < discPrice || discPrice <= 0 {
@@ -84,7 +84,7 @@ func TestTPCHResultShapes(t *testing.T) {
 	}
 	// Revenue must be sorted descending.
 	for i := 1; i < res.NumRows(); i++ {
-		if res.Rows[i][1].Float() > res.Rows[i-1][1].Float()+0.0001 {
+		if res.Cols[1].At(i).Float() > res.Cols[1].At(i-1).Float()+0.0001 {
 			t.Error("Q3 revenue not sorted descending")
 		}
 	}
@@ -97,8 +97,8 @@ func TestTPCHResultShapes(t *testing.T) {
 	if res.NumRows() != 1 {
 		t.Fatalf("Q6 rows = %d, want 1", res.NumRows())
 	}
-	if res.Rows[0][0].IsNull() || res.Rows[0][0].Float() <= 0 {
-		t.Errorf("Q6 revenue should be positive, got %v", res.Rows[0][0])
+	if res.Cols[0].At(0).IsNull() || res.Cols[0].At(0).Float() <= 0 {
+		t.Errorf("Q6 revenue should be positive, got %v", res.Cols[0].At(0))
 	}
 
 	q4, _ := workload.TPCHQuery("Q4")
@@ -119,7 +119,7 @@ func TestTPCHResultShapes(t *testing.T) {
 	// c_count = 0 bucket.
 	foundZero := false
 	var total int64
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if r[0].Int() == 0 {
 			foundZero = true
 		}

@@ -30,7 +30,7 @@ func cacheFixture(rows int) (*Database, *Table) {
 // table — including its string dictionary and zone maps — exactly once.
 func TestTypedCacheRebuildsEncodingsOnVersionBump(t *testing.T) {
 	db, tab := cacheFixture(2500)
-	tc := NewRegistry().typed
+	tc := newTypedCache()
 
 	vt1, err := tc.typedTable(db, tab)
 	if err != nil {
@@ -83,11 +83,12 @@ func TestTypedCacheRebuildsEncodingsOnVersionBump(t *testing.T) {
 func TestTypedCacheConcurrentBuildOnce(t *testing.T) {
 	db, tab := cacheFixture(5000)
 	reg := NewRegistry()
-	var typed []*typedEngine
-	for _, e := range reg.Engines() {
-		if te, ok := e.(*typedEngine); ok {
-			if te.typed != reg.typed {
-				t.Fatalf("%s-%s does not share the registry's typed cache", te.name, te.version)
+	shared := reg.engines["vektor-1.0"].typedTables
+	var typed []*specEngine
+	for _, key := range reg.Keys() {
+		if te := reg.engines[key]; te.typed {
+			if te.typedTables != shared {
+				t.Fatalf("%s does not share the registry's typed cache", key)
 			}
 			typed = append(typed, te)
 		}
@@ -104,11 +105,11 @@ func TestTypedCacheConcurrentBuildOnce(t *testing.T) {
 		for _, te := range typed {
 			for g := 0; g < perEngine; g++ {
 				wg.Add(1)
-				go func(te *typedEngine) {
+				go func(te *specEngine) {
 					defer wg.Done()
 					res, err := te.Execute(db, "SELECT count(*) FROM t WHERE s = 'beta'", ExecOptions{})
-					if err == nil && res.Rows[0][0].String() != want {
-						err = fmt.Errorf("%s-%s counted %s, want %s", te.name, te.version, res.Rows[0][0], want)
+					if err == nil && res.Cols[0].At(0).String() != want {
+						err = fmt.Errorf("%s-%s counted %s, want %s", te.name, te.version, res.Cols[0].At(0), want)
 					}
 					errs <- err
 				}(te)
@@ -123,17 +124,17 @@ func TestTypedCacheConcurrentBuildOnce(t *testing.T) {
 		}
 	}
 	race("1667")
-	if reg.typed.builds != 1 {
-		t.Fatalf("builds = %d across %d concurrent executions on %d engines, want 1", reg.typed.builds, len(typed)*perEngine, len(typed))
+	if shared.builds != 1 {
+		t.Fatalf("builds = %d across %d concurrent executions on %d engines, want 1", shared.builds, len(typed)*perEngine, len(typed))
 	}
-	vt, err := reg.typed.typedTable(db, tab)
-	if err != nil || vt == nil || reg.typed.builds != 1 {
-		t.Fatalf("cached lookup: table %v, err %v, builds %d", vt, err, reg.typed.builds)
+	vt, err := shared.typedTable(db, tab)
+	if err != nil || vt == nil || shared.builds != 1 {
+		t.Fatalf("cached lookup: table %v, err %v, builds %d", vt, err, shared.builds)
 	}
 
 	tab.MustAppendRow(sqlsem.NewString("beta"), sqlsem.NewInt(-1))
 	race("1668")
-	if reg.typed.builds != 2 {
-		t.Fatalf("builds = %d after one version bump, want 2", reg.typed.builds)
+	if shared.builds != 2 {
+		t.Fatalf("builds = %d after one version bump, want 2", shared.builds)
 	}
 }

@@ -2,8 +2,10 @@
 // runs experiments against. It provides a relational storage layer
 // (Database/Table with column-major storage), a query executor covering the
 // SQL dialect of internal/sqlparser (joins, sub-queries, grouping,
-// aggregation, ordering), and four execution back-ends with genuinely
-// different performance profiles:
+// aggregation, ordering), and six engines in four execution paradigms with
+// genuinely different performance profiles — rows of one spec table
+// (engine.go) run by one engine type, which hands back one columnar Result
+// with one counter set (plan.Stats):
 //
 //   - RowEngine: a tuple-at-a-time interpreter that carries full rows,
 //     evaluates predicates with short-circuiting and avoids intermediate
@@ -31,8 +33,8 @@ import "sqalpel/internal/sqlsem"
 
 // Value and Kind are the one SQL scalar of internal/sqlsem — representation,
 // comparison, hash keys, arithmetic and the scalar kernels all live there,
-// shared with internal/vexec. The aliases keep Result.Rows and table storage
-// spelled in this package's terms.
+// shared with internal/vexec. The aliases keep Result.Rows() and table
+// storage spelled in this package's terms.
 type (
 	Value = sqlsem.Value
 	Kind  = sqlsem.Kind

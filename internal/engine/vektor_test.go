@@ -55,7 +55,7 @@ func TestTPCHThreeParadigmsAgree(t *testing.T) {
 		engine.NewRowEngine(),
 		engine.NewColEngine(),
 		engine.NewVektorEngine(),
-		engine.NewVektorEngineWithOptions(engine.VektorOptions{Version: "2.0", BatchSize: 4096}),
+		engine.NewRegistry().Get("vektor-2.0"),
 	}
 	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
 	for _, q := range workload.TPCH() {
@@ -211,8 +211,8 @@ func TestVektorAgreesOnTrickyShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][4].Int() != 30 || res.Rows[1][4].Int() != 20 {
-		t.Errorf("alias sort picked the wrong column: %v", res.Rows)
+	if res.Cols[4].At(0).Int() != 30 || res.Cols[4].At(1).Int() != 20 {
+		t.Errorf("alias sort picked the wrong column: %v", res.Rows())
 	}
 }
 
@@ -227,44 +227,31 @@ func TestVektorAgreesOnTrickyShapes(t *testing.T) {
 func TestVektorParallelDeterminism(t *testing.T) {
 	ssbDB := datagen.SSB(datagen.SSBOptions{ScaleFactor: 0.0003})
 	airDB := datagen.Airtraffic(datagen.AirtrafficOptions{Flights: 2000})
-	parallel := engine.NewVektorEngineWithOptions(engine.VektorOptions{Parallelism: 8})
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
-	for _, serial := range []engine.Engine{engine.NewVektorEngine(), engine.NewFusilEngine()} {
-		testParallelDeterminism(t, serial, parallel, tpchDB, ssbDB, airDB, opts)
-	}
-}
-
-func testParallelDeterminism(t *testing.T, serial, parallel engine.Engine, tpchDB, ssbDB, airDB *engine.Database, opts engine.ExecOptions) {
-	for _, tc := range []struct {
-		db      *engine.Database
-		queries []workload.Query
-	}{
-		{tpchDB, workload.TPCH()},
-		{ssbDB, workload.SSB()},
-		{airDB, workload.Airtraffic()},
-	} {
-		for _, q := range tc.queries {
-			r1, err := serial.Execute(tc.db, q.SQL, opts)
-			if err != nil {
-				t.Fatalf("%s serial: %v", q.ID, err)
-			}
-			// Per-execution override on the serial engine must behave like
-			// the engine-level default.
-			r8, err := serial.Execute(tc.db, q.SQL, engine.ExecOptions{Timeout: 2 * time.Minute, Parallelism: 8})
-			if err != nil {
-				t.Fatalf("%s parallel(exec): %v", q.ID, err)
-			}
-			rEng, err := parallel.Execute(tc.db, q.SQL, opts)
-			if err != nil {
-				t.Fatalf("%s parallel(engine): %v", q.ID, err)
-			}
-			for _, r := range []*engine.Result{r8, rEng} {
-				if len(r.Rows) != len(r1.Rows) {
-					t.Fatalf("%s: %d rows parallel vs %d serial", q.ID, len(r.Rows), len(r1.Rows))
+	for _, eng := range []engine.Engine{engine.NewVektorEngine(), engine.NewFusilEngine()} {
+		for _, tc := range []struct {
+			db      *engine.Database
+			queries []workload.Query
+		}{
+			{tpchDB, workload.TPCH()},
+			{ssbDB, workload.SSB()},
+			{airDB, workload.Airtraffic()},
+		} {
+			for _, q := range tc.queries {
+				serial, err := eng.Execute(tc.db, q.SQL, engine.ExecOptions{Timeout: 2 * time.Minute, Parallelism: 1})
+				if err != nil {
+					t.Fatalf("%s serial: %v", q.ID, err)
 				}
-				for i := range r.Rows {
-					for c := range r.Rows[i] {
-						a, b := r1.Rows[i][c], r.Rows[i][c]
+				parallel, err := eng.Execute(tc.db, q.SQL, engine.ExecOptions{Timeout: 2 * time.Minute, Parallelism: 8})
+				if err != nil {
+					t.Fatalf("%s parallel: %v", q.ID, err)
+				}
+				want, got := serial.Rows(), parallel.Rows()
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d rows parallel vs %d serial", q.ID, len(got), len(want))
+				}
+				for i := range want {
+					for c := range want[i] {
+						a, b := want[i][c], got[i][c]
 						if a.Kind != b.Kind || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) || a.S != b.S {
 							t.Fatalf("%s row %d col %d: serial %#v parallel %#v", q.ID, i, c, a, b)
 						}

@@ -121,7 +121,7 @@ func TestGrammarCoversTernaryConstructs(t *testing.T) {
 // engines must not confuse: NULL vs false, and floats by bit pattern.
 func TestFingerprintExactness(t *testing.T) {
 	mk := func(v engine.Value) string {
-		return Fingerprint(&engine.Result{Columns: []string{"c"}, Rows: [][]engine.Value{{v}}})
+		return Fingerprint(&engine.Result{Columns: []string{"c"}, Cols: []engine.ResultColumn{engine.Values{v}}})
 	}
 	if mk(sqlsem.Null()) == mk(sqlsem.NewBool(false)) {
 		t.Error("fingerprint confuses NULL with false")

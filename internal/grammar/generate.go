@@ -132,11 +132,6 @@ func (g *Generator) Generate() (*Sentence, error) {
 	return g.realize(tpl, true)
 }
 
-// GenerateFromTemplate realises a random sentence from a specific template.
-func (g *Generator) GenerateFromTemplate(tpl *Template) (*Sentence, error) {
-	return g.realize(tpl, true)
-}
-
 // realize injects literals into a template. When random is false the first
 // literals of each class are used in order (deterministic realisation).
 func (g *Generator) realize(tpl *Template, random bool) (*Sentence, error) {

@@ -216,31 +216,11 @@ func (g *Grammar) Rule(name string) *Rule {
 	return g.index[name]
 }
 
-// RuleNames returns all rule names in definition order.
-func (g *Grammar) RuleNames() []string {
-	names := make([]string, 0, len(g.Rules))
-	for _, r := range g.Rules {
-		names = append(names, r.Name)
-	}
-	return names
-}
-
 // LexicalRules returns the rules classified as lexical, in definition order.
 func (g *Grammar) LexicalRules() []*Rule {
 	var out []*Rule
 	for _, r := range g.Rules {
 		if r.IsLexical() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// StructuralRules returns the rules that are not lexical.
-func (g *Grammar) StructuralRules() []*Rule {
-	var out []*Rule
-	for _, r := range g.Rules {
-		if !r.IsLexical() {
 			out = append(out, r)
 		}
 	}

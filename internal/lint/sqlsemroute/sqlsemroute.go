@@ -5,8 +5,8 @@
 // and UNKNOWN may collapse to "row rejected" only at a predicate consumer.
 // Before PR 5 every paradigm had hand-rolled flattenings of exactly the
 // shapes this analyzer matches — NULL = x evaluating to FALSE instead of
-// UNKNOWN, AND/OR over collapsed booleans — and all five engines agreed on
-// the wrong answers, so the differential oracle was blind to the bug.
+// UNKNOWN, AND/OR over collapsed booleans — and when all six engines agree
+// on the wrong answer the differential oracle is blind to the bug.
 //
 // Two shapes are flagged in internal/engine and internal/vexec — the
 // interpreters, the vectorized evaluator and the fused scan's closure

@@ -284,9 +284,6 @@ func NewStoreShards(n int) *Store {
 	return s
 }
 
-// Shards returns the shard count of the store.
-func (s *Store) Shards() int { return len(s.shards) }
-
 // --- users ---------------------------------------------------------------
 
 // RegisterUser adds a user with a unique nickname and a syntactically valid

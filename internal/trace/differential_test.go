@@ -61,7 +61,7 @@ func TestVektorTraceParallelismDeterminism(t *testing.T) {
 	db := datagen.TPCH(datagen.TPCHOptions{ScaleFactor: 0.002, Seed: 11})
 	for _, eng := range []engine.Engine{
 		engine.NewVektorEngine(),
-		engine.NewVektorEngineWithOptions(engine.VektorOptions{Version: "2.0", BatchSize: 4096}),
+		engine.NewRegistry().Get("vektor-2.0"),
 	} {
 		key := engine.EngineKey(eng.Name(), eng.Version())
 		for _, q := range workload.TPCH() {

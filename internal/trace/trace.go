@@ -1,4 +1,4 @@
-// Package trace is the per-operator observability plane shared by all three
+// Package trace is the per-operator observability plane shared by all four
 // execution paradigms. It provides three things:
 //
 //   - a stable operator-id scheme derived purely from the logical plan

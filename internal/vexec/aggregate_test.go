@@ -508,7 +508,7 @@ func TestApplyAggMatchesPerRowFold(t *testing.T) {
 			t.Fatalf("%s: %s", sql, p.NotVectorizableReason)
 		}
 		stmt := sqlparser.Subqueries(p.Root.Stmt.Where)[0]
-		ex := &executor{cat: cat, opts: Options{BatchSize: 512, MaxJoinRows: defaultMaxJoinRows}, p: p, subs: map[*sqlparser.SelectStatement]*subState{}}
+		ex := &executor{cat: cat, opts: Options{BatchSize: 512}, p: p, subs: map[*sqlparser.SelectStatement]*subState{}}
 		if err := ex.prepareSub(stmt, trace.UntracedPrefix); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}

@@ -267,8 +267,8 @@ func (o eager) hashJoin(left, right *Batch, leftKeys, rightKeys []sqlparser.Expr
 func (o eager) crossJoin(left, right *Batch) (*Batch, error) {
 	o.ex.stats.LoopJoins++
 	nl, nr := left.Len(), right.Len()
-	if nl > 0 && nr > 0 && nl > o.ex.opts.MaxJoinRows/nr {
-		return nil, fmt.Errorf("cross product of %d x %d rows exceeds the %d row limit", nl, nr, o.ex.opts.MaxJoinRows)
+	if err := o.ex.opts.Limits.CrossJoin(nl, nr); err != nil {
+		return nil, err
 	}
 	var leftIdx, rightIdx []int
 	for i := 0; i < nl; i++ {
@@ -527,7 +527,6 @@ func newTestExecutor(cat Catalog, p *plan.Plan, opts Options) *executor {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultBatchSize
 	}
-	opts.MaxJoinRows = defaultMaxJoinRows
 	return &executor{cat: cat, opts: opts, p: p, subs: map[*sqlparser.SelectStatement]*subState{}}
 }
 

@@ -74,23 +74,6 @@ func dictEncode(v *Vector) *Vector {
 	return out
 }
 
-// decode materializes a dictionary-encoded vector back to raw strings; a
-// vector without a dictionary is returned unchanged. Used at the result
-// boundary (late materialization): execution stays on codes end to end and
-// strings are rebuilt only for the rows that survive into the result.
-func (v *Vector) decode() *Vector {
-	if v == nil || v.Dict == nil {
-		return v
-	}
-	out := &Vector{Kind: sqlsem.KindString, n: v.n, Strs: make([]string, v.n), Nulls: v.Nulls}
-	for i := 0; i < v.n; i++ {
-		if !v.IsNull(i) {
-			out.Strs[i] = v.Dict.Vals[v.Codes[i]]
-		}
-	}
-	return out
-}
-
 // StrAt returns the string payload of row i regardless of encoding. The
 // caller is responsible for null-checking; null rows of an encoded vector
 // return the dictionary value at code 0 (or "" on a raw vector).

@@ -16,9 +16,9 @@
 //     may carry a per-row int/float duality mask so unboxed storage keeps the
 //     per-row SQL value semantics (exact integer arithmetic, int-preserving
 //     division). A row is boxed (Vector.At) into the one sqlsem.Value only
-//     at block boundaries — sub-query sets, result rows — and every scalar
-//     operation outside the typed fast paths is a kernel of
-//     internal/sqlsem, the same one the interpreters call.
+//     at block boundaries — sub-query sets, a caller reading the result —
+//     and every scalar operation outside the typed fast paths is a kernel
+//     of internal/sqlsem, the same one the interpreters call.
 //   - Selection vectors: filters shrink an index list over a batch instead
 //     of copying payload columns; one pass per conjunct, like a column store,
 //     but over fixed-size batches.
@@ -65,9 +65,11 @@
 // decorrelatable sub-queries and the full scalar expression repertoire);
 // other statements (set operations, correlated sub-queries without an
 // equi-join correlation) carry a negative Vectorizable verdict on their
-// plan and return ErrUnsupported, which the engine-level adapter
-// (internal/engine's typedEngine) turns into interpreter execution of the
-// same plan. The conversion from the boxed []Value storage of
+// plan and return ErrUnsupported, which internal/engine's Execute turns
+// into interpreter execution of the same plan under the same budget
+// (Options.Limits, resolved there once). The counters are plan.Stats, the
+// set the interpreters fill too, and the result's vectors are handed to
+// the caller as they are. The conversion from the boxed []Value storage of
 // engine.Database into typed vectors (FromValues) happens once per table
-// data version in that adapter, not here.
+// data version in internal/engine's import shim, not here.
 package vexec

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
@@ -21,16 +20,13 @@ var ErrUnsupported = errors.New("vexec: unsupported construct")
 // DefaultBatchSize is the number of rows per pipeline batch.
 const DefaultBatchSize = 1024
 
-const defaultMaxJoinRows = 4_000_000
-
 // Options configure one execution.
 type Options struct {
 	// BatchSize is the pipeline batch size (default 1024).
 	BatchSize int
-	// MaxJoinRows guards intermediate join sizes (default 4,000,000).
-	MaxJoinRows int
-	// Deadline aborts the query when passed; zero means no deadline.
-	Deadline time.Time
+	// Limits is the execution budget (deadline, join-size guard) the engine
+	// entry resolved; the zero value imposes none.
+	Limits plan.Limits
 	// Parallelism caps the morsel worker pool for intra-query parallelism
 	// (parallel scan→filter pipelines, partitioned hash-join builds,
 	// thread-local aggregation); 0 or 1 executes serially. Results are
@@ -52,43 +48,11 @@ type Options struct {
 	Fused bool
 }
 
-// Stats are the execution counters of one run.
-type Stats struct {
-	RowsScanned int64
-	Batches     int64
-	// FilterPasses counts vector passes: one per conjunct and batch that
-	// filterOp evaluates. Conjuncts compiled into the fused source
-	// (Options.Fused) run per row, not per vector, and are not counted — a
-	// fully fused filter reports 0.
-	FilterPasses int64
-	HashJoins    int64
-	LoopJoins    int64
-	Groups       int64
-	RowsReturned int64
-	// JoinBuildRows/JoinProbeRows count the non-NULL-key rows inserted into
-	// and probed against hash-join tables; identical at every worker count
-	// (NULL-key rows are skipped on both paths).
-	JoinBuildRows int64
-	JoinProbeRows int64
-	// AggRows counts the rows folded into groups by hash aggregation.
-	AggRows int64
-	// SubqueryExecutions counts the sub-query plans materialized: once per
-	// uncorrelated sub-query and once per decorrelated (hash-built)
-	// correlated sub-query — probes against the built state are not
-	// executions.
-	SubqueryExecutions int64
-	// BlocksSkipped counts zone-map blocks the scans proved unsatisfiable
-	// under their pushed-down conjuncts and never read. Deterministic at
-	// every worker count: the decision depends only on per-block statistics
-	// and the plan.
-	BlocksSkipped int64
-}
-
 // Result is a finished query: named, typed output columns.
 type Result struct {
 	Columns []string
 	Cols    []*Vector
-	Stats   Stats
+	Stats   plan.Stats
 }
 
 // NumRows returns the number of result rows.
@@ -103,7 +67,7 @@ func (r *Result) NumRows() int {
 type executor struct {
 	cat   Catalog
 	opts  Options
-	stats Stats
+	stats plan.Stats
 	// p is the logical plan being executed; nested pipelines (derived
 	// tables, sub-queries) look their sub-plans and decorrelation recipes up
 	// here.
@@ -134,9 +98,6 @@ func ExecutePlan(cat Catalog, p *plan.Plan, opts Options) (*Result, error) {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultBatchSize
 	}
-	if opts.MaxJoinRows <= 0 {
-		opts.MaxJoinRows = defaultMaxJoinRows
-	}
 	if !p.Vectorizable {
 		return nil, fmt.Errorf("%w: %s", ErrUnsupported, p.NotVectorizableReason)
 	}
@@ -151,33 +112,12 @@ func ExecutePlan(cat Catalog, p *plan.Plan, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Late materialization ends here: dictionary-coded result columns decode
-	// to raw strings only at the query boundary.
-	for i, c := range res.Cols {
-		res.Cols[i] = c.decode()
-	}
 	res.Stats = ex.stats
 	return res, nil
 }
 
 // checkDeadline aborts overdue queries; called once per batch.
-func (ex *executor) checkDeadline() error {
-	if ex.opts.Deadline.IsZero() {
-		return nil
-	}
-	if time.Now().After(ex.opts.Deadline) {
-		return fmt.Errorf("query exceeded its time budget")
-	}
-	return nil
-}
-
-// --- planning ----------------------------------------------------------------
-//
-// The per-execution analysis that used to live here — the supported-subset
-// probe, conjunct splitting with the common-OR lift, pushdown targeting and
-// the greedy join-order search — moved to the shared logical-plan layer
-// (internal/plan); the executor now compiles its pipeline directly from the
-// plan's classified conjuncts and join steps.
+func (ex *executor) checkDeadline() error { return ex.opts.Limits.Expired() }
 
 // run executes one SELECT core. prefix keys the statement's operator spans:
 // "" at the root, a derived/sub prefix below, trace.UntracedPrefix to disable.

@@ -173,7 +173,7 @@ func TestCompiledMatchesVectorized(t *testing.T) {
 // paradigms must agree on.
 type pipelineRun struct {
 	batches [][]int64 // per emitted batch: the x values (= table rows) of its live rows
-	stats   Stats
+	stats   plan.Stats
 	rows    map[string]int64 // span id -> rows
 	skipped int64            // the scan span's skipped blocks
 }

@@ -1,10 +1,10 @@
 package vexec
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
+	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/trace"
 )
@@ -253,7 +253,7 @@ func (f *filterOp) next() (*Batch, error) {
 // later passes compact it in place (the write index never overtakes the
 // read index), so a k-conjunct filter costs one allocation, not k. Stats
 // are accumulated into st so morsel workers can keep thread-local counters.
-func applyConjuncts(ex *executor, b *Batch, conjuncts []sqlparser.Expr, st *Stats) error {
+func applyConjuncts(ex *executor, b *Batch, conjuncts []sqlparser.Expr, st *plan.Stats) error {
 	if len(conjuncts) == 0 {
 		return nil
 	}
@@ -494,8 +494,8 @@ func (ex *executor) joinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector) (probe
 		for r := jl.head[g]; r >= 0; r = jl.next[r] {
 			probeIdx = append(probeIdx, int32(i))
 			buildIdx = append(buildIdx, r)
-			if len(probeIdx) > ex.opts.MaxJoinRows {
-				return nil, nil, fmt.Errorf("join result exceeds %d rows", ex.opts.MaxJoinRows)
+			if err := ex.opts.Limits.JoinRows(len(probeIdx)); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
@@ -509,11 +509,8 @@ func (ex *executor) joinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector) (probe
 func (ex *executor) crossJoin(left, right *Batch) (*Batch, error) {
 	ex.stats.LoopJoins++
 	nl, nr := left.Len(), right.Len()
-	// Divide before multiplying: nl*nr can wrap around before the guard
-	// comparison on pathological inputs.
-	if nl > 0 && nr > 0 && nl > ex.opts.MaxJoinRows/nr {
-		return nil, fmt.Errorf("cross product of %d x %d rows exceeds the %d row limit",
-			nl, nr, ex.opts.MaxJoinRows)
+	if err := ex.opts.Limits.CrossJoin(nl, nr); err != nil {
+		return nil, err
 	}
 	total := nl * nr
 	leftIdx := make([]int32, 0, total)

@@ -1,7 +1,6 @@
 package vexec
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,22 +74,6 @@ func parallelFor(p, n int, fn func(int)) {
 	wg.Wait()
 }
 
-// add accumulates another stats record, the merge step of thread-local
-// morsel counters.
-func (s *Stats) add(o Stats) {
-	s.RowsScanned += o.RowsScanned
-	s.Batches += o.Batches
-	s.FilterPasses += o.FilterPasses
-	s.HashJoins += o.HashJoins
-	s.JoinBuildRows += o.JoinBuildRows
-	s.JoinProbeRows += o.JoinProbeRows
-	s.LoopJoins += o.LoopJoins
-	s.Groups += o.Groups
-	s.AggRows += o.AggRows
-	s.RowsReturned += o.RowsReturned
-	s.BlocksSkipped += o.BlocksSkipped
-}
-
 // --- morsel sources -----------------------------------------------------------
 
 // morselSource is a random-access row source the morsel driver windows:
@@ -138,7 +121,7 @@ type filterLayer struct {
 // filter stack as its own batch. A layer's delta is recorded exactly when
 // the layer runs, which is the serial filterOp's per-entering-batch
 // accounting, so merged traces match the serial ones bit for bit.
-func filterMorsel(ex *executor, b *Batch, layers []filterLayer, st *Stats, d []trace.SpanDelta) error {
+func filterMorsel(ex *executor, b *Batch, layers []filterLayer, st *plan.Stats, d []trace.SpanDelta) error {
 	var t0 time.Time
 	if d != nil {
 		t0 = time.Now()
@@ -168,7 +151,7 @@ func filterMorsel(ex *executor, b *Batch, layers []filterLayer, st *Stats, d []t
 // zones are attached, so the kept runs are exactly the batches the serial
 // scan emits for this window. d, when non-nil, takes the span deltas: the
 // source window's at d[0], the layers' behind it.
-func (src *morselSource) filterRuns(ex *executor, layers []filterLayer, lo, hi int, st *Stats, d []trace.SpanDelta, keep func(*Batch)) error {
+func (src *morselSource) filterRuns(ex *executor, layers []filterLayer, lo, hi int, st *plan.Stats, d []trace.SpanDelta, keep func(*Batch)) error {
 	runs, skipped := keptRuns(nil, src.table, src.zones, lo, hi)
 	if skipped > 0 {
 		st.BlocksSkipped += skipped
@@ -259,7 +242,7 @@ func (ex *executor) materializeOp(op operator) (*Batch, error) {
 	nm := src.numMorsels(bs)
 	outs := make([][]int32, nm) // per morsel: the source rows that survive
 	errs := make([]error, nm)
-	stats := make([]Stats, nm)
+	stats := make([]plan.Stats, nm)
 	var deltas [][]trace.SpanDelta
 	if ex.tracer != nil {
 		deltas = make([][]trace.SpanDelta, nm)
@@ -282,7 +265,7 @@ func (ex *executor) materializeOp(op operator) (*Batch, error) {
 		})
 	})
 	for m, st := range stats {
-		ex.stats.add(st)
+		ex.stats.Add(st)
 		if deltas != nil {
 			mergeMorselDeltas(&src, layers, deltas[m])
 		}
@@ -318,7 +301,7 @@ type aggMorsel struct {
 	refVecs   []*Vector
 	table     *hashTable
 	rowGroups []int32 // per surviving row: local group id, global after phase 2
-	stats     Stats
+	stats     plan.Stats
 	deltas    []trace.SpanDelta // per-layer span deltas; nil when tracing is off
 	err       error
 }
@@ -393,7 +376,7 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 		}
 	})
 	for m := range morsels {
-		ex.stats.add(morsels[m].stats)
+		ex.stats.Add(morsels[m].stats)
 		mergeMorselDeltas(&src, layers, morsels[m].deltas)
 	}
 	for m := range morsels {
@@ -543,7 +526,6 @@ func (ex *executor) parallelJoinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector
 	}
 	npm := (nProbe + bs - 1) / bs
 	chunks := make([]pairChunk, npm)
-	maxRows := ex.opts.MaxJoinRows
 	var matches atomic.Int64
 	parallelFor(p, npm, func(m int) {
 		kc := keyCoder{mode: mode}
@@ -574,8 +556,7 @@ func (ex *executor) parallelJoinPairs(nBuild, nProbe int, bVecs, pVecs []*Vector
 				ch.build = append(ch.build, r)
 			}
 			if added := len(ch.probe) - before; added > 0 {
-				if matches.Add(int64(added)) > int64(maxRows) {
-					ch.err = fmt.Errorf("join result exceeds %d rows", maxRows)
+				if ch.err = ex.opts.Limits.JoinRows(int(matches.Add(int64(added)))); ch.err != nil {
 					return
 				}
 			}

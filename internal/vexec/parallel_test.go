@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlsem"
 )
 
@@ -133,15 +134,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelJoinGuard(t *testing.T) {
 	cat := parCatalog(7000, 600)
 	sql := "SELECT count(*) FROM f, dim WHERE f.x = dim.k"
-	serialErr := runErr(t, cat, sql, Options{MaxJoinRows: 10})
-	parErr := runErr(t, cat, sql, Options{MaxJoinRows: 10, Parallelism: 8})
+	serialErr := runErr(t, cat, sql, Options{Limits: plan.Limits{MaxJoinRows: 10}})
+	parErr := runErr(t, cat, sql, Options{Limits: plan.Limits{MaxJoinRows: 10}, Parallelism: 8})
 	if serialErr == nil || parErr == nil {
 		t.Fatalf("join guard: serial=%v parallel=%v", serialErr, parErr)
 	}
 	// The cross-join guard divides before multiplying (nl*nr could wrap
 	// before the comparison), so oversized products are rejected up front
 	// without materializing index vectors.
-	if err := runErr(t, cat, "SELECT count(*) FROM f, f f2", Options{MaxJoinRows: 1000}); err == nil {
+	if err := runErr(t, cat, "SELECT count(*) FROM f, f f2", Options{Limits: plan.Limits{MaxJoinRows: 1000}}); err == nil {
 		t.Error("cross-join guard did not fire")
 	}
 }

@@ -73,19 +73,6 @@ func (v *Vector) SetNull(i int) {
 	v.Nulls[i] = true
 }
 
-// HasNulls reports whether any row is NULL.
-func (v *Vector) HasNulls() bool {
-	if v.Kind == sqlsem.KindNull {
-		return v.n > 0
-	}
-	for _, b := range v.Nulls {
-		if b {
-			return true
-		}
-	}
-	return false
-}
-
 // rowIndex is the index type of a gather: selection vectors are []int, the
 // row-id vectors of view batches []int32.
 type rowIndex interface{ int | int32 }

@@ -139,7 +139,7 @@ func TestBatchBoundarySplits(t *testing.T) {
 		}
 		got := ""
 		for i := 0; i < res.NumRows(); i++ {
-			got += fmt.Sprintf("%s:%d:%d|", res.Cols[0].Strs[i], res.Cols[1].Ints[i], res.Cols[2].Ints[i])
+			got += fmt.Sprintf("%s:%d:%d|", res.Cols[0].StrAt(i), res.Cols[1].Ints[i], res.Cols[2].Ints[i])
 		}
 		if want == "" {
 			want = got
@@ -238,7 +238,7 @@ func TestJoinEdgeCases(t *testing.T) {
 	if got := res.Cols[0].Ints[0]; got != 16 {
 		t.Errorf("cross join count = %d, want 16", got)
 	}
-	err := runErr(t, cat, "SELECT count(*) FROM l, r", Options{BatchSize: 2, MaxJoinRows: 8})
+	err := runErr(t, cat, "SELECT count(*) FROM l, r", Options{BatchSize: 2, Limits: plan.Limits{MaxJoinRows: 8}})
 	if err == nil {
 		t.Error("expected the join-size guard to fire")
 	}
@@ -279,8 +279,8 @@ func TestDistinctOrderLimit(t *testing.T) {
 	}
 	want := []string{"s3", "s2", "s1"}
 	for i, w := range want {
-		if res.Cols[0].Strs[i] != w {
-			t.Errorf("row %d = %q, want %q", i, res.Cols[0].Strs[i], w)
+		if res.Cols[0].StrAt(i) != w {
+			t.Errorf("row %d = %q, want %q", i, res.Cols[0].StrAt(i), w)
 		}
 	}
 }
