@@ -469,6 +469,29 @@ func BenchmarkEnginesTPCH(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpreterPass is one hot-plan pass of the 22 TPC-H queries on
+// each interpreter paradigm at the instance size tpch_power gives columba:
+// what is left of an interpreter's time once column references are read
+// through plan-assigned slots, with the allocations of a pass.
+func BenchmarkInterpreterPass(b *testing.B) {
+	db := datagen.TPCH(datagen.TPCHOptions{ScaleFactor: 0.0005, Seed: 11})
+	reg := engine.NewRegistry()
+	for _, key := range []string{"tuplestore-1.0", "columba-2.0"} {
+		eng := reg.Get(key)
+		b.Run(key, func(b *testing.B) {
+			opts := engine.ExecOptions{Timeout: time.Minute}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, q := range workload.TPCH() {
+					if _, err := eng.Execute(db, q.SQL, opts); err != nil {
+						b.Fatalf("%s: %v", q.ID, err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTraceOverhead quantifies the per-operator tracing seam. The
 // "seam-disabled" sub-benchmark drives the exact operations an operator
 // performs when no tracer is installed — nil-tracer span lookup, Timer

@@ -291,7 +291,7 @@ func (e *specEngine) Execute(db *Database, sql string, opts ExecOptions) (*Resul
 	}
 	out := &Result{Columns: rel.columnNames(), Cols: make([]ResultColumn, len(rel.cols)), Stats: *ex.stats}
 	for i, c := range rel.cols {
-		out.Cols[i] = Values(c.vals)
+		out.Cols[i] = Values(c)
 	}
 	return out, nil
 }

@@ -2,18 +2,31 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
+	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/sqlsem"
 )
 
 // scope is one level of column visibility: a relation plus the current row,
-// chained to the enclosing query's scope for correlated sub-queries.
+// chained to the enclosing query's scope for correlated sub-queries. A LEFT
+// JOIN candidate pair is one level too: rel/row is its left half and
+// pair/pairRow its right half, read in place under the join's layout (left
+// columns then right columns).
 type scope struct {
-	rel   *relation
-	row   int
-	outer *scope
+	rel     *relation
+	row     int
+	pair    *relation
+	pairRow int
+	outer   *scope
+}
+
+// value reads a column of the scope's current row.
+func (s *scope) value(col int) Value {
+	if n := len(s.rel.cols); col >= n {
+		return s.pair.cols[col-n][s.pairRow]
+	}
+	return s.rel.cols[col][s.row]
 }
 
 // evaluator evaluates scalar expressions against a scope chain. When group
@@ -31,27 +44,31 @@ func errEval(e sqlparser.Expr, err error) error {
 	return fmt.Errorf("evaluating %q: %w", e.SQL(), err)
 }
 
-// resolve looks a column reference up in the scope chain.
-func (ev *evaluator) resolve(table, name string) (Value, error) {
-	lt, ln := strings.ToLower(table), strings.ToLower(name)
-	for s := ev.sc; s != nil; s = s.outer {
-		idx, err := s.rel.findColumn(lt, ln)
-		if err == nil {
-			if s == ev.sc && ev.group != nil && len(ev.group) == 0 {
-				// The global group of an ungrouped aggregate over empty input
-				// has no first row: its plain columns are NULL.
-				return sqlsem.Null(), nil
-			}
-			return s.rel.value(s.row, idx), nil
-		}
-		if err != errColumnNotFound {
-			return Value{}, err
-		}
+// slotObserver, when set, sees every column read: the reference, the scope
+// it is evaluated in and the slot (or the error) the plan gave it. Tests hold
+// the slots to the name lookup they replaced.
+var slotObserver func(c *sqlparser.ColumnRef, sc *scope, sl plan.Slot, err error)
+
+// column reads a column reference through its plan-assigned slot: hop to the
+// scope that knows the name, index its relation.
+func (ev *evaluator) column(c *sqlparser.ColumnRef) (Value, error) {
+	sl := ev.ex.slots[c.Ord]
+	if slotObserver != nil {
+		slotObserver(c, ev.sc, sl, ev.ex.plan.SlotErr(sl))
 	}
-	if table != "" {
-		return Value{}, fmt.Errorf("unknown column %s.%s", table, name)
+	if sl.Depth < 0 {
+		return Value{}, ev.ex.plan.SlotErr(sl)
 	}
-	return Value{}, fmt.Errorf("unknown column %s", name)
+	if sl.Depth == 0 && ev.group != nil && len(ev.group) == 0 {
+		// The global group of an ungrouped aggregate over empty input has no
+		// first row: its plain columns are NULL.
+		return sqlsem.Null(), nil
+	}
+	s := ev.sc
+	for d := sl.Depth; d > 0; d-- {
+		s = s.outer
+	}
+	return s.value(int(sl.Col)), nil
 }
 
 // eval evaluates an expression to a single value.
@@ -77,7 +94,7 @@ func (ev *evaluator) eval(e sqlparser.Expr) (Value, error) {
 		// yields its numeric count (used for day intervals).
 		return sqlsem.ParseNumber(v.Value)
 	case *sqlparser.ColumnRef:
-		return ev.resolve(v.Table, v.Column)
+		return ev.column(v)
 	case *sqlparser.ParenExpr:
 		return ev.eval(v.Expr)
 	case *sqlparser.UnaryExpr:
@@ -118,7 +135,7 @@ func (ev *evaluator) eval(e sqlparser.Expr) (Value, error) {
 		if rel.numRows() == 0 || len(rel.cols) == 0 {
 			return sqlsem.Null(), nil
 		}
-		return rel.value(0, 0), nil
+		return rel.cols[0][0], nil
 	case *sqlparser.ExtractExpr:
 		val, err := ev.eval(v.From)
 		if err != nil {
@@ -392,7 +409,7 @@ func (ev *evaluator) evalFunc(v *sqlparser.FuncCall) (Value, error) {
 // an overflow-guarding widened copy for multiplicative expressions); the
 // row engine folds values directly into the accumulator.
 func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
-	name := strings.ToLower(v.Name)
+	name := v.Name // the parser's canonical lower-case name
 	if v.Star {
 		if name != "count" {
 			return Value{}, fmt.Errorf("%s(*) is not valid", name)
@@ -540,22 +557,32 @@ func (ev *evaluator) materializeVector(e sqlparser.Expr) ([]Value, error) {
 		return ev.materializeVector(v.Expr)
 	case *sqlparser.ColumnRef:
 		out := make([]Value, len(rows))
-		child := &evaluator{ex: ev.ex, sc: &scope{rel: ev.sc.rel, outer: ev.sc.outer}}
-		for i, ri := range rows {
-			child.sc.row = ri
-			val, err := child.eval(v)
+		if len(rows) > 0 {
+			// One slot read for the vector (and, like the per-row reads it
+			// replaces, an unresolvable reference fails only if a row reaches
+			// it): a column of the group's own relation is gathered at the
+			// group's rows, an enclosing scope's is one value for all of them.
+			val, err := ev.column(v)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = val
+			if sl := ev.ex.slots[v.Ord]; sl.Depth == 0 {
+				col := ev.sc.rel.cols[sl.Col]
+				for i, ri := range rows {
+					out[i] = col[ri]
+				}
+			} else {
+				for i := range out {
+					out[i] = val
+				}
+			}
 		}
 		if stats != nil {
 			stats.IntermediatesMaterialized += int64(len(out))
 		}
 		return out, nil
 	case *sqlparser.NumberLit, *sqlparser.StringLit, *sqlparser.DateLit:
-		child := &evaluator{ex: ev.ex, sc: ev.sc}
-		val, err := child.eval(e)
+		val, err := ev.eval(e)
 		if err != nil {
 			return nil, err
 		}
@@ -567,10 +594,10 @@ func (ev *evaluator) materializeVector(e sqlparser.Expr) ([]Value, error) {
 	}
 	// Fallback: evaluate row-at-a-time into a materialised vector.
 	out := make([]Value, len(rows))
-	child := &evaluator{ex: ev.ex, sc: &scope{rel: ev.sc.rel, outer: ev.sc.outer}, group: ev.group}
+	child := &evaluator{ex: ev.ex, sc: &scope{rel: ev.sc.rel, outer: ev.sc.outer}}
 	for i, ri := range rows {
 		child.sc.row = ri
-		val, err := (&evaluator{ex: ev.ex, sc: child.sc}).eval(e)
+		val, err := child.eval(e)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
@@ -11,19 +10,20 @@ import (
 	"sqalpel/internal/trace"
 )
 
-// Mode selects the execution strategy of the executor.
-type Mode int
+// Mode selects the execution strategy of the executor; a strategy is known
+// by the relation layout it runs on.
+type Mode = plan.Layout
 
 // Execution modes.
 const (
 	// ModeRow is tuple-at-a-time execution: full-width scans, short-circuit
 	// predicate evaluation, no intermediate materialisation, early exit on
 	// LIMIT.
-	ModeRow Mode = iota
+	ModeRow = plan.LayoutRow
 	// ModeColumn is column-at-a-time execution: column pruning, one filter
 	// pass per conjunct, materialised arithmetic intermediates with
 	// overflow-guarding casts.
-	ModeColumn
+	ModeColumn = plan.LayoutColumn
 )
 
 // executor runs one planned statement against a database. The logical plan
@@ -38,8 +38,11 @@ type executor struct {
 	// guardCasts toggles the overflow-guard widening pass of ModeColumn;
 	// disabling it models a newer engine version that removed the cost.
 	guardCasts bool
-	// plan is the shared logical plan of the statement being executed.
-	plan *plan.Plan
+	// plan is the shared logical plan of the statement being executed and
+	// slots its resolution of every column reference in the mode's layout
+	// (read only: the plan is shared with concurrent executions).
+	plan  *plan.Plan
+	slots []plan.Slot
 	// tracer collects per-operator spans keyed by the plan's operator ids;
 	// nil when tracing is off. subPrefix maps nested sub-query statements to
 	// their operator-id prefixes (see trace.SubqueryPrefixes) and is only
@@ -65,6 +68,7 @@ func newExecutor(db *Database, mode Mode, limits plan.Limits, guardCasts bool, p
 		limits:      limits,
 		guardCasts:  guardCasts,
 		plan:        p,
+		slots:       p.Slots(mode),
 		uncorrCache: map[*sqlparser.SelectStatement]*relation{},
 		uncorrSets:  map[*sqlparser.SelectStatement]subquerySetEntry{},
 	}
@@ -99,7 +103,8 @@ func (ex *executor) executeSubquery(stmt *sqlparser.SelectStatement, outer *scop
 			sp = ex.tracer.Span(trace.SubOpID(p), trace.KindSubquery)
 		}
 	}
-	if !ex.plan.Correlated(stmt) {
+	correlated := ex.plan.Correlated(stmt)
+	if !correlated {
 		if rel, ok := ex.uncorrCache[stmt]; ok {
 			if sp != nil {
 				// A cache hit costs no re-execution; only the call counts.
@@ -107,14 +112,9 @@ func (ex *executor) executeSubquery(stmt *sqlparser.SelectStatement, outer *scop
 			}
 			return rel, nil
 		}
-		tm := sp.Start()
-		rel, err := ex.executeSelect(sub, nil, prefix)
-		if err != nil {
-			return nil, err
-		}
-		tm.Done(int64(rel.numRows()))
-		ex.uncorrCache[stmt] = rel
-		return rel, nil
+		// It sees no enclosing row: a scope chain of its own, which is also
+		// what plan.Build resolved its column slots in.
+		outer = nil
 	}
 	tm := sp.Start()
 	rel, err := ex.executeSelect(sub, outer, prefix)
@@ -122,6 +122,9 @@ func (ex *executor) executeSubquery(stmt *sqlparser.SelectStatement, outer *scop
 		return nil, err
 	}
 	tm.Done(int64(rel.numRows()))
+	if !correlated {
+		ex.uncorrCache[stmt] = rel
+	}
 	return rel, nil
 }
 
@@ -149,7 +152,7 @@ func (ex *executor) subquerySet(stmt *sqlparser.SelectStatement, outer *scope) (
 	}
 	entry := subquerySetEntry{set: map[string]bool{}}
 	if len(rel.cols) > 0 {
-		for _, v := range rel.cols[0].vals {
+		for _, v := range rel.cols[0] {
 			if v.IsNull() {
 				entry.hasNull = true
 			} else {
@@ -204,7 +207,7 @@ func applySetOp(op string, left, right *relation) (*relation, error) {
 	rowKey := func(r *relation, i int) string {
 		buf = buf[:0]
 		for _, c := range r.cols {
-			buf = append(c.vals[i].AppendKey(buf), '|')
+			buf = append(c[i].AppendKey(buf), '|')
 		}
 		return string(buf)
 	}
@@ -212,8 +215,8 @@ func applySetOp(op string, left, right *relation) (*relation, error) {
 	case "UNION ALL":
 		out := left.selectRows(allRows(left.numRows()))
 		for i := 0; i < right.numRows(); i++ {
-			for ci, c := range out.cols {
-				c.vals = append(c.vals, right.cols[ci].vals[i])
+			for ci := range out.cols {
+				out.cols[ci] = append(out.cols[ci], right.cols[ci][i])
 			}
 			out.n++
 		}
@@ -233,8 +236,8 @@ func applySetOp(op string, left, right *relation) (*relation, error) {
 			k := rowKey(right, i)
 			if !seen[k] {
 				seen[k] = true
-				for ci, c := range out.cols {
-					c.vals = append(c.vals, right.cols[ci].vals[i])
+				for ci := range out.cols {
+					out.cols[ci] = append(out.cols[ci], right.cols[ci][i])
 				}
 				out.n++
 			}
@@ -360,7 +363,7 @@ func (ex *executor) buildFrom(sp *plan.Select, outer *scope, prefix string) (*re
 
 	rels := make([]*relation, len(sp.From))
 	for i, in := range sp.From {
-		r, err := ex.buildInput(in, sp.Needed, outer, prefix, i)
+		r, err := ex.buildInput(in, outer, prefix, i)
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +384,8 @@ func (ex *executor) buildFrom(sp *plan.Select, outer *scope, prefix string) (*re
 		if step.Cross {
 			current, err = ex.crossJoin(current, rels[step.Right])
 		} else {
-			current, err = ex.hashJoin(current, rels[step.Right], step.LeftKeys, step.RightKeys, outer)
+			lc, rc := step.KeyCols.Sides(ex.mode)
+			current, err = ex.hashJoin(current, rels[step.Right], joinKeys{step.LeftKeys, lc}, joinKeys{step.RightKeys, rc})
 		}
 		if err != nil {
 			return nil, err
@@ -394,14 +398,14 @@ func (ex *executor) buildFrom(sp *plan.Select, outer *scope, prefix string) (*re
 // buildInput materialises one planned FROM input. idx is the input's FROM
 // position, keying its trace span; the operands of explicit JOIN trees run
 // untraced (the whole tree is traced as one input operator).
-func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool, outer *scope, prefix string, idx int) (*relation, error) {
+func (ex *executor) buildInput(in *plan.Input, outer *scope, prefix string, idx int) (*relation, error) {
 	switch {
 	case in.Join != nil:
 		var tm trace.Timer
 		if ex.traced(prefix) {
 			tm = ex.tracer.Span(trace.InputID(prefix, idx), trace.KindJoinTree).Start()
 		}
-		rel, err := ex.buildJoin(in.Join, needed, outer)
+		rel, err := ex.buildJoin(in.Join, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -418,9 +422,8 @@ func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool
 		if err != nil {
 			return nil, err
 		}
-		if in.Alias != "" {
-			rel.renameTables(in.Alias)
-		}
+		// The outer query sees the derived table's columns under its alias.
+		rel.meta = in.Layout(ex.mode)
 		tm.Done(int64(rel.numRows()))
 		return rel, nil
 	default:
@@ -432,12 +435,7 @@ func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool
 		if ex.traced(prefix) {
 			tm = ex.tracer.Span(trace.ScanID(prefix, idx), trace.KindScan).Start()
 		}
-		var neededCols map[string]bool
-		if ex.mode == ModeColumn {
-			neededCols = needed[strings.ToLower(in.Alias)]
-		}
-		copyCols := ex.mode == ModeRow
-		rel := tableRelation(table, in.Alias, neededCols, copyCols, ex.stats)
+		rel := tableRelation(table, in, ex.mode, ex.stats)
 		tm.Done(int64(rel.numRows()))
 		return rel, nil
 	}
@@ -445,12 +443,12 @@ func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool
 
 // buildJoin executes an explicit JOIN tree node whose ON condition the plan
 // already classified into equi-join keys and residual predicates.
-func (ex *executor) buildJoin(j *plan.Join, needed map[string]map[string]bool, outer *scope) (*relation, error) {
-	left, err := ex.buildInput(j.Left, needed, outer, trace.UntracedPrefix, -1)
+func (ex *executor) buildJoin(j *plan.Join, outer *scope) (*relation, error) {
+	left, err := ex.buildInput(j.Left, outer, trace.UntracedPrefix, -1)
 	if err != nil {
 		return nil, err
 	}
-	right, err := ex.buildInput(j.Right, needed, outer, trace.UntracedPrefix, -1)
+	right, err := ex.buildInput(j.Right, outer, trace.UntracedPrefix, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +459,8 @@ func (ex *executor) buildJoin(j *plan.Join, needed map[string]map[string]bool, o
 		if len(j.LeftKeys) == 0 {
 			return ex.nestedLoopJoin(left, right, j.AllConds, outer)
 		}
-		joined, err := ex.hashJoin(left, right, j.LeftKeys, j.RightKeys, outer)
+		lc, rc := j.KeyCols.Sides(ex.mode)
+		joined, err := ex.hashJoin(left, right, joinKeys{j.LeftKeys, lc}, joinKeys{j.RightKeys, rc})
 		if err != nil {
 			return nil, err
 		}
@@ -476,8 +475,72 @@ func (ex *executor) buildJoin(j *plan.Join, needed map[string]map[string]bool, o
 	}
 }
 
-// hashJoin joins left and right on the given key expression lists.
-func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlparser.Expr, outer *scope) (*relation, error) {
+// joinKeys are the equi-join keys of one side of a join: the references and
+// the ordinals the plan resolved them to in that side's relation.
+type joinKeys struct {
+	refs []sqlparser.Expr
+	cols []int32
+}
+
+// appendKey appends the encoding of the row's key values to buf. hasNull
+// reports a NULL among them: per the ternary contract (internal/sqlsem) an
+// equality with a NULL operand is UNKNOWN, so such rows can never satisfy
+// the join condition — callers must skip them instead of letting NULL keys
+// bucket together.
+func (k joinKeys) appendKey(buf []byte, rel *relation, row int) (key []byte, hasNull bool) {
+	for i, col := range k.cols {
+		if slotObserver != nil {
+			slotObserver(k.refs[i].(*sqlparser.ColumnRef), &scope{rel: rel, row: row}, plan.Slot{Col: col}, nil)
+		}
+		v := rel.cols[col][row]
+		if v.IsNull() {
+			hasNull = true
+		}
+		buf = append(v.AppendKey(buf), '|')
+	}
+	return buf, hasNull
+}
+
+// joinTable hashes the build side of a join: bucket ids by encoded key, the
+// build rows of each bucket in insertion order. Keys are encoded into one
+// scratch buffer and looked up without allocating; a key string is made
+// only when a build row opens a new bucket.
+type joinTable struct {
+	ids     map[string]int
+	buckets [][]int
+	buf     []byte
+}
+
+// add files a build row under its key unless the key has a NULL.
+func (t *joinTable) add(keys joinKeys, rel *relation, row int) bool {
+	var hasNull bool
+	if t.buf, hasNull = keys.appendKey(t.buf[:0], rel, row); hasNull {
+		return false
+	}
+	id, ok := t.ids[string(t.buf)]
+	if !ok {
+		id = len(t.buckets)
+		t.ids[string(t.buf)] = id
+		t.buckets = append(t.buckets, nil)
+	}
+	t.buckets[id] = append(t.buckets[id], row)
+	return true
+}
+
+// probe returns the build rows matching the probe row's key and whether the
+// key has a NULL (which matches nothing).
+func (t *joinTable) probe(keys joinKeys, rel *relation, row int) (rows []int, hasNull bool) {
+	if t.buf, hasNull = keys.appendKey(t.buf[:0], rel, row); hasNull {
+		return nil, true
+	}
+	if id, ok := t.ids[string(t.buf)]; ok {
+		rows = t.buckets[id]
+	}
+	return rows, false
+}
+
+// hashJoin joins left and right on the given keys.
+func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys joinKeys) (*relation, error) {
 	ex.stats.HashJoins++
 	// Build on the smaller side.
 	build, probe := right, left
@@ -488,40 +551,27 @@ func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlpar
 		buildKeys, probeKeys = leftKeys, rightKeys
 		swapped = true
 	}
-	ht := map[string][]int{}
-	bev := &evaluator{ex: ex, sc: &scope{rel: build, outer: outer}}
+	ht := joinTable{ids: map[string]int{}}
 	for i := 0; i < build.numRows(); i++ {
 		if err := ex.checkDeadline(); err != nil {
 			return nil, err
 		}
-		bev.sc.row = i
-		key, hasNull, err := joinKey(bev, buildKeys)
-		if err != nil {
-			return nil, err
+		// NULL = anything is UNKNOWN: such a row cannot match.
+		if ht.add(buildKeys, build, i) {
+			ex.stats.JoinBuildRows++
 		}
-		if hasNull {
-			// NULL = anything is UNKNOWN: the row cannot match.
-			continue
-		}
-		ex.stats.JoinBuildRows++
-		ht[key] = append(ht[key], i)
 	}
 	var probeIdx, buildIdx []int
-	pev := &evaluator{ex: ex, sc: &scope{rel: probe, outer: outer}}
 	for i := 0; i < probe.numRows(); i++ {
 		if err := ex.checkDeadline(); err != nil {
 			return nil, err
 		}
-		pev.sc.row = i
-		key, hasNull, err := joinKey(pev, probeKeys)
-		if err != nil {
-			return nil, err
-		}
+		matches, hasNull := ht.probe(probeKeys, probe, i)
 		if hasNull {
 			continue
 		}
 		ex.stats.JoinProbeRows++
-		for _, bi := range ht[key] {
+		for _, bi := range matches {
 			probeIdx = append(probeIdx, i)
 			buildIdx = append(buildIdx, bi)
 			if err := ex.limits.JoinRows(len(probeIdx)); err != nil {
@@ -529,35 +579,13 @@ func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlpar
 			}
 		}
 	}
-	var leftIdx, rightIdx []int
+	leftIdx, rightIdx := probeIdx, buildIdx
 	if swapped {
 		leftIdx, rightIdx = buildIdx, probeIdx
-	} else {
-		leftIdx, rightIdx = probeIdx, buildIdx
 	}
 	out := left.selectRows(leftIdx)
-	out.appendColumns(right.selectRows(rightIdx).cols)
+	out.appendColumns(right.selectRows(rightIdx))
 	return out, nil
-}
-
-// joinKey encodes the equi-join key values of the current row. hasNull
-// reports a NULL among the key values: per the ternary contract
-// (internal/sqlsem) an equality with a NULL operand is UNKNOWN, so such
-// rows can never satisfy the join condition — callers must skip them
-// instead of letting NULL keys bucket together.
-func joinKey(ev *evaluator, keys []sqlparser.Expr) (key string, hasNull bool, err error) {
-	var buf []byte
-	for _, k := range keys {
-		v, err := ev.eval(k)
-		if err != nil {
-			return "", false, err
-		}
-		if v.IsNull() {
-			hasNull = true
-		}
-		buf = append(v.AppendKey(buf), '|')
-	}
-	return string(buf), hasNull, nil
 }
 
 // crossJoin builds the cartesian product, guarded by the join-size limit.
@@ -576,7 +604,7 @@ func (ex *executor) crossJoin(left, right *relation) (*relation, error) {
 		}
 	}
 	out := left.selectRows(leftIdx)
-	out.appendColumns(right.selectRows(rightIdx).cols)
+	out.appendColumns(right.selectRows(rightIdx))
 	return out, nil
 }
 
@@ -594,69 +622,43 @@ func (ex *executor) nestedLoopJoin(left, right *relation, conds []sqlparser.Expr
 // as part of the match (so non-matching left rows survive null-extended).
 // The equi keys and residual predicates come pre-classified from the plan.
 func (ex *executor) leftOuterJoin(left, right *relation, j *plan.Join, outer *scope) (*relation, error) {
-	leftKeys, rightKeys, residual := j.LeftKeys, j.RightKeys, j.Residual
-	// Hash the right side by the equi keys (or a single bucket when none).
-	ht := map[string][]int{}
-	rev := &evaluator{ex: ex, sc: &scope{rel: right, outer: outer}}
+	lc, rc := j.KeyCols.Sides(ex.mode)
+	leftKeys, rightKeys := joinKeys{j.LeftKeys, lc}, joinKeys{j.RightKeys, rc}
+	// Hash the right side by the equi keys (a single bucket when none).
+	ht := joinTable{ids: map[string]int{}}
 	for i := 0; i < right.numRows(); i++ {
-		rev.sc.row = i
-		key := ""
-		if len(rightKeys) > 0 {
-			k, hasNull, err := joinKey(rev, rightKeys)
-			if err != nil {
-				return nil, err
-			}
-			if hasNull {
-				// NULL = anything is UNKNOWN: the row cannot match.
-				continue
-			}
-			key = k
+		// NULL = anything is UNKNOWN: such a row cannot match.
+		if ht.add(rightKeys, right, i) {
+			ex.stats.JoinBuildRows++
 		}
-		ex.stats.JoinBuildRows++
-		ht[key] = append(ht[key], i)
 	}
 	ex.stats.HashJoins++
 
 	var leftIdx, rightIdx []int // rightIdx -1 means null-extended
-	lev := &evaluator{ex: ex, sc: &scope{rel: left, outer: outer}}
+	// A candidate pair is read in place: the left row and the right row are
+	// the two halves of one scope under the join's layout.
+	pev := &evaluator{ex: ex, sc: &scope{rel: left, pair: right, outer: outer}}
 	for i := 0; i < left.numRows(); i++ {
 		if err := ex.checkDeadline(); err != nil {
 			return nil, err
 		}
 		ex.stats.JoinProbeRows++
-		lev.sc.row = i
-		key := ""
-		keyNull := false
-		if len(leftKeys) > 0 {
-			k, hasNull, err := joinKey(lev, leftKeys)
-			if err != nil {
-				return nil, err
-			}
-			key, keyNull = k, hasNull
-		}
+		// A NULL key never matches; the left row survives null-extended
+		// below, per LEFT JOIN semantics.
+		candidates, _ := ht.probe(leftKeys, left, i)
 		matched := false
-		candidates := ht[key]
-		if keyNull {
-			// A NULL key never matches; the left row survives
-			// null-extended below, per LEFT JOIN semantics.
-			candidates = nil
-		}
 		for _, ri := range candidates {
+			pev.sc.row, pev.sc.pairRow = i, ri
 			ok := true
-			if len(residual) > 0 {
-				// Evaluate residual conditions over the combined row.
-				pair := pairScope(left, i, right, ri, outer)
-				pev := &evaluator{ex: ex, sc: pair}
-				for _, c := range residual {
-					v, err := pev.eval(c)
-					if err != nil {
-						return nil, err
-					}
-					//lint:nullsafe consumer collapse: ON-clause residuals reject UNKNOWN rows, per SQL join semantics
-					if !v.Bool() {
-						ok = false
-						break
-					}
+			for _, c := range j.Residual {
+				v, err := pev.eval(c)
+				if err != nil {
+					return nil, err
+				}
+				//lint:nullsafe consumer collapse: ON-clause residuals reject UNKNOWN rows, per SQL join semantics
+				if !v.Bool() {
+					ok = false
+					break
 				}
 			}
 			if ok {
@@ -672,33 +674,20 @@ func (ex *executor) leftOuterJoin(left, right *relation, j *plan.Join, outer *sc
 	}
 
 	out := left.selectRows(leftIdx)
-	rightPart := &relation{n: len(rightIdx)}
-	for _, c := range right.cols {
+	rightPart := &relation{meta: right.meta, cols: make([][]Value, len(right.cols)), n: len(rightIdx)}
+	for ci, c := range right.cols {
 		vals := make([]Value, len(rightIdx))
 		for i, ri := range rightIdx {
 			if ri < 0 {
 				vals[i] = sqlsem.Null()
 			} else {
-				vals[i] = c.vals[ri]
+				vals[i] = c[ri]
 			}
 		}
-		rightPart.cols = append(rightPart.cols, &relColumn{table: c.table, name: c.name, vals: vals})
+		rightPart.cols[ci] = vals
 	}
-	out.appendColumns(rightPart.cols)
+	out.appendColumns(rightPart)
 	return out, nil
-}
-
-// pairScope builds a temporary scope exposing one row of the left relation
-// and one row of the right relation simultaneously.
-func pairScope(left *relation, li int, right *relation, ri int, outer *scope) *scope {
-	pair := &relation{n: 1}
-	for _, c := range left.cols {
-		pair.cols = append(pair.cols, &relColumn{table: c.table, name: c.name, vals: []Value{c.vals[li]}})
-	}
-	for _, c := range right.cols {
-		pair.cols = append(pair.cols, &relColumn{table: c.table, name: c.name, vals: []Value{c.vals[ri]}})
-	}
-	return &scope{rel: pair, row: 0, outer: outer}
 }
 
 // applyFilter filters the relation with the given conjuncts. The row engine
@@ -771,11 +760,7 @@ func (ex *executor) applyFilter(rel *relation, conjuncts []sqlparser.Expr, outer
 // outputRelation lays out the statement's output columns (plan.OutSchema)
 // with no rows yet.
 func outputRelation(sp *plan.Select) *relation {
-	out := &relation{}
-	for _, m := range sp.OutSchema {
-		out.cols = append(out.cols, &relColumn{table: m.Table, name: m.Name})
-	}
-	return out
+	return &relation{meta: sp.OutSchema, cols: make([][]Value, len(sp.OutSchema))}
 }
 
 // projectRows computes the projection of a non-grouped query, returning the
@@ -791,7 +776,7 @@ func (ex *executor) projectRows(sp *plan.Select, rel *relation, outer *scope) (*
 		}
 		ev.sc.row = ri
 		for col, ci := range sp.StarCols {
-			out.cols[col].vals = append(out.cols[col].vals, rel.cols[ci].vals[ri])
+			out.cols[col] = append(out.cols[col], rel.cols[ci][ri])
 		}
 		for k, e := range sp.Items {
 			v, err := ev.eval(e)
@@ -799,7 +784,7 @@ func (ex *executor) projectRows(sp *plan.Select, rel *relation, outer *scope) (*
 				return nil, nil, err
 			}
 			col := len(sp.StarCols) + k
-			out.cols[col].vals = append(out.cols[col].vals, v)
+			out.cols[col] = append(out.cols[col], v)
 		}
 		if len(sp.OrderBy) > 0 {
 			keys, err := orderKeys(sp, ev, out, ri)
@@ -894,7 +879,7 @@ func (ex *executor) projectGrouped(sp *plan.Select, rel *relation, outer *scope,
 			if err != nil {
 				return nil, nil, err
 			}
-			out.cols[i].vals = append(out.cols[i].vals, v)
+			out.cols[i] = append(out.cols[i], v)
 		}
 		out.n++
 		if len(sp.OrderBy) > 0 {
@@ -916,7 +901,7 @@ func orderKeys(sp *plan.Select, ev *evaluator, out *relation, outRow int) ([]Val
 	keys := make([]Value, len(sp.OrderBy))
 	for i, k := range sp.OrderBy {
 		if k.Col >= 0 {
-			keys[i] = out.cols[k.Col].vals[outRow]
+			keys[i] = out.cols[k.Col][outRow]
 			continue
 		}
 		v, err := ev.eval(k.Expr)
@@ -936,7 +921,7 @@ func distinctRows(rel *relation, sortKeys [][]Value) (*relation, [][]Value) {
 	for i := 0; i < rel.numRows(); i++ {
 		buf = buf[:0]
 		for _, c := range rel.cols {
-			buf = append(c.vals[i].AppendKey(buf), '|')
+			buf = append(c[i].AppendKey(buf), '|')
 		}
 		k := string(buf)
 		if !seen[k] {
@@ -979,9 +964,6 @@ func sortRelation(rel *relation, keys [][]Value, orderBy []plan.OrderKey) *relat
 
 // applyLimit applies LIMIT/OFFSET.
 func applyLimit(rel *relation, limit, offset *int64) *relation {
-	if limit == nil && offset == nil {
-		return rel
-	}
 	start := 0
 	if offset != nil {
 		start = int(*offset)

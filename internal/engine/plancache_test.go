@@ -53,6 +53,8 @@ func TestPlanCacheDifferentialAllWorkloads(t *testing.T) {
 	rejected := []struct{ id, sql, want string }{
 		{"ambiguous-unqualified", "SELECT n_name FROM nation a, nation b WHERE a.n_nationkey = b.n_regionkey", "ambiguous column reference"},
 		{"ambiguous-in-filter", "SELECT a.n_name FROM nation a, nation b WHERE a.n_nationkey = b.n_regionkey AND n_comment <> ''", "ambiguous column reference"},
+		{"ambiguous-from-a-subquery", "SELECT a.n_name FROM nation a, nation b WHERE a.n_nationkey = b.n_regionkey AND EXISTS (SELECT 1 FROM region WHERE r_regionkey = n_regionkey)", "ambiguous column reference"},
+		{"base-alias-behind-derived-table", "SELECT orders.o_custkey FROM (SELECT o_custkey FROM orders) d", "unknown column orders.o_custkey"},
 		{"malformed-date-interval", "SELECT count(*) FROM orders WHERE o_orderdate < DATE '1994-13-01' + INTERVAL '1' YEAR", "invalid date"},
 		{"malformed-interval-count", "SELECT count(*) FROM orders WHERE o_orderdate < DATE '1994-01-01' + INTERVAL 'x' YEAR", "malformed numeric literal"},
 	}

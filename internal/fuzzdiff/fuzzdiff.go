@@ -201,11 +201,11 @@ type Report struct {
 	Divergences []Divergence
 }
 
-// Run derives queries from the grammar and differentially executes them on
-// all registry engines. It only returns an error for infrastructure
-// failures (grammar parse, pool construction); semantic disagreements are
-// reported in Report.Divergences.
-func Run(opts Options) (*Report, error) {
+// Corpus derives the run's distinct queries from the grammar and generates
+// the database they run against; the same options give the same corpus. Run
+// executes it differentially; other oracles replay it on the engines they
+// watch.
+func Corpus(opts Options) (queries []string, db *engine.Database, err error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -215,34 +215,50 @@ func Run(opts Options) (*Report, error) {
 
 	g, err := grammar.Parse(GrammarSource)
 	if err != nil {
-		return nil, fmt.Errorf("parsing fuzz grammar: %w", err)
+		return nil, nil, fmt.Errorf("parsing fuzz grammar: %w", err)
 	}
 	p, err := pool.New(g, pool.Options{Seed: opts.Seed, MaxSize: opts.Queries})
 	if err != nil {
-		return nil, fmt.Errorf("building query pool: %w", err)
+		return nil, nil, fmt.Errorf("building query pool: %w", err)
 	}
 	// Derive sqalpel-style: seed a random batch across templates, then walk
 	// the space with the morphing strategies (alter/expand/prune) until the
 	// target count is reached or the walk stalls. The pool dedupes by
 	// sentence key, so every entry is a distinct query.
 	if _, err := p.SeedRandom(opts.Queries / 2); err != nil {
-		return nil, fmt.Errorf("seeding query pool: %w", err)
+		return nil, nil, fmt.Errorf("seeding query pool: %w", err)
 	}
 	for p.Size() < opts.Queries {
 		if added := p.Grow(opts.Queries - p.Size()); len(added) == 0 {
 			break
 		}
 	}
+	for _, entry := range p.Entries() {
+		queries = append(queries, entry.SQL)
+	}
+	return queries, datagen.Fuzz(datagen.FuzzOptions{Rows: opts.Rows, Seed: uint64(opts.Seed)}), nil
+}
 
-	db := datagen.Fuzz(datagen.FuzzOptions{Rows: opts.Rows, Seed: uint64(opts.Seed)})
+// Run derives queries from the grammar and differentially executes them on
+// all registry engines. It only returns an error for infrastructure
+// failures (grammar parse, pool construction); semantic disagreements are
+// reported in Report.Divergences.
+func Run(opts Options) (*Report, error) {
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
+	queries, db, err := Corpus(opts)
+	if err != nil {
+		return nil, err
+	}
 	reg := engine.NewRegistry()
 
-	rep := &Report{Seed: opts.Seed, Rows: db.Table("t").NumRows(), Derived: p.Size()}
-	for _, entry := range p.Entries() {
-		outcomes, agree := differential(reg, db, entry.SQL)
+	rep := &Report{Seed: opts.Seed, Rows: db.Table("t").NumRows(), Derived: len(queries)}
+	for _, sql := range queries {
+		outcomes, agree := differential(reg, db, sql)
 		rep.Executed++
 		if !agree {
-			rep.Divergences = append(rep.Divergences, Divergence{SQL: entry.SQL, Outcomes: outcomes})
+			rep.Divergences = append(rep.Divergences, Divergence{SQL: sql, Outcomes: outcomes})
 			continue
 		}
 		if outcomes[0].Err != "" {

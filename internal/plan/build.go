@@ -23,18 +23,16 @@ func Build(cat Catalog, sql string) (*Plan, error) {
 func BuildStmt(cat Catalog, stmt *sqlparser.SelectStatement) (*Plan, error) {
 	b := &builder{
 		cat: cat,
-		p: &Plan{
-			subs:       map[*sqlparser.SelectStatement]*Select{},
-			correlated: map[*sqlparser.SelectStatement]bool{},
-			apply:      map[*sqlparser.SelectStatement]*Apply{},
-		},
+		p:   &Plan{},
 	}
 	root, err := b.buildChain(stmt)
 	if err != nil {
 		return nil, err
 	}
 	b.p.Root = root
-	b.p.Vectorizable, b.p.NotVectorizableReason = b.verdict()
+	b.bindSlots()
+	b.p.NotVectorizableReason = b.checkSelect(root)
+	b.p.Vectorizable = b.p.NotVectorizableReason == ""
 	return b.p, nil
 }
 
@@ -42,6 +40,9 @@ func BuildStmt(cat Catalog, stmt *sqlparser.SelectStatement) (*Plan, error) {
 type builder struct {
 	cat Catalog
 	p   *Plan
+	// refs is one past the largest ColumnRef.Ord of the statement: the size
+	// of the slot tables.
+	refs int
 }
 
 // buildChain plans a statement and its set-operation continuations.
@@ -131,7 +132,11 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStatement) (*Select, error) 
 
 	// Joined schema in join order: From[0], then each step's right input.
 	if len(sp.From) > 0 {
-		sp.Schema = append(sp.Schema, sp.From[0].Schema...)
+		width := 0
+		for _, in := range sp.From {
+			width += len(in.Schema)
+		}
+		sp.Schema = append(make([]ColumnMeta, 0, width), sp.From[0].Schema...)
 		for _, step := range sp.JoinSteps {
 			sp.Schema = append(sp.Schema, sp.From[step.Right].Schema...)
 		}
@@ -145,7 +150,10 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStatement) (*Select, error) 
 		}
 	}
 
-	sp.Needed = b.neededColumns(stmt)
+	sp.Needed = neededColumns(sp)
+	if err := layout(sp); err != nil {
+		return nil, err
+	}
 	resolveOutput(sp)
 	if sp.Grouped {
 		resolveAggregates(sp)
@@ -319,9 +327,10 @@ func (b *builder) planJoins(sp *Select) {
 
 // walkExpressions visits every expression of one SELECT core once. It plans
 // each nested SELECT reachable through them and records its correlation
-// verdict, and it parses each numeric literal: the lexer admits `1e+` and
-// `1e999` and an INTERVAL count is an arbitrary string, so a malformed one
-// is a build error here and no executor ever sees it.
+// verdict, it sizes the slot tables, and it parses each numeric literal: the
+// lexer admits `1e+` and `1e999` and an INTERVAL count is an arbitrary
+// string, so a malformed one is a build error here and no executor ever sees
+// it.
 func (b *builder) walkExpressions(stmt *sqlparser.SelectStatement) error {
 	var firstErr error
 	checkNumber := func(lit string) {
@@ -330,7 +339,7 @@ func (b *builder) walkExpressions(stmt *sqlparser.SelectStatement) error {
 		}
 	}
 	register := func(s *sqlparser.SelectStatement) {
-		if s == nil || b.p.subs[s] != nil {
+		if s == nil || b.p.Sub(s) != nil {
 			return
 		}
 		sub, err := b.buildChain(s)
@@ -340,13 +349,16 @@ func (b *builder) walkExpressions(stmt *sqlparser.SelectStatement) error {
 			}
 			return
 		}
-		b.p.subs[s] = sub
-		b.p.correlated[s] = b.analyzeCorrelation(s, map[string]bool{})
+		if b.p.subs == nil {
+			b.p.subs = map[*sqlparser.SelectStatement]subquery{}
+		}
+		// Correlated: some reference escapes the statement's own FROM scopes,
+		// so its result cannot be cached across outer rows.
+		var free []*sqlparser.ColumnRef
+		b.collectFreeRefs(s, map[string]bool{}, &free)
+		b.p.subs[s] = subquery{plan: sub, correlated: len(free) > 0}
 	}
 	collect := func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
 		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
 			switch v := x.(type) {
 			case *sqlparser.SubqueryExpr:
@@ -359,21 +371,13 @@ func (b *builder) walkExpressions(stmt *sqlparser.SelectStatement) error {
 				checkNumber(v.Value)
 			case *sqlparser.IntervalLit:
 				checkNumber(v.Value)
+			case *sqlparser.ColumnRef:
+				b.refs = max(b.refs, v.Ord+1)
 			}
 			return true
 		})
 	}
-	for _, p := range stmt.Projection {
-		collect(p.Expr)
-	}
-	collect(stmt.Where)
-	for _, g := range stmt.GroupBy {
-		collect(g)
-	}
-	collect(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		collect(o.Expr)
-	}
+	stmt.ClauseExprs(collect)
 	var walkTE func(te sqlparser.TableExpr)
 	walkTE = func(te sqlparser.TableExpr) {
 		if j, ok := te.(*sqlparser.JoinExpr); ok {
@@ -394,6 +398,9 @@ func (b *builder) walkExpressions(stmt *sqlparser.SelectStatement) error {
 // with the executors' ambiguity rules: unqualified lookups matching columns
 // of the same name under different aliases are ambiguous.
 func schemaFind(meta []ColumnMeta, table, name string) (int, error) {
+	if schemaFindObserver != nil {
+		schemaFindObserver()
+	}
 	table = strings.ToLower(table)
 	name = strings.ToLower(name)
 	found := -1
@@ -410,23 +417,21 @@ func schemaFind(meta []ColumnMeta, table, name string) (int, error) {
 		found = i
 	}
 	if found < 0 {
-		return -1, fmt.Errorf("column not found")
+		return -1, errColumnNotFound
 	}
 	return found, nil
 }
 
+// schemaFindObserver, when set, sees every name lookup; tests count them.
+var schemaFindObserver func()
+
+// errColumnNotFound tells "not at this level, ask the enclosing one" from a
+// true ambiguity.
+var errColumnNotFound = fmt.Errorf("column not found")
+
 func resolvesIn(c *sqlparser.ColumnRef, meta []ColumnMeta) bool {
 	_, err := schemaFind(meta, c.Table, c.Column)
 	return err == nil
-}
-
-func allRefsResolve(e sqlparser.Expr, meta []ColumnMeta) bool {
-	for _, c := range sqlparser.ColumnsIn(e) {
-		if !resolvesIn(c, meta) {
-			return false
-		}
-	}
-	return true
 }
 
 func refsResolve(refs []*sqlparser.ColumnRef, meta []ColumnMeta) bool {
@@ -673,9 +678,10 @@ func resolveAggregates(sp *Select) {
 // neededColumns computes, per table alias, the set of column names the
 // statement references anywhere (including sub-queries); the column
 // interpreter and the typed executor prune their scans to these. Unqualified
-// references are attributed to every base table that has a column of that
-// name, so pruning never turns an ambiguous reference into a resolvable one.
-func (b *builder) neededColumns(stmt *sqlparser.SelectStatement) map[string]map[string]bool {
+// references are attributed to every base table of the core that has a
+// column of that name, so pruning never turns an ambiguous reference into a
+// resolvable one.
+func neededColumns(sp *Select) map[string]map[string]bool {
 	needed := map[string]map[string]bool{}
 	add := func(alias, col string) {
 		alias = strings.ToLower(alias)
@@ -685,31 +691,20 @@ func (b *builder) neededColumns(stmt *sqlparser.SelectStatement) map[string]map[
 		needed[alias][strings.ToLower(col)] = true
 	}
 
-	// Alias → base table column set of this statement.
-	aliases := map[string]map[string]bool{}
-	var gatherAliases func(te sqlparser.TableExpr)
-	gatherAliases = func(te sqlparser.TableExpr) {
-		switch t := te.(type) {
-		case *sqlparser.TableName:
-			alias := t.Alias
-			if alias == "" {
-				alias = t.Name
-			}
-			var set map[string]bool
-			if cols, ok := b.cat.TableColumns(t.Name); ok {
-				set = map[string]bool{}
-				for _, c := range cols {
-					set[strings.ToLower(c)] = true
-				}
-			}
-			aliases[strings.ToLower(alias)] = set
-		case *sqlparser.JoinExpr:
-			gatherAliases(t.Left)
-			gatherAliases(t.Right)
+	// The core's base-table inputs, join trees included.
+	var bases []*Input
+	var gather func(in *Input)
+	gather = func(in *Input) {
+		switch {
+		case in.Join != nil:
+			gather(in.Join.Left)
+			gather(in.Join.Right)
+		case in.Derived == nil:
+			bases = append(bases, in)
 		}
 	}
-	for _, te := range stmt.From {
-		gatherAliases(te)
+	for _, in := range sp.From {
+		gather(in)
 	}
 
 	var refs []*sqlparser.ColumnRef
@@ -717,9 +712,6 @@ func (b *builder) neededColumns(stmt *sqlparser.SelectStatement) map[string]map[
 	var collectExpr func(e sqlparser.Expr)
 	var collectStmt func(s *sqlparser.SelectStatement)
 	collectExpr = func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
 		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
 			switch v := x.(type) {
 			case *sqlparser.ColumnRef:
@@ -750,20 +742,9 @@ func (b *builder) neededColumns(stmt *sqlparser.SelectStatement) map[string]map[
 	}
 	collectStmt = func(s *sqlparser.SelectStatement) {
 		for _, p := range s.Projection {
-			if p.Star {
-				star = true
-				continue
-			}
-			collectExpr(p.Expr)
+			star = star || p.Star
 		}
-		collectExpr(s.Where)
-		for _, g := range s.GroupBy {
-			collectExpr(g)
-		}
-		collectExpr(s.Having)
-		for _, o := range s.OrderBy {
-			collectExpr(o.Expr)
-		}
+		s.ClauseExprs(collectExpr)
 		for _, te := range s.From {
 			switch t := te.(type) {
 			case *sqlparser.DerivedTable:
@@ -776,12 +757,11 @@ func (b *builder) neededColumns(stmt *sqlparser.SelectStatement) map[string]map[
 			collectStmt(s.SetNext)
 		}
 	}
-	collectStmt(stmt)
+	collectStmt(sp.Stmt)
 
 	if star {
-		//lint:ordered add() fills the needed map-of-sets; insertion order cannot be observed
-		for alias := range aliases {
-			add(alias, "*")
+		for _, in := range bases {
+			add(in.Alias, "*")
 		}
 	}
 	for _, r := range refs {
@@ -789,10 +769,9 @@ func (b *builder) neededColumns(stmt *sqlparser.SelectStatement) map[string]map[
 			add(r.Table, r.Column)
 			continue
 		}
-		//lint:ordered add() fills the needed map-of-sets; insertion order cannot be observed
-		for alias, cols := range aliases {
-			if cols != nil && cols[strings.ToLower(r.Column)] {
-				add(alias, r.Column)
+		for _, in := range bases {
+			if resolvesIn(r, in.Schema) {
+				add(in.Alias, r.Column)
 			}
 		}
 	}
@@ -800,119 +779,6 @@ func (b *builder) neededColumns(stmt *sqlparser.SelectStatement) map[string]map[
 }
 
 // --- correlation -------------------------------------------------------------
-
-// analyzeCorrelation walks the statement with the set of column keys
-// available from enclosing FROM clauses; it returns true when any reference
-// escapes — such sub-queries cannot be cached across outer rows.
-func (b *builder) analyzeCorrelation(stmt *sqlparser.SelectStatement, inherited map[string]bool) bool {
-	avail := map[string]bool{}
-	for k := range inherited {
-		avail[k] = true
-	}
-	var addTable func(te sqlparser.TableExpr)
-	addTable = func(te sqlparser.TableExpr) {
-		switch t := te.(type) {
-		case *sqlparser.TableName:
-			alias := t.Alias
-			if alias == "" {
-				alias = t.Name
-			}
-			cols, ok := b.cat.TableColumns(t.Name)
-			if !ok {
-				return
-			}
-			for _, c := range cols {
-				avail[strings.ToLower(c)] = true
-				avail[strings.ToLower(alias)+"."+strings.ToLower(c)] = true
-			}
-		case *sqlparser.DerivedTable:
-			for _, p := range t.Select.Projection {
-				name := p.Alias
-				if name == "" {
-					if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-						name = cr.Column
-					}
-				}
-				if name != "" {
-					avail[strings.ToLower(name)] = true
-					if t.Alias != "" {
-						avail[strings.ToLower(t.Alias)+"."+strings.ToLower(name)] = true
-					}
-				}
-				if p.Star {
-					// Approximate: expose the derived table's base columns.
-					for _, te2 := range t.Select.From {
-						addTable(te2)
-					}
-				}
-			}
-		case *sqlparser.JoinExpr:
-			addTable(t.Left)
-			addTable(t.Right)
-		}
-	}
-	for _, te := range stmt.From {
-		addTable(te)
-	}
-
-	escaped := false
-	checkRef := func(r *sqlparser.ColumnRef) {
-		key := strings.ToLower(r.Column)
-		if r.Table != "" {
-			key = strings.ToLower(r.Table) + "." + strings.ToLower(r.Column)
-		}
-		if !avail[key] {
-			escaped = true
-		}
-	}
-	var checkExpr func(e sqlparser.Expr)
-	checkExpr = func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
-		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
-			switch v := x.(type) {
-			case *sqlparser.ColumnRef:
-				checkRef(v)
-			case *sqlparser.SubqueryExpr:
-				if b.analyzeCorrelation(v.Select, avail) {
-					escaped = true
-				}
-			case *sqlparser.InExpr:
-				if v.Subquery != nil && b.analyzeCorrelation(v.Subquery, avail) {
-					escaped = true
-				}
-			case *sqlparser.ExistsExpr:
-				if b.analyzeCorrelation(v.Subquery, avail) {
-					escaped = true
-				}
-			}
-			return true
-		})
-	}
-	for _, p := range stmt.Projection {
-		checkExpr(p.Expr)
-	}
-	checkExpr(stmt.Where)
-	for _, g := range stmt.GroupBy {
-		checkExpr(g)
-	}
-	checkExpr(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		checkExpr(o.Expr)
-	}
-	for _, te := range stmt.From {
-		if d, ok := te.(*sqlparser.DerivedTable); ok {
-			if b.analyzeCorrelation(d.Select, map[string]bool{}) {
-				escaped = true
-			}
-		}
-	}
-	if stmt.SetNext != nil && b.analyzeCorrelation(stmt.SetNext, inherited) {
-		escaped = true
-	}
-	return escaped
-}
 
 // effectiveRefs returns a predicate's outer-level column references plus the
 // free (correlated) references of every sub-query it carries — the set of
@@ -928,8 +794,9 @@ func (b *builder) effectiveRefs(e sqlparser.Expr) []*sqlparser.ColumnRef {
 // collectFreeRefs appends the column references of the statement (and its
 // nested sub-queries) that do not resolve against the statement's own FROM
 // scope — the references through which a sub-query is correlated with its
-// enclosing query. The scope construction mirrors analyzeCorrelation; the
-// difference is reporting the escaping references instead of a verdict.
+// enclosing query; a sub-query is correlated when there is one. A scope is
+// the column keys ("col", "alias.col") available from the statement's FROM
+// clause on top of the inherited ones.
 func (b *builder) collectFreeRefs(stmt *sqlparser.SelectStatement, inherited map[string]bool, out *[]*sqlparser.ColumnRef) {
 	avail := map[string]bool{}
 	for k := range inherited {
@@ -982,9 +849,6 @@ func (b *builder) collectFreeRefs(stmt *sqlparser.SelectStatement, inherited map
 
 	var checkExpr func(e sqlparser.Expr)
 	checkExpr = func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
 		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
 			switch v := x.(type) {
 			case *sqlparser.ColumnRef:
@@ -1007,17 +871,7 @@ func (b *builder) collectFreeRefs(stmt *sqlparser.SelectStatement, inherited map
 			return true
 		})
 	}
-	for _, p := range stmt.Projection {
-		checkExpr(p.Expr)
-	}
-	checkExpr(stmt.Where)
-	for _, g := range stmt.GroupBy {
-		checkExpr(g)
-	}
-	checkExpr(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		checkExpr(o.Expr)
-	}
+	stmt.ClauseExprs(checkExpr)
 	for _, te := range stmt.From {
 		if d, ok := te.(*sqlparser.DerivedTable); ok {
 			b.collectFreeRefs(d.Select, map[string]bool{}, out)
@@ -1029,20 +883,6 @@ func (b *builder) collectFreeRefs(stmt *sqlparser.SelectStatement, inherited map
 }
 
 // --- vectorizable verdict ----------------------------------------------------
-
-// verdict computes the plan-level vectorizable/compilable verdict by
-// walking the built plan tree. Unlike the AST-only probe it replaced, it
-// rules on what the vectorized executor can actually run — derived tables,
-// LEFT outer joins and sub-queries included — and records the Apply
-// decorrelation recipe for every correlated sub-query it accepts. The
-// remaining reasons name exactly the shape the decorrelator provably
-// cannot handle.
-func (b *builder) verdict() (bool, string) {
-	if r := b.checkSelect(b.p.Root); r != "" {
-		return false, r
-	}
-	return true, ""
-}
 
 // subSite is one sub-query use site with its consumption shape.
 type subSite struct {
@@ -1073,7 +913,11 @@ func subSites(e sqlparser.Expr) []subSite {
 }
 
 // checkSelect rules on one SELECT core of the plan tree, returning the
-// first not-vectorizable reason or "".
+// first not-vectorizable reason or "": the plan-level verdict on what the
+// typed executor can actually run — derived tables, LEFT outer joins and
+// sub-queries included. It records the Apply decorrelation recipe for every
+// correlated sub-query it accepts; the reasons name exactly the shapes the
+// decorrelator provably cannot handle.
 func (b *builder) checkSelect(sp *Select) string {
 	if sp == nil {
 		return ""
@@ -1093,11 +937,11 @@ func (b *builder) checkSelect(sp *Select) string {
 	// with. Uncorrelated sub-queries run standalone and may appear anywhere.
 	check := func(e sqlparser.Expr, inWhere bool) string {
 		for _, site := range subSites(e) {
-			subPlan := b.p.subs[site.stmt]
+			subPlan := b.p.Sub(site.stmt)
 			if subPlan == nil {
 				return "sub-queries"
 			}
-			if b.p.correlated[site.stmt] {
+			if b.p.Correlated(site.stmt) {
 				if !inWhere {
 					return "correlated sub-queries outside WHERE"
 				}
@@ -1166,7 +1010,7 @@ func (b *builder) checkPlanJoin(j *Join) string {
 // its host SELECT and records the Apply recipe, or returns the reason it is
 // not. host is the SELECT whose WHERE directly contains the use site.
 func (b *builder) computeApply(host *Select, site subSite) string {
-	subPlan := b.p.subs[site.stmt]
+	subPlan := b.p.Sub(site.stmt)
 	stmt := subPlan.Stmt
 	if stmt.SetNext != nil {
 		return "set operations"
@@ -1196,7 +1040,7 @@ func (b *builder) computeApply(host *Select, site subSite) string {
 		if len(stmt.Projection) != 1 || stmt.Projection[0].Star {
 			return "correlated sub-queries projecting more than one value"
 		}
-		if !allRefsResolve(stmt.Projection[0].Expr, subPlan.Schema) {
+		if !refsResolve(sqlparser.ColumnsIn(stmt.Projection[0].Expr), subPlan.Schema) {
 			return "correlated sub-queries projecting enclosing-scope columns"
 		}
 	case ApplyExists:
@@ -1240,7 +1084,7 @@ func (b *builder) computeApply(host *Select, site subSite) string {
 	if shape == ApplyAgg && len(ap.PairConjuncts) > 0 {
 		return "correlated aggregated sub-queries with non-equi correlation predicates"
 	}
-	b.p.apply[site.stmt] = ap
+	b.p.subs[site.stmt] = subquery{plan: subPlan, correlated: true, apply: ap}
 	return ""
 }
 

@@ -20,6 +20,10 @@
 //   - the SELECT output contract: star expansion to input ordinals, output
 //     names, and ORDER BY keys resolved to an output ordinal (alias or
 //     ordinal) or an expression,
+//   - the interpreters' column slots: both relation layouts of every SELECT
+//     core (Layout) and, per layout, the scope depth and column ordinal of
+//     every column reference an interpreter evaluates (Slot, Plan.Slots), so
+//     execution reads a column with a slice index instead of a name search,
 //   - sub-query classification (correlated or cacheable) for every nested
 //     SELECT reachable from the statement,
 //   - a precomputed Vectorizable verdict with the reason a statement is
@@ -53,6 +57,45 @@ type Catalog interface {
 type ColumnMeta struct {
 	Table string
 	Name  string
+}
+
+// Layout names one of the two column layouts an interpreter relation can
+// have. A layout is a pure function of the plan: a base table contributes
+// its columns in declaration order under its alias, a derived table its
+// OutSchema under the alias, a join its left columns then its right ones, a
+// SELECT core From[0] then each JoinStep's right input.
+type Layout int
+
+// The interpreter layouts.
+const (
+	// LayoutRow is the tuple-at-a-time interpreter's: every column of every
+	// input (Schema).
+	LayoutRow Layout = iota
+	// LayoutColumn is the column-at-a-time interpreter's: base tables keep
+	// only the columns Select.Needed lists for their alias.
+	LayoutColumn
+)
+
+// Slot is one column reference resolved for one layout with the executors'
+// name rule (innermost scope first, an unqualified name matching two aliases
+// is ambiguous): hop Depth scopes outwards from the scope evaluating the
+// reference and read column Col of that scope's relation. A negative Depth
+// marks a reference that is unknown or ambiguous; Plan.SlotErr has its
+// error, which the interpreters raise when — and only when — a row reaches
+// the reference. Eight bytes: a cached plan keeps two slots per reference.
+type Slot struct {
+	Depth, Col int32
+}
+
+// KeyCols are the ordinals of a join's n equi-key pairs in the relations of
+// its two sides, for both layouts, in one slice: layout l has its left
+// side's at [2ln, 2ln+n) and its right side's behind them.
+type KeyCols []int32
+
+// Sides returns the left and the right side's key ordinals in the layout.
+func (k KeyCols) Sides(l Layout) (left, right []int32) {
+	n, at := len(k)/4, int(l)*len(k)/2
+	return k[at : at+n], k[at+n : at+2*n]
 }
 
 // Class is the role a WHERE conjunct plays in the plan.
@@ -93,6 +136,9 @@ type JoinStep struct {
 	// accumulated left side and on the right input respectively.
 	LeftKeys  []sqlparser.Expr
 	RightKeys []sqlparser.Expr
+	// KeyCols are the keys' ordinals in the accumulated left relation and in
+	// the right input's.
+	KeyCols KeyCols
 }
 
 // Input is one resolved FROM item: a base table, a derived table or an
@@ -108,6 +154,20 @@ type Input struct {
 	Join *Join
 	// Schema is the input's resolved output schema.
 	Schema []ColumnMeta
+	// Pruned is the input's LayoutColumn (Schema is its LayoutRow); for a
+	// base table that lost columns PrunedCols are the table ordinals of the
+	// kept ones, nil when all are kept.
+	Pruned     []ColumnMeta
+	PrunedCols []int32
+}
+
+// Layout returns the input's columns as an interpreter relation of the
+// layout carries them.
+func (in *Input) Layout(l Layout) []ColumnMeta {
+	if l == LayoutColumn {
+		return in.Pruned
+	}
+	return in.Schema
 }
 
 // Join is one node of an explicit JOIN tree with its ON condition already
@@ -122,6 +182,9 @@ type Join struct {
 	// LeftKeys/RightKeys are the equi-join key pairs extracted from ON.
 	LeftKeys  []sqlparser.Expr
 	RightKeys []sqlparser.Expr
+	// KeyCols are the keys' ordinals in the left and the right operand's
+	// relation.
+	KeyCols KeyCols
 	// Residual are the non-equi ON conjuncts applied after the hash join.
 	Residual []sqlparser.Expr
 	// AllConds are all ON conjuncts; INNER joins without equi keys evaluate
@@ -163,8 +226,12 @@ type Select struct {
 	// Needed are the per-alias column sets referenced anywhere in the
 	// statement: what the column interpreter and the typed scans prune to.
 	Needed map[string]map[string]bool
-	// Schema is the joined FROM schema in join order.
+	// Schema is the joined FROM schema in join order: the columns of the
+	// relation the core's filters, grouping and projection read, in
+	// LayoutRow. Pruned is its LayoutColumn; the inputs' Pruned are windows
+	// of it.
 	Schema []ColumnMeta
+	Pruned []ColumnMeta
 	// OutSchema is the statement's output schema: the star block first (its
 	// columns keep their table tag), then one column per computed item with
 	// an empty table tag, named by its alias, its column or its lower-cased
@@ -274,24 +341,51 @@ type Plan struct {
 	NotVectorizableReason string
 
 	// subs maps every nested SELECT reachable through expressions
-	// (scalar/IN/EXISTS sub-queries) to its plan.
-	subs map[*sqlparser.SelectStatement]*Select
-	// correlated caches the correlation verdict per nested SELECT.
-	correlated map[*sqlparser.SelectStatement]bool
-	// apply maps each decorrelatable correlated sub-query to its recipe.
-	apply map[*sqlparser.SelectStatement]*Apply
+	// (scalar/IN/EXISTS sub-queries) to what the plan knows of it; nil when
+	// the statement has none.
+	subs map[*sqlparser.SelectStatement]subquery
+	// slots holds, per Layout, the slot of every column reference of the
+	// statement, indexed by sqlparser.ColumnRef.Ord; slotErrs the errors of
+	// the references that do not resolve.
+	slots    [2][]Slot
+	slotErrs []error
+}
+
+// Slots returns the layout's slot table, indexed by ColumnRef.Ord. Every
+// reference an interpreter evaluates through its evaluator has its slot here:
+// WHERE residuals, ON conditions, GROUP BY, HAVING, projection items and
+// evaluated ORDER BY keys, at any sub-query depth. Equi-join keys are read
+// on their own side of the join and are resolved in KeyCols instead — the
+// common-OR lift can make one reference both a key and part of a residual.
+// The table is shared by every execution of the plan: read only.
+func (p *Plan) Slots(l Layout) []Slot { return p.slots[l] }
+
+// SlotErr returns the error of a slot that does not resolve, nil otherwise.
+func (p *Plan) SlotErr(s Slot) error {
+	if s.Depth >= 0 {
+		return nil
+	}
+	return p.slotErrs[s.Col]
+}
+
+// subquery is one nested SELECT of the statement: its plan, its correlation
+// verdict and, when it is correlated and decorrelatable, the recipe.
+type subquery struct {
+	plan       *Select
+	correlated bool
+	apply      *Apply
 }
 
 // Sub returns the plan of a nested SELECT reached through an expression, or
 // nil when the statement is not part of this plan.
-func (p *Plan) Sub(stmt *sqlparser.SelectStatement) *Select { return p.subs[stmt] }
+func (p *Plan) Sub(stmt *sqlparser.SelectStatement) *Select { return p.subs[stmt].plan }
 
 // Correlated reports whether the nested SELECT references columns it cannot
 // resolve from its own FROM clauses; uncorrelated sub-queries are executed
 // once and cached by the executors.
-func (p *Plan) Correlated(stmt *sqlparser.SelectStatement) bool { return p.correlated[stmt] }
+func (p *Plan) Correlated(stmt *sqlparser.SelectStatement) bool { return p.subs[stmt].correlated }
 
 // Apply returns the decorrelation recipe of a correlated sub-query, or nil
 // when the sub-query is uncorrelated or not decorrelatable (in which case
 // the plan's Vectorizable verdict is false with the reason).
-func (p *Plan) Apply(stmt *sqlparser.SelectStatement) *Apply { return p.apply[stmt] }
+func (p *Plan) Apply(stmt *sqlparser.SelectStatement) *Apply { return p.subs[stmt].apply }

@@ -214,6 +214,11 @@ type Expr interface {
 type ColumnRef struct {
 	Table  string
 	Column string
+	// Ord numbers the reference within one Parse or ParseExpr call, in parse
+	// order across every nesting level: the index of what the plan layer
+	// resolved for this node (plan.Plan.Slots), so an executor reaches it
+	// with a slice index instead of a map lookup or a name search.
+	Ord int
 }
 
 func (*ColumnRef) expr() {}
@@ -636,6 +641,30 @@ func WalkExprs(e Expr, fn func(Expr) bool) {
 		WalkExprs(v.Length, fn)
 	case *CastExpr:
 		WalkExprs(v.Expr, fn)
+	}
+}
+
+// ClauseExprs calls fn with each expression of the statement's own clauses:
+// the projection items, WHERE, GROUP BY, HAVING and the ORDER BY keys, in
+// that order, skipping absent ones (a star item, no WHERE). FROM — ON
+// conditions, derived tables — and the set-operation branches are the
+// caller's to walk.
+func (s *SelectStatement) ClauseExprs(fn func(Expr)) {
+	visit := func(e Expr) {
+		if e != nil {
+			fn(e)
+		}
+	}
+	for _, p := range s.Projection {
+		visit(p.Expr)
+	}
+	visit(s.Where)
+	for _, g := range s.GroupBy {
+		visit(g)
+	}
+	visit(s.Having)
+	for _, o := range s.OrderBy {
+		visit(o.Expr)
 	}
 }
 

@@ -10,6 +10,14 @@ import (
 type Parser struct {
 	toks []Token
 	pos  int
+	// refs counts the column references parsed so far; see ColumnRef.Ord.
+	refs int
+}
+
+// columnRef builds the next column reference of the statement.
+func (p *Parser) columnRef(table, column string) *ColumnRef {
+	p.refs++
+	return &ColumnRef{Table: table, Column: column, Ord: p.refs - 1}
 }
 
 // Parse parses a single SQL SELECT statement (a trailing semicolon is
@@ -779,9 +787,9 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &ColumnRef{Table: t.Text, Column: colTok.Text}, nil
+			return p.columnRef(t.Text, colTok.Text), nil
 		}
-		return &ColumnRef{Column: t.Text}, nil
+		return p.columnRef("", t.Text), nil
 	default:
 		return nil, p.errorf("unexpected %s in expression", t)
 	}
