@@ -7,11 +7,12 @@
 // server. The contributor is identified only by a separately supplied key.
 //
 // With workers > 1 the driver leases tasks in batches (the `max` parameter
-// of POST /api/task/request) and measures them on a local worker pool, so a
-// handful of drivers — possibly on different machines — can crowd-source
-// one experiment concurrently; the server's per-lease deadlines guarantee
-// that no query is measured twice and that the leases of a crashed driver
-// are handed out again.
+// of POST /api/task/request), measures them on a local worker pool and
+// reports the batch back in one request (the `tasks` form of POST
+// /api/task/complete), so a handful of drivers — possibly on different
+// machines — can crowd-source one experiment concurrently; the server's
+// per-lease deadlines guarantee that no query is measured twice and that
+// the leases of a crashed driver are handed out again.
 package driver
 
 import (
@@ -29,6 +30,7 @@ import (
 
 	"sqalpel/internal/metrics"
 	"sqalpel/internal/repository"
+	"sqalpel/internal/trace"
 )
 
 // Config is the locally controlled driver configuration.
@@ -257,26 +259,61 @@ func (c *Client) RequestTasks(max int) ([]*repository.Task, error) {
 	return resp.Tasks, nil
 }
 
-// Report sends a finished measurement back to the server.
+// Report sends a finished measurement back to the server. A lease lost in
+// the meantime is an error here; the run loops skip it instead.
 func (c *Client) Report(taskID int, m *metrics.Measurement) error {
-	_, err := c.report(taskID, m)
+	landed, err := c.report([]*repository.Task{{ID: taskID}}, []*metrics.Measurement{m})
+	if err == nil && landed == 0 {
+		return fmt.Errorf("task %d: server returned %d: lease lost", taskID, http.StatusConflict)
+	}
 	return err
 }
 
-// report is Report exposing the HTTP status, so the run loops can tell a
-// lost lease (409, skip and carry on) from a real failure.
-func (c *Client) report(taskID int, m *metrics.Measurement) (int, error) {
-	req := map[string]any{
-		"key":     c.cfg.Key,
-		"task_id": taskID,
-		"seconds": m.Seconds(),
-		"error":   m.Err,
-		"extra":   m.Extra,
+// completionReport is one measured task in the batch form of
+// POST /api/task/complete.
+type completionReport struct {
+	TaskID  int               `json:"task_id"`
+	Seconds []float64         `json:"seconds"`
+	Error   string            `json:"error"`
+	Extra   map[string]string `json:"extra"`
+	Trace   *trace.QueryTrace `json:"trace,omitempty"`
+}
+
+// report sends the measurements of tasks back in one request, the batch
+// form of POST /api/task/complete, and returns how many the server recorded
+// (201). A task whose lease was lost in the meantime (409: expired and
+// re-queued to another driver) is skipped — that is the designed recovery
+// path, not a driver failure; the first other status is the error, returned
+// beside the count of every task that did land.
+func (c *Client) report(tasks []*repository.Task, ms []*metrics.Measurement) (int, error) {
+	items := make([]completionReport, len(tasks))
+	for i, task := range tasks {
+		items[i] = completionReport{TaskID: task.ID, Seconds: ms[i].Seconds(), Error: ms[i].Err, Extra: ms[i].Extra, Trace: ms[i].Trace}
 	}
-	if m.Trace != nil {
-		req["trace"] = m.Trace
+	var resp struct {
+		Results []struct {
+			TaskID int    `json:"task_id"`
+			Status int    `json:"status"`
+			Error  string `json:"error"`
+		} `json:"results"`
 	}
-	return c.post("/api/task/complete", req, nil)
+	if _, err := c.post("/api/task/complete", map[string]any{"key": c.cfg.Key, "tasks": items}, &resp); err != nil {
+		return 0, err
+	}
+	if len(resp.Results) != len(tasks) {
+		return 0, fmt.Errorf("server answered %d of %d completions", len(resp.Results), len(tasks))
+	}
+	landed := 0
+	var first error
+	for _, r := range resp.Results {
+		switch {
+		case r.Status == http.StatusCreated:
+			landed++
+		case r.Status != http.StatusConflict && first == nil:
+			first = fmt.Errorf("task %d: server returned %d: %s", r.TaskID, r.Status, r.Error)
+		}
+	}
+	return landed, first
 }
 
 // enableTrace switches per-operator tracing on for targets that support
@@ -310,18 +347,36 @@ func (c *Client) RunOnce(target metrics.Target) (bool, error) {
 	if task == nil {
 		return false, nil
 	}
-	if status, err := c.report(task.ID, c.measure(target, task)); err != nil && status != http.StatusConflict {
-		return true, err
+	_, err = c.report([]*repository.Task{task}, []*metrics.Measurement{c.measure(target, task)})
+	return true, err
+}
+
+// measureAll measures the tasks on up to workers concurrent workers and
+// returns their measurements in task order.
+func (c *Client) measureAll(target metrics.Target, tasks []*repository.Task, workers int) []*metrics.Measurement {
+	out := make([]*metrics.Measurement, len(tasks))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(tasks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+				out[i] = c.measure(target, tasks[i])
+			}
+		}()
 	}
-	return true, nil
+	wg.Wait()
+	return out
 }
 
 // RunAll keeps requesting and measuring tasks until the pool is exhausted or
 // maxTasks have been processed (0 means no limit). It returns the number of
 // tasks measured and reported. Tasks are leased in batches of Config.Batch
-// (default, and always for a single worker: one per worker) and measured on
-// a pool of Config.Workers local workers (default 1); with more than one the
-// target must be safe for concurrent use. A report rejected because its
+// (default, and always for a single worker: one per worker), measured on a
+// pool of Config.Workers local workers (default 1) — with more than one the
+// target must be safe for concurrent use — and the batch is reported back
+// in one request once all of it is measured. A report rejected because its
 // lease was lost is skipped, as in RunOnce.
 func (c *Client) RunAll(target metrics.Target, maxTasks int) (int, error) {
 	c.enableTrace(target)
@@ -345,51 +400,10 @@ func (c *Client) RunAll(target metrics.Target, maxTasks int) (int, error) {
 		if len(tasks) == 0 {
 			return done, nil
 		}
-
-		workers := min(poolSize, len(tasks))
-		taskCh := make(chan *repository.Task)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		var aborted atomic.Bool
-		completed := 0
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for task := range taskCh {
-					// After the first error the batch is doomed (the leases
-					// will expire and re-queue); drain instead of burning
-					// measurement time on reports that cannot land.
-					if aborted.Load() {
-						continue
-					}
-					status, err := c.report(task.ID, c.measure(target, task))
-					if err != nil && status == http.StatusConflict {
-						// Lease lost to another driver after expiry — the
-						// query is covered, just not by us. Skip it.
-						continue
-					}
-					mu.Lock()
-					if err != nil && firstErr == nil {
-						firstErr = err
-						aborted.Store(true)
-					}
-					if err == nil {
-						completed++
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		for _, task := range tasks {
-			taskCh <- task
-		}
-		close(taskCh)
-		wg.Wait()
-		done += completed
-		if firstErr != nil {
-			return done, firstErr
+		landed, err := c.report(tasks, c.measureAll(target, tasks, poolSize))
+		done += landed
+		if err != nil {
+			return done, err
 		}
 	}
 	return done, nil

@@ -358,103 +358,165 @@ func TestParseConfigWorkersAndBatch(t *testing.T) {
 	}
 }
 
-// TestReportsReuseConnections pins that the client reads every reply to its
-// end: net/http only puts a connection back into its pool then. The 201 of a
-// report carries a JSON body nobody decodes, and closing it unread used to
-// cost every completion a new TCP connection.
-func TestReportsReuseConnections(t *testing.T) {
-	var leased, opened atomic.Int64
+// mockPlatform is a stand-in for the driver protocol of the platform. It
+// leases task ids 1, 2, … up to poolSize (0: without end) in both lease wire
+// formats — a bare task when no max is sent, a task list otherwise — and
+// answers the batch form of a report with status(task id) for every task.
+// It counts leases, reports and the connections clients opened.
+type mockPlatform struct {
+	poolSize int64
+	status   func(taskID int) int
+
+	leased, leases, reports, opened atomic.Int64
+}
+
+func (m *mockPlatform) start(t *testing.T) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/task/request", func(w http.ResponseWriter, r *http.Request) {
+		m.leases.Add(1)
 		var req struct {
 			Max int `json:"max"`
 		}
 		_ = json.NewDecoder(r.Body).Decode(&req)
 		var tasks []map[string]any
-		for i := 0; i < req.Max; i++ {
-			tasks = append(tasks, map[string]any{"id": leased.Add(1), "sql": "SELECT 1"})
+		for i := 0; i < max(1, req.Max); i++ {
+			if id := m.leased.Add(1); m.poolSize == 0 || id <= m.poolSize {
+				tasks = append(tasks, map[string]any{"id": id, "sql": "SELECT 1"})
+			}
 		}
-		_ = json.NewEncoder(w).Encode(map[string]any{"tasks": tasks})
+		switch {
+		case len(tasks) == 0:
+			w.WriteHeader(http.StatusNoContent)
+		case req.Max == 0:
+			_ = json.NewEncoder(w).Encode(tasks[0])
+		default:
+			_ = json.NewEncoder(w).Encode(map[string]any{"tasks": tasks})
+		}
 	})
 	mux.HandleFunc("POST /api/task/complete", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusCreated)
-		_ = json.NewEncoder(w).Encode(map[string]any{"id": 1, "seconds": []float64{0.1}, "dbms_key": "x-1"})
+		m.reports.Add(1)
+		var req struct {
+			Tasks []struct {
+				TaskID int `json:"task_id"`
+			} `json:"tasks"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Tasks == nil {
+			http.Error(w, `{"error":"not the batch form"}`, http.StatusBadRequest)
+			return
+		}
+		var results []map[string]any
+		for _, task := range req.Tasks {
+			results = append(results, map[string]any{"task_id": task.TaskID, "status": m.status(task.TaskID), "error": "mock"})
+		}
+		_ = json.NewEncoder(w).Encode(map[string]any{"results": results})
 	})
 	ts := httptest.NewUnstartedServer(mux)
 	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
 		if state == http.StateNew {
-			opened.Add(1)
+			m.opened.Add(1)
 		}
 	}
 	ts.Start()
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts
+}
 
+func allCreated(int) int { return http.StatusCreated }
+
+var trivialTarget = metrics.TargetFunc(func(query string) (int, map[string]string, error) { return 1, nil, nil })
+
+// TestReportsReuseConnections pins that the client reads every reply to its
+// end: net/http only puts a connection back into its pool then, and closing
+// a reply unread used to cost every completion a new TCP connection.
+func TestReportsReuseConnections(t *testing.T) {
+	m := &mockPlatform{status: allCreated}
+	ts := m.start(t)
 	client, err := NewClient(Config{Server: ts.URL, Key: "k", DBMS: "x-1", Platform: "p", Experiment: 1, Runs: 1, Timeout: 5 * time.Second, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := metrics.TargetFunc(func(query string) (int, map[string]string, error) { return 1, nil, nil })
-	n, err := client.RunAll(target, 40)
+	n, err := client.RunAll(trivialTarget, 40)
 	if err != nil || n != 40 {
 		t.Fatalf("RunAll processed %d tasks: %v", n, err)
 	}
-	// Two workers report at once, and a lease may find both of their
-	// connections still busy: three at most, not one per report.
-	if got := opened.Load(); got > 3 {
+	if got := m.opened.Load(); got > 3 {
+		t.Errorf("40 tasks on 2 workers opened %d connections, want at most 3", got)
+	}
+}
+
+// TestRunAllReportsOncePerLease pins the round trips of a drain: every
+// leased batch is measured on the worker pool and comes back as one report,
+// so 40 tasks in leases of 4 cost 10 leases and 10 reports, not 40.
+func TestRunAllReportsOncePerLease(t *testing.T) {
+	m := &mockPlatform{status: allCreated}
+	ts := m.start(t)
+	client, err := NewClient(Config{Server: ts.URL, Key: "k", DBMS: "x-1", Platform: "p", Experiment: 1, Runs: 1, Timeout: 5 * time.Second, Workers: 2, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := client.RunAll(trivialTarget, 40); err != nil || n != 40 {
+		t.Fatalf("RunAll processed %d tasks: %v", n, err)
+	}
+	if leases, reports := m.leases.Load(), m.reports.Load(); leases != 10 || reports != 10 {
+		t.Errorf("40 tasks in batches of 4: %d leases and %d reports, want 10 and 10", leases, reports)
+	}
+	if got := m.opened.Load(); got > 3 {
 		t.Errorf("40 tasks on 2 workers opened %d connections, want at most 3", got)
 	}
 }
 
 // TestRunAllSkipsLostLeases drives the one RunAll loop at one and at two
-// workers against a server that speaks both lease wire formats (a bare task
-// when no max is sent, a task list otherwise) and answers every second
-// completion with the lost-lease conflict: the loop must drain the pool,
-// count only the reports that landed and return no error.
+// workers against a server that answers every second completion with the
+// lost-lease conflict: the loop must drain the pool, count only the reports
+// that landed and return no error.
 func TestRunAllSkipsLostLeases(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		var leased atomic.Int64
 		const poolSize = 10
-		mux := http.NewServeMux()
-		mux.HandleFunc("POST /api/task/request", func(w http.ResponseWriter, r *http.Request) {
-			var req struct {
-				Max int `json:"max"`
+		m := &mockPlatform{poolSize: poolSize, status: func(id int) int {
+			if id%2 == 0 {
+				return http.StatusConflict
 			}
-			_ = json.NewDecoder(r.Body).Decode(&req)
-			var tasks []map[string]any
-			for i := 0; i < max(1, req.Max); i++ {
-				if id := leased.Add(1); id <= poolSize {
-					tasks = append(tasks, map[string]any{"id": id, "sql": "SELECT 1"})
-				}
-			}
-			switch {
-			case len(tasks) == 0:
-				w.WriteHeader(http.StatusNoContent)
-			case req.Max == 0:
-				_ = json.NewEncoder(w).Encode(tasks[0])
-			default:
-				_ = json.NewEncoder(w).Encode(map[string]any{"tasks": tasks})
-			}
-		})
-		mux.HandleFunc("POST /api/task/complete", func(w http.ResponseWriter, r *http.Request) {
-			var req struct {
-				TaskID int `json:"task_id"`
-			}
-			_ = json.NewDecoder(r.Body).Decode(&req)
-			if req.TaskID%2 == 0 {
-				http.Error(w, `{"error":"lease lost"}`, http.StatusConflict)
-				return
-			}
-			w.WriteHeader(http.StatusCreated)
-		})
-		ts := httptest.NewServer(mux)
+			return http.StatusCreated
+		}}
+		ts := m.start(t)
 		client, err := NewClient(Config{Server: ts.URL, Key: "k", DBMS: "x-1", Platform: "p", Experiment: 1, Runs: 1, Timeout: 5 * time.Second, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		target := metrics.TargetFunc(func(query string) (int, map[string]string, error) { return 1, nil, nil })
-		if n, err := client.RunAll(target, 0); err != nil || n != poolSize/2 {
+		if n, err := client.RunAll(trivialTarget, 0); err != nil || n != poolSize/2 {
 			t.Errorf("workers %d: RunAll = %d, %v; want %d reports landed and no error", workers, n, err, poolSize/2)
 		}
-		ts.Close()
+		// A serial driver leases and reports one task at a time.
+		if workers == 1 && m.reports.Load() != poolSize {
+			t.Errorf("serial driver sent %d reports for %d tasks", m.reports.Load(), poolSize)
+		}
+	}
+}
+
+// TestRunAllMixedOutcomes reports one batch whose tasks land, lose their
+// lease and are refused: RunAll counts the two that landed — also the one
+// after the refusal — skips the lost lease, and returns the refusal.
+func TestRunAllMixedOutcomes(t *testing.T) {
+	statuses := map[int]int{1: http.StatusCreated, 2: http.StatusConflict, 3: http.StatusForbidden, 4: http.StatusCreated}
+	m := &mockPlatform{poolSize: 4, status: func(id int) int { return statuses[id] }}
+	ts := m.start(t)
+	client, err := NewClient(Config{Server: ts.URL, Key: "k", DBMS: "x-1", Platform: "p", Experiment: 1, Runs: 1, Timeout: 5 * time.Second, Workers: 2, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := client.RunAll(trivialTarget, 0)
+	if n != 2 || err == nil || !strings.Contains(err.Error(), "task 3: server returned 403") {
+		t.Errorf("RunAll = %d, %v; want 2 landed and task 3's 403", n, err)
+	}
+	if m.reports.Load() != 1 {
+		t.Errorf("one lease of 4 sent %d reports, want 1", m.reports.Load())
+	}
+	// Report, for one task, also says when its lease was lost.
+	if err := client.Report(2, &metrics.Measurement{}); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Errorf("Report of a lost lease = %v, want a 409 error", err)
+	}
+	if err := client.Report(1, &metrics.Measurement{}); err != nil {
+		t.Errorf("Report = %v", err)
 	}
 }

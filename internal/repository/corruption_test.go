@@ -277,11 +277,47 @@ func TestFailedAppendRejectsMutationAndLatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := p.Contributors[0].Key
+	e, err := s.AddExperiment("martin", p.ID, "exp", "SELECT 1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReplaceQueries("martin", p.ID, e.ID, []QueryRecord{{ID: 1, SQL: "SELECT 1"}, {ID: 2, SQL: "SELECT 2"}, {ID: 3, SQL: "SELECT 3"}}); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := s.RequestTasks(key, e.ID, "vektor", "laptop", 3)
+	if err != nil || len(tasks) != 3 {
+		t.Fatalf("lease: %v %v", tasks, err)
+	}
+	var batch []Completion
+	for _, task := range tasks {
+		batch = append(batch, Completion{TaskID: task.ID, Seconds: []float64{0.1}})
+	}
+	running := func() int {
+		n := 0
+		for _, task := range s.Tasks("martin", p.ID) {
+			if task.Status == TaskRunning {
+				n++
+			}
+		}
+		return n
+	}
+
 	fail = true
+	// A failed batch append fails every completion of the batch and leaves
+	// memory untouched: no result, every lease still running.
+	for i, out := range s.CompleteTasks(key, batch) {
+		if out.Err == nil || out.Result != nil {
+			t.Fatalf("completion %d on a failing disk: %v, %v", i, out.Result, out.Err)
+		}
+	}
+	if len(s.Results("martin", p.ID)) != 0 || running() != 3 {
+		t.Fatal("failed batch append leaked into memory")
+	}
 	if _, err := s.AddExperiment("martin", p.ID, "exp", "SELECT 1", ""); err == nil {
 		t.Fatal("append on failing disk must surface an error")
 	}
-	if got := s.Project(p.ID); len(got.Experiments) != 0 {
+	if got := s.Project(p.ID); len(got.Experiments) != 1 {
 		t.Fatal("failed append leaked into memory")
 	}
 	fail = false
@@ -292,11 +328,20 @@ func TestFailedAppendRejectsMutationAndLatches(t *testing.T) {
 		t.Fatalf("latched partition accepted a mutation: %v", err)
 	}
 	// A checkpoint rewrites the log from the provably intact records and
-	// heals the partition.
+	// heals the partition; the leases the failed batch left running can be
+	// completed now.
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddExperiment("martin", p.ID, "exp", "SELECT 1", ""); err != nil {
 		t.Fatalf("checkpoint did not heal the partition: %v", err)
+	}
+	for i, out := range s.CompleteTasks(key, batch) {
+		if out.Err != nil {
+			t.Fatalf("completion %d after the heal: %v", i, out.Err)
+		}
+	}
+	if len(s.Results("martin", p.ID)) != 3 || running() != 0 {
+		t.Fatal("the healed partition did not record the batch")
 	}
 }

@@ -568,6 +568,67 @@ func TestQueueTouchesNoOtherShardsLock(t *testing.T) {
 	}
 }
 
+// TestModerationLocksOnlyItsOwnShard pins that hiding or deleting a result
+// write-locks the result's shard alone: while a reader holds another shard —
+// a page being rendered, a checkpoint capturing its image — the owner still
+// moderates. Both used to write-lock every shard in turn while they looked
+// for the result id.
+func TestModerationLocksOnlyItsOwnShard(t *testing.T) {
+	s := NewStoreShards(4)
+	if _, err := s.RegisterUser("martin", "martin@example.org"); err != nil {
+		t.Fatal(err)
+	}
+	var results []*Result
+	for i := 0; i < 2; i++ { // project 1 on shard 1, project 2 on shard 2
+		p, err := s.CreateProject("martin", fmt.Sprintf("moderated-%d", i), "", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.AddExperiment("martin", p.ID, "exp", "SELECT 1", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReplaceQueries("martin", p.ID, e.ID, []QueryRecord{{ID: 1, SQL: "SELECT 1"}, {ID: 2, SQL: "SELECT 2"}}); err != nil {
+			t.Fatal(err)
+		}
+		for q := 1; q <= 2; q++ {
+			r, err := s.AddResult(p.Contributors[0].Key, e.ID, q, "vektor", "laptop", []float64{0.1}, "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, r)
+		}
+	}
+	read, locked, owner := s.shardFor(1), s.shardFor(3), s.shardFor(2)
+	if read.idx >= owner.idx || locked.idx <= owner.idx {
+		t.Fatalf("want the read shard %d before and the locked shard %d after the owner's shard %d", read.idx, locked.idx, owner.idx)
+	}
+	read.mu.RLock()
+	defer read.mu.RUnlock()
+	locked.mu.Lock()
+	defer locked.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		err := s.HideResult("martin", results[2].ID, true)
+		if err == nil {
+			err = s.DeleteResult("martin", results[3].ID)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("moderating a result of shard 2 waits for a reader of shard 1 or the writer of shard 3")
+	}
+	got := owner.results
+	if len(got) != 1 || got[0].ID != results[2].ID || !got[0].Hidden {
+		t.Fatalf("shard 2 holds %v after hiding result %d and deleting %d", got, results[2].ID, results[3].ID)
+	}
+}
+
 // TestRoutesSurviveRecovery pins that recovery rebuilds both routes — from
 // the log, from snapshots, and into a different shard count: every
 // contributor key (the owner's and an invited one) still leads to its

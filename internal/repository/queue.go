@@ -145,6 +145,24 @@ func (s *Store) RequestTasks(contributorKey string, experimentID int, dbmsKey, p
 	return leased, nil
 }
 
+// Completion is one finished task as a driver reports it: the wall-clock
+// times of the repetitions, the error when the query failed, the extra
+// indicators and, optionally, the per-operator trace.
+type Completion struct {
+	TaskID  int
+	Seconds []float64
+	Error   string
+	Extra   map[string]string
+	Trace   *trace.QueryTrace
+}
+
+// CompletionOutcome is what became of one Completion: the recorded result
+// row, or the reason it was rejected.
+type CompletionOutcome struct {
+	Result *Result
+	Err    error
+}
+
 // CompleteTask reports the outcome of a task and records the result row.
 // Completions into a lease that is no longer running — expired (expiry is
 // evaluated here too, not only on request, so a single stalled driver
@@ -155,45 +173,94 @@ func (s *Store) CompleteTask(taskID int, contributorKey string, seconds []float6
 }
 
 // CompleteTaskTraced is CompleteTask with an optional per-operator trace
-// attached to the recorded result; nil records an untraced result. The
-// status flip and the result row are one atomic WAL record: recovery can
-// never observe a completed lease without its measurement, which is what
-// makes "a crash loses no acknowledged result" provable.
+// attached to the recorded result; nil records an untraced result. It is a
+// batch of one (CompleteTasks).
 func (s *Store) CompleteTaskTraced(taskID int, contributorKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
-	sh := s.shardWithTask(taskID)
-	if sh == nil {
-		return nil, fmt.Errorf("unknown task %d", taskID)
+	out := s.CompleteTasks(contributorKey, []Completion{{TaskID: taskID, Seconds: seconds, Error: errMsg, Extra: extra, Trace: qt}})[0]
+	return out.Result, out.Err
+}
+
+// CompleteTasks records a reported batch of completions — typically the
+// tasks of one lease — and returns one outcome per completion, in order.
+// Each completion is checked as CompleteTask checks it, and a task reported
+// twice in one batch has lost its lease to its first report. A contributor
+// key belongs to one project, so the batch is recorded the way a lease is:
+// under one lock of the project's shard, as one WAL record appended and
+// synced once. The record carries, per accepted completion, the status flip
+// and the result row, so recovery knows all of the batch or none of it and
+// can never observe a completed lease without its measurement — which is
+// what makes "a crash loses no acknowledged result" provable.
+func (s *Store) CompleteTasks(contributorKey string, batch []Completion) []CompletionOutcome {
+	out := make([]CompletionOutcome, len(batch))
+	p, _, err := s.FindContributor(contributorKey)
+	if err != nil {
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
 	}
+	sh := s.shardFor(p.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.expireTasksLocked()
-	task := sh.tasks[taskID]
-	if task == nil {
-		return nil, fmt.Errorf("unknown task %d", taskID)
+	recs := make([]walTaskComplete, 0, len(batch))
+	var accepted []int // positions in batch of the recorded completions
+	seen := map[int]bool{}
+	for i, c := range batch {
+		rec, err := sh.completionLocked(contributorKey, c, seen[c.TaskID])
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		seen[c.TaskID] = true
+		recs = append(recs, rec)
+		accepted = append(accepted, i)
 	}
-	if task.ContributorKey != contributorKey {
-		return nil, fmt.Errorf("task %d belongs to a different contributor", taskID)
+	if len(recs) == 0 {
+		return out
 	}
-	if task.Status != TaskRunning {
-		return nil, fmt.Errorf("task %d is %s, not running: %w", taskID, task.Status, ErrLeaseLost)
+	if err := sh.logApply(opTaskComplete, recs); err != nil {
+		for _, i := range accepted {
+			out[i].Err = err
+		}
+		return out
+	}
+	// apply appended the results in record order.
+	results := sh.results[len(sh.results)-len(recs):]
+	for j, i := range accepted {
+		out[i].Result = results[j]
+	}
+	return out
+}
+
+// completionLocked checks one completion against the shard and builds its
+// record; the shard lock is held. reported says the task was already
+// accepted earlier in the same batch.
+func (sh *shard) completionLocked(contributorKey string, c Completion, reported bool) (walTaskComplete, error) {
+	task := sh.tasks[c.TaskID]
+	switch {
+	case task == nil:
+		return walTaskComplete{}, fmt.Errorf("unknown task %d", c.TaskID)
+	case task.ContributorKey != contributorKey:
+		return walTaskComplete{}, fmt.Errorf("task %d belongs to a different contributor", c.TaskID)
+	case reported:
+		return walTaskComplete{}, fmt.Errorf("task %d is reported twice in one batch: %w", c.TaskID, ErrLeaseLost)
+	case task.Status != TaskRunning:
+		return walTaskComplete{}, fmt.Errorf("task %d is %s, not running: %w", c.TaskID, task.Status, ErrLeaseLost)
 	}
 	p := sh.projects[task.ProjectID]
 	if p == nil {
-		return nil, fmt.Errorf("unknown project %d", task.ProjectID)
+		return walTaskComplete{}, fmt.Errorf("unknown project %d", task.ProjectID)
 	}
-	r, err := s.buildResultLocked(sh, p, contributorKey, task.ExperimentID, task.QueryID, task.DBMSKey, task.PlatformKey, seconds, errMsg, extra, qt)
+	r, err := sh.store.buildResultLocked(sh, p, contributorKey, task.ExperimentID, task.QueryID, task.DBMSKey, task.PlatformKey, c.Seconds, c.Error, c.Extra, c.Trace)
 	if err != nil {
-		return nil, err
+		return walTaskComplete{}, err
 	}
 	status := TaskDone
-	if errMsg != "" {
+	if c.Error != "" {
 		status = TaskFailed
 	}
-	rec := walTaskComplete{TaskID: taskID, Status: status, Finished: s.now(), Result: r}
-	if err := sh.logApply(opTaskComplete, rec); err != nil {
-		return nil, err
-	}
-	return sh.results[len(sh.results)-1], nil
+	return walTaskComplete{TaskID: c.TaskID, Status: status, Finished: sh.store.now(), Result: r}, nil
 }
 
 // shardWithTask returns the shard holding the task, or nil. The route is

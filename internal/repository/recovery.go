@@ -279,15 +279,24 @@ func (ld *loader) replay(part string, rec walRecord) error {
 			ld.bump(&ld.maxTask, t.ID)
 		}
 	case opTaskComplete:
-		var v walTaskComplete
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
+		batch, err := decodeCompletions(rec.Data)
+		if err != nil {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
-		if v.Result != nil {
-			sh = s.shardFor(v.Result.ProjectID)
-			ld.bump(&ld.maxResult, v.Result.ID)
+		if len(batch) == 0 {
+			return nil
+		}
+		// A completion batch always covers a single project: it was reported
+		// with one contributor key.
+		if r := batch[0].Result; r != nil {
+			sh = s.shardFor(r.ProjectID)
 		} else {
-			sh = s.shardWithTask(v.TaskID)
+			sh = s.shardWithTask(batch[0].TaskID)
+		}
+		for _, v := range batch {
+			if v.Result != nil {
+				ld.bump(&ld.maxResult, v.Result.ID)
+			}
 		}
 	case opTaskKill:
 		var v walTaskKill
@@ -334,18 +343,6 @@ func (ld *loader) replay(part string, rec walRecord) error {
 		return fmt.Errorf("%s record references unknown state", rec.Op)
 	}
 	return sh.apply(rec)
-}
-
-// shardWithResult returns the shard holding the result, or nil.
-func (s *Store) shardWithResult(resultID int) *shard {
-	for _, sh := range s.shards {
-		for _, r := range sh.results {
-			if r.ID == resultID {
-				return sh
-			}
-		}
-	}
-	return nil
 }
 
 // finish installs the recovered high-water marks into the store's

@@ -664,42 +664,33 @@ func (s *Store) Results(viewer string, projectID int) []*Result {
 
 // HideResult toggles the hidden flag of a result; owner only.
 func (s *Store) HideResult(requester string, resultID int, hidden bool) error {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, r := range sh.results {
-			if r.ID == resultID {
-				if sh.roleOfLocked(requester, r.ProjectID) != RoleOwner {
-					sh.mu.Unlock()
-					return fmt.Errorf("only the project owner can moderate results")
-				}
-				err := sh.logApply(opResultHide, walResultMod{ResultID: resultID, Hidden: hidden})
-				sh.mu.Unlock()
-				return err
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return fmt.Errorf("unknown result %d", resultID)
+	return s.moderate(requester, opResultHide, walResultMod{ResultID: resultID, Hidden: hidden})
 }
 
 // DeleteResult removes a result, e.g. when a re-run is required; owner only.
 func (s *Store) DeleteResult(requester string, resultID int) error {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, r := range sh.results {
-			if r.ID == resultID {
-				if sh.roleOfLocked(requester, r.ProjectID) != RoleOwner {
-					sh.mu.Unlock()
-					return fmt.Errorf("only the project owner can moderate results")
-				}
-				err := sh.logApply(opResultDelete, walResultMod{ResultID: resultID})
-				sh.mu.Unlock()
-				return err
-			}
-		}
-		sh.mu.Unlock()
+	return s.moderate(requester, opResultDelete, walResultMod{ResultID: resultID})
+}
+
+// moderate logs an owner's moderation of a result. The owning shard is found
+// under read locks (shardWithResult) and is the only one write-locked; the
+// row is looked for again there, since a concurrent deletion may have
+// removed it in between.
+func (s *Store) moderate(requester, op string, mod walResultMod) error {
+	sh := s.shardWithResult(mod.ResultID)
+	if sh == nil {
+		return fmt.Errorf("unknown result %d", mod.ResultID)
 	}
-	return fmt.Errorf("unknown result %d", resultID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	i := sh.resultPos(mod.ResultID)
+	if i < 0 {
+		return fmt.Errorf("unknown result %d", mod.ResultID)
+	}
+	if sh.roleOfLocked(requester, sh.results[i].ProjectID) != RoleOwner {
+		return fmt.Errorf("only the project owner can moderate results")
+	}
+	return sh.logApply(op, mod)
 }
 
 // --- comments ---------------------------------------------------------------

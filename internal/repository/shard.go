@@ -168,25 +168,20 @@ func (sh *shard) apply(rec walRecord) error {
 		if err := json.Unmarshal(rec.Data, &v); err != nil {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
-		for i, r := range sh.results {
-			if r.ID == v.ResultID {
-				flipped := *r
-				flipped.Hidden = v.Hidden
-				sh.results = spliceResults(sh.results, i, &flipped)
-				break
-			}
+		if i := sh.resultPos(v.ResultID); i >= 0 {
+			flipped := *sh.results[i]
+			flipped.Hidden = v.Hidden
+			sh.results = spliceResults(sh.results, i, &flipped)
 		}
 	case opResultDelete:
 		var v walResultMod
 		if err := json.Unmarshal(rec.Data, &v); err != nil {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
-		for i, r := range sh.results {
-			if r.ID == v.ResultID {
-				sh.results = spliceResults(sh.results, i, nil)
-				sh.uncover(r.ProjectID, r.ExperimentID, r.DBMSKey, r.PlatformKey, r.QueryID)
-				break
-			}
+		if i := sh.resultPos(v.ResultID); i >= 0 {
+			r := sh.results[i]
+			sh.results = spliceResults(sh.results, i, nil)
+			sh.uncover(r.ProjectID, r.ExperimentID, r.DBMSKey, r.PlatformKey, r.QueryID)
 		}
 	case opComment:
 		var c Comment
@@ -203,17 +198,19 @@ func (sh *shard) apply(rec walRecord) error {
 			sh.indexTask(t)
 		}
 	case opTaskComplete:
-		var v walTaskComplete
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
+		batch, err := decodeCompletions(rec.Data)
+		if err != nil {
 			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
 		}
-		// The result first: a failed task gives its slot up, and the slot
-		// must not look free in between.
-		if v.Result != nil {
-			sh.indexResult(v.Result)
-		}
-		if t := sh.tasks[v.TaskID]; t != nil {
-			sh.settleTask(t, v.Status, v.Finished)
+		for _, v := range batch {
+			// The result first: a failed task gives its slot up, and the slot
+			// must not look free in between.
+			if v.Result != nil {
+				sh.indexResult(v.Result)
+			}
+			if t := sh.tasks[v.TaskID]; t != nil {
+				sh.settleTask(t, v.Status, v.Finished)
+			}
 		}
 	case opTaskKill:
 		var v walTaskKill
@@ -258,6 +255,33 @@ func (sh *shard) projectByNameLocked(name string) *Project {
 		}
 	}
 	return nil
+}
+
+// shardWithResult returns the shard holding the result, or nil. Each shard
+// is searched under its read lock only: a result never leaves the shard of
+// its project, so the owner found stays the owner.
+func (s *Store) shardWithResult(resultID int) *shard {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		found := sh.resultPos(resultID) >= 0
+		sh.mu.RUnlock()
+		if found {
+			return sh
+		}
+	}
+	return nil
+}
+
+// resultPos returns the position of the result with the given id in the
+// shard's results, or -1; the caller holds the shard lock, shared or
+// exclusive.
+func (sh *shard) resultPos(resultID int) int {
+	for i, r := range sh.results {
+		if r.ID == resultID {
+			return i
+		}
+	}
+	return -1
 }
 
 // spliceResults returns a copy of results with the row at position i

@@ -44,7 +44,7 @@ const (
 	opResultDelete   = "result-delete"   // walResultMod
 	opComment        = "comment"         // Comment
 	opTaskLease      = "task-lease"      // []*Task (one record per leased batch)
-	opTaskComplete   = "task-complete"   // walTaskComplete (status flip + result, atomically)
+	opTaskComplete   = "task-complete"   // []walTaskComplete (one record per reported batch; status flips + results, atomically)
 	opTaskKill       = "task-kill"       // walTaskKill
 )
 
@@ -103,6 +103,20 @@ type walTaskComplete struct {
 	Status   TaskStatus `json:"status"`
 	Finished time.Time  `json:"finished"`
 	Result   *Result    `json:"result"`
+}
+
+// decodeCompletions decodes a task-complete payload: the list one reported
+// batch logs, or the single object of a log written before completions were
+// reported in batches.
+func decodeCompletions(data json.RawMessage) ([]walTaskComplete, error) {
+	if len(data) > 0 && data[0] == '{' {
+		var v walTaskComplete
+		err := json.Unmarshal(data, &v)
+		return []walTaskComplete{v}, err
+	}
+	var batch []walTaskComplete
+	err := json.Unmarshal(data, &batch)
+	return batch, err
 }
 
 type walTaskKill struct {

@@ -2,6 +2,7 @@ package repository
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,12 +102,17 @@ type goldenRun struct {
 	// readyAt is the record count from which project+experiment+queries
 	// exist, i.e. from which the queue can be drained.
 	readyAt int
+	// batch holds the result ids of the reported batch, logged as record
+	// number batchRecord.
+	batch       []int
+	batchRecord int
 }
 
 // runGoldenWorkload drives one project through its life cycle on a durable
 // single-shard store: catalog edits, batch leases, completions (successful
-// and failed), moderation, a kill, and leases still in flight at the end.
-// Every step is exactly one shard-WAL record.
+// and failed, single and a reported batch with a lost lease in it),
+// moderation, a kill, and a lease still in flight at the end. Every step is
+// exactly one shard-WAL record.
 func runGoldenWorkload(t *testing.T, s *Store) *goldenRun {
 	t.Helper()
 	g := &goldenRun{owner: "martin", dbms: "mariadb", platform: "jetson"}
@@ -144,9 +150,9 @@ func runGoldenWorkload(t *testing.T, s *Store) *goldenRun {
 	}))
 	g.readyAt = len(g.resultsAt)
 	must(s.AppendQueries("martin", p.ID, e.ID, []QueryRecord{ // record 4
-		{ID: 5, SQL: "SELECT 5"}, {ID: 6, SQL: "SELECT 6"},
+		{ID: 5, SQL: "SELECT 5"}, {ID: 6, SQL: "SELECT 6"}, {ID: 7, SQL: "SELECT 7"},
 	}))
-	g.queryIDs = []int{1, 2, 3, 4, 5, 6}
+	g.queryIDs = []int{1, 2, 3, 4, 5, 6, 7}
 	driverKey, err := s.Invite("martin", p.ID, "ying")
 	step(nil, err)                                                                    // record 5
 	must(s.ReferenceCatalogs("martin", p.ID, []string{g.dbms}, []string{g.platform})) // record 6
@@ -183,11 +189,29 @@ func runGoldenWorkload(t *testing.T, s *Store) *goldenRun {
 	complete(batch[0], "")                       // record 13: result for query 3
 	must(s.HideResult("martin", first.ID, true)) // record 14
 	must(s.KillTask("martin", batch[1].ID))      // record 15: query 4 slot free again
-	batch = lease(10)                            // record 16: queries 4,5,6
-	if len(batch) != 3 {
-		t.Fatalf("leased %d tasks, want 3", len(batch))
+	batch = lease(10)                            // record 16: queries 4,5,6,7
+	if len(batch) != 4 {
+		t.Fatalf("leased %d tasks, want 4", len(batch))
 	}
-	complete(batch[1], "") // record 17: result for query 5; leases on 4 and 6 still running
+	complete(batch[1], "") // record 17: result for query 5
+
+	// Record 18: one reported batch — queries 4 and 6, and query 5 again,
+	// whose lease the completion above spent. The record carries the two
+	// valid completions; the lease on query 7 is still running at the end.
+	var reported []Completion
+	for _, task := range batch[:3] {
+		reported = append(reported, Completion{TaskID: task.ID, Seconds: []float64{0.3}})
+	}
+	outs := s.CompleteTasks(driverKey, reported)
+	for i, out := range outs {
+		if lost := i == 1; lost != errors.Is(out.Err, ErrLeaseLost) || lost != (out.Result == nil) {
+			t.Fatalf("batch item %d: %v, %v", i, out.Result, out.Err)
+		}
+	}
+	g.batch = []int{outs[0].Result.ID, outs[2].Result.ID}
+	acked = append(acked, g.batch...)
+	g.batchRecord = len(g.resultsAt) + 1
+	g.resultsAt = append(g.resultsAt, append([]int(nil), acked...))
 	return g
 }
 
@@ -236,6 +260,20 @@ func sameIDs(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// countIDs counts the ids of want that occur in got.
+func countIDs(got, want []int) int {
+	n := 0
+	for _, id := range want {
+		for _, g := range got {
+			if g == id {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // assertNoDoubleLease checks the direct invariant on the recovered state:
@@ -358,8 +396,18 @@ func TestCrashAtEveryWALRecordBoundary(t *testing.T) {
 				t.Fatalf("crash point %d bytes (record %d): recovery failed: %v", cut, k, err)
 			}
 			want := expectAt(k)
-			if got := resultIDs(recovered, g); !sameIDs(got, want) {
+			got := resultIDs(recovered, g)
+			if !sameIDs(got, want) {
 				t.Fatalf("crash point %d bytes (record %d): recovered results %v, want %v", cut, k, got, want)
+			}
+			// The reported batch is all or nothing: no cut inside its record
+			// recovers part of it.
+			wantBatch := 0
+			if k >= g.batchRecord {
+				wantBatch = len(g.batch)
+			}
+			if n := countIDs(got, g.batch); n != wantBatch {
+				t.Fatalf("crash point %d bytes (record %d): %d of the reported batch's results recovered, want %d", cut, k, n, wantBatch)
 			}
 			assertNoDoubleLease(t, recovered, g)
 			if k >= g.readyAt {

@@ -1,0 +1,191 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"sqalpel/internal/repository"
+)
+
+// completeFixture is a server on an in-memory store with one project of four
+// queries: its owner holds the lease of tasks 1 and 2, an invited
+// contributor the lease of tasks 3 and 4. Contributor keys are random, so a
+// request body names them as $OWNER and $OTHER.
+type completeFixture struct {
+	srv          *Server
+	store        *repository.Store
+	project      int
+	owner, other string
+}
+
+func newCompleteFixture(tb testing.TB) *completeFixture {
+	tb.Helper()
+	store := repository.NewStore()
+	must := func(err error) {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, nick := range []string{"martin", "ying"} {
+		_, err := store.RegisterUser(nick, nick+"@example.org")
+		must(err)
+	}
+	p, err := store.CreateProject("martin", "completions", "", true)
+	must(err)
+	other, err := store.Invite("martin", p.ID, "ying")
+	must(err)
+	e, err := store.AddExperiment("martin", p.ID, "exp", "SELECT 1", "")
+	must(err)
+	var pool []repository.QueryRecord
+	for q := 1; q <= 4; q++ {
+		pool = append(pool, repository.QueryRecord{ID: q, SQL: fmt.Sprintf("SELECT %d", q)})
+	}
+	must(store.ReplaceQueries("martin", p.ID, e.ID, pool))
+	fx := &completeFixture{srv: New(Options{Store: store}), store: store, project: p.ID, owner: p.Contributors[0].Key, other: other}
+	for i, key := range []string{fx.owner, fx.other} {
+		tasks, err := store.RequestTasks(key, e.ID, "vektor", "laptop", 2)
+		must(err)
+		if len(tasks) != 2 || tasks[0].ID != 2*i+1 || tasks[1].ID != 2*i+2 {
+			tb.Fatalf("lease %d: %v", i, tasks)
+		}
+	}
+	return fx
+}
+
+// post sends a body to /api/task/complete, keys substituted.
+func (fx *completeFixture) post(body string) (int, []byte) {
+	body = strings.NewReplacer("$OWNER", fx.owner, "$OTHER", fx.other).Replace(body)
+	w := httptest.NewRecorder()
+	fx.srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/task/complete", strings.NewReader(body)))
+	return w.Code, w.Body.Bytes()
+}
+
+func (fx *completeFixture) results() int { return len(fx.store.Results("martin", fx.project)) }
+
+// batchStatuses decodes the batch form's answer into its statuses.
+func batchStatuses(tb testing.TB, reply []byte) []int {
+	tb.Helper()
+	var resp struct {
+		Results []completionResult `json:"results"`
+	}
+	if err := json.Unmarshal(reply, &resp); err != nil {
+		tb.Fatalf("batch reply %s: %v", reply, err)
+	}
+	var out []int
+	for _, r := range resp.Results {
+		out = append(out, r.Status)
+	}
+	return out
+}
+
+// TestTaskCompleteBatch drives both forms of /api/task/complete: a batch
+// whose items land, fail, repeat, belong to someone else or do not exist is
+// answered item by item; a bad trace anywhere rejects the whole report; the
+// single-task form keeps its wire format.
+func TestTaskCompleteBatch(t *testing.T) {
+	fx := newCompleteFixture(t)
+	status, reply := fx.post(`{"key":"$OWNER","tasks":[
+		{"task_id":1,"seconds":[0.1]},
+		{"task_id":2,"seconds":[],"error":"syntax error"},
+		{"task_id":1,"seconds":[0.2]},
+		{"task_id":3,"seconds":[0.1]},
+		{"task_id":99,"seconds":[0.1]}]}`)
+	want := []int{201, 201, 409, 403, 403}
+	if got := batchStatuses(t, reply); status != http.StatusOK || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("mixed batch = %d %v, want 200 %v", status, got, want)
+	}
+	if fx.results() != 2 {
+		t.Fatalf("%d results after the mixed batch, want 2", fx.results())
+	}
+
+	// A bad trace rejects the report before anything is recorded.
+	if status, _ := fx.post(`{"key":"$OTHER","tasks":[{"task_id":3,"seconds":[0.1]},{"task_id":4,"seconds":[0.1],"trace":"not-a-trace"}]}`); status != http.StatusBadRequest {
+		t.Errorf("batch with a bad trace = %d, want 400", status)
+	}
+	if fx.results() != 2 {
+		t.Fatalf("a rejected batch recorded results: %d", fx.results())
+	}
+	// So does a body that mixes the two forms.
+	if status, _ := fx.post(`{"key":"$OTHER","task_id":3,"tasks":[{"task_id":4}]}`); status != http.StatusBadRequest {
+		t.Errorf("mixed-form body = %d, want 400", status)
+	}
+
+	// A traced item lands with its trace.
+	status, reply = fx.post(`{"key":"$OTHER","tasks":[{"task_id":3,"seconds":[0.1],"trace":{"schema_version":1,"spans":[{"op":"scan.0","kind":"scan","wall_ns":5,"rows":1}]}}]}`)
+	if got := batchStatuses(t, reply); status != http.StatusOK || len(got) != 1 || got[0] != 201 {
+		t.Fatalf("traced batch = %d %s", status, reply)
+	}
+	traced := 0
+	for _, r := range fx.store.Results("martin", fx.project) {
+		if r.Trace != nil && r.Trace.Span("scan.0") != nil {
+			traced++
+		}
+	}
+	if traced != 1 {
+		t.Errorf("%d results carry the reported trace, want 1", traced)
+	}
+
+	// The single-task form: 201 with the result row, then 409, and 403 for
+	// a wrong key.
+	status, reply = fx.post(`{"key":"$OTHER","task_id":4,"seconds":[0.3],"error":""}`)
+	var row repository.Result
+	if err := json.Unmarshal(reply, &row); status != http.StatusCreated || err != nil || row.QueryID != 4 || row.Seconds[0] != 0.3 {
+		t.Fatalf("single completion = %d %s", status, reply)
+	}
+	if status, _ := fx.post(`{"key":"$OTHER","task_id":4,"seconds":[0.3]}`); status != http.StatusConflict {
+		t.Errorf("single completion of a spent lease = %d, want 409", status)
+	}
+	if status, _ := fx.post(`{"key":"wrong","task_id":4,"seconds":[0.3]}`); status != http.StatusForbidden {
+		t.Errorf("single completion with a wrong key = %d, want 403", status)
+	}
+	if fx.results() != 4 {
+		t.Errorf("%d results, want 4: one per task", fx.results())
+	}
+}
+
+// FuzzTaskComplete feeds arbitrary bodies to /api/task/complete on a store
+// holding leased tasks. The handler must not panic, must answer 200, 201,
+// 400, 403 or 409 — 201, 403 or 409 per item of a batch — and must record
+// exactly one result per 201 and never two results for one task.
+func FuzzTaskComplete(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fx := newCompleteFixture(t)
+		status, reply := fx.post(string(body))
+		created := 0
+		switch status {
+		case http.StatusCreated:
+			created = 1
+		case http.StatusOK:
+			for _, s := range batchStatuses(t, reply) {
+				switch s {
+				case http.StatusCreated:
+					created++
+				case http.StatusForbidden, http.StatusConflict:
+				default:
+					t.Fatalf("batch item answered %d: %s", s, reply)
+				}
+			}
+		case http.StatusBadRequest, http.StatusForbidden, http.StatusConflict:
+		default:
+			t.Fatalf("answered %d: %s", status, reply)
+		}
+		results := fx.store.Results("martin", fx.project)
+		if len(results) != created {
+			t.Fatalf("%d results recorded for %d created completions", len(results), created)
+		}
+		// Every task leases its own query on one lane: a query with two
+		// results is a task with two results.
+		seen := map[int]bool{}
+		for _, r := range results {
+			if seen[r.QueryID] {
+				t.Fatalf("query %d has two results", r.QueryID)
+			}
+			seen[r.QueryID] = true
+		}
+	})
+}

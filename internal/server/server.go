@@ -3,7 +3,8 @@
 // public and private performance projects, experiments with their grammars
 // and query pools, the contribution protocol used by the experiment driver
 // (request a task — singly or as a leased batch via the request's `max`
-// field — and report a result), the raw results table and the built-in
+// field — and report results, singly or the leased batch at once via the
+// report's `tasks` field), the raw results table and the built-in
 // analytics. JSON endpoints live under /api/; server-side rendered HTML
 // pages (see webui.go) cover the demo's screens.
 package server
@@ -753,43 +754,104 @@ func (s *Server) handleTaskRequest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tasks[0])
 }
 
+// completionItem is one finished task as a driver reports it: the whole body
+// of the single-task form of /api/task/complete, one element of the batch
+// form's tasks.
+type completionItem struct {
+	TaskID  int               `json:"task_id"`
+	Seconds []float64         `json:"seconds"`
+	Error   string            `json:"error"`
+	Extra   map[string]string `json:"extra"`
+	// Trace optionally carries the driver's per-operator span tree as a
+	// trace.QueryTrace document; it is stored on the result row.
+	Trace json.RawMessage `json:"trace"`
+}
+
+// completion parses the item's trace and returns the item as the store
+// records it.
+func (it *completionItem) completion() (repository.Completion, error) {
+	c := repository.Completion{TaskID: it.TaskID, Seconds: it.Seconds, Error: it.Error, Extra: it.Extra}
+	if len(it.Trace) > 0 && string(it.Trace) != "null" {
+		qt, err := trace.ParseTrace(it.Trace)
+		if err != nil {
+			return c, fmt.Errorf("invalid trace of task %d: %w", it.TaskID, err)
+		}
+		c.Trace = qt
+	}
+	return c, nil
+}
+
+// completionStatus is the HTTP status of one completion's outcome. A lost
+// lease (expired and re-queued, killed, or already completed) is a normal
+// race in the multi-driver scenario, not an authorization failure; 409 tells
+// the driver to drop the result and carry on.
+func completionStatus(err error) int {
+	switch {
+	case err == nil:
+		return http.StatusCreated
+	case errors.Is(err, repository.ErrLeaseLost):
+		return http.StatusConflict
+	default:
+		return http.StatusForbidden
+	}
+}
+
+// completionResult is the batch form's answer for one reported task.
+type completionResult struct {
+	TaskID int    `json:"task_id"`
+	Status int    `json:"status"`
+	Error  string `json:"error,omitempty"`
+}
+
 func (s *Server) handleTaskComplete(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Key     string            `json:"key"`
-		TaskID  int               `json:"task_id"`
-		Seconds []float64         `json:"seconds"`
-		Error   string            `json:"error"`
-		Extra   map[string]string `json:"extra"`
-		// Trace optionally carries the driver's per-operator span tree as a
-		// trace.QueryTrace document; it is stored on the result row.
-		Trace json.RawMessage `json:"trace"`
+		Key string `json:"key"`
+		completionItem
+		// Tasks switches to the batch form: the tasks of a lease reported in
+		// one round trip, recorded as one batch and answered with
+		// {"results": [...]}, one status per task. Absent keeps the
+		// single-task wire format.
+		Tasks []completionItem `json:"tasks"`
 	}
 	if err := decodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var qt *trace.QueryTrace
-	if len(req.Trace) > 0 && string(req.Trace) != "null" {
-		parsed, err := trace.ParseTrace(req.Trace)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid trace: %w", err))
-			return
-		}
-		qt = parsed
-	}
-	res, err := s.store.CompleteTaskTraced(req.TaskID, req.Key, req.Seconds, req.Error, req.Extra, qt)
-	if err != nil {
-		// A lost lease (expired and re-queued, or killed) is a normal race
-		// in the multi-driver scenario, not an authorization failure; 409
-		// tells the driver to drop the result and carry on.
-		if errors.Is(err, repository.ErrLeaseLost) {
-			writeError(w, http.StatusConflict, err)
-			return
-		}
-		writeError(w, http.StatusForbidden, err)
+	items := req.Tasks
+	if items == nil {
+		items = []completionItem{req.completionItem}
+	} else if req.TaskID != 0 || req.Seconds != nil || req.Error != "" || req.Extra != nil || req.Trace != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("a completion carries either task_id or tasks, not both"))
 		return
 	}
-	writeJSON(w, http.StatusCreated, res)
+	// Every trace is parsed before anything is recorded: a malformed one
+	// rejects the whole report.
+	batch := make([]repository.Completion, len(items))
+	for i := range items {
+		c, err := items[i].completion()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		batch[i] = c
+	}
+	outcomes := s.store.CompleteTasks(req.Key, batch)
+	if req.Tasks == nil {
+		if out := outcomes[0]; out.Err != nil {
+			writeError(w, completionStatus(out.Err), out.Err)
+		} else {
+			writeJSON(w, http.StatusCreated, out.Result)
+		}
+		return
+	}
+	results := make([]completionResult, len(outcomes))
+	for i, out := range outcomes {
+		results[i] = completionResult{TaskID: items[i].TaskID, Status: completionStatus(out.Err)}
+		if out.Err != nil {
+			results[i].Error = out.Err.Error()
+		}
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"results": results})
 }
 
 // --- analytics ------------------------------------------------------------------
