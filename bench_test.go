@@ -457,7 +457,7 @@ func BenchmarkEnginesTPCH(b *testing.B) {
 	for _, eng := range engine.NewRegistry().Engines() {
 		eng := eng
 		b.Run(engine.EngineKey(eng.Name(), eng.Version()), func(b *testing.B) {
-			opts := engine.ExecOptions{Timeout: time.Minute}
+			opts := engine.ExecOptions{}
 			for i := 0; i < b.N; i++ {
 				for _, q := range workload.TPCH() {
 					if _, err := eng.Execute(db, q.SQL, opts); err != nil {
@@ -479,7 +479,7 @@ func BenchmarkInterpreterPass(b *testing.B) {
 	for _, key := range []string{"tuplestore-1.0", "columba-2.0"} {
 		eng := reg.Get(key)
 		b.Run(key, func(b *testing.B) {
-			opts := engine.ExecOptions{Timeout: time.Minute}
+			opts := engine.ExecOptions{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, q := range workload.TPCH() {
@@ -518,7 +518,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("query-disabled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Execute(db, q6.SQL, engine.ExecOptions{Timeout: time.Minute}); err != nil {
+			if _, err := eng.Execute(db, q6.SQL, engine.ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -527,7 +527,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tr := trace.NewTracer()
-			if _, err := eng.Execute(db, q6.SQL, engine.ExecOptions{Timeout: time.Minute, Tracer: tr}); err != nil {
+			if _, err := eng.Execute(db, q6.SQL, engine.ExecOptions{Tracer: tr}); err != nil {
 				b.Fatal(err)
 			}
 			if qt := tr.Trace("vektor-1.0"); len(qt.Spans) == 0 {
@@ -548,7 +548,7 @@ func BenchmarkEnginesQ1(b *testing.B) {
 		eng := reg.Get(key)
 		b.Run(key, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Execute(db, q1.SQL, engine.ExecOptions{Timeout: time.Minute}); err != nil {
+				if _, err := eng.Execute(db, q1.SQL, engine.ExecOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -566,7 +566,7 @@ func BenchmarkEnginesQ1(b *testing.B) {
 func BenchmarkPlanCache(b *testing.B) {
 	db := datagen.TPCH(datagen.TPCHOptions{ScaleFactor: 0.0002, Seed: 11})
 	q19, _ := workload.TPCHQuery("Q19")
-	opts := engine.ExecOptions{Timeout: time.Minute}
+	opts := engine.ExecOptions{}
 
 	b.Run("cached", func(b *testing.B) {
 		eng := engine.NewColEngine()
@@ -641,7 +641,7 @@ func BenchmarkParadigmsScanAggregation(b *testing.B) {
 			b.Run(tc.name+"/"+p.name, func(b *testing.B) {
 				var rows int
 				for i := 0; i < b.N; i++ {
-					res, err := p.eng.Execute(tc.db, tc.sql, engine.ExecOptions{Timeout: time.Minute})
+					res, err := p.eng.Execute(tc.db, tc.sql, engine.ExecOptions{})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -43,9 +43,14 @@ import (
 // concurrency-safe, so an EngineTarget is safe for concurrent use by the
 // scheduler's worker pool; repeated repetitions of one query share a single
 // cached logical plan, keeping the measured timings free of front-end work.
+// An execution runs on the caller's goroutine and stops mid-query when its
+// context is cancelled or its time budget runs out.
 type EngineTarget struct {
-	Engine  engine.Engine
-	DB      *engine.Database
+	Engine engine.Engine
+	DB     *engine.Database
+	// Timeout bounds every execution (context.WithTimeout on the caller's
+	// context): an execution past it fails with plan.ErrTimeBudget. Zero
+	// leaves the caller's context alone.
 	Timeout time.Duration
 	// Parallelism is the intra-query morsel worker cap forwarded to every
 	// execution (engines without morsel support ignore it); 0 or 1 runs
@@ -63,49 +68,24 @@ func (t *EngineTarget) SetTrace(on bool) { t.Trace = on }
 
 // Run executes the query once.
 func (t *EngineTarget) Run(query string) (int, map[string]string, error) {
-	return t.run(query, engine.ExecOptions{Timeout: t.Timeout, Parallelism: t.Parallelism})
+	return t.RunContext(context.Background(), query)
 }
 
-// RunContext executes the query once, tightening the engine timeout to the
-// context deadline; it implements metrics.ContextTarget. A plain
-// cancellation (no deadline) also returns promptly: the engines cannot be
-// interrupted mid-query, so the abandoned execution finishes on its own
-// goroutine — reading the immutable database, bounded by the engine
-// timeout when one is set — and its result is discarded.
+// RunContext executes the query once on the caller's goroutine, under the
+// context tightened by the target's Timeout; it implements
+// metrics.ContextTarget. The engine polls that context mid-query, so a
+// cancellation or an expired deadline stops the execution, and RunContext
+// returns only once it has stopped.
 func (t *EngineTarget) RunContext(ctx context.Context, query string) (int, map[string]string, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	opts := engine.ExecOptions{Timeout: t.Timeout, Parallelism: t.Parallelism}
-	if deadline, ok := ctx.Deadline(); ok {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			// An expired deadline must not degrade into "no engine timeout".
-			return 0, nil, context.DeadlineExceeded
-		}
-		if opts.Timeout == 0 || remaining < opts.Timeout {
-			opts.Timeout = remaining
-		}
+	if t.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, t.Timeout)
+		defer cancel()
 	}
-	type execResult struct {
-		rows  int
-		extra map[string]string
-		err   error
-	}
-	done := make(chan execResult, 1)
-	go func() {
-		rows, extra, err := t.run(query, opts)
-		done <- execResult{rows, extra, err}
-	}()
-	select {
-	case r := <-done:
-		return r.rows, r.extra, r.err
-	case <-ctx.Done():
-		return 0, nil, ctx.Err()
-	}
-}
-
-func (t *EngineTarget) run(query string, opts engine.ExecOptions) (int, map[string]string, error) {
+	opts := engine.ExecOptions{Context: ctx, Parallelism: t.Parallelism}
 	var tr *trace.Tracer
 	if t.Trace {
 		tr = trace.NewTracer()

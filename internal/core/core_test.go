@@ -3,13 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sqalpel/internal/datagen"
 	"sqalpel/internal/engine"
 	"sqalpel/internal/metrics"
+	"sqalpel/internal/plan"
 	"sqalpel/internal/workload"
 )
 
@@ -313,4 +317,43 @@ func TestEngineTargetRunContext(t *testing.T) {
 		t.Error("cancelled context should refuse to execute")
 	}
 	var _ metrics.ContextTarget = target
+}
+
+// inflightEngine counts the executions of the wrapped engine that have not
+// returned yet and signals the first one's start.
+type inflightEngine struct {
+	engine.Engine
+	inflight atomic.Int32
+	started  chan struct{}
+	once     sync.Once
+}
+
+func (e *inflightEngine) Execute(db *engine.Database, sql string, opts engine.ExecOptions) (*engine.Result, error) {
+	e.inflight.Add(1)
+	defer e.inflight.Add(-1)
+	e.once.Do(func() { close(e.started) })
+	return e.Engine.Execute(db, sql, opts)
+}
+
+// TestRunContextStopsTheExecution: cancelling RunContext mid-query stops
+// the execution itself — when RunContext returns, no execution is left
+// running behind it to compete with the next repetition for a core.
+func TestRunContextStopsTheExecution(t *testing.T) {
+	eng := &inflightEngine{Engine: engine.NewColEngine(), started: make(chan struct{})}
+	target := &EngineTarget{Engine: eng, DB: smallTPCH, Timeout: 30 * time.Second}
+	// A correlated sub-query per part: tens of milliseconds on columba.
+	sql := "SELECT count(*) FROM part p WHERE p.p_size < (SELECT count(*) FROM lineitem l WHERE l.l_partkey = p.p_partkey)"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-eng.started
+		cancel()
+	}()
+	_, _, err := target.RunContext(ctx, sql)
+	if n := eng.inflight.Load(); n != 0 {
+		t.Errorf("%d executions still running after RunContext returned", n)
+	}
+	if !errors.Is(err, plan.ErrCancelled) {
+		t.Errorf("cancelled RunContext: error %v, want %v", err, plan.ErrCancelled)
+	}
 }

@@ -54,7 +54,7 @@ func TestTPCHDeterminism(t *testing.T) {
 		t.Fatalf("row counts differ: %d vs %d", ta.NumRows(), tb.NumRows())
 	}
 	for i := 0; i < 100 && i < ta.NumRows(); i++ {
-		for c := 0; c < ta.NumColumns(); c++ {
+		for c := range ta.Columns {
 			if ta.Value(i, c).String() != tb.Value(i, c).String() {
 				t.Fatalf("row %d col %d differs: %s vs %s", i, c, ta.Value(i, c), tb.Value(i, c))
 			}
@@ -222,7 +222,7 @@ func TestFuzzDeterminism(t *testing.T) {
 	b := Fuzz(FuzzOptions{Rows: 200, Seed: 7})
 	ta, tb := a.Table("t"), b.Table("t")
 	for i := 0; i < ta.NumRows(); i++ {
-		for c := 0; c < ta.NumColumns(); c++ {
+		for c := range ta.Columns {
 			va, vb := ta.Value(i, c), tb.Value(i, c)
 			if va != vb {
 				t.Fatalf("row %d col %d differs between identical seeds: %v vs %v", i, c, va, vb)
@@ -233,7 +233,7 @@ func TestFuzzDeterminism(t *testing.T) {
 	diff := false
 	to := other.Table("t")
 	for i := 0; i < ta.NumRows() && !diff; i++ {
-		for c := 0; c < ta.NumColumns(); c++ {
+		for c := range ta.Columns {
 			if ta.Value(i, c) != to.Value(i, c) {
 				diff = true
 				break
@@ -246,15 +246,26 @@ func TestFuzzDeterminism(t *testing.T) {
 }
 
 func TestNamedDatabase(t *testing.T) {
-	for _, name := range []string{"tpch", "ssb", "airtraffic", "fuzz"} {
+	for _, set := range []struct {
+		name   string
+		tables []string
+	}{
+		{"tpch", []string{"region", "nation", "supplier", "part", "partsupp", "customer", "orders", "lineitem"}},
+		{"ssb", []string{"dates", "customer", "supplier", "part", "lineorder"}},
+		{"airtraffic", []string{"flights"}},
+		{"fuzz", []string{"t", "dim"}},
+	} {
+		name := set.name
 		db, err := NamedDatabase(name, 0.001)
 		if err != nil {
 			t.Errorf("NamedDatabase(%s) failed: %v", name, err)
 			continue
 		}
 		rows := 0
-		for _, tbl := range db.Tables() {
-			rows += tbl.NumRows()
+		for _, table := range set.tables {
+			if tbl := db.Table(table); tbl != nil {
+				rows += tbl.NumRows()
+			}
 		}
 		if rows == 0 {
 			t.Errorf("NamedDatabase(%s) produced no rows", name)

@@ -1,7 +1,9 @@
 package engine_test
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +26,7 @@ func TestRowsMatchColumnarFingerprints(t *testing.T) {
 		{ID: "all-null", SQL: "SELECT n_name, NULL AS nothing FROM nation ORDER BY n_name"},
 	}
 	reg := engine.NewRegistry()
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	opts := engine.ExecOptions{}
 	for _, tc := range []struct {
 		db      *engine.Database
 		queries []workload.Query
@@ -70,40 +72,114 @@ func TestRowsMatchColumnarFingerprints(t *testing.T) {
 	}
 }
 
-// TestBudgetParity: a statement over its deadline or over its join-size
-// guard fails with the same error value on all six engines, whichever
-// executor hit the budget.
+// TestBudgetParity: a statement under an expired or a cancelled context, or
+// over its join-size guard, fails with the same error values on all six
+// engines, whichever executor hit the budget — and on vektor-2.0 under
+// morsel parallelism too.
 func TestBudgetParity(t *testing.T) {
 	selfJoin := "SELECT count(*) FROM lineitem a, lineitem b WHERE a.l_orderkey = b.l_orderkey"
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	reg := engine.NewRegistry()
 	for _, tc := range []struct {
-		name string
-		sql  string
-		opts engine.ExecOptions
-		want error
+		name  string
+		sql   string
+		ctx   context.Context
+		guard int // lowered join guard; 0 keeps plan.JoinGuard
+		want  []error
 	}{
-		{"deadline", selfJoin, engine.ExecOptions{Timeout: time.Nanosecond}, plan.ErrTimeBudget},
-		{"hash join rows", selfJoin, engine.ExecOptions{MaxJoinRows: 100}, plan.ErrJoinRows},
-		{"cross join rows", "SELECT count(*) FROM nation, region", engine.ExecOptions{MaxJoinRows: 100}, plan.ErrJoinRows},
+		{"expired context", selfJoin, expired, 0, []error{plan.ErrTimeBudget}},
+		{"cancelled context", selfJoin, cancelled, 0, []error{plan.ErrCancelled, context.Canceled}},
+		{"hash join rows", selfJoin, nil, 100, []error{plan.ErrJoinRows}},
+		{"cross join rows", "SELECT count(*) FROM nation, region", nil, 100, []error{plan.ErrJoinRows}},
 	} {
-		var first string
-		for _, key := range reg.Keys() {
-			_, err := reg.Get(key).Execute(tpchDB, tc.sql, tc.opts)
-			if !errors.Is(err, tc.want) {
-				t.Errorf("%s on %s: error %v, want %v", tc.name, key, err, tc.want)
-				continue
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.guard > 0 {
+				defer engine.SetJoinGuard(tc.guard)()
 			}
-			// Beyond the shared value, the text after the engine name agrees.
-			msg := err.Error()[len(reg.Get(key).Name()):]
-			if first == "" {
-				first = msg
-			} else if msg != first {
-				t.Errorf("%s on %s: message %q, first engine said %q", tc.name, key, msg, first)
+			var first string
+			check := func(run, name string, err error) {
+				for _, want := range tc.want {
+					if !errors.Is(err, want) {
+						t.Errorf("%s: error %v, want %v", run, err, want)
+						return
+					}
+				}
+				// Beyond the shared values, the text after the engine name agrees.
+				msg := err.Error()[len(name):]
+				if first == "" {
+					first = msg
+				} else if msg != first {
+					t.Errorf("%s: message %q, first engine said %q", run, msg, first)
+				}
+			}
+			for _, key := range reg.Keys() {
+				_, err := reg.Get(key).Execute(tpchDB, tc.sql, engine.ExecOptions{Context: tc.ctx})
+				check(key, reg.Get(key).Name(), err)
+			}
+			_, err := reg.Get("vektor-2.0").Execute(tpchDB, tc.sql, engine.ExecOptions{Context: tc.ctx, Parallelism: 8})
+			check("vektor-2.0 at Parallelism 8", "vektor", err)
+		})
+	}
+}
+
+// TestCancellationLatency: on every engine, a query that runs well over
+// 50 ms stops mid-flight — with plan.ErrCancelled when its context is
+// cancelled and plan.ErrTimeBudget when its deadline passes — in under half
+// its uncancelled time. The interpreters run a correlated sub-query (no
+// large intermediate), the typed engines, which decorrelate it, a filtered
+// cross product of 1.2 million rows.
+func TestCancellationLatency(t *testing.T) {
+	correlated := "SELECT count(*) FROM part p WHERE p.p_size < (SELECT count(*) FROM lineitem l WHERE l.l_partkey = p.p_partkey)"
+	cross := "SELECT count(*) FROM lineitem a, part p WHERE a.l_quantity < p.p_size AND a.l_comment LIKE '%' || p.p_type || '%'"
+	reg := engine.NewRegistry()
+	routes, err := reg.Routes(tpchDB, cross)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range routes {
+		key, eng, sql := rt.Engine, reg.Get(rt.Engine), cross
+		if strings.HasSuffix(rt.Paradigm, "interpreter") {
+			sql = correlated
+		}
+		_, _ = eng.Execute(tpchDB, sql, engine.ExecOptions{}) // plan and typed import
+		start := time.Now()
+		if _, err := eng.Execute(tpchDB, sql, engine.ExecOptions{}); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		full := time.Since(start)
+		if full < 50*time.Millisecond {
+			t.Errorf("%s: the query ran %v uncancelled, too short to measure a cancellation", key, full)
+		}
+		for _, tc := range []struct {
+			name string
+			ctx  func() (context.Context, context.CancelFunc)
+			want error
+		}{
+			{"cancel", func() (context.Context, context.CancelFunc) {
+				ctx, cancel := context.WithCancel(context.Background())
+				time.AfterFunc(full/10, cancel)
+				return ctx, cancel
+			}, plan.ErrCancelled},
+			{"deadline", func() (context.Context, context.CancelFunc) {
+				return context.WithTimeout(context.Background(), full/10)
+			}, plan.ErrTimeBudget},
+		} {
+			ctx, cancel := tc.ctx()
+			start := time.Now()
+			_, err := eng.Execute(tpchDB, sql, engine.ExecOptions{Context: ctx})
+			took := time.Since(start)
+			cancel()
+			t.Logf("%s %s: returned after %v, %v uncancelled", key, tc.name, took, full)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s %s: error %v, want %v", key, tc.name, err, tc.want)
+			}
+			if took >= full/2 {
+				t.Errorf("%s %s: returned after %v, the uncancelled run took %v", key, tc.name, took, full)
 			}
 		}
-	}
-	if _, err := reg.Get("vektor-2.0").Execute(tpchDB, selfJoin, engine.ExecOptions{MaxJoinRows: 100, Parallelism: 8}); !errors.Is(err, plan.ErrJoinRows) {
-		t.Errorf("parallel hash join: error %v, want %v", err, plan.ErrJoinRows)
 	}
 }
 

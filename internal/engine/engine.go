@@ -1,13 +1,13 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlsem"
@@ -127,12 +127,11 @@ func exactCell(v Value) string {
 
 // ExecOptions control one execution.
 type ExecOptions struct {
-	// Timeout aborts the query after the given duration; zero means no
-	// timeout.
-	Timeout time.Duration
-	// MaxJoinRows overrides the guard on intermediate join sizes; zero keeps
-	// the default.
-	MaxJoinRows int
+	// Context is the one carrier of the execution's time budget and
+	// cancellation: both executors poll it at their budget checks, so a
+	// deadline fails the query with plan.ErrTimeBudget and a cancellation
+	// with plan.ErrCancelled, mid-query. nil imposes no budget.
+	Context context.Context
 	// Parallelism caps the intra-query morsel workers of the engines that
 	// have them (the typed ones); 0 or 1 executes serially. Results are
 	// identical at every setting — only wall-clock changes.
@@ -250,6 +249,10 @@ func (e *specEngine) PlanCacheStats() (hits, misses uint64) {
 	return e.plans.Stats()
 }
 
+// joinGuard is the join-size guard of every execution, plan.JoinGuard; only
+// tests lower it (export_test.go).
+var joinGuard = plan.JoinGuard
+
 // Execute resolves the shared logical plan and the execution budget once,
 // then routes on the plan's Vectorizable verdict: a typed engine runs the
 // supported statements on the typed executor; everything else — and every
@@ -260,7 +263,8 @@ func (e *specEngine) Execute(db *Database, sql string, opts ExecOptions) (*Resul
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.name, err)
 	}
-	limits := plan.ResolveLimits(opts.Timeout, opts.MaxJoinRows)
+	limits := plan.ResolveLimits(opts.Context)
+	limits.MaxJoinRows = joinGuard
 	if e.typed && p.Vectorizable {
 		res, err := vexec.ExecutePlan(&typedCatalog{cache: e.typedTables, db: db}, p, vexec.Options{
 			BatchSize: e.batchSize, Limits: limits, Parallelism: opts.Parallelism, Tracer: opts.Tracer, Fused: e.fused})

@@ -74,8 +74,9 @@ func newExecutor(db *Database, mode Mode, limits plan.Limits, guardCasts bool, p
 	}
 }
 
-// checkDeadline returns an error when the execution deadline has passed; it
-// only consults the clock every few hundred calls to stay cheap.
+// checkDeadline returns the budget error once the execution's context is
+// done. It is called per row, so it polls only every 512th call: the per-row
+// cost stays one increment.
 func (ex *executor) checkDeadline() error {
 	ex.deadlineTick++
 	if ex.deadlineTick%512 != 0 {

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlsem"
 )
 
@@ -247,7 +250,8 @@ func TestLeftJoinWithResidualCondition(t *testing.T) {
 
 func TestCrossJoinGuard(t *testing.T) {
 	db := miniDB()
-	_, err := NewColEngine().Execute(db, "SELECT n_name FROM nation, orders", ExecOptions{MaxJoinRows: 50})
+	defer SetJoinGuard(50)()
+	_, err := NewColEngine().Execute(db, "SELECT n_name FROM nation, orders", ExecOptions{})
 	if err == nil || !strings.Contains(err.Error(), "row limit") {
 		t.Errorf("expected cross product guard error, got %v", err)
 	}
@@ -428,9 +432,11 @@ func TestTimeout(t *testing.T) {
 		big.MustAppendRow(sqlsem.NewInt(int64(i)))
 	}
 	db.AddTable(big)
-	_, err := NewColEngine().Execute(db, "SELECT count(*) FROM big a, big b WHERE a.x = b.x AND a.x % 7 = 1", ExecOptions{Timeout: time.Microsecond})
-	if err == nil {
-		t.Error("expected timeout error")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
+	defer cancel()
+	_, err := NewColEngine().Execute(db, "SELECT count(*) FROM big a, big b WHERE a.x = b.x AND a.x % 7 = 1", ExecOptions{Context: ctx})
+	if !errors.Is(err, plan.ErrTimeBudget) {
+		t.Errorf("expected the time budget error, got %v", err)
 	}
 }
 

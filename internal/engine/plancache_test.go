@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"sqalpel/internal/datagen"
 	"sqalpel/internal/engine"
@@ -22,7 +21,7 @@ import (
 func TestPlanCacheDifferentialAllWorkloads(t *testing.T) {
 	ssbDB := datagen.SSB(datagen.SSBOptions{ScaleFactor: 0.0003})
 	airDB := datagen.Airtraffic(datagen.AirtrafficOptions{Flights: 2000})
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	opts := engine.ExecOptions{}
 	workloads := []struct {
 		name    string
 		db      *engine.Database
@@ -115,7 +114,7 @@ func TestPlanCacheDifferentialAllWorkloads(t *testing.T) {
 func TestPlanCacheEliminatesFrontendWork(t *testing.T) {
 	reg := engine.NewRegistry()
 	q1, _ := workload.TPCHQuery("Q1")
-	opts := engine.ExecOptions{Timeout: time.Minute}
+	opts := engine.ExecOptions{}
 	const reps = 4
 	for _, key := range reg.Keys() {
 		for i := 0; i < reps; i++ {
@@ -158,7 +157,7 @@ func TestPlanCacheInvalidationOnMutation(t *testing.T) {
 
 	reg := engine.NewRegistry()
 	const sql = "SELECT sum(v) AS s FROM t"
-	opts := engine.ExecOptions{Timeout: time.Minute}
+	opts := engine.ExecOptions{}
 
 	sum := func(key string) int64 {
 		t.Helper()
@@ -225,7 +224,7 @@ func TestPlanCacheConcurrentExecutions(t *testing.T) {
 		}
 		queries = append(queries, q.SQL)
 	}
-	opts := engine.ExecOptions{Timeout: time.Minute}
+	opts := engine.ExecOptions{}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -271,7 +270,7 @@ func TestVektorTypedCacheInvalidation(t *testing.T) {
 	db.AddTable(tbl)
 
 	vek := engine.NewVektorEngine()
-	opts := engine.ExecOptions{Timeout: time.Minute}
+	opts := engine.ExecOptions{}
 	res, err := vek.Execute(db, "SELECT sum(x) AS s FROM m", opts)
 	if err != nil {
 		t.Fatal(err)

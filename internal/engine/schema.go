@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sqalpel/internal/sqlsem"
@@ -65,9 +64,6 @@ func NewTable(name string, columns ...Column) *Table {
 
 // NumRows returns the number of rows.
 func (t *Table) NumRows() int { return t.rows }
-
-// NumColumns returns the number of columns.
-func (t *Table) NumColumns() int { return len(t.Columns) }
 
 // ColumnIndex returns the index of the named column (case insensitive) or -1.
 func (t *Table) ColumnIndex(name string) int {
@@ -152,15 +148,6 @@ func (t *Table) Value(row, col int) Value { return t.cols[col][row] }
 // modify it.
 func (t *Table) ColumnValues(col int) []Value { return t.cols[col] }
 
-// Row materialises a single row; mostly used by tests.
-func (t *Table) Row(row int) []Value {
-	out := make([]Value, len(t.Columns))
-	for c := range t.Columns {
-		out[c] = t.cols[c][row]
-	}
-	return out
-}
-
 // Database is a named collection of tables.
 type Database struct {
 	Name   string
@@ -219,18 +206,4 @@ func (d *Database) TableColumns(name string) ([]string, bool) {
 // Table returns the named table (case insensitive) or nil.
 func (d *Database) Table(name string) *Table {
 	return d.tables[strings.ToLower(name)]
-}
-
-// Tables returns all tables sorted by name.
-func (d *Database) Tables() []*Table {
-	names := make([]string, 0, len(d.tables))
-	for n := range d.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Table, 0, len(names))
-	for _, n := range names {
-		out = append(out, d.tables[n])
-	}
-	return out
 }

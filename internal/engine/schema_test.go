@@ -29,9 +29,8 @@ func TestTableSchemaEnforcement(t *testing.T) {
 	if tbl.ColumnIndex("B") != 1 || tbl.ColumnIndex("missing") != -1 {
 		t.Error("column index lookup wrong")
 	}
-	row := tbl.Row(0)
-	if row[0].I != 1 || row[1].S != "x" {
-		t.Errorf("Row(0) = %v", row)
+	if a, b := tbl.Value(0, 0), tbl.Value(0, 1); a.I != 1 || b.S != "x" {
+		t.Errorf("row 0 = (%v, %v)", a, b)
 	}
 }
 
@@ -45,8 +44,9 @@ func TestDatabaseOperations(t *testing.T) {
 	if db.Table("gamma") != nil {
 		t.Error("unknown table should be nil")
 	}
-	tables := db.Tables()
-	if len(tables) != 2 || tables[0].Name != "alpha" {
-		t.Errorf("Tables() = %v", tables)
+	for _, name := range []string{"alpha", "beta"} {
+		if tbl := db.Table(name); tbl == nil || tbl.Name != name {
+			t.Errorf("Table(%q) = %v", name, tbl)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"sqalpel/internal/datagen"
 	"sqalpel/internal/engine"
@@ -40,7 +39,7 @@ func TestSlotsMatchNameLookupOnWorkloads(t *testing.T) {
 		{"fuzz-seed-42", fuzzDB, fuzz, true},
 	}
 	reg := engine.NewRegistry()
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	opts := engine.ExecOptions{}
 	for _, wl := range workloads {
 		for _, key := range []string{"tuplestore-1.0", "columba-1.0"} {
 			t.Run(wl.name+"/"+key, func(t *testing.T) {
@@ -64,7 +63,7 @@ func TestSlotsMatchNameLookupOnWorkloads(t *testing.T) {
 // race detector checks here (CI runs this under -race).
 func TestOnePlanExecutedConcurrently(t *testing.T) {
 	reg := engine.NewRegistry()
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	opts := engine.ExecOptions{}
 	for _, id := range []string{"Q4", "Q13", "Q19", "Q21"} {
 		q, err := workload.TPCHQuery(id)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"testing"
-	"time"
 
 	"sqalpel/internal/engine"
 	"sqalpel/internal/workload"
@@ -29,7 +28,7 @@ func TestInterpreterStatsGolden(t *testing.T) {
 	for _, key := range []string{"tuplestore-1.0", "columba-1.0", "columba-2.0"} {
 		got[key] = map[string]map[string]int64{}
 		for _, q := range workload.TPCH() {
-			res, err := reg.Get(key).Execute(tpchDB, q.SQL, engine.ExecOptions{Timeout: 2 * time.Minute})
+			res, err := reg.Get(key).Execute(tpchDB, q.SQL, engine.ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s %s: %v", key, q.ID, err)
 			}

@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"testing"
-	"time"
 
 	"sqalpel/internal/datagen"
 	"sqalpel/internal/engine"
@@ -22,7 +21,7 @@ var tpchDB = datagen.TPCH(datagen.TPCHOptions{ScaleFactor: 0.001, Seed: 7})
 func TestTPCHBothEnginesAgree(t *testing.T) {
 	row := engine.NewRowEngine()
 	col := engine.NewColEngine()
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	opts := engine.ExecOptions{}
 	for _, q := range workload.TPCH() {
 		q := q
 		t.Run(q.ID, func(t *testing.T) {
@@ -46,7 +45,7 @@ func TestTPCHBothEnginesAgree(t *testing.T) {
 // TPC-H answers so that agreement between engines cannot hide a shared bug.
 func TestTPCHResultShapes(t *testing.T) {
 	col := engine.NewColEngine()
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	opts := engine.ExecOptions{}
 
 	q1, _ := workload.TPCHQuery("Q1")
 	res, err := col.Execute(tpchDB, q1.SQL, opts)
@@ -170,7 +169,7 @@ func TestSSBAndAirtrafficRun(t *testing.T) {
 	airDB := datagen.Airtraffic(datagen.AirtrafficOptions{Flights: 2000})
 	row := engine.NewRowEngine()
 	col := engine.NewColEngine()
-	opts := engine.ExecOptions{Timeout: time.Minute}
+	opts := engine.ExecOptions{}
 	for _, q := range workload.SSB() {
 		r1, err := row.Execute(ssbDB, q.SQL, opts)
 		if err != nil {

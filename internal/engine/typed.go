@@ -99,19 +99,20 @@ func (tc *typedCache) typedTable(db *Database, t *Table) (*vexec.Table, error) {
 	tc.builds++
 	tc.mu.Unlock()
 
-	vt, err := buildTypedTable(t)
-	tc.mu.Lock()
-	if err != nil {
+	// If buildTypedTable panics, its waiters receive this error.
+	var vt *vexec.Table
+	err := fmt.Errorf("the typed import of table %s panicked", t.Name)
+	defer func() {
+		tc.mu.Lock()
 		// Leave no failed entry behind: the next caller retries the build.
-		if tc.cache[t] == entry {
+		if err != nil && tc.cache[t] == entry {
 			delete(tc.cache, t)
 		}
-	} else {
-		entry.vt = vt
-	}
-	entry.err = err
-	tc.mu.Unlock()
-	close(entry.ready)
+		entry.vt, entry.err = vt, err
+		tc.mu.Unlock()
+		close(entry.ready)
+	}()
+	vt, err = buildTypedTable(t)
 	return vt, err
 }
 

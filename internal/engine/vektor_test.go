@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"sqalpel/internal/datagen"
 	"sqalpel/internal/engine"
@@ -21,7 +20,7 @@ import (
 // offending query with the plan's reason or the runtime symptom.
 func TestTPCHFullyVectorized(t *testing.T) {
 	vek := engine.NewVektorEngine()
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	opts := engine.ExecOptions{}
 	var offenders []string
 	for _, q := range workload.TPCH() {
 		p, err := plan.Build(tpchDB, q.SQL)
@@ -57,7 +56,7 @@ func TestTPCHThreeParadigmsAgree(t *testing.T) {
 		engine.NewVektorEngine(),
 		engine.NewRegistry().Get("vektor-2.0"),
 	}
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	opts := engine.ExecOptions{}
 	for _, q := range workload.TPCH() {
 		q := q
 		t.Run(q.ID, func(t *testing.T) {
@@ -87,7 +86,7 @@ func TestSSBAndAirtrafficVektorAgrees(t *testing.T) {
 	airDB := datagen.Airtraffic(datagen.AirtrafficOptions{Flights: 2000})
 	col := engine.NewColEngine()
 	vek := engine.NewVektorEngine()
-	opts := engine.ExecOptions{Timeout: time.Minute}
+	opts := engine.ExecOptions{}
 	for _, tc := range []struct {
 		db      *engine.Database
 		queries []workload.Query
@@ -117,7 +116,7 @@ func TestSSBAndAirtrafficVektorAgrees(t *testing.T) {
 // interpreter and report zero batches — but stay correct either way.
 func TestVektorNativeAndFallback(t *testing.T) {
 	vek := engine.NewVektorEngine()
-	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
+	opts := engine.ExecOptions{}
 
 	for _, id := range []string{"Q1", "Q3", "Q6"} {
 		q, _ := workload.TPCHQuery(id)
@@ -237,11 +236,11 @@ func TestVektorParallelDeterminism(t *testing.T) {
 			{airDB, workload.Airtraffic()},
 		} {
 			for _, q := range tc.queries {
-				serial, err := eng.Execute(tc.db, q.SQL, engine.ExecOptions{Timeout: 2 * time.Minute, Parallelism: 1})
+				serial, err := eng.Execute(tc.db, q.SQL, engine.ExecOptions{Parallelism: 1})
 				if err != nil {
 					t.Fatalf("%s serial: %v", q.ID, err)
 				}
-				parallel, err := eng.Execute(tc.db, q.SQL, engine.ExecOptions{Timeout: 2 * time.Minute, Parallelism: 8})
+				parallel, err := eng.Execute(tc.db, q.SQL, engine.ExecOptions{Parallelism: 8})
 				if err != nil {
 					t.Fatalf("%s parallel: %v", q.ID, err)
 				}

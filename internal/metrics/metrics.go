@@ -162,9 +162,11 @@ type TargetFunc func(query string) (int, map[string]string, error)
 func (f TargetFunc) Run(query string) (int, map[string]string, error) { return f(query) }
 
 // ContextTarget is a Target that honours context cancellation and deadlines
-// while executing. Targets that merely implement Target are still usable
-// under MeasureContext, but a repetition already in flight cannot be
-// interrupted — cancellation then takes effect between repetitions.
+// while executing. The built-in engine targets (core.EngineTarget) do: the
+// context reaches the executors, which stop mid-query. Targets that merely
+// implement Target are still usable under MeasureContext, but a repetition
+// already in flight cannot be interrupted — cancellation then takes effect
+// between repetitions.
 type ContextTarget interface {
 	Target
 	// RunContext executes the query once, aborting when the context is
@@ -256,13 +258,19 @@ func MeasureContext(ctx context.Context, target Target, query string, opts Optio
 	return m
 }
 
-// runOnce executes a single repetition under the per-repetition timeout.
+// runOnce executes a single repetition under the per-repetition timeout. A
+// panicking target fails the repetition instead of the process.
 func runOnce(ctx context.Context, target Target, query string, timeout time.Duration) (rows int, extra map[string]string, elapsed time.Duration, err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			rows, extra, err = 0, nil, fmt.Errorf("panic: %v (query %q)", r, query)
+		}
+	}()
 	start := time.Now()
 	if ct, ok := target.(ContextTarget); ok {
 		rows, extra, err = ct.RunContext(ctx, query)

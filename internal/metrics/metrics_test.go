@@ -187,3 +187,13 @@ func TestMeasureWithoutTimeoutUnchanged(t *testing.T) {
 		t.Errorf("measurement = %+v", m)
 	}
 }
+
+// TestMeasurePanicFailsTheRepetition: a panicking target fails the
+// measurement — the error says panic and names the query — instead of
+// taking the process down.
+func TestMeasurePanicFailsTheRepetition(t *testing.T) {
+	m := Measure(TargetFunc(func(string) (int, map[string]string, error) { panic("boom") }), "SELECT 42", Options{Runs: 3})
+	if !m.Failed() || !strings.Contains(m.Err, "panic: boom") || !strings.Contains(m.Err, `"SELECT 42"`) || len(m.Runs) != 0 {
+		t.Errorf("measurement of a panicking target = %+v", m)
+	}
+}

@@ -1,6 +1,9 @@
 package plan
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // DefaultCacheEntries bounds a cache created with NewCache(0). It is sized
 // from measured LRU reuse distances (the number of other plans touched
@@ -125,15 +128,29 @@ func (c *Cache) GetOrBuild(key CacheKey, build func() (*Plan, error)) (*Plan, er
 		}
 		v = prev
 	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
+	e := &cacheEntry{key: key, ready: make(chan struct{}), err: errBuildPanicked}
 	c.entries[key] = e
 	c.pushFront(e)
 	c.mu.Unlock()
 
-	defer close(e.ready)
+	defer func() {
+		// A build that panicked leaves no entry behind: its waiters fail and
+		// the next lookup of the key builds again.
+		if e.err == errBuildPanicked {
+			c.mu.Lock()
+			if c.entries[key] == e {
+				c.remove(e)
+			}
+			c.mu.Unlock()
+		}
+		close(e.ready)
+	}()
 	e.p, e.err = build()
 	return e.p, e.err
 }
+
+// errBuildPanicked is what the waiters of a panicking build receive.
+var errBuildPanicked = errors.New("the plan build of this statement panicked")
 
 func (c *Cache) pushFront(e *cacheEntry) {
 	e.prev, e.next = &c.lru, c.lru.next
@@ -163,18 +180,6 @@ func (c *Cache) removeWhere(match func(CacheKey) bool) {
 		}
 		e = next
 	}
-}
-
-// DropCatalog removes every entry of the given catalog, releasing the
-// catalog (and the data reachable through it) from the cache's keys. Call
-// it when retiring a database from a long-lived registry or project; a
-// dropped catalog never misses again, so the stale-version purge in
-// GetOrBuild alone would keep its last-version entries alive until they are
-// evicted.
-func (c *Cache) DropCatalog(catalog any) {
-	c.mu.Lock()
-	c.removeWhere(func(k CacheKey) bool { return k.Catalog == catalog })
-	c.mu.Unlock()
 }
 
 // Stats returns how many lookups hit and missed since the cache was created.

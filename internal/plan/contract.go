@@ -1,9 +1,9 @@
 package plan
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // This file is the execution contract every executor shares beside the
@@ -94,44 +94,51 @@ func (s Stats) Map() map[string]int64 {
 
 // The budget errors: generated query variants may drop join predicates and
 // explode; executions turn those into errors, matching the error entries of
-// the paper's experiment history. Every engine reports the same two values
+// the paper's experiment history. Every engine reports the same values
 // (errors.Is), whichever executor hit the budget.
 var (
 	ErrTimeBudget = errors.New("query exceeded its time budget")
+	ErrCancelled  = fmt.Errorf("query was cancelled: %w", context.Canceled)
 	ErrJoinRows   = errors.New("join exceeds the row limit")
 )
 
-const defaultMaxJoinRows = 4_000_000
+// JoinGuard is the guard on intermediate join sizes every execution runs
+// under.
+const JoinGuard = 4_000_000
 
-// Limits is the budget of one execution. The zero value imposes none.
+// Limits is the budget of one execution: the caller's context and the
+// join-size guard. The zero value imposes none.
 type Limits struct {
-	// Deadline aborts the query once passed; zero means no deadline.
-	Deadline time.Time
+	ctx  context.Context
+	done <-chan struct{}
 	// MaxJoinRows guards intermediate join sizes; zero means no guard.
 	MaxJoinRows int
 }
 
-// ResolveLimits turns the per-execution options into the budget both
-// executors consume: the timeout becomes an absolute deadline (zero: none)
-// and a zero maxJoinRows takes the default guard of 4,000,000 rows.
-func ResolveLimits(timeout time.Duration, maxJoinRows int) Limits {
-	l := Limits{MaxJoinRows: maxJoinRows}
-	if l.MaxJoinRows <= 0 {
-		l.MaxJoinRows = defaultMaxJoinRows
-	}
-	if timeout > 0 {
-		l.Deadline = time.Now().Add(timeout)
+// ResolveLimits turns the caller's context into the budget both executors
+// consume: its Done channel (a nil context, or one that can never be done,
+// imposes no time budget) and the JoinGuard.
+func ResolveLimits(ctx context.Context) Limits {
+	l := Limits{MaxJoinRows: JoinGuard}
+	if ctx != nil {
+		l.ctx, l.done = ctx, ctx.Done()
 	}
 	return l
 }
 
-// Expired returns ErrTimeBudget once the deadline has passed. It reads the
-// clock, so executors call it per batch or every few hundred rows.
+// Expired returns ErrTimeBudget once the context's deadline has passed and
+// ErrCancelled once it was cancelled: a non-blocking channel receive that
+// never reads the clock or allocates, the executors' one poll.
 func (l Limits) Expired() error {
-	if !l.Deadline.IsZero() && time.Now().After(l.Deadline) {
+	select {
+	case <-l.done:
+	default:
+		return nil
+	}
+	if errors.Is(l.ctx.Err(), context.DeadlineExceeded) {
 		return ErrTimeBudget
 	}
-	return nil
+	return ErrCancelled
 }
 
 // JoinRows returns ErrJoinRows when a join has produced n rows and the

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sort"
@@ -52,29 +53,60 @@ func TestStatsListingsCoverEveryField(t *testing.T) {
 }
 
 // TestLimits: the zero Limits imposes no budget, ResolveLimits applies the
-// default join guard and turns a timeout into a deadline, and the guards
-// report the two budget errors.
+// join guard and takes the caller's context, and the guards report the
+// budget errors: ErrTimeBudget for a passed deadline, ErrCancelled (which
+// is also context.Canceled) for a cancellation, ErrJoinRows for a join.
 func TestLimits(t *testing.T) {
 	var none Limits
 	if none.Expired() != nil || none.JoinRows(1<<40) != nil || none.CrossJoin(1<<40, 1<<40) != nil {
 		t.Error("the zero Limits must impose no budget")
 	}
-	l := ResolveLimits(0, 0)
-	if !l.Deadline.IsZero() || l.MaxJoinRows != defaultMaxJoinRows {
-		t.Errorf("ResolveLimits(0, 0) = %+v", l)
+	l := ResolveLimits(nil)
+	if l.Expired() != nil || l.MaxJoinRows != JoinGuard {
+		t.Errorf("ResolveLimits(nil) = %+v", l)
 	}
-	if l.JoinRows(defaultMaxJoinRows) != nil || !errors.Is(l.JoinRows(defaultMaxJoinRows+1), ErrJoinRows) {
+	if l.JoinRows(JoinGuard) != nil || !errors.Is(l.JoinRows(JoinGuard+1), ErrJoinRows) {
 		t.Error("JoinRows must fire only past the guard")
 	}
 	// 2^32 x 2^32 wraps to 0 in a 64-bit product.
 	if l.CrossJoin(2000, 2000) != nil || l.CrossJoin(0, 1<<40) != nil || !errors.Is(l.CrossJoin(1<<32, 1<<32), ErrJoinRows) {
 		t.Error("CrossJoin must divide before multiplying")
 	}
-	l = ResolveLimits(time.Hour, 7)
-	if l.MaxJoinRows != 7 || l.Expired() != nil || time.Until(l.Deadline) > time.Hour {
-		t.Errorf("ResolveLimits(1h, 7) = %+v", l)
+	if l = ResolveLimits(context.Background()); l.Expired() != nil || l.MaxJoinRows != JoinGuard {
+		t.Errorf("ResolveLimits(Background) = %+v", l)
 	}
-	if l = ResolveLimits(time.Nanosecond, 0); !errors.Is(l.Expired(), ErrTimeBudget) {
-		t.Error("a passed deadline must report ErrTimeBudget")
+
+	live, cancelLive := context.WithTimeout(context.Background(), time.Hour)
+	defer cancelLive()
+	if err := ResolveLimits(live).Expired(); err != nil {
+		t.Errorf("a live context reports %v", err)
+	}
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	err := ResolveLimits(expired).Expired()
+	if !errors.Is(err, ErrTimeBudget) || errors.Is(err, context.Canceled) || err.Error() != "query exceeded its time budget" {
+		t.Errorf("an expired context reports %v, want %v", err, ErrTimeBudget)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	l = ResolveLimits(cancelled)
+	if err := l.Expired(); err != nil {
+		t.Errorf("before the cancel: %v", err)
+	}
+	cancel()
+	if err := l.Expired(); !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) || errors.Is(err, ErrTimeBudget) {
+		t.Errorf("a cancelled context reports %v, want %v wrapping %v", err, ErrCancelled, context.Canceled)
+	}
+}
+
+// TestExpiredAllocatesNothing: the poll every executor runs per batch (and
+// the interpreters every 512 rows) allocates nothing, with no budget and
+// under a live context alike.
+func TestExpiredAllocatesNothing(t *testing.T) {
+	live, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for i, l := range []Limits{{}, ResolveLimits(live)} {
+		if n := testing.AllocsPerRun(1000, func() { _ = l.Expired() }); n != 0 {
+			t.Errorf("Expired on %s Limits: %.1f allocations per call", []string{"zero", "live"}[i], n)
+		}
 	}
 }

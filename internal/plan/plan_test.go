@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"sync"
@@ -280,22 +281,6 @@ func TestCacheHitMissAndVersionInvalidation(t *testing.T) {
 	}
 }
 
-func TestCacheDropCatalog(t *testing.T) {
-	c := NewCache(0)
-	// Non-zero-size allocations: &struct{}{} values may share one address.
-	a, b := new(int), new(int)
-	build := func() (*Plan, error) { return Build(testCat, "SELECT o_total FROM orders") }
-	for _, id := range []any{a, b} {
-		if _, err := c.GetOrBuild(Key(id, 1, "SELECT o_total FROM orders"), build); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.DropCatalog(a)
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries after DropCatalog, want 1", c.Len())
-	}
-}
-
 func TestCacheCapEviction(t *testing.T) {
 	c := NewCache(4)
 	for i := 0; i < 32; i++ {
@@ -448,10 +433,55 @@ func TestCachePurgesStaleVersionsOnce(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries after the second bump, want 2 (a@3, b@1)", c.Len())
 	}
-	c.DropCatalog(a)
-	c.DropCatalog(b)
-	if c.Len() != 0 || len(c.catalogs) != 0 {
-		t.Errorf("after dropping both catalogs: %d entries, %d catalog records", c.Len(), len(c.catalogs))
+	if len(c.catalogs) != 2 || c.catalogs[a].entries != 1 || c.catalogs[b].entries != 1 {
+		t.Errorf("catalog records after the purges: %d records, a %+v, b %+v", len(c.catalogs), c.catalogs[a], c.catalogs[b])
+	}
+}
+
+// TestCacheBuildPanicLeavesNoEntry: a build that panics releases the
+// lookups waiting on it with an error and leaves no entry behind, so the
+// next lookup of the key builds again instead of hanging or being served
+// the panicked placeholder.
+func TestCacheBuildPanicLeavesNoEntry(t *testing.T) {
+	c := NewCache(0)
+	key := Key(nil, 1, "SELECT o_total FROM orders")
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		_, _ = c.GetOrBuild(key, func() (*Plan, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waited := make(chan error)
+	go func() {
+		_, err := c.GetOrBuild(key, func() (*Plan, error) { return nil, errors.New("a waiter must not build") })
+		waited <- err
+	}()
+	// A lookup counts its hit before it waits on the placeholder.
+	for hits, _ := c.Stats(); hits == 0; hits, _ = c.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("the build's panic reached its caller as %v", r)
+	}
+	if err := <-waited; !errors.Is(err, errBuildPanicked) {
+		t.Errorf("waiter of the panicked build: error %v, want %v", err, errBuildPanicked)
+	}
+	if c.Len() != 0 {
+		t.Errorf("cache holds %d entries after a panicked build, want 0", c.Len())
+	}
+	built := false
+	p, err := c.GetOrBuild(key, func() (*Plan, error) {
+		built = true
+		return Build(testCat, "SELECT o_total FROM orders")
+	})
+	if !built || err != nil || p == nil {
+		t.Errorf("the lookup after the panic: built %v, plan %v, error %v", built, p, err)
 	}
 }
 

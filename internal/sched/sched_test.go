@@ -231,3 +231,30 @@ func TestTimeoutAbortsContextTargets(t *testing.T) {
 	}
 	var _ metrics.ContextTarget = target // the scheduler relies on this path
 }
+
+// TestPanickingTargetFailsOnlyItsCell: a target that panics mid-run under
+// the worker pool fails its own cell with the panic and the query named;
+// every other cell is measured and the process survives.
+func TestPanickingTargetFailsOnlyItsCell(t *testing.T) {
+	target := &countingTarget{}
+	panicking := metrics.TargetFunc(func(query string) (int, map[string]string, error) {
+		panic("executor bug")
+	})
+	var cells []Cell
+	for i := 0; i < 8; i++ {
+		cells = append(cells, Cell{Target: "t", Runner: target, SQL: fmt.Sprintf("SELECT %d", i), Runs: 2})
+	}
+	cells[3] = Cell{Target: "p", Runner: panicking, SQL: "SELECT 3", Runs: 2}
+	results := New(Options{Workers: 2}).Measure(context.Background(), cells)
+	for i, r := range results {
+		if i == 3 {
+			if err := r.Measurement.Err; !strings.Contains(err, "panic: executor bug") || !strings.Contains(err, `"SELECT 3"`) {
+				t.Errorf("panicking cell: error %q, want the panic and the query", err)
+			}
+			continue
+		}
+		if r.Measurement.Failed() || len(r.Measurement.Runs) != 2 {
+			t.Errorf("cell %d beside the panicking one: %v", i, r.Measurement)
+		}
+	}
+}

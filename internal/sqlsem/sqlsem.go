@@ -52,9 +52,6 @@ func Of(b bool) Tri {
 	return False
 }
 
-// Known reports whether the value is True or False (not Unknown).
-func (t Tri) Known() bool { return t != Unknown }
-
 // Accept is the predicate-consumer collapse: filters, join conditions and
 // CASE WHEN arms take a row/arm only when the predicate is definitely True;
 // False and Unknown both reject. This is the only place UNKNOWN legally

@@ -138,7 +138,8 @@ func TestOfAndKnown(t *testing.T) {
 	if Of(true) != True || Of(false) != False {
 		t.Error("Of is broken")
 	}
-	if !True.Known() || !False.Known() || Unknown.Known() {
-		t.Error("Known is broken")
+	// True and False are the known values: neither is Unknown.
+	if True == Unknown || False == Unknown || True == False {
+		t.Error("True, False and Unknown must be three distinct values")
 	}
 }

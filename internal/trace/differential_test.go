@@ -2,7 +2,6 @@ package trace_test
 
 import (
 	"testing"
-	"time"
 
 	"sqalpel/internal/datagen"
 	"sqalpel/internal/engine"
@@ -21,7 +20,7 @@ import (
 func TestSpanIDsSubsetOfPlan(t *testing.T) {
 	db := datagen.TPCH(datagen.TPCHOptions{ScaleFactor: 0.001, Seed: 11})
 	reg := engine.NewRegistry()
-	opts := engine.ExecOptions{Timeout: time.Minute}
+	opts := engine.ExecOptions{}
 	for _, q := range workload.TPCH() {
 		q := q
 		t.Run(q.ID, func(t *testing.T) {
@@ -68,9 +67,7 @@ func TestVektorTraceParallelismDeterminism(t *testing.T) {
 			traces := map[int]*trace.QueryTrace{}
 			for _, workers := range []int{1, 8} {
 				tr := trace.NewTracer()
-				if _, err := eng.Execute(db, q.SQL, engine.ExecOptions{
-					Timeout: time.Minute, Parallelism: workers, Tracer: tr,
-				}); err != nil {
+				if _, err := eng.Execute(db, q.SQL, engine.ExecOptions{Parallelism: workers, Tracer: tr}); err != nil {
 					t.Fatalf("%s %s workers=%d: %v", key, q.ID, workers, err)
 				}
 				traces[workers] = tr.Trace(key)

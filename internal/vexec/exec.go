@@ -24,8 +24,8 @@ const DefaultBatchSize = 1024
 type Options struct {
 	// BatchSize is the pipeline batch size (default 1024).
 	BatchSize int
-	// Limits is the execution budget (deadline, join-size guard) the engine
-	// entry resolved; the zero value imposes none.
+	// Limits is the execution budget (the caller's context, join-size guard)
+	// the engine entry resolved; the zero value imposes none.
 	Limits plan.Limits
 	// Parallelism caps the morsel worker pool for intra-query parallelism
 	// (parallel scan→filter pipelines, partitioned hash-join builds,
@@ -116,7 +116,7 @@ func ExecutePlan(cat Catalog, p *plan.Plan, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// checkDeadline aborts overdue queries; called once per batch.
+// checkDeadline aborts overdue or cancelled queries; called once per batch.
 func (ex *executor) checkDeadline() error { return ex.opts.Limits.Expired() }
 
 // run executes one SELECT core. prefix keys the statement's operator spans:

@@ -45,7 +45,8 @@ func (ex *executor) parallelism() int {
 
 // parallelFor runs fn(i) for every i in [0, n) on at most p goroutines
 // pulling indices from a shared counter; it returns when all n calls are
-// done. fn must confine its writes to per-index state.
+// done. fn must confine its writes to per-index state. A panicking call is
+// re-raised on the calling goroutine, where the caller's recover reaches it.
 func parallelFor(p, n int, fn func(int)) {
 	if p > n {
 		p = n
@@ -58,10 +59,17 @@ func parallelFor(p, n int, fn func(int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var once sync.Once
+	var panicked any
 	wg.Add(p)
 	for w := 0; w < p; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { panicked = r })
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -72,6 +80,9 @@ func parallelFor(p, n int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // --- morsel sources -----------------------------------------------------------

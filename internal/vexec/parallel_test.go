@@ -190,3 +190,22 @@ func TestParallelFor(t *testing.T) {
 	// Zero work must not hang or spawn.
 	parallelFor(4, 0, func(int) { t.Fatal("called") })
 }
+
+// TestParallelForReraisesWorkerPanic: a morsel worker's panic does not kill
+// the process from its own goroutine; parallelFor waits for every worker
+// and re-raises the panic on the calling goroutine, where a recover can
+// reach it.
+func TestParallelForReraisesWorkerPanic(t *testing.T) {
+	caller := func() (recovered any) {
+		defer func() { recovered = recover() }()
+		parallelFor(4, 1000, func(i int) {
+			if i == 17 {
+				panic("morsel 17")
+			}
+		})
+		return nil
+	}
+	if r := caller(); r != "morsel 17" {
+		t.Errorf("the caller recovered %v, want the worker's panic", r)
+	}
+}
