@@ -131,18 +131,25 @@ func (sh *shard) indexTask(t *Task) {
 	}
 	if t.Status == TaskRunning {
 		sh.running[t.ID] = t
+	} else {
+		sh.settled = append(sh.settled, t)
 	}
 	sh.tasks[t.ID] = t
 	sh.store.routeTask(t.ID, sh)
 }
 
 // settleTask ends a lease — completed, failed, killed or timed out — and
-// keeps its lane and the running set in step.
+// keeps its lane, the running set and the settled list in step. A task that
+// already ended is left as it is: settled rows are never touched again, a
+// checkpoint may be encoding them.
 func (sh *shard) settleTask(t *Task, status TaskStatus, finished time.Time) {
-	wasActive := t.Active()
+	if t.Status != TaskRunning {
+		return
+	}
 	t.Status, t.Finished = status, finished
 	delete(sh.running, t.ID)
-	if wasActive && !t.Active() {
+	sh.settled = append(sh.settled, t)
+	if !t.Active() {
 		sh.uncover(t.ProjectID, t.ExperimentID, t.DBMSKey, t.PlatformKey, t.QueryID)
 	}
 }

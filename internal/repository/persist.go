@@ -18,28 +18,39 @@ import (
 // On-disk layout. A data directory holds a CURRENT pointer file naming the
 // active generation directory; each generation contains one snapshot set
 // and one write-ahead log per partition ("meta" for the user table,
-// "sNNN" for each project shard):
+// "sNNN" for each project shard), and one history per shard:
 //
 //	<dir>/CURRENT                 -> "gen-000003"
 //	<dir>/gen-000003/meta.wal
 //	<dir>/gen-000003/meta.snap.<lsn>.json
 //	<dir>/gen-000003/s000.wal
 //	<dir>/gen-000003/s000.snap.<lsn>.json
+//	<dir>/gen-000003/s000.hist.<k>
 //	...
 //
 // Snapshot files are written atomically (temp file + rename) and named by
 // the log sequence number they cover, so replay skips records a snapshot
 // already contains. A snapshot is one JSON object, streamed element by
 // element in both directions (encode, decodeSnapshot) so neither side ever
-// holds the document as bytes; older snapshots, written indented and in one
-// piece, are the same object and load the same way. Checkpoints keep the
-// two newest snapshots per partition and rewrite the log down to the
-// records the older one still needs — a corrupt newest snapshot therefore
-// falls back to the previous one plus a longer replay. Generations make shard-count changes and
-// legacy migration crash-safe: a new layout is written completely before
-// CURRENT flips to it, and stale generations are pruned afterwards.
-// A pre-WAL store (a single <dir>/sqalpel.json) is detected when no
-// CURRENT exists and migrated transparently.
+// holds the document as bytes. A shard's snapshot holds only what changes
+// or stays small — projects, comments, running tasks, the scalars — and
+// names the prefix of the shard's append-only history file (history.go)
+// that holds its results and settled tasks, so a checkpoint writes the rows
+// that arrived since the previous one, not the shard. Snapshots that list
+// every row inline (written before the history existed, or indented and in
+// one piece by the pre-WAL store) are the same object and load the same
+// way. Checkpoints keep the two newest snapshots per partition, the history
+// files they name, and the log records the older one still needs — a
+// corrupt newest snapshot, or a corrupt frame that only the newest
+// snapshot's history prefix covers, therefore falls back to the previous
+// snapshot plus a longer replay. Both snapshots usually name prefixes of
+// one history file, so a corrupt frame that both cover is in every
+// retained snapshot and in no log: recovery refuses to open the store
+// rather than boot without those rows. Generations make shard-count
+// changes and legacy migration crash-safe: a new layout is written
+// completely before CURRENT flips to it, and stale generations are pruned
+// afterwards. A pre-WAL store (a single <dir>/sqalpel.json) is detected
+// when no CURRENT exists and migrated transparently.
 
 // snapshot is the on-disk JSON representation of one partition (and, for
 // legacy stores, of the whole store in a single document).
@@ -62,6 +73,22 @@ type snapshot struct {
 	// records with lsn <= WALLSN. Zero for legacy stores and fresh
 	// generations.
 	WALLSN uint64 `json:"wal_lsn,omitempty"`
+
+	// History names the prefix of the shard's history that holds the
+	// results and settled tasks this snapshot covers; nil when the lists
+	// above carry every row.
+	History *historyRef `json:"history,omitempty"`
+}
+
+// image is what a checkpoint captures of a partition under its lock: the
+// snapshot and, for a shard, the rows its history holds — prefixes of the
+// shard's results and settled tasks — with the moderation count they agree
+// with.
+type image struct {
+	snap     snapshot
+	results  []*Result
+	settled  []*Task
+	rewrites uint64
 }
 
 // encode streams the snapshot as one compact JSON object: each list as an
@@ -91,8 +118,17 @@ func (snap snapshot) encode(w *bufio.Writer) error {
 	return w.Flush() // a bufio.Writer keeps its first write error for Flush
 }
 
-// encodeList writes `"name":[…],`, or nothing for an empty list.
-func encodeList[T any](w *bufio.Writer, enc *json.Encoder, name string, list []*T) error {
+// listWriter is what encodeList writes to: the snapshot's buffered file or
+// a history frame's buffer.
+type listWriter interface {
+	io.Writer
+	io.ByteWriter
+	io.StringWriter
+}
+
+// encodeList writes `"name":[…],`, or nothing for an empty list; enc writes
+// to w.
+func encodeList[T any](w listWriter, enc *json.Encoder, name string, list []*T) error {
 	if len(list) == 0 {
 		return nil
 	}
@@ -203,6 +239,29 @@ func readSnapshot(path string) (snapshot, error) {
 	return decodeSnapshot(bufio.NewReader(f))
 }
 
+// errHistory marks a snapshot refused for the history prefix it names.
+var errHistory = errors.New("history")
+
+// readPartSnapshot loads one snapshot of a generation's partition together
+// with the history prefix it names, whole or not at all: a torn or corrupt
+// frame inside the prefix makes the snapshot unreadable like a damaged
+// snapshot file does, with an error that wraps errHistory. The history's
+// rows go ahead of the snapshot's own, so settled tasks merge before the
+// running ones.
+func readPartSnapshot(genDir, part string, lsn uint64) (snapshot, error) {
+	snap, err := readSnapshot(snapPath(genDir, part, lsn))
+	if err != nil || snap.History == nil {
+		return snap, err
+	}
+	results, tasks, err := snap.History.read(genDir)
+	if err != nil {
+		return snapshot{}, fmt.Errorf("%w: %w", errHistory, err)
+	}
+	snap.Results = append(results, snap.Results...)
+	snap.Tasks = append(tasks, snap.Tasks...)
+	return snap, nil
+}
+
 const (
 	currentFile  = "CURRENT"
 	legacyFile   = "sqalpel.json"
@@ -226,25 +285,30 @@ func snapPath(genDir, part string, lsn uint64) string {
 // partSnapshots lists the partition's snapshot files, newest (highest lsn)
 // first.
 func partSnapshots(genDir, part string) []uint64 {
+	return numberedFiles(genDir, part+".snap.", ".json")
+}
+
+// numberedFiles lists the numbers n of the files named prefix+n+suffix in
+// genDir, highest first.
+func numberedFiles(genDir, prefix, suffix string) []uint64 {
 	entries, err := os.ReadDir(genDir)
 	if err != nil {
 		return nil
 	}
-	var lsns []uint64
-	prefix := part + ".snap."
+	var ns []uint64
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".json") {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		lsn, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".json"), 10, 64)
+		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
 		if err != nil {
 			continue
 		}
-		lsns = append(lsns, lsn)
+		ns = append(ns, n)
 	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
-	return lsns
+	sort.Slice(ns, func(i, j int) bool { return ns[i] > ns[j] })
+	return ns
 }
 
 // partitionNames lists the partitions present in a generation directory,
@@ -331,14 +395,17 @@ type partition struct {
 	// capture returns the partition's image; mu held, shared or exclusive.
 	// The image shares nothing with the partition that a later mutation can
 	// reach, so it is encoded after mu is released.
-	capture func() snapshot
+	capture func() image
+	// hist is a shard's history; nil for the meta partition, whose snapshot
+	// holds all of it.
+	hist *history
 }
 
 // partitions lists the meta partition and the shards.
 func (s *Store) partitions() []partition {
-	parts := []partition{{partMeta, &s.metaMu, &s.metaWAL, s.captureMetaLocked}}
+	parts := []partition{{partMeta, &s.metaMu, &s.metaWAL, s.captureMetaLocked, nil}}
 	for i, sh := range s.shards {
-		parts = append(parts, partition{shardPartName(i), &sh.mu, &sh.wal, sh.captureLocked})
+		parts = append(parts, partition{shardPartName(i), &sh.mu, &sh.wal, sh.captureLocked, &sh.hist})
 	}
 	return parts
 }
@@ -346,7 +413,7 @@ func (s *Store) partitions() []partition {
 // captureMetaLocked builds the meta partition's image; metaMu held. Users
 // are copied by value and emitted by nickname; the global id counters ride
 // in the meta snapshot.
-func (s *Store) captureMetaLocked() snapshot {
+func (s *Store) captureMetaLocked() image {
 	snap := snapshot{
 		NextProjectID:      s.nextProjectID,
 		NextResultID:       int(s.nextResultID.Load()) + 1,
@@ -366,7 +433,7 @@ func (s *Store) captureMetaLocked() snapshot {
 	for i := range users {
 		snap.Users = append(snap.Users, &users[i])
 	}
-	return snap
+	return image{snap: snap}
 }
 
 // metaLogApply mirrors shard.logApply for the meta partition; metaMu held.
@@ -433,40 +500,50 @@ func (s *Store) Checkpoint() error {
 	return s.Save(s.dir)
 }
 
-// checkpointPartition writes a snapshot of one partition, prunes old
-// snapshots down to keepSnapshots, and rewrites the log to the records the
+// checkpointPartition brings a shard's history up to date, writes a
+// snapshot of the partition, prunes old snapshots down to keepSnapshots and
+// the history files they named, and rewrites the log to the records the
 // oldest retained snapshot still needs; persistMu held. The partition's lock
 // is held twice, briefly. Shared, to capture: an image at one LSN that no
 // mutation can reach afterwards (partition.capture) — which is what lets the
-// encoding, the snapshot's write and fsync, and the bulk of the compaction
-// run with the partition fully available; the PR 5 race was encoding live
-// objects without the lock, here nothing live is encoded. Exclusive, at the
-// end, to carry over the few records appended in the meantime and swap the
-// log (swapLogLocked).
+// encoding, the history's append and the snapshot's write with their
+// fsyncs, and the bulk of the compaction run with the partition fully
+// available; the PR 5 race was encoding live objects without the lock, here
+// nothing live is encoded. Exclusive, at the end, to carry over the few
+// records appended in the meantime and swap the log (swapLogLocked).
 func (s *Store) checkpointPartition(pt partition) error {
 	pt.mu.RLock()
-	snap := pt.capture()
+	img := pt.capture()
 	healthy := *pt.wal == nil || (*pt.wal).broken == nil
 	pt.mu.RUnlock()
 
-	err := writeAtomic(s.create, snapPath(s.gen, pt.name, snap.WALLSN), snap.encode)
+	if pt.hist != nil {
+		ref, err := pt.hist.extend(s.create, s.gen, pt.name, img)
+		if err != nil {
+			return fmt.Errorf("appending to the %s history: %w", pt.name, err)
+		}
+		img.snap.History = ref
+	}
+	err := writeAtomic(s.create, snapPath(s.gen, pt.name, img.snap.WALLSN), img.snap.encode)
 	if err != nil {
 		return fmt.Errorf("writing %s snapshot: %w", pt.name, err)
 	}
-	// Prune snapshots beyond the retention window.
+	// Prune snapshots beyond the retention window, then the history files
+	// none of the retained ones names.
 	lsns := partSnapshots(s.gen, pt.name)
 	for i, lsn := range lsns {
 		if i >= keepSnapshots {
 			_ = os.Remove(snapPath(s.gen, pt.name, lsn))
 		}
 	}
+	lsns = lsns[:min(len(lsns), keepSnapshots)]
+	if pt.hist != nil {
+		pt.hist.prune(s.gen, pt.name, img.snap.WALLSN, lsns)
+	}
 	// Compact the log: keep every record the oldest retained snapshot may
 	// still need for replay.
 	var keepAfter uint64
 	if n := len(lsns); n > 0 {
-		if n > keepSnapshots {
-			n = keepSnapshots
-		}
 		keepAfter = lsns[n-1]
 	}
 	path := walPath(s.gen, pt.name)
@@ -477,7 +554,7 @@ func (s *Store) checkpointPartition(pt partition) error {
 		return fmt.Errorf("reading %s wal for compaction: %w", pt.name, err)
 	}
 	var walk frameWalk
-	from, to := walk.span(raw, keepAfter, snap.WALLSN)
+	from, to := walk.span(raw, keepAfter, img.snap.WALLSN)
 	if from == 0 && healthy {
 		return nil // nothing to drop; keep the append handle as is
 	}
@@ -562,12 +639,14 @@ func readFrom(path string, off int64) ([]byte, error) {
 }
 
 // writeGeneration exports the full store as a brand-new generation in dir
-// and flips CURRENT to it; persistMu held. When attach is non-nil it is
-// called per partition with the new log path so Open can wire up the
-// write-ahead sinks of the generation it just created. Old generations
-// and a migrated legacy file are pruned afterwards — only once the new
-// generation is complete and CURRENT points at it, so a crash at any
-// earlier instant leaves the previous state authoritative.
+// and flips CURRENT to it; persistMu held. A shard's rows go to a new
+// history file by the append a checkpoint runs, from an empty history. When
+// attach is non-nil it is called per partition with the new log path so
+// Open can wire up the write-ahead sinks of the generation it just created,
+// and the shards keep the new histories as theirs; an export closes them.
+// Old generations and a migrated legacy file are pruned afterwards — only
+// once the new generation is complete and CURRENT points at it, so a crash
+// at any earlier instant leaves the previous state authoritative.
 func (s *Store) writeGeneration(dir string, attach func(part, walFile string) error) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("creating store directory: %w", err)
@@ -588,10 +667,24 @@ func (s *Store) writeGeneration(dir string, attach func(part, walFile string) er
 
 	for _, pt := range s.partitions() {
 		pt.mu.RLock()
-		snap := pt.capture()
+		img := pt.capture()
 		pt.mu.RUnlock()
-		snap.WALLSN = 0
-		if err := writeAtomic(s.create, snapPath(genDir, pt.name, 0), snap.encode); err != nil {
+		img.snap.WALLSN = 0
+		if pt.hist != nil {
+			var h history
+			ref, err := h.extend(s.create, genDir, pt.name, img)
+			if err != nil {
+				return "", fmt.Errorf("writing %s history: %w", pt.name, err)
+			}
+			img.snap.History = ref
+			if attach != nil {
+				h.named = map[uint64]int{0: h.file}
+				*pt.hist = h
+			} else {
+				h.close()
+			}
+		}
+		if err := writeAtomic(s.create, snapPath(genDir, pt.name, 0), img.snap.encode); err != nil {
 			return "", fmt.Errorf("writing %s snapshot: %w", pt.name, err)
 		}
 		if attach != nil {

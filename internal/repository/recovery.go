@@ -2,6 +2,7 @@ package repository
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -22,7 +23,9 @@ func defaultLogf(format string, args ...any) { log.Printf(format, args...) }
 // snapshot per partition (falling back to the previous snapshot when the
 // newest is corrupt), plus the replay of the log tail, dropping a torn or
 // corrupt trailing record with a logged warning instead of refusing to
-// boot. A legacy single-file sqalpel.json store is migrated transparently.
+// boot. It does refuse when a shard's history is damaged in a prefix every
+// snapshot names: those rows exist nowhere else. A legacy single-file
+// sqalpel.json store is migrated transparently.
 // Opening always writes a fresh generation of the on-disk layout, which is
 // also how shard-count changes between runs are absorbed.
 func Open(dir string, shardCount int) (*Store, error) {
@@ -109,6 +112,9 @@ func (s *Store) Close() error {
 			sh.wal = nil
 		}
 		sh.mu.Unlock()
+		//lint:iolocked persistMu serialises whole-store persistence only (no reader or mutator ever takes it); the history is a checkpoint's, and none may run on it any more
+		sh.hist.close()
+		sh.hist = history{}
 	}
 	s.dir = ""
 	return first
@@ -153,20 +159,33 @@ func loadInto(s *Store, dir string) error {
 }
 
 // loadGeneration recovers every partition of one generation directory:
-// newest valid snapshot first, then the log tail.
+// newest valid snapshot first — with the history prefix it names, which
+// merges its results and settled tasks ahead of the running ones — then the
+// log tail. When no snapshot loads and one of them was refused for its
+// history, the rows of that history are in no log any more (compaction
+// dropped their records, and a generation's first snapshot holds the rows
+// of the one before): it is an error, like a corrupt legacy file, and Open
+// writes no generation over the damaged one.
 func (ld *loader) loadGeneration(genDir string) error {
 	for _, part := range partitionNames(genDir) {
 		var adopted uint64
 		found := false
+		var damaged error // why a snapshot's history prefix did not read
 		for _, lsn := range partSnapshots(genDir, part) {
-			snap, err := readSnapshot(snapPath(genDir, part, lsn))
+			snap, err := readPartSnapshot(genDir, part, lsn)
 			if err == nil {
 				ld.mergeSnapshot(snap)
 				adopted = snap.WALLSN
 				found = true
 				break
 			}
+			if errors.Is(err, errHistory) {
+				damaged = err
+			}
 			ld.s.logf("repository: %s: snapshot at lsn %d unreadable (%v); falling back to the previous snapshot", part, lsn, err)
+		}
+		if !found && damaged != nil {
+			return fmt.Errorf("%s: no snapshot loads, and the log no longer holds the rows of their history (%w); the store in %s is left as it is", part, damaged, genDir)
 		}
 		if !found && len(partSnapshots(genDir, part)) > 0 {
 			ld.s.logf("repository: %s: no valid snapshot; replaying the full log", part)

@@ -26,6 +26,16 @@ type shard struct {
 	results  []*Result
 	comments []*Comment
 	tasks    map[int]*Task
+	// settled lists the tasks that ended — done, failed, timed out or
+	// killed — in the order they did; a settled task is never touched again,
+	// so a prefix is an immutable view like one of results.
+	settled []*Task
+	// rewrites counts the moderations, each of which replaced or dropped a
+	// row inside results: a history file holding the old rows is stale.
+	rewrites uint64
+	// hist is where the shard's history file stands (history.go); only
+	// checkpoints use it, under the store's persistMu.
+	hist history
 
 	// The queue's indexes (index.go): the experiments' pools and lanes, and
 	// the leases that can still expire.
@@ -172,6 +182,7 @@ func (sh *shard) apply(rec walRecord) error {
 			flipped := *sh.results[i]
 			flipped.Hidden = v.Hidden
 			sh.results = spliceResults(sh.results, i, &flipped)
+			sh.rewrites++
 		}
 	case opResultDelete:
 		var v walResultMod
@@ -181,6 +192,7 @@ func (sh *shard) apply(rec walRecord) error {
 		if i := sh.resultPos(v.ResultID); i >= 0 {
 			r := sh.results[i]
 			sh.results = spliceResults(sh.results, i, nil)
+			sh.rewrites++
 			sh.uncover(r.ProjectID, r.ExperimentID, r.DBMSKey, r.PlatformKey, r.QueryID)
 		}
 	case opComment:
@@ -300,17 +312,25 @@ func spliceResults(results []*Result, i int, r *Result) []*Result {
 // captureLocked builds the shard's persistent image; the caller holds the
 // shard lock, shared or exclusive. The image shares nothing with the shard
 // that a later mutation can reach, so it is encoded and written after the
-// lock is released: results and comments are prefixes of append-only slices
-// of immutable rows, projects are copied down to the slice headers of their
-// append-only lists (captured), and tasks — the one kind of row that changes
-// in place — are copied by value. Projects and tasks are emitted in id
+// lock is released: results, settled tasks and comments are prefixes of
+// append-only slices of immutable rows, projects are copied down to the
+// slice headers of their append-only lists (captured), and the running
+// tasks — the one kind of row that changes in place — are copied by value.
+// The snapshot lists the projects, the comments and the running tasks; the
+// results and settled tasks go to the history (history.go), which already
+// holds all but the newest. Projects and running tasks are emitted in id
 // order, so two images of one state are the same bytes.
-func (sh *shard) captureLocked() snapshot {
-	snap := snapshot{
-		Results:  sh.results[:len(sh.results):len(sh.results)],
-		Comments: sh.comments[:len(sh.comments):len(sh.comments)],
-		SavedAt:  sh.store.now(),
+func (sh *shard) captureLocked() image {
+	img := image{
+		snap: snapshot{
+			Comments: sh.comments[:len(sh.comments):len(sh.comments)],
+			SavedAt:  sh.store.now(),
+		},
+		results:  sh.results[:len(sh.results):len(sh.results)],
+		settled:  sh.settled[:len(sh.settled):len(sh.settled)],
+		rewrites: sh.rewrites,
 	}
+	snap := &img.snap
 	if sh.wal != nil {
 		snap.WALLSN = sh.wal.lsn
 	}
@@ -321,16 +341,15 @@ func (sh *shard) captureLocked() snapshot {
 	for i, p := range snap.Projects {
 		snap.Projects[i] = p.captured()
 	}
-	tasks := make([]Task, 0, len(sh.tasks))
-	for _, t := range sh.tasks {
-		tasks = append(tasks, *t)
+	running := make([]Task, 0, len(sh.running))
+	for _, t := range sh.running {
+		running = append(running, *t)
 	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].ID < tasks[j].ID })
-	snap.Tasks = make([]*Task, len(tasks))
-	for i := range tasks {
-		snap.Tasks[i] = &tasks[i]
+	sort.Slice(running, func(i, j int) bool { return running[i].ID < running[j].ID })
+	for i := range running {
+		snap.Tasks = append(snap.Tasks, &running[i])
 	}
-	return snap
+	return img
 }
 
 // captured returns a copy of the project that no mutation of the live one

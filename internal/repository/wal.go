@@ -22,7 +22,8 @@ import (
 //
 //	[4-byte little-endian payload length][4-byte CRC32 (IEEE) of payload][payload]
 //
-// with the payload a JSON-encoded walRecord. The CRC and the length prefix
+// with the payload a JSON-encoded walRecord (a shard's history file uses the
+// same framing, history.go). The CRC and the length prefix
 // make torn tail writes (a crash mid-append) and bit corruption detectable:
 // recovery drops everything from the first invalid record on and boots from
 // what provably hit the disk.
@@ -180,10 +181,17 @@ func frameRecord(rec walRecord) ([]byte, error) {
 		return nil, fmt.Errorf("encoding wal record: %w", err)
 	}
 	frame := make([]byte, walHeaderSize+len(body))
+	copy(frame[walHeaderSize:], body)
+	putFrameHeader(frame)
+	return frame, nil
+}
+
+// putFrameHeader fills the header room at the start of frame with the
+// length and the CRC of the payload behind it.
+func putFrameHeader(frame []byte) {
+	body := frame[walHeaderSize:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-	copy(frame[walHeaderSize:], body)
-	return frame, nil
 }
 
 const walHeaderSize = 8

@@ -597,14 +597,30 @@ func (s stepSink) Sync() error {
 	return err
 }
 
+// frameSink is a stepSink that also reports each write: on a shard's
+// history, a frame.
+type frameSink struct {
+	stepSink
+	wrote func(p []byte)
+}
+
+func (s frameSink) Write(p []byte) (int, error) {
+	n, err := s.walSink.Write(p)
+	if err == nil {
+		s.wrote(p)
+	}
+	return n, err
+}
+
 // TestCrashInsideCheckpoint cuts the checkpoint sequence of a shard at every
-// step that changes the disk — snapshot temporary created, written, renamed;
-// compacted log temporary written; tail appended; log renamed; sink reopened
-// — with acknowledged mutations landing on the same shard while the
-// checkpoint is between its two lock holds (the snapshot is being encoded;
-// the bulk of the log is already copied, so the record must travel in the
-// tail). Every image must recover to exactly what was acknowledged when it
-// was taken, with no slot double-leased, and drain to one measurement a slot.
+// step that changes the disk — history frame appended (and torn halfway),
+// synced; snapshot temporary created, written, renamed; compacted log
+// temporary written; tail appended; log renamed; sink reopened — with
+// acknowledged mutations landing on the same shard while the checkpoint is
+// between its two lock holds (the snapshot is being encoded; the bulk of
+// the log is already copied, so the record must travel in the tail). Every
+// image must recover to exactly what was acknowledged when it was taken,
+// with no slot double-leased, and drain to one measurement a slot.
 func TestCrashInsideCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, err := open(dir, 1, quietLogf, nosyncFactory)
@@ -623,16 +639,6 @@ func TestCrashInsideCheckpoint(t *testing.T) {
 		}
 		acked = append(acked, r.ID)
 	}
-	// A first checkpoint, then more work: the second one has a snapshot to
-	// retire and a log prefix to drop.
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ack()
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ack()
 
 	type image struct {
 		step  string
@@ -640,16 +646,43 @@ func TestCrashInsideCheckpoint(t *testing.T) {
 		acked []int
 	}
 	var images []image
-	cut := func(step string) {
+	cut := func(step string) string {
 		crashDir := t.TempDir()
 		copyTree(t, dir, crashDir)
 		images = append(images, image{step, crashDir, append([]int(nil), acked...)})
+		return crashDir
 	}
 	shardFile := func(path string) bool { return strings.HasPrefix(filepath.Base(path), shardPartName(0)+".") }
-	walSyncs := 0
+	armed, walSyncs := false, 0
 	s.create = func(path string) (walSink, error) {
 		f, err := createFile(path)
 		if err != nil || !shardFile(path) {
+			return f, err
+		}
+		if strings.Contains(path, ".hist.") {
+			// The workload's moderation makes the first checkpoint below start
+			// the history file the armed one appends to.
+			synced := func() {
+				if armed {
+					cut("history frame synced, snapshot not written")
+				}
+			}
+			return frameSink{stepSink{f, synced}, func(p []byte) {
+				if !armed {
+					return
+				}
+				cut("history frame appended, not synced")
+				torn := cut("history frame torn")
+				info, err := os.Stat(path)
+				if err == nil {
+					err = os.Truncate(filepath.Join(torn, strings.TrimPrefix(path, dir)), info.Size()-int64(len(p)/2))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}}, nil
+		}
+		if !armed {
 			return f, err
 		}
 		if strings.Contains(path, ".snap.") {
@@ -667,6 +700,18 @@ func TestCrashInsideCheckpoint(t *testing.T) {
 			cut("tail appended") // the shard is locked from here on
 		}}, nil
 	}
+	// A first checkpoint, then more work: the second one has a snapshot to
+	// retire and a log prefix to drop, and the third a frame to append.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ack()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ack()
+
+	armed = true
 	s.sinks = func(path string) (walSink, error) {
 		if shardFile(path) {
 			cut("log renamed")
@@ -682,8 +727,8 @@ func TestCrashInsideCheckpoint(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(images) != 8 {
-		t.Fatalf("%d crash images, want 8: the checkpoint sequence changed", len(images))
+	if len(images) != 11 {
+		t.Fatalf("%d crash images, want 11: the checkpoint sequence changed", len(images))
 	}
 	for _, img := range images {
 		recovered, err := open(img.dir, 1, quietLogf, nosyncFactory)
