@@ -4,9 +4,10 @@
 // live pointers under the lock but marshalled them after releasing it, so
 // concurrent mutators raced the encoder. The repository's rule since PR 7
 // is that serialisation and disk writes under a write lock happen only at
-// the one blessed seam — the WAL append path (logApply/metaLogApply:
-// durability *requires* append+fsync under the same lock as the in-memory
-// apply, so log order equals apply order). The checkpoint path used to be a
+// the one blessed seam — the WAL append path (logApply/metaLogApply, which
+// log through walWriter.log: durability *requires* encode+append+fsync
+// under the same lock as the in-memory apply, so log order equals apply
+// order). The checkpoint path used to be a
 // second one, marshalling the whole partition under its lock because the
 // snapshot aliased live objects; it now captures an image no mutation can
 // reach under the lock and encodes and writes it after the unlock, and only
@@ -70,9 +71,9 @@ var ioMethods = []struct {
 	{"os", "File", []string{"Write", "WriteString", "Sync", "Truncate", "ReadFrom", "Read"}},
 	{"encoding/json", "Encoder", []string{"Encode"}},
 	{"bufio", "Writer", []string{"Flush"}},
-	// The WAL writer and sink are I/O by definition: append frames, writes
-	// and fsyncs one record.
-	{Marker, "walWriter", []string{"append"}},
+	// The WAL writer and sink are I/O by definition: log encodes, frames,
+	// writes and fsyncs one record.
+	{Marker, "walWriter", []string{"log"}},
 	{Marker, "walSink", []string{"Write", "Sync", "Close"}},
 }
 

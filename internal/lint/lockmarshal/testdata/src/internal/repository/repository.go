@@ -18,9 +18,13 @@ type walSink interface {
 
 type walWriter struct{ sink walSink }
 
-// append frames, writes and fsyncs one record: I/O by definition.
-func (w *walWriter) append(rec []byte) error {
-	if _, err := w.sink.Write(rec); err != nil {
+// log encodes, frames, writes and fsyncs one record: I/O by definition.
+func (w *walWriter) log(op string, payload any) error {
+	b, err := json.Marshal(payload)
+	if err != nil {
+		return err
+	}
+	if _, err := w.sink.Write(b); err != nil {
 		return err
 	}
 	return w.sink.Sync()
@@ -33,16 +37,12 @@ type store struct {
 	data map[string]int
 }
 
-// logApply is the blessed WAL seam: marshal+append+fsync under the data
+// logApply is the blessed WAL seam: encode+append+fsync under the data
 // lock is the durability discipline itself (log order equals apply order).
 //
 //lint:iolocked WAL seam: append+fsync must happen under the same lock as the in-memory apply
 func (s *store) logApply(op string, payload any) error {
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	return s.wal.append(b)
+	return s.wal.log(op, payload)
 }
 
 // writeFileAtomic performs direct I/O, making it a one-hop I/O callee.
@@ -64,11 +64,11 @@ func (s *store) helperUnderLock(path string) error {
 	return writeFileAtomic(path, nil) // want `writeFileAtomic while write lock s.mu is held`
 }
 
-// walAppendUnderLock: direct WAL writer use outside logApply is flagged.
-func (s *store) walAppendUnderLock(rec []byte) error {
+// walLogUnderLock: direct WAL writer use outside logApply is flagged.
+func (s *store) walLogUnderLock(op string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.wal.append(rec) // want `s.wal.append while write lock s.mu is held`
+	return s.wal.log(op, s.data) // want `s.wal.log while write lock s.mu is held`
 }
 
 // viaLogApply: the blessed seam is exempt at its call sites.

@@ -12,14 +12,14 @@ type shard struct {
 
 type walWriter struct{ frames [][]byte }
 
-func (w *walWriter) append(rec []byte) error {
+func (w *walWriter) log(op string, rec []byte) error {
 	w.frames = append(w.frames, rec)
 	return nil
 }
 
 // logApply is the WAL seam: append+fsync, then apply in memory.
 func (sh *shard) logApply(op string, payload []byte) error {
-	return sh.wal.append(payload)
+	return sh.wal.log(op, payload)
 }
 
 // goodMutate is the canonical shape: append first (in the if init), then

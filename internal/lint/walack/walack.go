@@ -8,7 +8,7 @@
 // dies, and recovery replays a log that never heard of the operation.
 //
 // The analyzer examines every internal/repository function that calls one
-// of the WAL append seams (logApply, metaLogApply, or walWriter.append
+// of the WAL append seams (logApply, metaLogApply, or walWriter.log
 // directly) — such a function is by construction a mutation path — and
 // walks its statements in source order tracking whether an append has
 // happened yet. A return whose error result is the literal nil before any
@@ -38,7 +38,7 @@ const Token = "acked"
 
 // appendCallees are the WAL append seams. A call to any of them marks the
 // path as durable.
-var appendCallees = map[string]bool{"logApply": true, "metaLogApply": true, "append": true}
+var appendCallees = map[string]bool{"logApply": true, "metaLogApply": true, "log": true}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "walack",
@@ -59,7 +59,7 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			if appendCallees[fd.Name.Name] {
-				// The seams themselves (and walWriter.append) are the
+				// The seams themselves (and walWriter.log) are the
 				// discipline, not subject to it.
 				continue
 			}
@@ -82,7 +82,7 @@ func callsAppendSeam(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-// isAppendCall matches calls to logApply / metaLogApply / walWriter.append
+// isAppendCall matches calls to logApply / metaLogApply / walWriter.log
 // defined in the repository package.
 func isAppendCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := lintutil.CalleeFunc(pass.TypesInfo, call)

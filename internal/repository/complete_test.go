@@ -159,7 +159,7 @@ func TestSingleCompletionRecordStillReplays(t *testing.T) {
 	sh.mu.Lock()
 	rec, err := sh.completionLocked(key, Completion{TaskID: task.ID, Seconds: []float64{0.5}}, false)
 	if err == nil {
-		err = sh.logApply(opTaskComplete, rec) // the object, as the parent logged it
+		err = sh.wal.log(opTaskComplete, rec) // the single object, as logs before batched completions hold it
 	}
 	sh.mu.Unlock()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // A shard's history is the append-only file of its immutable rows: result
@@ -28,7 +29,7 @@ import (
 // the same append from an empty history. Otherwise the two retained
 // snapshots name prefixes of one file, so the frames both cover exist once:
 // recovery refuses a store whose shared frames are damaged
-// (loader.loadGeneration) rather than boot without their rows.
+// (Store.loadGeneration) rather than boot without their rows.
 
 // historyRef is what a snapshot records of its shard's history: the file,
 // relative to the generation directory, and the length of the prefix the
@@ -166,8 +167,8 @@ func writeFrames(w io.Writer, results []*Result, tasks []*Task) (int64, error) {
 }
 
 // read decodes the history prefix the reference names, whole or not at all:
-// every frame up to Bytes must be intact, and the prefix must end on a
-// frame boundary.
+// every frame up to Bytes must be intact and hold no null row, and the
+// prefix must end on a frame boundary.
 func (ref historyRef) read(genDir string) ([]*Result, []*Task, error) {
 	if ref.File != filepath.Base(ref.File) || ref.Bytes < 0 {
 		return nil, nil, fmt.Errorf("history reference %+v", ref)
@@ -196,7 +197,11 @@ func readFrames(r io.Reader, size int64, name string) ([]*Result, []*Task, error
 			return nil, nil, fmt.Errorf("%s: %s at offset %d", name, problem, off)
 		}
 		var fr historyFrame
-		if err := json.Unmarshal(body, &fr); err != nil {
+		err := json.Unmarshal(body, &fr)
+		if err == nil && (slices.Contains(fr.Results, nil) || slices.Contains(fr.Tasks, nil)) {
+			err = errNullRow
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("%s: frame at offset %d: %w", name, off, err)
 		}
 		results = append(results, fr.Results...)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -421,9 +422,13 @@ func TestParentGenerationLoads(t *testing.T) {
 // FuzzDecodeSnapshot feeds arbitrary bytes to the snapshot decoder. It must
 // not panic, must return nothing of a document it refuses, and a snapshot it
 // accepts must re-encode to a fixpoint: encoding what decoding the encoding
-// gives writes the same bytes. The seed corpus in testdata/fuzz holds the
-// snapshots of the golden crash workload, in both formats.
+// gives writes the same bytes — and merge into a fresh store without a
+// panic. The seed corpus in testdata/fuzz holds the snapshots of the golden
+// crash workload, in both formats; the seeds below hold null rows a merge
+// used to dereference, which the decoder refuses.
 func FuzzDecodeSnapshot(f *testing.F) {
+	f.Add([]byte(`{"projects":[{"id":1,"contributors":[null]}],"saved_at":"2026-01-01T00:00:00Z"}`))
+	f.Add([]byte(`{"projects":[{"id":1,"experiments":[null]}],"saved_at":"2026-01-01T00:00:00Z"}`))
 	encode := func(t *testing.T, snap snapshot) []byte {
 		var buf bytes.Buffer
 		if err := snap.encode(bufio.NewWriter(&buf)); err != nil {
@@ -447,12 +452,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if second := encode(t, again); !bytes.Equal(first, second) {
 			t.Fatalf("re-encoding is not a fixpoint:\n%s\n%s", first, second)
 		}
+		NewStore().mergeSnapshot(again)
 	})
 }
 
 // historyOracle walks data as a history by the format's definition: every
 // frame's length in range, its payload whole, its CRC right and its JSON a
-// frame. It returns the rows — every result, then every task — or ok false.
+// frame of rows, none of them null. It returns the rows — every result, then
+// every task — or ok false.
 func historyOracle(data []byte) (rows []any, ok bool) {
 	var tasks []any
 	for off := 0; off < len(data); {
@@ -468,7 +475,7 @@ func historyOracle(data []byte) (rows []any, ok bool) {
 			return nil, false
 		}
 		var fr historyFrame
-		if json.Unmarshal(body, &fr) != nil {
+		if json.Unmarshal(body, &fr) != nil || slices.Contains(fr.Results, nil) || slices.Contains(fr.Tasks, nil) {
 			return nil, false
 		}
 		for _, r := range fr.Results {
@@ -488,8 +495,12 @@ func historyOracle(data []byte) (rows []any, ok bool) {
 // frames — with their rows, results before tasks — and refused otherwise,
 // which falls back to the previous snapshot. The seed corpus in
 // testdata/fuzz holds the history of the golden crash workload, cut at the
-// end and at frame boundaries.
+// end and at frame boundaries; the seed below is a frame of null rows, which
+// recovery used to dereference.
 func FuzzHistoryFrames(f *testing.F) {
+	nulls := append(make([]byte, walHeaderSize), `{"results":[null],"tasks":[null]}`...)
+	putFrameHeader(nulls)
+	f.Add(nulls, uint32(len(nulls)))
 	genDir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte, cut uint32) {
 		size := min(int(cut), len(data))

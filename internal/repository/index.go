@@ -1,16 +1,21 @@
 package repository
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // The queue's indexes. A lease, a completion and an expiry sweep used to
 // re-derive what they needed from everything the shard held — every result
 // and every task for the covered slots, every task for the overdue leases,
 // every shard for the owner of a task id or a contributor key. The state
 // below is maintained instead at the seams that already mutate the shard:
-// shard.apply on the live and the replay path, expireTasksLocked, and
-// mergeSnapshot when recovery loads a snapshot. None of it is persisted; it
-// is a function of the projects, results and tasks, and the scan it replaced
-// lives on in index_test.go as the oracle it is checked against.
+// the records' apply methods (record.go), which the live and the replay path
+// share, expireTasksLocked, and mergeSnapshot when recovery loads a
+// snapshot. None of it is persisted; it is a function of the projects,
+// results and tasks, and the scan it replaced lives on in index_test.go as
+// the oracle it is checked against. The id counters are raised here too, as
+// the rows enter, so recovery never reissues an id it has seen.
 
 type expKey struct{ project, experiment int }
 
@@ -114,6 +119,7 @@ func (sh *shard) indexResult(r *Result) {
 	r.ContributorKey = sh.store.canonicalKey(r.ContributorKey)
 	ln.cover[r.QueryID]++
 	sh.results = append(sh.results, r)
+	raise(&sh.store.nextResultID, r.ID)
 }
 
 // indexTask adds a task to the shard: its route, its claim on the slot while
@@ -136,6 +142,7 @@ func (sh *shard) indexTask(t *Task) {
 	}
 	sh.tasks[t.ID] = t
 	sh.store.routeTask(t.ID, sh)
+	raise(&sh.store.nextTaskID, t.ID)
 }
 
 // settleTask ends a lease — completed, failed, killed or timed out — and
@@ -183,4 +190,14 @@ func (s *Store) canonicalKey(key string) string {
 		return rt.contributor.Key
 	}
 	return key
+}
+
+// raise lifts an id counter, the last id assigned, to at least id.
+func raise(counter *atomic.Int64, id int) {
+	for {
+		last := counter.Load()
+		if int64(id) <= last || counter.CompareAndSwap(last, int64(id)) {
+			return
+		}
+	}
 }

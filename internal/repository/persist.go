@@ -209,7 +209,8 @@ func expectDelim(dec *json.Decoder, want json.Delim) error {
 	return nil
 }
 
-// decodeList reads one JSON array (or null) of objects into dst.
+// decodeList reads one JSON array (or null) of objects into dst; a null
+// element, or one validRow refuses, is an error.
 func decodeList[T any](dec *json.Decoder, dst *[]*T) error {
 	tok, err := dec.Token()
 	if err != nil || tok == nil {
@@ -219,9 +220,12 @@ func decodeList[T any](dec *json.Decoder, dst *[]*T) error {
 		return fmt.Errorf("expected an array, found %v", tok)
 	}
 	for dec.More() {
-		v := new(T)
-		if err := dec.Decode(v); err != nil {
+		var v *T
+		if err := dec.Decode(&v); err != nil {
 			return err
+		}
+		if v == nil || !validRow(v) {
+			return errNullRow
 		}
 		*dst = append(*dst, v)
 	}
@@ -336,8 +340,6 @@ func partitionNames(genDir string) []string {
 		parts = append(parts, p)
 	}
 	sort.Strings(parts)
-	// "meta" sorts after "s..." alphabetically only when shards are
-	// lowercase s — it does not; sort puts "meta" before "s000" already.
 	return parts
 }
 
@@ -436,35 +438,14 @@ func (s *Store) captureMetaLocked() image {
 	return image{snap: snap}
 }
 
-// metaLogApply mirrors shard.logApply for the meta partition; metaMu held.
-func (s *Store) metaLogApply(op string, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("encoding %s record: %w", op, err)
-	}
-	rec := walRecord{Op: op, Data: data}
+// metaLogApply is shard.logApply for the meta partition; metaMu held.
+func (s *Store) metaLogApply(u *userRecord) error {
 	if s.metaWAL != nil {
-		rec.LSN = s.metaWAL.lsn + 1
-		if err := s.metaWAL.append(rec); err != nil {
+		if err := s.metaWAL.log(opUser, u); err != nil {
 			return err
 		}
 	}
-	return s.applyMeta(rec)
-}
-
-// applyMeta mutates the meta partition from one decoded record; metaMu
-// held (or single-threaded recovery).
-func (s *Store) applyMeta(rec walRecord) error {
-	switch rec.Op {
-	case opUser:
-		var u User
-		if err := json.Unmarshal(rec.Data, &u); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		s.users[u.Nickname] = &u
-	default:
-		return fmt.Errorf("unknown meta wal op %q", rec.Op)
-	}
+	u.apply(s)
 	return nil
 }
 

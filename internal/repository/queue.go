@@ -132,14 +132,14 @@ func (s *Store) RequestTasks(contributorKey string, experimentID int, dbmsKey, p
 	// handed out, so a crash either forgets the whole batch (the driver
 	// never saw it either — the request did not return) or remembers every
 	// lease in it.
-	if err := sh.logApply(opTaskLease, batch); err != nil {
+	if err := sh.logApply(opTaskLease, leaseRecord(batch)); err != nil {
 		return nil, err
 	}
 	// Hand out copies: the stored tasks keep mutating under the shard lock
 	// (completion, expiry) while the caller serialises its lease.
 	leased := make([]*Task, len(batch))
 	for i, t := range batch {
-		clone := *sh.tasks[t.ID]
+		clone := *t
 		leased[i] = &clone
 	}
 	return leased, nil
@@ -147,7 +147,9 @@ func (s *Store) RequestTasks(contributorKey string, experimentID int, dbmsKey, p
 
 // Completion is one finished task as a driver reports it: the wall-clock
 // times of the repetitions, the error when the query failed, the extra
-// indicators and, optionally, the per-operator trace.
+// indicators and, optionally, the per-operator trace. The store copies
+// Seconds and Extra; a Trace it records is the store's from then on, and
+// the caller must not change it.
 type Completion struct {
 	TaskID  int
 	Seconds []float64
@@ -219,16 +221,14 @@ func (s *Store) CompleteTasks(contributorKey string, batch []Completion) []Compl
 	if len(recs) == 0 {
 		return out
 	}
-	if err := sh.logApply(opTaskComplete, recs); err != nil {
+	if err := sh.logApply(opTaskComplete, completeRecord(recs)); err != nil {
 		for _, i := range accepted {
 			out[i].Err = err
 		}
 		return out
 	}
-	// apply appended the results in record order.
-	results := sh.results[len(sh.results)-len(recs):]
 	for j, i := range accepted {
-		out[i].Result = results[j]
+		out[i].Result = recs[j].Result
 	}
 	return out
 }

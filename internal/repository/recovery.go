@@ -1,7 +1,6 @@
 package repository
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -120,21 +119,13 @@ func (s *Store) Close() error {
 	return first
 }
 
-// loader accumulates id high-water marks while recovery merges snapshots
-// and replays logs, so freed ids are never reissued even when the highest
-// row was deleted after the last snapshot.
-type loader struct {
-	s                                              *Store
-	maxProject, maxResult, maxComment, maxTask     int
-	nextProject, nextResult, nextComment, nextTask int
-	taskTimeoutSeconds                             int
-}
-
 // loadInto recovers the persistent state in dir into the (empty) store s,
 // which may be sharded differently from the store that wrote it: projects
-// and their dependent rows are redistributed to s's own shards.
+// and their dependent rows are redistributed to s's own shards. The id
+// counters follow the rows as they enter (record apply, indexResult,
+// indexTask) and the counters snapshots carry, so an id is never reissued,
+// not even one whose row was deleted after the last snapshot.
 func loadInto(s *Store, dir string) error {
-	ld := &loader{s: s}
 	current, err := os.ReadFile(filepath.Join(dir, currentFile))
 	switch {
 	case err == nil:
@@ -142,20 +133,14 @@ func loadInto(s *Store, dir string) error {
 		if _, err := os.Stat(genDir); err != nil {
 			return fmt.Errorf("CURRENT names missing generation %q: %w", strings.TrimSpace(string(current)), err)
 		}
-		if err := ld.loadGeneration(genDir); err != nil {
-			return err
-		}
+		return s.loadGeneration(genDir)
 	case os.IsNotExist(err):
 		// No generation pointer: either a legacy single-file store or a
 		// fresh deployment.
-		if err := ld.loadLegacy(filepath.Join(dir, legacyFile)); err != nil {
-			return err
-		}
+		return s.loadLegacy(filepath.Join(dir, legacyFile))
 	default:
 		return fmt.Errorf("reading CURRENT: %w", err)
 	}
-	ld.finish()
-	return nil
 }
 
 // loadGeneration recovers every partition of one generation directory:
@@ -166,7 +151,7 @@ func loadInto(s *Store, dir string) error {
 // dropped their records, and a generation's first snapshot holds the rows
 // of the one before): it is an error, like a corrupt legacy file, and Open
 // writes no generation over the damaged one.
-func (ld *loader) loadGeneration(genDir string) error {
+func (s *Store) loadGeneration(genDir string) error {
 	for _, part := range partitionNames(genDir) {
 		var adopted uint64
 		found := false
@@ -174,7 +159,7 @@ func (ld *loader) loadGeneration(genDir string) error {
 		for _, lsn := range partSnapshots(genDir, part) {
 			snap, err := readPartSnapshot(genDir, part, lsn)
 			if err == nil {
-				ld.mergeSnapshot(snap)
+				s.mergeSnapshot(snap)
 				adopted = snap.WALLSN
 				found = true
 				break
@@ -182,13 +167,13 @@ func (ld *loader) loadGeneration(genDir string) error {
 			if errors.Is(err, errHistory) {
 				damaged = err
 			}
-			ld.s.logf("repository: %s: snapshot at lsn %d unreadable (%v); falling back to the previous snapshot", part, lsn, err)
+			s.logf("repository: %s: snapshot at lsn %d unreadable (%v); falling back to the previous snapshot", part, lsn, err)
 		}
 		if !found && damaged != nil {
 			return fmt.Errorf("%s: no snapshot loads, and the log no longer holds the rows of their history (%w); the store in %s is left as it is", part, damaged, genDir)
 		}
 		if !found && len(partSnapshots(genDir, part)) > 0 {
-			ld.s.logf("repository: %s: no valid snapshot; replaying the full log", part)
+			s.logf("repository: %s: no valid snapshot; replaying the full log", part)
 		}
 		raw, err := os.ReadFile(walPath(genDir, part))
 		if err != nil {
@@ -197,12 +182,12 @@ func (ld *loader) loadGeneration(genDir string) error {
 			}
 			return fmt.Errorf("reading %s wal: %w", part, err)
 		}
-		for _, rec := range decodeWAL(raw, part+".wal", ld.s.logf) {
+		for _, rec := range decodeWAL(raw, part+".wal", s.logf) {
 			if rec.LSN <= adopted {
 				continue // the snapshot already contains this record
 			}
-			if err := ld.replay(part, rec); err != nil {
-				ld.s.logf("repository: %s: stopping replay at lsn %d: %v", part, rec.LSN, err)
+			if err := s.replay(part, rec); err != nil {
+				s.logf("repository: %s: stopping replay at lsn %d: %v", part, rec.LSN, err)
 				break
 			}
 		}
@@ -213,7 +198,7 @@ func (ld *loader) loadGeneration(genDir string) error {
 // loadLegacy reads a pre-WAL single-file store. A missing file yields an
 // empty store; a corrupt one is an error (there is no older snapshot to
 // fall back to, and silently booting empty would discard the world).
-func (ld *loader) loadLegacy(path string) error {
+func (s *Store) loadLegacy(path string) error {
 	snap, err := readSnapshot(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -221,168 +206,102 @@ func (ld *loader) loadLegacy(path string) error {
 		}
 		return fmt.Errorf("reading store: %w", err)
 	}
-	ld.mergeSnapshot(snap)
+	s.mergeSnapshot(snap)
 	return nil
 }
 
 // mergeSnapshot distributes one partition image over the store's own
-// shards, through the same index seams shard.apply uses — projects first:
-// their routes and pools are what the rows are indexed against.
-func (ld *loader) mergeSnapshot(snap snapshot) {
-	s := ld.s
+// shards, through the seams the records' apply uses — projects first: their
+// routes and pools are what the rows are indexed against.
+func (s *Store) mergeSnapshot(snap snapshot) {
 	for _, u := range snap.Users {
-		s.users[u.Nickname] = u
+		(*userRecord)(u).apply(s)
 	}
 	for _, p := range snap.Projects {
-		sh := s.shardFor(p.ID)
-		sh.projects[p.ID] = p
-		sh.indexProject(p)
-		ld.bump(&ld.maxProject, p.ID)
+		(*projectRecord)(p).apply(s.shardFor(p.ID))
 	}
 	for _, r := range snap.Results {
 		s.shardFor(r.ProjectID).indexResult(r)
-		ld.bump(&ld.maxResult, r.ID)
 	}
 	for _, c := range snap.Comments {
-		sh := s.shardFor(c.ProjectID)
-		sh.comments = append(sh.comments, c)
-		ld.bump(&ld.maxComment, c.ID)
+		(*commentRecord)(c).apply(s.shardFor(c.ProjectID))
 	}
 	for _, t := range snap.Tasks {
 		s.shardFor(t.ProjectID).indexTask(t)
-		ld.bump(&ld.maxTask, t.ID)
 	}
-	ld.bump(&ld.nextProject, snap.NextProjectID)
-	ld.bump(&ld.nextResult, snap.NextResultID)
-	ld.bump(&ld.nextComment, snap.NextCommentID)
-	ld.bump(&ld.nextTask, snap.NextTaskID)
-	ld.bump(&ld.taskTimeoutSeconds, snap.TaskTimeoutSeconds)
-}
-
-func (ld *loader) bump(dst *int, v int) {
-	if v > *dst {
-		*dst = v
+	s.nextProjectID = max(s.nextProjectID, snap.NextProjectID)
+	raise(&s.nextResultID, snap.NextResultID-1)
+	raise(&s.nextCommentID, snap.NextCommentID-1)
+	raise(&s.nextTaskID, snap.NextTaskID-1)
+	if snap.TaskTimeoutSeconds > 0 {
+		s.TaskTimeout = time.Duration(snap.TaskTimeoutSeconds) * time.Second
 	}
 }
 
-// replay routes one log record to the partition of the current store that
-// owns it (the writing store may have had a different shard count) and
-// applies it.
-func (ld *loader) replay(part string, rec walRecord) error {
-	s := ld.s
+// replay decodes one log record, routes it to the partition of the current
+// store that owns it (the writing store may have had a different shard
+// count) and applies it.
+func (s *Store) replay(part string, rec walRecord) error {
+	r, err := decodeRecord(rec)
+	if err != nil {
+		return err
+	}
 	if part == partMeta {
-		return s.applyMeta(rec)
+		u, ok := r.(*userRecord)
+		if !ok {
+			return fmt.Errorf("unknown meta wal op %q", rec.Op)
+		}
+		u.apply(s)
+		return nil
 	}
 	var sh *shard
-	switch rec.Op {
-	case opProject:
-		var peek struct {
-			ID int `json:"id"`
-		}
-		if err := json.Unmarshal(rec.Data, &peek); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		sh = s.shardFor(peek.ID)
-		ld.bump(&ld.maxProject, peek.ID)
-	case opTaskLease:
-		var ts []*Task
-		if err := json.Unmarshal(rec.Data, &ts); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if len(ts) == 0 {
+	switch r := r.(type) {
+	case *projectRecord:
+		sh = s.shardFor(r.ID)
+	case *walVisibility:
+		sh = s.shardFor(r.ProjectID)
+	case *walSynopsis:
+		sh = s.shardFor(r.ProjectID)
+	case *walCatalogs:
+		sh = s.shardFor(r.ProjectID)
+	case *walInvite:
+		sh = s.shardFor(r.ProjectID)
+	case *walExperiment:
+		sh = s.shardFor(r.ProjectID)
+	case *walQueries:
+		sh = s.shardFor(r.ProjectID)
+	case *walQueriesAppend:
+		sh = s.shardFor(r.ProjectID)
+	case *resultRecord:
+		sh = s.shardFor(r.ProjectID)
+	case *walResultHide:
+		sh = s.shardWithResult(r.ResultID)
+	case *walResultDelete:
+		sh = s.shardWithResult(r.ResultID)
+	case *commentRecord:
+		sh = s.shardFor(r.ProjectID)
+	case *leaseRecord:
+		if len(*r) == 0 {
 			return nil
 		}
-		// A lease batch always covers a single project.
-		sh = s.shardFor(ts[0].ProjectID)
-		for _, t := range ts {
-			ld.bump(&ld.maxTask, t.ID)
-		}
-	case opTaskComplete:
-		batch, err := decodeCompletions(rec.Data)
-		if err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if len(batch) == 0 {
+		sh = s.shardFor((*r)[0].ProjectID) // a lease batch covers one project
+	case *completeRecord:
+		if len(*r) == 0 {
 			return nil
 		}
-		// A completion batch always covers a single project: it was reported
-		// with one contributor key.
-		if r := batch[0].Result; r != nil {
-			sh = s.shardFor(r.ProjectID)
+		// A completion batch covers one project: it was reported with one
+		// contributor key.
+		if res := (*r)[0].Result; res != nil {
+			sh = s.shardFor(res.ProjectID)
 		} else {
-			sh = s.shardWithTask(batch[0].TaskID)
+			sh = s.shardWithTask((*r)[0].TaskID)
 		}
-		for _, v := range batch {
-			if v.Result != nil {
-				ld.bump(&ld.maxResult, v.Result.ID)
-			}
-		}
-	case opTaskKill:
-		var v walTaskKill
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		sh = s.shardWithTask(v.TaskID)
-	case opResultHide, opResultDelete:
-		var v walResultMod
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		sh = s.shardWithResult(v.ResultID)
-	case opResult:
-		var peek struct {
-			ID        int `json:"id"`
-			ProjectID int `json:"project_id"`
-		}
-		if err := json.Unmarshal(rec.Data, &peek); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		sh = s.shardFor(peek.ProjectID)
-		ld.bump(&ld.maxResult, peek.ID)
-	case opComment:
-		var peek struct {
-			ID        int `json:"id"`
-			ProjectID int `json:"project_id"`
-		}
-		if err := json.Unmarshal(rec.Data, &peek); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		sh = s.shardFor(peek.ProjectID)
-		ld.bump(&ld.maxComment, peek.ID)
-	default:
-		var peek struct {
-			ProjectID int `json:"project_id"`
-		}
-		if err := json.Unmarshal(rec.Data, &peek); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		sh = s.shardFor(peek.ProjectID)
+	case *walTaskKill:
+		sh = s.shardWithTask(r.TaskID)
 	}
 	if sh == nil {
 		return fmt.Errorf("%s record references unknown state", rec.Op)
 	}
-	return sh.apply(rec)
-}
-
-// finish installs the recovered high-water marks into the store's
-// counters.
-func (ld *loader) finish() {
-	s := ld.s
-	s.nextProjectID = ld.maxProject + 1
-	if ld.nextProject > s.nextProjectID {
-		s.nextProjectID = ld.nextProject
-	}
-	s.nextResultID.Store(int64(maxInt(ld.maxResult, ld.nextResult-1)))
-	s.nextCommentID.Store(int64(maxInt(ld.maxComment, ld.nextComment-1)))
-	s.nextTaskID.Store(int64(maxInt(ld.maxTask, ld.nextTask-1)))
-	if ld.taskTimeoutSeconds > 0 {
-		s.TaskTimeout = time.Duration(ld.taskTimeoutSeconds) * time.Second
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	r.(shardRecord).apply(sh)
+	return nil
 }

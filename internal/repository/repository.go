@@ -38,6 +38,8 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -221,8 +223,8 @@ type Store struct {
 	// to its shard, so the queue never probes a shard it does not own.
 	// routeMu is a leaf lock: it is taken for the map access alone, with or
 	// without a shard lock held, and nothing is acquired under it. Routes are
-	// entered by shard.apply (project, invite, lease) and by recovery; keys
-	// and tasks are never removed.
+	// entered by the records' apply (project, invite, lease) and by recovery;
+	// keys and tasks are never removed.
 	routeMu    sync.RWMutex
 	keyRoutes  map[string]contributorRoute
 	taskRoutes map[int]*shard
@@ -302,10 +304,10 @@ func (s *Store) RegisterUser(nickname, email string) (*User, error) {
 		return nil, fmt.Errorf("nickname %q is already taken", nickname)
 	}
 	u := &User{Nickname: nickname, Email: email, Created: s.now()}
-	if err := s.metaLogApply(opUser, u); err != nil {
+	if err := s.metaLogApply((*userRecord)(u)); err != nil {
 		return nil, err
 	}
-	return s.users[nickname], nil
+	return u, nil
 }
 
 func validEmail(email string) bool {
@@ -373,11 +375,10 @@ func (s *Store) CreateProject(owner, name, synopsis string, public bool) (*Proje
 	sh := s.shardFor(p.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.logApply(opProject, p); err != nil {
+	if err := sh.logApply(opProject, (*projectRecord)(p)); err != nil {
 		return nil, err
 	}
-	s.nextProjectID++
-	return sh.projects[p.ID], nil
+	return p, nil
 }
 
 // newKey generates a contributor key.
@@ -549,31 +550,31 @@ func (s *Store) AddExperiment(requester string, projectID int, title, baselineSQ
 	if err := sh.logApply(opExperiment, walExperiment{ProjectID: projectID, Experiment: e}); err != nil {
 		return nil, err
 	}
-	return p.Experiment(e.ID), nil
+	return e, nil
 }
 
 // ReplaceQueries replaces the query pool snapshot of an experiment; owner
-// only (the owner moderates pool growth).
+// only (the owner moderates pool growth). The store keeps a copy of queries.
 func (s *Store) ReplaceQueries(requester string, projectID, experimentID int, queries []QueryRecord) error {
-	return s.updateQueries(opQueriesReplace, requester, projectID, experimentID, queries)
+	return s.updateQueries(requester, projectID, experimentID, opQueriesReplace, walQueries{projectID, experimentID, slices.Clone(queries)})
 }
 
 // AppendQueries appends new queries to the pool snapshot; owner only.
 func (s *Store) AppendQueries(requester string, projectID, experimentID int, queries []QueryRecord) error {
-	return s.updateQueries(opQueriesAppend, requester, projectID, experimentID, queries)
+	return s.updateQueries(requester, projectID, experimentID, opQueriesAppend, walQueriesAppend{projectID, experimentID, queries})
 }
 
-func (s *Store) updateQueries(op string, requester string, projectID, experimentID int, queries []QueryRecord) error {
+func (s *Store) updateQueries(requester string, projectID, experimentID int, op string, r shardRecord) error {
 	sh := s.shardFor(projectID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.roleOfLocked(requester, projectID) != RoleOwner {
 		return fmt.Errorf("only the project owner can manage the query pool")
 	}
-	if sh.projects[projectID].Experiment(experimentID) == nil {
+	if sh.experiment(projectID, experimentID) == nil {
 		return fmt.Errorf("unknown experiment %d", experimentID)
 	}
-	return sh.logApply(op, walQueries{ProjectID: projectID, ExperimentID: experimentID, Queries: queries})
+	return sh.logApply(op, r)
 }
 
 // --- results ----------------------------------------------------------------
@@ -584,7 +585,8 @@ func (s *Store) AddResult(contributorKey string, experimentID, queryID int, dbms
 }
 
 // AddResultTraced is AddResult with an optional per-operator trace attached
-// to the result row; nil records an untraced result.
+// to the result row; nil records an untraced result. The store takes the
+// trace over: the caller must not change it afterwards.
 func (s *Store) AddResultTraced(contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
 	p, _, err := s.FindContributor(contributorKey)
 	if err != nil {
@@ -607,14 +609,15 @@ func (s *Store) addResultLocked(sh *shard, projectID int, contributorKey string,
 	if err != nil {
 		return nil, err
 	}
-	if err := sh.logApply(opResult, r); err != nil {
+	if err := sh.logApply(opResult, (*resultRecord)(r)); err != nil {
 		return nil, err
 	}
-	return sh.results[len(sh.results)-1], nil
+	return r, nil
 }
 
 // buildResultLocked validates the submission against the project and
-// allocates the result row without recording it; shard lock held.
+// allocates the result row without recording it; shard lock held. The row
+// copies the caller's seconds and extra, and takes the trace over.
 func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
 	x := sh.exps[expKey{p.ID, experimentID}]
 	if x == nil || x.exp == nil {
@@ -623,7 +626,7 @@ func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, 
 	if _, ok := x.pos[queryID]; !ok {
 		return nil, fmt.Errorf("unknown query %d in experiment %d", queryID, experimentID)
 	}
-	return &Result{
+	r := &Result{
 		ID:             int(s.nextResultID.Add(1)),
 		ProjectID:      p.ID,
 		ExperimentID:   experimentID,
@@ -633,10 +636,13 @@ func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, 
 		PlatformKey:    platformKey,
 		Seconds:        append([]float64(nil), seconds...),
 		Error:          errMsg,
-		Extra:          extra,
 		Trace:          qt,
 		Created:        s.now(),
-	}, nil
+	}
+	if len(extra) > 0 {
+		r.Extra = maps.Clone(extra)
+	}
+	return r, nil
 }
 
 // Results returns the results of a project visible to the viewer: hidden
@@ -664,33 +670,33 @@ func (s *Store) Results(viewer string, projectID int) []*Result {
 
 // HideResult toggles the hidden flag of a result; owner only.
 func (s *Store) HideResult(requester string, resultID int, hidden bool) error {
-	return s.moderate(requester, opResultHide, walResultMod{ResultID: resultID, Hidden: hidden})
+	return s.moderate(requester, resultID, opResultHide, walResultHide{resultID, hidden})
 }
 
 // DeleteResult removes a result, e.g. when a re-run is required; owner only.
 func (s *Store) DeleteResult(requester string, resultID int) error {
-	return s.moderate(requester, opResultDelete, walResultMod{ResultID: resultID})
+	return s.moderate(requester, resultID, opResultDelete, walResultDelete{resultID})
 }
 
 // moderate logs an owner's moderation of a result. The owning shard is found
 // under read locks (shardWithResult) and is the only one write-locked; the
 // row is looked for again there, since a concurrent deletion may have
 // removed it in between.
-func (s *Store) moderate(requester, op string, mod walResultMod) error {
-	sh := s.shardWithResult(mod.ResultID)
+func (s *Store) moderate(requester string, resultID int, op string, r shardRecord) error {
+	sh := s.shardWithResult(resultID)
 	if sh == nil {
-		return fmt.Errorf("unknown result %d", mod.ResultID)
+		return fmt.Errorf("unknown result %d", resultID)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	i := sh.resultPos(mod.ResultID)
+	i := sh.resultPos(resultID)
 	if i < 0 {
-		return fmt.Errorf("unknown result %d", mod.ResultID)
+		return fmt.Errorf("unknown result %d", resultID)
 	}
 	if sh.roleOfLocked(requester, sh.results[i].ProjectID) != RoleOwner {
 		return fmt.Errorf("only the project owner can moderate results")
 	}
-	return sh.logApply(op, mod)
+	return sh.logApply(op, r)
 }
 
 // --- comments ---------------------------------------------------------------
@@ -711,10 +717,10 @@ func (s *Store) AddComment(author string, projectID int, text string) (*Comment,
 		return nil, fmt.Errorf("user %q cannot view project %d", author, projectID)
 	}
 	c := &Comment{ID: int(s.nextCommentID.Add(1)), ProjectID: projectID, Author: author, Text: text, Created: s.now()}
-	if err := sh.logApply(opComment, c); err != nil {
+	if err := sh.logApply(opComment, (*commentRecord)(c)); err != nil {
 		return nil, err
 	}
-	return sh.comments[len(sh.comments)-1], nil
+	return c, nil
 }
 
 // Comments returns the comments of a project visible to the viewer.

@@ -1,8 +1,6 @@
 package repository
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -70,170 +68,26 @@ func (s *Store) shardFor(projectID int) *shard {
 	return s.shards[idx]
 }
 
-// logApply is the write path contract: marshal the logical record, make it
-// durable (when a WAL is attached), then apply it to memory via the same
-// switch recovery uses. Callers hold the shard lock and have fully
-// validated the mutation, so apply cannot fail for semantic reasons; a
-// failed append leaves memory untouched and surfaces the error.
-func (sh *shard) logApply(op string, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("encoding %s record: %w", op, err)
-	}
-	rec := walRecord{Op: op, Data: data}
+// logApply is the write path contract: make the record durable (when a WAL
+// is attached), then apply the very value the mutator built — through the
+// apply recovery calls on what it decodes, so the two paths cannot drift
+// apart. Callers hold the shard lock and have fully validated the mutation,
+// so apply cannot fail; a failed append leaves memory untouched and surfaces
+// the error.
+func (sh *shard) logApply(op string, r shardRecord) error {
 	if sh.wal != nil {
-		rec.LSN = sh.wal.lsn + 1
-		if err := sh.wal.append(rec); err != nil {
+		if err := sh.wal.log(op, r); err != nil {
 			return err
 		}
 	}
-	return sh.apply(rec)
+	r.apply(sh)
+	return nil
 }
 
-// apply mutates the shard from one decoded record. It runs with the shard
-// lock held (or single-threaded during recovery) and performs no
-// validation: records describe state changes that already happened.
-func (sh *shard) apply(rec walRecord) error {
-	switch rec.Op {
-	case opProject:
-		var p Project
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		sh.projects[p.ID] = &p
-		sh.indexProject(&p)
-	case opVisibility:
-		var v walVisibility
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if p := sh.projects[v.ProjectID]; p != nil {
-			p.Public = v.Public
-		}
-	case opSynopsis:
-		var v walSynopsis
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if p := sh.projects[v.ProjectID]; p != nil {
-			p.Synopsis = v.Synopsis
-			p.Attribution = v.Attribution
-		}
-	case opCatalogs:
-		var v walCatalogs
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if p := sh.projects[v.ProjectID]; p != nil {
-			p.DBMSKeys = v.DBMSKeys
-			p.PlatformKeys = v.PlatformKeys
-		}
-	case opInvite:
-		var v walInvite
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if p := sh.projects[v.ProjectID]; p != nil && p.contributor(v.Contributor.Nickname) == nil {
-			p.Contributors = append(p.Contributors, v.Contributor)
-			sh.store.routeContributor(p, v.Contributor)
-		}
-	case opExperiment:
-		var v walExperiment
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if p := sh.projects[v.ProjectID]; p != nil {
-			p.Experiments = append(p.Experiments, v.Experiment)
-			sh.indexQueries(p.ID, v.Experiment, 0)
-		}
-	case opQueriesReplace, opQueriesAppend:
-		var v walQueries
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		p := sh.projects[v.ProjectID]
-		if p == nil {
-			return nil
-		}
-		e := p.Experiment(v.ExperimentID)
-		if e == nil {
-			return nil
-		}
-		from := 0
-		if rec.Op == opQueriesReplace {
-			e.Queries = v.Queries
-		} else {
-			from = len(e.Queries)
-			e.Queries = append(e.Queries, v.Queries...)
-		}
-		sh.indexQueries(p.ID, e, from)
-	case opResult:
-		var r Result
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		sh.indexResult(&r)
-	case opResultHide:
-		var v walResultMod
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if i := sh.resultPos(v.ResultID); i >= 0 {
-			flipped := *sh.results[i]
-			flipped.Hidden = v.Hidden
-			sh.results = spliceResults(sh.results, i, &flipped)
-			sh.rewrites++
-		}
-	case opResultDelete:
-		var v walResultMod
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if i := sh.resultPos(v.ResultID); i >= 0 {
-			r := sh.results[i]
-			sh.results = spliceResults(sh.results, i, nil)
-			sh.rewrites++
-			sh.uncover(r.ProjectID, r.ExperimentID, r.DBMSKey, r.PlatformKey, r.QueryID)
-		}
-	case opComment:
-		var c Comment
-		if err := json.Unmarshal(rec.Data, &c); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		sh.comments = append(sh.comments, &c)
-	case opTaskLease:
-		var ts []*Task
-		if err := json.Unmarshal(rec.Data, &ts); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		for _, t := range ts {
-			sh.indexTask(t)
-		}
-	case opTaskComplete:
-		batch, err := decodeCompletions(rec.Data)
-		if err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		for _, v := range batch {
-			// The result first: a failed task gives its slot up, and the slot
-			// must not look free in between.
-			if v.Result != nil {
-				sh.indexResult(v.Result)
-			}
-			if t := sh.tasks[v.TaskID]; t != nil {
-				sh.settleTask(t, v.Status, v.Finished)
-			}
-		}
-	case opTaskKill:
-		var v walTaskKill
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("decoding %s record: %w", rec.Op, err)
-		}
-		if t := sh.tasks[v.TaskID]; t != nil {
-			sh.settleTask(t, TaskKilled, v.Finished)
-		}
-	default:
-		return fmt.Errorf("unknown wal op %q", rec.Op)
+// experiment returns an experiment of one of the shard's projects, or nil.
+func (sh *shard) experiment(projectID, experimentID int) *Experiment {
+	if p := sh.projects[projectID]; p != nil {
+		return p.Experiment(experimentID)
 	}
 	return nil
 }

@@ -7,16 +7,16 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"time"
 )
 
 // The write-ahead log makes every repository mutation durable before it is
-// applied in memory: the mutator validates its inputs, encodes one logical
+// applied in memory: the mutator validates its inputs, builds one logical
 // record describing the state change (ids pre-assigned, so replay never
 // re-runs allocation logic), appends the record to the owning partition's
-// log, syncs it to stable storage, and only then applies it — through the
-// very same apply switch recovery replays with, so the live path and the
-// recovery path cannot drift apart.
+// log, syncs it to stable storage, and only then applies it. Each op has one
+// record type with one apply method (record.go); the live path applies the
+// value it logged, and only recovery decodes, into the same type, to call the
+// same method — so the live path and the recovery path cannot drift apart.
 //
 // On disk a record is framed as
 //
@@ -28,25 +28,26 @@ import (
 // recovery drops everything from the first invalid record on and boots from
 // what provably hit the disk.
 
-// WAL operation codes. Meta-partition records cover the global user table;
-// every other record belongs to the shard of its project.
+// WAL operation codes, each with its record type in record.go. Meta-partition
+// records cover the global user table; every other record belongs to the
+// shard of its project.
 const (
-	opUser           = "user"            // meta: User
-	opProject        = "project"         // Project (created fully formed)
-	opVisibility     = "visibility"      // walVisibility
-	opSynopsis       = "synopsis"        // walSynopsis
-	opCatalogs       = "catalogs"        // walCatalogs
-	opInvite         = "invite"          // walInvite
-	opExperiment     = "experiment"      // walExperiment
-	opQueriesReplace = "queries-replace" // walQueries
-	opQueriesAppend  = "queries-append"  // walQueries
-	opResult         = "result"          // Result
-	opResultHide     = "result-hide"     // walResultMod
-	opResultDelete   = "result-delete"   // walResultMod
-	opComment        = "comment"         // Comment
-	opTaskLease      = "task-lease"      // []*Task (one record per leased batch)
-	opTaskComplete   = "task-complete"   // []walTaskComplete (one record per reported batch; status flips + results, atomically)
-	opTaskKill       = "task-kill"       // walTaskKill
+	opUser           = "user"
+	opProject        = "project"
+	opVisibility     = "visibility"
+	opSynopsis       = "synopsis"
+	opCatalogs       = "catalogs"
+	opInvite         = "invite"
+	opExperiment     = "experiment"
+	opQueriesReplace = "queries-replace"
+	opQueriesAppend  = "queries-append"
+	opResult         = "result"
+	opResultHide     = "result-hide"
+	opResultDelete   = "result-delete"
+	opComment        = "comment"
+	opTaskLease      = "task-lease"
+	opTaskComplete   = "task-complete"
+	opTaskKill       = "task-kill"
 )
 
 // walRecord is the JSON payload of one framed log entry. LSNs are
@@ -58,71 +59,6 @@ type walRecord struct {
 	LSN  uint64          `json:"lsn"`
 	Op   string          `json:"op"`
 	Data json.RawMessage `json:"data"`
-}
-
-// Small record payloads (the larger ops marshal the model structs directly).
-type walVisibility struct {
-	ProjectID int  `json:"project_id"`
-	Public    bool `json:"public"`
-}
-
-type walSynopsis struct {
-	ProjectID   int    `json:"project_id"`
-	Synopsis    string `json:"synopsis"`
-	Attribution string `json:"attribution"`
-}
-
-type walCatalogs struct {
-	ProjectID    int      `json:"project_id"`
-	DBMSKeys     []string `json:"dbms_keys"`
-	PlatformKeys []string `json:"platform_keys"`
-}
-
-type walInvite struct {
-	ProjectID   int          `json:"project_id"`
-	Contributor *Contributor `json:"contributor"`
-}
-
-type walExperiment struct {
-	ProjectID  int         `json:"project_id"`
-	Experiment *Experiment `json:"experiment"`
-}
-
-type walQueries struct {
-	ProjectID    int           `json:"project_id"`
-	ExperimentID int           `json:"experiment_id"`
-	Queries      []QueryRecord `json:"queries"`
-}
-
-type walResultMod struct {
-	ResultID int  `json:"result_id"`
-	Hidden   bool `json:"hidden,omitempty"`
-}
-
-type walTaskComplete struct {
-	TaskID   int        `json:"task_id"`
-	Status   TaskStatus `json:"status"`
-	Finished time.Time  `json:"finished"`
-	Result   *Result    `json:"result"`
-}
-
-// decodeCompletions decodes a task-complete payload: the list one reported
-// batch logs, or the single object of a log written before completions were
-// reported in batches.
-func decodeCompletions(data json.RawMessage) ([]walTaskComplete, error) {
-	if len(data) > 0 && data[0] == '{' {
-		var v walTaskComplete
-		err := json.Unmarshal(data, &v)
-		return []walTaskComplete{v}, err
-	}
-	var batch []walTaskComplete
-	err := json.Unmarshal(data, &batch)
-	return batch, err
-}
-
-type walTaskKill struct {
-	TaskID   int       `json:"task_id"`
-	Finished time.Time `json:"finished"`
 }
 
 // walSink is the durability seam of the log: when Write+Sync return, the
@@ -200,13 +136,19 @@ const walHeaderSize = 8
 // trigger a gigantic allocation during recovery.
 const maxWALRecord = 64 << 20
 
-// append frames the record, writes it in a single call and syncs the sink.
-// The record only counts as appended — and the caller may only apply it —
-// when append returns nil.
-func (w *walWriter) append(rec walRecord) error {
+// log encodes r as the data of the partition's next record, frames it,
+// writes the frame in a single call and syncs the sink. The record only
+// counts as logged — and the caller may only apply it — when log returns
+// nil.
+func (w *walWriter) log(op string, r any) error {
 	if w.broken != nil {
 		return fmt.Errorf("wal unavailable after earlier write failure: %w", w.broken)
 	}
+	data, err := json.Marshal(r)
+	if err != nil {
+		return fmt.Errorf("encoding %s record: %w", op, err)
+	}
+	rec := walRecord{LSN: w.lsn + 1, Op: op, Data: data}
 	frame, err := frameRecord(rec)
 	if err != nil {
 		return err
@@ -275,8 +217,8 @@ func decodeWAL(data []byte, name string, logf func(string, ...any)) []walRecord 
 
 // frameWalk steps over the intact frames of a log without decoding them, so
 // compaction copies records as the bytes they are. The writer numbers a
-// partition's records consecutively (append), which decodeWAL checks on
-// every recovery; only the first frame is therefore decoded, for its LSN,
+// partition's records consecutively (walWriter.log), which decodeWAL checks
+// on every recovery; only the first frame is therefore decoded, for its LSN,
 // and every later frame's LSN follows from its position.
 type frameWalk struct {
 	off  int64  // file offset behind the last frame stepped over

@@ -113,7 +113,7 @@ type goldenRun struct {
 // and failed, single and a reported batch with a lost lease in it),
 // moderation, a kill, and a lease still in flight at the end. Every step is
 // exactly one shard-WAL record.
-func runGoldenWorkload(t *testing.T, s *Store) *goldenRun {
+func runGoldenWorkload(t testing.TB, s *Store) *goldenRun {
 	t.Helper()
 	g := &goldenRun{owner: "martin", dbms: "mariadb", platform: "jetson"}
 	var acked []int
