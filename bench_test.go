@@ -502,7 +502,7 @@ func BenchmarkInterpreterPass(b *testing.B) {
 func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("seam-disabled", func(b *testing.B) {
 		var tr *trace.Tracer
-		opID := trace.ScanID("", 0)
+		opID := "scan.0"
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sp := tr.Span(opID, trace.KindScan)

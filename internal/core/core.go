@@ -132,14 +132,20 @@ type ProjectOptions struct {
 	// divides the Parallelism budget by it, so intra- and inter-query
 	// parallelism share one cap. 0 or 1 executes queries serially.
 	QueryParallelism int
-	// Timeout bounds a single query repetition during the search; zero
-	// means no limit.
+	// Timeout bounds a single query repetition: every execution of the
+	// project's engine targets and every repetition the search measures.
+	// Zero bounds the engine targets by defaultEngineTimeout (30 s) and
+	// leaves other targets unbounded.
 	Timeout time.Duration
 	// Trace enables per-operator tracing on every engine target the project
 	// registers; traces surface as Measurement.Trace and feed the
 	// operator-level discriminative attribution.
 	Trace bool
 }
+
+// defaultEngineTimeout bounds an engine target's executions when the
+// project sets no Timeout.
+const defaultEngineTimeout = 30 * time.Second
 
 func (o ProjectOptions) withDefaults() ProjectOptions {
 	if o.Derive == (derive.Options{}) {
@@ -231,7 +237,7 @@ func (p *Project) AddTarget(name string, t metrics.Target) {
 // named after the engine unless a name is given. The engine joins the
 // project's shared plan cache, so every target of the project (and every
 // repetition of the measurement discipline) reuses one logical plan per
-// distinct query variant.
+// distinct query variant. The target's Timeout is the project's.
 func (p *Project) AddEngineTarget(name string, eng engine.Engine, db *engine.Database) {
 	if name == "" {
 		name = engine.EngineKey(eng.Name(), eng.Version())
@@ -239,10 +245,14 @@ func (p *Project) AddEngineTarget(name string, eng engine.Engine, db *engine.Dat
 	if pc, ok := eng.(engine.PlanCached); ok {
 		pc.SetPlanCache(p.plans)
 	}
+	timeout := p.opts.Timeout
+	if timeout <= 0 {
+		timeout = defaultEngineTimeout
+	}
 	p.AddTarget(name, &EngineTarget{
 		Engine:      eng,
 		DB:          db,
-		Timeout:     30 * time.Second,
+		Timeout:     timeout,
 		Parallelism: p.opts.QueryParallelism,
 		Trace:       p.opts.Trace,
 	})

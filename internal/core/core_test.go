@@ -305,6 +305,21 @@ func TestQueryParallelismUnderScheduler(t *testing.T) {
 	}
 }
 
+// TestProjectTimeoutReachesEngineTargets: the project's Timeout is the one
+// its engine targets run under; without one they keep the 30 s default.
+func TestProjectTimeoutReachesEngineTargets(t *testing.T) {
+	for _, tc := range []struct{ set, want time.Duration }{{time.Hour, time.Hour}, {0, 30 * time.Second}} {
+		p, err := NewProject("nation", workload.NationBaselineQuery, ProjectOptions{Runs: 1, Timeout: tc.set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AddEngineTarget("col", engine.NewColEngine(), smallTPCH)
+		if got := p.targets["col"].(*EngineTarget).Timeout; got != tc.want {
+			t.Errorf("ProjectOptions.Timeout %v: the engine target runs under %v, want %v", tc.set, got, tc.want)
+		}
+	}
+}
+
 func TestEngineTargetRunContext(t *testing.T) {
 	target := &EngineTarget{Engine: engine.NewColEngine(), DB: smallTPCH, Timeout: 30 * time.Second}
 	rows, _, err := target.RunContext(context.Background(), "SELECT count(*) FROM nation")

@@ -214,6 +214,46 @@ func TestAllTPCHQueriesDerive(t *testing.T) {
 	}
 }
 
+// TestGrammarTextRoundTrip: the platform stores a derived grammar as its
+// text and a restarted server parses it back. Parse takes the first rule as
+// the start, so the text must lead with the start rule — else the rebuilt
+// query space is the space of the first rule (the projection list).
+func TestGrammarTextRoundTrip(t *testing.T) {
+	var queries []workload.Query
+	for _, wl := range [][]workload.Query{workload.TPCH(), workload.SSB(), workload.Airtraffic()} {
+		queries = append(queries, wl...)
+	}
+	opts := grammar.EnumerateOptions{TemplateCap: 2000, LiteralOnce: true}
+	for _, q := range queries {
+		g, err := FromSQL(q.SQL, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		text := g.String()
+		back, err := grammar.Parse(text)
+		if err != nil {
+			t.Fatalf("%s: the grammar text does not parse: %v", q.ID, err)
+		}
+		if back.Start != g.Start {
+			t.Errorf("%s: start %q after the round trip, want %q", q.ID, back.Start, g.Start)
+		}
+		if again := back.String(); again != text {
+			t.Errorf("%s: String is not a fixpoint:\n%s\nthen\n%s", q.ID, text, again)
+		}
+		want, err := g.Space(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.Space(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Templates != want.Templates || got.Space != want.Space || got.Capped != want.Capped {
+			t.Errorf("%s: %d templates, space %d after the round trip, want %d, %d", q.ID, got.Templates, got.Space, want.Templates, want.Space)
+		}
+	}
+}
+
 func TestSpaceVariesAcrossQueries(t *testing.T) {
 	// The paper's Table 2 point: the space varies over orders of magnitude.
 	// Q6 (simple) must be far smaller than Q1 (wide projection), and Q19

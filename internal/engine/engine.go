@@ -287,9 +287,9 @@ func (e *specEngine) Execute(db *Database, sql string, opts ExecOptions) (*Resul
 	ex := newExecutor(db, e.mode, limits, e.guardCasts, p)
 	if opts.Tracer != nil {
 		ex.tracer = opts.Tracer
-		ex.subPrefix = trace.SubqueryPrefixes(p.Root.Stmt, "")
+		ex.ids = trace.NewIDs(p)
 	}
-	rel, err := ex.executeSelect(p.Root, nil, "")
+	rel, err := ex.executeSelect(p.Root, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.name, err)
 	}

@@ -43,21 +43,14 @@ type executor struct {
 	// (read only: the plan is shared with concurrent executions).
 	plan  *plan.Plan
 	slots []plan.Slot
-	// tracer collects per-operator spans keyed by the plan's operator ids;
-	// nil when tracing is off. subPrefix maps nested sub-query statements to
-	// their operator-id prefixes (see trace.SubqueryPrefixes) and is only
-	// populated when tracing.
-	tracer    *trace.Tracer
-	subPrefix map[*sqlparser.SelectStatement]string
+	// tracer collects per-operator spans; ids are the plan's operator ids
+	// (trace.NewIDs) the spans are keyed by. Both are nil when tracing is off.
+	tracer *trace.Tracer
+	ids    trace.IDs
 
 	uncorrCache  map[*sqlparser.SelectStatement]*relation
 	uncorrSets   map[*sqlparser.SelectStatement]subquerySetEntry
 	deadlineTick int
-}
-
-// traced reports whether spans should be emitted for the given prefix.
-func (ex *executor) traced(prefix string) bool {
-	return ex.tracer != nil && prefix != trace.UntracedPrefix
 }
 
 func newExecutor(db *Database, mode Mode, limits plan.Limits, guardCasts bool, p *plan.Plan) *executor {
@@ -94,15 +87,11 @@ func (ex *executor) executeSubquery(stmt *sqlparser.SelectStatement, outer *scop
 	if sub == nil {
 		return nil, fmt.Errorf("internal: sub-query has no plan")
 	}
-	// The prefix walk assigns this statement its operator id; statements it
-	// does not enumerate (inside explicit JOIN trees) run untraced.
-	prefix := trace.UntracedPrefix
+	// Statements the id walk does not number (inside explicit JOIN trees)
+	// run untraced.
 	var sp *trace.Span
-	if ex.tracer != nil {
-		if p, ok := ex.subPrefix[stmt]; ok {
-			prefix = p
-			sp = ex.tracer.Span(trace.SubOpID(p), trace.KindSubquery)
-		}
+	if o := ex.ids[stmt]; o != nil {
+		sp = ex.tracer.Span(o.Self, trace.KindSubquery)
 	}
 	correlated := ex.plan.Correlated(stmt)
 	if !correlated {
@@ -118,7 +107,7 @@ func (ex *executor) executeSubquery(stmt *sqlparser.SelectStatement, outer *scop
 		outer = nil
 	}
 	tm := sp.Start()
-	rel, err := ex.executeSelect(sub, outer, prefix)
+	rel, err := ex.executeSelect(sub, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -168,34 +157,27 @@ func (ex *executor) subquerySet(stmt *sqlparser.SelectStatement, outer *scope) (
 }
 
 // executeSelect is the top of the interpreter: it runs one planned SELECT
-// and folds its set-operation continuations in. prefix keys the statement's
-// operator spans (empty at the root, trace.UntracedPrefix to disable).
-func (ex *executor) executeSelect(sp *plan.Select, outer *scope, prefix string) (*relation, error) {
-	rel, err := ex.executeSelectCore(sp, outer, prefix)
+// and folds its set-operation continuations in.
+func (ex *executor) executeSelect(sp *plan.Select, outer *scope) (*relation, error) {
+	rel, err := ex.executeSelectCore(sp, outer)
 	if err != nil {
 		return nil, err
 	}
 	// Set operations chain on the plan, mirroring the statement chain.
-	j := 1
 	for cur := sp; cur.SetNext != nil; cur = cur.SetNext {
-		branchPrefix := trace.UntracedPrefix
-		if ex.traced(prefix) {
-			branchPrefix = trace.SetPrefix(prefix, j)
-		}
-		right, err := ex.executeSelectCore(cur.SetNext, outer, branchPrefix)
+		right, err := ex.executeSelectCore(cur.SetNext, outer)
 		if err != nil {
 			return nil, err
 		}
 		var tm trace.Timer
-		if ex.traced(prefix) {
-			tm = ex.tracer.Span(trace.SetID(prefix, j), trace.KindSet).Start()
+		if o := ex.ids[cur.SetNext.Stmt]; o != nil {
+			tm = ex.tracer.Span(o.Self, trace.KindSet).Start()
 		}
 		rel, err = applySetOp(cur.Stmt.SetOp, rel, right)
 		if err != nil {
 			return nil, err
 		}
 		tm.Done(int64(rel.numRows()))
-		j++
 	}
 	return rel, nil
 }
@@ -276,14 +258,14 @@ func allRows(n int) []int {
 	return out
 }
 
-func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix string) (*relation, error) {
-	stmt := sp.Stmt
+func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope) (*relation, error) {
+	stmt, o := sp.Stmt, ex.ids[sp.Stmt]
 	if len(stmt.Projection) == 0 {
 		return nil, fmt.Errorf("query has no projection")
 	}
 
 	// FROM inputs + precomputed join order.
-	input, err := ex.buildFrom(sp, outer, prefix)
+	input, err := ex.buildFrom(sp, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -296,8 +278,8 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 	}
 
 	var tm trace.Timer
-	if ex.traced(prefix) && len(sp.Residual) > 0 {
-		tm = ex.tracer.Span(trace.FilterID(prefix), trace.KindFilter).Start()
+	if o != nil && len(sp.Residual) > 0 {
+		tm = ex.tracer.Span(o.Filter, trace.KindFilter).Start()
 	}
 	filtered, err := ex.applyFilter(input, sp.Residual, outer, earlyLimit)
 	if err != nil {
@@ -308,11 +290,11 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 	var out *relation
 	var sortKeys [][]Value
 	if sp.Grouped {
-		out, sortKeys, err = ex.projectGrouped(sp, filtered, outer, prefix)
+		out, sortKeys, err = ex.projectGrouped(sp, filtered, outer)
 	} else {
 		tm = trace.Timer{}
-		if ex.traced(prefix) {
-			tm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Project, trace.KindProject).Start()
 		}
 		out, sortKeys, err = ex.projectRows(sp, filtered, outer)
 		if err == nil {
@@ -325,8 +307,8 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 
 	if stmt.Distinct {
 		tm = trace.Timer{}
-		if ex.traced(prefix) {
-			tm = ex.tracer.Span(trace.DistinctID(prefix), trace.KindDistinct).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Distinct, trace.KindDistinct).Start()
 		}
 		out, sortKeys = distinctRows(out, sortKeys)
 		tm.Done(int64(out.numRows()))
@@ -334,8 +316,8 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 
 	if len(stmt.OrderBy) > 0 {
 		tm = trace.Timer{}
-		if ex.traced(prefix) {
-			tm = ex.tracer.Span(trace.SortID(prefix), trace.KindSort).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Sort, trace.KindSort).Start()
 		}
 		out = sortRelation(out, sortKeys, sp.OrderBy)
 		tm.Done(int64(out.numRows()))
@@ -343,8 +325,8 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 
 	if stmt.Limit != nil || stmt.Offset != nil {
 		tm = trace.Timer{}
-		if ex.traced(prefix) {
-			tm = ex.tracer.Span(trace.LimitID(prefix), trace.KindLimit).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Limit, trace.KindLimit).Start()
 		}
 		out = applyLimit(out, stmt.Limit, stmt.Offset)
 		tm.Done(int64(out.numRows()))
@@ -356,15 +338,16 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 // buildFrom materialises the planned FROM inputs and stitches them together
 // following the plan's precomputed join order: hash joins over the extracted
 // equi-join keys, cross products where no edge connects the inputs.
-func (ex *executor) buildFrom(sp *plan.Select, outer *scope, prefix string) (*relation, error) {
+func (ex *executor) buildFrom(sp *plan.Select, outer *scope) (*relation, error) {
 	if len(sp.From) == 0 {
 		// SELECT without FROM: a single empty row so expressions evaluate once.
 		return &relation{n: 1}, nil
 	}
 
+	o := ex.ids[sp.Stmt]
 	rels := make([]*relation, len(sp.From))
 	for i, in := range sp.From {
-		r, err := ex.buildInput(in, outer, prefix, i)
+		r, err := ex.buildInput(in, outer, o, i)
 		if err != nil {
 			return nil, err
 		}
@@ -374,12 +357,12 @@ func (ex *executor) buildFrom(sp *plan.Select, outer *scope, prefix string) (*re
 	current := rels[0]
 	for k, step := range sp.JoinSteps {
 		var tm trace.Timer
-		if ex.traced(prefix) {
+		if o != nil {
 			kind := trace.KindHashJoin
 			if step.Cross {
 				kind = trace.KindCross
 			}
-			tm = ex.tracer.Span(trace.JoinID(prefix, k), kind).Start()
+			tm = ex.tracer.Span(o.Joins[k], kind).Start()
 		}
 		var err error
 		if step.Cross {
@@ -396,15 +379,16 @@ func (ex *executor) buildFrom(sp *plan.Select, outer *scope, prefix string) (*re
 	return current, nil
 }
 
-// buildInput materialises one planned FROM input. idx is the input's FROM
-// position, keying its trace span; the operands of explicit JOIN trees run
-// untraced (the whole tree is traced as one input operator).
-func (ex *executor) buildInput(in *plan.Input, outer *scope, prefix string, idx int) (*relation, error) {
+// buildInput materialises one planned FROM input. o are the ids of the
+// input's core and idx its FROM position, keying its trace span; the operands
+// of explicit JOIN trees pass nil and run untraced (the whole tree is traced
+// as one input operator).
+func (ex *executor) buildInput(in *plan.Input, outer *scope, o *trace.Ops, idx int) (*relation, error) {
 	switch {
 	case in.Join != nil:
 		var tm trace.Timer
-		if ex.traced(prefix) {
-			tm = ex.tracer.Span(trace.InputID(prefix, idx), trace.KindJoinTree).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Inputs[idx], trace.KindJoinTree).Start()
 		}
 		rel, err := ex.buildJoin(in.Join, outer)
 		if err != nil {
@@ -413,13 +397,11 @@ func (ex *executor) buildInput(in *plan.Input, outer *scope, prefix string, idx 
 		tm.Done(int64(rel.numRows()))
 		return rel, nil
 	case in.Derived != nil:
-		derivedPrefix := trace.UntracedPrefix
 		var tm trace.Timer
-		if ex.traced(prefix) {
-			derivedPrefix = trace.DerivedPrefix(prefix, idx)
-			tm = ex.tracer.Span(trace.InputID(prefix, idx), trace.KindDerived).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Inputs[idx], trace.KindDerived).Start()
 		}
-		rel, err := ex.executeSelect(in.Derived, nil, derivedPrefix)
+		rel, err := ex.executeSelect(in.Derived, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -433,8 +415,8 @@ func (ex *executor) buildInput(in *plan.Input, outer *scope, prefix string, idx 
 			return nil, fmt.Errorf("unknown table %q", in.Table)
 		}
 		var tm trace.Timer
-		if ex.traced(prefix) {
-			tm = ex.tracer.Span(trace.ScanID(prefix, idx), trace.KindScan).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Inputs[idx], trace.KindScan).Start()
 		}
 		rel := tableRelation(table, in, ex.mode, ex.stats)
 		tm.Done(int64(rel.numRows()))
@@ -445,11 +427,11 @@ func (ex *executor) buildInput(in *plan.Input, outer *scope, prefix string, idx 
 // buildJoin executes an explicit JOIN tree node whose ON condition the plan
 // already classified into equi-join keys and residual predicates.
 func (ex *executor) buildJoin(j *plan.Join, outer *scope) (*relation, error) {
-	left, err := ex.buildInput(j.Left, outer, trace.UntracedPrefix, -1)
+	left, err := ex.buildInput(j.Left, outer, nil, -1)
 	if err != nil {
 		return nil, err
 	}
-	right, err := ex.buildInput(j.Right, outer, trace.UntracedPrefix, -1)
+	right, err := ex.buildInput(j.Right, outer, nil, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -800,12 +782,12 @@ func (ex *executor) projectRows(sp *plan.Select, rel *relation, outer *scope) (*
 
 // projectGrouped computes grouping, aggregation, HAVING and the projection
 // of a grouped query.
-func (ex *executor) projectGrouped(sp *plan.Select, rel *relation, outer *scope, prefix string) (*relation, [][]Value, error) {
-	stmt := sp.Stmt
+func (ex *executor) projectGrouped(sp *plan.Select, rel *relation, outer *scope) (*relation, [][]Value, error) {
+	stmt, o := sp.Stmt, ex.ids[sp.Stmt]
 	// Build groups.
 	var atm trace.Timer
-	if ex.traced(prefix) {
-		atm = ex.tracer.Span(trace.AggID(prefix), trace.KindAgg).Start()
+	if o != nil {
+		atm = ex.tracer.Span(o.Agg, trace.KindAgg).Start()
 	}
 	ex.stats.AggRows += int64(rel.numRows())
 	type groupEntry struct {
@@ -854,8 +836,8 @@ func (ex *executor) projectGrouped(sp *plan.Select, rel *relation, outer *scope,
 	out := outputRelation(sp)
 
 	var ptm trace.Timer
-	if ex.traced(prefix) {
-		ptm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
+	if o != nil {
+		ptm = ex.tracer.Span(o.Project, trace.KindProject).Start()
 	}
 	var sortKeys [][]Value
 	for _, key := range order {

@@ -236,10 +236,22 @@ func (g *Grammar) Literals() []Literal {
 	return lits
 }
 
-// String renders the grammar in its source syntax.
+// String renders the grammar in its source syntax: the start rule first,
+// because Parse takes the first rule as the start, then the others in
+// definition order.
 func (g *Grammar) String() string {
+	start := g.Rule(g.Start)
+	rules := make([]*Rule, 0, len(g.Rules))
+	if start != nil {
+		rules = append(rules, start)
+	}
+	for _, r := range g.Rules {
+		if r != start {
+			rules = append(rules, r)
+		}
+	}
 	var sb strings.Builder
-	for i, r := range g.Rules {
+	for i, r := range rules {
 		if i > 0 {
 			sb.WriteString("\n")
 		}

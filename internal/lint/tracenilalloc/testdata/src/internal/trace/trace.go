@@ -1,9 +1,6 @@
 // Package trace is the tracenilalloc fixture stub: the Tracer/Span seam
-// and the allocating id/prefix constructors, shaped like the real
-// internal/trace surface.
+// and the operator-id table, shaped like the real internal/trace surface.
 package trace
-
-import "strconv"
 
 // Kind labels a span's operator family.
 type Kind string
@@ -19,8 +16,8 @@ type Tracer struct{ spans map[string]*Span }
 // Span is one operator's measurement.
 type Span struct{}
 
-// Span returns the span for an operator id (nil-safe on the Tracer, but
-// the id argument has usually already allocated by the time it runs).
+// Span returns the span for an operator id (nil-safe on the Tracer, but it
+// still runs on every call).
 func (t *Tracer) Span(id string, kind Kind) *Span {
 	if t == nil {
 		return nil
@@ -37,11 +34,17 @@ type Timer struct{}
 // Done records the elapsed time (nil-safe consumer).
 func (tm Timer) Done(rows int64) {}
 
-// ScanID is an allocating operator-id constructor.
-func ScanID(prefix string, idx int) string { return prefix + "scan" + strconv.Itoa(idx) }
+// Stmt stands in for a parsed SELECT core.
+type Stmt struct{}
 
-// SortID is an allocating operator-id constructor.
-func SortID(prefix string) string { return prefix + "sort" }
+// Ops are the operator ids of one core.
+type Ops struct {
+	Inputs []string
+	Sort   string
+}
 
-// SubPrefix derives the id prefix of a sub-query's operators.
-func SubPrefix(prefix string, k int) string { return prefix + "sub" + strconv.Itoa(k) + "." }
+// IDs maps each numbered core to its operator ids.
+type IDs map[*Stmt]*Ops
+
+// NewIDs builds the operator-id table: one map and one string per operator.
+func NewIDs(root *Stmt) IDs { return IDs{root: {Inputs: []string{"scan.0"}, Sort: "sort"}} }

@@ -6,83 +6,91 @@ import "internal/trace"
 
 type executor struct {
 	tracer *trace.Tracer
+	ids    trace.IDs
 }
 
-// traceOn is the executors' guard-helper idiom.
-func (ex *executor) traceOn(prefix string) bool {
-	return ex.tracer != nil && prefix != "\x00"
-}
-
-// directGuard: the plain nil-check dominates the calls.
-func (ex *executor) directGuard(prefix string) {
+// newTable: the table is built under the tracer's nil-check.
+func (ex *executor) newTable(root *trace.Stmt) {
 	if ex.tracer != nil {
-		ex.tracer.Span(trace.ScanID(prefix, 0), trace.KindScan).Start()
+		ex.ids = trace.NewIDs(root)
 	}
 }
 
-// helperGuard: the traceOn helper counts as the nil-check.
-func (ex *executor) helperGuard(prefix string) {
+// directGuard: the plain tracer nil-check dominates the call.
+func (ex *executor) directGuard() {
+	if ex.tracer != nil {
+		ex.tracer.Span("scan.0", trace.KindScan).Start()
+	}
+}
+
+// opsGuard: a core's operator ids exist only while tracing.
+func (ex *executor) opsGuard(stmt *trace.Stmt) {
 	var tm trace.Timer
-	if ex.traceOn(prefix) {
-		tm = ex.tracer.Span(trace.SortID(prefix), trace.KindSort).Start()
+	if o := ex.ids[stmt]; o != nil {
+		tm = ex.tracer.Span(o.Sort, trace.KindSort).Start()
 	}
 	tm.Done(0)
 }
 
 // conjoinedGuard: the nil-check may be one conjunct of the condition.
-func (ex *executor) conjoinedGuard(prefix string, n int) {
-	if ex.tracer != nil && n > 0 {
-		ex.tracer.Span(trace.ScanID(prefix, n), trace.KindScan)
+func (ex *executor) conjoinedGuard(o *trace.Ops, n int) {
+	if o != nil && n > 0 {
+		ex.tracer.Span(o.Inputs[0], trace.KindScan)
 	}
 }
 
 // earlyOut: an inverted guard whose body returns protects the rest.
-func (ex *executor) earlyOut(prefix string) {
+func (ex *executor) earlyOut(root *trace.Stmt) {
 	if ex.tracer == nil {
 		return
 	}
-	ex.tracer.Span(trace.ScanID(prefix, 1), trace.KindScan)
+	ex.ids = trace.NewIDs(root)
+	ex.tracer.Span("scan.1", trace.KindScan)
 }
 
-// invertedHelper: !traceOn + return is the same dominance.
-func (ex *executor) invertedHelper(prefix string) {
-	if !ex.traceOn(prefix) {
+// invertedOps: a nil-equals check on the ids + return is the same dominance.
+func (ex *executor) invertedOps(o *trace.Ops) {
+	if o == nil {
 		return
 	}
-	ex.tracer.Span(trace.SortID(prefix), trace.KindSort)
+	ex.tracer.Span(o.Sort, trace.KindSort)
 }
 
 // elseGuard: the else branch of a nil-equals condition is the traced arm.
-func (ex *executor) elseGuard(prefix string) {
-	if ex.tracer == nil {
+func (ex *executor) elseGuard(o *trace.Ops) {
+	if o == nil {
 		return
 	} else {
-		ex.tracer.Span(trace.SortID(prefix), trace.KindSort)
+		ex.tracer.Span(o.Sort, trace.KindSort)
 	}
 }
 
-// unguardedSpan allocates the id and consults the tracer on every call,
-// traced or not — the disabled-path regression the analyzer exists for.
-func (ex *executor) unguardedSpan(prefix string) {
-	ex.tracer.Span(trace.ScanID(prefix, 0), trace.KindScan) // want `ex.tracer.Span outside a tracer nil-check` `trace.ScanID outside a tracer nil-check`
+// unguardedSpan consults the tracer on every call, traced or not — the
+// disabled-path regression the analyzer exists for.
+func (ex *executor) unguardedSpan(o *trace.Ops) {
+	ex.tracer.Span(o.Inputs[0], trace.KindScan) // want `ex.tracer.Span outside a tracer nil-check`
 }
 
-// unguardedPrefix: a prefix derivation alone is still an allocation.
-func (ex *executor) unguardedPrefix(prefix string, k int) string {
-	return trace.SubPrefix(prefix, k) // want `trace.SubPrefix outside a tracer nil-check`
+// unguardedTable: building the table on the untraced path.
+func (ex *executor) unguardedTable(root *trace.Stmt) {
+	ex.ids = trace.NewIDs(root) // want `trace.NewIDs outside a tracer nil-check`
 }
 
-// wrongGuard: a condition unrelated to the tracer does not count.
-func (ex *executor) wrongGuard(prefix string, n int) {
+// wrongGuard: a condition unrelated to tracing does not count, and neither
+// does a check on the table map itself.
+func (ex *executor) wrongGuard(o *trace.Ops, n int) {
 	if n > 0 {
-		ex.tracer.Span(trace.ScanID(prefix, n), trace.KindScan) // want `ex.tracer.Span outside a tracer nil-check` `trace.ScanID outside a tracer nil-check`
+		ex.tracer.Span(o.Inputs[n], trace.KindScan) // want `ex.tracer.Span outside a tracer nil-check`
+	}
+	if ex.ids != nil {
+		ex.tracer.Span(o.Sort, trace.KindSort) // want `ex.tracer.Span outside a tracer nil-check`
 	}
 }
 
-// suppressed documents a deliberate once-per-query allocation.
-func (ex *executor) suppressed(prefix string, k int) string {
-	//lint:tracealloc constructed once at prepare time, not on the per-row path
-	return trace.SubPrefix(prefix, k)
+// suppressed documents a deliberate unguarded call.
+func (ex *executor) suppressed(root *trace.Stmt) trace.IDs {
+	//lint:tracealloc built once per traced execution by the caller's contract
+	return trace.NewIDs(root)
 }
 
 // nilSafeConsumers: Start/Done run unguarded by design and are not

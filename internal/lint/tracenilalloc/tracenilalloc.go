@@ -1,26 +1,24 @@
 // Package tracenilalloc protects the proven zero-allocation disabled path
-// of the engine.ExecOptions.Tracer seam. PR 6's contract — pinned by
+// of the engine.ExecOptions.Tracer seam. The contract — pinned by
 // TestDisabledTracerZeroAlloc and the seam-disabled benchmark — is that an
 // execution with no tracer installed performs no tracing work at all: the
-// hot paths reduce to one nil pointer comparison. Operator-id strings
-// (trace.ScanID, trace.FilterID, ... — each a string concatenation, i.e.
-// an allocation) and Tracer.Span calls must therefore only be reachable
-// inside a block dominated by a tracer nil-check, or the disabled path
-// silently regrows allocations that no test of the *traced* path would
-// ever catch.
+// hot paths reduce to one nil pointer comparison. Tracer.Span calls and the
+// operator-id table (trace.NewIDs, one map and one string per operator)
+// must therefore only be reachable inside a block dominated by a nil-check,
+// or the disabled path silently regrows work that no test of the *traced*
+// path would ever catch.
 //
-// The analyzer recognises three guard forms in internal/engine and
-// internal/vexec:
+// A guard is a nil-check on a *trace.Tracer or on a *trace.Ops — a core's
+// operator ids, which the executors hold only while tracing. The analyzer
+// recognises two guard forms in internal/engine and internal/vexec:
 //
-//	if ex.tracer != nil { ... }            // direct nil-check
-//	if ex.traceOn(prefix) { ... }          // the executors' guard helpers
-//	if ex.tracer == nil { return }         // early-out; the rest is guarded
+//	if o := ex.ids[sp.Stmt]; o != nil { ... }  // direct nil-check
+//	if ex.tracer == nil { return }             // early-out; the rest is guarded
 //
 // (&&-conjoined guards and else-branches of inverted guards count too.)
-// Calls to trace id constructors (names ending in ID or Prefix from
-// internal/trace) and to Tracer.Span outside any such region are flagged.
-// Nil-safe span *consumers* (Span.Start, Timer.Done, Span.Merge) are
-// deliberately exempt — they are designed to run unguarded.
+// Calls to trace.NewIDs and to Tracer.Span outside any such region are
+// flagged. Nil-safe span *consumers* (Span.Start, Timer.Done, Span.Merge)
+// are deliberately exempt — they are designed to run unguarded.
 //
 // Suppress deliberate sites with //lint:tracealloc <reason>.
 package tracenilalloc
@@ -28,8 +26,6 @@ package tracenilalloc
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
-	"strings"
 
 	"sqalpel/internal/lint/analysis"
 	"sqalpel/internal/lint/lintutil"
@@ -47,14 +43,9 @@ const TraceMarker = "internal/trace"
 // Token is the suppression token: //lint:tracealloc <reason>.
 const Token = "tracealloc"
 
-// guardFuncs are the executors' boolean guard helpers: engine.traced,
-// vexec.traceOn (each wraps the nil-check plus the untraced-prefix
-// convention).
-var guardFuncs = map[string]bool{"traceOn": true, "traced": true, "traceEnabled": true}
-
 var Analyzer = &analysis.Analyzer{
 	Name: "tracenilalloc",
-	Doc: "flag trace id construction and Tracer.Span calls not dominated by a tracer nil-check " +
+	Doc: "flag trace.NewIDs and Tracer.Span calls not dominated by a tracer or operator-id nil-check " +
 		"in executor packages (protects the 0-alloc disabled trace path); suppress with //lint:tracealloc <reason>",
 	Run: run,
 }
@@ -186,32 +177,26 @@ func checkNode(pass *analysis.Pass, sup *lintutil.Suppressions, n ast.Node, guar
 		if matchedTraceCall(pass, call) && !sup.Suppressed(pass.Fset, call.Pos(), Token) {
 			pass.Reportf(call.Pos(),
 				"%s outside a tracer nil-check: the disabled-trace path must stay allocation-free "+
-					"(guard with `if <tracer> != nil` / traceOn, or annotate //lint:%s <reason>)",
+					"(guard with `if <tracer> != nil` / `if <ops> != nil`, or annotate //lint:%s <reason>)",
 				lintutil.ExprString(call.Fun), Token)
 		}
 		return true
 	})
 }
 
-// matchedTraceCall matches Tracer.Span and the allocating id/prefix
-// constructors of the trace package.
+// matchedTraceCall matches Tracer.Span and the operator-id table
+// constructor of the trace package.
 func matchedTraceCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if lintutil.IsMethodCall(pass.TypesInfo, call, TraceMarker, "Tracer", "Span") {
 		return true
 	}
 	fn := lintutil.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || !lintutil.PathMatches(fn.Pkg().Path(), TraceMarker) {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	return strings.HasSuffix(fn.Name(), "ID") || strings.HasSuffix(fn.Name(), "Prefix")
+	return fn != nil && fn.Pkg() != nil && lintutil.PathMatches(fn.Pkg().Path(), TraceMarker) && fn.Name() == "NewIDs"
 }
 
-// posGuard reports whether the condition establishes "tracer is non-nil":
-// a `x != nil` with x of tracer type, a guard-helper call, or an
-// &&-conjunction containing either.
+// posGuard reports whether the condition establishes "tracing is on": a
+// `x != nil` with x a tracer or a core's operator ids, or an &&-conjunction
+// containing one.
 func posGuard(pass *analysis.Pass, cond ast.Expr) bool {
 	switch e := ast.Unparen(cond).(type) {
 	case *ast.BinaryExpr:
@@ -221,15 +206,11 @@ func posGuard(pass *analysis.Pass, cond ast.Expr) bool {
 		if e.Op == token.NEQ {
 			return nilCheckOnTracer(pass, e)
 		}
-	case *ast.CallExpr:
-		if fn := lintutil.CalleeFunc(pass.TypesInfo, e); fn != nil && guardFuncs[fn.Name()] {
-			return true
-		}
 	}
 	return false
 }
 
-// negGuard reports whether the condition establishes "tracer is nil" (so
+// negGuard reports whether the condition establishes "tracing is off" (so
 // the else branch / post-early-return code is guarded): `x == nil`,
 // !posGuard, or an ||-disjunction containing either.
 func negGuard(pass *analysis.Pass, cond ast.Expr) bool {
@@ -250,7 +231,7 @@ func negGuard(pass *analysis.Pass, cond ast.Expr) bool {
 }
 
 // nilCheckOnTracer reports whether one side is nil and the other is a
-// *trace.Tracer-typed expression.
+// *trace.Tracer- or *trace.Ops-typed expression.
 func nilCheckOnTracer(pass *analysis.Pass, e *ast.BinaryExpr) bool {
 	isNil := func(x ast.Expr) bool {
 		id, ok := ast.Unparen(x).(*ast.Ident)
@@ -258,7 +239,8 @@ func nilCheckOnTracer(pass *analysis.Pass, e *ast.BinaryExpr) bool {
 	}
 	isTracer := func(x ast.Expr) bool {
 		tv, ok := pass.TypesInfo.Types[ast.Unparen(x)]
-		return ok && tv.Type != nil && lintutil.NamedIn(tv.Type, TraceMarker, "Tracer")
+		return ok && tv.Type != nil &&
+			(lintutil.NamedIn(tv.Type, TraceMarker, "Tracer") || lintutil.NamedIn(tv.Type, TraceMarker, "Ops"))
 	}
 	return (isNil(e.X) && isTracer(e.Y)) || (isNil(e.Y) && isTracer(e.X))
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -56,44 +57,52 @@ func TestPoolRecordsRepeat(t *testing.T) {
 	}
 }
 
-// TestConcurrentGrowRequests: grow requests on one experiment arriving
-// together are serialised — each is steering + growth + ReplaceQueries on a
-// pool that is not safe for concurrent mutation — both on the pool the
-// experiment was created with and on the one a restarted server rebuilds.
-// Run under -race; the stored pool must end gap-free and duplicate-free.
-func TestConcurrentGrowRequests(t *testing.T) {
-	c, s := newTestClient(t)
+// q1Experiments creates a project with n experiments on TPC-H Q1, then a
+// second server over the same store: it has no live pools and rebuilds them
+// from the stored grammars. Sessions live in the server, the owner in the
+// store, so the owner logs in again.
+func q1Experiments(t *testing.T, n int) (c, restarted *testClient, s *Server, pid int, eids []int) {
+	c, s = newTestClient(t)
 	c.token = c.register("owner", "owner@example.org")
 	status, resp := c.do("POST", "/api/projects", map[string]any{"name": "q1-space", "public": true})
 	if status != http.StatusCreated {
 		t.Fatalf("create project = %d %v", status, resp)
 	}
-	pid := int(resp["project"].(map[string]any)["id"].(float64))
+	pid = int(resp["project"].(map[string]any)["id"].(float64))
 	q1, _ := workload.TPCHQuery("Q1")
-	status, resp = c.do("POST", fmt.Sprintf("/api/projects/%d/experiments", pid), map[string]any{
-		"title": "q1", "baseline_sql": q1.SQL,
-	})
-	if status != http.StatusCreated {
-		t.Fatalf("create experiment = %d %v", status, resp)
+	for i := 0; i < n; i++ {
+		status, resp = c.do("POST", fmt.Sprintf("/api/projects/%d/experiments", pid), map[string]any{
+			"title": "q1", "baseline_sql": q1.SQL,
+		})
+		if status != http.StatusCreated {
+			t.Fatalf("create experiment = %d %v", status, resp)
+		}
+		eids = append(eids, int(resp["experiment_id"].(float64)))
 	}
-	eid := int(resp["experiment_id"].(float64))
-
-	// A second server over the same store: it has no live pool and rebuilds
-	// one from the stored grammar. Sessions live in the server, the owner in
-	// the store, so the owner logs in again.
-	restarted := &testClient{t: t, srv: httptest.NewServer(New(Options{Store: s.Store()}))}
+	restarted = &testClient{t: t, srv: httptest.NewServer(New(Options{Store: s.Store()}))}
 	t.Cleanup(restarted.srv.Close)
 	status, resp = restarted.do("POST", "/api/login", map[string]string{"nickname": "owner", "email": "owner@example.org"})
 	if status != http.StatusOK {
 		t.Fatalf("login on the restarted server = %d %v", status, resp)
 	}
 	restarted.token = resp["token"].(string)
+	return c, restarted, s, pid, eids
+}
 
+// TestConcurrentGrowRequests: grow requests on one experiment arriving
+// together are serialised — each is steering + growth + ReplaceQueries on a
+// pool that is not safe for concurrent mutation — both on the pool the
+// experiment was created with and on the one a restarted server rebuilds
+// (for an experiment never grown, so the rebuilt pool is the stored one).
+// Run under -race; the stored pool must end gap-free and duplicate-free.
+func TestConcurrentGrowRequests(t *testing.T) {
+	c, restarted, s, pid, eids := q1Experiments(t, 2)
 	for _, side := range []struct {
 		name   string
 		client *testClient
-	}{{"created", c}, {"rebuilt", restarted}} {
-		name, url, token := side.name, side.client.srv.URL, side.client.token
+		eid    int
+	}{{"created", c, eids[0]}, {"rebuilt", restarted, eids[1]}} {
+		name, url, token, eid := side.name, side.client.srv.URL, side.client.token, side.eid
 		bodies := []map[string]any{
 			{"count": 25},
 			{"count": 25, "exclude": []string{"avg_price"}},
@@ -149,5 +158,29 @@ func TestConcurrentGrowRequests(t *testing.T) {
 			}
 			seen[q.SQL] = true
 		}
+	}
+}
+
+// TestRebuiltPoolDoesNotOverwriteGrownPool: a restarted server rebuilds a
+// pool from the grammar alone. For an experiment grown before the restart
+// that pool binds the stored ids to other SQL, so a grow answers 409 and the
+// stored queries stay as they were.
+func TestRebuiltPoolDoesNotOverwriteGrownPool(t *testing.T) {
+	c, restarted, s, pid, eids := q1Experiments(t, 1)
+	growURL := fmt.Sprintf("/api/projects/%d/experiments/%d/grow", pid, eids[0])
+	if status, resp := c.do("POST", growURL, map[string]any{"count": 20}); status != http.StatusOK {
+		t.Fatalf("grow before the restart = %d %v", status, resp)
+	}
+	before := slices.Clone(s.Store().Project(pid).Experiment(eids[0]).Queries)
+	if len(before) < 2 {
+		t.Fatalf("the grow stored %d queries", len(before))
+	}
+	for i := 0; i < 2; i++ {
+		if status, resp := restarted.do("POST", growURL, map[string]any{"count": 5}); status != http.StatusConflict {
+			t.Fatalf("grow %d after the restart = %d %v, want 409", i+1, status, resp)
+		}
+	}
+	if after := s.Store().Project(pid).Experiment(eids[0]).Queries; !reflect.DeepEqual(after, before) {
+		t.Errorf("the refused grow changed the stored pool: %d queries, had %d", len(after), len(before))
 	}
 }

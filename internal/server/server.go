@@ -618,7 +618,13 @@ func (s *Server) livePool(projectID, experimentID int) *livePool {
 	return lp
 }
 
-// rebuild restores the pool from the stored grammar; lp.mu is held.
+// errPoolNotRestored refuses a grow on a rebuilt pool that does not hold
+// the stored one: storing it would rebind query ids results refer to.
+var errPoolNotRestored = errors.New("the stored pool cannot be restored after a restart; growing it would overwrite its queries")
+
+// rebuild restores the pool from the stored grammar; lp.mu is held. The
+// rebuilt pool holds the baseline alone, so it is kept only when it binds
+// every stored query id to the same SQL, and errPoolNotRestored otherwise.
 func (lp *livePool) rebuild(p *repository.Project, exp *repository.Experiment) error {
 	if lp.pool != nil {
 		return nil
@@ -627,8 +633,21 @@ func (lp *livePool) rebuild(p *repository.Project, exp *repository.Experiment) e
 	if err != nil {
 		return fmt.Errorf("stored grammar does not parse: %w", err)
 	}
-	lp.pool, err = pool.New(g, pool.Options{Seed: int64(p.ID)*1000 + 7})
-	return err
+	pl, err := pool.New(g, pool.Options{Seed: int64(p.ID)*1000 + 7})
+	if err != nil {
+		return err
+	}
+	rebuilt := map[int]string{}
+	for _, e := range pl.Entries() {
+		rebuilt[e.ID] = e.SQL
+	}
+	for _, q := range exp.Queries {
+		if sql, ok := rebuilt[q.ID]; !ok || sql != q.SQL {
+			return errPoolNotRestored
+		}
+	}
+	lp.pool = pl
+	return nil
 }
 
 func (s *Server) handleGrowPool(w http.ResponseWriter, r *http.Request) {
@@ -671,7 +690,11 @@ func (s *Server) handleGrowPool(w http.ResponseWriter, r *http.Request) {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	if err := lp.rebuild(p, exp); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, errPoolNotRestored) {
+			status = http.StatusConflict
+		}
+		writeError(w, status, err)
 		return
 	}
 	pl := lp.pool

@@ -94,7 +94,7 @@ func TestVektorTraceParallelismDeterminism(t *testing.T) {
 // span, merging a delta — allocates nothing.
 func TestDisabledTracerZeroAlloc(t *testing.T) {
 	var tr *trace.Tracer
-	opID := trace.ScanID("", 0)
+	opID := "scan.0"
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Span(opID, trace.KindScan)
 		tm := sp.Start()

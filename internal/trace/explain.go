@@ -69,7 +69,7 @@ func Explain(p *plan.Plan, sql string) *PlanDoc {
 		Vectorizable:  p.Vectorizable,
 		Reason:        p.NotVectorizableReason,
 	}
-	emitStatement(doc, p, p.Root, "")
+	emitStatement(doc, p, NewIDs(p), p.Root)
 	return doc
 }
 
@@ -89,13 +89,11 @@ func (d *PlanDoc) OperatorIDs() map[string]bool {
 
 // emitStatement emits one statement chain: the head core plus its
 // set-operation branches, mirroring the executors' executeSelect loop.
-func emitStatement(doc *PlanDoc, p *plan.Plan, sp *plan.Select, prefix string) {
-	emitCore(doc, p, sp, prefix)
-	j := 1
+func emitStatement(doc *PlanDoc, p *plan.Plan, ids IDs, sp *plan.Select) {
+	emitCore(doc, p, ids, sp)
 	for cur := sp; cur.SetNext != nil; cur = cur.SetNext {
-		doc.Operators = append(doc.Operators, PlanOp{ID: SetID(prefix, j), Kind: KindSet, SetOp: cur.Stmt.SetOp})
-		emitCore(doc, p, cur.SetNext, SetPrefix(prefix, j))
-		j++
+		doc.Operators = append(doc.Operators, PlanOp{ID: ids[cur.SetNext.Stmt].Self, Kind: KindSet, SetOp: cur.Stmt.SetOp})
+		emitCore(doc, p, ids, cur.SetNext)
 	}
 }
 
@@ -103,36 +101,36 @@ func emitStatement(doc *PlanDoc, p *plan.Plan, sp *plan.Select, prefix string) {
 // inputs (with pushed-down filters), join steps, residual filter,
 // aggregation, projection, distinct, sort, limit, then the core's nested
 // sub-queries.
-func emitCore(doc *PlanDoc, p *plan.Plan, sp *plan.Select, prefix string) {
-	stmt := sp.Stmt
+func emitCore(doc *PlanDoc, p *plan.Plan, ids IDs, sp *plan.Select) {
+	stmt, o := sp.Stmt, ids[sp.Stmt]
 	for i, in := range sp.From {
 		switch {
 		case in.Join != nil:
 			doc.Operators = append(doc.Operators, PlanOp{
-				ID: InputID(prefix, i), Kind: KindJoinTree,
+				ID: o.Inputs[i], Kind: KindJoinTree,
 				Predicates: sqlList(in.Join.AllConds),
 			})
 		case in.Derived != nil:
-			doc.Operators = append(doc.Operators, PlanOp{ID: InputID(prefix, i), Kind: KindDerived, Alias: in.Alias})
-			emitStatement(doc, p, in.Derived, DerivedPrefix(prefix, i))
+			doc.Operators = append(doc.Operators, PlanOp{ID: o.Inputs[i], Kind: KindDerived, Alias: in.Alias})
+			emitStatement(doc, p, ids, in.Derived)
 		default:
 			doc.Operators = append(doc.Operators, PlanOp{
-				ID: ScanID(prefix, i), Kind: KindScan,
+				ID: o.Inputs[i], Kind: KindScan,
 				Table: in.Table, Alias: in.Alias,
 				Columns: neededColumns(sp, in.Alias),
 			})
 		}
 		if i < len(sp.VexecPushdown) && len(sp.VexecPushdown[i]) > 0 {
 			doc.Operators = append(doc.Operators, PlanOp{
-				ID: PushFilterID(prefix, i), Kind: KindFilter,
+				ID: o.Pushdown[i], Kind: KindFilter,
 				Predicates: sqlList(sp.VexecPushdown[i]), Pushdown: true,
 			})
 		}
 	}
 	for k, step := range sp.JoinSteps {
 		op := PlanOp{
-			ID: JoinID(prefix, k), Kind: KindHashJoin,
-			Right:    rightInputID(sp, prefix, step.Right),
+			ID: o.Joins[k], Kind: KindHashJoin,
+			Right:    o.Inputs[step.Right],
 			LeftKeys: sqlList(step.LeftKeys), RightKeys: sqlList(step.RightKeys),
 		}
 		if step.Cross {
@@ -142,43 +140,29 @@ func emitCore(doc *PlanDoc, p *plan.Plan, sp *plan.Select, prefix string) {
 		doc.Operators = append(doc.Operators, op)
 	}
 	if len(sp.Residual) > 0 {
-		doc.Operators = append(doc.Operators, PlanOp{ID: FilterID(prefix), Kind: KindFilter, Predicates: sqlList(sp.Residual)})
+		doc.Operators = append(doc.Operators, PlanOp{ID: o.Filter, Kind: KindFilter, Predicates: sqlList(sp.Residual)})
 	}
 	if sp.Grouped {
 		doc.Operators = append(doc.Operators, PlanOp{
-			ID: AggID(prefix), Kind: KindAgg,
+			ID: o.Agg, Kind: KindAgg,
 			GroupBy: sqlList(stmt.GroupBy), Aggregates: aggregateList(stmt),
 		})
 	}
-	doc.Operators = append(doc.Operators, PlanOp{ID: ProjectID(prefix), Kind: KindProject, Columns: outputColumns(sp)})
+	doc.Operators = append(doc.Operators, PlanOp{ID: o.Project, Kind: KindProject, Columns: outputColumns(sp)})
 	if stmt.Distinct {
-		doc.Operators = append(doc.Operators, PlanOp{ID: DistinctID(prefix), Kind: KindDistinct})
+		doc.Operators = append(doc.Operators, PlanOp{ID: o.Distinct, Kind: KindDistinct})
 	}
 	if len(stmt.OrderBy) > 0 {
-		doc.Operators = append(doc.Operators, PlanOp{ID: SortID(prefix), Kind: KindSort, SortKeys: orderList(stmt)})
+		doc.Operators = append(doc.Operators, PlanOp{ID: o.Sort, Kind: KindSort, SortKeys: orderList(stmt)})
 	}
 	if stmt.Limit != nil || stmt.Offset != nil {
-		doc.Operators = append(doc.Operators, PlanOp{ID: LimitID(prefix), Kind: KindLimit, Limit: stmt.Limit, Offset: stmt.Offset})
+		doc.Operators = append(doc.Operators, PlanOp{ID: o.Limit, Kind: KindLimit, Limit: stmt.Limit, Offset: stmt.Offset})
 	}
-	k := 0
-	for _, sub := range CoreSubqueries(stmt) {
-		nested := p.Sub(sub)
-		if nested == nil {
-			continue
-		}
-		corr := p.Correlated(sub)
-		doc.Operators = append(doc.Operators, PlanOp{ID: SubID(prefix, k), Kind: KindSubquery, Correlated: &corr})
-		emitStatement(doc, p, nested, SubPrefix(prefix, k))
-		k++
+	for _, sub := range subqueries(p, stmt) {
+		corr := p.Correlated(sub.Stmt)
+		doc.Operators = append(doc.Operators, PlanOp{ID: ids[sub.Stmt].Self, Kind: KindSubquery, Correlated: &corr})
+		emitStatement(doc, p, ids, sub)
 	}
-}
-
-// rightInputID names the operator feeding a join step's right side.
-func rightInputID(sp *plan.Select, prefix string, right int) string {
-	if right < len(sp.From) && sp.From[right].Table != "" {
-		return ScanID(prefix, right)
-	}
-	return InputID(prefix, right)
 }
 
 // neededColumns lists the pruned column set of one scan alias, sorted.

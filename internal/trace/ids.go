@@ -2,15 +2,16 @@ package trace
 
 import (
 	"strconv"
-	"strings"
 
+	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
 )
 
 // Operator ids are a pure function of the logical plan's structure, so every
 // engine labels the same logical operator identically and the EXPLAIN
-// plan-JSON can be produced without executing anything. Within one SELECT
-// core (prefix P, empty at the root):
+// plan-JSON can be produced without executing anything. NewIDs is the one
+// place that knows the scheme. Within one SELECT core (prefix P, empty at the
+// root):
 //
 //	P + "scan.<i>"    base-table FROM input i
 //	P + "input.<i>"   derived-table or explicit-join FROM input i
@@ -22,130 +23,93 @@ import (
 //	P + "distinct"    duplicate elimination
 //	P + "sort"        ORDER BY
 //	P + "limit"       LIMIT/OFFSET
-//	P + "sub.<k>"     k-th nested sub-query of the core's clauses
+//	P + "sub.<k>"     k-th planned sub-query of the core's clauses, counted
+//	                  across projection, WHERE, GROUP BY, HAVING, ORDER BY
 //	P + "set.<j>"     j-th set-operation branch (j counts from 1)
 //
 // Nested plans extend the prefix: the ops of derived input i live under
 // P+"input.<i>.", of sub-query k under P+"sub.<k>.", of set branch j under
-// P+"set.<j>.".
+// P+"set.<j>.". The operands of explicit JOIN trees, and everything inside
+// them, are not numbered: the whole tree is one input operator.
 
-// UntracedPrefix marks execution contexts without an operator id — the
-// operands of explicit JOIN trees (traced as one input operator) and nested
-// statements the prefix walk does not enumerate. Executors emit no span
-// under it.
-const UntracedPrefix = "\x00"
-
-// ScanID is the id of base-table FROM input i.
-func ScanID(prefix string, i int) string { return prefix + "scan." + strconv.Itoa(i) }
-
-// InputID is the id of a derived-table or join-tree FROM input i.
-func InputID(prefix string, i int) string { return prefix + "input." + strconv.Itoa(i) }
-
-// PushFilterID is the id of the pushed-down filter over FROM input i.
-func PushFilterID(prefix string, i int) string { return prefix + "filter." + strconv.Itoa(i) }
-
-// JoinID is the id of join step k.
-func JoinID(prefix string, k int) string { return prefix + "join." + strconv.Itoa(k) }
-
-// FilterID is the id of the residual post-join filter.
-func FilterID(prefix string) string { return prefix + "filter" }
-
-// AggID is the id of the aggregation operator.
-func AggID(prefix string) string { return prefix + "aggregate" }
-
-// ProjectID is the id of the projection operator.
-func ProjectID(prefix string) string { return prefix + "project" }
-
-// DistinctID is the id of the duplicate-elimination operator.
-func DistinctID(prefix string) string { return prefix + "distinct" }
-
-// SortID is the id of the ORDER BY operator.
-func SortID(prefix string) string { return prefix + "sort" }
-
-// LimitID is the id of the LIMIT/OFFSET operator.
-func LimitID(prefix string) string { return prefix + "limit" }
-
-// SubID is the id of the core's k-th nested sub-query.
-func SubID(prefix string, k int) string { return prefix + "sub." + strconv.Itoa(k) }
-
-// SetID is the id of the core's j-th set-operation branch (j from 1).
-func SetID(prefix string, j int) string { return prefix + "set." + strconv.Itoa(j) }
-
-// DerivedPrefix is the id prefix of the plan nested under derived input i.
-func DerivedPrefix(prefix string, i int) string { return InputID(prefix, i) + "." }
-
-// SubPrefix is the id prefix of the plan nested under sub-query k.
-func SubPrefix(prefix string, k int) string { return SubID(prefix, k) + "." }
-
-// SetPrefix is the id prefix of the plan nested under set branch j.
-func SetPrefix(prefix string, j int) string { return SetID(prefix, j) + "." }
-
-// SubOpID recovers the sub-query operator id from its prefix.
-func SubOpID(prefix string) string { return strings.TrimSuffix(prefix, ".") }
-
-// SubqueryPrefixes maps every traceable nested SELECT statement reachable
-// from stmt to its operator-id prefix. Enumeration is deterministic and
-// purely syntactic — the same walk Explain performs — so the executors'
-// runtime span ids always match the plan-JSON ids: within one core,
-// sub-queries are numbered across the clauses in projection, WHERE,
-// GROUP BY, HAVING, ORDER BY order; derived tables keep their FROM
-// position; set branches count from 1. Statements nested inside explicit
-// JOIN trees are not enumerated (and not traced).
-func SubqueryPrefixes(stmt *sqlparser.SelectStatement, prefix string) map[*sqlparser.SelectStatement]string {
-	m := map[*sqlparser.SelectStatement]string{}
-	addStatementPrefixes(m, stmt, prefix)
-	return m
+// Ops are the operator ids of one numbered SELECT core. The executors hold
+// one only while tracing, so a non-nil *Ops is also the tracing guard.
+type Ops struct {
+	// Self is the id of the operator the core runs under: "sub.<k>",
+	// "set.<j>" or "input.<i>" of the enclosing core, "" at the root.
+	Self string
+	// Inputs and Pushdown are indexed by FROM position: the input operator
+	// and the filter pushed down over it.
+	Inputs, Pushdown []string
+	// Joins are indexed by join step.
+	Joins                                       []string
+	Filter, Agg, Project, Distinct, Sort, Limit string
 }
 
-// addStatementPrefixes walks one statement chain: the head core plus its
+// IDs maps the statement of every numbered core of one plan to its operator
+// ids. The executors key their sub-query state by statement too; a copy of a
+// plan.Select shares its statement and so its ids.
+type IDs map[*sqlparser.SelectStatement]*Ops
+
+// NewIDs numbers the operators of every core of the plan the scheme reaches.
+func NewIDs(p *plan.Plan) IDs {
+	ids := IDs{}
+	ids.statement(p, p.Root, "", "")
+	return ids
+}
+
+// statement numbers one statement chain: the head core plus its
 // set-operation branches.
-func addStatementPrefixes(m map[*sqlparser.SelectStatement]string, stmt *sqlparser.SelectStatement, prefix string) {
-	addCorePrefixes(m, stmt, prefix)
-	j := 1
-	for cur := stmt; cur.SetNext != nil; cur = cur.SetNext {
-		addCorePrefixes(m, cur.SetNext, SetPrefix(prefix, j))
-		j++
+func (ids IDs) statement(p *plan.Plan, sp *plan.Select, self, prefix string) {
+	ids.core(p, sp, self, prefix)
+	for j, cur := 1, sp; cur.SetNext != nil; j, cur = j+1, cur.SetNext {
+		id := prefix + "set." + strconv.Itoa(j)
+		ids.core(p, cur.SetNext, id, id+".")
 	}
 }
 
-// addCorePrefixes registers the sub-queries of one SELECT core and recurses
-// into them and into the core's derived tables.
-func addCorePrefixes(m map[*sqlparser.SelectStatement]string, stmt *sqlparser.SelectStatement, prefix string) {
-	for i, te := range stmt.From {
-		if dt, ok := te.(*sqlparser.DerivedTable); ok {
-			addStatementPrefixes(m, dt.Select, DerivedPrefix(prefix, i))
+// core numbers one SELECT core and recurses into its derived inputs and its
+// planned sub-queries.
+func (ids IDs) core(p *plan.Plan, sp *plan.Select, self, prefix string) {
+	o := &Ops{
+		Self:   self,
+		Filter: prefix + "filter", Agg: prefix + "aggregate", Project: prefix + "project",
+		Distinct: prefix + "distinct", Sort: prefix + "sort", Limit: prefix + "limit",
+		Inputs:   make([]string, len(sp.From)),
+		Pushdown: make([]string, len(sp.From)),
+		Joins:    make([]string, len(sp.JoinSteps)),
+	}
+	ids[sp.Stmt] = o
+	for i, in := range sp.From {
+		n := strconv.Itoa(i)
+		o.Pushdown[i] = prefix + "filter." + n
+		if in.Join == nil && in.Derived == nil {
+			o.Inputs[i] = prefix + "scan." + n
+			continue
+		}
+		o.Inputs[i] = prefix + "input." + n
+		if in.Derived != nil {
+			ids.statement(p, in.Derived, o.Inputs[i], o.Inputs[i]+".")
 		}
 	}
-	k := 0
-	for _, sub := range CoreSubqueries(stmt) {
-		p := SubPrefix(prefix, k)
-		m[sub] = p
-		k++
-		addStatementPrefixes(m, sub, p)
+	for k := range sp.JoinSteps {
+		o.Joins[k] = prefix + "join." + strconv.Itoa(k)
+	}
+	for k, sub := range subqueries(p, sp.Stmt) {
+		id := prefix + "sub." + strconv.Itoa(k)
+		ids.statement(p, sub, id, id+".")
 	}
 }
 
-// CoreSubqueries enumerates the sub-query statements embedded in one core's
-// expression clauses, in syntactic order. Explain and SubqueryPrefixes share
-// this walk, which is what keeps runtime ids and plan-JSON ids aligned.
-func CoreSubqueries(stmt *sqlparser.SelectStatement) []*sqlparser.SelectStatement {
-	var subs []*sqlparser.SelectStatement
-	clause := func(e sqlparser.Expr) {
-		if e == nil {
-			return
+// subqueries lists the plans of a core's sub-queries in clause order.
+func subqueries(p *plan.Plan, stmt *sqlparser.SelectStatement) []*plan.Select {
+	var subs []*plan.Select
+	stmt.ClauseExprs(func(e sqlparser.Expr) {
+		for _, s := range sqlparser.Subqueries(e) {
+			if sp := p.Sub(s); sp != nil {
+				subs = append(subs, sp)
+			}
 		}
-		subs = append(subs, sqlparser.Subqueries(e)...)
-	}
-	for _, p := range stmt.Projection {
-		clause(p.Expr)
-	}
-	clause(stmt.Where)
-	for _, g := range stmt.GroupBy {
-		clause(g)
-	}
-	clause(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		clause(o.Expr)
-	}
+	})
 	return subs
 }

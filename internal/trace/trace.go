@@ -2,11 +2,12 @@
 // execution paradigms. It provides three things:
 //
 //   - a stable operator-id scheme derived purely from the logical plan
-//     (ids.go), so the row interpreter, the column interpreter and the
-//     batch-vectorized executor label the same logical operator with the
-//     same id;
+//     (ids.go): NewIDs numbers a plan's operators in one walk, and the
+//     interpreters and the batch-vectorized executor look their span ids up
+//     in its table, so they label the same logical operator with the same
+//     id;
 //   - EXPLAIN plan-JSON (explain.go): a schema-versioned JSON rendering of
-//     the physical plan keyed by those operator ids;
+//     the physical plan, read from the same table;
 //   - the Tracer/Span runtime seam: per-operator wall time, row counts,
 //     batch counts and coordinator-side allocation deltas, collected into
 //     one QueryTrace per execution and comparable across engines because

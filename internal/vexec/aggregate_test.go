@@ -10,7 +10,6 @@ import (
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/sqlsem"
-	"sqalpel/internal/trace"
 )
 
 // --- the oracle ----------------------------------------------------------------
@@ -509,7 +508,7 @@ func TestApplyAggMatchesPerRowFold(t *testing.T) {
 		}
 		stmt := sqlparser.Subqueries(p.Root.Stmt.Where)[0]
 		ex := &executor{cat: cat, opts: Options{BatchSize: 512}, p: p, subs: map[*sqlparser.SelectStatement]*subState{}}
-		if err := ex.prepareSub(stmt, trace.UntracedPrefix); err != nil {
+		if err := ex.prepareSub(stmt); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		as := ex.subs[stmt].apply

@@ -8,7 +8,6 @@ import (
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/sqlsem"
-	"sqalpel/internal/trace"
 )
 
 // This file keeps the join layer as it was before late materialization as
@@ -132,7 +131,7 @@ func (o eager) input(in *plan.Input) (operator, error) {
 		}
 		return &matOp{ex: ex, b: b}, nil
 	case in.Derived != nil:
-		b, err := ex.runBatch(in.Derived, in.Schema, trace.UntracedPrefix)
+		b, err := ex.runBatch(in.Derived, in.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +148,7 @@ func (o eager) input(in *plan.Input) (operator, error) {
 func (o eager) from(sp *plan.Select) (*Batch, error) {
 	ex := o.ex
 	if len(sp.From) == 0 {
-		return o.materialize(ex.residualFilter(&dualOp{}, sp, trace.UntracedPrefix))
+		return o.materialize(ex.residualFilter(&dualOp{}, sp))
 	}
 	mats := make([]*Batch, len(sp.From))
 	for i, in := range sp.From {
@@ -164,7 +163,7 @@ func (o eager) from(sp *plan.Select) (*Batch, error) {
 			p = ex.filter(p, sp.VexecPushdown[i], nil)
 		}
 		if len(sp.From) == 1 {
-			return o.materialize(ex.residualFilter(p, sp, trace.UntracedPrefix))
+			return o.materialize(ex.residualFilter(p, sp))
 		}
 		if mats[i], err = o.materialize(p); err != nil {
 			return nil, err
@@ -182,7 +181,7 @@ func (o eager) from(sp *plan.Select) (*Batch, error) {
 			return nil, err
 		}
 	}
-	return o.materialize(ex.residualFilter(&matOp{ex: ex, b: cur}, sp, trace.UntracedPrefix))
+	return o.materialize(ex.residualFilter(&matOp{ex: ex, b: cur}, sp))
 }
 
 func (o eager) joinBatch(j *plan.Join) (*Batch, error) {
@@ -585,7 +584,7 @@ func TestViewsMatchEagerOracle(t *testing.T) {
 					t.Fatalf("%s: %v %s", sql, err, p.NotVectorizableReason)
 				}
 				ox := newTestExecutor(cat, p, Options{BatchSize: bs})
-				if err := ox.prepareSubqueries(p.Root.Stmt, trace.UntracedPrefix); err != nil {
+				if err := ox.prepareSubqueries(p.Root.Stmt); err != nil {
 					t.Fatalf("%s: oracle sub-queries: %v", sql, err)
 				}
 				want, err := eager{ox}.from(p.Root)
@@ -596,10 +595,10 @@ func TestViewsMatchEagerOracle(t *testing.T) {
 					for _, fused := range []bool{false, true} {
 						label := fmt.Sprintf("%s [bs=%d seed=%d p=%d fused=%v]", sql, bs, seed, par, fused)
 						ex := newTestExecutor(cat, p, Options{BatchSize: bs, Parallelism: par, Fused: fused})
-						if err := ex.prepareSubqueries(p.Root.Stmt, trace.UntracedPrefix); err != nil {
+						if err := ex.prepareSubqueries(p.Root.Stmt); err != nil {
 							t.Fatalf("%s: sub-queries: %v", label, err)
 						}
-						pipe, err := ex.buildFrom(p.Root, trace.UntracedPrefix)
+						pipe, err := ex.buildFrom(p.Root)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -705,7 +704,7 @@ func TestApplyCandidatesMatchEagerProbe(t *testing.T) {
 		}
 		stmt := sqlparser.Subqueries(p.Root.Stmt.Where)[0]
 		ex := newTestExecutor(cat, p, Options{BatchSize: 512})
-		if err := ex.prepareSub(stmt, trace.UntracedPrefix); err != nil {
+		if err := ex.prepareSub(stmt); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		as := ex.subs[stmt].apply

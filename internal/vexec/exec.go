@@ -79,16 +79,12 @@ type executor struct {
 	// built before the enclosing pipeline runs and are read-only afterwards,
 	// so filter probes are safe under morsel parallelism.
 	subs map[*sqlparser.SelectStatement]*subState
-	// tracer is the per-operator span collector; nil when tracing is off.
-	// Operator ids are keyed by the plan's prefix scheme: "" at the root,
-	// trace.DerivedPrefix/SubPrefix below, trace.UntracedPrefix for pipelines the
-	// prefix walk does not enumerate.
+	// tracer is the per-operator span collector and ids the plan's operator
+	// ids (trace.NewIDs) its spans are keyed by; both nil when tracing is
+	// off. Pipelines the id walk does not number have no entry and run
+	// untraced.
 	tracer *trace.Tracer
-}
-
-// traceOn reports whether spans should be emitted for the given prefix.
-func (ex *executor) traceOn(prefix string) bool {
-	return ex.tracer != nil && !strings.HasPrefix(prefix, trace.UntracedPrefix)
+	ids    trace.IDs
 }
 
 // ExecutePlan runs a planned SELECT against the catalog. Statements outside
@@ -108,7 +104,10 @@ func ExecutePlan(cat Catalog, p *plan.Plan, opts Options) (*Result, error) {
 		subs:   map[*sqlparser.SelectStatement]*subState{},
 		tracer: opts.Tracer,
 	}
-	res, err := ex.run(p.Root, "")
+	if opts.Tracer != nil {
+		ex.ids = trace.NewIDs(p)
+	}
+	res, err := ex.run(p.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -119,33 +118,32 @@ func ExecutePlan(cat Catalog, p *plan.Plan, opts Options) (*Result, error) {
 // checkDeadline aborts overdue or cancelled queries; called once per batch.
 func (ex *executor) checkDeadline() error { return ex.opts.Limits.Expired() }
 
-// run executes one SELECT core. prefix keys the statement's operator spans:
-// "" at the root, a derived/sub prefix below, trace.UntracedPrefix to disable.
-func (ex *executor) run(sp *plan.Select, prefix string) (*Result, error) {
+// run executes one SELECT core.
+func (ex *executor) run(sp *plan.Select) (*Result, error) {
 	stmt := sp.Stmt
 	if len(stmt.Projection) == 0 {
 		return nil, fmt.Errorf("query has no projection")
 	}
 	// Materialize the statement's sub-query states before its pipeline runs:
 	// filters probe them read-only.
-	if err := ex.prepareSubqueries(stmt, prefix); err != nil {
+	if err := ex.prepareSubqueries(stmt); err != nil {
 		return nil, err
 	}
-	pipe, err := ex.buildFrom(sp, prefix)
+	pipe, err := ex.buildFrom(sp)
 	if err != nil {
 		return nil, err
 	}
 	if sp.Grouped {
-		return ex.runGrouped(sp, pipe, prefix)
+		return ex.runGrouped(sp, pipe)
 	}
-	return ex.runRows(sp, pipe, prefix)
+	return ex.runRows(sp, pipe)
 }
 
 // runBatch executes a nested SELECT core and re-frames its projected output
 // as a batch carrying the given schema — the shape derived-table inputs and
 // sub-query materialization consume.
-func (ex *executor) runBatch(sp *plan.Select, schema []plan.ColumnMeta, prefix string) (*Batch, error) {
-	res, err := ex.run(sp, prefix)
+func (ex *executor) runBatch(sp *plan.Select, schema []plan.ColumnMeta) (*Batch, error) {
+	res, err := ex.run(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -165,14 +163,15 @@ func (ex *executor) runBatch(sp *plan.Select, schema []plan.ColumnMeta, prefix s
 // interpreter does not perform — the result set is provably identical),
 // the precomputed JoinSteps stitch the materialized inputs, and the
 // residual conjuncts filter after the joins.
-func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) {
+func (ex *executor) buildFrom(sp *plan.Select) (operator, error) {
 	if len(sp.From) == 0 {
-		return ex.residualFilter(&dualOp{}, sp, prefix), nil
+		return ex.residualFilter(&dualOp{}, sp), nil
 	}
 
+	o := ex.ids[sp.Stmt]
 	pipes := make([]operator, len(sp.From))
 	for i, in := range sp.From {
-		p, err := ex.buildInput(in, sp.Needed, i, prefix)
+		p, err := ex.buildInput(in, sp.Needed, o, i)
 		if err != nil {
 			return nil, err
 		}
@@ -184,8 +183,8 @@ func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) 
 				sc.zones = sc.table.ZonePreds(sc.alias, sp.VexecPushdown[i])
 			}
 			var span *trace.Span
-			if ex.traceOn(prefix) {
-				span = ex.tracer.Span(trace.PushFilterID(prefix, i), trace.KindFilter)
+			if o != nil {
+				span = ex.tracer.Span(o.Pushdown[i], trace.KindFilter)
 			}
 			p = ex.filter(p, sp.VexecPushdown[i], span)
 		}
@@ -209,12 +208,12 @@ func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) 
 		cur := mats[0]
 		for k, step := range sp.JoinSteps {
 			var tm trace.Timer
-			if ex.traceOn(prefix) {
+			if o != nil {
 				kind := trace.KindHashJoin
 				if step.Cross {
 					kind = trace.KindCross
 				}
-				tm = ex.tracer.Span(trace.JoinID(prefix, k), kind).Start()
+				tm = ex.tracer.Span(o.Joins[k], kind).Start()
 			}
 			var err error
 			if step.Cross {
@@ -230,17 +229,17 @@ func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) 
 		current = &matOp{ex: ex, b: cur}
 	}
 
-	return ex.residualFilter(current, sp, prefix), nil
+	return ex.residualFilter(current, sp), nil
 }
 
 // residualFilter stacks the statement's residual conjuncts on its pipeline.
-func (ex *executor) residualFilter(child operator, sp *plan.Select, prefix string) operator {
+func (ex *executor) residualFilter(child operator, sp *plan.Select) operator {
 	if len(sp.VexecResidual) == 0 {
 		return child
 	}
 	var span *trace.Span
-	if ex.traceOn(prefix) {
-		span = ex.tracer.Span(trace.FilterID(prefix), trace.KindFilter)
+	if o := ex.ids[sp.Stmt]; o != nil {
+		span = ex.tracer.Span(o.Filter, trace.KindFilter)
 	}
 	return ex.filter(child, sp.VexecResidual, span)
 }
@@ -259,15 +258,16 @@ func (ex *executor) filter(child operator, conjuncts []sqlparser.Expr, span *tra
 }
 
 // buildInput builds the pipeline of one planned FROM input; needed are the
-// statement's per-alias referenced columns, which prune its scans. idx is
-// the input's FROM position, keying its trace span; the operands of explicit
-// JOIN trees pass -1 (the whole tree is traced as one input operator).
-func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool, idx int, prefix string) (operator, error) {
+// statement's per-alias referenced columns, which prune its scans. o are the
+// ids of the input's core and idx its FROM position, keying its trace span;
+// the operands of explicit JOIN trees pass nil (the whole tree is traced as
+// one input operator).
+func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool, o *trace.Ops, idx int) (operator, error) {
 	switch {
 	case in.Join != nil:
 		var tm trace.Timer
-		if ex.traceOn(prefix) && idx >= 0 {
-			tm = ex.tracer.Span(trace.InputID(prefix, idx), trace.KindJoinTree).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Inputs[idx], trace.KindJoinTree).Start()
 		}
 		b, err := ex.buildJoinBatch(in.Join, needed)
 		if err != nil {
@@ -280,13 +280,11 @@ func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool
 		// result in as a dense input batch, renamed to the derived alias.
 		// Only top-level FROM positions have an operator id; operands of
 		// explicit JOIN trees run untraced, like the interpreters.
-		childPrefix := trace.UntracedPrefix
 		var tm trace.Timer
-		if idx >= 0 && ex.traceOn(prefix) {
-			childPrefix = trace.DerivedPrefix(prefix, idx)
-			tm = ex.tracer.Span(trace.InputID(prefix, idx), trace.KindDerived).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Inputs[idx], trace.KindDerived).Start()
 		}
-		b, err := ex.runBatch(in.Derived, in.Schema, childPrefix)
+		b, err := ex.runBatch(in.Derived, in.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -298,18 +296,18 @@ func (ex *executor) buildInput(in *plan.Input, needed map[string]map[string]bool
 			return nil, err
 		}
 		op := newScanOp(ex, table, in.Alias, needed[strings.ToLower(in.Alias)])
-		if ex.traceOn(prefix) && idx >= 0 {
-			op.span = ex.tracer.Span(trace.ScanID(prefix, idx), trace.KindScan)
+		if o != nil {
+			op.span = ex.tracer.Span(o.Inputs[idx], trace.KindScan)
 		}
 		return op, nil
 	}
 }
 
 // buildJoinBatch materializes an explicit JOIN tree whose ON condition the
-// plan already classified. The operands carry no operator ids of their own
-// (idx -1): the whole tree is traced as one input operator.
+// plan already classified. The operands carry no operator ids of their own:
+// the whole tree is traced as one input operator.
 func (ex *executor) buildJoinBatch(j *plan.Join, needed map[string]map[string]bool) (*Batch, error) {
-	leftOp, err := ex.buildInput(j.Left, needed, -1, trace.UntracedPrefix)
+	leftOp, err := ex.buildInput(j.Left, needed, nil, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +315,7 @@ func (ex *executor) buildJoinBatch(j *plan.Join, needed map[string]map[string]bo
 	if err != nil {
 		return nil, err
 	}
-	rightOp, err := ex.buildInput(j.Right, needed, -1, trace.UntracedPrefix)
+	rightOp, err := ex.buildInput(j.Right, needed, nil, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +356,7 @@ func (ex *executor) buildJoinBatch(j *plan.Join, needed map[string]map[string]bo
 
 // runRows executes a non-grouped query: drain the pipeline, project, then
 // run the shared epilogue.
-func (ex *executor) runRows(sp *plan.Select, pipe operator, prefix string) (*Result, error) {
+func (ex *executor) runRows(sp *plan.Select, pipe operator) (*Result, error) {
 	b, err := ex.materializeOp(pipe)
 	if err != nil {
 		return nil, err
@@ -366,8 +364,8 @@ func (ex *executor) runRows(sp *plan.Select, pipe operator, prefix string) (*Res
 	ctx := &evalCtx{ex: ex, batch: b}
 
 	var tm trace.Timer
-	if ex.traceOn(prefix) {
-		tm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
+	if o := ex.ids[sp.Stmt]; o != nil {
+		tm = ex.tracer.Span(o.Project, trace.KindProject).Start()
 	}
 	cols := make([]*Vector, 0, len(sp.OutSchema))
 	for _, ci := range sp.StarCols {
@@ -377,7 +375,7 @@ func (ex *executor) runRows(sp *plan.Select, pipe operator, prefix string) (*Res
 		return nil, err
 	}
 	tm.Done(int64(b.Len()))
-	return ex.epilogue(sp, cols, ctx, b.Len(), prefix)
+	return ex.epilogue(sp, cols, ctx, b.Len())
 }
 
 // evalAppend evaluates the expressions in order, appending their vectors.
@@ -394,11 +392,11 @@ func (ctx *evalCtx) evalAppend(cols []*Vector, exprs []sqlparser.Expr) ([]*Vecto
 
 // runGrouped executes a grouped query: hash-aggregate the pipeline, apply
 // HAVING, project the groups, then run the shared epilogue.
-func (ex *executor) runGrouped(sp *plan.Select, pipe operator, prefix string) (*Result, error) {
-	stmt := sp.Stmt
+func (ex *executor) runGrouped(sp *plan.Select, pipe operator) (*Result, error) {
+	stmt, o := sp.Stmt, ex.ids[sp.Stmt]
 	var atm trace.Timer
-	if ex.traceOn(prefix) {
-		atm = ex.tracer.Span(trace.AggID(prefix), trace.KindAgg).Start()
+	if o != nil {
+		atm = ex.tracer.Span(o.Agg, trace.KindAgg).Start()
 	}
 	agg, err := ex.hashAggregate(pipe, sp)
 	if err != nil {
@@ -430,22 +428,22 @@ func (ex *executor) runGrouped(sp *plan.Select, pipe operator, prefix string) (*
 		return nil, fmt.Errorf("SELECT * is not supported with GROUP BY or aggregates")
 	}
 	var tm trace.Timer
-	if ex.traceOn(prefix) {
-		tm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
+	if o != nil {
+		tm = ex.tracer.Span(o.Project, trace.KindProject).Start()
 	}
 	cols, err := ctx.evalAppend(nil, sp.Items)
 	if err != nil {
 		return nil, err
 	}
 	tm.Done(int64(n))
-	return ex.epilogue(sp, cols, ctx, n, prefix)
+	return ex.epilogue(sp, cols, ctx, n)
 }
 
 // epilogue applies DISTINCT, ORDER BY and LIMIT/OFFSET to the projected
 // columns and finishes the result. The plan's resolved sort keys are output
 // columns or expressions, which evaluate in the projection's context ctx.
-func (ex *executor) epilogue(sp *plan.Select, cols []*Vector, ctx *evalCtx, n int, prefix string) (*Result, error) {
-	stmt := sp.Stmt
+func (ex *executor) epilogue(sp *plan.Select, cols []*Vector, ctx *evalCtx, n int) (*Result, error) {
+	stmt, o := sp.Stmt, ex.ids[sp.Stmt]
 	sortKeys := make([]*Vector, len(sp.OrderBy))
 	for i, k := range sp.OrderBy {
 		if k.Col >= 0 {
@@ -460,8 +458,8 @@ func (ex *executor) epilogue(sp *plan.Select, cols []*Vector, ctx *evalCtx, n in
 	}
 	if stmt.Distinct {
 		var tm trace.Timer
-		if ex.traceOn(prefix) {
-			tm = ex.tracer.Span(trace.DistinctID(prefix), trace.KindDistinct).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Distinct, trace.KindDistinct).Start()
 		}
 		// First-seen survivors through the typed hash table: a fresh group
 		// id means an unseen row.
@@ -483,8 +481,8 @@ func (ex *executor) epilogue(sp *plan.Select, cols []*Vector, ctx *evalCtx, n in
 
 	if len(sortKeys) > 0 {
 		var tm trace.Timer
-		if ex.traceOn(prefix) {
-			tm = ex.tracer.Span(trace.SortID(prefix), trace.KindSort).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Sort, trace.KindSort).Start()
 		}
 		idx := make([]int, n)
 		for i := range idx {
@@ -527,8 +525,8 @@ func (ex *executor) epilogue(sp *plan.Select, cols []*Vector, ctx *evalCtx, n in
 
 	if stmt.Limit != nil || stmt.Offset != nil {
 		var tm trace.Timer
-		if ex.traceOn(prefix) {
-			tm = ex.tracer.Span(trace.LimitID(prefix), trace.KindLimit).Start()
+		if o != nil {
+			tm = ex.tracer.Span(o.Limit, trace.KindLimit).Start()
 		}
 		start := 0
 		if stmt.Offset != nil {

@@ -184,8 +184,8 @@ type pipelineRun struct {
 func drainPipeline(t *testing.T, cat Catalog, sp *plan.Select, opts Options, wantFused bool) pipelineRun {
 	t.Helper()
 	tr := trace.NewTracer()
-	ex := &executor{cat: cat, opts: opts, tracer: tr}
-	pipe, err := ex.buildFrom(sp, "")
+	ex := &executor{cat: cat, opts: opts, tracer: tr, ids: trace.NewIDs(&plan.Plan{Root: sp})}
+	pipe, err := ex.buildFrom(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +296,10 @@ func TestFusedSubqueryConjunctsStayAbove(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := &executor{cat: cat, opts: Options{BatchSize: 1024, Fused: true}, p: p, subs: map[*sqlparser.SelectStatement]*subState{}}
-	if err := ex.prepareSubqueries(stmt, ""); err != nil {
+	if err := ex.prepareSubqueries(stmt); err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := ex.buildFrom(p.Root, "")
+	pipe, err := ex.buildFrom(p.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestFusedSubqueryConjunctsStayAbove(t *testing.T) {
 		opts.Tracer = tr
 		res := run(t, cat, sql, opts)
 		for _, sp := range tr.Trace("test").Spans {
-			if sp.OpID == trace.PushFilterID("", 0) {
+			if sp.OpID == "filter.0" {
 				return res, [2]int64{sp.Rows, sp.Batches}
 			}
 		}

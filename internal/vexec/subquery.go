@@ -63,35 +63,29 @@ type applyState struct {
 	emptyVal  sqlsem.Value // ApplyAgg value of an empty group (count 0, NULL sums)
 }
 
-// prepareSubqueries materializes the sub-query states of one SELECT core,
-// numbering them along the same clause walk the trace layer's plan JSON uses
-// so the sub-query spans land on plan-known operator ids.
-func (ex *executor) prepareSubqueries(stmt *sqlparser.SelectStatement, prefix string) error {
-	for k, s := range trace.CoreSubqueries(stmt) {
-		if _, ok := ex.subs[s]; ok {
-			continue
+// prepareSubqueries materializes the sub-query states of one SELECT core.
+func (ex *executor) prepareSubqueries(stmt *sqlparser.SelectStatement) error {
+	var err error
+	stmt.ClauseExprs(func(e sqlparser.Expr) {
+		for _, s := range sqlparser.Subqueries(e) {
+			if _, ok := ex.subs[s]; !ok && err == nil {
+				err = ex.prepareSub(s)
+			}
 		}
-		subPrefix := trace.UntracedPrefix
-		if ex.traceOn(prefix) {
-			subPrefix = trace.SubPrefix(prefix, k)
-		}
-		if err := ex.prepareSub(s, subPrefix); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // prepareSub materializes one sub-query state.
-func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) error {
+func (ex *executor) prepareSub(s *sqlparser.SelectStatement) error {
 	sp := ex.p.Sub(s)
 	if sp == nil {
 		return fmt.Errorf("%w: unplanned sub-query", ErrUnsupported)
 	}
 	st := &subState{correlated: ex.p.Correlated(s)}
 	var tm trace.Timer
-	if ex.traceOn(subPrefix) {
-		tm = ex.tracer.Span(trace.SubOpID(subPrefix), trace.KindSubquery).Start()
+	if o := ex.ids[s]; o != nil {
+		tm = ex.tracer.Span(o.Self, trace.KindSubquery).Start()
 	}
 	if st.correlated {
 		ap := ex.p.Apply(s)
@@ -100,7 +94,7 @@ func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) e
 			// missing recipe means the statement should not have reached here.
 			return fmt.Errorf("%w: correlated sub-query without a decorrelation recipe", ErrUnsupported)
 		}
-		as, err := ex.buildApply(sp, ap, subPrefix)
+		as, err := ex.buildApply(sp, ap)
 		if err != nil {
 			return err
 		}
@@ -111,7 +105,7 @@ func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) e
 	}
 
 	ex.stats.SubqueryExecutions++
-	res, err := ex.run(sp, subPrefix)
+	res, err := ex.run(sp)
 	if err != nil {
 		// The interpreters reach a failing sub-query lazily (and possibly
 		// never); defer so they decide whether the query errors.
@@ -149,16 +143,16 @@ func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) e
 // pipeline with the correlation conjuncts stripped (InnerResidual replaces the
 // plan's residual), hash the result by the inner keys, and precompute the
 // per-row or per-group projection values the use-site shape consumes.
-func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply, subPrefix string) (*applyState, error) {
+func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply) (*applyState, error) {
 	// Sub-queries nested inside the inner statement materialize first; the
 	// inner pipeline's filters probe them.
-	if err := ex.prepareSubqueries(sp.Stmt, subPrefix); err != nil {
+	if err := ex.prepareSubqueries(sp.Stmt); err != nil {
 		return nil, err
 	}
 	ex.stats.SubqueryExecutions++
 	inner := *sp
 	inner.VexecResidual = ap.InnerResidual
-	pipe, err := ex.buildFrom(&inner, subPrefix)
+	pipe, err := ex.buildFrom(&inner)
 	if err != nil {
 		return nil, deferToFallback(err)
 	}
