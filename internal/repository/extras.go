@@ -1,0 +1,118 @@
+package repository
+
+import (
+	"bytes"
+	"encoding/json"
+)
+
+// Extras is a result's extra indicators — the open-ended key/value list a
+// driver reports with every measurement — held as the one JSON object they
+// always serialise to, from the decoded completion to the row on disk or on a
+// page. Nothing on the platform reads them as a map, so the row keeps one
+// byte slice instead of a map and its strings, which the collector would mark
+// on every cycle. nil means no extras; a value is never changed in place.
+//
+// The bytes are canonical: what a json.Encoder with SetEscapeHTML(false)
+// writes for the map, without the trailing newline — keys sorted, compact,
+// <>& raw, U+2028 and U+2029 escaped, invalid UTF-8 replaced by U+FFFD.
+// encoding/json compacts what MarshalJSON returns with the escaping of the
+// encoder at hand, so every sink writes what it wrote for the map: the log
+// escapes <>& (json.Marshal), history frames and snapshots do not, pages do.
+type Extras []byte
+
+// EncodeExtras returns the canonical form of m; nil when m is empty. It is
+// the one encoder of extras.
+func EncodeExtras(m map[string]string) Extras {
+	if len(m) == 0 {
+		return nil
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(m); err != nil {
+		panic(err) // a map of strings always encodes
+	}
+	return Extras(bytes.Clone(bytes.TrimSuffix(buf.Bytes(), []byte("\n"))))
+}
+
+// Map decodes the extras; nil when there are none.
+func (e Extras) Map() map[string]string {
+	var m map[string]string
+	_ = json.Unmarshal(e, &m) // canonical bytes decode; nil bytes leave m nil
+	return m
+}
+
+// MarshalJSON returns the canonical bytes, or null for no extras.
+func (e Extras) MarshalJSON() ([]byte, error) {
+	if e == nil {
+		return []byte("null"), nil
+	}
+	return e, nil
+}
+
+// UnmarshalJSON accepts exactly what decoding into a map[string]string
+// accepts, with its meaning: the last of duplicate keys wins, null means no
+// extras, and a second object decoded into the same value adds to it. Data
+// that is canonical already — what drivers send and what recovery reads back
+// from the history and snapshots — is copied as it is; anything else is
+// decoded into a map and encoded again.
+func (e *Extras) UnmarshalJSON(data []byte) error {
+	if *e == nil && canonicalExtras(data) {
+		*e = Extras(bytes.Clone(data))
+		return nil
+	}
+	m := e.Map()
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	*e = EncodeExtras(m)
+	return nil
+}
+
+// canonicalExtras reports whether data is what EncodeExtras writes for the
+// object it holds, by a test that is sure only of the common case: a compact
+// object whose keys strictly increase bytewise and whose strings hold nothing
+// but printable ASCII other than `"` and `\`, which no encoder escapes. {} is
+// not: it holds no extras, which are nil.
+func canonicalExtras(data []byte) bool {
+	if len(data) < 2 || data[0] != '{' {
+		return false
+	}
+	var prev []byte
+	for i, first := 1, true; ; first = false {
+		key, next := plainString(data, i)
+		if next < 0 || (!first && bytes.Compare(prev, key) >= 0) || next >= len(data) || data[next] != ':' {
+			return false
+		}
+		_, i = plainString(data, next+1)
+		if i < 0 || i >= len(data) {
+			return false
+		}
+		switch data[i] {
+		case '}':
+			return i == len(data)-1
+		case ',':
+			prev, i = key, i+1
+		default:
+			return false
+		}
+	}
+}
+
+// plainString returns the contents of the JSON string at data[i] and the
+// position behind it, or next -1 when there is no string there or it holds
+// an escape or a byte outside printable ASCII.
+func plainString(data []byte, i int) (s []byte, next int) {
+	if i >= len(data) || data[i] != '"' {
+		return nil, -1
+	}
+	for j := i + 1; j < len(data); j++ {
+		switch c := data[j]; {
+		case c == '"':
+			return data[i+1 : j], j + 1
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, -1
+		}
+	}
+	return nil, -1
+}

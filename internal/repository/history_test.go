@@ -339,8 +339,9 @@ func TestCheckpointCostIsFlat(t *testing.T) {
 				t.Fatalf("lease: %v, %v", tasks, err)
 			}
 			var batch []Completion
+			extra := EncodeExtras(map[string]string{"rows": "25"})
 			for _, task := range tasks {
-				batch = append(batch, Completion{TaskID: task.ID, Seconds: []float64{0.1}, Extra: map[string]string{"rows": "25"}})
+				batch = append(batch, Completion{TaskID: task.ID, Seconds: []float64{0.1}, Extra: extra})
 			}
 			for _, out := range s.CompleteTasks(key, batch) {
 				if out.Err != nil {

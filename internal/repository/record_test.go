@@ -94,7 +94,7 @@ func TestRecordsOwnTheirData(t *testing.T) {
 	if err != nil || task == nil {
 		t.Fatalf("lease: %v %v", task, err)
 	}
-	out := s.CompleteTasks(key, []Completion{{TaskID: task.ID, Seconds: seconds, Extra: extra}})[0]
+	out := s.CompleteTasks(key, []Completion{{TaskID: task.ID, Seconds: seconds, Extra: EncodeExtras(extra)}})[0]
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -108,7 +108,7 @@ func TestRecordsOwnTheirData(t *testing.T) {
 		t.Fatalf("the pool after the caller changed its slice: %+v, want %+v", got, want)
 	}
 	for _, r := range []*Result{direct, out.Result} {
-		if !reflect.DeepEqual(r.Extra, map[string]string{"rows": "1"}) || r.Seconds[0] != 0.1 {
+		if !reflect.DeepEqual(r.Extra.Map(), map[string]string{"rows": "1"}) || r.Seconds[0] != 0.1 {
 			t.Fatalf("result %d after the caller changed its extra and seconds: %v, %v", r.ID, r.Extra, r.Seconds)
 		}
 	}
@@ -185,7 +185,9 @@ func TestDeletedIDsAreNotReissued(t *testing.T) {
 // appended one or nothing of it. A record whose data does not decode — a
 // null where a row or an object must be included — stops the replay with a
 // warning, like a torn record. The seeds are three such nulls, which
-// recovery used to dereference, and a record that applies.
+// recovery used to dereference, a record that applies, and results whose
+// extras are not in the canonical form (unsorted, duplicated, spaced,
+// escaped, not strings).
 func FuzzReplayRecord(f *testing.F) {
 	rec := newSinkRecorder()
 	s, err := open(f.TempDir(), 1, quietLogf, rec.factory)
@@ -208,6 +210,9 @@ func FuzzReplayRecord(f *testing.F) {
 	f.Add(opExperiment, []byte(`{"project_id":1,"experiment":null}`))
 	f.Add(opInvite, []byte(`{"project_id":1,"contributor":null}`))
 	f.Add(opComment, []byte(`{"id":99,"project_id":1,"author":"ying","text":"late","created":"2026-01-01T00:00:00Z"}`))
+	f.Add(opResult, []byte(`{"id":99,"project_id":1,"experiment_id":1,"query_id":1,"dbms_key":"mariadb","platform_key":"jetson","seconds":[0.1],"extra":{ "b":"2", "a":"\u003c", "a":"\ud800"},"created":"2026-01-01T00:00:00Z"}`))
+	f.Add(opResult, []byte(`{"id":99,"project_id":1,"experiment_id":1,"query_id":1,"extra":{"a":1},"created":"2026-01-01T00:00:00Z"}`))
+	f.Add(opTaskComplete, []byte(`[{"task_id":1,"status":"done","finished":"2026-01-01T00:00:00Z","result":{"id":99,"project_id":1,"experiment_id":1,"query_id":7,"extra":{"z":"\n","a":"<"},"extra":{}}}]`))
 	f.Fuzz(func(t *testing.T, op string, data []byte) {
 		quoted, _ := json.Marshal(op)
 		frame := fmt.Appendf(make([]byte, walHeaderSize), `{"lsn":%d,"op":%s,"data":%s}`, next, quoted, data)

@@ -38,7 +38,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -160,9 +159,9 @@ type Result struct {
 	DBMSKey        string `json:"dbms_key"`
 	PlatformKey    string `json:"platform_key"`
 	// Seconds are the wall-clock times of the individual repetitions.
-	Seconds []float64         `json:"seconds,omitempty"`
-	Error   string            `json:"error,omitempty"`
-	Extra   map[string]string `json:"extra,omitempty"`
+	Seconds []float64 `json:"seconds,omitempty"`
+	Error   string    `json:"error,omitempty"`
+	Extra   Extras    `json:"extra,omitempty"`
 	// Trace is the per-operator span tree the driver captured alongside the
 	// timings; nil when the submission was measured without tracing. It
 	// persists through the WAL and snapshots with the rest of the result
@@ -592,15 +591,16 @@ func (s *Store) AddResultTraced(contributorKey string, experimentID, queryID int
 	if err != nil {
 		return nil, err
 	}
+	extras := EncodeExtras(extra)
 	sh := s.shardFor(p.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.addResultLocked(sh, p.ID, contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extra, qt)
+	return s.addResultLocked(sh, p.ID, contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extras, qt)
 }
 
 // addResultLocked validates and records a result on a shard whose lock the
 // caller holds.
-func (s *Store) addResultLocked(sh *shard, projectID int, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
+func (s *Store) addResultLocked(sh *shard, projectID int, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra Extras, qt *trace.QueryTrace) (*Result, error) {
 	p := sh.projects[projectID]
 	if p == nil {
 		return nil, fmt.Errorf("unknown project %d", projectID)
@@ -617,8 +617,9 @@ func (s *Store) addResultLocked(sh *shard, projectID int, contributorKey string,
 
 // buildResultLocked validates the submission against the project and
 // allocates the result row without recording it; shard lock held. The row
-// copies the caller's seconds and extra, and takes the trace over.
-func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
+// copies the caller's seconds, keeps the extras (never changed in place) and
+// takes the trace over.
+func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra Extras, qt *trace.QueryTrace) (*Result, error) {
 	x := sh.exps[expKey{p.ID, experimentID}]
 	if x == nil || x.exp == nil {
 		return nil, fmt.Errorf("unknown experiment %d in project %q", experimentID, p.Name)
@@ -636,11 +637,9 @@ func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, 
 		PlatformKey:    platformKey,
 		Seconds:        append([]float64(nil), seconds...),
 		Error:          errMsg,
+		Extra:          extra,
 		Trace:          qt,
 		Created:        s.now(),
-	}
-	if len(extra) > 0 {
-		r.Extra = maps.Clone(extra)
 	}
 	return r, nil
 }

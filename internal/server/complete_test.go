@@ -1,10 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -188,4 +194,118 @@ func FuzzTaskComplete(f *testing.F) {
 			seen[r.QueryID] = true
 		}
 	})
+}
+
+// TestCompletionExtraWireContract pins what a completion's extra may be on
+// the wire: an object of strings or null, nothing else, and in a batch body
+// no top-level extra at all — not even {}, which holds no extras. Each body
+// below is 400 and records nothing.
+func TestCompletionExtraWireContract(t *testing.T) {
+	fx := newCompleteFixture(t)
+	for _, body := range []string{
+		`{"key":"$OWNER","extra":{},"tasks":[{"task_id":1,"seconds":[0.1]}]}`,
+		`{"key":"$OWNER","extra":{"a":"1"},"tasks":[{"task_id":1,"seconds":[0.1]}]}`,
+		`{"key":"$OWNER","task_id":1,"seconds":[0.1],"extra":{"a":1}}`,
+		`{"key":"$OWNER","tasks":[{"task_id":1,"seconds":[0.1],"extra":{"a":1}}]}`,
+		`{"key":"$OWNER","task_id":1,"seconds":[0.1],"extra":[]}`,
+		`{"key":"$OWNER","tasks":[{"task_id":1,"seconds":[0.1],"extra":[]}]}`,
+		`{"key":"$OWNER","task_id":1,"seconds":[0.1],"extra":{"a":{"b":"c"}}}`,
+		`{"key":"$OWNER","task_id":1,"seconds":[0.1],"extra":"a"}`,
+	} {
+		if status, reply := fx.post(body); status != http.StatusBadRequest {
+			t.Errorf("%s = %d %s, want 400", body, status, reply)
+		}
+	}
+	if fx.results() != 0 {
+		t.Fatalf("rejected bodies recorded %d results", fx.results())
+	}
+	// A null top-level extra is no extra: the batch form takes it.
+	status, reply := fx.post(`{"key":"$OWNER","extra":null,"tasks":[{"task_id":1,"seconds":[0.1],"extra":null}]}`)
+	if got := batchStatuses(t, reply); status != http.StatusOK || len(got) != 1 || got[0] != http.StatusCreated {
+		t.Fatalf("batch with a null extra = %d %s", status, reply)
+	}
+}
+
+var updateExtras = flag.Bool("update-extras-golden", false, "rewrite testdata/extras_results.golden")
+
+// TestResultsPageExtrasGolden pins the results page's encoding of extras —
+// repository.TestExtrasGolden pins the log's, a history frame's and a
+// snapshot's. The extras of ../repository/testdata/extras_cases.txt
+// (unsorted, duplicated, spaced, escaped or not, invalid UTF-8, empty, null)
+// are reported over the wire as one batch, and the page, its contributor key
+// and clock times replaced, must be testdata/extras_results.golden. The
+// golden was written before extras were stored as bytes; regenerating it
+// from the current code proves nothing.
+func TestResultsPageExtrasGolden(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "repository", "testdata", "extras_cases.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var extras []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			_, quoted, _ := strings.Cut(line, " ")
+			text, err := strconv.Unquote(quoted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			extras = append(extras, text)
+		}
+	}
+	store := repository.NewStore()
+	if _, err := store.RegisterUser("martin", "martin@example.org"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := store.CreateProject("martin", "extras", "", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := store.AddExperiment("martin", p.ID, "exp", "SELECT 1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := make([]repository.QueryRecord, len(extras))
+	for i := range pool {
+		pool[i] = repository.QueryRecord{ID: i + 1, SQL: fmt.Sprintf("SELECT %d", i+1)}
+	}
+	if err := store.ReplaceQueries("martin", p.ID, e.ID, pool); err != nil {
+		t.Fatal(err)
+	}
+	key := p.Contributors[0].Key
+	tasks, err := store.RequestTasks(key, e.ID, "vektor-2.0", "laptop", len(extras))
+	if err != nil || len(tasks) != len(extras) {
+		t.Fatalf("lease: %d tasks, %v", len(tasks), err)
+	}
+	body := fmt.Sprintf(`{"key":%q,"tasks":[`, key)
+	for i, extra := range extras {
+		if i > 0 {
+			body += ","
+		}
+		body += fmt.Sprintf(`{"task_id":%d,"seconds":[0.25],"extra":%s}`, tasks[i].ID, extra)
+	}
+	srv := New(Options{Store: store})
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/task/complete", strings.NewReader(body+"]}")))
+	for i, status := range batchStatuses(t, w.Body.Bytes()) {
+		if status != http.StatusCreated {
+			t.Fatalf("extra %s answered %d", extras[i], status)
+		}
+	}
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/api/projects/%d/results", p.ID), nil))
+	page := bytes.ReplaceAll(w.Body.Bytes(), []byte(key), []byte("$KEY"))
+	page = regexp.MustCompile(`"created":"[^"]*"`).ReplaceAllLiteral(page, []byte(`"created":"$NOW"`))
+	path := filepath.Join("testdata", "extras_results.golden")
+	if *updateExtras {
+		if err := os.WriteFile(path, page, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(page, want) {
+		t.Fatalf("the results page differs from %s:\n%s\nwant\n%s", path, page, want)
+	}
 }

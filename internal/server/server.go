@@ -865,10 +865,12 @@ func (s *Server) handleTaskRequest(w http.ResponseWriter, r *http.Request) {
 // of the single-task form of /api/task/complete, one element of the batch
 // form's tasks.
 type completionItem struct {
-	TaskID  int               `json:"task_id"`
-	Seconds []float64         `json:"seconds"`
-	Error   string            `json:"error"`
-	Extra   map[string]string `json:"extra"`
+	TaskID  int       `json:"task_id"`
+	Seconds []float64 `json:"seconds"`
+	Error   string    `json:"error"`
+	// Extra is nil only when the body sent no object: {} holds no extras,
+	// yet a batch body that sends it at the top level mixes the two forms.
+	Extra *repository.Extras `json:"extra"`
 	// Trace optionally carries the driver's per-operator span tree as a
 	// trace.QueryTrace document; it is stored on the result row.
 	Trace json.RawMessage `json:"trace"`
@@ -877,7 +879,10 @@ type completionItem struct {
 // completion parses the item's trace and returns the item as the store
 // records it.
 func (it *completionItem) completion() (repository.Completion, error) {
-	c := repository.Completion{TaskID: it.TaskID, Seconds: it.Seconds, Error: it.Error, Extra: it.Extra}
+	c := repository.Completion{TaskID: it.TaskID, Seconds: it.Seconds, Error: it.Error}
+	if it.Extra != nil {
+		c.Extra = *it.Extra
+	}
 	if len(it.Trace) > 0 && string(it.Trace) != "null" {
 		qt, err := trace.ParseTrace(it.Trace)
 		if err != nil {
