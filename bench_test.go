@@ -199,15 +199,9 @@ func BenchmarkFigure2DominantComponents(b *testing.B) {
 	var runs []analytics.Run
 	for _, e := range pl.Entries() {
 		m := metrics.Measure(target, e.SQL, metrics.Options{Runs: 2})
-		var terms []string
-		for _, lits := range e.Sentence().Literals {
-			for _, l := range lits {
-				terms = append(terms, l.Text)
-			}
-		}
 		run := analytics.Run{
 			QueryID: e.ID, SQL: e.SQL, Strategy: string(e.Strategy), ParentID: e.ParentID,
-			Components: e.Components, Terms: terms, Target: "columba-1.0",
+			Components: e.Components, Terms: e.Terms(), Target: "columba-1.0",
 		}
 		if m.Failed() {
 			run.Error = m.Err

@@ -141,8 +141,13 @@ func Components(runs []Run, target string) []Component {
 		bySig[s.sig] = append(bySig[s.sig], r.Seconds)
 	}
 
-	var out []Component
+	sorted := make([]string, 0, len(terms))
 	for term := range terms {
+		sorted = append(sorted, term)
+	}
+	sort.Strings(sorted)
+	var out []Component
+	for _, term := range sorted {
 		c := Component{Term: term}
 		var with, without, paired []float64
 		for _, s := range samples {
@@ -181,6 +186,7 @@ func Components(runs []Run, target string) []Component {
 // one term (used to find the "same query minus this term" peers).
 func termSignature(set map[string]bool, exclude string) string {
 	keys := make([]string, 0, len(set))
+	//lint:ordered the keys are sorted below before they are joined
 	for t := range set {
 		if t == exclude {
 			continue
@@ -226,59 +232,79 @@ type SpeedupSummary struct {
 	Median         float64
 }
 
-// Speedup matches runs of the same query id on two targets and computes the
-// per-query factor plus the spread summary.
-func Speedup(runs []Run, baseTarget, otherTarget string) SpeedupSummary {
-	base := map[int]Run{}
-	other := map[int]Run{}
-	for _, r := range runs {
+// Pair is one query measured successfully on two targets.
+type Pair struct {
+	QueryID int
+	// A and B point at the runs of the two targets.
+	A, B *Run
+	// Ratio is A.Seconds / B.Seconds: above 1 the query runs faster on B.
+	Ratio float64
+}
+
+// Pairs is the one ratio of the instrument: per query id it takes the last
+// successful run of targets a and b (in input order) and pairs them when
+// both times are positive, in query-id order. A zero time is below the
+// clock's resolution, so it yields no ratio on either side, and a ratio is
+// pairwise: runs on any other target do not affect it.
+func Pairs(runs []Run, a, b string) []Pair {
+	lastA, lastB := make(map[int]int, len(runs)), make(map[int]int, len(runs))
+	for i, r := range runs {
 		if r.Failed() {
 			continue
 		}
 		switch r.Target {
-		case baseTarget:
-			base[r.QueryID] = r
-		case otherTarget:
-			other[r.QueryID] = r
+		case a:
+			lastA[r.QueryID] = i
+		case b:
+			lastB[r.QueryID] = i
 		}
 	}
-	var sum SpeedupSummary
-	var factors []float64
-	ids := make([]int, 0, len(base))
-	for id := range base {
-		if _, ok := other[id]; ok {
-			ids = append(ids, id)
-		}
+	ids := make([]int, 0, len(lastA))
+	for id := range lastA {
+		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	out := make([]Pair, 0, len(ids))
 	for _, id := range ids {
-		b, o := base[id], other[id]
-		if b.Seconds <= 0 {
+		ib, ok := lastB[id]
+		if !ok {
 			continue
 		}
-		p := SpeedupPoint{
-			QueryID:      id,
-			Components:   b.Components,
-			BaseSeconds:  b.Seconds,
-			OtherSeconds: o.Seconds,
-			Factor:       o.Seconds / b.Seconds,
+		ra, rb := &runs[lastA[id]], &runs[ib]
+		if ra.Seconds > 0 && rb.Seconds > 0 {
+			out = append(out, Pair{QueryID: id, A: ra, B: rb, Ratio: ra.Seconds / rb.Seconds})
 		}
-		sum.Points = append(sum.Points, p)
-		factors = append(factors, p.Factor)
-		if id == 1 {
-			sum.BaselineFactor = p.Factor
+	}
+	return out
+}
+
+// Speedup summarises Pairs(runs, otherTarget, baseTarget): the per-query
+// factor plus its spread.
+func Speedup(runs []Run, baseTarget, otherTarget string) SpeedupSummary {
+	var sum SpeedupSummary
+	var factors []float64
+	for _, p := range Pairs(runs, otherTarget, baseTarget) {
+		sum.Points = append(sum.Points, SpeedupPoint{
+			QueryID:      p.QueryID,
+			Components:   p.B.Components,
+			BaseSeconds:  p.B.Seconds,
+			OtherSeconds: p.A.Seconds,
+			Factor:       p.Ratio,
+		})
+		factors = append(factors, p.Ratio)
+		if p.QueryID == 1 {
+			sum.BaselineFactor = p.Ratio
 		}
 	}
 	if len(factors) == 0 {
 		return sum
 	}
-	sorted := append([]float64(nil), factors...)
-	sort.Float64s(sorted)
-	sum.Min = sorted[0]
-	sum.Max = sorted[len(sorted)-1]
-	sum.Median = sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		sum.Median = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
+	sort.Float64s(factors)
+	sum.Min = factors[0]
+	sum.Max = factors[len(factors)-1]
+	sum.Median = factors[len(factors)/2]
+	if len(factors)%2 == 0 {
+		sum.Median = (factors[len(factors)/2-1] + factors[len(factors)/2]) / 2
 	}
 	return sum
 }
@@ -328,48 +354,33 @@ func Diff(runs []Run, idA, idB int) (Differential, error) {
 	return Differential{QueryA: idA, QueryB: idB, OnlyA: onlyA, OnlyB: onlyB, Times: times}, nil
 }
 
-// tokenDiff returns the whitespace-separated tokens unique to each side,
-// treating the token lists as multisets.
+// tokenDiff returns the tokens unique to each side, sorted, treating the
+// token lists as multisets.
 func tokenDiff(a, b string) (onlyA, onlyB []string) {
-	countA := tokenCounts(a)
-	countB := tokenCounts(b)
-	for tok, n := range countA {
-		if n > countB[tok] {
-			for i := 0; i < n-countB[tok]; i++ {
-				onlyA = append(onlyA, tok)
-			}
+	ta, tb := tokens(a), tokens(b)
+	for len(ta) > 0 || len(tb) > 0 {
+		switch {
+		case len(tb) == 0 || len(ta) > 0 && ta[0] < tb[0]:
+			onlyA, ta = append(onlyA, ta[0]), ta[1:]
+		case len(ta) == 0 || tb[0] < ta[0]:
+			onlyB, tb = append(onlyB, tb[0]), tb[1:]
+		default:
+			ta, tb = ta[1:], tb[1:]
 		}
 	}
-	for tok, n := range countB {
-		if n > countA[tok] {
-			for i := 0; i < n-countA[tok]; i++ {
-				onlyB = append(onlyB, tok)
-			}
-		}
-	}
-	sort.Strings(onlyA)
-	sort.Strings(onlyB)
 	return onlyA, onlyB
 }
 
-func tokenCounts(s string) map[string]int {
-	out := map[string]int{}
-	token := ""
-	flush := func() {
-		if token != "" {
-			out[token]++
-			token = ""
-		}
-	}
-	for _, r := range s {
+// tokens splits a query at blanks, commas and parentheses, sorted.
+func tokens(s string) []string {
+	out := strings.FieldsFunc(s, func(r rune) bool {
 		switch r {
 		case ' ', '\t', '\n', ',', '(', ')':
-			flush()
-		default:
-			token += string(r)
+			return true
 		}
-	}
-	flush()
+		return false
+	})
+	sort.Strings(out)
 	return out
 }
 

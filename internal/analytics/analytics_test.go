@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -140,6 +141,25 @@ func TestTokenDiff(t *testing.T) {
 	if len(a) != 0 || len(b) != 0 {
 		t.Errorf("identical diff = %v / %v", a, b)
 	}
+	for _, tc := range []struct {
+		name         string
+		a, b         string
+		onlyA, onlyB []string
+	}{
+		// A run of separators yields no empty token.
+		{"adjacent separators", "SELECT f((x)),,\t\n y FROM t", "SELECT f(x), y FROM t", nil, nil},
+		{"separators only", " ,\t(\n) ", "", nil, nil},
+		// A quoted literal is not one token: its blank separates like any other.
+		{"quoted literal", "WHERE n_name = 'UNITED STATES'", "WHERE n_name = 'BRAZIL'", []string{"'UNITED", "STATES'"}, []string{"'BRAZIL'"}},
+		{"multi-byte runes", "SELECT 'Zürich', naïve FROM t", "SELECT 'Zurich', naïve FROM t", []string{"'Zürich'"}, []string{"'Zurich'"}},
+		// Tokens are a multiset: repeats count.
+		{"repeated tokens", "SELECT a, a, a FROM t", "SELECT a FROM t FROM", []string{"a", "a"}, []string{"FROM"}},
+	} {
+		a, b := tokenDiff(tc.a, tc.b)
+		if fmt.Sprintf("%q %q", a, b) != fmt.Sprintf("%q %q", tc.onlyA, tc.onlyB) {
+			t.Errorf("%s: tokenDiff = %q / %q, want %q / %q", tc.name, a, b, tc.onlyA, tc.onlyB)
+		}
+	}
 }
 
 func TestWriteCSV(t *testing.T) {
@@ -176,5 +196,56 @@ func TestRunHelpers(t *testing.T) {
 	}
 	if formatSeconds(1.5, false) != "1.500000" {
 		t.Errorf("formatSeconds = %q", formatSeconds(1.5, false))
+	}
+}
+
+func TestPairsZeroTimesSymmetric(t *testing.T) {
+	mk := func(a, b float64) []Run {
+		return []Run{{QueryID: 1, Target: "a", Seconds: a}, {QueryID: 1, Target: "b", Seconds: b}}
+	}
+	// A zero wall-clock time is below the clock's resolution; it yields no
+	// ratio whichever side it appears on (Speedup used to report a factor 0
+	// for a zero numerator but skip a zero denominator).
+	for _, tc := range []struct {
+		name string
+		a, b float64
+	}{{"zero numerator", 0, 0.001}, {"zero denominator", 0.001, 0}, {"both zero", 0, 0}} {
+		if p := Pairs(mk(tc.a, tc.b), "a", "b"); len(p) != 0 {
+			t.Errorf("%s: Pairs = %+v, want none", tc.name, p)
+		}
+		if p := Pairs(mk(tc.a, tc.b), "b", "a"); len(p) != 0 {
+			t.Errorf("%s, swapped: Pairs = %+v, want none", tc.name, p)
+		}
+		if sum := Speedup(mk(tc.a, tc.b), "a", "b"); len(sum.Points) != 0 || sum.BaselineFactor != 0 {
+			t.Errorf("%s: Speedup = %+v, want no points", tc.name, sum)
+		}
+	}
+	if p := Pairs(mk(0.002, 0.001), "a", "b"); len(p) != 1 || p[0].Ratio != 2 {
+		t.Errorf("Pairs = %+v, want one ratio of 2", p)
+	}
+	// Swapping the targets inverts the ratio.
+	if p := Pairs(mk(0.002, 0.001), "b", "a"); len(p) != 1 || p[0].Ratio != 0.5 {
+		t.Errorf("swapped Pairs = %+v, want one ratio of 0.5", p)
+	}
+}
+
+func TestPairsTakeLastSuccessfulRunPerTarget(t *testing.T) {
+	runs := []Run{
+		{QueryID: 2, Target: "a", Seconds: 0.4},
+		{QueryID: 2, Target: "b", Seconds: 0.1},
+		{QueryID: 1, Target: "a", Seconds: 0.3},
+		{QueryID: 2, Target: "a", Seconds: 0.6},
+		{QueryID: 2, Target: "a", Error: "timeout"},
+		{QueryID: 1, Target: "b", Seconds: 0.1},
+		// A third target's failure does not hide the pair.
+		{QueryID: 1, Target: "c", Error: "parse error"},
+		{QueryID: 3, Target: "a", Seconds: 0.2},
+	}
+	var got []string
+	for _, p := range Pairs(runs, "a", "b") {
+		got = append(got, fmt.Sprintf("%d:%v/%v", p.QueryID, p.A.Seconds, p.B.Seconds))
+	}
+	if want := []string{"1:0.3/0.1", "2:0.6/0.1"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Pairs = %v, want %v: query-id order, the last successful time per target", got, want)
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"sqalpel/internal/metrics"
 	"sqalpel/internal/plan"
 	"sqalpel/internal/pool"
-	"sqalpel/internal/repository"
 	"sqalpel/internal/trace"
 )
 
@@ -392,38 +391,7 @@ func (p *Project) Runs() []analytics.Run {
 	if p.search == nil {
 		return nil
 	}
-	var out []analytics.Run
-	for _, o := range p.search.Outcomes() {
-		entry := o.Entry
-		var terms []string
-		for _, lits := range entry.Sentence().Literals {
-			for _, l := range lits {
-				terms = append(terms, l.Text)
-			}
-		}
-		for _, target := range p.search.Targets() {
-			m := o.ByTarget[target]
-			if m == nil {
-				continue
-			}
-			run := analytics.Run{
-				QueryID:    entry.ID,
-				SQL:        entry.SQL,
-				Strategy:   string(entry.Strategy),
-				ParentID:   entry.ParentID,
-				Components: entry.Components,
-				Terms:      terms,
-				Target:     target,
-			}
-			if m.Failed() {
-				run.Error = m.Err
-			} else {
-				run.Seconds = m.Min().Seconds()
-			}
-			out = append(out, run)
-		}
-	}
-	return out
+	return p.search.Runs()
 }
 
 // History returns the experiment-history series for one target (Figure 7).
@@ -450,29 +418,6 @@ func (p *Project) Diff(queryA, queryB int) (analytics.Differential, error) {
 // ExportCSV writes all runs in the platform's CSV format.
 func (p *Project) ExportCSV(w io.Writer) error {
 	return analytics.WriteCSV(w, p.Runs())
-}
-
-// QueryRecords converts the pool into the repository's storage format, used
-// when uploading a locally grown pool to the platform.
-func (p *Project) QueryRecords() []repository.QueryRecord {
-	var out []repository.QueryRecord
-	for _, e := range p.pool.Entries() {
-		var terms []string
-		for _, lits := range e.Sentence().Literals {
-			for _, l := range lits {
-				terms = append(terms, l.Text)
-			}
-		}
-		out = append(out, repository.QueryRecord{
-			ID:         e.ID,
-			SQL:        e.SQL,
-			Strategy:   string(e.Strategy),
-			ParentID:   e.ParentID,
-			Components: e.Components,
-			Terms:      terms,
-		})
-	}
-	return out
 }
 
 // GrammarText renders the project's grammar in its source syntax, the form

@@ -16,10 +16,10 @@ package discriminative
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
+	"sqalpel/internal/analytics"
 	"sqalpel/internal/metrics"
 	"sqalpel/internal/pool"
 	"sqalpel/internal/sched"
@@ -42,29 +42,6 @@ func (o *Outcome) Failed() bool {
 		}
 	}
 	return false
-}
-
-// Seconds returns the representative (minimum) execution time on the target
-// in seconds, or NaN when the target failed or was not measured.
-func (o *Outcome) Seconds(target string) float64 {
-	m, ok := o.ByTarget[target]
-	if !ok || m.Failed() || len(m.Runs) == 0 {
-		return math.NaN()
-	}
-	return m.Min().Seconds()
-}
-
-// Ratio returns time(a)/time(b): values above 1 mean the query runs faster
-// on b, values below 1 mean it runs faster on a. NaN when either target
-// failed or reported a zero time — a zero wall-clock measurement is below
-// the clock's resolution on either side of the fraction, so neither
-// direction can support a meaningful ratio.
-func (o *Outcome) Ratio(a, b string) float64 {
-	ta, tb := o.Seconds(a), o.Seconds(b)
-	if math.IsNaN(ta) || math.IsNaN(tb) || ta == 0 || tb == 0 {
-		return math.NaN()
-	}
-	return ta / tb
 }
 
 // Finding is one discriminative query: an outcome together with the ratio
@@ -284,24 +261,56 @@ func (s *Search) RunContext(ctx context.Context, a, b string, rounds int) []*Out
 	return s.Outcomes()
 }
 
-// Better returns the topN queries that run relatively better on target
-// `fast` than on target `slow`, sorted by how extreme the ratio is. Failed
-// queries are skipped.
-func (s *Search) Better(fast, slow string, topN int) []Finding {
-	var findings []Finding
-	for _, o := range s.Outcomes() {
-		if o.Failed() {
-			continue
+// Runs converts the measured outcomes into analytics records, one per
+// (outcome, target), in pool-entry then target order: the record both
+// front-ends rank through. A run's time is its measurement's minimum.
+func (s *Search) Runs() []analytics.Run {
+	outcomes := s.Outcomes()
+	out := make([]analytics.Run, 0, len(outcomes)*len(s.names))
+	for _, o := range outcomes {
+		e := o.Entry
+		terms := e.Terms()
+		for _, target := range s.names {
+			m := o.ByTarget[target]
+			if m == nil {
+				continue
+			}
+			run := analytics.Run{
+				QueryID:    e.ID,
+				SQL:        e.SQL,
+				Strategy:   string(e.Strategy),
+				ParentID:   e.ParentID,
+				Components: e.Components,
+				Terms:      terms,
+				Target:     target,
+			}
+			if m.Failed() {
+				run.Error = m.Err
+			} else {
+				run.Seconds = m.Min().Seconds()
+			}
+			out = append(out, run)
 		}
-		// ratio = time(slow)/time(fast): the larger, the better `fast` looks.
-		r := o.Ratio(slow, fast)
-		if math.IsNaN(r) || r <= 1 {
-			continue
-		}
-		findings = append(findings, Finding{Outcome: o, Ratio: r})
 	}
-	// Stable ranking: break ratio ties on the pool entry id so the ordering
-	// is identical however the measurements were scheduled.
+	return out
+}
+
+// Better returns the topN queries that run relatively better on target
+// `fast` than on target `slow`, sorted by how extreme the ratio is.
+func (s *Search) Better(fast, slow string, topN int) []Finding {
+	return s.better(s.Runs(), fast, slow, topN)
+}
+
+// better ranks the analytics.Pairs of slow over fast: a pair whose ratio
+// exceeds 1 is a finding, and ratio ties break on the pool entry id so the
+// ordering is identical however the measurements were scheduled.
+func (s *Search) better(runs []analytics.Run, fast, slow string, topN int) []Finding {
+	var findings []Finding
+	for _, p := range analytics.Pairs(runs, slow, fast) {
+		if p.Ratio > 1 {
+			findings = append(findings, Finding{Outcome: s.outcomes[p.QueryID], Ratio: p.Ratio})
+		}
+	}
 	sort.Slice(findings, func(i, j int) bool {
 		if findings[i].Ratio != findings[j].Ratio {
 			return findings[i].Ratio > findings[j].Ratio
@@ -330,13 +339,14 @@ type MatrixCell struct {
 // registered target. With three engine paradigms registered this is the
 // three-way separation table: each paradigm pair gets both directions.
 func (s *Search) Matrix() []MatrixCell {
+	runs := s.Runs()
 	var out []MatrixCell
 	for _, a := range s.names {
 		for _, b := range s.names {
 			if a == b {
 				continue
 			}
-			findings := s.Better(a, b, 0)
+			findings := s.better(runs, a, b, 0)
 			cell := MatrixCell{Fast: a, Slow: b, Count: len(findings)}
 			if len(findings) > 0 {
 				f := findings[0]
@@ -348,150 +358,19 @@ func (s *Search) Matrix() []MatrixCell {
 	return out
 }
 
-// OperatorRatio is one row of the operator-level attribution table: the
-// wall-clock time two targets spent in one class of plan operator, summed
-// over every outcome where both targets reported a trace. It pushes the
-// paper's query-level performance ratio one level down — instead of "query
-// Q is 3x faster on B", it says which operator the difference lives in.
-type OperatorRatio struct {
-	// Kind is the operator kind (trace.KindScan, trace.KindHashJoin, ...).
-	Kind string
-	// SecondsA and SecondsB are the total wall-clock seconds targets a and b
-	// spent in operators of this kind.
-	SecondsA float64
-	SecondsB float64
-	// Ratio is SecondsA/SecondsB; NaN when either side is zero.
-	Ratio float64
-	// Spans is the number of span pairs aggregated into the row.
-	Spans int
-	// Outcomes is the number of traced outcomes contributing to the row.
-	Outcomes int
-}
-
-// OperatorRatios aggregates operator span wall-time by kind across every
-// measured outcome where both targets carry a trace, and ranks the rows by
-// how lopsided the ratio is (max(r, 1/r), descending; ties break on the
-// kind name so the table is deterministic). Outcomes where either target
-// failed, was untraced, or measured without tracing enabled contribute
-// nothing.
-func (s *Search) OperatorRatios(a, b string) []OperatorRatio {
-	type acc struct {
-		nsA, nsB int64
-		spans    int
-		outcomes int
-	}
-	byKind := map[string]*acc{}
+// OperatorRatios is trace.KindRatios over the compare rows of every measured
+// outcome where both targets succeeded with a trace: the operator kinds
+// ranked by how lopsided the two targets' summed span times are.
+func (s *Search) OperatorRatios(a, b string) []trace.KindRatio {
+	var rows []trace.CompareRow
 	for _, o := range s.Outcomes() {
-		if o.Failed() {
-			continue
-		}
 		ma, mb := o.ByTarget[a], o.ByTarget[b]
-		if ma == nil || mb == nil || ma.Trace == nil || mb.Trace == nil {
+		if ma == nil || mb == nil || ma.Failed() || mb.Failed() || ma.Trace == nil || mb.Trace == nil {
 			continue
 		}
-		touched := map[string]bool{}
-		for _, row := range trace.Compare([]*trace.QueryTrace{ma.Trace, mb.Trace}) {
-			sa, sb := row.Spans[0], row.Spans[1]
-			kind := row.Kind
-			c := byKind[kind]
-			if c == nil {
-				c = &acc{}
-				byKind[kind] = c
-			}
-			if sa != nil {
-				c.nsA += sa.WallNS
-			}
-			if sb != nil {
-				c.nsB += sb.WallNS
-			}
-			c.spans++
-			if !touched[kind] {
-				touched[kind] = true
-				c.outcomes++
-			}
-		}
+		rows = append(rows, trace.Compare([]*trace.QueryTrace{ma.Trace, mb.Trace})...)
 	}
-	out := make([]OperatorRatio, 0, len(byKind))
-	//lint:ordered rows are given a total order by the Kind sort below before returning
-	for kind, c := range byKind {
-		r := OperatorRatio{
-			Kind:     kind,
-			SecondsA: float64(c.nsA) / 1e9,
-			SecondsB: float64(c.nsB) / 1e9,
-			Ratio:    math.NaN(),
-			Spans:    c.spans,
-			Outcomes: c.outcomes,
-		}
-		if c.nsA > 0 && c.nsB > 0 {
-			r.Ratio = float64(c.nsA) / float64(c.nsB)
-		}
-		out = append(out, r)
-	}
-	lopsided := func(r float64) float64 {
-		if math.IsNaN(r) {
-			return 0 // unratioable rows sink to the bottom
-		}
-		return math.Max(r, 1/r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		li, lj := lopsided(out[i].Ratio), lopsided(out[j].Ratio)
-		if li != lj {
-			return li > lj
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
-}
-
-// OperatorBreakdown is one row of a single outcome's per-operator
-// comparison: the same plan operator (by id) seen through two targets'
-// traces.
-type OperatorBreakdown struct {
-	// OpID is the shared plan operator id the spans key on.
-	OpID string
-	// Kind is the operator kind.
-	Kind string
-	// NanosA/NanosB are the wall-clock nanoseconds each target spent in the
-	// operator; -1 when the target reported no span for the id (its
-	// execution strategy has no corresponding operator, e.g. interpreters
-	// fold pushdown filters into the residual filter).
-	NanosA int64
-	NanosB int64
-	// RowsA/RowsB are the operator's row counts under each target; -1 when
-	// the span is absent.
-	RowsA int64
-	RowsB int64
-	// Ratio is NanosA/NanosB; NaN when either span is absent or zero.
-	Ratio float64
-}
-
-// Breakdown compares one outcome's traces operator by operator, in the
-// plan's operator-id order. Nil when either target lacks a trace.
-func Breakdown(o *Outcome, a, b string) []OperatorBreakdown {
-	ma, mb := o.ByTarget[a], o.ByTarget[b]
-	if ma == nil || mb == nil || ma.Trace == nil || mb.Trace == nil {
-		return nil
-	}
-	rows := trace.Compare([]*trace.QueryTrace{ma.Trace, mb.Trace})
-	out := make([]OperatorBreakdown, 0, len(rows))
-	for _, row := range rows {
-		d := OperatorBreakdown{
-			OpID: row.OpID, Kind: row.Kind,
-			NanosA: -1, NanosB: -1, RowsA: -1, RowsB: -1,
-			Ratio: math.NaN(),
-		}
-		if sa := row.Spans[0]; sa != nil {
-			d.NanosA, d.RowsA = sa.WallNS, sa.Rows
-		}
-		if sb := row.Spans[1]; sb != nil {
-			d.NanosB, d.RowsB = sb.WallNS, sb.Rows
-		}
-		if d.NanosA > 0 && d.NanosB > 0 {
-			d.Ratio = float64(d.NanosA) / float64(d.NanosB)
-		}
-		out = append(out, d)
-	}
-	return out
+	return trace.KindRatios(rows)
 }
 
 // Errors returns the outcomes whose query failed on at least one target;

@@ -4,14 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"sqalpel/internal/analytics"
 	"sqalpel/internal/grammar"
 	"sqalpel/internal/metrics"
 	"sqalpel/internal/pool"
+	"sqalpel/internal/trace"
 	"sqalpel/internal/workload"
 )
 
@@ -151,8 +152,10 @@ func TestErrorsAreTracked(t *testing.T) {
 				t.Errorf("count(*) query should have failed on the picky target")
 			}
 			sawError = true
-			if !math.IsNaN(o.Ratio("ok", "picky")) {
-				t.Error("ratio of a failed outcome should be NaN")
+			for _, pair := range analytics.Pairs(s.Runs(), "ok", "picky") {
+				if pair.QueryID == o.Entry.ID {
+					t.Error("a failed outcome should have no ratio")
+				}
 			}
 		}
 	}
@@ -167,7 +170,7 @@ func TestErrorsAreTracked(t *testing.T) {
 	}
 }
 
-func TestOutcomeRatioAndSeconds(t *testing.T) {
+func TestMeasureEntryRatio(t *testing.T) {
 	p := newNationPool(t)
 	// The gap between the two fakes is large enough that scheduler noise
 	// (e.g. when the whole benchmark suite runs in parallel) cannot flip the
@@ -181,12 +184,12 @@ func TestOutcomeRatioAndSeconds(t *testing.T) {
 	if o.Failed() {
 		t.Fatalf("unexpected failure: %+v", o)
 	}
-	r := o.Ratio("slow", "fast")
-	if math.IsNaN(r) || r < 2 {
-		t.Errorf("slow/fast ratio = %f, want clearly above 2", r)
+	pairs := analytics.Pairs(s.Runs(), "slow", "fast")
+	if len(pairs) != 1 || pairs[0].QueryID != o.Entry.ID || pairs[0].Ratio < 2 {
+		t.Errorf("slow/fast pairs = %+v, want one for #%d clearly above 2", pairs, o.Entry.ID)
 	}
-	if o.Seconds("fast") <= 0 || math.IsNaN(o.Seconds("missing")) == false {
-		t.Error("Seconds accessor wrong")
+	if len(pairs) == 1 && pairs[0].B.Seconds != o.ByTarget["fast"].Min().Seconds() {
+		t.Errorf("a run's time = %v, want the measurement's minimum %v", pairs[0].B.Seconds, o.ByTarget["fast"].Min().Seconds())
 	}
 	// Measuring the same entry twice reuses the outcome.
 	again := s.MeasureEntry(p.Baseline())
@@ -236,34 +239,6 @@ func TestMatrixThreeTargets(t *testing.T) {
 		if c.Count == 0 {
 			t.Errorf("%s should beat steady on some query", fast)
 		}
-	}
-}
-
-func TestRatioZeroTimesSymmetric(t *testing.T) {
-	mk := func(a, b time.Duration) *Outcome {
-		return &Outcome{ByTarget: map[string]*metrics.Measurement{
-			"a": {Runs: []time.Duration{a}},
-			"b": {Runs: []time.Duration{b}},
-		}}
-	}
-	// A zero wall-clock time is below the clock's resolution; the ratio must
-	// be NaN whichever side it appears on (it used to be 0 for ta == 0 but
-	// NaN for tb == 0).
-	if r := mk(0, time.Millisecond).Ratio("a", "b"); !math.IsNaN(r) {
-		t.Errorf("Ratio with zero numerator = %v, want NaN", r)
-	}
-	if r := mk(time.Millisecond, 0).Ratio("a", "b"); !math.IsNaN(r) {
-		t.Errorf("Ratio with zero denominator = %v, want NaN", r)
-	}
-	if r := mk(0, 0).Ratio("a", "b"); !math.IsNaN(r) {
-		t.Errorf("Ratio with both zero = %v, want NaN", r)
-	}
-	if r := mk(2*time.Millisecond, time.Millisecond).Ratio("a", "b"); math.Abs(r-2) > 1e-9 {
-		t.Errorf("Ratio = %v, want 2", r)
-	}
-	// Symmetry: swapping the arguments inverts the ratio or stays NaN.
-	if ra, rb := mk(0, time.Millisecond).Ratio("a", "b"), mk(0, time.Millisecond).Ratio("b", "a"); math.IsNaN(ra) != math.IsNaN(rb) {
-		t.Errorf("zero-time handling is asymmetric: %v vs %v", ra, rb)
 	}
 }
 
@@ -408,5 +383,123 @@ func TestCancelledMeasurementsAreRetried(t *testing.T) {
 		if o.Failed() {
 			t.Errorf("entry #%d still failed after the retry: %+v", o.Entry.ID, o.ByTarget)
 		}
+	}
+}
+
+// TestThirdTargetFailureKeepsPair checks that a ratio is pairwise: a query
+// that fails on a third target is still ranked between the two that ran it,
+// and one that fails on either of the two is not.
+func TestThirdTargetFailureKeepsPair(t *testing.T) {
+	p := newNationPool(t)
+	failing := metrics.TargetFunc(func(q string) (int, map[string]string, error) {
+		if strings.Contains(q, "WHERE") {
+			return 0, nil, errors.New("simulated failure")
+		}
+		return 1, map[string]string{metrics.SimulatedDurationKey: "1000"}, nil
+	})
+	targets := map[string]metrics.Target{
+		"fast":  &simTarget{base: 100 * time.Microsecond},
+		"slow":  &simTarget{base: time.Millisecond},
+		"flaky": failing,
+	}
+	s, err := New(p, targets, Options{Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MeasurePending()
+	found := map[int]bool{}
+	for _, f := range s.Better("fast", "slow", 0) {
+		found[f.Outcome.Entry.ID] = true
+	}
+	thirdFailed := 0
+	for _, o := range s.Outcomes() {
+		if !found[o.Entry.ID] {
+			t.Errorf("#%d runs 10x faster on fast but is no finding (failed: %v)", o.Entry.ID, o.Failed())
+		}
+		if o.ByTarget["flaky"].Failed() {
+			thirdFailed++
+		}
+	}
+	if thirdFailed == 0 {
+		t.Fatal("no query failed on the third target; the test proves nothing")
+	}
+	for _, f := range s.Better("fast", "flaky", 0) {
+		if f.Outcome.ByTarget["flaky"].Failed() {
+			t.Errorf("#%d failed on flaky but is a finding against it", f.Outcome.Entry.ID)
+		}
+	}
+}
+
+// traceTarget reports a simulated time and a trace: a scan of scanNS, a
+// project of 50 ns, and a pushdown filter of filterNS when the query has a
+// WHERE clause. With failOn set, queries containing it fail.
+type traceTarget struct {
+	scanNS, filterNS int64
+	failOn           string
+}
+
+func (f *traceTarget) Run(query string) (int, map[string]string, error) {
+	if f.failOn != "" && strings.Contains(query, f.failOn) {
+		return 0, nil, errors.New("simulated failure")
+	}
+	qt := trace.QueryTrace{SchemaVersion: trace.SchemaVersion, Spans: []trace.Span{
+		{OpID: "scan.0", Kind: trace.KindScan, WallNS: f.scanNS},
+		{OpID: "project", Kind: "project", WallNS: 50},
+	}}
+	if strings.Contains(query, "WHERE") {
+		qt.Spans = append(qt.Spans, trace.Span{OpID: "filter.0", Kind: "filter", WallNS: f.filterNS})
+	}
+	data, err := qt.JSON()
+	if err != nil {
+		return 0, nil, err
+	}
+	return 1, map[string]string{
+		metrics.SimulatedDurationKey: fmt.Sprint(f.scanNS),
+		trace.MeasurementExtraKey:    string(data),
+	}, nil
+}
+
+func TestOperatorRatios(t *testing.T) {
+	p := newNationPool(t)
+	targets := map[string]metrics.Target{
+		"a": &traceTarget{scanNS: 300, filterNS: 120},
+		"b": &traceTarget{scanNS: 100, filterNS: 40, failOn: "n_comment"},
+		// An untraced third target that fails everywhere changes nothing.
+		"c": &fakeTarget{failOn: "SELECT"},
+	}
+	s, err := New(p, targets, Options{Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MeasurePending()
+	// Hand-sum the spans of every outcome where both a and b succeeded.
+	var both, filtered int64
+	for _, e := range p.Entries() {
+		if strings.Contains(e.SQL, "n_comment") {
+			continue
+		}
+		both++
+		if strings.Contains(e.SQL, "WHERE") {
+			filtered++
+		}
+	}
+	if both == 0 || filtered == 0 || both == int64(p.Size()) {
+		t.Fatalf("pool of %d: %d traced on both, %d filtered; the test proves nothing", p.Size(), both, filtered)
+	}
+	// filter and scan tie at 3: the kind breaks the tie.
+	want := []string{
+		fmt.Sprintf("filter:%d/%d:3", 120*filtered, 40*filtered),
+		fmt.Sprintf("scan:%d/%d:3", 300*both, 100*both),
+		fmt.Sprintf("project:%d/%d:1", 50*both, 50*both),
+	}
+	var got []string
+	for _, r := range s.OperatorRatios("a", "b") {
+		got = append(got, fmt.Sprintf("%s:%d/%d:%v", r.Kind, r.NanosA, r.NanosB, r.Ratio))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("OperatorRatios = %v, want %v", got, want)
+	}
+	if r := s.OperatorRatios("a", "c"); len(r) != 0 {
+		t.Errorf("against an untraced target: %v, want no rows", r)
 	}
 }

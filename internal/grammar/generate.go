@@ -152,22 +152,7 @@ func (g *Generator) realize(tpl *Template, random bool) (*Sentence, error) {
 		}
 		pools[class] = pool
 	}
-	sent := &Sentence{Template: tpl, Literals: map[string][]Literal{}}
-	var parts []string
-	used := map[string]int{}
-	for _, e := range tpl.Elements {
-		if !e.IsRef() {
-			parts = append(parts, e.Text)
-			continue
-		}
-		idx := used[e.Ref]
-		used[e.Ref]++
-		lit := pools[e.Ref][idx]
-		sent.Literals[e.Ref] = append(sent.Literals[e.Ref], lit)
-		parts = append(parts, lit.Text)
-	}
-	sent.SQL = JoinSQL(parts)
-	return sent, nil
+	return g.materialize(tpl, pools), nil
 }
 
 // Realizations enumerates every concrete sentence of a template (respecting
@@ -226,7 +211,9 @@ func (g *Generator) Materialize(tpl *Template, chosen map[string][]Literal) (*Se
 	return g.materialize(tpl, chosen), nil
 }
 
-// materialize renders a template given an explicit literal choice per class.
+// materialize renders a template given an explicit literal choice per
+// class: the i-th reference to a class takes the class's i-th literal, so a
+// class may offer more literals than the template uses.
 func (g *Generator) materialize(tpl *Template, chosen map[string][]Literal) *Sentence {
 	sent := &Sentence{Template: tpl, Literals: map[string][]Literal{}}
 	var parts []string

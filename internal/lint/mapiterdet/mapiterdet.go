@@ -35,9 +35,12 @@ import (
 // seed must realise the same sentences and grow the same pool every time —
 // Generator.realize once shuffled its literal classes in map order), the
 // server (what it hands the repository becomes WAL bytes and pages —
-// poolRecords once emitted a query's terms in map order), and the repository
+// poolRecords once emitted a query's terms in map order), the repository
 // (its shards keep projects and tasks in maps and write them to snapshots —
-// two checkpoints of one state once differed byte for byte).
+// two checkpoints of one state once differed byte for byte), and the
+// packages that output rankings, pages and stored records: core (its run
+// records once listed a query's terms in map order, the bug poolRecords
+// had), analytics and webui.
 var Markers = []string{
 	"internal/plan",
 	"internal/trace",
@@ -47,6 +50,9 @@ var Markers = []string{
 	"internal/pool",
 	"internal/server",
 	"internal/repository",
+	"internal/core",
+	"internal/analytics",
+	"internal/webui",
 }
 
 // Token is the suppression token: //lint:ordered <reason>.
@@ -54,7 +60,7 @@ const Token = "ordered"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "mapiterdet",
-	Doc: "flag map iteration in determinism-critical packages (plan, trace, fuzzdiff, discriminative, grammar, pool, server, repository) " +
+	Doc: "flag map iteration in determinism-critical packages (plan, trace, fuzzdiff, discriminative, grammar, pool, server, repository, core, analytics, webui) " +
 		"unless the body is an order-insensitive set build, a collect-then-sort, or carries //lint:ordered <reason>",
 	Run: run,
 }

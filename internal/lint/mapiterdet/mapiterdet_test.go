@@ -8,5 +8,5 @@ import (
 )
 
 func TestMapIterDet(t *testing.T) {
-	analysistest.Run(t, "testdata", mapiterdet.Analyzer, "internal/plan", "other/util")
+	analysistest.Run(t, "testdata", mapiterdet.Analyzer, "internal/plan", "internal/core", "other/util")
 }

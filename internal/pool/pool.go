@@ -68,10 +68,18 @@ type Entry struct {
 	Components int
 
 	sentence *grammar.Sentence
+	terms    []string
 }
 
 // Sentence exposes the underlying grammar sentence.
 func (e *Entry) Sentence() *grammar.Sentence { return e.sentence }
+
+// Terms returns the texts of the query's literals: its classes in sorted
+// order, each class's literals in injection order. The order is a function
+// of the entry alone, so records and runs built from it are the same on
+// every run. The slice is built once, when the entry is added, and shared:
+// callers must not modify it.
+func (e *Entry) Terms() []string { return e.terms }
 
 // Steering is the fine-grained control the project owner has over pool
 // growth.
@@ -215,6 +223,12 @@ func (p *Pool) add(key string, sent *grammar.Sentence, strategy Strategy, parent
 		ParentID:   parent,
 		Components: sent.Components(),
 		sentence:   sent,
+		terms:      make([]string, 0, sent.Components()),
+	}
+	for _, class := range sent.Template.Classes() {
+		for _, l := range sent.Literals[class] {
+			e.terms = append(e.terms, l.Text)
+		}
 	}
 	p.entries = append(p.entries, e)
 	p.byKey[key] = e

@@ -574,21 +574,14 @@ func poolKey(projectID, experimentID int) string {
 }
 
 // poolRecords renders the pool as the repository stores it. A query's terms
-// are its literals in sorted class order, then injection order, so the same
-// pool always yields the same records (and the same WAL bytes).
+// are pool.Entry.Terms, so the same pool always yields the same records (and
+// the same WAL bytes).
 func poolRecords(pl *pool.Pool) []repository.QueryRecord {
 	var out []repository.QueryRecord
 	for _, e := range pl.Entries() {
-		sent := e.Sentence()
-		var terms []string
-		for _, class := range sent.Template.Classes() {
-			for _, l := range sent.Literals[class] {
-				terms = append(terms, l.Text)
-			}
-		}
 		out = append(out, repository.QueryRecord{
 			ID: e.ID, SQL: e.SQL, Strategy: string(e.Strategy),
-			ParentID: e.ParentID, Components: e.Components, Terms: terms,
+			ParentID: e.ParentID, Components: e.Components, Terms: e.Terms(),
 		})
 	}
 	return out
@@ -756,7 +749,7 @@ func (s *Server) handleResultsCSV(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	runs := s.projectRuns(p, viewer, "")
+	runs := s.projectRuns(p, viewer)
 	w.Header().Set("Content-Type", "text/csv")
 	if err := analytics.WriteCSV(w, runs); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -968,9 +961,9 @@ func (s *Server) handleTaskComplete(w http.ResponseWriter, r *http.Request) {
 
 // --- analytics ------------------------------------------------------------------
 
-// projectRuns converts the visible results of a project into analytics runs;
-// target filters on the "dbms@platform" label when non-empty.
-func (s *Server) projectRuns(p *repository.Project, viewer, target string) []analytics.Run {
+// projectRuns converts the visible results of a project into analytics runs,
+// one per result, targeted at its "dbms@platform" label.
+func (s *Server) projectRuns(p *repository.Project, viewer string) []analytics.Run {
 	var runs []analytics.Run
 	for _, res := range s.store.Results(viewer, p.ID) {
 		exp := p.Experiment(res.ExperimentID)
@@ -981,10 +974,6 @@ func (s *Server) projectRuns(p *repository.Project, viewer, target string) []ana
 		if q == nil {
 			continue
 		}
-		label := res.DBMSKey + "@" + res.PlatformKey
-		if target != "" && label != target {
-			continue
-		}
 		run := analytics.Run{
 			QueryID:    q.ID,
 			SQL:        q.SQL,
@@ -992,7 +981,7 @@ func (s *Server) projectRuns(p *repository.Project, viewer, target string) []ana
 			ParentID:   q.ParentID,
 			Components: q.Components,
 			Terms:      q.Terms,
-			Target:     label,
+			Target:     res.DBMSKey + "@" + res.PlatformKey,
 			Error:      res.Error,
 		}
 		if !res.Failed() {
@@ -1009,7 +998,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	target := r.URL.Query().Get("target")
-	runs := s.projectRuns(p, viewer, "")
+	runs := s.projectRuns(p, viewer)
 	writeJSON(w, http.StatusOK, analytics.History(runs, target))
 }
 
@@ -1019,7 +1008,7 @@ func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	target := r.URL.Query().Get("target")
-	runs := s.projectRuns(p, viewer, "")
+	runs := s.projectRuns(p, viewer)
 	writeJSON(w, http.StatusOK, analytics.Components(runs, target))
 }
 
@@ -1030,7 +1019,7 @@ func (s *Server) handleSpeedup(w http.ResponseWriter, r *http.Request) {
 	}
 	base := r.URL.Query().Get("base")
 	other := r.URL.Query().Get("other")
-	runs := s.projectRuns(p, viewer, "")
+	runs := s.projectRuns(p, viewer)
 	writeJSON(w, http.StatusOK, analytics.Speedup(runs, base, other))
 }
 
@@ -1045,7 +1034,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("a and b query ids are required"))
 		return
 	}
-	runs := s.projectRuns(p, viewer, "")
+	runs := s.projectRuns(p, viewer)
 	d, err := analytics.Diff(runs, a, b)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)

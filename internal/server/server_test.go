@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -514,14 +517,15 @@ func TestLostLeaseCompletionAnswers409(t *testing.T) {
 	}
 }
 
-// TestTracePageSideBySide drives the observability acceptance path over the
-// wire: two targets complete the same query with operator traces, and the
-// project's trace page renders their span trees side by side, keyed by the
-// shared plan operator ids, with the operator-level ratio table.
-func TestTracePageSideBySide(t *testing.T) {
-	c, _ := newTestClient(t)
+// traceFixture is a project whose one query was completed with a trace on
+// two targets, columba-1.0 seven times slower than vektor-1.0 in every
+// operator. It returns the client, the project and experiment ids, the
+// owner's key and the traced query's id.
+func traceFixture(t *testing.T) (c *testClient, pid, eid int, key string, queryID int) {
+	t.Helper()
+	c, _ = newTestClient(t)
 	c.token = c.register("martin", "martin@example.org")
-	pid, eid, key := createProjectWithExperiment(t, c)
+	pid, eid, key = createProjectWithExperiment(t, c)
 
 	traceFor := func(engine string, scale int64) map[string]any {
 		return map[string]any{
@@ -534,7 +538,6 @@ func TestTracePageSideBySide(t *testing.T) {
 			},
 		}
 	}
-	var queryID int
 	for i, target := range []struct {
 		dbms  string
 		scale int64
@@ -559,6 +562,15 @@ func TestTracePageSideBySide(t *testing.T) {
 			t.Fatalf("task complete (%s) = %d %v", target.dbms, status, resp)
 		}
 	}
+	return c, pid, eid, key, queryID
+}
+
+// TestTracePageSideBySide drives the observability acceptance path over the
+// wire: two targets complete the same query with operator traces, and the
+// project's trace page renders their span trees side by side, keyed by the
+// shared plan operator ids, with the operator-level ratio table.
+func TestTracePageSideBySide(t *testing.T) {
+	c, pid, eid, key, queryID := traceFixture(t)
 
 	// The project page links to the trace.
 	status, resp := c.do("GET", fmt.Sprintf("/projects/%d", pid), nil)
@@ -593,5 +605,39 @@ func TestTracePageSideBySide(t *testing.T) {
 		"error": "", "trace": "not-a-trace",
 	}); status != http.StatusBadRequest {
 		t.Errorf("malformed trace completion = %d, want 400", status)
+	}
+}
+
+var updateTraceGolden = flag.Bool("update-trace-golden", false, "rewrite testdata/trace_fixture.golden from the current server")
+
+// TestTraceFixtureGolden pins, on traceFixture, the speedup JSON in both
+// directions and the trace page's HTML to what the server answered before
+// both were computed through one ranking.
+func TestTraceFixtureGolden(t *testing.T) {
+	c, pid, _, _, queryID := traceFixture(t)
+	var b strings.Builder
+	for _, path := range []string{
+		fmt.Sprintf("/api/projects/%d/analytics/speedup?base=vektor-1.0@laptop&other=columba-1.0@laptop", pid),
+		fmt.Sprintf("/api/projects/%d/analytics/speedup?base=columba-1.0@laptop&other=vektor-1.0@laptop", pid),
+		fmt.Sprintf("/projects/%d/trace?query=%d", pid, queryID),
+	} {
+		status, resp := c.do("GET", path, nil)
+		if status != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, status)
+		}
+		fmt.Fprintf(&b, "== GET %s\n%s\n", path, resp["_raw"])
+	}
+	path := filepath.Join("testdata", "trace_fixture.golden")
+	if *updateTraceGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("responses differ from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }

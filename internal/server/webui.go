@@ -92,7 +92,7 @@ func (s *Server) registerWebUI() {
 		if !ok {
 			return
 		}
-		runs := s.projectRuns(p, viewer, "")
+		runs := s.projectRuns(p, viewer)
 		targets := map[string]bool{}
 		for _, run := range runs {
 			targets[run.Target] = true
@@ -156,7 +156,9 @@ func (s *Server) registerWebUI() {
 			Targets: labels,
 			Rows:    trace.Compare(traces),
 		}
-		data.TargetA, data.TargetB, data.Ratios = webui.TraceRatios(labels, data.Rows)
+		if len(labels) >= 2 {
+			data.Ratios = trace.KindRatios(data.Rows)
+		}
 		renderHTML(w, renderer.Trace(w, data))
 	})
 
@@ -175,7 +177,7 @@ func (s *Server) registerWebUI() {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter b must be a query id"))
 			return
 		}
-		runs := s.projectRuns(p, viewer, "")
+		runs := s.projectRuns(p, viewer)
 		d, err := analytics.Diff(runs, idA, idB)
 		if err != nil {
 			writeError(w, http.StatusNotFound, err)

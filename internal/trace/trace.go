@@ -24,6 +24,7 @@ package trace
 
 import (
 	"encoding/json"
+	"math"
 	"runtime/metrics"
 	"sort"
 	"sync"
@@ -276,5 +277,63 @@ func Compare(traces []*QueryTrace) []CompareRow {
 	for _, id := range ids {
 		out = append(out, *byID[id])
 	}
+	return out
+}
+
+// KindRatio is one row of the operator-level attribution table: the
+// wall-clock time two traces spent in one operator kind. It pushes the
+// paper's query-level performance ratio one level down: instead of "query Q
+// is 3x faster on B", it says which kind of operator the difference lives in.
+type KindRatio struct {
+	Kind string
+	// NanosA and NanosB are the summed span wall times of the two traces.
+	NanosA int64
+	NanosB int64
+	// Ratio is NanosA/NanosB; NaN when either side is zero.
+	Ratio float64
+}
+
+// KindRatios sums the compare rows' first two spans per operator kind and
+// ranks the kinds by how lopsided the ratio is, max(r, 1/r) descending; NaN
+// rows come last and ties break on the kind, so the table is a function of
+// the rows alone. A missing span adds nothing to its side.
+func KindRatios(rows []CompareRow) []KindRatio {
+	var out []KindRatio
+	at := map[string]int{}
+	for _, row := range rows {
+		i, ok := at[row.Kind]
+		if !ok {
+			i = len(out)
+			at[row.Kind] = i
+			out = append(out, KindRatio{Kind: row.Kind})
+		}
+		r := &out[i]
+		if sa := row.Spans[0]; sa != nil {
+			r.NanosA += sa.WallNS
+		}
+		if sb := row.Spans[1]; sb != nil {
+			r.NanosB += sb.WallNS
+		}
+	}
+	for i := range out {
+		r := &out[i]
+		r.Ratio = math.NaN()
+		if r.NanosA > 0 && r.NanosB > 0 {
+			r.Ratio = float64(r.NanosA) / float64(r.NanosB)
+		}
+	}
+	lopsided := func(r float64) float64 {
+		if math.IsNaN(r) {
+			return 0
+		}
+		return math.Max(r, 1/r)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		li, lj := lopsided(out[i].Ratio), lopsided(out[j].Ratio)
+		if li != lj {
+			return li > lj
+		}
+		return out[i].Kind < out[j].Kind
+	})
 	return out
 }

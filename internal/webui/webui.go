@@ -13,7 +13,6 @@ import (
 	"html/template"
 	"io"
 	"math"
-	"sort"
 
 	"sqalpel/internal/analytics"
 	"sqalpel/internal/catalog"
@@ -39,6 +38,7 @@ func New() (*Renderer, error) {
 		},
 	})
 	var err error
+	//lint:ordered each page parses into its own named template of one set; ExecuteTemplate looks pages up by name
 	for name, text := range pages {
 		t, err = t.New(name).Parse(text)
 		if err != nil {
@@ -104,64 +104,9 @@ type TraceData struct {
 	// Targets are the traced target labels; Rows[i].Spans is parallel to it.
 	Targets []string
 	Rows    []trace.CompareRow
-	// TargetA/TargetB name the pair the ratio table compares; empty when
-	// fewer than two targets carry traces.
-	TargetA string
-	TargetB string
-	Ratios  []TraceRatio
-}
-
-// TraceRatio is one row of the operator-level ratio table: the wall-clock
-// time two targets spent in one operator kind.
-type TraceRatio struct {
-	Kind    string
-	NanosA  int64
-	NanosB  int64
-	RatioAB float64
-}
-
-// TraceRatios aggregates the comparison rows per operator kind for the first
-// two targets and ranks the kinds by how lopsided the time ratio is, the
-// per-query sibling of the search's operator attribution table.
-func TraceRatios(targets []string, rows []trace.CompareRow) (a, b string, out []TraceRatio) {
-	if len(targets) < 2 {
-		return "", "", nil
-	}
-	a, b = targets[0], targets[1]
-	byKind := map[string]*TraceRatio{}
-	for _, row := range rows {
-		r := byKind[row.Kind]
-		if r == nil {
-			r = &TraceRatio{Kind: row.Kind, RatioAB: math.NaN()}
-			byKind[row.Kind] = r
-		}
-		if sa := row.Spans[0]; sa != nil {
-			r.NanosA += sa.WallNS
-		}
-		if sb := row.Spans[1]; sb != nil {
-			r.NanosB += sb.WallNS
-		}
-	}
-	for _, r := range byKind {
-		if r.NanosA > 0 && r.NanosB > 0 {
-			r.RatioAB = float64(r.NanosA) / float64(r.NanosB)
-		}
-		out = append(out, *r)
-	}
-	lopsided := func(v float64) float64 {
-		if math.IsNaN(v) {
-			return 0
-		}
-		return math.Max(v, 1/v)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		li, lj := lopsided(out[i].RatioAB), lopsided(out[j].RatioAB)
-		if li != lj {
-			return li > lj
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return a, b, out
+	// Ratios is trace.KindRatios of Rows: Targets[0] against Targets[1];
+	// empty when fewer than two targets carry traces.
+	Ratios []trace.KindRatio
 }
 
 // Index renders the landing page.
@@ -319,10 +264,10 @@ report the zone-map blocks they skipped ("+N skipped").</p>
 {{range .Rows}}<tr><td><code>{{.OpID}}</code></td><td>{{.Kind}}</td>
 {{range .Spans}}<td>{{if .}}{{millis .WallNS}} / {{.Rows}}{{if .BlocksSkipped}} / +{{.BlocksSkipped}} skipped{{end}}{{else}}—{{end}}</td>{{end}}</tr>{{end}}
 </table>
-{{if .Ratios}}
-<h2>Operator-level ratio: {{.TargetA}} vs {{.TargetB}}</h2>
-<table><tr><th>kind</th><th>{{.TargetA}} (ms)</th><th>{{.TargetB}} (ms)</th><th>ratio</th></tr>
-{{range .Ratios}}<tr><td>{{.Kind}}</td><td>{{millis .NanosA}}</td><td>{{millis .NanosB}}</td><td>{{ratio .RatioAB}}</td></tr>{{end}}
+{{if .Ratios}}{{$a := index .Targets 0}}{{$b := index .Targets 1}}
+<h2>Operator-level ratio: {{$a}} vs {{$b}}</h2>
+<table><tr><th>kind</th><th>{{$a}} (ms)</th><th>{{$b}} (ms)</th><th>ratio</th></tr>
+{{range .Ratios}}<tr><td>{{.Kind}}</td><td>{{millis .NanosA}}</td><td>{{millis .NanosB}}</td><td>{{ratio .Ratio}}</td></tr>{{end}}
 </table>
 {{end}}
 {{end}}
