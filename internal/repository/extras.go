@@ -26,13 +26,20 @@ func EncodeExtras(m map[string]string) Extras {
 	if len(m) == 0 {
 		return nil
 	}
+	return Extras(canonicalJSON(m))
+}
+
+// canonicalJSON is what a json.Encoder with SetEscapeHTML(false) writes for
+// v, without the trailing newline: the bytes a row holds for its extras and
+// its span tree.
+func canonicalJSON(v any) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	if err := enc.Encode(m); err != nil {
-		panic(err) // a map of strings always encodes
+	if err := enc.Encode(v); err != nil {
+		panic(err) // maps of strings and span trees always encode
 	}
-	return Extras(bytes.Clone(bytes.TrimSuffix(buf.Bytes(), []byte("\n"))))
+	return bytes.Clone(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
 }
 
 // Map decodes the extras; nil when there are none.

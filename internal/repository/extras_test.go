@@ -238,10 +238,12 @@ func driverExtras(i int) []byte {
 
 // TestStoredResultRetainsFewObjects pins what a stored result costs the
 // collector, which marks every live object on every cycle: after n
-// completions whose 23-entry extras are decoded from JSON as the server
-// decodes them, the heap holds at most 8 objects per result — the row, its
-// seconds, its extras and its share of the shard's slices. Kept as a map,
-// the extras and the decoder's strings the map pointed to made it 34.
+// completions whose 23-entry extras and 16-span trace are decoded from JSON
+// as the server decodes them, the heap holds at most 8 objects per result —
+// the row, its seconds, its extras, its trace and its share of the shard's
+// slices. Kept as a map, the extras and the decoder's strings the map
+// pointed to made it 34; with a trace kept as structs — the trace, its
+// spans and their strings — it was 29 per traced result.
 func TestStoredResultRetainsFewObjects(t *testing.T) {
 	const n, perBatch = 3000, 10
 	s := NewStoreShards(1)
@@ -265,6 +267,9 @@ func TestStoredResultRetainsFewObjects(t *testing.T) {
 		for _, id := range ids[i : i+perBatch] {
 			c := Completion{TaskID: id, Seconds: []float64{0.0011, 0.0009}}
 			if err := json.Unmarshal(driverExtras(id), &c.Extra); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(driverTrace(id), &c.Trace); err != nil {
 				t.Fatal(err)
 			}
 			batch = append(batch, c)

@@ -685,7 +685,7 @@ func TestRoutesSurviveRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		for key, projectID := range keys {
-			if p, _, err := s.FindContributor(key); err != nil || p.ID != projectID || p != s.Project(projectID) {
+			if p, _, err := s.FindContributor(key); err != nil || p.ID != projectID || p != s.shardFor(projectID).projects[projectID] {
 				t.Fatalf("restart %d: a key of project %d leads to %v, %v", round+1, projectID, p, err)
 			}
 		}

@@ -158,11 +158,11 @@ func TestTraceSurvivesSaveLoad(t *testing.T) {
 	if gotTraced.Trace == nil {
 		t.Fatal("trace lost in the round trip")
 	}
-	if !reflect.DeepEqual(gotTraced.Trace, want) {
-		t.Errorf("trace changed in the round trip:\n got %+v\nwant %+v", gotTraced.Trace, want)
+	if got := gotTraced.Trace.Decode(); !reflect.DeepEqual(got, want) {
+		t.Errorf("trace changed in the round trip:\n got %+v\nwant %+v", got, want)
 	}
 	if gotUntraced.Trace != nil {
-		t.Errorf("untraced result grew a trace: %+v", gotUntraced.Trace)
+		t.Errorf("untraced result grew a trace: %s", gotUntraced.Trace)
 	}
 }
 

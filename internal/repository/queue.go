@@ -148,14 +148,13 @@ func (s *Store) RequestTasks(contributorKey string, experimentID int, dbmsKey, p
 // Completion is one finished task as a driver reports it: the wall-clock
 // times of the repetitions, the error when the query failed, the extra
 // indicators and, optionally, the per-operator trace. The store copies
-// Seconds and keeps Extra, which is never changed in place; a Trace it
-// records is the store's from then on, and the caller must not change it.
+// Seconds and keeps Extra and Trace, neither of which is changed in place.
 type Completion struct {
 	TaskID  int
 	Seconds []float64
 	Error   string
 	Extra   Extras
-	Trace   *trace.QueryTrace
+	Trace   TraceJSON
 }
 
 // CompletionOutcome is what became of one Completion: the recorded result
@@ -178,7 +177,7 @@ func (s *Store) CompleteTask(taskID int, contributorKey string, seconds []float6
 // attached to the recorded result; nil records an untraced result. It is a
 // batch of one (CompleteTasks).
 func (s *Store) CompleteTaskTraced(taskID int, contributorKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
-	out := s.CompleteTasks(contributorKey, []Completion{{TaskID: taskID, Seconds: seconds, Error: errMsg, Extra: EncodeExtras(extra), Trace: qt}})[0]
+	out := s.CompleteTasks(contributorKey, []Completion{{TaskID: taskID, Seconds: seconds, Error: errMsg, Extra: EncodeExtras(extra), Trace: EncodeTrace(qt)}})[0]
 	return out.Result, out.Err
 }
 

@@ -52,9 +52,9 @@ func TestRecordsGolden(t *testing.T) {
 // the mutators logged, keeps nothing a caller can still change: after the
 // calls return, the caller changes its extra map and its seconds, rewrites
 // its pool and appends into the pool's spare capacity — where the store's
-// own append went — and the store must be unchanged and deep-equal to what
-// Load rebuilds from disk. A trace is the store's from the call on, as the
-// API says: the row holds the caller's pointer.
+// own append went — and changes its trace, and the store must be unchanged
+// and deep-equal to what Load rebuilds from disk. The row holds the trace's
+// encoding, taken when the call was made.
 func TestRecordsOwnTheirData(t *testing.T) {
 	dir := t.TempDir()
 	s, err := open(dir, 1, quietLogf, nosyncFactory)
@@ -102,6 +102,7 @@ func TestRecordsOwnTheirData(t *testing.T) {
 	pool[0].SQL = "SELECT 'changed'"
 	pool = append(pool, QueryRecord{ID: 9, SQL: "SELECT 9"})
 	extra["rows"], extra["more"], seconds[0] = "changed", "x", 9
+	qt.Spans[0].Rows, qt.Engine = -1, "changed"
 
 	want := []QueryRecord{{ID: 1, SQL: "SELECT 1", Terms: []string{"a"}}, {ID: 2, SQL: "SELECT 2"}, {ID: 3, SQL: "SELECT 3"}}
 	if got := s.Project(p.ID).Experiment(e.ID).Queries; !reflect.DeepEqual(got, want) {
@@ -112,8 +113,8 @@ func TestRecordsOwnTheirData(t *testing.T) {
 			t.Fatalf("result %d after the caller changed its extra and seconds: %v, %v", r.ID, r.Extra, r.Seconds)
 		}
 	}
-	if direct.Trace != qt {
-		t.Fatal("the result does not hold the trace it took over")
+	if got := direct.Trace.Decode(); !reflect.DeepEqual(got, sampleTrace(1)) {
+		t.Fatalf("the result's trace after the caller changed it: %+v", got)
 	}
 	loaded, err := Load(dir)
 	if err != nil {

@@ -163,10 +163,10 @@ type Result struct {
 	Error   string    `json:"error,omitempty"`
 	Extra   Extras    `json:"extra,omitempty"`
 	// Trace is the per-operator span tree the driver captured alongside the
-	// timings; nil when the submission was measured without tracing. It
-	// persists through the WAL and snapshots with the rest of the result
-	// row.
-	Trace *trace.QueryTrace `json:"trace,omitempty"`
+	// timings, as canonical JSON; nil when the submission was measured
+	// without tracing. It persists through the WAL and snapshots with the
+	// rest of the result row.
+	Trace TraceJSON `json:"trace,omitempty"`
 	// Hidden results are only visible to the owner and contributors; the
 	// owner uses this to keep dubious measurements private until clarified.
 	Hidden  bool      `json:"hidden"`
@@ -390,19 +390,39 @@ func newKey() string {
 	return hex.EncodeToString(buf)
 }
 
-// Project returns the project with the given id, or nil.
+// Project returns a copy of the project with the given id, or nil. The
+// copy is the caller's to read while the store goes on changing the
+// project.
 func (s *Store) Project(id int) *Project {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.projects[id]
+	return sh.projects[id].clone()
 }
 
-// ProjectByName returns the project with the given name, or nil.
+// clone copies the project as a reader outside the shard lock may hold it:
+// its own Contributors slice and Experiment structs, whose pools share the
+// store's QueryRecord elements — a pool is replaced or appended to, never
+// changed in place. The caller holds the shard lock; nil stays nil.
+func (p *Project) clone() *Project {
+	if p == nil {
+		return nil
+	}
+	cp := *p
+	cp.Contributors = slices.Clone(p.Contributors)
+	cp.Experiments = make([]*Experiment, len(p.Experiments))
+	for i, e := range p.Experiments {
+		ce := *e
+		cp.Experiments[i] = &ce
+	}
+	return &cp
+}
+
+// ProjectByName returns a copy of the project with the given name, or nil.
 func (s *Store) ProjectByName(name string) *Project {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		p := sh.projectByNameLocked(name)
+		p := sh.projectByNameLocked(name).clone()
 		sh.mu.RUnlock()
 		if p != nil {
 			return p
@@ -437,7 +457,8 @@ func (s *Store) IsOwner(nickname string, projectID int) bool {
 	return s.RoleOf(nickname, projectID) == RoleOwner
 }
 
-// Projects returns the projects visible to the viewer, sorted by id.
+// Projects returns copies of the projects visible to the viewer, sorted by
+// id.
 func (s *Store) Projects(viewer string) []*Project {
 	var out []*Project
 	for _, sh := range s.shards {
@@ -445,7 +466,7 @@ func (s *Store) Projects(viewer string) []*Project {
 		//lint:ordered filtered collect; the result is sorted by id below
 		for id, p := range sh.projects {
 			if sh.roleOfLocked(viewer, id) != RoleNone {
-				out = append(out, p)
+				out = append(out, p.clone())
 			}
 		}
 		sh.mu.RUnlock()
@@ -584,28 +605,28 @@ func (s *Store) AddResult(contributorKey string, experimentID, queryID int, dbms
 }
 
 // AddResultTraced is AddResult with an optional per-operator trace attached
-// to the result row; nil records an untraced result. The store takes the
-// trace over: the caller must not change it afterwards.
+// to the result row; nil records an untraced result. The row holds the
+// trace's encoding, taken before the shard lock.
 func (s *Store) AddResultTraced(contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
 	p, _, err := s.FindContributor(contributorKey)
 	if err != nil {
 		return nil, err
 	}
-	extras := EncodeExtras(extra)
+	extras, spans := EncodeExtras(extra), EncodeTrace(qt)
 	sh := s.shardFor(p.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.addResultLocked(sh, p.ID, contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extras, qt)
+	return s.addResultLocked(sh, p.ID, contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extras, spans)
 }
 
 // addResultLocked validates and records a result on a shard whose lock the
 // caller holds.
-func (s *Store) addResultLocked(sh *shard, projectID int, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra Extras, qt *trace.QueryTrace) (*Result, error) {
+func (s *Store) addResultLocked(sh *shard, projectID int, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra Extras, spans TraceJSON) (*Result, error) {
 	p := sh.projects[projectID]
 	if p == nil {
 		return nil, fmt.Errorf("unknown project %d", projectID)
 	}
-	r, err := s.buildResultLocked(sh, p, contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extra, qt)
+	r, err := s.buildResultLocked(sh, p, contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extra, spans)
 	if err != nil {
 		return nil, err
 	}
@@ -617,9 +638,9 @@ func (s *Store) addResultLocked(sh *shard, projectID int, contributorKey string,
 
 // buildResultLocked validates the submission against the project and
 // allocates the result row without recording it; shard lock held. The row
-// copies the caller's seconds, keeps the extras (never changed in place) and
-// takes the trace over.
-func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra Extras, qt *trace.QueryTrace) (*Result, error) {
+// copies the caller's seconds and keeps the extras and the trace, neither
+// of which is changed in place.
+func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra Extras, spans TraceJSON) (*Result, error) {
 	x := sh.exps[expKey{p.ID, experimentID}]
 	if x == nil || x.exp == nil {
 		return nil, fmt.Errorf("unknown experiment %d in project %q", experimentID, p.Name)
@@ -638,7 +659,7 @@ func (s *Store) buildResultLocked(sh *shard, p *Project, contributorKey string, 
 		Seconds:        append([]float64(nil), seconds...),
 		Error:          errMsg,
 		Extra:          extra,
-		Trace:          qt,
+		Trace:          spans,
 		Created:        s.now(),
 	}
 	return r, nil

@@ -1,0 +1,170 @@
+package repository
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"sqalpel/internal/trace"
+)
+
+// traceCases are span trees as JSON text a driver could send: canonical,
+// spaced and reordered, with unknown fields, without or with a null span
+// list, with <>& and line separators in strings, ones that do not decode —
+// a number in 1e3 form, a fraction, a string, an array, a number out of
+// range — and ones that are almost canonical: an empty engine, a zero
+// counter, counters out of order, a leading zero, -0, a trailing comma or
+// space, an escape.
+var traceCases = []string{
+	`{"schema_version":1,"engine":"vektor-2.0","spans":[{"op":"scan.0","kind":"scan","wall_ns":1200,"rows":25,"batches":1,"calls":2,"alloc_bytes":3,"blocks_skipped":4}]}`,
+	` { "spans" : [ { "rows" : 7 , "kind" : "scan" , "op" : "scan.0" , "wall_ns" : 1500 , "future" : [1, {"a": null}] } ] , "unknown" : "x" , "schema_version" : 1 , "engine" : "fusil-1.0" } `,
+	`{}`,
+	`{"schema_version":1,"spans":null}`,
+	`{"schema_version":1,"engine":"","spans":[]}`,
+	"{\"spans\":[{\"op\":\"scan.<0>&1  \",\"kind\":\"sc\\\"an\\\\\\t\\u0001\\u003c\xff\"}]}",
+	`{"schema_version":-0,"spans":[{"wall_ns":-9223372036854775808}]}`,
+	`null`,
+	`{"schema_version":1e3}`,
+	`{"spans":[{"rows":1.5}]}`,
+	`{"spans":[{"rows":9223372036854775808}]}`,
+	`"not-a-trace"`,
+	`[]`,
+	`{"engine":"a"}{"engine":"b"}`,
+	`{"schema_version":1,"engine":"vektor-2.0","spans":[{"op":"scan.0","kind":"scan","wall_ns":0,"rows":9223372036854775807,"batches":-9223372036854775808}]}`,
+	`{"schema_version":1,"engine":"","spans":null}`,
+	`{"schema_version":01,"spans":null}`,
+	`{"schema_version":-0,"spans":null}`,
+	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1,"rows":2,"calls":0}]}`,
+	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1,"rows":2,"calls":3,"batches":4}]}`,
+	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1,"rows":92233720368547758070}]}`,
+	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1,"rows":2},]}`,
+	`{"schema_version":1,"spans":[{"op":"a<>&","kind":"\u003c","wall_ns":1,"rows":2}]}`,
+	`{"schema_version":1,"spans":[]} `,
+	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1.0,"rows":2}]}`,
+}
+
+// FuzzResultRowJSON holds the results page's row encoder to encoding/json,
+// the oracle: for a row of arbitrary strings, seconds, creation time, extras
+// and span tree, Result.AppendJSON must append what json.NewEncoder writes
+// for the row, without the newline. The span tree's bytes go through
+// TraceJSON.UnmarshalJSON, which must fail exactly when decoding them into
+// a *trace.QueryTrace fails, with the same error, and otherwise store that
+// trace's canonical encoding — bare and as a row field that may come twice.
+// Extras or a trace that do not decode are built from the strings instead,
+// invalid UTF-8 and all. The seeds are testdata/extras_cases.txt and
+// traceCases.
+func FuzzResultRowJSON(f *testing.F) {
+	extras := readExtrasCases(f)
+	for i, c := range extras {
+		tc := traceCases[i%len(traceCases)]
+		f.Add(c.json, []byte(tc), "00112233445566778899aabbccddeeff", "", 0.25, int64(1760529600123456789), 0)
+	}
+	for i, tc := range traceCases {
+		f.Add([]byte(`{"q":"a<b && c>d"}`), []byte(tc), "vektor<2>& ", "boom \"x\" é \x01", 1e-7*float64(i+1), int64(i), 60*i-300)
+		f.Add([]byte(`null`), []byte(`{"trace":`+tc+`,"trace":{"engine":"x"}}`), "\xff", "", 1e21, int64(-1), 1439)
+	}
+	f.Fuzz(func(t *testing.T, extra, spans []byte, name, errMsg string, second float64, nanos int64, zoneMinutes int) {
+		var want *trace.QueryTrace
+		var got TraceJSON
+		errWant, errGot := json.Unmarshal(spans, &want), got.UnmarshalJSON(spans)
+		if (errWant == nil) != (errGot == nil) || errWant != nil && errWant.Error() != errGot.Error() {
+			t.Fatalf("%q: decoding into a *trace.QueryTrace: %v; into TraceJSON: %v", spans, errWant, errGot)
+		}
+		if errWant == nil && !bytes.Equal(got, EncodeTrace(want)) {
+			t.Fatalf("%q: stored %q, want %q", spans, got, EncodeTrace(want))
+		}
+		var wantRow struct {
+			Trace *trace.QueryTrace `json:"trace,omitempty"`
+		}
+		var gotRow struct {
+			Trace TraceJSON `json:"trace,omitempty"`
+		}
+		errWant, errGot = json.Unmarshal(spans, &wantRow), json.Unmarshal(spans, &gotRow)
+		if (errWant == nil) != (errGot == nil) {
+			t.Fatalf("%q: decoding a row with a *trace.QueryTrace: %v; with TraceJSON: %v", spans, errWant, errGot)
+		}
+		if errWant == nil && !bytes.Equal(gotRow.Trace, EncodeTrace(wantRow.Trace)) {
+			t.Fatalf("%q: the row stored %q, want %q", spans, gotRow.Trace, EncodeTrace(wantRow.Trace))
+		}
+
+		if math.IsInf(second, 0) || math.IsNaN(second) {
+			return // no encoder writes the row
+		}
+		r := &Result{
+			ID: int(nanos), ProjectID: zoneMinutes, ExperimentID: -1, QueryID: len(name),
+			ContributorKey: name, DBMSKey: errMsg, PlatformKey: name + errMsg,
+			Seconds: []float64{second, -second, second * 1e-9, second * 1e15},
+			Error:   errMsg, Hidden: nanos%2 == 0,
+			Created: time.Unix(0, nanos).In(time.FixedZone("", zoneMinutes*60)),
+		}
+		if len(name) > 3 {
+			r.Seconds = nil
+		}
+		if r.Extra.UnmarshalJSON(extra) != nil {
+			r.Extra = EncodeExtras(map[string]string{name: errMsg, errMsg: string(extra)})
+		}
+		r.Trace = got
+		if errGot != nil {
+			r.Trace = EncodeTrace(&trace.QueryTrace{Engine: name, Spans: []trace.Span{{OpID: errMsg, Kind: string(spans), WallNS: nanos}}})
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(r); err != nil {
+			return // a creation time no encoder writes (a year past 9999)
+		}
+		oracle := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+		if row := r.AppendJSON([]byte("[")); !bytes.Equal(row[1:], oracle) || row[0] != '[' {
+			t.Fatalf("AppendJSON wrote\n%s\nencoding/json\n%s", row, oracle)
+		}
+	})
+}
+
+// TestAppendJSONAllocatesNothing pins that appending a row to a buffer with
+// room for it allocates nothing — a driver's row, with extras and a span
+// tree holding <>&, and creation time in a named zone.
+func TestAppendJSONAllocatesNothing(t *testing.T) {
+	qt := driverTrace(7)
+	r := &Result{
+		ID: 1, ProjectID: 2, ExperimentID: 3, QueryID: 4,
+		ContributorKey: "00112233445566778899aabbccddeeff", DBMSKey: "vektor-2.0", PlatformKey: "laptop",
+		Seconds: []float64{0.0011, 1e-7, 1e21}, Error: "plain error", Hidden: true,
+		Created: time.Date(2026, 10, 17, 3, 0, 0, 123456789, time.FixedZone("CEST", 7200)),
+	}
+	if err := json.Unmarshal(driverExtras(7), &r.Extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(bytes.Replace(qt, []byte("vektor"), []byte("vek<tor>&"), 1), &r.Trace); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 64<<10)
+	if allocs := testing.AllocsPerRun(100, func() { buf = r.AppendJSON(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendJSON allocates %.0f times per row", allocs)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(r); err != nil {
+		t.Fatal(err)
+	}
+	if got := append(r.AppendJSON(nil), '\n'); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("AppendJSON wrote\n%s\nencoding/json\n%s", got, want.Bytes())
+	}
+	if got := r.Trace.Decode(); got == nil || len(got.Spans) != 16 || !reflect.DeepEqual(EncodeTrace(got), r.Trace) {
+		t.Fatalf("the trace decodes as %+v", got)
+	}
+}
+
+// TestDriverTracesAreCanonical pins that what a driver sends — a trace's
+// json.Marshal — and what EncodeTrace writes take UnmarshalJSON's copy
+// path, so a completion's trace is not decoded and encoded again.
+func TestDriverTracesAreCanonical(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		data := driverTrace(i)
+		if !canonicalTrace(data) {
+			t.Fatalf("a driver's trace is not taken as canonical: %s", data)
+		}
+		if qt := TraceJSON(data).Decode(); !canonicalTrace(EncodeTrace(qt)) {
+			t.Fatalf("EncodeTrace wrote what it does not take as canonical: %s", EncodeTrace(qt))
+		}
+	}
+}

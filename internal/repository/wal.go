@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 )
 
 // The write-ahead log makes every repository mutation durable before it is
@@ -110,16 +111,22 @@ type walWriter struct {
 	broken error
 }
 
-// frameRecord encodes a record with its length + CRC header.
-func frameRecord(rec walRecord) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("encoding wal record: %w", err)
-	}
-	frame := make([]byte, walHeaderSize+len(body))
-	copy(frame[walHeaderSize:], body)
+// frameRecord frames the walRecord of lsn, op and data with its length +
+// CRC header. The payload is assembled, not encoded: data is json.Marshal's
+// own compact output and an op is a plain identifier, so these are the
+// bytes json.Marshal writes for the walRecord, without a second pass of
+// encoding/json over data — a batch of traced completions is kilobytes.
+func frameRecord(lsn uint64, op string, data []byte) []byte {
+	frame := make([]byte, walHeaderSize, walHeaderSize+len(`{"lsn":,"op":"","data":}`)+20+len(op)+len(data))
+	frame = append(frame, `{"lsn":`...)
+	frame = strconv.AppendUint(frame, lsn, 10)
+	frame = append(frame, `,"op":"`...)
+	frame = append(frame, op...)
+	frame = append(frame, `","data":`...)
+	frame = append(frame, data...)
+	frame = append(frame, '}')
 	putFrameHeader(frame)
-	return frame, nil
+	return frame
 }
 
 // putFrameHeader fills the header room at the start of frame with the
@@ -148,11 +155,7 @@ func (w *walWriter) log(op string, r any) error {
 	if err != nil {
 		return fmt.Errorf("encoding %s record: %w", op, err)
 	}
-	rec := walRecord{LSN: w.lsn + 1, Op: op, Data: data}
-	frame, err := frameRecord(rec)
-	if err != nil {
-		return err
-	}
+	frame := frameRecord(w.lsn+1, op, data)
 	if _, err := w.sink.Write(frame); err != nil {
 		w.broken = err
 		return fmt.Errorf("appending wal record: %w", err)
@@ -161,7 +164,7 @@ func (w *walWriter) log(op string, r any) error {
 		w.broken = err
 		return fmt.Errorf("syncing wal: %w", err)
 	}
-	w.lsn = rec.LSN
+	w.lsn++
 	return nil
 }
 

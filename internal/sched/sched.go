@@ -135,12 +135,31 @@ func (s *Scheduler) Stats() (measured, cached int) {
 // Measure runs every cell and returns the results positionally aligned with
 // the input. Cells whose (target, normalized SQL) identity was measured
 // before — in this call or a previous one — share the cached measurement.
-// When the context is cancelled, the remaining cells are measured as failed
-// with the context error and nothing new enters the cache.
+// Within the call, the first cell in input order that holds an identity is
+// the one that measures it or replays it from an earlier call; a later cell
+// with the same identity waits for that cell and replays its measurement,
+// so which cell replays does not depend on which worker runs first. When
+// the context is cancelled, the remaining cells are measured as failed with
+// the context error and nothing new enters the cache.
 func (s *Scheduler) Measure(ctx context.Context, cells []Cell) []Result {
 	results := make([]Result, len(cells))
 	if len(cells) == 0 {
 		return results
+	}
+	// The keys are claimed in input order before dispatch, within the call
+	// only: a cell waits for an earlier cell of its own call, which a worker
+	// already runs, never for a claim that another call has not started.
+	keys := make([]string, len(cells))
+	first := make([]int, len(cells))
+	done := make([]chan struct{}, len(cells))
+	claims := make(map[string]int, len(cells))
+	for i, c := range cells {
+		keys[i] = c.key()
+		j, claimed := claims[keys[i]]
+		if !claimed {
+			j, claims[keys[i]], done[i] = i, i, make(chan struct{})
+		}
+		first[i] = j
 	}
 	workers := s.opts.Workers
 	if workers > len(cells) {
@@ -153,7 +172,13 @@ func (s *Scheduler) Measure(ctx context.Context, cells []Cell) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range indexes {
-				results[i] = s.measureCell(ctx, cells[i])
+				if j := first[i]; j != i {
+					<-done[j]
+				}
+				results[i] = s.measureCell(ctx, cells[i], keys[i])
+				if done[i] != nil {
+					close(done[i])
+				}
 			}
 		}()
 	}
@@ -165,9 +190,8 @@ func (s *Scheduler) Measure(ctx context.Context, cells []Cell) []Result {
 	return results
 }
 
-// measureCell measures one cell through the cache.
-func (s *Scheduler) measureCell(ctx context.Context, c Cell) Result {
-	key := c.key()
+// measureCell measures one cell, whose cache key is key, through the cache.
+func (s *Scheduler) measureCell(ctx context.Context, c Cell, key string) Result {
 	for {
 		s.mu.Lock()
 		e, ok := s.cache[key]

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"sqalpel/internal/repository"
+	"sqalpel/internal/trace"
 )
 
 // completeFixture is a server on an in-memory store with one project of four
@@ -63,9 +64,14 @@ func newCompleteFixture(tb testing.TB) *completeFixture {
 	return fx
 }
 
+// expand substitutes the contributor keys into a body.
+func (fx *completeFixture) expand(body string) string {
+	return strings.NewReplacer("$OWNER", fx.owner, "$OTHER", fx.other).Replace(body)
+}
+
 // post sends a body to /api/task/complete, keys substituted.
 func (fx *completeFixture) post(body string) (int, []byte) {
-	body = strings.NewReplacer("$OWNER", fx.owner, "$OTHER", fx.other).Replace(body)
+	body = fx.expand(body)
 	w := httptest.NewRecorder()
 	fx.srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/task/complete", strings.NewReader(body)))
 	return w.Code, w.Body.Bytes()
@@ -128,7 +134,7 @@ func TestTaskCompleteBatch(t *testing.T) {
 	}
 	traced := 0
 	for _, r := range fx.store.Results("martin", fx.project) {
-		if r.Trace != nil && r.Trace.Span("scan.0") != nil {
+		if r.Trace.Decode().Span("scan.0") != nil {
 			traced++
 		}
 	}
@@ -157,7 +163,10 @@ func TestTaskCompleteBatch(t *testing.T) {
 // FuzzTaskComplete feeds arbitrary bodies to /api/task/complete on a store
 // holding leased tasks. The handler must not panic, must answer 200, 201,
 // 400, 403 or 409 — 201, 403 or 409 per item of a batch — and must record
-// exactly one result per 201 and never two results for one task.
+// exactly one result per 201 and never two results for one task. A recorded
+// result's trace must be the canonical encoding of the trace its task was
+// reported with, decoded into a *trace.QueryTrace: whatever the spacing,
+// field order, unknown fields or escapes of the body, and none for no trace.
 func FuzzTaskComplete(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fx := newCompleteFixture(t)
@@ -192,6 +201,36 @@ func FuzzTaskComplete(f *testing.F) {
 				t.Fatalf("query %d has two results", r.QueryID)
 			}
 			seen[r.QueryID] = true
+		}
+		if len(results) == 0 {
+			return
+		}
+		// Task i leases query i; the first item of a task is the one that
+		// was recorded.
+		type item struct {
+			TaskID int               `json:"task_id"`
+			Trace  *trace.QueryTrace `json:"trace"`
+		}
+		var sent struct {
+			item
+			Tasks []item `json:"tasks"`
+		}
+		if err := json.NewDecoder(strings.NewReader(fx.expand(string(body)))).Decode(&sent); err != nil {
+			t.Fatalf("the server recorded results from a body that does not decode: %v", err)
+		}
+		items := sent.Tasks
+		if items == nil {
+			items = []item{sent.item}
+		}
+		for _, r := range results {
+			for _, it := range items {
+				if it.TaskID == r.QueryID {
+					if want := repository.EncodeTrace(it.Trace); !bytes.Equal(r.Trace, want) {
+						t.Fatalf("task %d: stored trace %q, want %q", it.TaskID, r.Trace, want)
+					}
+					break
+				}
+			}
 		}
 	})
 }

@@ -184,3 +184,38 @@ func TestRebuiltPoolDoesNotOverwriteGrownPool(t *testing.T) {
 		t.Errorf("the refused grow changed the stored pool: %d queries, had %d", len(after), len(before))
 	}
 }
+
+// TestPoolPagesBesideGrows reads the pool page and the queries API of an
+// experiment while its owner grows the pool: 20 grows beside 200 reads. A
+// page must never read the project the store is changing — run under -race.
+func TestPoolPagesBesideGrows(t *testing.T) {
+	c, _, s, pid, eids := q1Experiments(t, 1)
+	growURL := fmt.Sprintf("/api/projects/%d/experiments/%d/grow", pid, eids[0])
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			req := httptest.NewRequest(http.MethodPost, growURL, bytes.NewReader([]byte(`{"count":2}`)))
+			req.Header.Set("X-Sqalpel-Token", c.token)
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, req)
+			if w.Code != http.StatusOK {
+				t.Errorf("grow %d = %d %s", i+1, w.Code, w.Body)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		path := fmt.Sprintf("/projects/%d/experiments/%d/pool", pid, eids[0])
+		if i%2 == 1 {
+			path = fmt.Sprintf("/api/projects/%d/experiments/%d/queries", pid, eids[0])
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, w.Code)
+		}
+	}
+	wg.Wait()
+}

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"bufio"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -29,7 +28,6 @@ import (
 	"sqalpel/internal/grammar"
 	"sqalpel/internal/pool"
 	"sqalpel/internal/repository"
-	"sqalpel/internal/trace"
 )
 
 // Server is the sqalpel platform server.
@@ -170,42 +168,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// A list answer goes out through a buffer of listBufferPerRow bytes per
-// element, at most listBufferMax: smaller writes cost the drivers sharing
-// the processors latency, one buffer for the whole page more GC cycles
-// (EXPERIMENTS "Incremental checkpoints").
-const (
-	listBufferMax    = 1 << 20
-	listBufferPerRow = 4 << 10
-)
-
-// writeJSONList answers 200 with a JSON array encoded element by element,
-// and a nil list as null, like writeJSON. A project's results table runs to
-// megabytes of JSON, and writeJSON would build it whole in a buffer that
-// encoding/json then keeps pooled beyond the request — on the drain
-// benchmark with a reader, tens of megabytes of peak memory.
-func writeJSONList[T any](w http.ResponseWriter, list []T) {
-	if list == nil {
-		writeJSON(w, http.StatusOK, list)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriterSize(w, min(listBufferMax, listBufferPerRow*(len(list)+1)))
-	enc := json.NewEncoder(bw)
-	bw.WriteByte('[')
-	for i, v := range list {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		if enc.Encode(v) != nil {
-			return // the status is out; the client sees a truncated array
-		}
-	}
-	bw.WriteString("]\n")
-	_ = bw.Flush() // a client gone away is not the server's error
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -736,12 +698,52 @@ func (s *Server) handleListQueries(w http.ResponseWriter, r *http.Request) {
 
 // --- results, comments, tasks ------------------------------------------------
 
+// pageFlushBytes is about how much of the results page is handed to the
+// connection at once. The page is never built whole: a project's runs to
+// megabytes, and a buffer that size per request costs GC cycles
+// (EXPERIMENTS "Incremental checkpoints").
+const pageFlushBytes = 64 << 10
+
+// pageBuffers hold the results pages' buffers between requests.
+var pageBuffers = sync.Pool{New: func() any {
+	b := make([]byte, 0, pageFlushBytes+pageFlushBytes/4)
+	return &b
+}}
+
+// handleListResults answers the project's visible results as the bytes
+// json.NewEncoder wrote for them element by element — each row followed by
+// a newline — and no results as null. A row appends the extras and span
+// tree it holds (Result.AppendJSON) instead of being encoded again.
 func (s *Server) handleListResults(w http.ResponseWriter, r *http.Request) {
 	p, viewer, ok := s.loadProject(w, r)
 	if !ok {
 		return
 	}
-	writeJSONList(w, s.store.Results(viewer, p.ID))
+	rows := s.store.Results(viewer, p.ID)
+	if rows == nil {
+		writeJSON(w, http.StatusOK, rows)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bp := pageBuffers.Get().(*[]byte)
+	defer pageBuffers.Put(bp)
+	buf := append((*bp)[:0], '[')
+	for i, row := range rows {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(row.AppendJSON(buf), '\n')
+		if len(buf) >= pageFlushBytes {
+			if _, err := w.Write(buf); err != nil {
+				return // a client gone away is not the server's error
+			}
+			buf = buf[:0]
+		}
+	}
+	buf = append(buf, "]\n"...)
+	_, _ = w.Write(buf)
+	*bp = buf
 }
 
 func (s *Server) handleResultsCSV(w http.ResponseWriter, r *http.Request) {
@@ -865,25 +867,18 @@ type completionItem struct {
 	// yet a batch body that sends it at the top level mixes the two forms.
 	Extra *repository.Extras `json:"extra"`
 	// Trace optionally carries the driver's per-operator span tree as a
-	// trace.QueryTrace document; it is stored on the result row.
-	Trace json.RawMessage `json:"trace"`
+	// trace.QueryTrace document; it is stored on the result row. A trace
+	// that does not decode fails the whole body.
+	Trace repository.TraceJSON `json:"trace"`
 }
 
-// completion parses the item's trace and returns the item as the store
-// records it.
-func (it *completionItem) completion() (repository.Completion, error) {
-	c := repository.Completion{TaskID: it.TaskID, Seconds: it.Seconds, Error: it.Error}
+// completion returns the item as the store records it.
+func (it *completionItem) completion() repository.Completion {
+	c := repository.Completion{TaskID: it.TaskID, Seconds: it.Seconds, Error: it.Error, Trace: it.Trace}
 	if it.Extra != nil {
 		c.Extra = *it.Extra
 	}
-	if len(it.Trace) > 0 && string(it.Trace) != "null" {
-		qt, err := trace.ParseTrace(it.Trace)
-		if err != nil {
-			return c, fmt.Errorf("invalid trace of task %d: %w", it.TaskID, err)
-		}
-		c.Trace = qt
-	}
-	return c, nil
+	return c
 }
 
 // completionStatus is the HTTP status of one completion's outcome. A lost
@@ -929,16 +924,9 @@ func (s *Server) handleTaskComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("a completion carries either task_id or tasks, not both"))
 		return
 	}
-	// Every trace is parsed before anything is recorded: a malformed one
-	// rejects the whole report.
 	batch := make([]repository.Completion, len(items))
 	for i := range items {
-		c, err := items[i].completion()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		batch[i] = c
+		batch[i] = items[i].completion()
 	}
 	outcomes := s.store.CompleteTasks(req.Key, batch)
 	if req.Tasks == nil {

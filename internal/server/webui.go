@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"sqalpel/internal/analytics"
+	"sqalpel/internal/repository"
 	"sqalpel/internal/trace"
 	"sqalpel/internal/webui"
 )
@@ -126,8 +127,8 @@ func (s *Server) registerWebUI() {
 			return
 		}
 		// Latest traced result per target label; iteration order is insertion
-		// order, so later submissions win.
-		byLabel := map[string]*trace.QueryTrace{}
+		// order, so later submissions win. Only the traces shown are decoded.
+		byLabel := map[string]repository.TraceJSON{}
 		sqlText := ""
 		for _, res := range s.store.Results(viewer, p.ID) {
 			if res.QueryID != qid || res.Trace == nil {
@@ -147,7 +148,7 @@ func (s *Server) registerWebUI() {
 		sort.Strings(labels)
 		traces := make([]*trace.QueryTrace, len(labels))
 		for i, l := range labels {
-			traces[i] = byLabel[l]
+			traces[i] = byLabel[l].Decode()
 		}
 		data := webui.TraceData{
 			Project: p,
