@@ -99,8 +99,13 @@ type Experiment struct {
 	Created     time.Time     `json:"created"`
 }
 
-// Query returns the query with the given id, or nil.
+// Query returns the query with the given id, or nil. A pool numbers its
+// queries 1..n, so the id's own slot is looked at first; a pool with gaps
+// or in another order is scanned. Ids are unique within a pool.
 func (e *Experiment) Query(id int) *QueryRecord {
+	if id >= 1 && id <= len(e.Queries) && e.Queries[id-1].ID == id {
+		return &e.Queries[id-1]
+	}
 	for i := range e.Queries {
 		if e.Queries[i].ID == id {
 			return &e.Queries[i]

@@ -591,3 +591,46 @@ func TestLateCompletionExpiresLazily(t *testing.T) {
 		t.Errorf("stale result recorded: %d", got)
 	}
 }
+
+// TestExperimentQueryMatchesScan holds Query's look at the id's own slot to
+// the linear scan it shortcuts: pools numbered 1..n, pools with gaps, out of
+// order or starting elsewhere, a pool replaced by a shorter one, and ids 0,
+// −1 and past the end.
+func TestExperimentQueryMatchesScan(t *testing.T) {
+	scan := func(e *Experiment, id int) *QueryRecord {
+		for i := range e.Queries {
+			if e.Queries[i].ID == id {
+				return &e.Queries[i]
+			}
+		}
+		return nil
+	}
+	pool := func(ids ...int) []QueryRecord {
+		qs := make([]QueryRecord, len(ids))
+		for i, id := range ids {
+			qs[i] = QueryRecord{ID: id, SQL: fmt.Sprintf("SELECT %d", id)}
+		}
+		return qs
+	}
+	dense := make([]int, 50)
+	for i := range dense {
+		dense[i] = i + 1
+	}
+	replaced := &Experiment{Queries: pool(dense...)}
+	replaced.Queries = pool(4, 2, 9)
+	for name, e := range map[string]*Experiment{
+		"empty":       {},
+		"dense":       {Queries: pool(dense...)},
+		"gaps":        {Queries: pool(1, 3, 4, 7, 8, 20)},
+		"shifted":     {Queries: pool(2, 3, 4, 5)},
+		"unordered":   {Queries: pool(3, 1, 2, 5, 4)},
+		"replaced":    replaced,
+		"nonpositive": {Queries: pool(0, -1, 1)},
+	} {
+		for id := -2; id <= 60; id++ {
+			if got, want := e.Query(id), scan(e, id); got != want {
+				t.Errorf("%s: Query(%d) = %v, the scan finds %v", name, id, got, want)
+			}
+		}
+	}
+}

@@ -225,6 +225,16 @@ func pathInt(r *http.Request, name string) (int, error) {
 	return v, nil
 }
 
+// queryInt parses the URL query parameter name, a query id, as
+// strconv.Atoi does: "12abc", "1 2" and "0x10" are errors, not 12, 1 and 0.
+func queryInt(r *http.Request, name string) (int, error) {
+	v, err := strconv.Atoi(r.URL.Query().Get(name))
+	if err != nil {
+		return 0, fmt.Errorf("query parameter %s must be a query id", name)
+	}
+	return v, nil
+}
+
 // --- users ---------------------------------------------------------------
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -698,17 +708,57 @@ func (s *Server) handleListQueries(w http.ResponseWriter, r *http.Request) {
 
 // --- results, comments, tasks ------------------------------------------------
 
-// pageFlushBytes is about how much of the results page is handed to the
-// connection at once. The page is never built whole: a project's runs to
-// megabytes, and a buffer that size per request costs GC cycles
-// (EXPERIMENTS "Incremental checkpoints").
+// pageFlushBytes is about how much of a page whose rows scale — results,
+// pool, history — is handed to the connection at once. Such a page is
+// never built whole: a project's runs to megabytes, and a buffer that size
+// per request costs GC cycles (EXPERIMENTS "Incremental checkpoints").
 const pageFlushBytes = 64 << 10
 
-// pageBuffers hold the results pages' buffers between requests.
+// pageBuffers hold those pages' buffers between requests.
 var pageBuffers = sync.Pool{New: func() any {
 	b := make([]byte, 0, pageFlushBytes+pageFlushBytes/4)
 	return &b
 }}
+
+// A pageWriter answers 200 with a page appended into a buffer of
+// pageBuffers, handing it to the connection in pieces of about
+// pageFlushBytes.
+type pageWriter struct {
+	w   http.ResponseWriter
+	bp  *[]byte
+	err error // the first failed write; a client gone away is not the server's error
+}
+
+// startPage writes the header of a page of the given content type and
+// returns its writer; buf is the empty buffer to append the page to.
+func startPage(w http.ResponseWriter, contentType string) (p *pageWriter, buf []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(http.StatusOK)
+	p = &pageWriter{w: w, bp: pageBuffers.Get().(*[]byte)}
+	return p, (*p.bp)[:0]
+}
+
+// flush writes the page so far once it holds pageFlushBytes and returns
+// the buffer to go on appending to. After a failed write it only empties
+// the buffer.
+func (p *pageWriter) flush(buf []byte) []byte {
+	if len(buf) < pageFlushBytes {
+		return buf
+	}
+	if p.err == nil {
+		_, p.err = p.w.Write(buf)
+	}
+	return buf[:0]
+}
+
+// finish writes the rest of the page and keeps its buffer for the next.
+func (p *pageWriter) finish(buf []byte) {
+	if p.err == nil {
+		_, p.err = p.w.Write(buf)
+	}
+	*p.bp = buf
+	pageBuffers.Put(p.bp)
+}
 
 // handleListResults answers the project's visible results as the bytes
 // json.NewEncoder wrote for them element by element — each row followed by
@@ -724,26 +774,18 @@ func (s *Server) handleListResults(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, rows)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	bp := pageBuffers.Get().(*[]byte)
-	defer pageBuffers.Put(bp)
-	buf := append((*bp)[:0], '[')
+	page, buf := startPage(w, "application/json")
+	buf = append(buf, '[')
 	for i, row := range rows {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(row.AppendJSON(buf), '\n')
-		if len(buf) >= pageFlushBytes {
-			if _, err := w.Write(buf); err != nil {
-				return // a client gone away is not the server's error
-			}
-			buf = buf[:0]
+		buf = page.flush(append(row.AppendJSON(buf), '\n'))
+		if page.err != nil {
+			break
 		}
 	}
-	buf = append(buf, "]\n"...)
-	_, _ = w.Write(buf)
-	*bp = buf
+	page.finish(append(buf, "]\n"...))
 }
 
 func (s *Server) handleResultsCSV(w http.ResponseWriter, r *http.Request) {
@@ -950,10 +992,14 @@ func (s *Server) handleTaskComplete(w http.ResponseWriter, r *http.Request) {
 // --- analytics ------------------------------------------------------------------
 
 // projectRuns converts the visible results of a project into analytics runs,
-// one per result, targeted at its "dbms@platform" label.
+// one per result, targeted at its "dbms@platform" label; the runs of one
+// (DBMS, platform) pair share one label string.
 func (s *Server) projectRuns(p *repository.Project, viewer string) []analytics.Run {
-	var runs []analytics.Run
-	for _, res := range s.store.Results(viewer, p.ID) {
+	type pair struct{ dbms, platform string }
+	labels := map[pair]string{}
+	results := s.store.Results(viewer, p.ID)
+	runs := make([]analytics.Run, 0, len(results))
+	for _, res := range results {
 		exp := p.Experiment(res.ExperimentID)
 		if exp == nil {
 			continue
@@ -969,8 +1015,12 @@ func (s *Server) projectRuns(p *repository.Project, viewer string) []analytics.R
 			ParentID:   q.ParentID,
 			Components: q.Components,
 			Terms:      q.Terms,
-			Target:     res.DBMSKey + "@" + res.PlatformKey,
 			Error:      res.Error,
+		}
+		key := pair{res.DBMSKey, res.PlatformKey}
+		if run.Target = labels[key]; run.Target == "" {
+			run.Target = res.DBMSKey + "@" + res.PlatformKey
+			labels[key] = run.Target
 		}
 		if !res.Failed() {
 			run.Seconds = res.MinSeconds()
@@ -1016,10 +1066,14 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	a, errA := strconv.Atoi(r.URL.Query().Get("a"))
-	b, errB := strconv.Atoi(r.URL.Query().Get("b"))
-	if errA != nil || errB != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("a and b query ids are required"))
+	a, err := queryInt(r, "a")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	b, err := queryInt(r, "b")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	runs := s.projectRuns(p, viewer)

@@ -85,7 +85,8 @@ func (s *Server) registerWebUI() {
 			http.NotFound(w, r)
 			return
 		}
-		renderHTML(w, renderer.Pool(w, webui.PoolData{Project: p, Experiment: exp}))
+		page, buf := startPage(w, htmlPage)
+		page.finish(webui.AppendPool(buf, webui.PoolData{Project: p, Experiment: exp, Flush: page.flush}))
 	})
 
 	s.mux.HandleFunc("GET /projects/{id}/history", func(w http.ResponseWriter, r *http.Request) {
@@ -107,13 +108,14 @@ func (s *Server) registerWebUI() {
 		if target == "" && len(names) > 0 {
 			target = names[0]
 		}
-		data := webui.HistoryData{
+		page, buf := startPage(w, htmlPage)
+		page.finish(webui.AppendHistory(buf, webui.HistoryData{
 			Project: p,
 			Target:  target,
 			Targets: names,
 			Points:  analytics.History(runs, target),
-		}
-		renderHTML(w, renderer.History(w, data))
+			Flush:   page.flush,
+		}))
 	})
 
 	s.mux.HandleFunc("GET /projects/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -121,9 +123,9 @@ func (s *Server) registerWebUI() {
 		if !ok {
 			return
 		}
-		var qid int
-		if _, err := fmt.Sscanf(r.URL.Query().Get("query"), "%d", &qid); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter query must be a query id"))
+		qid, err := queryInt(r, "query")
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		// Latest traced result per target label; iteration order is insertion
@@ -168,14 +170,14 @@ func (s *Server) registerWebUI() {
 		if !ok {
 			return
 		}
-		a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
-		var idA, idB int
-		if _, err := fmt.Sscanf(a, "%d", &idA); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter a must be a query id"))
+		idA, err := queryInt(r, "a")
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if _, err := fmt.Sscanf(b, "%d", &idB); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter b must be a query id"))
+		idB, err := queryInt(r, "b")
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		runs := s.projectRuns(p, viewer)
@@ -196,6 +198,10 @@ func (s *Server) registerWebUI() {
 		renderHTML(w, renderer.Diff(w, webui.DiffData{Project: p, Diff: d, SQLA: sqlA, SQLB: sqlB}))
 	})
 }
+
+// htmlPage is the content type of a page: what net/http sniffs from a
+// templated page's first bytes.
+const htmlPage = "text/html; charset=utf-8"
 
 // renderHTML reports template execution failures; the header has usually
 // been written already, so the error is only logged into the body.

@@ -1,0 +1,140 @@
+package webui
+
+import (
+	"math"
+	"strconv"
+)
+
+// AppendPool appends the query pool page to dst, one row per query of the
+// experiment: byte for byte what html/template writes for the page's
+// template, which append_test.go keeps as the oracle.
+func AppendPool(dst []byte, data PoolData) []byte {
+	exp := data.Experiment
+	dst = append(dst, layoutHead+"\n<h1>Query pool — "...)
+	dst = appendHTML(dst, data.Project.Name)
+	dst = append(dst, " / "...)
+	dst = appendHTML(dst, exp.Title)
+	dst = append(dst, "</h1>\n<p>"...)
+	dst = strconv.AppendInt(dst, int64(len(exp.Queries)), 10)
+	dst = append(dst, ` queries. Strategies: <span class="strategy-alter">alter</span>,
+<span class="strategy-expand">expand</span>, <span class="strategy-prune">prune</span>.</p>
+<table><tr><th>id</th><th>strategy</th><th>parent</th><th>components</th><th>query</th></tr>
+`...)
+	for i := range exp.Queries {
+		q := &exp.Queries[i]
+		dst = append(dst, "<tr><td>"...)
+		dst = strconv.AppendInt(dst, int64(q.ID), 10)
+		dst = append(dst, "</td>"...)
+		dst = appendStrategy(dst, q.Strategy)
+		dst = append(dst, "\n<td>"...)
+		dst = appendParent(dst, q.ParentID)
+		dst = append(dst, "</td><td>"...)
+		dst = strconv.AppendInt(dst, int64(q.Components), 10)
+		dst = append(dst, "</td><td><code>"...)
+		dst = appendHTML(dst, q.SQL)
+		dst = append(dst, "</code></td></tr>"...)
+		if data.Flush != nil {
+			dst = data.Flush(dst)
+		}
+	}
+	return append(dst, "\n</table>\n"+layoutFoot...)
+}
+
+// AppendHistory appends the experiment history page to dst, one row per
+// point: byte for byte what html/template writes for the page's template,
+// which append_test.go keeps as the oracle.
+func AppendHistory(dst []byte, data HistoryData) []byte {
+	dst = append(dst, layoutHead+"\n<h1>Experiment history — "...)
+	dst = appendHTML(dst, data.Project.Name)
+	dst = append(dst, "</h1>\n<p>target: <b>"...)
+	dst = appendHTML(dst, data.Target)
+	dst = append(dst, "</b>"...)
+	if len(data.Targets) > 0 {
+		dst = append(dst, " (available: "...)
+		for _, t := range data.Targets {
+			dst = append(appendHTML(dst, t), ' ')
+		}
+		dst = append(dst, ')')
+	}
+	dst = append(dst, `</p>
+<table><tr><th>#</th><th>query</th><th>morphed from</th><th>strategy</th><th>components</th><th>time (s)</th></tr>
+`...)
+	for i := range data.Points {
+		pt := &data.Points[i]
+		dst = append(dst, "<tr><td>"...)
+		dst = strconv.AppendInt(dst, int64(pt.Seq), 10)
+		dst = append(dst, "</td><td>"...)
+		dst = strconv.AppendInt(dst, int64(pt.QueryID), 10)
+		dst = append(dst, "</td><td>"...)
+		dst = appendParent(dst, pt.ParentID)
+		dst = append(dst, "</td>\n"...)
+		dst = appendStrategy(dst, pt.Strategy)
+		dst = append(dst, "<td>"...)
+		dst = strconv.AppendInt(dst, int64(pt.Components), 10)
+		dst = append(dst, "</td>\n<td>"...)
+		if pt.IsError {
+			dst = append(dst, `<span class="error">error</span>`...)
+		} else {
+			dst = appendSeconds(dst, pt.Seconds)
+		}
+		dst = append(dst, "</td></tr>"...)
+		if data.Flush != nil {
+			dst = data.Flush(dst)
+		}
+	}
+	return append(dst, "\n</table>\n"+layoutFoot...)
+}
+
+// appendStrategy appends a strategy cell, coloured by its class.
+func appendStrategy(dst []byte, strategy string) []byte {
+	dst = append(dst, `<td class="strategy-`...)
+	dst = appendHTML(dst, strategy)
+	dst = append(dst, `">`...)
+	dst = appendHTML(dst, strategy)
+	return append(dst, "</td>"...)
+}
+
+// appendParent appends a morph's parent id; 0, no parent, appends nothing.
+func appendParent(dst []byte, id int) []byte {
+	if id == 0 {
+		return dst
+	}
+	return strconv.AppendInt(dst, int64(id), 10)
+}
+
+// appendSeconds appends v as the templates' seconds function formats it
+// (%.4f) and their escaper writes it: only +Inf has a byte to escape.
+func appendSeconds(dst []byte, v float64) []byte {
+	if math.IsInf(v, 1) {
+		return append(dst, "&#43;Inf"...)
+	}
+	return strconv.AppendFloat(dst, v, 'f', 4, 64)
+}
+
+// htmlEscapes is what html/template's text and quoted-attribute escapers
+// write for a byte of a plain string; a byte without an entry is copied.
+var htmlEscapes = [256]string{
+	0:    "\uFFFD",
+	'"':  "&#34;",
+	'&':  "&amp;",
+	'\'': "&#39;",
+	'+':  "&#43;",
+	'<':  "&lt;",
+	'>':  "&gt;",
+}
+
+// appendHTML appends s as html/template escapes a plain string in text and
+// in a quoted attribute value. The template decodes runes, but UTF-8 never
+// makes an ASCII byte part of a longer sequence, valid or not, so a scan of
+// bytes finds the same ones; everything else, invalid UTF-8 too, is copied.
+func appendHTML(dst []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if esc := htmlEscapes[s[i]]; esc != "" {
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, esc...)
+			last = i + 1
+		}
+	}
+	return append(dst, s[last:]...)
+}

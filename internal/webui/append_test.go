@@ -1,0 +1,181 @@
+package webui
+
+import (
+	"bytes"
+	"html/template"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"sqalpel/internal/analytics"
+	"sqalpel/internal/repository"
+)
+
+// templatedPages are the pool and history templates the appenders
+// replaced, kept as their oracle: an appended page must be the bytes its
+// template writes.
+var templatedPages = map[string]string{
+	"pool": `{{template "layout_head" .}}
+<h1>Query pool — {{.Project.Name}} / {{.Experiment.Title}}</h1>
+<p>{{len .Experiment.Queries}} queries. Strategies: <span class="strategy-alter">alter</span>,
+<span class="strategy-expand">expand</span>, <span class="strategy-prune">prune</span>.</p>
+<table><tr><th>id</th><th>strategy</th><th>parent</th><th>components</th><th>query</th></tr>
+{{range .Experiment.Queries}}<tr><td>{{.ID}}</td><td class="strategy-{{.Strategy}}">{{.Strategy}}</td>
+<td>{{if .ParentID}}{{.ParentID}}{{end}}</td><td>{{.Components}}</td><td><code>{{.SQL}}</code></td></tr>{{end}}
+</table>
+{{template "layout_foot" .}}`,
+
+	"history": `{{template "layout_head" .}}
+<h1>Experiment history — {{.Project.Name}}</h1>
+<p>target: <b>{{.Target}}</b>{{if .Targets}} (available: {{range .Targets}}{{.}} {{end}}){{end}}</p>
+<table><tr><th>#</th><th>query</th><th>morphed from</th><th>strategy</th><th>components</th><th>time (s)</th></tr>
+{{range .Points}}<tr><td>{{.Seq}}</td><td>{{.QueryID}}</td><td>{{if .ParentID}}{{.ParentID}}{{end}}</td>
+<td class="strategy-{{.Strategy}}">{{.Strategy}}</td><td>{{.Components}}</td>
+<td>{{if .IsError}}<span class="error">error</span>{{else}}{{seconds .Seconds}}{{end}}</td></tr>{{end}}
+</table>
+{{template "layout_foot" .}}`,
+
+	"cells": `<td>{{.}}</td><td class="s-{{.}}">`,
+
+	"seconds": `<td>{{seconds .}}</td>`,
+}
+
+// oracle returns the renderer's template set with templatedPages added.
+func oracle(t testing.TB) *template.Template {
+	t.Helper()
+	r, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := r.tmpl.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	//lint:ordered each oracle page parses into its own named template of one set
+	for name, text := range templatedPages {
+		if _, err := set.New(name).Parse(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return set
+}
+
+func execute(t testing.TB, set *template.Template, name string, data any) string {
+	t.Helper()
+	var b strings.Builder
+	if err := set.ExecuteTemplate(&b, name, data); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// escapeSeeds are strings with every byte html/template rewrites, invalid
+// UTF-8, line separators and the noncharacters its unquoted-attribute
+// escaper would rewrite.
+var escapeSeeds = []string{
+	"",
+	"plain",
+	"a+b 'q' \"d\" <script>alert(1)</script> & \x00",
+	"\xff\xfe\xc3<\xe2\x80",
+	"\u2028\u2029 é \ufdd0 \ufffe \uffff \U0001F600",
+	"&amp;&#43;\x00\x00",
+	"SELECT l_quantity + 1 FROM lineitem WHERE l_comment LIKE '%a%'",
+}
+
+// FuzzPageEscape holds appendHTML to html/template: for any string it must
+// write what the template writes for it as text and inside a quoted
+// attribute value.
+func FuzzPageEscape(f *testing.F) {
+	for _, s := range escapeSeeds {
+		f.Add(s)
+	}
+	set := oracle(f)
+	f.Fuzz(func(t *testing.T, s string) {
+		esc := string(appendHTML(nil, s))
+		want := execute(t, set, "cells", s)
+		if got := "<td>" + esc + `</td><td class="s-` + esc + `">`; got != want {
+			t.Fatalf("appendHTML(%q) = %q; html/template writes %q", s, got, want)
+		}
+	})
+}
+
+// TestSecondsMatchTemplate holds appendSeconds to the templates' seconds
+// function for the boundaries of %.4f, the infinities, NaN, negative zero
+// and random values of every magnitude.
+func TestSecondsMatchTemplate(t *testing.T) {
+	set := oracle(t)
+	values := []float64{
+		0, math.Copysign(0, -1), 1e-7, 0.00004999, 0.00005, 0.25, 9.99995, 123456.123456789,
+		1e21, -1e21, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		values = append(values, math.Float64frombits(rng.Uint64()), rng.NormFloat64()*math.Pow(10, float64(rng.Intn(30)-15)))
+	}
+	for _, v := range values {
+		if got, want := "<td>"+string(appendSeconds(nil, v))+"</td>", execute(t, set, "seconds", v); got != want {
+			t.Fatalf("appendSeconds(%v) = %q; the template writes %q", v, got, want)
+		}
+	}
+}
+
+// randomText draws a string from hostile pieces.
+func randomText(rng *rand.Rand) string {
+	pieces := append([]string{"x", " ", "\n", "SELECT", "42"}, escapeSeeds...)
+	var b strings.Builder
+	for n := rng.Intn(6); n > 0; n-- {
+		b.WriteString(pieces[rng.Intn(len(pieces))])
+	}
+	return b.String()
+}
+
+// TestAppendedPagesMatchTemplates renders random pools and histories —
+// hostile text everywhere, ids and parents of every sign, timed and failed
+// points, with and without targets — through the appenders and through the
+// templates they replaced, which must agree byte for byte. Every page is
+// appended a second time through a Flush that takes each piece away; the
+// pieces must make up the same page.
+func TestAppendedPagesMatchTemplates(t *testing.T) {
+	set := oracle(t)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		p := &repository.Project{Name: randomText(rng)}
+		exp := &repository.Experiment{Title: randomText(rng)}
+		hist := HistoryData{Project: p, Target: randomText(rng)}
+		for n := rng.Intn(3); n > 0; n-- {
+			hist.Targets = append(hist.Targets, randomText(rng))
+		}
+		for n := rng.Intn(8); n > 0; n-- {
+			exp.Queries = append(exp.Queries, repository.QueryRecord{
+				ID: rng.Intn(2000) - 5, SQL: randomText(rng), Strategy: randomText(rng),
+				ParentID: rng.Intn(5) - 1, Components: rng.Intn(40) - 2,
+			})
+			hist.Points = append(hist.Points, analytics.HistoryPoint{
+				Seq: rng.Intn(100), QueryID: rng.Intn(2000) - 5, ParentID: rng.Intn(5) - 1,
+				Strategy: randomText(rng), Components: rng.Intn(40), IsError: rng.Intn(3) == 0,
+				Seconds: rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(8)-5)),
+			})
+		}
+		pool := PoolData{Project: p, Experiment: exp}
+		if got, want := string(AppendPool(nil, pool)), execute(t, set, "pool", pool); got != want {
+			t.Fatalf("pool page %d:\n%q\nthe template writes\n%q", i, got, want)
+		}
+		if got, want := string(AppendHistory(nil, hist)), execute(t, set, "history", hist); got != want {
+			t.Fatalf("history page %d:\n%q\nthe template writes\n%q", i, got, want)
+		}
+
+		var pieces bytes.Buffer
+		flush := func(b []byte) []byte {
+			pieces.Write(b)
+			return b[:0]
+		}
+		pool.Flush, hist.Flush = flush, flush
+		pieces.Write(AppendPool(nil, pool))
+		pieces.Write(AppendHistory(nil, hist))
+		pool.Flush, hist.Flush = nil, nil
+		if want := string(AppendPool(nil, pool)) + string(AppendHistory(nil, hist)); pieces.String() != want {
+			t.Fatalf("pages %d written in pieces differ from the whole pages", i)
+		}
+	}
+}

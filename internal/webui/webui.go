@@ -6,6 +6,12 @@
 // span trees of every traced target side by side, keyed to the shared plan
 // operator ids. Pages are generated on the server, as in the paper's
 // prototype; no JavaScript framework is required to inspect a project.
+//
+// A page whose rows grow with the pool or the results — the pool page and
+// the history page — is appended (AppendPool, AppendHistory): its bytes are
+// the ones html/template wrote for it, produced with strconv and one escaper,
+// appendHTML, instead of a reflective escaper call per field and row. The
+// pages of fixed size stay templates executed by a Renderer.
 package webui
 
 import (
@@ -75,6 +81,10 @@ type GrammarData struct {
 type PoolData struct {
 	Project    *repository.Project
 	Experiment *repository.Experiment
+	// Flush, when set, is handed the page after each row and returns the
+	// buffer the page goes on in: a caller that writes the page out in
+	// pieces does so there.
+	Flush func([]byte) []byte
 }
 
 // HistoryData feeds the experiment history page.
@@ -83,6 +93,8 @@ type HistoryData struct {
 	Target  string
 	Targets []string
 	Points  []analytics.HistoryPoint
+	// Flush is as in PoolData.
+	Flush func([]byte) []byte
 }
 
 // DiffData feeds the query differential page.
@@ -124,16 +136,6 @@ func (r *Renderer) Grammar(w io.Writer, data GrammarData) error {
 	return r.tmpl.ExecuteTemplate(w, "grammar", data)
 }
 
-// Pool renders the query pool page.
-func (r *Renderer) Pool(w io.Writer, data PoolData) error {
-	return r.tmpl.ExecuteTemplate(w, "pool", data)
-}
-
-// History renders the experiment history page.
-func (r *Renderer) History(w io.Writer, data HistoryData) error {
-	return r.tmpl.ExecuteTemplate(w, "history", data)
-}
-
 // Diff renders the query differential page.
 func (r *Renderer) Diff(w io.Writer, data DiffData) error {
 	return r.tmpl.ExecuteTemplate(w, "diff", data)
@@ -146,24 +148,8 @@ func (r *Renderer) Trace(w io.Writer, data TraceData) error {
 
 // pages holds the HTML templates, keyed by name.
 var pages = map[string]string{
-	"layout_head": `<!DOCTYPE html>
-<html><head><title>sqalpel</title>
-<style>
-body { font-family: sans-serif; margin: 2em; color: #222; }
-table { border-collapse: collapse; margin: 1em 0; }
-td, th { border: 1px solid #bbb; padding: 0.3em 0.7em; text-align: left; }
-pre { background: #f4f4f4; padding: 1em; overflow-x: auto; }
-.strategy-baseline { color: #444; }
-.strategy-random { color: #888; }
-.strategy-alter { color: purple; }
-.strategy-expand { color: green; }
-.strategy-prune { color: blue; }
-.error { color: #b58900; font-weight: bold; }
-nav a { margin-right: 1em; }
-</style></head><body>
-<nav><a href="/">projects</a><a href="/catalog">catalogs</a></nav>`,
-
-	"layout_foot": `</body></html>`,
+	"layout_head": layoutHead,
+	"layout_foot": layoutFoot,
 
 	"index": `{{template "layout_head" .}}
 <h1>sqalpel — a database performance platform</h1>
@@ -219,26 +205,6 @@ nav a { margin-right: 1em; }
 <pre>{{.Experiment.GrammarText}}</pre>
 {{template "layout_foot" .}}`,
 
-	"pool": `{{template "layout_head" .}}
-<h1>Query pool — {{.Project.Name}} / {{.Experiment.Title}}</h1>
-<p>{{len .Experiment.Queries}} queries. Strategies: <span class="strategy-alter">alter</span>,
-<span class="strategy-expand">expand</span>, <span class="strategy-prune">prune</span>.</p>
-<table><tr><th>id</th><th>strategy</th><th>parent</th><th>components</th><th>query</th></tr>
-{{range .Experiment.Queries}}<tr><td>{{.ID}}</td><td class="strategy-{{.Strategy}}">{{.Strategy}}</td>
-<td>{{if .ParentID}}{{.ParentID}}{{end}}</td><td>{{.Components}}</td><td><code>{{.SQL}}</code></td></tr>{{end}}
-</table>
-{{template "layout_foot" .}}`,
-
-	"history": `{{template "layout_head" .}}
-<h1>Experiment history — {{.Project.Name}}</h1>
-<p>target: <b>{{.Target}}</b>{{if .Targets}} (available: {{range .Targets}}{{.}} {{end}}){{end}}</p>
-<table><tr><th>#</th><th>query</th><th>morphed from</th><th>strategy</th><th>components</th><th>time (s)</th></tr>
-{{range .Points}}<tr><td>{{.Seq}}</td><td>{{.QueryID}}</td><td>{{if .ParentID}}{{.ParentID}}{{end}}</td>
-<td class="strategy-{{.Strategy}}">{{.Strategy}}</td><td>{{.Components}}</td>
-<td>{{if .IsError}}<span class="error">error</span>{{else}}{{seconds .Seconds}}{{end}}</td></tr>{{end}}
-</table>
-{{template "layout_foot" .}}`,
-
 	"diff": `{{template "layout_head" .}}
 <h1>Query differential — {{.Project.Name}}</h1>
 <h2>Query {{.Diff.QueryA}}</h2><pre>{{.SQLA}}</pre>
@@ -273,3 +239,26 @@ report the zone-map blocks they skipped ("+N skipped").</p>
 {{end}}
 {{template "layout_foot" .}}`,
 }
+
+// layoutHead and layoutFoot open and close every page, templated or
+// appended.
+const (
+	layoutHead = `<!DOCTYPE html>
+<html><head><title>sqalpel</title>
+<style>
+body { font-family: sans-serif; margin: 2em; color: #222; }
+table { border-collapse: collapse; margin: 1em 0; }
+td, th { border: 1px solid #bbb; padding: 0.3em 0.7em; text-align: left; }
+pre { background: #f4f4f4; padding: 1em; overflow-x: auto; }
+.strategy-baseline { color: #444; }
+.strategy-random { color: #888; }
+.strategy-alter { color: purple; }
+.strategy-expand { color: green; }
+.strategy-prune { color: blue; }
+.error { color: #b58900; font-weight: bold; }
+nav a { margin-right: 1em; }
+</style></head><body>
+<nav><a href="/">projects</a><a href="/catalog">catalogs</a></nav>`
+
+	layoutFoot = `</body></html>`
+)

@@ -81,26 +81,19 @@ func TestRenderAllPages(t *testing.T) {
 		t.Error("grammar page missing the grammar text")
 	}
 
-	buf.Reset()
-	if err := r.Pool(&buf, PoolData{Project: p, Experiment: p.Experiments[0]}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "strategy-alter") {
+	pool := string(AppendPool(nil, PoolData{Project: p, Experiment: p.Experiments[0]}))
+	if !strings.Contains(pool, "strategy-alter") {
 		t.Error("pool page missing strategy colouring")
 	}
 
-	buf.Reset()
-	err = r.History(&buf, HistoryData{
+	history := string(AppendHistory(nil, HistoryData{
 		Project: p, Target: "columba-1.0@laptop", Targets: []string{"columba-1.0@laptop"},
 		Points: []analytics.HistoryPoint{
 			{Seq: 1, QueryID: 1, Strategy: "baseline", Components: 1, Seconds: 0.25},
 			{Seq: 2, QueryID: 2, ParentID: 1, Strategy: "alter", Components: 1, IsError: true},
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "error") || !strings.Contains(buf.String(), "0.2500") {
+	}))
+	if !strings.Contains(history, "error") || !strings.Contains(history, "0.2500") {
 		t.Error("history page missing error flag or timing")
 	}
 
@@ -124,17 +117,9 @@ func TestRenderAllPages(t *testing.T) {
 }
 
 func TestTemplatesEscapeHTML(t *testing.T) {
-	r, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := sampleProject()
 	p.Experiments[0].Queries[0].SQL = "SELECT '<script>alert(1)</script>' FROM lineitem"
-	var buf bytes.Buffer
-	if err := r.Pool(&buf, PoolData{Project: p, Experiment: p.Experiments[0]}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "<script>alert(1)</script>") {
+	if strings.Contains(string(AppendPool(nil, PoolData{Project: p, Experiment: p.Experiments[0]})), "<script>alert(1)</script>") {
 		t.Error("query text must be HTML-escaped")
 	}
 }
