@@ -112,11 +112,13 @@ func (sh *shard) indexQueries(projectID int, e *Experiment, from int) {
 	}
 }
 
-// indexResult adds a result row to the shard and counts it on its lane.
+// indexResult adds a result row to the shard, sealed, and counts it on its
+// lane.
 func (sh *shard) indexResult(r *Result) {
 	ln := sh.expIndexFor(r.ProjectID, r.ExperimentID).lane(r.DBMSKey, r.PlatformKey)
 	r.DBMSKey, r.PlatformKey = ln.dbms, ln.platform
 	r.ContributorKey = sh.store.canonicalKey(r.ContributorKey)
+	r.seal()
 	ln.cover[r.QueryID]++
 	sh.results = append(sh.results, r)
 	raise(&sh.store.nextResultID, r.ID)

@@ -221,6 +221,7 @@ func (v walResultHide) apply(sh *shard) {
 	if i := sh.resultPos(v.ResultID); i >= 0 {
 		flipped := *sh.results[i]
 		flipped.Hidden = v.Hidden
+		flipped.seal()
 		sh.results = spliceResults(sh.results, i, &flipped)
 		sh.rewrites++
 	}

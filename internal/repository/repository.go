@@ -176,6 +176,9 @@ type Result struct {
 	// owner uses this to keep dubious measurements private until clarified.
 	Hidden  bool      `json:"hidden"`
 	Created time.Time `json:"created"`
+	// sealed is the row as the results page serves it (JSON), built once
+	// as the row enters a shard; Extra and Trace may point into it.
+	sealed []byte
 }
 
 // Failed reports whether the result captured an error.
@@ -680,15 +683,21 @@ func (s *Store) Results(viewer string, projectID int) []*Result {
 	if role == RoleNone {
 		return nil
 	}
-	var out []*Result
+	visible := func(r *Result) bool { return r.ProjectID == projectID && !(r.Hidden && role == RoleReader) }
+	n := 0
 	for _, r := range sh.results {
-		if r.ProjectID != projectID {
-			continue
+		if visible(r) {
+			n++
 		}
-		if r.Hidden && role == RoleReader {
-			continue
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Result, 0, n)
+	for _, r := range sh.results {
+		if visible(r) {
+			out = append(out, r)
 		}
-		out = append(out, r)
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"sync"
 	"time"
 
 	"sqalpel/internal/trace"
@@ -166,14 +167,53 @@ func (c *scan) int(bits int, nonzero bool) {
 	c.i = j
 }
 
-// AppendJSON appends the row as the results page writes it: what
+// JSON returns the row as the results page serves it: what json.NewEncoder
+// — HTML escaping on — writes for the row, without the trailing newline.
+// The bytes are built once, when the row enters a shard (seal), and belong
+// to the row: the caller must not change them.
+func (r *Result) JSON() []byte { return r.sealed }
+
+// sealBuffers hold the rows seal encodes before it copies them out.
+var sealBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// seal builds the bytes JSON returns. A row is sealed where it enters a
+// shard — a live add, a batch completion, recovery — and again when
+// moderation copies it with another hidden flag, never after another
+// reader can see it. Extra and Trace are pointed into the sealed bytes,
+// with their capacity clipped, when they stand there verbatim: when they
+// hold no <, > or &, which the page escapes. The row then keeps one copy
+// of them.
+func (r *Result) seal() {
+	bp := sealBuffers.Get().(*[]byte)
+	b, extra, spans := r.appendJSON((*bp)[:0])
+	sealed := bytes.Clone(b)
+	*bp = b
+	sealBuffers.Put(bp)
+	if extra > 0 && verbatim(r.Extra) {
+		r.Extra = Extras(sealed[extra : extra+len(r.Extra) : extra+len(r.Extra)])
+	}
+	if spans > 0 && verbatim(r.Trace) {
+		r.Trace = TraceJSON(sealed[spans : spans+len(r.Trace) : spans+len(r.Trace)])
+	}
+	r.sealed = sealed
+}
+
+// verbatim reports whether an encoder with HTML escaping on writes the
+// canonical bytes b as they are.
+func verbatim(b []byte) bool {
+	return bytes.IndexByte(b, '<') < 0 && bytes.IndexByte(b, '>') < 0 && bytes.IndexByte(b, '&') < 0
+}
+
+// appendJSON appends the row as the results page serves it: what
 // json.NewEncoder — HTML escaping on — writes for the row, without the
 // trailing newline. It encodes the fields itself and appends the extras and
 // the span tree as they are held, escaping the <, > and & they may hold, so
 // a row costs no reflection, no compaction and — its strings plain ASCII —
 // no allocation. A second that is not finite, which no JSON text carries
-// and a durable store never records, is written as null.
-func (r *Result) AppendJSON(dst []byte) []byte {
+// and a durable store never records, is written as null. extra and spans
+// are where the extras and the span tree begin in the bytes appended, 0
+// when the row has none. It is the sealer's encoder, and the tests'.
+func (r *Result) appendJSON(dst []byte) (row []byte, extra, spans int) {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, int64(r.ID), 10)
 	dst = append(dst, `,"project_id":`...)
@@ -204,10 +244,12 @@ func (r *Result) AppendJSON(dst []byte) []byte {
 	}
 	if len(r.Extra) > 0 {
 		dst = append(dst, `,"extra":`...)
+		extra = len(dst)
 		dst = appendHTMLSafe(dst, r.Extra)
 	}
 	if len(r.Trace) > 0 {
 		dst = append(dst, `,"trace":`...)
+		spans = len(dst)
 		dst = appendHTMLSafe(dst, r.Trace)
 	}
 	if r.Hidden {
@@ -217,7 +259,7 @@ func (r *Result) AppendJSON(dst []byte) []byte {
 	}
 	dst = append(dst, `,"created":"`...)
 	dst = r.Created.AppendFormat(dst, time.RFC3339Nano)
-	return append(dst, `"}`...)
+	return append(dst, `"}`...), extra, spans
 }
 
 // appendString appends s as encoding/json writes a string with HTML
@@ -261,7 +303,7 @@ func appendFloat(dst []byte, f float64) []byte {
 // escaping on writes them: <, > and &, which can only stand inside a
 // string, become \u003c, \u003e and \u0026.
 func appendHTMLSafe(dst, b []byte) []byte {
-	if bytes.IndexByte(b, '<') < 0 && bytes.IndexByte(b, '>') < 0 && bytes.IndexByte(b, '&') < 0 {
+	if verbatim(b) {
 		return append(dst, b...)
 	}
 	for _, c := range b {

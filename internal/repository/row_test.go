@@ -48,8 +48,9 @@ var traceCases = []string{
 
 // FuzzResultRowJSON holds the results page's row encoder to encoding/json,
 // the oracle: for a row of arbitrary strings, seconds, creation time, extras
-// and span tree, Result.AppendJSON must append what json.NewEncoder writes
-// for the row, without the newline. The span tree's bytes go through
+// and span tree, Result.appendJSON must append what json.NewEncoder writes
+// for the row, without the newline, and the row sealed must pass
+// checkSealed. The span tree's bytes go through
 // TraceJSON.UnmarshalJSON, which must fail exactly when decoding them into
 // a *trace.QueryTrace fails, with the same error, and otherwise store that
 // trace's canonical encoding — bare and as a row field that may come twice.
@@ -115,9 +116,11 @@ func FuzzResultRowJSON(f *testing.F) {
 			return // a creation time no encoder writes (a year past 9999)
 		}
 		oracle := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
-		if row := r.AppendJSON([]byte("[")); !bytes.Equal(row[1:], oracle) || row[0] != '[' {
-			t.Fatalf("AppendJSON wrote\n%s\nencoding/json\n%s", row, oracle)
+		if row, _, _ := r.appendJSON([]byte("[")); !bytes.Equal(row[1:], oracle) || row[0] != '[' {
+			t.Fatalf("appendJSON wrote\n%s\nencoding/json\n%s", row, oracle)
 		}
+		r.seal()
+		checkSealed(t, r)
 	})
 }
 
@@ -139,15 +142,15 @@ func TestAppendJSONAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 0, 64<<10)
-	if allocs := testing.AllocsPerRun(100, func() { buf = r.AppendJSON(buf[:0]) }); allocs != 0 {
-		t.Fatalf("AppendJSON allocates %.0f times per row", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _, _ = r.appendJSON(buf[:0]) }); allocs != 0 {
+		t.Fatalf("appendJSON allocates %.0f times per row", allocs)
 	}
 	var want bytes.Buffer
 	if err := json.NewEncoder(&want).Encode(r); err != nil {
 		t.Fatal(err)
 	}
-	if got := append(r.AppendJSON(nil), '\n'); !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("AppendJSON wrote\n%s\nencoding/json\n%s", got, want.Bytes())
+	if got, _, _ := r.appendJSON(nil); !bytes.Equal(append(got, '\n'), want.Bytes()) {
+		t.Fatalf("appendJSON wrote\n%s\nencoding/json\n%s", got, want.Bytes())
 	}
 	if got := r.Trace.Decode(); got == nil || len(got.Spans) != 16 || !reflect.DeepEqual(EncodeTrace(got), r.Trace) {
 		t.Fatalf("the trace decodes as %+v", got)

@@ -762,8 +762,8 @@ func (p *pageWriter) finish(buf []byte) {
 
 // handleListResults answers the project's visible results as the bytes
 // json.NewEncoder wrote for them element by element — each row followed by
-// a newline — and no results as null. A row appends the extras and span
-// tree it holds (Result.AppendJSON) instead of being encoded again.
+// a newline — and no results as null. Each row copies the bytes it was
+// sealed into when it was stored (Result.JSON); nothing is encoded here.
 func (s *Server) handleListResults(w http.ResponseWriter, r *http.Request) {
 	p, viewer, ok := s.loadProject(w, r)
 	if !ok {
@@ -780,7 +780,7 @@ func (s *Server) handleListResults(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = page.flush(append(row.AppendJSON(buf), '\n'))
+		buf = page.flush(append(append(buf, row.JSON()...), '\n'))
 		if page.err != nil {
 			break
 		}
@@ -793,7 +793,7 @@ func (s *Server) handleResultsCSV(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	runs := s.projectRuns(p, viewer)
+	runs := projectRuns(p, s.store.Results(viewer, p.ID), nil, "")
 	w.Header().Set("Content-Type", "text/csv")
 	if err := analytics.WriteCSV(w, runs); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -991,20 +991,52 @@ func (s *Server) handleTaskComplete(w http.ResponseWriter, r *http.Request) {
 
 // --- analytics ------------------------------------------------------------------
 
-// projectRuns converts the visible results of a project into analytics runs,
-// one per result, targeted at its "dbms@platform" label; the runs of one
-// (DBMS, platform) pair share one label string.
-func (s *Server) projectRuns(p *repository.Project, viewer string) []analytics.Run {
+// experimentOf returns the experiment the analytics answers and the
+// history, trace and diff pages are about: the one ?experiment= names, or
+// the project's first when it names none — nil for a project without
+// experiments. Query ids are pool-local, so no answer mixes experiments.
+// ok is false once an error has been answered.
+func experimentOf(w http.ResponseWriter, r *http.Request, p *repository.Project) (exp *repository.Experiment, ok bool) {
+	v := r.URL.Query().Get("experiment")
+	if v == "" {
+		if len(p.Experiments) == 0 {
+			return nil, true
+		}
+		return p.Experiments[0], true
+	}
+	id, err := strconv.Atoi(v)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter experiment must be an experiment id"))
+		return nil, false
+	}
+	if exp = p.Experiment(id); exp == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %d", id))
+		return nil, false
+	}
+	return exp, true
+}
+
+// projectRuns converts the visible results of one experiment of a project
+// into analytics runs, one per result, targeted at its "dbms@platform"
+// label; the runs of one (DBMS, platform) pair share one label string. A
+// target that is not empty keeps only its runs. A nil exp takes every
+// experiment's results, as the CSV export lists them, which are none for a
+// project without experiments.
+func projectRuns(p *repository.Project, results []*repository.Result, exp *repository.Experiment, target string) []analytics.Run {
 	type pair struct{ dbms, platform string }
 	labels := map[pair]string{}
-	results := s.store.Results(viewer, p.ID)
-	runs := make([]analytics.Run, 0, len(results))
+	var runs []analytics.Run
 	for _, res := range results {
-		exp := p.Experiment(res.ExperimentID)
-		if exp == nil {
+		e := exp
+		if e == nil {
+			e = p.Experiment(res.ExperimentID)
+		} else if res.ExperimentID != e.ID {
 			continue
 		}
-		q := exp.Query(res.QueryID)
+		if e == nil || target != "" && !isTarget(res, target) {
+			continue
+		}
+		q := e.Query(res.QueryID)
 		if q == nil {
 			continue
 		}
@@ -1030,39 +1062,51 @@ func (s *Server) projectRuns(p *repository.Project, viewer string) []analytics.R
 	return runs
 }
 
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
+// isTarget reports whether the result's "dbms@platform" label is target,
+// without building the label.
+func isTarget(res *repository.Result, target string) bool {
+	d, p := res.DBMSKey, res.PlatformKey
+	return len(target) == len(d)+1+len(p) && target[:len(d)] == d && target[len(d)] == '@' && target[len(d)+1:] == p
+}
+
+// experimentRuns answers the analytics routes' common part: the project,
+// the experiment and the visible runs of target ("" for every target).
+func (s *Server) experimentRuns(w http.ResponseWriter, r *http.Request, target string) ([]analytics.Run, bool) {
 	p, viewer, ok := s.loadProject(w, r)
 	if !ok {
-		return
+		return nil, false
 	}
+	exp, ok := experimentOf(w, r, p)
+	if !ok {
+		return nil, false
+	}
+	return projectRuns(p, s.store.Results(viewer, p.ID), exp, target), true
+}
+
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	target := r.URL.Query().Get("target")
-	runs := s.projectRuns(p, viewer)
-	writeJSON(w, http.StatusOK, analytics.History(runs, target))
+	if runs, ok := s.experimentRuns(w, r, target); ok {
+		writeJSON(w, http.StatusOK, analytics.History(runs, target))
+	}
 }
 
 func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request) {
-	p, viewer, ok := s.loadProject(w, r)
-	if !ok {
-		return
-	}
 	target := r.URL.Query().Get("target")
-	runs := s.projectRuns(p, viewer)
-	writeJSON(w, http.StatusOK, analytics.Components(runs, target))
+	if runs, ok := s.experimentRuns(w, r, target); ok {
+		writeJSON(w, http.StatusOK, analytics.Components(runs, target))
+	}
 }
 
 func (s *Server) handleSpeedup(w http.ResponseWriter, r *http.Request) {
-	p, viewer, ok := s.loadProject(w, r)
-	if !ok {
-		return
-	}
 	base := r.URL.Query().Get("base")
 	other := r.URL.Query().Get("other")
-	runs := s.projectRuns(p, viewer)
-	writeJSON(w, http.StatusOK, analytics.Speedup(runs, base, other))
+	if runs, ok := s.experimentRuns(w, r, ""); ok {
+		writeJSON(w, http.StatusOK, analytics.Speedup(runs, base, other))
+	}
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	p, viewer, ok := s.loadProject(w, r)
+	runs, ok := s.experimentRuns(w, r, "")
 	if !ok {
 		return
 	}
@@ -1076,7 +1120,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	runs := s.projectRuns(p, viewer)
 	d, err := analytics.Diff(runs, a, b)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)

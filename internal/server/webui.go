@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 
 	"sqalpel/internal/analytics"
@@ -94,16 +95,12 @@ func (s *Server) registerWebUI() {
 		if !ok {
 			return
 		}
-		runs := s.projectRuns(p, viewer)
-		targets := map[string]bool{}
-		for _, run := range runs {
-			targets[run.Target] = true
+		exp, ok := experimentOf(w, r, p)
+		if !ok {
+			return
 		}
-		var names []string
-		for t := range targets {
-			names = append(names, t)
-		}
-		sort.Strings(names)
+		results := s.store.Results(viewer, p.ID)
+		names := targetNames(results, exp)
 		target := r.URL.Query().Get("target")
 		if target == "" && len(names) > 0 {
 			target = names[0]
@@ -113,7 +110,7 @@ func (s *Server) registerWebUI() {
 			Project: p,
 			Target:  target,
 			Targets: names,
-			Points:  analytics.History(runs, target),
+			Points:  analytics.History(projectRuns(p, results, exp, target), target),
 			Flush:   page.flush,
 		}))
 	})
@@ -128,19 +125,21 @@ func (s *Server) registerWebUI() {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
+		exp, ok := experimentOf(w, r, p)
+		if !ok {
+			return
+		}
 		// Latest traced result per target label; iteration order is insertion
 		// order, so later submissions win. Only the traces shown are decoded.
 		byLabel := map[string]repository.TraceJSON{}
 		sqlText := ""
 		for _, res := range s.store.Results(viewer, p.ID) {
-			if res.QueryID != qid || res.Trace == nil {
+			if exp == nil || res.ExperimentID != exp.ID || res.QueryID != qid || res.Trace == nil {
 				continue
 			}
 			byLabel[res.DBMSKey+"@"+res.PlatformKey] = res.Trace
-			if exp := p.Experiment(res.ExperimentID); exp != nil {
-				if q := exp.Query(res.QueryID); q != nil {
-					sqlText = q.SQL
-				}
+			if q := exp.Query(res.QueryID); q != nil {
+				sqlText = q.SQL
 			}
 		}
 		labels := make([]string, 0, len(byLabel))
@@ -180,7 +179,11 @@ func (s *Server) registerWebUI() {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		runs := s.projectRuns(p, viewer)
+		exp, ok := experimentOf(w, r, p)
+		if !ok {
+			return
+		}
+		runs := projectRuns(p, s.store.Results(viewer, p.ID), exp, "")
 		d, err := analytics.Diff(runs, idA, idB)
 		if err != nil {
 			writeError(w, http.StatusNotFound, err)
@@ -197,6 +200,25 @@ func (s *Server) registerWebUI() {
 		}
 		renderHTML(w, renderer.Diff(w, webui.DiffData{Project: p, Diff: d, SQLA: sqlA, SQLB: sqlB}))
 	})
+}
+
+// targetNames returns the sorted "dbms@platform" labels of the experiment's
+// results whose query is in its pool — the targets its history can show —
+// without building a run; none for a nil experiment.
+func targetNames(results []*repository.Result, exp *repository.Experiment) []string {
+	type pair struct{ dbms, platform string }
+	seen := map[pair]bool{}
+	var names []string
+	for _, res := range results {
+		key := pair{res.DBMSKey, res.PlatformKey}
+		if exp == nil || res.ExperimentID != exp.ID || seen[key] || exp.Query(res.QueryID) == nil {
+			continue
+		}
+		seen[key] = true
+		names = append(names, res.DBMSKey+"@"+res.PlatformKey)
+	}
+	sort.Strings(names)
+	return slices.Compact(names) // two pairs can make one label
 }
 
 // htmlPage is the content type of a page: what net/http sniffs from a
