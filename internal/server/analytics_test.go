@@ -3,9 +3,12 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"html"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,6 +16,9 @@ import (
 	"sqalpel/internal/repository"
 	"sqalpel/internal/trace"
 )
+
+// linkRE finds a project page row's history or trace link.
+var linkRE = regexp.MustCompile(`href="(/projects/[0-9]+/(?:history|trace)\?[^"]*)"`)
 
 // TestAnalyticsScopedToOneExperiment: query ids are pool-local, so the
 // analytics answers and the history, trace and diff pages show one
@@ -124,6 +130,40 @@ func TestAnalyticsScopedToOneExperiment(t *testing.T) {
 	}
 	if history := get(page+"/history?"+second, http.StatusOK); !strings.Contains(history, "x@laptop y@laptop") {
 		t.Errorf("the second experiment's history does not offer both its targets:\n%s", history)
+	}
+	// The project page's links carry their row's experiment: each result's
+	// trace link shows its own experiment's SQL, and each experiment's
+	// history link offers that experiment's targets.
+	tables := map[string]string{strconv.Itoa(eids[0]): "a FROM t1", strconv.Itoa(eids[1]): "b FROM t2"}
+	followed := map[string]int{}
+	for _, row := range strings.Split(get(page, http.StatusOK), "<tr><td>")[1:] {
+		href := linkRE.FindStringSubmatch(row)
+		if href == nil {
+			continue
+		}
+		link := html.UnescapeString(href[1])
+		switch cells := strings.Split(row, "</td><td>"); {
+		case strings.Contains(link, "/trace?"):
+			eid, shown := cells[1], get(link, http.StatusOK)
+			for e, table := range tables {
+				if strings.Contains(shown, "SELECT "+table) != (e == eid) {
+					t.Errorf("the trace link %s of a result of experiment %s does not show its query alone:\n%s", link, eid, shown)
+				}
+			}
+			followed["trace "+eid]++
+		case strings.Contains(link, "/history?"):
+			eid, shown := cells[0], get(link, http.StatusOK)
+			if both := strings.Contains(shown, "x@laptop y@laptop"); both != (eid == strconv.Itoa(eids[1])) {
+				t.Errorf("the history link %s of experiment %s offers the wrong targets:\n%s", link, eid, shown)
+			}
+			followed["history "+eid]++
+		}
+	}
+	if want := map[string]int{
+		"trace " + strconv.Itoa(eids[0]): 2, "trace " + strconv.Itoa(eids[1]): 2,
+		"history " + strconv.Itoa(eids[0]): 1, "history " + strconv.Itoa(eids[1]): 1,
+	}; !reflect.DeepEqual(followed, want) {
+		t.Errorf("followed the project page's links %v, want %v", followed, want)
 	}
 	get(page+"/history?experiment=99", http.StatusNotFound)
 	get(page+"/trace?experiment=1x&query=1", http.StatusBadRequest)

@@ -123,11 +123,13 @@ func TestPoolPageGolden(t *testing.T) {
 }
 
 // TestHistoryPageGolden pins the history pages of the fixture — the default
-// target, explicit ones (a hostile label among them), a target without runs
-// and a project without results — to testdata/history_page.golden, written
-// by html/template before the page was appended.
+// target, explicit ones (a hostile label among them), a target without runs,
+// a project without results and the second experiment's page — to
+// testdata/history_page.golden, written by html/template before the page was
+// appended; the second experiment's rows are the ones the page showed merged
+// into the first's before it was scoped to one experiment.
 func TestHistoryPageGolden(t *testing.T) {
-	srv, pid, emptyPID, _ := pagesFixture(t)
+	srv, pid, emptyPID, eids := pagesFixture(t)
 	history := fmt.Sprintf("/projects/%d/history", pid)
 	pagesGolden(t, srv, "history_page.golden", []string{
 		history,
@@ -135,6 +137,7 @@ func TestHistoryPageGolden(t *testing.T) {
 		history + "?target=" + url.QueryEscape("tuple<store>&@cloud 'x' "+hostile),
 		history + "?target=" + url.QueryEscape("none+<b>"),
 		fmt.Sprintf("/projects/%d/history", emptyPID),
+		fmt.Sprintf("%s?experiment=%d&target=vektor-2.0@laptop", history, eids[1]),
 	})
 }
 

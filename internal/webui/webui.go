@@ -181,13 +181,13 @@ var pages = map[string]string{
 {{range .Project.Experiments}}<tr><td>{{.ID}}</td><td>{{.Title}}</td><td>{{len .Queries}}</td>
 <td><a href="/projects/{{$pid}}/experiments/{{.ID}}/grammar">grammar</a>
 <a href="/projects/{{$pid}}/experiments/{{.ID}}/pool">pool</a>
-<a href="/projects/{{$pid}}/history">history</a></td></tr>{{end}}
+<a href="/projects/{{$pid}}/history?experiment={{.ID}}">history</a></td></tr>{{end}}
 </table>
 <h2>Results ({{len .Results}})</h2>
 <table><tr><th>id</th><th>experiment</th><th>query</th><th>dbms</th><th>platform</th><th>best time (s)</th><th>trace</th><th>error</th></tr>
 {{range .Results}}<tr><td>{{.ID}}</td><td>{{.ExperimentID}}</td><td>{{.QueryID}}</td><td>{{.DBMSKey}}</td><td>{{.PlatformKey}}</td>
 <td>{{if .Failed}}<span class="error">—</span>{{else}}{{seconds .MinSeconds}}{{end}}</td>
-<td>{{if .Trace}}<a href="/projects/{{$pid}}/trace?query={{.QueryID}}">trace</a>{{end}}</td><td>{{.Error}}</td></tr>{{end}}
+<td>{{if .Trace}}<a href="/projects/{{$pid}}/trace?query={{.QueryID}}&amp;experiment={{.ExperimentID}}">trace</a>{{end}}</td><td>{{.Error}}</td></tr>{{end}}
 </table>
 <h2>Execution queue</h2>
 <table><tr><th>task</th><th>query</th><th>dbms</th><th>platform</th><th>status</th></tr>
