@@ -142,8 +142,9 @@ func TestHistoryPageGolden(t *testing.T) {
 }
 
 // TestPoolPageAllocsDoNotScaleWithQueries: serving the pool page of 1,000
-// queries allocates as often as serving one of 10 — the page is appended
-// into a pooled buffer, with nothing allocated per row.
+// queries allocates as often as serving one of 10 — the head and foot are
+// appended into a pooled buffer, and the rows kept since the first view are
+// sent as they are.
 func TestPoolPageAllocsDoNotScaleWithQueries(t *testing.T) {
 	allocs := map[int]float64{}
 	for _, n := range []int{10, 1000} {

@@ -7,13 +7,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"sqalpel/internal/derive"
 	"sqalpel/internal/pool"
+	"sqalpel/internal/repository"
 	"sqalpel/internal/workload"
 )
 
@@ -186,13 +190,44 @@ func TestRebuiltPoolDoesNotOverwriteGrownPool(t *testing.T) {
 }
 
 // TestPoolPagesBesideGrows reads the pool page and the queries API of an
-// experiment while its owner grows the pool: 20 grows beside 200 reads. A
-// page must never read the project the store is changing — run under -race.
+// experiment from two readers while its owner grows the pool: 20 grows
+// beside 200 reads. A page must never read the project the store is
+// changing, nor the rows another reader keeps — run under -race — and must
+// show as many rows as its header counts queries, the last of them the
+// query of that number: one pool's header never heads another pool's rows.
 func TestPoolPagesBesideGrows(t *testing.T) {
 	c, _, s, pid, eids := q1Experiments(t, 1)
 	growURL := fmt.Sprintf("/api/projects/%d/experiments/%d/grow", pid, eids[0])
+	counted := regexp.MustCompile(`<p>(\d+) queries\.`)
+	read := func(reader, i int) {
+		path := fmt.Sprintf("/projects/%d/experiments/%d/pool", pid, eids[0])
+		if i%2 == 1 {
+			path = fmt.Sprintf("/api/projects/%d/experiments/%d/queries", pid, eids[0])
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Errorf("reader %d: GET %s = %d", reader, path, w.Code)
+			return
+		}
+		if i%2 == 1 {
+			return
+		}
+		page := w.Body.String()
+		m := counted.FindStringSubmatch(page)
+		if m == nil {
+			t.Errorf("reader %d, read %d: the pool page has no query count", reader, i)
+			return
+		}
+		n, _ := strconv.Atoi(m[1])
+		rows := strings.Count(page, "<tr><td>")
+		last := strings.LastIndex(page, "<tr><td>")
+		if rows != n || !strings.HasPrefix(page[last:], fmt.Sprintf("<tr><td>%d</td>", n)) {
+			t.Errorf("reader %d, read %d: the page counts %d queries and shows %d rows, the last %.20q", reader, i, n, rows, page[last:])
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
@@ -206,16 +241,103 @@ func TestPoolPagesBesideGrows(t *testing.T) {
 			}
 		}
 	}()
-	for i := 0; i < 200; i++ {
-		path := fmt.Sprintf("/projects/%d/experiments/%d/pool", pid, eids[0])
-		if i%2 == 1 {
-			path = fmt.Sprintf("/api/projects/%d/experiments/%d/queries", pid, eids[0])
-		}
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
-		if w.Code != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, w.Code)
-		}
+	for reader := 0; reader < 2; reader++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				read(reader, i)
+			}
+		}()
 	}
 	wg.Wait()
+}
+
+// poolPage serves an experiment's pool page on srv.
+func poolPage(t *testing.T, srv http.Handler, pid, eid int) string {
+	t.Helper()
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/projects/%d/experiments/%d/pool", pid, eid), nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("pool page = %d %s", w.Code, w.Body)
+	}
+	return w.Body.String()
+}
+
+// TestPoolPageFollowsPool: a server that has served an experiment's pool
+// page serves what a fresh server over the same store serves after the
+// pool is grown, replaced by as many queries with other SQL, appended to,
+// and after the store is closed and opened again — each a new page.
+func TestPoolPageFollowsPool(t *testing.T) {
+	dir := t.TempDir()
+	store, err := repository.Open(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	s := New(Options{Store: store})
+	c := &testClient{t: t, srv: httptest.NewServer(s)}
+	t.Cleanup(c.srv.Close)
+	c.token = c.register("owner", "owner@example.org")
+	status, resp := c.do("POST", "/api/projects", map[string]any{"name": "q1-space", "public": true})
+	if status != http.StatusCreated {
+		t.Fatalf("create project = %d %v", status, resp)
+	}
+	pid := int(resp["project"].(map[string]any)["id"].(float64))
+	q1, _ := workload.TPCHQuery("Q1")
+	status, resp = c.do("POST", fmt.Sprintf("/api/projects/%d/experiments", pid), map[string]any{"title": "q1", "baseline_sql": q1.SQL})
+	if status != http.StatusCreated {
+		t.Fatalf("create experiment = %d %v", status, resp)
+	}
+	eid := int(resp["experiment_id"].(float64))
+
+	page := poolPage(t, s, pid, eid)
+	check := func(step string) {
+		t.Helper()
+		got := poolPage(t, s, pid, eid)
+		if want := poolPage(t, New(Options{Store: store}), pid, eid); got != want {
+			t.Fatalf("after %s the page differs from a fresh server's:\n%s\nwant\n%s", step, got, want)
+		}
+		if got == page {
+			t.Fatalf("after %s the page did not change", step)
+		}
+		page = got
+	}
+	queries := func() []repository.QueryRecord { return store.Project(pid).Experiment(eid).Queries }
+	appendOne := func() {
+		t.Helper()
+		n := len(queries())
+		if err := store.AppendQueries("owner", pid, eid, []repository.QueryRecord{{ID: n + 1, SQL: fmt.Sprintf("SELECT %d", n), Strategy: "alter", ParentID: n}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if status, resp := c.do("POST", fmt.Sprintf("/api/projects/%d/experiments/%d/grow", pid, eid), map[string]any{"count": 5}); status != http.StatusOK {
+		t.Fatalf("grow = %d %v", status, resp)
+	}
+	check("a grow")
+
+	replaced := slices.Clone(queries())
+	for i := range replaced {
+		replaced[i].SQL += " -- replaced"
+	}
+	if err := store.ReplaceQueries("owner", pid, eid, replaced); err != nil {
+		t.Fatal(err)
+	}
+	check("a replacement by as many queries")
+
+	appendOne()
+	check("an append")
+
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store, err = repository.Open(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	s = New(Options{Store: store})
+	if got := poolPage(t, s, pid, eid); got != page {
+		t.Fatalf("after a restart the page differs from the one before:\n%s\nwant\n%s", got, page)
+	}
+	appendOne()
+	check("an append after a restart")
 }

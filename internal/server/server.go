@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"sqalpel/internal/analytics"
 	"sqalpel/internal/catalog"
@@ -37,7 +38,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]string    // token -> nickname
-	pools    map[string]*livePool // "projectID:experimentID" -> live pool
+	pools    map[poolID]*livePool // an experiment's live pool
 
 	mux *http.ServeMux
 	// logf reports a handler's panic; tests capture it.
@@ -60,7 +61,7 @@ func New(opts Options) *Server {
 		store:    opts.Store,
 		catalog:  opts.Catalog,
 		sessions: map[string]string{},
-		pools:    map[string]*livePool{},
+		pools:    map[poolID]*livePool{},
 		mux:      http.NewServeMux(),
 		logf:     log.Printf,
 	}
@@ -532,17 +533,13 @@ func (s *Server) handleAddExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	s.pools[poolKey(id, exp.ID)] = &livePool{pool: pl}
+	s.pools[poolID{id, exp.ID}] = &livePool{pool: pl}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"experiment_id": exp.ID,
 		"grammar_text":  g.String(),
 		"query_count":   pl.Size(),
 	})
-}
-
-func poolKey(projectID, experimentID int) string {
-	return fmt.Sprintf("%d:%d", projectID, experimentID)
 }
 
 // poolRecords renders the pool as the repository stores it. A query's terms
@@ -559,20 +556,26 @@ func poolRecords(pl *pool.Pool) []repository.QueryRecord {
 	return out
 }
 
+// poolID names an experiment's live pool.
+type poolID struct{ project, experiment int }
+
 // livePool is the in-memory pool of one experiment. A pool.Pool is not safe
 // for concurrent mutation, and a grow request is a steering change, growth
 // and a ReplaceQueries of the whole pool that must reach the store in the
-// order they happened: mu serialises the requests of one experiment.
+// order they happened: mu serialises the requests of one experiment. rows
+// holds the pool page's rows of the stored pool last shown, read without mu.
 type livePool struct {
 	mu   sync.Mutex
 	pool *pool.Pool // nil until the first request after a restart rebuilds it
+	rows atomic.Pointer[poolRows]
 }
 
 // livePool returns the experiment's live pool record, creating an empty one
-// when the server was restarted since the experiment was created; the
-// caller locks it and calls rebuild before use.
+// when the server was restarted since the experiment was created. A grow
+// locks it and calls rebuild before using its pool; the pool page reads
+// only its rows.
 func (s *Server) livePool(projectID, experimentID int) *livePool {
-	key := poolKey(projectID, experimentID)
+	key := poolID{projectID, experimentID}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lp := s.pools[key]
@@ -709,9 +712,10 @@ func (s *Server) handleListQueries(w http.ResponseWriter, r *http.Request) {
 // --- results, comments, tasks ------------------------------------------------
 
 // pageFlushBytes is about how much of a page whose rows scale — results,
-// pool, history — is handed to the connection at once. Such a page is
-// never built whole: a project's runs to megabytes, and a buffer that size
-// per request costs GC cycles (EXPERIMENTS "Incremental checkpoints").
+// history — is handed to the connection at once. Such a page is never
+// built whole: a project's runs to megabytes, and a buffer that size per
+// request costs GC cycles (EXPERIMENTS "Incremental checkpoints"). The
+// pool page sends its kept rows as they are, between its head and foot.
 const pageFlushBytes = 64 << 10
 
 // pageBuffers hold those pages' buffers between requests.
@@ -722,7 +726,7 @@ var pageBuffers = sync.Pool{New: func() any {
 
 // A pageWriter answers 200 with a page appended into a buffer of
 // pageBuffers, handing it to the connection in pieces of about
-// pageFlushBytes.
+// pageFlushBytes, or around bytes kept elsewhere (send).
 type pageWriter struct {
 	w   http.ResponseWriter
 	bp  *[]byte
@@ -747,6 +751,18 @@ func (p *pageWriter) flush(buf []byte) []byte {
 	}
 	if p.err == nil {
 		_, p.err = p.w.Write(buf)
+	}
+	return buf[:0]
+}
+
+// send writes the page so far and then b, which is not copied, and returns
+// the buffer to go on appending to. After a failed write it writes nothing.
+func (p *pageWriter) send(buf, b []byte) []byte {
+	if p.err == nil {
+		_, p.err = p.w.Write(buf)
+	}
+	if p.err == nil {
+		_, p.err = p.w.Write(b)
 	}
 	return buf[:0]
 }

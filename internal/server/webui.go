@@ -86,8 +86,10 @@ func (s *Server) registerWebUI() {
 			http.NotFound(w, r)
 			return
 		}
+		rows := s.livePool(p.ID, exp.ID).pageRows(exp.Queries)
 		page, buf := startPage(w, htmlPage)
-		page.finish(webui.AppendPool(buf, webui.PoolData{Project: p, Experiment: exp, Flush: page.flush}))
+		buf = page.send(webui.AppendPoolHead(buf, webui.PoolData{Project: p, Experiment: exp}), rows)
+		page.finish(append(buf, webui.TableFoot...))
 	})
 
 	s.mux.HandleFunc("GET /projects/{id}/history", func(w http.ResponseWriter, r *http.Request) {
@@ -107,11 +109,12 @@ func (s *Server) registerWebUI() {
 		}
 		page, buf := startPage(w, htmlPage)
 		page.finish(webui.AppendHistory(buf, webui.HistoryData{
-			Project: p,
-			Target:  target,
-			Targets: names,
-			Points:  analytics.History(projectRuns(p, results, exp, target), target),
-			Flush:   page.flush,
+			Project:    p,
+			Experiment: exp,
+			Target:     target,
+			Targets:    names,
+			Points:     analytics.History(projectRuns(p, results, exp, target), target),
+			Flush:      page.flush,
 		}))
 	})
 
@@ -200,6 +203,29 @@ func (s *Server) registerWebUI() {
 		}
 		renderHTML(w, renderer.Diff(w, webui.DiffData{Project: p, Diff: d, SQLA: sqlA, SQLB: sqlB}))
 	})
+}
+
+// poolRows are the pool page's rows built from one stored pool value.
+// Holding queries keeps its backing array alive, so no later pool can be
+// allocated at the same address.
+type poolRows struct {
+	queries []repository.QueryRecord
+	rows    []byte
+}
+
+// pageRows returns the pool page's rows for queries, the experiment's
+// stored pool: the kept ones when they were built from the same value,
+// freshly built and kept otherwise. A stored pool is replaced or appended
+// to, never changed in place, so the same backing array and length mean
+// the same queries.
+func (lp *livePool) pageRows(queries []repository.QueryRecord) []byte {
+	if kept := lp.rows.Load(); kept != nil && len(kept.queries) == len(queries) &&
+		(len(queries) == 0 || &kept.queries[0] == &queries[0]) {
+		return kept.rows
+	}
+	built := &poolRows{queries: queries, rows: webui.AppendPoolRows(nil, queries)}
+	lp.rows.Store(built)
+	return built.rows
 }
 
 // targetNames returns the sorted "dbms@platform" labels of the experiment's

@@ -3,12 +3,15 @@ package webui
 import (
 	"math"
 	"strconv"
+
+	"sqalpel/internal/repository"
 )
 
-// AppendPool appends the query pool page to dst, one row per query of the
-// experiment: byte for byte what html/template writes for the page's
-// template, which append_test.go keeps as the oracle.
-func AppendPool(dst []byte, data PoolData) []byte {
+// AppendPoolHead appends the query pool page up to its rows to dst. The
+// page is that head, what AppendPoolRows appends for the experiment's
+// queries, and TableFoot: byte for byte what html/template writes for the
+// page's template, which append_test.go keeps as the oracle.
+func AppendPoolHead(dst []byte, data PoolData) []byte {
 	exp := data.Experiment
 	dst = append(dst, layoutHead+"\n<h1>Query pool — "...)
 	dst = appendHTML(dst, data.Project.Name)
@@ -16,12 +19,17 @@ func AppendPool(dst []byte, data PoolData) []byte {
 	dst = appendHTML(dst, exp.Title)
 	dst = append(dst, "</h1>\n<p>"...)
 	dst = strconv.AppendInt(dst, int64(len(exp.Queries)), 10)
-	dst = append(dst, ` queries. Strategies: <span class="strategy-alter">alter</span>,
+	return append(dst, ` queries. Strategies: <span class="strategy-alter">alter</span>,
 <span class="strategy-expand">expand</span>, <span class="strategy-prune">prune</span>.</p>
 <table><tr><th>id</th><th>strategy</th><th>parent</th><th>components</th><th>query</th></tr>
 `...)
-	for i := range exp.Queries {
-		q := &exp.Queries[i]
+}
+
+// AppendPoolRows appends the pool page's rows to dst, one per query. They
+// change only with the pool, so a caller keeps them between pages.
+func AppendPoolRows(dst []byte, queries []repository.QueryRecord) []byte {
+	for i := range queries {
+		q := &queries[i]
 		dst = append(dst, "<tr><td>"...)
 		dst = strconv.AppendInt(dst, int64(q.ID), 10)
 		dst = append(dst, "</td>"...)
@@ -33,12 +41,12 @@ func AppendPool(dst []byte, data PoolData) []byte {
 		dst = append(dst, "</td><td><code>"...)
 		dst = appendHTML(dst, q.SQL)
 		dst = append(dst, "</code></td></tr>"...)
-		if data.Flush != nil {
-			dst = data.Flush(dst)
-		}
 	}
-	return append(dst, "\n</table>\n"+layoutFoot...)
+	return dst
 }
+
+// TableFoot closes an appended page after its rows.
+const TableFoot = "\n</table>\n" + layoutFoot
 
 // AppendHistory appends the experiment history page to dst, one row per
 // point: byte for byte what html/template writes for the page's template,
@@ -46,6 +54,10 @@ func AppendPool(dst []byte, data PoolData) []byte {
 func AppendHistory(dst []byte, data HistoryData) []byte {
 	dst = append(dst, layoutHead+"\n<h1>Experiment history — "...)
 	dst = appendHTML(dst, data.Project.Name)
+	if data.Experiment != nil {
+		dst = append(dst, " / "...)
+		dst = appendHTML(dst, data.Experiment.Title)
+	}
 	dst = append(dst, "</h1>\n<p>target: <b>"...)
 	dst = appendHTML(dst, data.Target)
 	dst = append(dst, "</b>"...)
@@ -82,7 +94,7 @@ func AppendHistory(dst []byte, data HistoryData) []byte {
 			dst = data.Flush(dst)
 		}
 	}
-	return append(dst, "\n</table>\n"+layoutFoot...)
+	return append(dst, TableFoot...)
 }
 
 // appendStrategy appends a strategy cell, coloured by its class.

@@ -27,7 +27,7 @@ var templatedPages = map[string]string{
 {{template "layout_foot" .}}`,
 
 	"history": `{{template "layout_head" .}}
-<h1>Experiment history — {{.Project.Name}}</h1>
+<h1>Experiment history — {{.Project.Name}}{{with .Experiment}} / {{.Title}}{{end}}</h1>
 <p>target: <b>{{.Target}}</b>{{if .Targets}} (available: {{range .Targets}}{{.}} {{end}}){{end}}</p>
 <table><tr><th>#</th><th>query</th><th>morphed from</th><th>strategy</th><th>components</th><th>time (s)</th></tr>
 {{range .Points}}<tr><td>{{.Seq}}</td><td>{{.QueryID}}</td><td>{{if .ParentID}}{{.ParentID}}{{end}}</td>
@@ -68,6 +68,12 @@ func execute(t testing.TB, set *template.Template, name string, data any) string
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// poolPage is the pool page as a server writes it: the head, the rows and
+// the foot.
+func poolPage(data PoolData) string {
+	return string(AppendPoolRows(AppendPoolHead(nil, data), data.Experiment.Queries)) + TableFoot
 }
 
 // escapeSeeds are strings with every byte html/template rewrites, invalid
@@ -132,10 +138,10 @@ func randomText(rng *rand.Rand) string {
 
 // TestAppendedPagesMatchTemplates renders random pools and histories —
 // hostile text everywhere, ids and parents of every sign, timed and failed
-// points, with and without targets — through the appenders and through the
-// templates they replaced, which must agree byte for byte. Every page is
-// appended a second time through a Flush that takes each piece away; the
-// pieces must make up the same page.
+// points, with and without targets and experiments — through the appenders
+// and through the templates they replaced, which must agree byte for byte.
+// Every history page is appended a second time through a Flush that takes
+// each piece away; the pieces must make up the same page.
 func TestAppendedPagesMatchTemplates(t *testing.T) {
 	set := oracle(t)
 	rng := rand.New(rand.NewSource(7))
@@ -143,6 +149,9 @@ func TestAppendedPagesMatchTemplates(t *testing.T) {
 		p := &repository.Project{Name: randomText(rng)}
 		exp := &repository.Experiment{Title: randomText(rng)}
 		hist := HistoryData{Project: p, Target: randomText(rng)}
+		if rng.Intn(4) > 0 {
+			hist.Experiment = exp
+		}
 		for n := rng.Intn(3); n > 0; n-- {
 			hist.Targets = append(hist.Targets, randomText(rng))
 		}
@@ -158,7 +167,7 @@ func TestAppendedPagesMatchTemplates(t *testing.T) {
 			})
 		}
 		pool := PoolData{Project: p, Experiment: exp}
-		if got, want := string(AppendPool(nil, pool)), execute(t, set, "pool", pool); got != want {
+		if got, want := poolPage(pool), execute(t, set, "pool", pool); got != want {
 			t.Fatalf("pool page %d:\n%q\nthe template writes\n%q", i, got, want)
 		}
 		if got, want := string(AppendHistory(nil, hist)), execute(t, set, "history", hist); got != want {
@@ -170,12 +179,11 @@ func TestAppendedPagesMatchTemplates(t *testing.T) {
 			pieces.Write(b)
 			return b[:0]
 		}
-		pool.Flush, hist.Flush = flush, flush
-		pieces.Write(AppendPool(nil, pool))
+		hist.Flush = flush
 		pieces.Write(AppendHistory(nil, hist))
-		pool.Flush, hist.Flush = nil, nil
-		if want := string(AppendPool(nil, pool)) + string(AppendHistory(nil, hist)); pieces.String() != want {
-			t.Fatalf("pages %d written in pieces differ from the whole pages", i)
+		hist.Flush = nil
+		if want := string(AppendHistory(nil, hist)); pieces.String() != want {
+			t.Fatalf("history page %d written in pieces differs from the whole page", i)
 		}
 	}
 }

@@ -8,10 +8,11 @@
 // prototype; no JavaScript framework is required to inspect a project.
 //
 // A page whose rows grow with the pool or the results — the pool page and
-// the history page — is appended (AppendPool, AppendHistory): its bytes are
-// the ones html/template wrote for it, produced with strconv and one escaper,
-// appendHTML, instead of a reflective escaper call per field and row. The
-// pages of fixed size stay templates executed by a Renderer.
+// the history page — is appended (AppendPoolHead, AppendPoolRows,
+// AppendHistory): its bytes are the ones html/template wrote for it,
+// produced with strconv and one escaper, appendHTML, instead of a
+// reflective escaper call per field and row. The pages of fixed size stay
+// templates executed by a Renderer.
 package webui
 
 import (
@@ -81,19 +82,20 @@ type GrammarData struct {
 type PoolData struct {
 	Project    *repository.Project
 	Experiment *repository.Experiment
-	// Flush, when set, is handed the page after each row and returns the
-	// buffer the page goes on in: a caller that writes the page out in
-	// pieces does so there.
-	Flush func([]byte) []byte
 }
 
 // HistoryData feeds the experiment history page.
 type HistoryData struct {
 	Project *repository.Project
-	Target  string
-	Targets []string
-	Points  []analytics.HistoryPoint
-	// Flush is as in PoolData.
+	// Experiment is the one whose points are shown; nil for a project
+	// without experiments.
+	Experiment *repository.Experiment
+	Target     string
+	Targets    []string
+	Points     []analytics.HistoryPoint
+	// Flush, when set, is handed the page after each row and returns the
+	// buffer the page goes on in: a caller that writes the page out in
+	// pieces does so there.
 	Flush func([]byte) []byte
 }
 

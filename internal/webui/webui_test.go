@@ -81,7 +81,7 @@ func TestRenderAllPages(t *testing.T) {
 		t.Error("grammar page missing the grammar text")
 	}
 
-	pool := string(AppendPool(nil, PoolData{Project: p, Experiment: p.Experiments[0]}))
+	pool := poolPage(PoolData{Project: p, Experiment: p.Experiments[0]})
 	if !strings.Contains(pool, "strategy-alter") {
 		t.Error("pool page missing strategy colouring")
 	}
@@ -119,7 +119,8 @@ func TestRenderAllPages(t *testing.T) {
 func TestTemplatesEscapeHTML(t *testing.T) {
 	p := sampleProject()
 	p.Experiments[0].Queries[0].SQL = "SELECT '<script>alert(1)</script>' FROM lineitem"
-	if strings.Contains(string(AppendPool(nil, PoolData{Project: p, Experiment: p.Experiments[0]})), "<script>alert(1)</script>") {
+	pool := poolPage(PoolData{Project: p, Experiment: p.Experiments[0]})
+	if !strings.Contains(pool, "&lt;script&gt;") || strings.Contains(pool, "<script>alert(1)</script>") {
 		t.Error("query text must be HTML-escaped")
 	}
 }
