@@ -3,6 +3,9 @@ package repository
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
+	"strings"
+	"unicode/utf8"
 )
 
 // Extras is a result's extra indicators — the open-ended key/value list a
@@ -26,12 +29,59 @@ func EncodeExtras(m map[string]string) Extras {
 	if len(m) == 0 {
 		return nil
 	}
-	return Extras(canonicalJSON(m))
+	return Extras(canonicalJSON(validMap(m)))
+}
+
+// validMap returns m, or a copy with its invalid UTF-8 replaced (validUTF8)
+// when it holds any. Of two keys that become one, the greater wins, as when
+// the object encoding/json writes for m is decoded.
+func validMap(m map[string]string) map[string]string {
+	valid := true
+	//lint:ordered whether every entry is valid UTF-8 does not depend on the order
+	for k, v := range m {
+		valid = valid && utf8.ValidString(k) && utf8.ValidString(v)
+	}
+	if valid {
+		return m
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make(map[string]string, len(m))
+	for _, k := range keys {
+		out[validUTF8(k)] = validUTF8(m[k])
+	}
+	return out
+}
+
+// validUTF8 returns s with each byte that is not part of valid UTF-8
+// replaced by U+FFFD — one per byte, where encoding/json writes \ufffd
+// (strings.ToValidUTF8 writes one per run). Stored bytes hold U+FFFD itself,
+// not the escape: the escape decodes to U+FFFD and is written as U+FFFD
+// when a recovered row is encoded again, so a row whose strings were
+// replaced keeps its bytes across a restart.
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b.WriteString("\uFFFD")
+		} else {
+			b.WriteString(s[i : i+size])
+		}
+		i += size
+	}
+	return b.String()
 }
 
 // canonicalJSON is what a json.Encoder with SetEscapeHTML(false) writes for
 // v, without the trailing newline: the bytes a row holds for its extras and
-// its span tree.
+// its span tree. Its callers replace invalid UTF-8 in v first (validUTF8).
 func canonicalJSON(v any) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

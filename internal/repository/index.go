@@ -1,6 +1,7 @@
 package repository
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -32,11 +33,19 @@ type expIndex struct {
 	lanes map[laneKey]*lane
 }
 
-// lane is the covered set of one (experiment, DBMS, platform) combination.
+// lane is the covered set of one (experiment, DBMS, platform) combination,
+// and its result rows.
 type lane struct {
 	// dbms and platform are the copies of the keys that the lane's tasks and
 	// results alias: decoding a record allocates each string anew.
 	dbms, platform string
+	// label is the lane's target label, "dbms@platform"; two lanes of an
+	// experiment may have one (DBMS "a@b" on "c", DBMS "a" on "b@c").
+	label string
+	// rows are the lane's results in the order of the shard's results,
+	// kept in step with them by indexResult and moderation. The slice is
+	// the lane's own: the read methods hand out copies.
+	rows []*Result
 	// cover counts, per query id, the results and the active (running or
 	// done) tasks that occupy the slot; a query is free at zero.
 	cover map[int]int32
@@ -60,7 +69,7 @@ func (x *expIndex) lane(dbms, platform string) *lane {
 	k := laneKey{dbms, platform}
 	ln := x.lanes[k]
 	if ln == nil {
-		ln = &lane{dbms: dbms, platform: platform, cover: map[int]int32{}}
+		ln = &lane{dbms: dbms, platform: platform, label: dbms + "@" + platform, cover: map[int]int32{}}
 		x.lanes[k] = ln
 	}
 	return ln
@@ -112,16 +121,34 @@ func (sh *shard) indexQueries(projectID int, e *Experiment, from int) {
 	}
 }
 
-// indexResult adds a result row to the shard, sealed, and counts it on its
-// lane.
+// indexResult adds a result row to the shard, sealed into its project's
+// arena, and counts and lists it on its lane.
 func (sh *shard) indexResult(r *Result) {
 	ln := sh.expIndexFor(r.ProjectID, r.ExperimentID).lane(r.DBMSKey, r.PlatformKey)
 	r.DBMSKey, r.PlatformKey = ln.dbms, ln.platform
 	r.ContributorKey = sh.store.canonicalKey(r.ContributorKey)
-	r.seal()
+	r.seal(sh.arenaFor(r.ProjectID))
 	ln.cover[r.QueryID]++
+	ln.rows = append(ln.rows, r)
 	sh.results = append(sh.results, r)
 	raise(&sh.store.nextResultID, r.ID)
+}
+
+// arenaFor returns the arena of a project's rows, creating it on first use.
+func (sh *shard) arenaFor(projectID int) *arena {
+	a := sh.arenas[projectID]
+	if a == nil {
+		a = new(arena)
+		sh.arenas[projectID] = a
+	}
+	return a
+}
+
+// laneRow returns the lane of a stored row and the row's position in the
+// lane's rows.
+func (sh *shard) laneRow(r *Result) (*lane, int) {
+	ln := sh.expIndexFor(r.ProjectID, r.ExperimentID).lane(r.DBMSKey, r.PlatformKey)
+	return ln, slices.Index(ln.rows, r)
 }
 
 // indexTask adds a task to the shard: its route, its claim on the slot while

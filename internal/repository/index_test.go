@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -58,9 +59,10 @@ func oracleOverdue(sh *shard, now time.Time) []int {
 }
 
 // checkIndexes compares every index of the store with what the scans derive
-// from the rows: covered sets, cursors, the running sets, both routes — and
-// that no slot has two leases running at time now (a restart brings an
-// expired lease back as running until the next sweep: expiry is not logged).
+// from the rows: covered sets, cursors, the running sets, both routes, the
+// lanes' rows and where the rows stand in their arenas — and that no slot
+// has two leases running at time now (a restart brings an expired lease back
+// as running until the next sweep: expiry is not logged).
 func checkIndexes(t *testing.T, s *Store, lanes []laneKey, now time.Time) {
 	t.Helper()
 	for _, sh := range s.shards {
@@ -94,6 +96,30 @@ func checkIndexes(t *testing.T, s *Store, lanes []laneKey, now time.Time) {
 		for id := range sh.running {
 			if !running[id] {
 				t.Fatalf("shard %d: task %d is in the running set but is %s", sh.idx, id, sh.tasks[id].Status)
+			}
+		}
+		// Every lane lists the shard's rows of its experiment, DBMS and
+		// platform in shard order, and every row's sealed bytes are
+		// followed by rowSep in its arena block.
+		laneRows := map[*lane][]*Result{}
+		for _, r := range sh.results {
+			var ln *lane
+			if x := sh.exps[expKey{r.ProjectID, r.ExperimentID}]; x != nil {
+				ln = x.lanes[laneKey{r.DBMSKey, r.PlatformKey}]
+			}
+			if ln == nil {
+				t.Fatalf("shard %d: result %d has no lane", sh.idx, r.ID)
+			}
+			laneRows[ln] = append(laneRows[ln], r)
+			if end := r.end + len(rowSep); end > len(r.blk.buf) || string(r.blk.buf[r.end:end]) != rowSep {
+				t.Fatalf("shard %d: result %d is not followed by %q in its block", sh.idx, r.ID, rowSep)
+			}
+		}
+		for k, x := range sh.exps {
+			for lk, ln := range x.lanes {
+				if !slices.Equal(ln.rows, laneRows[ln]) {
+					t.Fatalf("shard %d: lane %v %v lists %d rows, the shard holds %d of it (or in another order)", sh.idx, k, lk, len(ln.rows), len(laneRows[ln]))
+				}
 			}
 		}
 		for _, p := range sh.projects {
@@ -235,22 +261,34 @@ func runIndexHistory(t *testing.T, seed int64, steps int) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: lease of %d on %d/%d %v granted queries %v, the scan grants %v", step, max, tg.project, tg.exp, lk, got, want)
 			}
-		case op < 55 && len(leased) > 0: // complete, one in four failed
-			i := rng.Intn(len(leased))
-			task := leased[i]
-			leased = append(leased[:i], leased[i+1:]...)
-			errMsg := ""
-			if rng.Intn(4) == 0 {
-				errMsg = "simulated failure"
+		case op < 55 && len(leased) > 0: // complete a batch of one to three leases of one key, one in four failed
+			key, size := leased[rng.Intn(len(leased))].ContributorKey, 1+rng.Intn(3)
+			var batch, rest []*Task
+			for _, task := range leased {
+				if task.ContributorKey == key && len(batch) < size {
+					batch = append(batch, task)
+				} else {
+					rest = append(rest, task)
+				}
 			}
-			stored := s.shardWithTask(task.ID).tasks[task.ID]
-			// A completion lands when its lease is still running in time and
-			// its query was not dropped from the pool meanwhile.
-			lands := stored.Status == TaskRunning && !clock.After(stored.Deadline) &&
-				s.Project(stored.ProjectID).Experiment(stored.ExperimentID).Query(stored.QueryID) != nil
-			_, err := s.CompleteTask(task.ID, task.ContributorKey, []float64{0.1}, errMsg, map[string]string{"step": fmt.Sprint(step)})
-			if lands != (err == nil) {
-				t.Fatalf("step %d: completing task %d (should land: %v): %v", step, task.ID, lands, err)
+			leased = rest
+			completions := make([]Completion, len(batch))
+			lands := make([]bool, len(batch))
+			for j, task := range batch {
+				completions[j] = Completion{TaskID: task.ID, Seconds: []float64{0.1}, Extra: EncodeExtras(map[string]string{"step": fmt.Sprint(step)})}
+				if rng.Intn(4) == 0 {
+					completions[j].Error = "simulated failure"
+				}
+				stored := s.shardWithTask(task.ID).tasks[task.ID]
+				// A completion lands when its lease is still running in time
+				// and its query was not dropped from the pool meanwhile.
+				lands[j] = stored.Status == TaskRunning && !clock.After(stored.Deadline) &&
+					s.Project(stored.ProjectID).Experiment(stored.ExperimentID).Query(stored.QueryID) != nil
+			}
+			for j, out := range s.CompleteTasks(key, completions) {
+				if lands[j] != (out.Err == nil) {
+					t.Fatalf("step %d: completing task %d (should land: %v): %v", step, batch[j].ID, lands[j], out.Err)
+				}
 			}
 		case op < 60 && len(leased) > 0: // kill
 			i := rng.Intn(len(leased))
@@ -316,7 +354,8 @@ func runIndexHistory(t *testing.T, seed int64, steps int) {
 		if err != nil {
 			t.Fatalf("step %d: replaying the store from disk: %v", step, err)
 		}
-		if got, want := persistedImage(replayed), persistedImage(s); !reflect.DeepEqual(got, want) {
+		checkIndexes(t, replayed, lanes, clock)
+		if got, want := persistedImage(replayed), persistedImage(s); !sameImage(got, want) {
 			t.Fatalf("step %d: the state replayed from snapshots and logs differs from the live state:\n got %+v\nwant %+v", step, got, want)
 		}
 	}

@@ -219,10 +219,13 @@ func (r *resultRecord) apply(sh *shard) { sh.indexResult((*Result)(r)) }
 
 func (v walResultHide) apply(sh *shard) {
 	if i := sh.resultPos(v.ResultID); i >= 0 {
-		flipped := *sh.results[i]
+		r := sh.results[i]
+		flipped := *r
 		flipped.Hidden = v.Hidden
-		flipped.seal()
+		flipped.seal(sh.arenaFor(r.ProjectID))
 		sh.results = spliceResults(sh.results, i, &flipped)
+		ln, j := sh.laneRow(r)
+		ln.rows[j] = &flipped
 		sh.rewrites++
 	}
 }
@@ -231,6 +234,8 @@ func (v walResultDelete) apply(sh *shard) {
 	if i := sh.resultPos(v.ResultID); i >= 0 {
 		r := sh.results[i]
 		sh.results = spliceResults(sh.results, i, nil)
+		ln, j := sh.laneRow(r)
+		ln.rows = slices.Delete(ln.rows, j, j+1)
 		sh.rewrites++
 		sh.uncover(r.ProjectID, r.ExperimentID, r.DBMSKey, r.PlatformKey, r.QueryID)
 	}

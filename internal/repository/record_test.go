@@ -120,7 +120,7 @@ func TestRecordsOwnTheirData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := persistedImage(loaded), persistedImage(s); !reflect.DeepEqual(got, want) {
+	if got, want := persistedImage(loaded), persistedImage(s); !sameImage(got, want) {
 		t.Fatalf("loaded from disk:\n%+v\nlive:\n%+v", got, want)
 	}
 }

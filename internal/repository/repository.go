@@ -176,9 +176,11 @@ type Result struct {
 	// owner uses this to keep dubious measurements private until clarified.
 	Hidden  bool      `json:"hidden"`
 	Created time.Time `json:"created"`
-	// sealed is the row as the results page serves it (JSON), built once
-	// as the row enters a shard; Extra and Trace may point into it.
-	sealed []byte
+	// blk, off and end place the row as the results page serves it (JSON),
+	// sealed once as the row enters a shard: blk.buf[off:end], in its
+	// project's arena. Extra and Trace may point into those bytes.
+	blk      *arenaBlock
+	off, end int
 }
 
 // Failed reports whether the result captured an error.
@@ -700,6 +702,117 @@ func (s *Store) Results(viewer string, projectID int) []*Result {
 		}
 	}
 	return out
+}
+
+// The history and trace pages read one experiment's lanes, each of which
+// lists its rows in shard order (index.go).
+
+// viewLocked returns the index of an experiment of a project, as the viewer
+// may read it, and whether the viewer sees hidden rows; nil when the viewer
+// cannot see the project or no row or pool names the experiment. The caller
+// holds the shard lock.
+func (sh *shard) viewLocked(viewer string, projectID, experimentID int) (x *expIndex, hidden bool) {
+	role := sh.roleOfLocked(viewer, projectID)
+	if role == RoleNone {
+		return nil, false
+	}
+	return sh.exps[expKey{projectID, experimentID}], role != RoleReader
+}
+
+// TargetLabels returns the sorted target labels, "dbms@platform", of the
+// results of an experiment that the viewer sees and whose query is in its
+// pool: the targets its history can show. A label two lanes make is
+// listed once.
+func (s *Store) TargetLabels(viewer string, projectID, experimentID int) []string {
+	sh := s.shardFor(projectID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	x, hidden := sh.viewLocked(viewer, projectID, experimentID)
+	if x == nil {
+		return nil
+	}
+	var labels []string
+	//lint:ordered the labels are sorted below
+	for _, ln := range x.lanes {
+		for _, r := range ln.rows {
+			if _, inPool := x.pos[r.QueryID]; inPool && (hidden || !r.Hidden) {
+				labels = append(labels, ln.label)
+				break
+			}
+		}
+	}
+	sort.Strings(labels)
+	return slices.Compact(labels)
+}
+
+// TargetResults returns the results of one target of an experiment that
+// the viewer sees, in the order Results lists them: the rows of the lanes
+// labelled target, those of two lanes merged.
+func (s *Store) TargetResults(viewer string, projectID, experimentID int, target string) []*Result {
+	sh := s.shardFor(projectID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	x, hidden := sh.viewLocked(viewer, projectID, experimentID)
+	if x == nil {
+		return nil
+	}
+	var out []*Result
+	merged := false
+	//lint:ordered the rows of two lanes are sorted into shard order below
+	for _, ln := range x.lanes {
+		if ln.label != target {
+			continue
+		}
+		merged = out != nil
+		out = slices.Grow(out, len(ln.rows))
+		for _, r := range ln.rows {
+			if hidden || !r.Hidden {
+				out = append(out, r)
+			}
+		}
+	}
+	if merged {
+		// Ids are drawn under the shard lock (buildResultLocked), so they
+		// rise in shard order.
+		slices.SortFunc(out, func(a, b *Result) int { return a.ID - b.ID })
+	}
+	return out
+}
+
+// LatestTraces returns the span trees of one query of an experiment, one
+// per target label in label order: of the target's results of the query
+// that the viewer sees and that carry a trace, the newest.
+func (s *Store) LatestTraces(viewer string, projectID, experimentID, queryID int) (labels []string, traces []TraceJSON) {
+	sh := s.shardFor(projectID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	x, hidden := sh.viewLocked(viewer, projectID, experimentID)
+	if x == nil {
+		return nil, nil
+	}
+	newest := map[string]*Result{}
+	//lint:ordered the labels are sorted below; of two lanes with one label the newer row wins
+	for _, ln := range x.lanes {
+		for i := len(ln.rows) - 1; i >= 0; i-- {
+			if r := ln.rows[i]; r.QueryID == queryID && r.Trace != nil && (hidden || !r.Hidden) {
+				if was := newest[ln.label]; was == nil || was.ID < r.ID {
+					newest[ln.label] = r
+				}
+				break
+			}
+		}
+	}
+	labels = make([]string, 0, len(newest))
+	//lint:ordered the labels are sorted below
+	for label := range newest {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	traces = make([]TraceJSON, len(labels))
+	for i, label := range labels {
+		traces[i] = newest[label].Trace
+	}
+	return labels, traces
 }
 
 // HideResult toggles the hidden flag of a result; owner only.

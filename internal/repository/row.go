@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"sqalpel/internal/trace"
 )
@@ -29,13 +31,37 @@ func EncodeTrace(qt *trace.QueryTrace) TraceJSON {
 	if qt == nil {
 		return nil
 	}
-	return TraceJSON(canonicalJSON(qt))
+	return TraceJSON(canonicalJSON(validTrace(qt)))
 }
 
-// Decode returns the span tree; nil for an untraced result.
+// validTrace returns qt, or a copy with its invalid UTF-8 replaced
+// (validUTF8) when its strings hold any.
+func validTrace(qt *trace.QueryTrace) *trace.QueryTrace {
+	valid := utf8.ValidString(qt.Engine)
+	for i := range qt.Spans {
+		valid = valid && utf8.ValidString(qt.Spans[i].OpID) && utf8.ValidString(qt.Spans[i].Kind)
+	}
+	if valid {
+		return qt
+	}
+	cp := *qt
+	cp.Engine = validUTF8(qt.Engine)
+	cp.Spans = slices.Clone(qt.Spans)
+	for i := range cp.Spans {
+		cp.Spans[i].OpID, cp.Spans[i].Kind = validUTF8(cp.Spans[i].OpID), validUTF8(cp.Spans[i].Kind)
+	}
+	return &cp
+}
+
+// Decode returns the span tree; nil for an untraced result. Bytes that
+// canonicalTrace accepts, which a stored trace almost always is, are read
+// by its scan instead of by encoding/json, into the same tree.
 func (t TraceJSON) Decode() *trace.QueryTrace {
 	if t == nil {
 		return nil
+	}
+	if qt := new(trace.QueryTrace); scanTrace(t, qt) {
+		return qt
 	}
 	var qt *trace.QueryTrace
 	_ = json.Unmarshal(t, &qt) // canonical bytes always decode
@@ -75,34 +101,52 @@ func (t *TraceJSON) UnmarshalJSON(data []byte) error {
 // fields in declaration order, compact, the counters that are zero left
 // out, integers in their shortest form and in range, and strings of
 // printable ASCII other than `"` and `\`, which no encoder escapes.
-func canonicalTrace(data []byte) bool {
-	c := scan{data: data, ok: true}
+func canonicalTrace(data []byte) bool { return scanTrace(data, nil) }
+
+// scanTrace walks data as canonicalTrace tests it and reports whether it
+// passed. Unless qt is nil it also decodes the trace into qt, which holds
+// what json.Unmarshal makes of the bytes when they pass.
+func scanTrace(data []byte, qt *trace.QueryTrace) bool {
+	c := scan{data: data, ok: true, decode: qt != nil}
+	if qt == nil {
+		qt = new(trace.QueryTrace) // scratch: its strings and spans are left out
+	}
 	c.lit(`{"schema_version":`)
-	c.int(strconv.IntSize, false)
+	qt.SchemaVersion = int(c.int(strconv.IntSize, false))
 	if c.opt(`,"engine":`) {
-		c.str(true)
+		qt.Engine = c.str(true)
 	}
 	c.lit(`,"spans":`)
 	if !c.opt("null") {
 		c.lit("[")
+		if c.decode {
+			qt.Spans = []trace.Span{}
+		}
 		for n := 0; c.ok && !c.opt("]"); n++ {
 			if n > 0 {
 				c.lit(",")
 			}
+			var sp trace.Span
 			c.lit(`{"op":`)
-			c.str(false)
+			sp.OpID = c.str(false)
 			c.lit(`,"kind":`)
-			c.str(false)
+			sp.Kind = c.str(false)
 			c.lit(`,"wall_ns":`)
-			c.int(64, false)
+			sp.WallNS = c.int(64, false)
 			c.lit(`,"rows":`)
-			c.int(64, false)
-			for _, key := range []string{`,"batches":`, `,"calls":`, `,"alloc_bytes":`, `,"blocks_skipped":`} {
-				if c.opt(key) {
-					c.int(64, true)
+			sp.Rows = c.int(64, false)
+			for _, f := range []struct {
+				key string
+				to  *int64
+			}{{`,"batches":`, &sp.Batches}, {`,"calls":`, &sp.Calls}, {`,"alloc_bytes":`, &sp.AllocBytes}, {`,"blocks_skipped":`, &sp.BlocksSkipped}} {
+				if c.opt(f.key) {
+					*f.to = c.int(64, true)
 				}
 			}
 			c.lit("}")
+			if c.decode {
+				qt.Spans = append(qt.Spans, sp)
+			}
 		}
 	}
 	c.lit("}")
@@ -110,11 +154,13 @@ func canonicalTrace(data []byte) bool {
 }
 
 // scan walks canonical JSON text; ok turns false at the first byte that is
-// not what was asked for, and every step after that is a no-op.
+// not what was asked for, and every step after that is a no-op. With
+// decode set, str returns the strings it consumes.
 type scan struct {
-	data []byte
-	i    int
-	ok   bool
+	data   []byte
+	i      int
+	ok     bool
+	decode bool
 }
 
 // opt consumes s when the text goes on with it.
@@ -134,68 +180,140 @@ func (c *scan) lit(s string) {
 }
 
 // str consumes a string of printable ASCII other than `"` and `\`, not
-// empty when nonempty is set.
-func (c *scan) str(nonempty bool) {
+// empty when nonempty is set, and returns it when decoding.
+func (c *scan) str(nonempty bool) string {
 	if !c.ok {
-		return
+		return ""
 	}
 	s, next := plainString(c.data, c.i)
 	c.ok, c.i = next >= 0 && (len(s) > 0 || !nonempty), next
+	if !c.ok || !c.decode {
+		return ""
+	}
+	return string(s)
 }
 
 // int consumes an integer as encoding/json writes one of the given bits: no
-// leading zero, no -0, in range, and not 0 when nonzero is set.
-func (c *scan) int(bits int, nonzero bool) {
+// leading zero, no -0, in range, and not 0 when nonzero is set. It returns
+// the integer.
+func (c *scan) int(bits int, nonzero bool) int64 {
 	if !c.ok {
-		return
+		return 0
 	}
 	j := c.i
 	if j < len(c.data) && c.data[j] == '-' {
 		j++
 	}
 	digits := j
+	var v int64
 	for j < len(c.data) && '0' <= c.data[j] && c.data[j] <= '9' {
+		v = v*10 + int64(c.data[j]-'0') // wraps only past 18 digits, parsed below
 		j++
+	}
+	if digits > c.i {
+		v = -v
 	}
 	switch n := c.data[c.i:j]; {
 	case j == digits, c.data[digits] == '0' && (j-c.i > 1 || nonzero):
 		c.ok = false
 	case j-digits >= bits*3/10: // as many digits as the largest value may have
-		_, err := strconv.ParseInt(string(n), 10, bits)
+		var err error
+		v, err = strconv.ParseInt(string(n), 10, bits)
 		c.ok = err == nil
 	}
 	c.i = j
+	return v
 }
 
 // JSON returns the row as the results page serves it: what json.NewEncoder
 // — HTML escaping on — writes for the row, without the trailing newline.
 // The bytes are built once, when the row enters a shard (seal), and belong
 // to the row: the caller must not change them.
-func (r *Result) JSON() []byte { return r.sealed }
+func (r *Result) JSON() []byte { return r.blk.buf[r.off:r.end:r.end] }
+
+// SealedRun returns the longest prefix of rows whose sealed bytes lie back
+// to back in one arena block, as one slice — each row followed by "\n,",
+// which is how a results page separates its rows — and how many rows it
+// holds. rows must not be empty. The bytes are the rows' own: the caller
+// must not change them.
+func SealedRun(rows []*Result) (run []byte, n int) {
+	first := rows[0]
+	end := first.end + len(rowSep)
+	for n = 1; n < len(rows) && rows[n].blk == first.blk && rows[n].off == end; n++ {
+		end = rows[n].end + len(rowSep)
+	}
+	return first.blk.buf[first.off:end:end], n
+}
+
+// rowSep follows every row sealed into an arena.
+const rowSep = "\n,"
+
+// arenaBlockSize is the size of an arena block, and so the most bytes one
+// SealedRun hands a results page at once.
+const arenaBlockSize = 64 << 10
+
+// An arena holds the rows one project has in a shard, sealed back to back
+// in the order they were sealed, each followed by rowSep, in blocks of
+// arenaBlockSize that are only ever appended to: a results page sends the
+// rows that follow each other in a block as one slice (SealedRun) instead
+// of copying them. A byte once written never changes, so a reader outside
+// the shard lock reads the rows it was handed while the shard appends
+// behind them. A row that moderation hides, shows or deletes leaves its
+// bytes dead in its block, and a block lives as long as any row points into
+// it: until a restart seals only the live rows again, a moderated row costs
+// its bytes twice and a deleted one keeps its own. A row longer than a
+// block gets a block of its own. The arena is the shard's, and changes
+// only under the shard's write lock.
+type arena struct {
+	blk  *arenaBlock // the block being filled; nil before the first row
+	used int
+}
+
+// arenaBlock is one block of an arena; buf is never resliced.
+type arenaBlock struct{ buf []byte }
+
+// put copies row, followed by rowSep, into the arena and returns where the
+// row's bytes stand.
+func (a *arena) put(row []byte) (blk *arenaBlock, off int) {
+	n := len(row) + len(rowSep)
+	if n > arenaBlockSize {
+		blk = &arenaBlock{buf: make([]byte, n)}
+		copy(blk.buf[copy(blk.buf, row):], rowSep)
+		return blk, 0
+	}
+	if a.blk == nil || a.used+n > len(a.blk.buf) {
+		a.blk, a.used = &arenaBlock{buf: make([]byte, arenaBlockSize)}, 0
+	}
+	blk, off = a.blk, a.used
+	copy(blk.buf[off+copy(blk.buf[off:], row):], rowSep)
+	a.used += n
+	return blk, off
+}
 
 // sealBuffers hold the rows seal encodes before it copies them out.
 var sealBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
-// seal builds the bytes JSON returns. A row is sealed where it enters a
-// shard — a live add, a batch completion, recovery — and again when
-// moderation copies it with another hidden flag, never after another
-// reader can see it. Extra and Trace are pointed into the sealed bytes,
-// with their capacity clipped, when they stand there verbatim: when they
-// hold no <, > or &, which the page escapes. The row then keeps one copy
-// of them.
-func (r *Result) seal() {
+// seal builds the bytes JSON returns, in the arena a: the arena of the
+// row's project in its shard. A row is sealed where it enters a shard — a
+// live add, a batch completion, recovery — and again when moderation copies
+// it with another hidden flag, never after another reader can see it.
+// Extra and Trace are pointed into the sealed bytes, with their capacity
+// clipped, when they stand there verbatim: when they hold no <, > or &,
+// which the page escapes. The row then keeps one copy of them.
+func (r *Result) seal(a *arena) {
 	bp := sealBuffers.Get().(*[]byte)
 	b, extra, spans := r.appendJSON((*bp)[:0])
-	sealed := bytes.Clone(b)
+	r.blk, r.off = a.put(b)
+	r.end = r.off + len(b)
 	*bp = b
 	sealBuffers.Put(bp)
+	sealed := r.JSON()
 	if extra > 0 && verbatim(r.Extra) {
 		r.Extra = Extras(sealed[extra : extra+len(r.Extra) : extra+len(r.Extra)])
 	}
 	if spans > 0 && verbatim(r.Trace) {
 		r.Trace = TraceJSON(sealed[spans : spans+len(r.Trace) : spans+len(r.Trace)])
 	}
-	r.sealed = sealed
 }
 
 // verbatim reports whether an encoder with HTML escaping on writes the

@@ -54,6 +54,8 @@ var traceCases = []string{
 // TraceJSON.UnmarshalJSON, which must fail exactly when decoding them into
 // a *trace.QueryTrace fails, with the same error, and otherwise store that
 // trace's canonical encoding — bare and as a row field that may come twice.
+// Bytes canonicalTrace accepts, given or stored, must Decode into what
+// encoding/json decodes.
 // Extras or a trace that do not decode are built from the strings instead,
 // invalid UTF-8 and all. The seeds are testdata/extras_cases.txt and
 // traceCases.
@@ -76,6 +78,12 @@ func FuzzResultRowJSON(f *testing.F) {
 		}
 		if errWant == nil && !bytes.Equal(got, EncodeTrace(want)) {
 			t.Fatalf("%q: stored %q, want %q", spans, got, EncodeTrace(want))
+		}
+		for _, b := range []TraceJSON{got, TraceJSON(spans)} {
+			var viaJSON *trace.QueryTrace
+			if json.Unmarshal(b, &viaJSON) == nil && canonicalTrace(b) && !reflect.DeepEqual(b.Decode(), viaJSON) {
+				t.Fatalf("%q decodes as %+v, encoding/json as %+v", b, b.Decode(), viaJSON)
+			}
 		}
 		var wantRow struct {
 			Trace *trace.QueryTrace `json:"trace,omitempty"`
@@ -119,7 +127,7 @@ func FuzzResultRowJSON(f *testing.F) {
 		if row, _, _ := r.appendJSON([]byte("[")); !bytes.Equal(row[1:], oracle) || row[0] != '[' {
 			t.Fatalf("appendJSON wrote\n%s\nencoding/json\n%s", row, oracle)
 		}
-		r.seal()
+		r.seal(new(arena))
 		checkSealed(t, r)
 	})
 }

@@ -49,10 +49,13 @@ func insideOf(whole, b []byte) bool {
 // enters a shard by — AddResult and AddResultTraced, a single and a batch
 // completion, WAL replay, recovery from a snapshot and its history frames,
 // and moderation hiding a row and showing it again — and checks every row
-// of every store with checkSealed. The extras are testdata/extras_cases.txt
-// decoded as the server decodes a completion (<>&, U+2028 and U+2029,
-// invalid UTF-8 in keys, unsorted, duplicate and spaced objects) and the
-// maps a Go caller hands AddResult; the traces are traceCases that decode.
+// of every store with checkSealed, and against the bytes it had in the
+// live store: a restart must not change a row's bytes. The extras are
+// testdata/extras_cases.txt decoded as the server decodes a completion
+// (<>&, U+2028 and U+2029, invalid UTF-8 in keys, unsorted, duplicate and
+// spaced objects) and the maps a Go caller hands AddResult, invalid UTF-8
+// among them; the traces are traceCases that decode and one built in Go
+// with invalid UTF-8.
 func TestSealedRowsMatchEncoder(t *testing.T) {
 	dir := t.TempDir()
 	s, err := open(dir, 2, quietLogf, nosyncFactory)
@@ -110,6 +113,7 @@ func TestSealedRowsMatchEncoder(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	live := map[int][]byte{}
 	check := func(s *Store, stage string) {
 		t.Helper()
 		rows := imageOf(s).Results
@@ -121,6 +125,11 @@ func TestSealedRowsMatchEncoder(t *testing.T) {
 			checkSealed(t, r)
 			if r.Hidden {
 				hidden++
+			}
+			if was, ok := live[r.ID]; !ok {
+				live[r.ID] = r.JSON()
+			} else if !bytes.Equal(r.JSON(), was) {
+				t.Fatalf("%s: result %d is\n%s\nand was stored live as\n%s", stage, r.ID, r.JSON(), was)
 			}
 		}
 		if hidden != 1 {
@@ -148,4 +157,37 @@ func TestSealedRowsMatchEncoder(t *testing.T) {
 	}
 	defer recovered.Close()
 	check(recovered, "snapshot and history")
+}
+
+// TestSealedRunsCoverEveryRow seals rows of every size into one arena —
+// small ones that fill blocks and cross into the next, and ones longer than
+// a block — and walks them with SealedRun: each row must read back as what
+// appendJSON wrote, the runs must hold the rows in order, each followed by
+// "\n,", and a run must end exactly where the next row is not back to back
+// with it: at a block's end or at a row longer than a block.
+func TestSealedRunsCoverEveryRow(t *testing.T) {
+	var a arena
+	var rows []*Result
+	var want []byte
+	for i, size := range []int{10, 3000, 40000, 30000, arenaBlockSize, 5, arenaBlockSize * 2, 20000, 20000, 20000, 20000, 1} {
+		r := &Result{ID: i + 1, Error: string(bytes.Repeat([]byte("x"), size))}
+		r.seal(&a)
+		row, _, _ := r.appendJSON(nil)
+		if !bytes.Equal(r.JSON(), row) {
+			t.Fatalf("row %d of %d bytes reads back as %d bytes", r.ID, len(row), len(r.JSON()))
+		}
+		rows = append(rows, r)
+		want = append(append(want, row...), rowSep...)
+	}
+	var got []byte
+	for rest := rows; len(rest) > 0; {
+		run, n := SealedRun(rest)
+		if n < len(rest) && rest[n].blk == rest[n-1].blk && rest[n].off == rest[n-1].end+len(rowSep) {
+			t.Fatalf("the run ending at row %d stops before row %d, which follows it in its block", rest[n-1].ID, rest[n].ID)
+		}
+		got, rest = append(got, run...), rest[n:]
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the runs hold %d bytes, the rows and their separators %d", len(got), len(want))
+	}
 }

@@ -35,8 +35,13 @@ type shard struct {
 	// checkpoints use it, under the store's persistMu.
 	hist history
 
+	// arenas hold each project's rows as the results page serves them
+	// (row.go), keyed by project id.
+	arenas map[int]*arena
+
 	// The queue's indexes (index.go): the experiments' pools and lanes, and
-	// the leases that can still expire.
+	// the leases that can still expire. A lane also lists its rows, which
+	// the history and trace pages read.
 	exps    map[expKey]*expIndex
 	running map[int]*Task
 	// scanned counts the pool positions a lease walked and the leases an
@@ -54,6 +59,7 @@ func newShard(s *Store, idx int) *shard {
 		idx:      idx,
 		projects: map[int]*Project{},
 		tasks:    map[int]*Task{},
+		arenas:   map[int]*arena{},
 		exps:     map[expKey]*expIndex{},
 		running:  map[int]*Task{},
 	}

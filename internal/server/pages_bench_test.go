@@ -163,3 +163,38 @@ func BenchmarkResultsPage(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTracePage serves the trace page of one query: of a project of
+// 2,000 rows none of which is traced, and of one of 106 queries measured on
+// 18 targets, each of which also traced the query with 16 spans.
+func BenchmarkTracePage(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		n       int
+		targets [][2]string
+		traced  bool
+	}{{"rows=2000/traced=0", 1000, twoTargets, false}, {"targets=18/spans=16", 106, manyTargets, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			srv, pool, _ := tpchPoolOn(b, c.n, c.targets)
+			var pid, eid int
+			if _, err := fmt.Sscanf(pool.URL.Path, "/projects/%d/experiments/%d/pool", &pid, &eid); err != nil {
+				b.Fatal(err)
+			}
+			key := srv.store.Project(pid).Contributors[0].Key
+			for i, target := range c.targets {
+				if !c.traced {
+					break
+				}
+				qt := &trace.QueryTrace{SchemaVersion: trace.SchemaVersion, Engine: target[0]}
+				for k := 0; k < 16; k++ {
+					kind := []string{trace.KindScan, trace.KindFilter, trace.KindHashJoin, trace.KindAgg}[k%4]
+					qt.Spans = append(qt.Spans, trace.Span{OpID: fmt.Sprintf("%s.%d", kind, k), Kind: kind, WallNS: int64((i + 1) * (k + 1) * 1000), Rows: int64(k * 97), BlocksSkipped: int64(k % 3)})
+				}
+				if _, err := srv.store.AddResultTraced(key, eid, 1, target[0], target[1], []float64{0.001}, "", nil, qt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			serve(b, srv, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/projects/%d/trace?query=1", pid), nil))
+		})
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -9,7 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sqalpel/internal/repository"
@@ -171,4 +175,113 @@ func TestResultsPageWithoutRows(t *testing.T) {
 	if got := resultsPage(t, srv, p.ID, srv.createSession("martin")).Body.String(); !strings.HasPrefix(got, `[{"id":`) || !strings.HasSuffix(got, "}\n]\n") {
 		t.Fatalf("the owner's page is %q, want the hidden row", got)
 	}
+}
+
+// TestResultsPageBesideCompletions reads the results page of a project
+// while a driver's completions are sealed into the same arena blocks the
+// page hands the connection. Every page must decode as JSON and be, byte
+// for byte, the page of the rows Store.Results lists at some moment: as
+// completions only append, the page of the first rows of the final list.
+// The completions wait for a page to be read every few batches, so pages
+// are read all along the way. Run it with -race.
+func TestResultsPageBesideCompletions(t *testing.T) {
+	const queries, batch = 160, 4
+	store := repository.NewStore()
+	if _, err := store.RegisterUser("martin", "martin@example.org"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := store.CreateProject("martin", "beside", "", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := store.AddExperiment("martin", p.ID, "exp", "SELECT 1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := make([]repository.QueryRecord, queries)
+	for i := range pool {
+		pool[i] = repository.QueryRecord{ID: i + 1, SQL: fmt.Sprintf("SELECT %d", i+1)}
+	}
+	if err := store.ReplaceQueries("martin", p.ID, e.ID, pool); err != nil {
+		t.Fatal(err)
+	}
+	srv, key := New(Options{Store: store}), p.Contributors[0].Key
+
+	var pagesRead atomic.Int64
+	done := make(chan struct{})
+	var pages [][]byte
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/api/projects/%d/results", p.ID), nil))
+			pages = append(pages, w.Body.Bytes())
+			pagesRead.Add(1)
+		}
+	}()
+	for n := 0; n < queries/batch; n++ {
+		tasks, err := store.RequestTasks(key, e.ID, "vektor-2.0", "laptop", batch)
+		if err != nil || len(tasks) != batch {
+			t.Fatalf("lease: %d tasks, %v", len(tasks), err)
+		}
+		completions := make([]repository.Completion, batch)
+		for i, task := range tasks {
+			qt := &trace.QueryTrace{SchemaVersion: 1, Engine: "vektor-2.0"}
+			for k := 0; k < 16; k++ {
+				qt.Spans = append(qt.Spans, trace.Span{OpID: fmt.Sprintf("scan.%d", k), Kind: "scan", WallNS: int64(task.ID*100 + k), Rows: int64(k)})
+			}
+			completions[i] = repository.Completion{
+				TaskID: task.ID, Seconds: []float64{0.001 * float64(task.ID)},
+				Extra: repository.EncodeExtras(map[string]string{"task": fmt.Sprint(task.ID), "note": "a<b & c>d"}),
+				Trace: repository.EncodeTrace(qt),
+			}
+		}
+		for _, out := range store.CompleteTasks(key, completions) {
+			if out.Err != nil {
+				t.Fatal(out.Err)
+			}
+		}
+		if n%5 == 4 {
+			for read := pagesRead.Load(); pagesRead.Load() == read; {
+				runtime.Gosched()
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	rows := store.Results("", p.ID)
+	if len(rows) != queries {
+		t.Fatalf("%d rows stored, want %d", len(rows), queries)
+	}
+	seen := map[int]bool{}
+	for i, page := range pages {
+		var decoded []json.RawMessage
+		if err := json.Unmarshal(page, &decoded); err != nil {
+			t.Fatalf("page %d does not decode: %v\n%s", i, err, page)
+		}
+		want := []byte("null\n")
+		if len(decoded) > 0 {
+			want = []byte("[")
+			for j, r := range rows[:len(decoded)] {
+				if j > 0 {
+					want = append(want, ',')
+				}
+				want = append(append(want, r.JSON()...), '\n')
+			}
+			want = append(want, "]\n"...)
+		}
+		if !bytes.Equal(page, want) {
+			t.Fatalf("page %d of %d rows is not the page of the first %d rows:\n%s\nwant\n%s", i, len(decoded), len(decoded), page, want)
+		}
+		seen[len(decoded)] = true
+	}
+	t.Logf("%d pages of %d sizes read beside %d completions", len(pages), len(seen), queries)
 }

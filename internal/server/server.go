@@ -711,11 +711,12 @@ func (s *Server) handleListQueries(w http.ResponseWriter, r *http.Request) {
 
 // --- results, comments, tasks ------------------------------------------------
 
-// pageFlushBytes is about how much of a page whose rows scale — results,
-// history — is handed to the connection at once. Such a page is never
+// pageFlushBytes is about how much of a page whose rows scale — the
+// history page — is handed to the connection at once. Such a page is never
 // built whole: a project's runs to megabytes, and a buffer that size per
 // request costs GC cycles (EXPERIMENTS "Incremental checkpoints"). The
-// pool page sends its kept rows as they are, between its head and foot.
+// pool page sends its kept rows as they are, between its head and foot,
+// and the results page the runs of its sealed rows.
 const pageFlushBytes = 64 << 10
 
 // pageBuffers hold those pages' buffers between requests.
@@ -758,7 +759,7 @@ func (p *pageWriter) flush(buf []byte) []byte {
 // send writes the page so far and then b, which is not copied, and returns
 // the buffer to go on appending to. After a failed write it writes nothing.
 func (p *pageWriter) send(buf, b []byte) []byte {
-	if p.err == nil {
+	if p.err == nil && len(buf) > 0 {
 		_, p.err = p.w.Write(buf)
 	}
 	if p.err == nil {
@@ -778,8 +779,11 @@ func (p *pageWriter) finish(buf []byte) {
 
 // handleListResults answers the project's visible results as the bytes
 // json.NewEncoder wrote for them element by element — each row followed by
-// a newline — and no results as null. Each row copies the bytes it was
-// sealed into when it was stored (Result.JSON); nothing is encoded here.
+// a newline — and no results as null. The rows were sealed into their
+// project's arena when they were stored, each followed by "\n,"; the page
+// hands the connection each run of rows that lie back to back there
+// (repository.SealedRun) as it is, the last one without its ",". Nothing
+// is encoded or copied here.
 func (s *Server) handleListResults(w http.ResponseWriter, r *http.Request) {
 	p, viewer, ok := s.loadProject(w, r)
 	if !ok {
@@ -792,14 +796,12 @@ func (s *Server) handleListResults(w http.ResponseWriter, r *http.Request) {
 	}
 	page, buf := startPage(w, "application/json")
 	buf = append(buf, '[')
-	for i, row := range rows {
-		if i > 0 {
-			buf = append(buf, ',')
+	for len(rows) > 0 && page.err == nil {
+		run, n := repository.SealedRun(rows)
+		if rows = rows[n:]; len(rows) == 0 {
+			run = run[:len(run)-1]
 		}
-		buf = page.flush(append(append(buf, row.JSON()...), '\n'))
-		if page.err != nil {
-			break
-		}
+		buf = page.send(buf, run)
 	}
 	page.finish(append(buf, "]\n"...))
 }
@@ -809,7 +811,7 @@ func (s *Server) handleResultsCSV(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	runs := projectRuns(p, s.store.Results(viewer, p.ID), nil, "")
+	runs := projectRuns(p, s.store.Results(viewer, p.ID), nil)
 	w.Header().Set("Content-Type", "text/csv")
 	if err := analytics.WriteCSV(w, runs); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -1033,12 +1035,11 @@ func experimentOf(w http.ResponseWriter, r *http.Request, p *repository.Project)
 }
 
 // projectRuns converts the visible results of one experiment of a project
-// into analytics runs, one per result, targeted at its "dbms@platform"
-// label; the runs of one (DBMS, platform) pair share one label string. A
-// target that is not empty keeps only its runs. A nil exp takes every
-// experiment's results, as the CSV export lists them, which are none for a
-// project without experiments.
-func projectRuns(p *repository.Project, results []*repository.Result, exp *repository.Experiment, target string) []analytics.Run {
+// into analytics runs, one per result whose query is in the pool, targeted
+// at its "dbms@platform" label; the runs of one (DBMS, platform) pair share
+// one label string. A nil exp takes every experiment's results, as the CSV
+// export lists them, which are none for a project without experiments.
+func projectRuns(p *repository.Project, results []*repository.Result, exp *repository.Experiment) []analytics.Run {
 	type pair struct{ dbms, platform string }
 	labels := map[pair]string{}
 	var runs []analytics.Run
@@ -1049,7 +1050,7 @@ func projectRuns(p *repository.Project, results []*repository.Result, exp *repos
 		} else if res.ExperimentID != e.ID {
 			continue
 		}
-		if e == nil || target != "" && !isTarget(res, target) {
+		if e == nil {
 			continue
 		}
 		q := e.Query(res.QueryID)
@@ -1078,15 +1079,9 @@ func projectRuns(p *repository.Project, results []*repository.Result, exp *repos
 	return runs
 }
 
-// isTarget reports whether the result's "dbms@platform" label is target,
-// without building the label.
-func isTarget(res *repository.Result, target string) bool {
-	d, p := res.DBMSKey, res.PlatformKey
-	return len(target) == len(d)+1+len(p) && target[:len(d)] == d && target[len(d)] == '@' && target[len(d)+1:] == p
-}
-
 // experimentRuns answers the analytics routes' common part: the project,
-// the experiment and the visible runs of target ("" for every target).
+// the experiment and the visible runs of target, read from the target's
+// lanes as the history page reads them; "" is every target.
 func (s *Server) experimentRuns(w http.ResponseWriter, r *http.Request, target string) ([]analytics.Run, bool) {
 	p, viewer, ok := s.loadProject(w, r)
 	if !ok {
@@ -1096,7 +1091,13 @@ func (s *Server) experimentRuns(w http.ResponseWriter, r *http.Request, target s
 	if !ok {
 		return nil, false
 	}
-	return projectRuns(p, s.store.Results(viewer, p.ID), exp, target), true
+	switch {
+	case target == "":
+		return projectRuns(p, s.store.Results(viewer, p.ID), exp), true
+	case exp == nil:
+		return nil, true
+	}
+	return projectRuns(p, s.store.TargetResults(viewer, p.ID, exp.ID, target), exp), true
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {

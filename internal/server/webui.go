@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"slices"
-	"sort"
 
 	"sqalpel/internal/analytics"
 	"sqalpel/internal/repository"
@@ -101,11 +99,15 @@ func (s *Server) registerWebUI() {
 		if !ok {
 			return
 		}
-		results := s.store.Results(viewer, p.ID)
-		names := targetNames(results, exp)
 		target := r.URL.Query().Get("target")
-		if target == "" && len(names) > 0 {
-			target = names[0]
+		var names []string
+		var rows []*repository.Result
+		if exp != nil {
+			names = s.store.TargetLabels(viewer, p.ID, exp.ID)
+			if target == "" && len(names) > 0 {
+				target = names[0]
+			}
+			rows = s.store.TargetResults(viewer, p.ID, exp.ID, target)
 		}
 		page, buf := startPage(w, htmlPage)
 		page.finish(webui.AppendHistory(buf, webui.HistoryData{
@@ -113,7 +115,7 @@ func (s *Server) registerWebUI() {
 			Experiment: exp,
 			Target:     target,
 			Targets:    names,
-			Points:     analytics.History(projectRuns(p, results, exp, target), target),
+			Points:     analytics.History(projectRuns(p, rows, exp), target),
 			Flush:      page.flush,
 		}))
 	})
@@ -132,39 +134,27 @@ func (s *Server) registerWebUI() {
 		if !ok {
 			return
 		}
-		// Latest traced result per target label; iteration order is insertion
-		// order, so later submissions win. Only the traces shown are decoded.
-		byLabel := map[string]repository.TraceJSON{}
-		sqlText := ""
-		for _, res := range s.store.Results(viewer, p.ID) {
-			if exp == nil || res.ExperimentID != exp.ID || res.QueryID != qid || res.Trace == nil {
-				continue
-			}
-			byLabel[res.DBMSKey+"@"+res.PlatformKey] = res.Trace
-			if q := exp.Query(res.QueryID); q != nil {
-				sqlText = q.SQL
+		data := webui.TraceData{Project: p, QueryID: qid}
+		var spans []repository.TraceJSON
+		if exp != nil {
+			data.Targets, spans = s.store.LatestTraces(viewer, p.ID, exp.ID, qid)
+		}
+		if len(spans) > 0 {
+			if q := exp.Query(qid); q != nil {
+				data.SQL = q.SQL
 			}
 		}
-		labels := make([]string, 0, len(byLabel))
-		for l := range byLabel {
-			labels = append(labels, l)
+		// Only the traces shown are decoded.
+		traces := make([]*trace.QueryTrace, len(spans))
+		for i, t := range spans {
+			traces[i] = t.Decode()
 		}
-		sort.Strings(labels)
-		traces := make([]*trace.QueryTrace, len(labels))
-		for i, l := range labels {
-			traces[i] = byLabel[l].Decode()
-		}
-		data := webui.TraceData{
-			Project: p,
-			QueryID: qid,
-			SQL:     sqlText,
-			Targets: labels,
-			Rows:    trace.Compare(traces),
-		}
-		if len(labels) >= 2 {
+		data.Rows = trace.Compare(traces)
+		if len(data.Targets) >= 2 {
 			data.Ratios = trace.KindRatios(data.Rows)
 		}
-		renderHTML(w, renderer.Trace(w, data))
+		page, buf := startPage(w, htmlPage)
+		page.finish(webui.AppendTrace(buf, data))
 	})
 
 	s.mux.HandleFunc("GET /projects/{id}/diff", func(w http.ResponseWriter, r *http.Request) {
@@ -186,7 +176,7 @@ func (s *Server) registerWebUI() {
 		if !ok {
 			return
 		}
-		runs := projectRuns(p, s.store.Results(viewer, p.ID), exp, "")
+		runs := projectRuns(p, s.store.Results(viewer, p.ID), exp)
 		d, err := analytics.Diff(runs, idA, idB)
 		if err != nil {
 			writeError(w, http.StatusNotFound, err)
@@ -226,25 +216,6 @@ func (lp *livePool) pageRows(queries []repository.QueryRecord) []byte {
 	built := &poolRows{queries: queries, rows: webui.AppendPoolRows(nil, queries)}
 	lp.rows.Store(built)
 	return built.rows
-}
-
-// targetNames returns the sorted "dbms@platform" labels of the experiment's
-// results whose query is in its pool — the targets its history can show —
-// without building a run; none for a nil experiment.
-func targetNames(results []*repository.Result, exp *repository.Experiment) []string {
-	type pair struct{ dbms, platform string }
-	seen := map[pair]bool{}
-	var names []string
-	for _, res := range results {
-		key := pair{res.DBMSKey, res.PlatformKey}
-		if exp == nil || res.ExperimentID != exp.ID || seen[key] || exp.Query(res.QueryID) == nil {
-			continue
-		}
-		seen[key] = true
-		names = append(names, res.DBMSKey+"@"+res.PlatformKey)
-	}
-	sort.Strings(names)
-	return slices.Compact(names) // two pairs can make one label
 }
 
 // htmlPage is the content type of a page: what net/http sniffs from a

@@ -97,6 +97,109 @@ func AppendHistory(dst []byte, data HistoryData) []byte {
 	return append(dst, TableFoot...)
 }
 
+// AppendTrace appends the operator-trace page to dst: byte for byte what
+// html/template writes for the page's template, which append_test.go keeps
+// as the oracle. It is appended because a template pays a reflective call
+// per span cell.
+func AppendTrace(dst []byte, data TraceData) []byte {
+	dst = append(dst, layoutHead+"\n<h1>Operator trace — "...)
+	dst = appendHTML(dst, data.Project.Name)
+	dst = append(dst, " / query "...)
+	dst = strconv.AppendInt(dst, int64(data.QueryID), 10)
+	dst = append(dst, "</h1>\n"...)
+	if data.SQL != "" {
+		dst = append(dst, "<pre>"...)
+		dst = appendHTML(dst, data.SQL)
+		dst = append(dst, "</pre>"...)
+	}
+	if len(data.Targets) == 0 {
+		dst = append(dst, "\n<p>No traced results for this query yet; run the driver with tracing enabled.</p>\n"...)
+		return append(dst, layoutFoot...)
+	}
+	dst = append(dst, `
+
+<p>Per-operator spans of every traced target, keyed to the shared plan operator ids
+(see the EXPLAIN plan-JSON of the query). A dash means the target's execution
+strategy has no such operator. Scan spans of the typed engines additionally
+report the zone-map blocks they skipped ("+N skipped").</p>
+<table><tr><th>operator</th><th>kind</th>`...)
+	for _, t := range data.Targets {
+		dst = append(dst, "<th>"...)
+		dst = appendHTML(dst, t)
+		dst = append(dst, " (ms / rows)</th>"...)
+	}
+	dst = append(dst, "</tr>\n"...)
+	for i := range data.Rows {
+		row := &data.Rows[i]
+		dst = append(dst, "<tr><td><code>"...)
+		dst = appendHTML(dst, row.OpID)
+		dst = append(dst, "</code></td><td>"...)
+		dst = appendHTML(dst, row.Kind)
+		dst = append(dst, "</td>\n"...)
+		for _, sp := range row.Spans {
+			dst = append(dst, "<td>"...)
+			if sp == nil {
+				dst = append(dst, "—"...)
+			} else {
+				dst = appendMillis(dst, sp.WallNS)
+				dst = append(dst, " / "...)
+				dst = strconv.AppendInt(dst, sp.Rows, 10)
+				if sp.BlocksSkipped != 0 {
+					dst = append(dst, " / +"...)
+					dst = strconv.AppendInt(dst, sp.BlocksSkipped, 10)
+					dst = append(dst, " skipped"...)
+				}
+			}
+			dst = append(dst, "</td>"...)
+		}
+		dst = append(dst, "</tr>"...)
+	}
+	dst = append(dst, "\n</table>\n"...)
+	if len(data.Ratios) > 0 {
+		a, b := data.Targets[0], data.Targets[1]
+		dst = append(dst, "\n<h2>Operator-level ratio: "...)
+		dst = appendHTML(dst, a)
+		dst = append(dst, " vs "...)
+		dst = appendHTML(dst, b)
+		dst = append(dst, "</h2>\n<table><tr><th>kind</th><th>"...)
+		dst = appendHTML(dst, a)
+		dst = append(dst, " (ms)</th><th>"...)
+		dst = appendHTML(dst, b)
+		dst = append(dst, " (ms)</th><th>ratio</th></tr>\n"...)
+		for _, k := range data.Ratios {
+			dst = append(dst, "<tr><td>"...)
+			dst = appendHTML(dst, k.Kind)
+			dst = append(dst, "</td><td>"...)
+			dst = appendMillis(dst, k.NanosA)
+			dst = append(dst, "</td><td>"...)
+			dst = appendMillis(dst, k.NanosB)
+			dst = append(dst, "</td><td>"...)
+			dst = appendRatio(dst, k.Ratio)
+			dst = append(dst, "</td></tr>"...)
+		}
+		dst = append(dst, "\n</table>\n"...)
+	}
+	return append(dst, "\n\n"+layoutFoot...)
+}
+
+// appendMillis appends nanoseconds as milliseconds, %.3f; a finite value
+// has no byte to escape.
+func appendMillis(dst []byte, ns int64) []byte {
+	return strconv.AppendFloat(dst, float64(ns)/1e6, 'f', 3, 64)
+}
+
+// appendRatio appends a ratio as %.2fx, a dash for NaN, the sign of +Inf
+// escaped.
+func appendRatio(dst []byte, v float64) []byte {
+	switch {
+	case math.IsNaN(v):
+		return append(dst, "—"...)
+	case math.IsInf(v, 1):
+		return append(dst, "&#43;Infx"...)
+	}
+	return append(strconv.AppendFloat(dst, v, 'f', 2, 64), 'x')
+}
+
 // appendStrategy appends a strategy cell, coloured by its class.
 func appendStrategy(dst []byte, strategy string) []byte {
 	dst = append(dst, `<td class="strategy-`...)

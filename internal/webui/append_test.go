@@ -2,6 +2,7 @@ package webui
 
 import (
 	"bytes"
+	"fmt"
 	"html/template"
 	"math"
 	"math/rand"
@@ -10,11 +11,13 @@ import (
 
 	"sqalpel/internal/analytics"
 	"sqalpel/internal/repository"
+	"sqalpel/internal/trace"
 )
 
-// templatedPages are the pool and history templates the appenders
-// replaced, kept as their oracle: an appended page must be the bytes its
-// template writes.
+// templatedPages are the pool, history and trace templates the appenders
+// replaced, kept as their oracle with the functions only the trace page
+// called (oracleFuncs): an appended page must be the bytes its template
+// writes.
 var templatedPages = map[string]string{
 	"pool": `{{template "layout_head" .}}
 <h1>Query pool — {{.Project.Name}} / {{.Experiment.Title}}</h1>
@@ -36,9 +39,41 @@ var templatedPages = map[string]string{
 </table>
 {{template "layout_foot" .}}`,
 
+	"trace": `{{template "layout_head" .}}
+<h1>Operator trace — {{.Project.Name}} / query {{.QueryID}}</h1>
+{{if .SQL}}<pre>{{.SQL}}</pre>{{end}}
+{{if not .Targets}}<p>No traced results for this query yet; run the driver with tracing enabled.</p>{{else}}
+<p>Per-operator spans of every traced target, keyed to the shared plan operator ids
+(see the EXPLAIN plan-JSON of the query). A dash means the target's execution
+strategy has no such operator. Scan spans of the typed engines additionally
+report the zone-map blocks they skipped ("+N skipped").</p>
+<table><tr><th>operator</th><th>kind</th>{{range .Targets}}<th>{{.}} (ms / rows)</th>{{end}}</tr>
+{{range .Rows}}<tr><td><code>{{.OpID}}</code></td><td>{{.Kind}}</td>
+{{range .Spans}}<td>{{if .}}{{millis .WallNS}} / {{.Rows}}{{if .BlocksSkipped}} / +{{.BlocksSkipped}} skipped{{end}}{{else}}—{{end}}</td>{{end}}</tr>{{end}}
+</table>
+{{if .Ratios}}{{$a := index .Targets 0}}{{$b := index .Targets 1}}
+<h2>Operator-level ratio: {{$a}} vs {{$b}}</h2>
+<table><tr><th>kind</th><th>{{$a}} (ms)</th><th>{{$b}} (ms)</th><th>ratio</th></tr>
+{{range .Ratios}}<tr><td>{{.Kind}}</td><td>{{millis .NanosA}}</td><td>{{millis .NanosB}}</td><td>{{ratio .Ratio}}</td></tr>{{end}}
+</table>
+{{end}}
+{{end}}
+{{template "layout_foot" .}}`,
+
 	"cells": `<td>{{.}}</td><td class="s-{{.}}">`,
 
 	"seconds": `<td>{{seconds .}}</td>`,
+}
+
+// oracleFuncs are the template functions of the trace page.
+var oracleFuncs = template.FuncMap{
+	"millis": func(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) },
+	"ratio": func(v float64) string {
+		if math.IsNaN(v) {
+			return "—"
+		}
+		return fmt.Sprintf("%.2fx", v)
+	},
 }
 
 // oracle returns the renderer's template set with templatedPages added.
@@ -52,6 +87,7 @@ func oracle(t testing.TB) *template.Template {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set.Funcs(oracleFuncs)
 	//lint:ordered each oracle page parses into its own named template of one set
 	for name, text := range templatedPages {
 		if _, err := set.New(name).Parse(text); err != nil {
@@ -184,6 +220,62 @@ func TestAppendedPagesMatchTemplates(t *testing.T) {
 		hist.Flush = nil
 		if want := string(AppendHistory(nil, hist)); pieces.String() != want {
 			t.Fatalf("history page %d written in pieces differs from the whole page", i)
+		}
+	}
+}
+
+// randomTrace draws a trace page: hostile text everywhere, zero to four
+// targets, cells missing or with wall times, rows and skipped blocks of
+// every sign, and a ratio table of finite, infinite and NaN ratios when
+// there are two targets or more.
+func randomTrace(rng *rand.Rand) TraceData {
+	int64s := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return int64(rng.Uint64())
+		}
+		return rng.Int63n(1e10) - 1e9
+	}
+	data := TraceData{Project: &repository.Project{Name: randomText(rng)}, QueryID: rng.Intn(2000) - 5}
+	if rng.Intn(3) > 0 {
+		data.SQL = randomText(rng)
+	}
+	for n := rng.Intn(5); n > 0; n-- {
+		data.Targets = append(data.Targets, randomText(rng))
+	}
+	for n := rng.Intn(6); n > 0; n-- {
+		row := trace.CompareRow{OpID: randomText(rng), Kind: randomText(rng)}
+		for range data.Targets {
+			var sp *trace.Span
+			if rng.Intn(4) > 0 {
+				sp = &trace.Span{WallNS: int64s(), Rows: int64s(), BlocksSkipped: int64s()}
+			}
+			row.Spans = append(row.Spans, sp)
+		}
+		data.Rows = append(data.Rows, row)
+	}
+	if len(data.Targets) >= 2 {
+		data.Ratios = trace.KindRatios(data.Rows)
+		for n := rng.Intn(4); n > 0; n-- {
+			ratio := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(12)-6))}[rng.Intn(5)]
+			data.Ratios = append(data.Ratios, trace.KindRatio{Kind: randomText(rng), NanosA: int64s(), NanosB: int64s(), Ratio: ratio})
+		}
+	}
+	return data
+}
+
+// TestTracePageMatchesTemplate renders random trace pages through
+// AppendTrace and through the template it replaced, which must agree byte
+// for byte.
+func TestTracePageMatchesTemplate(t *testing.T) {
+	set := oracle(t)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		data := randomTrace(rng)
+		if got, want := string(AppendTrace(nil, data)), execute(t, set, "trace", data); got != want {
+			t.Fatalf("trace page %d:\n%q\nthe template writes\n%q", i, got, want)
 		}
 	}
 }

@@ -8,18 +8,18 @@
 // prototype; no JavaScript framework is required to inspect a project.
 //
 // A page whose rows grow with the pool or the results — the pool page and
-// the history page — is appended (AppendPoolHead, AppendPoolRows,
-// AppendHistory): its bytes are the ones html/template wrote for it,
-// produced with strconv and one escaper, appendHTML, instead of a
-// reflective escaper call per field and row. The pages of fixed size stay
-// templates executed by a Renderer.
+// the history page — and the trace page, whose span cells made the
+// template's reflection its cost, are appended (AppendPoolHead,
+// AppendPoolRows, AppendHistory, AppendTrace): their bytes are the ones
+// html/template wrote for them, produced with strconv and one escaper,
+// appendHTML, instead of a reflective escaper call per field and row. The
+// other pages stay templates executed by a Renderer.
 package webui
 
 import (
 	"fmt"
 	"html/template"
 	"io"
-	"math"
 
 	"sqalpel/internal/analytics"
 	"sqalpel/internal/catalog"
@@ -36,13 +36,6 @@ type Renderer struct {
 func New() (*Renderer, error) {
 	t := template.New("sqalpel").Funcs(template.FuncMap{
 		"seconds": func(v float64) string { return fmt.Sprintf("%.4f", v) },
-		"millis":  func(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) },
-		"ratio": func(v float64) string {
-			if math.IsNaN(v) {
-				return "—"
-			}
-			return fmt.Sprintf("%.2fx", v)
-		},
 	})
 	var err error
 	//lint:ordered each page parses into its own named template of one set; ExecuteTemplate looks pages up by name
@@ -143,11 +136,6 @@ func (r *Renderer) Diff(w io.Writer, data DiffData) error {
 	return r.tmpl.ExecuteTemplate(w, "diff", data)
 }
 
-// Trace renders the operator-trace page.
-func (r *Renderer) Trace(w io.Writer, data TraceData) error {
-	return r.tmpl.ExecuteTemplate(w, "trace", data)
-}
-
 // pages holds the HTML templates, keyed by name.
 var pages = map[string]string{
 	"layout_head": layoutHead,
@@ -218,27 +206,6 @@ var pages = map[string]string{
 <table><tr><th>target</th><th>query {{.Diff.QueryA}} (s)</th><th>query {{.Diff.QueryB}} (s)</th></tr>
 {{range $target, $pair := .Diff.Times}}<tr><td>{{$target}}</td><td>{{seconds (index $pair 0)}}</td><td>{{seconds (index $pair 1)}}</td></tr>{{end}}
 </table>
-{{template "layout_foot" .}}`,
-
-	"trace": `{{template "layout_head" .}}
-<h1>Operator trace — {{.Project.Name}} / query {{.QueryID}}</h1>
-{{if .SQL}}<pre>{{.SQL}}</pre>{{end}}
-{{if not .Targets}}<p>No traced results for this query yet; run the driver with tracing enabled.</p>{{else}}
-<p>Per-operator spans of every traced target, keyed to the shared plan operator ids
-(see the EXPLAIN plan-JSON of the query). A dash means the target's execution
-strategy has no such operator. Scan spans of the typed engines additionally
-report the zone-map blocks they skipped ("+N skipped").</p>
-<table><tr><th>operator</th><th>kind</th>{{range .Targets}}<th>{{.}} (ms / rows)</th>{{end}}</tr>
-{{range .Rows}}<tr><td><code>{{.OpID}}</code></td><td>{{.Kind}}</td>
-{{range .Spans}}<td>{{if .}}{{millis .WallNS}} / {{.Rows}}{{if .BlocksSkipped}} / +{{.BlocksSkipped}} skipped{{end}}{{else}}—{{end}}</td>{{end}}</tr>{{end}}
-</table>
-{{if .Ratios}}{{$a := index .Targets 0}}{{$b := index .Targets 1}}
-<h2>Operator-level ratio: {{$a}} vs {{$b}}</h2>
-<table><tr><th>kind</th><th>{{$a}} (ms)</th><th>{{$b}} (ms)</th><th>ratio</th></tr>
-{{range .Ratios}}<tr><td>{{.Kind}}</td><td>{{millis .NanosA}}</td><td>{{millis .NanosB}}</td><td>{{ratio .Ratio}}</td></tr>{{end}}
-</table>
-{{end}}
-{{end}}
 {{template "layout_foot" .}}`,
 }
 
