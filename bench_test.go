@@ -970,7 +970,7 @@ func BenchmarkPoolGrow(b *testing.B) {
 				}
 				create += t1.Sub(t0)
 				grow += time.Since(t1)
-				templates = len(project.Pool().Generator().Templates())
+				templates = len(project.Pool().Generator().Enumeration().Templates)
 			}
 			b.ReportMetric(float64(create.Microseconds())/float64(b.N)/1000, "newproject_ms")
 			b.ReportMetric(float64(grow.Microseconds())/float64(b.N)/1000, "growpool60_ms")

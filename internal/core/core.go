@@ -183,17 +183,6 @@ func NewProject(name, baselineSQL string, opts ProjectOptions) (*Project, error)
 	return newProject(name, baselineSQL, g, opts)
 }
 
-// NewProjectFromGrammar builds a project from a hand-written grammar, the
-// other entry point the platform offers.
-func NewProjectFromGrammar(name, grammarText string, opts ProjectOptions) (*Project, error) {
-	opts = opts.withDefaults()
-	g, err := grammar.Parse(grammarText)
-	if err != nil {
-		return nil, err
-	}
-	return newProject(name, "", g, opts)
-}
-
 func newProject(name, baseline string, g *grammar.Grammar, opts ProjectOptions) (*Project, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -218,6 +207,8 @@ func newProject(name, baseline string, g *grammar.Grammar, opts ProjectOptions) 
 }
 
 // Pool exposes the query pool.
+//
+//lint:api the benchmark module grows and reads a project's pool
 func (p *Project) Pool() *pool.Pool { return p.pool }
 
 // Space returns the query-space summary of the project's grammar (the
@@ -255,24 +246,6 @@ func (p *Project) AddEngineTarget(name string, eng engine.Engine, db *engine.Dat
 		Parallelism: p.opts.QueryParallelism,
 		Trace:       p.opts.Trace,
 	})
-}
-
-// AddRegistryTargets registers every built-in engine (six engines in
-// four execution paradigms) against the database and returns the target
-// names in registry order.
-func (p *Project) AddRegistryTargets(db *engine.Database) []string {
-	reg := engine.NewRegistry()
-	keys := reg.Keys()
-	for _, key := range keys {
-		p.AddEngineTarget(key, reg.Get(key), db)
-	}
-	return keys
-}
-
-// PlanCacheStats returns how many logical-plan lookups by the project's
-// engine targets hit and missed the shared plan cache.
-func (p *Project) PlanCacheStats() (hits, misses uint64) {
-	return p.plans.Stats()
 }
 
 // Matrix computes the pairwise discrimination matrix over every registered
@@ -327,6 +300,8 @@ func (p *Project) ensureSearch() (*discriminative.Search, error) {
 }
 
 // MeasureAll measures every pool entry on every registered target.
+//
+//lint:api the benchmark module's search_variants workload
 func (p *Project) MeasureAll() error {
 	s, err := p.ensureSearch()
 	if err != nil {
@@ -394,25 +369,10 @@ func (p *Project) Runs() []analytics.Run {
 	return p.search.Runs()
 }
 
-// History returns the experiment-history series for one target (Figure 7).
-func (p *Project) History(target string) []analytics.HistoryPoint {
-	return analytics.History(p.Runs(), target)
-}
-
 // Components returns the dominant-component attribution for one target
 // (Figure 2).
 func (p *Project) Components(target string) []analytics.Component {
 	return analytics.Components(p.Runs(), target)
-}
-
-// Speedup compares two targets query by query (Figure 3).
-func (p *Project) Speedup(baseTarget, otherTarget string) analytics.SpeedupSummary {
-	return analytics.Speedup(p.Runs(), baseTarget, otherTarget)
-}
-
-// Diff builds the query-differential page for two pool entries (Figure 4).
-func (p *Project) Diff(queryA, queryB int) (analytics.Differential, error) {
-	return analytics.Diff(p.Runs(), queryA, queryB)
 }
 
 // ExportCSV writes all runs in the platform's CSV format.

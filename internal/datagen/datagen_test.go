@@ -1,11 +1,26 @@
 package datagen
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"sqalpel/internal/engine"
 	"sqalpel/internal/sqlsem"
 )
+
+// columnIndex returns the position of the named column of tbl, or -1.
+func columnIndex(tbl *engine.Table, name string) int {
+	for i, c := range tbl.Columns {
+		if strings.EqualFold(c.Name, name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// value returns the value at (row, col) of tbl.
+func value(tbl *engine.Table, row, col int) engine.Value { return tbl.ColumnValues(col)[row] }
 
 func TestTPCHSchemaAndSizes(t *testing.T) {
 	db := TPCH(TPCHOptions{ScaleFactor: 0.001})
@@ -55,8 +70,8 @@ func TestTPCHDeterminism(t *testing.T) {
 	}
 	for i := 0; i < 100 && i < ta.NumRows(); i++ {
 		for c := range ta.Columns {
-			if ta.Value(i, c).String() != tb.Value(i, c).String() {
-				t.Fatalf("row %d col %d differs: %s vs %s", i, c, ta.Value(i, c), tb.Value(i, c))
+			if value(ta, i, c).String() != value(tb, i, c).String() {
+				t.Fatalf("row %d col %d differs: %s vs %s", i, c, value(ta, i, c), value(tb, i, c))
 			}
 		}
 	}
@@ -65,26 +80,26 @@ func TestTPCHDeterminism(t *testing.T) {
 func TestTPCHValueDomains(t *testing.T) {
 	db := TPCH(TPCHOptions{ScaleFactor: 0.001})
 	li := db.Table("lineitem")
-	discountIdx := li.ColumnIndex("l_discount")
-	taxIdx := li.ColumnIndex("l_tax")
-	qtyIdx := li.ColumnIndex("l_quantity")
-	shipIdx := li.ColumnIndex("l_shipdate")
+	discountIdx := columnIndex(li, "l_discount")
+	taxIdx := columnIndex(li, "l_tax")
+	qtyIdx := columnIndex(li, "l_quantity")
+	shipIdx := columnIndex(li, "l_shipdate")
 	lo := sqlsem.MustParseDate("1992-01-01")
 	hi := sqlsem.MustParseDate("1999-01-01")
 	for i := 0; i < li.NumRows(); i++ {
-		d := li.Value(i, discountIdx).Float()
+		d := value(li, i, discountIdx).Float()
 		if d < 0 || d > 0.10001 {
 			t.Fatalf("discount %f out of range", d)
 		}
-		tax := li.Value(i, taxIdx).Float()
+		tax := value(li, i, taxIdx).Float()
 		if tax < 0 || tax > 0.08001 {
 			t.Fatalf("tax %f out of range", tax)
 		}
-		q := li.Value(i, qtyIdx).Float()
+		q := value(li, i, qtyIdx).Float()
 		if q < 1 || q > 50 {
 			t.Fatalf("quantity %f out of range", q)
 		}
-		sd := li.Value(i, shipIdx)
+		sd := value(li, i, shipIdx)
 		if sd.Kind != sqlsem.KindDate || sd.I < lo || sd.I > hi {
 			t.Fatalf("shipdate %s out of range", sd)
 		}
@@ -93,32 +108,32 @@ func TestTPCHValueDomains(t *testing.T) {
 	// Referential integrity: every lineitem orderkey exists in orders.
 	orderKeys := map[int64]bool{}
 	ot := db.Table("orders")
-	okIdx := ot.ColumnIndex("o_orderkey")
+	okIdx := columnIndex(ot, "o_orderkey")
 	for i := 0; i < ot.NumRows(); i++ {
-		orderKeys[ot.Value(i, okIdx).I] = true
+		orderKeys[value(ot, i, okIdx).I] = true
 	}
-	loIdx := li.ColumnIndex("l_orderkey")
+	loIdx := columnIndex(li, "l_orderkey")
 	for i := 0; i < li.NumRows(); i++ {
-		if !orderKeys[li.Value(i, loIdx).I] {
-			t.Fatalf("lineitem row %d references missing order %d", i, li.Value(i, loIdx).I)
+		if !orderKeys[value(li, i, loIdx).I] {
+			t.Fatalf("lineitem row %d references missing order %d", i, value(li, i, loIdx).I)
 		}
 	}
 
 	// Selectivity targets of the standard predicates must be non-empty.
 	counts := map[string]int{}
 	ct := db.Table("customer")
-	segIdx := ct.ColumnIndex("c_mktsegment")
+	segIdx := columnIndex(ct, "c_mktsegment")
 	for i := 0; i < ct.NumRows(); i++ {
-		counts[ct.Value(i, segIdx).S]++
+		counts[value(ct, i, segIdx).S]++
 	}
 	if counts["BUILDING"] == 0 {
 		t.Error("no BUILDING customers generated; Q3 would be empty")
 	}
 	pt := db.Table("part")
-	brandIdx := pt.ColumnIndex("p_brand")
+	brandIdx := columnIndex(pt, "p_brand")
 	brands := map[string]bool{}
 	for i := 0; i < pt.NumRows(); i++ {
-		brands[pt.Value(i, brandIdx).S] = true
+		brands[value(pt, i, brandIdx).S] = true
 	}
 	if !brands["Brand#23"] && !brands["Brand#12"] {
 		t.Error("expected standard brands to be generated")
@@ -140,13 +155,13 @@ func TestSSBSchema(t *testing.T) {
 		t.Errorf("lineorder rows = %d, too few", lo.NumRows())
 	}
 	// Revenue must be consistent with price and discount.
-	priceIdx := lo.ColumnIndex("lo_extendedprice")
-	discIdx := lo.ColumnIndex("lo_discount")
-	revIdx := lo.ColumnIndex("lo_revenue")
+	priceIdx := columnIndex(lo, "lo_extendedprice")
+	discIdx := columnIndex(lo, "lo_discount")
+	revIdx := columnIndex(lo, "lo_revenue")
 	for i := 0; i < 50; i++ {
-		price := lo.Value(i, priceIdx).Float()
-		disc := lo.Value(i, discIdx).Float()
-		rev := lo.Value(i, revIdx).Float()
+		price := value(lo, i, priceIdx).Float()
+		disc := value(lo, i, discIdx).Float()
+		rev := value(lo, i, revIdx).Float()
 		want := price * (1 - disc/100)
 		if diff := rev - want; diff > 0.001 || diff < -0.001 {
 			t.Fatalf("row %d revenue %f, want %f", i, rev, want)
@@ -160,18 +175,18 @@ func TestAirtrafficSchema(t *testing.T) {
 	if fl == nil || fl.NumRows() != 2000 {
 		t.Fatalf("flights table missing or wrong size")
 	}
-	cancelledIdx := fl.ColumnIndex("cancelled")
-	depIdx := fl.ColumnIndex("dep_delay")
-	origIdx := fl.ColumnIndex("origin")
-	destIdx := fl.ColumnIndex("dest")
+	cancelledIdx := columnIndex(fl, "cancelled")
+	depIdx := columnIndex(fl, "dep_delay")
+	origIdx := columnIndex(fl, "origin")
+	destIdx := columnIndex(fl, "dest")
 	cancelledSeen := false
 	for i := 0; i < fl.NumRows(); i++ {
-		if fl.Value(i, origIdx).S == fl.Value(i, destIdx).S {
+		if value(fl, i, origIdx).S == value(fl, i, destIdx).S {
 			t.Fatalf("row %d has identical origin and destination", i)
 		}
-		if fl.Value(i, cancelledIdx).I == 1 {
+		if value(fl, i, cancelledIdx).I == 1 {
 			cancelledSeen = true
-			if !fl.Value(i, depIdx).IsNull() {
+			if !value(fl, i, depIdx).IsNull() {
 				t.Fatalf("cancelled flight %d should have NULL dep_delay", i)
 			}
 		}
@@ -195,18 +210,18 @@ func TestFuzzSchema(t *testing.T) {
 	// meaningful mix of NULLs and values — that mix is the whole point of
 	// the data set.
 	for _, keyCol := range []string{"id", "k"} {
-		ci := ft.ColumnIndex(keyCol)
+		ci := columnIndex(ft, keyCol)
 		for i := 0; i < ft.NumRows(); i++ {
-			if ft.Value(i, ci).IsNull() {
+			if value(ft, i, ci).IsNull() {
 				t.Fatalf("key column %s has a NULL at row %d", keyCol, i)
 			}
 		}
 	}
 	for _, nullCol := range []string{"a", "b", "f", "s", "d", "g"} {
-		ci := ft.ColumnIndex(nullCol)
+		ci := columnIndex(ft, nullCol)
 		nulls := 0
 		for i := 0; i < ft.NumRows(); i++ {
-			if ft.Value(i, ci).IsNull() {
+			if value(ft, i, ci).IsNull() {
 				nulls++
 			}
 		}
@@ -223,7 +238,7 @@ func TestFuzzDeterminism(t *testing.T) {
 	ta, tb := a.Table("t"), b.Table("t")
 	for i := 0; i < ta.NumRows(); i++ {
 		for c := range ta.Columns {
-			va, vb := ta.Value(i, c), tb.Value(i, c)
+			va, vb := value(ta, i, c), value(tb, i, c)
 			if va != vb {
 				t.Fatalf("row %d col %d differs between identical seeds: %v vs %v", i, c, va, vb)
 			}
@@ -234,7 +249,7 @@ func TestFuzzDeterminism(t *testing.T) {
 	to := other.Table("t")
 	for i := 0; i < ta.NumRows() && !diff; i++ {
 		for c := range ta.Columns {
-			if ta.Value(i, c) != to.Value(i, c) {
+			if value(ta, i, c) != value(to, i, c) {
 				diff = true
 				break
 			}

@@ -122,15 +122,6 @@ func New(p *pool.Pool, targets map[string]metrics.Target, opts Options) (*Search
 	}, nil
 }
 
-// Scheduler exposes the measurement scheduler (for cache statistics).
-func (s *Search) Scheduler() *sched.Scheduler { return s.sched }
-
-// Pool returns the underlying pool.
-func (s *Search) Pool() *pool.Pool { return s.pool }
-
-// Targets returns the target names in deterministic order.
-func (s *Search) Targets() []string { return append([]string(nil), s.names...) }
-
 // Outcomes returns all measured outcomes in pool-entry order.
 func (s *Search) Outcomes() []*Outcome {
 	var out []*Outcome
@@ -140,15 +131,6 @@ func (s *Search) Outcomes() []*Outcome {
 		}
 	}
 	return out
-}
-
-// MeasureEntry measures one pool entry on every target (if not already
-// measured) and returns the outcome.
-func (s *Search) MeasureEntry(e *pool.Entry) *Outcome {
-	if o, ok := s.outcomes[e.ID]; ok {
-		return o
-	}
-	return s.measureEntries(context.Background(), []*pool.Entry{e})[0]
 }
 
 // MeasurePending measures every pool entry that has not been measured yet
@@ -209,15 +191,11 @@ func (s *Search) measureEntries(ctx context.Context, entries []*pool.Entry) []*O
 	return out
 }
 
-// Round measures everything pending, then grows the pool guided by the most
-// discriminative outcomes found so far: the top queries in both directions
-// are morphed with alter/expand/prune, and the remainder of the budget is
-// spent on random growth so the walk keeps exploring.
-func (s *Search) Round(a, b string) []*Outcome {
-	return s.RoundContext(context.Background(), a, b)
-}
-
-// RoundContext is Round with cancellation.
+// RoundContext measures everything pending, then grows the pool guided by
+// the most discriminative outcomes found so far: the top queries in both
+// directions are morphed with alter/expand/prune, and the remainder of the
+// budget is spent on random growth so the walk keeps exploring. The
+// context cancels the measurements.
 func (s *Search) RoundContext(ctx context.Context, a, b string) []*Outcome {
 	newOutcomes := s.MeasurePendingContext(ctx)
 
@@ -361,6 +339,8 @@ func (s *Search) Matrix() []MatrixCell {
 // OperatorRatios is trace.KindRatios over the compare rows of every measured
 // outcome where both targets succeeded with a trace: the operator kinds
 // ranked by how lopsided the two targets' summed span times are.
+//
+//lint:api library API that README documents beside trace.KindRatios
 func (s *Search) OperatorRatios(a, b string) []trace.KindRatio {
 	var rows []trace.CompareRow
 	for _, o := range s.Outcomes() {

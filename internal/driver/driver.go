@@ -171,9 +171,6 @@ func NewClient(cfg Config) (*Client, error) {
 	return &Client{cfg: cfg, http: &http.Client{Timeout: 2 * cfg.Timeout}}, nil
 }
 
-// Config returns the client configuration.
-func (c *Client) Config() Config { return c.cfg }
-
 func (c *Client) post(path string, body any, out any) (int, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
@@ -261,6 +258,8 @@ func (c *Client) RequestTasks(max int) ([]*repository.Task, error) {
 
 // Report sends a finished measurement back to the server. A lease lost in
 // the meantime is an error here; the run loops skip it instead.
+//
+//lint:api the benchmark module's driver.report_ms probe
 func (c *Client) Report(taskID int, m *metrics.Measurement) error {
 	landed, err := c.report([]*repository.Task{{ID: taskID}}, []*metrics.Measurement{m})
 	if err == nil && landed == 0 {
@@ -331,24 +330,6 @@ func (c *Client) enableTrace(target metrics.Target) {
 // repetitions and per-repetition timeout.
 func (c *Client) measure(target metrics.Target, task *repository.Task) *metrics.Measurement {
 	return metrics.Measure(target, task.SQL, metrics.Options{Runs: c.cfg.Runs, Timeout: c.cfg.Timeout})
-}
-
-// RunOnce requests one task, measures it on the target and reports the
-// result. It returns false when no task was available. A report rejected
-// because the lease was lost in the meantime (expired and re-queued to
-// another driver) is not an error: the result is dropped and the loop
-// carries on — that is the designed recovery path, not a driver failure.
-func (c *Client) RunOnce(target metrics.Target) (bool, error) {
-	c.enableTrace(target)
-	task, err := c.RequestTask()
-	if err != nil {
-		return false, err
-	}
-	if task == nil {
-		return false, nil
-	}
-	_, err = c.report([]*repository.Task{task}, []*metrics.Measurement{c.measure(target, task)})
-	return true, err
 }
 
 // measureAll measures the tasks on up to workers concurrent workers and

@@ -59,6 +59,8 @@ func (r *Result) NumRows() int {
 
 // Rows boxes the result into rows of values — the one place columns become
 // [][]Value.
+//
+//lint:api library API that README shows
 func (r *Result) Rows() [][]Value {
 	rows := make([][]Value, r.NumRows())
 	for i := range rows {
@@ -320,6 +322,8 @@ func NewVektorEngine() Engine { return NewRegistry().Get("vektor-1.0") }
 // NewFusilEngine returns the compiled engine ("fusil 1.0"): per-query
 // closure compilation of the scan→filter segment into one fused loop, on
 // the vectorized engine's pipeline breakers.
+//
+//lint:api fusil's constructor; it goes when fusil itself is deleted
 func NewFusilEngine() Engine { return NewRegistry().Get("fusil-1.0") }
 
 // Registry maps engine keys ("name-version") to constructed engines, the way
@@ -347,6 +351,8 @@ func NewRegistry() *Registry {
 }
 
 // PlanCache returns the registry's shared plan cache.
+//
+//lint:api the benchmark module's plan.cache_hit_ratio probe
 func (r *Registry) PlanCache() *plan.Cache { return r.plans }
 
 // Explain resolves the query's logical plan through the registry's shared

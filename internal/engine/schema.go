@@ -65,14 +65,6 @@ func NewTable(name string, columns ...Column) *Table {
 // NumRows returns the number of rows.
 func (t *Table) NumRows() int { return t.rows }
 
-// ColumnIndex returns the index of the named column (case insensitive) or -1.
-func (t *Table) ColumnIndex(name string) int {
-	if idx, ok := t.byName[strings.ToLower(name)]; ok {
-		return idx
-	}
-	return -1
-}
-
 // AppendRow adds one row; the number of values must match the column count
 // and each value must be compatible with the declared column type (NULLs are
 // always accepted).
@@ -93,22 +85,6 @@ func (t *Table) AppendRow(vals ...Value) error {
 		t.cols[i] = append(t.cols[i], v)
 	}
 	t.rows++
-	t.version++
-	return nil
-}
-
-// SetValue overwrites the value at (row, col) in place, type-checked against
-// the declared column type, and bumps the data version so caches built over
-// the old contents are invalidated.
-func (t *Table) SetValue(row, col int, v Value) error {
-	if row < 0 || row >= t.rows || col < 0 || col >= len(t.Columns) {
-		return fmt.Errorf("table %s: position (%d,%d) out of range", t.Name, row, col)
-	}
-	if !v.IsNull() && !typeCompatible(t.Columns[col].Type, v.Kind) {
-		return fmt.Errorf("table %s: column %s expects %s, got %s",
-			t.Name, t.Columns[col].Name, t.Columns[col].Type, v.Kind)
-	}
-	t.cols[col][row] = v
 	t.version++
 	return nil
 }
@@ -140,9 +116,6 @@ func typeCompatible(ct ColumnType, k Kind) bool {
 		return false
 	}
 }
-
-// Value returns the value at (row, col).
-func (t *Table) Value(row, col int) Value { return t.cols[col][row] }
 
 // ColumnValues returns the backing slice of a column; callers must not
 // modify it.

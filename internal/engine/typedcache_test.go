@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sqalpel/internal/sqlsem"
+	"sqalpel/internal/vexec"
 )
 
 // cacheFixture builds a database with one string-keyed table big enough to
@@ -24,6 +25,17 @@ func cacheFixture(rows int) (*Database, *Table) {
 	return db, tab
 }
 
+// dictOf returns the dictionary of the named column of a typed table, or
+// nil when the column is absent or stored raw.
+func dictOf(t *vexec.Table, name string) *vexec.Dictionary {
+	for _, c := range t.Cols {
+		if c.Name == name {
+			return c.Vec.Dict
+		}
+	}
+	return nil
+}
+
 // TestTypedCacheRebuildsEncodingsOnVersionBump pins the invalidation
 // contract of the typed import under the new storage encodings: a data
 // mutation bumps the table version, and the next import rebuilds the typed
@@ -36,11 +48,11 @@ func TestTypedCacheRebuildsEncodingsOnVersionBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := vt1.DictFor("s"); d == nil || d.Len() != 3 {
+	if d := dictOf(vt1, "s"); d == nil || len(d.Vals) != 3 {
 		t.Fatalf("imported dictionary = %v, want 3 entries", d)
 	}
-	if nb := vt1.NumZoneBlocks(); nb != 3 {
-		t.Fatalf("zone blocks = %d, want 3 for 2500 rows", nb)
+	if n := vt1.NumRows(); n != 2500 {
+		t.Fatalf("typed rows = %d, want 2500", n)
 	}
 	if again, _ := tc.typedTable(db, tab); again != vt1 {
 		t.Fatal("unchanged version was re-imported")
@@ -59,14 +71,14 @@ func TestTypedCacheRebuildsEncodingsOnVersionBump(t *testing.T) {
 	if vt2 == vt1 {
 		t.Fatal("version bump served the stale typed table")
 	}
-	if d := vt2.DictFor("s"); d == nil || d.Len() != 4 {
+	if d := dictOf(vt2, "s"); d == nil || len(d.Vals) != 4 {
 		t.Fatalf("rebuilt dictionary = %v, want 4 entries including the appended value", d)
 	}
-	if _, ok := vt2.DictFor("s").Code("zeta"); !ok {
+	if _, ok := dictOf(vt2, "s").Code("zeta"); !ok {
 		t.Fatal("rebuilt dictionary misses the appended value")
 	}
-	if nb := vt2.NumZoneBlocks(); nb != 3 {
-		t.Fatalf("rebuilt zone blocks = %d, want 3 for 2501 rows", nb)
+	if n := vt2.NumRows(); n != 2501 {
+		t.Fatalf("rebuilt typed rows = %d, want 2501", n)
 	}
 	if tc.builds != 2 {
 		t.Fatalf("builds = %d after one invalidation, want 2", tc.builds)

@@ -243,6 +243,8 @@ func Corpus(opts Options) (queries []string, db *engine.Database, err error) {
 // all registry engines. It only returns an error for infrastructure
 // failures (grammar parse, pool construction); semantic disagreements are
 // reported in Report.Divergences.
+//
+//lint:api the differential fuzzer, the correctness oracle README names; its tests run it
 func Run(opts Options) (*Report, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -306,6 +308,8 @@ func totallyOrdered(sql string) bool {
 
 // Fingerprint is the exact-bit multiset fingerprint of a result,
 // engine.Result.Fingerprint under the name the benchmark imports.
+//
+//lint:api the benchmark module's answer check (benchmarks/sqalpelbench/tpch.go)
 func Fingerprint(r *engine.Result) string { return r.Fingerprint() }
 
 // normalizeError strips the engine-name prefix Execute attaches, so two
@@ -316,23 +320,4 @@ func normalizeError(name string, err error) string {
 		return rest
 	}
 	return msg
-}
-
-// Describe renders a compact human-readable summary of a divergence, used
-// by tests and the experiment log.
-func (d Divergence) Describe() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "query: %s\n", d.SQL)
-	for _, oc := range d.Outcomes {
-		if oc.Err != "" {
-			fmt.Fprintf(&sb, "  %-16s ERROR: %s\n", oc.Engine, oc.Err)
-			continue
-		}
-		sum := oc.Fingerprint
-		if len(sum) > 120 {
-			sum = sum[:120] + "…"
-		}
-		fmt.Fprintf(&sb, "  %-16s %s\n", oc.Engine, strings.ReplaceAll(sum, "\n", " / "))
-	}
-	return sb.String()
 }

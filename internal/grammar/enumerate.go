@@ -99,15 +99,6 @@ func (t *Template) Key(chosen map[string][]Literal) string {
 	return string(buf)
 }
 
-// Text renders the template with ${class} placeholders.
-func (t *Template) Text() string {
-	parts := make([]string, 0, len(t.Elements))
-	for _, e := range t.Elements {
-		parts = append(parts, e.String())
-	}
-	return strings.Join(parts, " ")
-}
-
 // Combinations returns the number of concrete queries this template yields
 // under the literal-once rule with order ignored: the product over lexical
 // classes of C(classSize, occurrences). Templates requesting more
@@ -494,11 +485,6 @@ type SpaceSummary struct {
 	Space     uint64
 	Capped    bool
 }
-
-// Saturated reports that Space hit the uint64 ceiling and is a lower bound;
-// display layers must not print it as an exact count (FormatSpace handles
-// this).
-func (s SpaceSummary) Saturated() bool { return spaceSaturated(s.Space) }
 
 // String renders the summary the way the paper prints it: capped entries are
 // shown as ">cap –", saturated spaces as a lower bound.

@@ -65,9 +65,6 @@ func NewGenerator(g *Grammar, opts GeneratorOptions) (*Generator, error) {
 	return gen, nil
 }
 
-// Templates exposes the enumerated template set.
-func (g *Generator) Templates() []*Template { return g.enum.Templates }
-
 // Enumeration exposes the full enumeration result.
 func (g *Generator) Enumeration() *Enumeration { return g.enum }
 
@@ -155,43 +152,6 @@ func (g *Generator) realize(tpl *Template, random bool) (*Sentence, error) {
 	return g.materialize(tpl, pools), nil
 }
 
-// Realizations enumerates every concrete sentence of a template (respecting
-// the literal-once rule and ignoring order within a class), up to limit
-// sentences. A limit of zero means no limit. It is used by exhaustive small
-// projects and by tests.
-func (g *Generator) Realizations(tpl *Template, limit int) ([]*Sentence, error) {
-	classes := tpl.Classes()
-	for _, c := range classes {
-		if tpl.Counts[c] > len(g.classes[c]) {
-			return nil, fmt.Errorf("template needs %d literals of class %q, grammar offers %d",
-				tpl.Counts[c], c, len(g.classes[c]))
-		}
-	}
-	// Enumerate combinations per class and take the cartesian product.
-	perClass := make([][][]Literal, len(classes))
-	for i, c := range classes {
-		perClass[i] = combinations(g.classes[c], tpl.Counts[c])
-	}
-	var out []*Sentence
-	var walk func(i int, chosen map[string][]Literal) bool
-	walk = func(i int, chosen map[string][]Literal) bool {
-		if i == len(classes) {
-			sent := g.materialize(tpl, chosen)
-			out = append(out, sent)
-			return limit == 0 || len(out) < limit
-		}
-		for _, combo := range perClass[i] {
-			chosen[classes[i]] = combo
-			if !walk(i+1, chosen) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(0, map[string][]Literal{})
-	return out, nil
-}
-
 // ClassLiterals returns the literals available to this generator (honouring
 // its dialect) for the given lexical class.
 func (g *Generator) ClassLiterals(class string) []Literal {
@@ -231,30 +191,6 @@ func (g *Generator) materialize(tpl *Template, chosen map[string][]Literal) *Sen
 	}
 	sent.SQL = JoinSQL(parts)
 	return sent
-}
-
-// combinations returns all k-subsets of lits, preserving order within each
-// subset.
-func combinations(lits []Literal, k int) [][]Literal {
-	if k == 0 {
-		return [][]Literal{nil}
-	}
-	if k > len(lits) {
-		return nil
-	}
-	var out [][]Literal
-	var rec func(start int, cur []Literal)
-	rec = func(start int, cur []Literal) {
-		if len(cur) == k {
-			out = append(out, append([]Literal(nil), cur...))
-			return
-		}
-		for i := start; i < len(lits); i++ {
-			rec(i+1, append(cur, lits[i]))
-		}
-	}
-	rec(0, nil)
-	return out
 }
 
 // JoinSQL joins query fragments with single spaces and fixes the spacing

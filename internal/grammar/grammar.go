@@ -269,17 +269,6 @@ func (g *Grammar) String() string {
 	return sb.String()
 }
 
-// Clone returns a deep copy of the grammar.
-func (g *Grammar) Clone() *Grammar {
-	out := New(g.Start)
-	for _, r := range g.Rules {
-		nr := &Rule{Name: r.Name, Line: r.Line}
-		nr.Alternatives = append(nr.Alternatives, r.Alternatives...)
-		out.AddRule(nr)
-	}
-	return out
-}
-
 // Parse parses a grammar in the sqalpel source syntax:
 //
 //	rulename:
@@ -433,46 +422,6 @@ func parseElements(text string, line int) ([]Element, error) {
 		return nil, fmt.Errorf("line %d: empty alternative", line)
 	}
 	return elems, nil
-}
-
-// Fuse merges the alternatives of rule src into rule dst and removes src,
-// rewriting references. The paper mentions rule fusion as the manual lever a
-// project owner has to shrink the search space.
-func (g *Grammar) Fuse(dst, src string) error {
-	d, s := g.Rule(dst), g.Rule(src)
-	if d == nil {
-		return fmt.Errorf("fuse: unknown destination rule %q", dst)
-	}
-	if s == nil {
-		return fmt.Errorf("fuse: unknown source rule %q", src)
-	}
-	if d == s {
-		return fmt.Errorf("fuse: cannot fuse rule %q into itself", dst)
-	}
-	d.Alternatives = append(d.Alternatives, s.Alternatives...)
-	// Rewrite references to src so they point at dst.
-	for _, r := range g.Rules {
-		for ai := range r.Alternatives {
-			for ei := range r.Alternatives[ai].Elements {
-				if r.Alternatives[ai].Elements[ei].Ref == src {
-					r.Alternatives[ai].Elements[ei].Ref = dst
-				}
-			}
-		}
-	}
-	// Remove src from the rule list and index.
-	out := g.Rules[:0]
-	for _, r := range g.Rules {
-		if r.Name != src {
-			out = append(out, r)
-		}
-	}
-	g.Rules = out
-	delete(g.index, src)
-	if g.Start == src {
-		g.Start = dst
-	}
-	return nil
 }
 
 // LexicalClasses returns, for every lexical rule, the number of literals it

@@ -528,7 +528,7 @@ func TestRealizationsExhaustive(t *testing.T) {
 	}
 	total := 0
 	keys := map[string]bool{}
-	for _, tpl := range gen.Templates() {
+	for _, tpl := range gen.Enumeration().Templates {
 		sents, err := gen.Realizations(tpl, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -552,7 +552,7 @@ func TestRealizationsLimit(t *testing.T) {
 	gen, _ := NewGenerator(g, GeneratorOptions{})
 	// Pick a template with two column slots: it has C(4,2)=6 realisations.
 	var twoCols *Template
-	for _, tpl := range gen.Templates() {
+	for _, tpl := range gen.Enumeration().Templates {
 		if tpl.Counts["l_column"] == 2 {
 			twoCols = tpl
 			break

@@ -69,6 +69,8 @@ func parseWants(t *testing.T, fset *token.FileSet, file *ast.File) []*expectatio
 
 // Run loads the fixture packages under dir/src by import path, applies the
 // analyzer to each, and diffs diagnostics against the want comments.
+//
+//lint:api the analyzers' fixture harness; their tests are its callers
 func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	pkgs, err := loader.LoadFixtures(dir+"/src", paths...)

@@ -14,7 +14,6 @@ package metrics
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -87,18 +86,6 @@ func (m *Measurement) Max() time.Duration {
 	return max
 }
 
-// Mean returns the arithmetic mean of the repetitions.
-func (m *Measurement) Mean() time.Duration {
-	if len(m.Runs) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, r := range m.Runs {
-		total += r
-	}
-	return total / time.Duration(len(m.Runs))
-}
-
 // Median returns the median repetition time.
 func (m *Measurement) Median() time.Duration {
 	if len(m.Runs) == 0 {
@@ -111,20 +98,6 @@ func (m *Measurement) Median() time.Duration {
 		return sorted[mid]
 	}
 	return (sorted[mid-1] + sorted[mid]) / 2
-}
-
-// Stddev returns the standard deviation of the repetitions in seconds.
-func (m *Measurement) Stddev() float64 {
-	if len(m.Runs) < 2 {
-		return 0
-	}
-	mean := m.Mean().Seconds()
-	var sum float64
-	for _, r := range m.Runs {
-		d := r.Seconds() - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(m.Runs)-1))
 }
 
 // Seconds returns the per-run times in seconds, the unit used by the

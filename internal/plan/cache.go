@@ -188,10 +188,3 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
-
-// Len returns the number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

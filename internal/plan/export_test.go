@@ -10,3 +10,10 @@ func CountNameLookups(fn func()) int {
 	fn()
 	return n
 }
+
+// Len returns the number of cached plans.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}

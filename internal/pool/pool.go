@@ -72,6 +72,8 @@ type Entry struct {
 }
 
 // Sentence exposes the underlying grammar sentence.
+//
+//lint:api a variant's provenance (template, chosen literals); the server's term-order test reads it
 func (e *Entry) Sentence() *grammar.Sentence { return e.sentence }
 
 // Terms returns the texts of the query's literals: its classes in sorted
@@ -185,9 +187,6 @@ func (p *Pool) SetSteering(s Steering) {
 	p.allowed = nil
 }
 
-// Steering returns the current steering configuration.
-func (p *Pool) Steering() Steering { return p.steer }
-
 // Size returns the number of entries in the pool.
 func (p *Pool) Size() int { return len(p.entries) }
 
@@ -196,18 +195,12 @@ func (p *Pool) Entries() []*Entry {
 	return append([]*Entry(nil), p.entries...)
 }
 
-// Entry returns the entry with the given id, or nil.
-func (p *Pool) Entry(id int) *Entry {
-	if id < 1 || id > len(p.entries) {
-		return nil
-	}
-	return p.entries[id-1]
-}
-
 // Baseline returns the seed entry.
 func (p *Pool) Baseline() *Entry { return p.entries[0] }
 
 // Generator exposes the underlying sentence generator.
+//
+//lint:api BenchmarkPoolGrow reports the template count a pool grows over
 func (p *Pool) Generator() *grammar.Generator { return p.gen }
 
 // add inserts a sentence under its key unless the key is already known or

@@ -151,7 +151,7 @@ func TestSingleCompletionRecordStillReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	key, expID := drainFixture(t, s, 2)
-	task, err := s.RequestTask(key, expID, "vektor", "laptop")
+	task, err := leaseOne(s, key, expID, "vektor", "laptop")
 	if err != nil || task == nil {
 		t.Fatalf("lease: %v %v", task, err)
 	}

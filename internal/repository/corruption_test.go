@@ -180,7 +180,7 @@ func TestCorruptSnapshotFallsBackToPrevious(t *testing.T) {
 		t.Fatal(err)
 	}
 	// More acknowledged work after the first checkpoint.
-	r, err := s.AddResult(g.ownerKey, g.expID, 2, g.dbms, "cloud", []float64{0.9}, "", nil)
+	r, err := s.AddResultTraced(g.ownerKey, g.expID, 2, g.dbms, "cloud", []float64{0.9}, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func extrasGoldenStore(t *testing.T, sink walSink) *shard {
 		}
 	}
 	for i, m := range goldenMaps {
-		if _, err := s.AddResult(key, 1, len(cases)+i+1, "vektor-2.0", "cloud", []float64{0.5}, "", m); err != nil {
+		if _, err := s.AddResultTraced(key, 1, len(cases)+i+1, "vektor-2.0", "cloud", []float64{0.5}, "", m, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

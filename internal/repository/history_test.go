@@ -53,7 +53,7 @@ func TestCorruptNewestFrameFallsBack(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.AddResult(g.ownerKey, g.expID, 2, g.dbms, "cloud", []float64{0.9}, "", nil)
+	r, err := s.AddResultTraced(g.ownerKey, g.expID, 2, g.dbms, "cloud", []float64{0.9}, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCorruptSharedFrameRefusesToOpen(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.AddResult(g.ownerKey, g.expID, 2, g.dbms, "cloud", []float64{0.9}, "", nil)
+	r, err := s.AddResultTraced(g.ownerKey, g.expID, 2, g.dbms, "cloud", []float64{0.9}, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestModerationStartsNewHistory(t *testing.T) {
 	if err := s.HideResult("martin", results[1].ID, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteResult("martin", results[4].ID); err != nil {
+	if err := s.logRecord(results[4].ProjectID, opResultDelete, walResultDelete{results[4].ID}); err != nil {
 		t.Fatal(err)
 	}
 	after := newest()
@@ -323,7 +323,7 @@ func TestCheckpointCostIsFlat(t *testing.T) {
 	}
 	// The history Open started was created before the hook; a moderation
 	// makes the first checkpoint start one through it.
-	r, err := s.AddResult(key, expID, 1, "vektor", "moderated", []float64{0.1}, "", nil)
+	r, err := s.AddResultTraced(key, expID, 1, "vektor", "moderated", []float64{0.1}, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

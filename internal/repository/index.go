@@ -97,26 +97,24 @@ func (sh *shard) indexProject(p *Project) {
 		sh.store.routeContributor(p, c)
 	}
 	for _, e := range p.Experiments {
-		sh.indexQueries(p.ID, e, 0)
+		sh.indexQueries(p.ID, e)
 	}
 }
 
-// indexQueries indexes the pool of an experiment from position from on:
-// from the start after the pool was replaced (every lane is rewound, the
-// positions it had passed are gone), from the old length after an append.
-func (sh *shard) indexQueries(projectID int, e *Experiment, from int) {
+// indexQueries indexes the pool of an experiment after it was set or
+// replaced: every lane is rewound, the positions it had passed are gone. A
+// lane's cursor is only a hint, so rewinding it leases nothing twice.
+func (sh *shard) indexQueries(projectID int, e *Experiment) {
 	x := sh.expIndexFor(projectID, e.ID)
 	x.exp = e
-	if from == 0 {
-		x.pos = make(map[int]int, len(e.Queries))
-		//lint:ordered every lane is rewound; no order can be observed
-		for _, ln := range x.lanes {
-			ln.cursor = 0
-		}
+	x.pos = make(map[int]int, len(e.Queries))
+	//lint:ordered every lane is rewound; no order can be observed
+	for _, ln := range x.lanes {
+		ln.cursor = 0
 	}
-	for i := from; i < len(e.Queries); i++ {
-		if _, dup := x.pos[e.Queries[i].ID]; !dup {
-			x.pos[e.Queries[i].ID] = i
+	for i, q := range e.Queries {
+		if _, dup := x.pos[q.ID]; !dup {
+			x.pos[q.ID] = i
 		}
 	}
 }

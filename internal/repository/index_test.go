@@ -295,9 +295,10 @@ func runIndexHistory(t *testing.T, seed int64, steps int) {
 			task := leased[i]
 			leased = append(leased[:i], leased[i+1:]...)
 			stored := s.shardWithTask(task.ID).tasks[task.ID]
-			wasRunning := stored.Status == TaskRunning
-			if err := s.KillTask("martin", task.ID); wasRunning != (err == nil) {
-				t.Fatalf("step %d: killing task %d (running: %v): %v", step, task.ID, wasRunning, err)
+			if stored.Status == TaskRunning {
+				if err := s.logRecord(stored.ProjectID, opTaskKill, walTaskKill{TaskID: task.ID, Finished: s.now()}); err != nil {
+					t.Fatalf("step %d: killing task %d: %v", step, task.ID, err)
+				}
 			}
 		case op < 68: // time passes, sometimes past the lease timeout
 			clock = clock.Add(time.Duration(rng.Intn(50)) * time.Second)
@@ -312,7 +313,7 @@ func runIndexHistory(t *testing.T, seed int64, steps int) {
 			}
 		case op < 76 && len(pool) > 0: // a result reported without a lease
 			q := pool[rng.Intn(len(pool))]
-			if _, err := s.AddResult(tg.key, tg.exp, q.ID, lk.dbms, lk.platform, []float64{0.2}, "", nil); err != nil {
+			if _, err := s.AddResultTraced(tg.key, tg.exp, q.ID, lk.dbms, lk.platform, []float64{0.2}, "", nil, nil); err != nil {
 				t.Fatalf("step %d: AddResult: %v", step, err)
 			}
 		case op < 84: // moderation
@@ -322,8 +323,8 @@ func runIndexHistory(t *testing.T, seed int64, steps int) {
 			}
 			r := results[rng.Intn(len(results))]
 			if rng.Intn(2) == 0 {
-				if err := s.DeleteResult("martin", r.ID); err != nil {
-					t.Fatalf("step %d: DeleteResult: %v", step, err)
+				if err := s.logRecord(tg.project, opResultDelete, walResultDelete{r.ID}); err != nil {
+					t.Fatalf("step %d: deleting result %d: %v", step, r.ID, err)
 				}
 			} else if err := s.HideResult("martin", r.ID, !r.Hidden); err != nil {
 				t.Fatalf("step %d: HideResult: %v", step, err)
@@ -336,8 +337,8 @@ func runIndexHistory(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d: ReplaceQueries: %v", step, err)
 			}
 		case op < 92:
-			if err := s.AppendQueries("martin", tg.project, tg.exp, newQueries(1+rng.Intn(3))); err != nil {
-				t.Fatalf("step %d: AppendQueries: %v", step, err)
+			if err := s.logRecord(tg.project, opQueriesAppend, walQueriesAppend{tg.project, tg.exp, newQueries(1 + rng.Intn(3))}); err != nil {
+				t.Fatalf("step %d: appending to the pool: %v", step, err)
 			}
 		case op < 96:
 			if err := s.Checkpoint(); err != nil {
@@ -390,11 +391,11 @@ func TestDecodedRowsShareStrings(t *testing.T) {
 	}
 	key := p.Contributors[0].Key
 	for i := 0; i < 2; i++ {
-		task, err := s.RequestTask(key, e.ID, "vektor", "laptop")
+		task, err := leaseOne(s, key, e.ID, "vektor", "laptop")
 		if err != nil || task == nil {
 			t.Fatalf("lease: %v %v", task, err)
 		}
-		if _, err := s.CompleteTask(task.ID, key, []float64{0.1}, "", nil); err != nil {
+		if _, err := s.CompleteTaskTraced(task.ID, key, []float64{0.1}, "", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -473,11 +474,11 @@ func drainFixture(tb testing.TB, s *Store, n int) (key string, expID int) {
 
 // tryLeaseAndComplete leases one task on the lane and completes it.
 func tryLeaseAndComplete(s *Store, key string, expID int) error {
-	task, err := s.RequestTask(key, expID, "vektor", "laptop")
+	task, err := leaseOne(s, key, expID, "vektor", "laptop")
 	if err != nil || task == nil {
 		return fmt.Errorf("lease: %v %v", task, err)
 	}
-	_, err = s.CompleteTask(task.ID, key, []float64{0.1}, "", nil)
+	_, err = s.CompleteTaskTraced(task.ID, key, []float64{0.1}, "", nil, nil)
 	return err
 }
 
@@ -588,12 +589,12 @@ func TestQueueTouchesNoOtherShardsLock(t *testing.T) {
 	defer locked.mu.Unlock()
 	done := make(chan error, 1)
 	go func() {
-		task, err := s.RequestTask(key, expID, "vektor", "laptop")
+		task, err := leaseOne(s, key, expID, "vektor", "laptop")
 		if err == nil && task == nil {
 			err = fmt.Errorf("nothing leased")
 		}
 		if err == nil {
-			_, err = s.CompleteTask(task.ID, key, []float64{0.1}, "", nil)
+			_, err = s.CompleteTaskTraced(task.ID, key, []float64{0.1}, "", nil, nil)
 		}
 		done <- err
 	}()
@@ -607,11 +608,11 @@ func TestQueueTouchesNoOtherShardsLock(t *testing.T) {
 	}
 }
 
-// TestModerationLocksOnlyItsOwnShard pins that hiding or deleting a result
-// write-locks the result's shard alone: while a reader holds another shard —
-// a page being rendered, a checkpoint capturing its image — the owner still
-// moderates. Both used to write-lock every shard in turn while they looked
-// for the result id.
+// TestModerationLocksOnlyItsOwnShard pins that hiding a result write-locks
+// the result's shard alone: while a reader holds another shard — a page
+// being rendered, a checkpoint capturing its image — the owner still
+// moderates. Moderation used to write-lock every shard in turn while it
+// looked for the result id.
 func TestModerationLocksOnlyItsOwnShard(t *testing.T) {
 	s := NewStoreShards(4)
 	if _, err := s.RegisterUser("martin", "martin@example.org"); err != nil {
@@ -631,7 +632,7 @@ func TestModerationLocksOnlyItsOwnShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		for q := 1; q <= 2; q++ {
-			r, err := s.AddResult(p.Contributors[0].Key, e.ID, q, "vektor", "laptop", []float64{0.1}, "", nil)
+			r, err := s.AddResultTraced(p.Contributors[0].Key, e.ID, q, "vektor", "laptop", []float64{0.1}, "", nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -650,7 +651,7 @@ func TestModerationLocksOnlyItsOwnShard(t *testing.T) {
 	go func() {
 		err := s.HideResult("martin", results[2].ID, true)
 		if err == nil {
-			err = s.DeleteResult("martin", results[3].ID)
+			err = s.HideResult("martin", results[3].ID, true)
 		}
 		done <- err
 	}()
@@ -663,8 +664,8 @@ func TestModerationLocksOnlyItsOwnShard(t *testing.T) {
 		t.Fatal("moderating a result of shard 2 waits for a reader of shard 1 or the writer of shard 3")
 	}
 	got := owner.results
-	if len(got) != 1 || got[0].ID != results[2].ID || !got[0].Hidden {
-		t.Fatalf("shard 2 holds %v after hiding result %d and deleting %d", got, results[2].ID, results[3].ID)
+	if len(got) != 2 || got[0].ID != results[2].ID || got[1].ID != results[3].ID || !got[0].Hidden || !got[1].Hidden {
+		t.Fatalf("shard 2 holds %v after hiding results %d and %d", got, results[2].ID, results[3].ID)
 	}
 }
 
@@ -736,7 +737,7 @@ func TestRoutesSurviveRecovery(t *testing.T) {
 		// One lease per project is completed after each restart.
 		for i := 0; i < 3; i++ {
 			l := leases[round+3*i]
-			if _, err := s.CompleteTask(l.task.ID, l.key, []float64{0.1}, "", nil); err != nil {
+			if _, err := s.CompleteTaskTraced(l.task.ID, l.key, []float64{0.1}, "", nil, nil); err != nil {
 				t.Fatalf("restart %d: completing task %d leased before it: %v", round+1, l.task.ID, err)
 			}
 		}

@@ -114,14 +114,14 @@ func TestLegacyStoreMigratesToWAL(t *testing.T) {
 	if _, err := seed.AddComment("ying", pub.ID, "looks right"); err != nil {
 		t.Fatal(err)
 	}
-	task, err := seed.RequestTask(ownerKey, 1, "columba-1.0", "laptop")
+	task, err := leaseOne(seed, ownerKey, 1, "columba-1.0", "laptop")
 	if err != nil || task == nil {
 		t.Fatalf("lease: %v %v", task, err)
 	}
-	if _, err := seed.CompleteTask(task.ID, ownerKey, []float64{0.2}, "", nil); err != nil {
+	if _, err := seed.CompleteTaskTraced(task.ID, ownerKey, []float64{0.2}, "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if task, err = seed.RequestTask(ownerKey, 1, "vektor-1.0", "jetson"); err != nil || task == nil {
+	if task, err = leaseOne(seed, ownerKey, 1, "vektor-1.0", "jetson"); err != nil || task == nil {
 		t.Fatalf("lease: %v %v", task, err)
 	}
 	_ = priv
@@ -158,7 +158,7 @@ func TestLegacyStoreMigratesToWAL(t *testing.T) {
 
 	// New work lands in the WAL; id allocation continues past the legacy
 	// counters instead of reusing ids.
-	r, err := migrated.AddResult(ownerKey, 1, 2, "columba-1.0", "laptop", []float64{0.3}, "", nil)
+	r, err := migrated.AddResultTraced(ownerKey, 1, 2, "columba-1.0", "laptop", []float64{0.3}, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

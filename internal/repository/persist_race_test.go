@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,7 +33,7 @@ func sampleTrace(i int) *trace.QueryTrace {
 // TestSaveConcurrentWithMutators hammers Save against the mutators that
 // write through the shared *Project/*Task/*Result pointers the snapshot
 // holds. Before Save marshalled under the read lock, json.MarshalIndent ran
-// after RUnlock and raced with AppendQueries/AddResult/RequestTask; run
+// after RUnlock and raced with the pool, result and lease mutators; run
 // with -race this test pins the fix.
 func TestSaveConcurrentWithMutators(t *testing.T) {
 	s, pub, _ := fixture(t)
@@ -55,11 +56,10 @@ func TestSaveConcurrentWithMutators(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			err := s.AppendQueries("martin", pub.ID, 1, []QueryRecord{
-				{ID: 100 + i, SQL: fmt.Sprintf("SELECT %d FROM nation", i), Strategy: "random", Components: 2},
-			})
-			if err != nil {
-				t.Errorf("AppendQueries: %v", err)
+			grown := append(slices.Clone(s.Project(pub.ID).Experiment(1).Queries),
+				QueryRecord{ID: 100 + i, SQL: fmt.Sprintf("SELECT %d FROM nation", i), Strategy: "random", Components: 2})
+			if err := s.ReplaceQueries("martin", pub.ID, 1, grown); err != nil {
+				t.Errorf("ReplaceQueries: %v", err)
 				return
 			}
 		}
@@ -67,7 +67,7 @@ func TestSaveConcurrentWithMutators(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if _, err := s.AddResult(ownerKey, 1, 1, "columba-1.0", "laptop", []float64{0.1}, "", map[string]string{"i": fmt.Sprint(i)}); err != nil {
+			if _, err := s.AddResultTraced(ownerKey, 1, 1, "columba-1.0", "laptop", []float64{0.1}, "", map[string]string{"i": fmt.Sprint(i)}, nil); err != nil {
 				t.Errorf("AddResult: %v", err)
 				return
 			}
@@ -90,7 +90,7 @@ func TestSaveConcurrentWithMutators(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			// Task leasing mutates *Task fields (status, lease deadline)
 			// reachable from the snapshot too.
-			task, err := s.RequestTask(ownerKey, 1, "columba-1.0", "laptop")
+			task, err := leaseOne(s, ownerKey, 1, "columba-1.0", "laptop")
 			if err != nil {
 				t.Errorf("RequestTask: %v", err)
 				return
@@ -98,7 +98,7 @@ func TestSaveConcurrentWithMutators(t *testing.T) {
 			if task == nil {
 				continue
 			}
-			if _, err := s.CompleteTask(task.ID, ownerKey, []float64{0.2}, "", nil); err != nil && err != ErrLeaseLost {
+			if _, err := s.CompleteTaskTraced(task.ID, ownerKey, []float64{0.2}, "", nil, nil); err != nil && err != ErrLeaseLost {
 				t.Errorf("CompleteTask: %v", err)
 				return
 			}
@@ -132,7 +132,7 @@ func TestTraceSurvivesSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	untraced, err := s.AddResult(ownerKey, 1, 1, "columba-1.0", "laptop", []float64{0.2}, "", nil)
+	untraced, err := s.AddResultTraced(ownerKey, 1, 1, "columba-1.0", "laptop", []float64{0.2}, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestCheckpointConcurrentWithMutators(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Something to moderate from the first checkpoint on.
-		if _, err := s.AddResult(p.Contributors[0].Key, e.ID, 1, "vektor-1.0", "seeded", []float64{0.05}, "", nil); err != nil {
+		if _, err := s.AddResultTraced(p.Contributors[0].Key, e.ID, 1, "vektor-1.0", "seeded", []float64{0.05}, "", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		targets = append(targets, target{p.ID, e.ID, p.Contributors[0].Key})
@@ -283,7 +283,7 @@ func TestCheckpointConcurrentWithMutators(t *testing.T) {
 				}
 				for _, task := range tasks {
 					// The jumping clock may have expired the lease meanwhile.
-					if _, err := s.CompleteTask(task.ID, tg.key, []float64{0.2}, "", nil); err != nil && !errors.Is(err, ErrLeaseLost) {
+					if _, err := s.CompleteTaskTraced(task.ID, tg.key, []float64{0.2}, "", nil, nil); err != nil && !errors.Is(err, ErrLeaseLost) {
 						t.Errorf("CompleteTask: %v", err)
 						return
 					}

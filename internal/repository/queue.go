@@ -54,17 +54,6 @@ type Task struct {
 // slot.
 func (t *Task) Active() bool { return t.Status == TaskRunning || t.Status == TaskDone }
 
-// RequestTask hands the next unmeasured query of the experiment to the
-// contributor for the given DBMS + platform combination. It returns nil
-// (and no error) when nothing is left to do.
-func (s *Store) RequestTask(contributorKey string, experimentID int, dbmsKey, platformKey string) (*Task, error) {
-	tasks, err := s.RequestTasks(contributorKey, experimentID, dbmsKey, platformKey, 1)
-	if err != nil || len(tasks) == 0 {
-		return nil, err
-	}
-	return tasks[0], nil
-}
-
 // RequestTasks leases up to max unmeasured queries of the experiment to the
 // contributor for the given DBMS + platform combination in one round trip —
 // the batch protocol concurrent drivers use to keep their worker pools fed.
@@ -164,18 +153,11 @@ type CompletionOutcome struct {
 	Err    error
 }
 
-// CompleteTask reports the outcome of a task and records the result row.
-// Completions into a lease that is no longer running — expired (expiry is
-// evaluated here too, not only on request, so a single stalled driver
-// cannot sneak a stale result in), killed, or already completed — are
-// rejected with an error wrapping ErrLeaseLost.
-func (s *Store) CompleteTask(taskID int, contributorKey string, seconds []float64, errMsg string, extra map[string]string) (*Result, error) {
-	return s.CompleteTaskTraced(taskID, contributorKey, seconds, errMsg, extra, nil)
-}
-
-// CompleteTaskTraced is CompleteTask with an optional per-operator trace
-// attached to the recorded result; nil records an untraced result. It is a
-// batch of one (CompleteTasks).
+// CompleteTaskTraced reports one task as a batch of one (CompleteTasks),
+// with an optional per-operator trace attached to the recorded result; nil
+// records an untraced result.
+//
+//lint:api the benchmark module's completion probe (benchmarks/sqalpelbench/probes.go)
 func (s *Store) CompleteTaskTraced(taskID int, contributorKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
 	out := s.CompleteTasks(contributorKey, []Completion{{TaskID: taskID, Seconds: seconds, Error: errMsg, Extra: EncodeExtras(extra), Trace: EncodeTrace(qt)}})[0]
 	return out.Result, out.Err
@@ -183,8 +165,11 @@ func (s *Store) CompleteTaskTraced(taskID int, contributorKey string, seconds []
 
 // CompleteTasks records a reported batch of completions — typically the
 // tasks of one lease — and returns one outcome per completion, in order.
-// Each completion is checked as CompleteTask checks it, and a task reported
-// twice in one batch has lost its lease to its first report. A contributor
+// A completion into a lease that is no longer running — expired (expiry is
+// evaluated here too, not only on request, so a single stalled driver
+// cannot sneak a stale result in), killed, already completed, or reported
+// earlier in the same batch — is rejected with an error wrapping
+// ErrLeaseLost. A contributor
 // key belongs to one project, so the batch is recorded the way a lease is:
 // under one lock of the project's shard, as one WAL record appended and
 // synced once. The record carries, per accepted completion, the status flip
@@ -269,28 +254,6 @@ func (s *Store) shardWithTask(taskID int) *shard {
 	s.routeMu.RLock()
 	defer s.routeMu.RUnlock()
 	return s.taskRoutes[taskID]
-}
-
-// KillTask marks a running task as killed so the query can be handed out
-// again; only the project owner may kill tasks.
-func (s *Store) KillTask(requester string, taskID int) error {
-	sh := s.shardWithTask(taskID)
-	if sh == nil {
-		return fmt.Errorf("unknown task %d", taskID)
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	task := sh.tasks[taskID]
-	if task == nil {
-		return fmt.Errorf("unknown task %d", taskID)
-	}
-	if sh.roleOfLocked(requester, task.ProjectID) != RoleOwner {
-		return fmt.Errorf("only the project owner can kill tasks")
-	}
-	if task.Status != TaskRunning {
-		return fmt.Errorf("task %d is not running", taskID)
-	}
-	return sh.logApply(opTaskKill, walTaskKill{TaskID: taskID, Finished: s.now()})
 }
 
 // ExpireTasks requeues every running task whose deadline passed; it returns

@@ -19,7 +19,11 @@ import (
 type shardRecord interface{ apply(sh *shard) }
 
 // The ops that add rows log them as they are; the small changes have
-// structs of their own.
+// structs of their own. Four ops have no writer any more and only old logs
+// hold them: catalogs, queries-append, result-delete and task-kill. Their
+// records keep their type and their apply, so such logs still replay. A
+// result record is written only by AddResultTraced, the page fixtures'
+// writer; no route issues it.
 type (
 	projectRecord  Project // created fully formed
 	resultRecord   Result  // a result reported without a lease
@@ -56,7 +60,8 @@ type walExperiment struct {
 	Experiment *Experiment `json:"experiment"`
 }
 
-// walQueries replaces an experiment's pool; walQueriesAppend appends to it.
+// walQueries replaces an experiment's pool; walQueriesAppend, which only
+// old logs hold, appended to it.
 type walQueries struct {
 	ProjectID    int           `json:"project_id"`
 	ExperimentID int           `json:"experiment_id"`
@@ -196,22 +201,21 @@ func (v walInvite) apply(sh *shard) {
 func (v walExperiment) apply(sh *shard) {
 	if p := sh.projects[v.ProjectID]; p != nil {
 		p.Experiments = append(p.Experiments, v.Experiment)
-		sh.indexQueries(p.ID, v.Experiment, 0)
+		sh.indexQueries(p.ID, v.Experiment)
 	}
 }
 
 func (v walQueries) apply(sh *shard) {
 	if e := sh.experiment(v.ProjectID, v.ExperimentID); e != nil {
 		e.Queries = v.Queries
-		sh.indexQueries(v.ProjectID, e, 0)
+		sh.indexQueries(v.ProjectID, e)
 	}
 }
 
 func (v walQueriesAppend) apply(sh *shard) {
 	if e := sh.experiment(v.ProjectID, v.ExperimentID); e != nil {
-		from := len(e.Queries)
 		e.Queries = append(e.Queries, v.Queries...)
-		sh.indexQueries(v.ProjectID, e, from)
+		sh.indexQueries(v.ProjectID, e)
 	}
 }
 

@@ -51,8 +51,8 @@ func TestRecordsGolden(t *testing.T) {
 // TestRecordsOwnTheirData pins that the live path, which applies the values
 // the mutators logged, keeps nothing a caller can still change: after the
 // calls return, the caller changes its extra map and its seconds, rewrites
-// its pool and appends into the pool's spare capacity — where the store's
-// own append went — and changes its trace, and the store must be unchanged
+// its pool and appends into the pool's spare capacity, and changes its
+// trace, and the store must be unchanged
 // and deep-equal to what Load rebuilds from disk. The row holds the trace's
 // encoding, taken when the call was made.
 func TestRecordsOwnTheirData(t *testing.T) {
@@ -81,16 +81,13 @@ func TestRecordsOwnTheirData(t *testing.T) {
 	if err := s.ReplaceQueries("martin", p.ID, e.ID, pool); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendQueries("martin", p.ID, e.ID, []QueryRecord{{ID: 3, SQL: "SELECT 3"}}); err != nil {
-		t.Fatal(err)
-	}
 	key := p.Contributors[0].Key
 	extra, seconds, qt := map[string]string{"rows": "1"}, []float64{0.1}, sampleTrace(1)
 	direct, err := s.AddResultTraced(key, e.ID, 1, "vektor", "cloud", seconds, "", extra, qt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := s.RequestTask(key, e.ID, "vektor", "laptop")
+	task, err := leaseOne(s, key, e.ID, "vektor", "laptop")
 	if err != nil || task == nil {
 		t.Fatalf("lease: %v %v", task, err)
 	}
@@ -104,7 +101,7 @@ func TestRecordsOwnTheirData(t *testing.T) {
 	extra["rows"], extra["more"], seconds[0] = "changed", "x", 9
 	qt.Spans[0].Rows, qt.Engine = -1, "changed"
 
-	want := []QueryRecord{{ID: 1, SQL: "SELECT 1", Terms: []string{"a"}}, {ID: 2, SQL: "SELECT 2"}, {ID: 3, SQL: "SELECT 3"}}
+	want := []QueryRecord{{ID: 1, SQL: "SELECT 1", Terms: []string{"a"}}, {ID: 2, SQL: "SELECT 2"}}
 	if got := s.Project(p.ID).Experiment(e.ID).Queries; !reflect.DeepEqual(got, want) {
 		t.Fatalf("the pool after the caller changed its slice: %+v, want %+v", got, want)
 	}
@@ -148,7 +145,7 @@ func TestDeletedIDsAreNotReissued(t *testing.T) {
 	lastResult, lastComment := 0, 0
 	addAndDelete := func(restart int) {
 		t.Helper()
-		r, err := s.AddResult(key, expID, 2, "vektor", "cloud", []float64{0.1}, "", nil)
+		r, err := s.AddResultTraced(key, expID, 2, "vektor", "cloud", []float64{0.1}, "", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +156,7 @@ func TestDeletedIDsAreNotReissued(t *testing.T) {
 		if r.ID <= lastResult || c.ID <= lastComment {
 			t.Fatalf("restart %d: result id %d after %d, comment id %d after %d", restart, r.ID, lastResult, c.ID, lastComment)
 		}
-		if err := s.DeleteResult("martin", r.ID); err != nil {
+		if err := s.logRecord(p.ID, opResultDelete, walResultDelete{r.ID}); err != nil {
 			t.Fatal(err)
 		}
 		lastResult, lastComment = r.ID, c.ID

@@ -72,18 +72,6 @@ func open(dir string, shardCount int, logf func(string, ...any), sinks walSinkFa
 	return s, nil
 }
 
-// Load reads a store previously written by Save (any generation layout) or
-// by the legacy single-file format, without attaching a write-ahead log: a
-// missing directory yields an empty store rather than an error, so a fresh
-// deployment just works. Use Open for the durable store.
-func Load(dir string) (*Store, error) {
-	s := NewStore()
-	if err := loadInto(s, dir); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // Close flushes and detaches the write-ahead logs; the store stays usable
 // in memory but further mutations are no longer persisted.
 func (s *Store) Close() error {

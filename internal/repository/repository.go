@@ -6,8 +6,7 @@
 // contributor / reader roles, contributor keys that identify the source of
 // results without disclosing the contributor's identity, experiments with
 // their grammar and query pool, the task queue, the raw results table with
-// owner moderation (hide / remove suspicious results), and project
-// comments.
+// owner moderation (hide suspicious results), and project comments.
 //
 // The store is sharded by project id: every project — with its experiments,
 // results, comments and tasks — lives on one of N shards with its own lock
@@ -335,18 +334,6 @@ func (s *Store) User(nickname string) *User {
 	return s.users[nickname]
 }
 
-// Users returns all users sorted by nickname.
-func (s *Store) Users() []*User {
-	s.metaMu.RLock()
-	defer s.metaMu.RUnlock()
-	out := make([]*User, 0, len(s.users))
-	for _, u := range s.users {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Nickname < out[j].Nickname })
-	return out
-}
-
 // --- projects and access control ------------------------------------------
 
 // CreateProject creates a project owned by the given user. Creation is
@@ -412,8 +399,8 @@ func (s *Store) Project(id int) *Project {
 
 // clone copies the project as a reader outside the shard lock may hold it:
 // its own Contributors slice and Experiment structs, whose pools share the
-// store's QueryRecord elements — a pool is replaced or appended to, never
-// changed in place. The caller holds the shard lock; nil stays nil.
+// store's QueryRecord elements — a pool is replaced whole, never changed in
+// place. The caller holds the shard lock; nil stays nil.
 func (p *Project) clone() *Project {
 	if p == nil {
 		return nil
@@ -426,19 +413,6 @@ func (p *Project) clone() *Project {
 		cp.Experiments[i] = &ce
 	}
 	return &cp
-}
-
-// ProjectByName returns a copy of the project with the given name, or nil.
-func (s *Store) ProjectByName(name string) *Project {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		p := sh.projectByNameLocked(name).clone()
-		sh.mu.RUnlock()
-		if p != nil {
-			return p
-		}
-	}
-	return nil
 }
 
 // RoleOf returns the viewer's role for a project. Unregistered or unrelated
@@ -454,12 +428,6 @@ func (s *Store) RoleOf(nickname string, projectID int) Role {
 // visible results.
 func (s *Store) CanView(nickname string, projectID int) bool {
 	return s.RoleOf(nickname, projectID) != RoleNone
-}
-
-// CanContribute reports whether the user may submit results.
-func (s *Store) CanContribute(nickname string, projectID int) bool {
-	r := s.RoleOf(nickname, projectID)
-	return r == RoleOwner || r == RoleContributor
 }
 
 // IsOwner reports whether the user moderates the project.
@@ -506,22 +474,6 @@ func (s *Store) UpdateSynopsis(requester string, projectID int, synopsis, attrib
 		return fmt.Errorf("only the project owner can edit the synopsis")
 	}
 	return sh.logApply(opSynopsis, walSynopsis{ProjectID: projectID, Synopsis: synopsis, Attribution: attribution})
-}
-
-// ReferenceCatalogs records which DBMS and platform catalog entries the
-// project uses; owner only.
-func (s *Store) ReferenceCatalogs(requester string, projectID int, dbmsKeys, platformKeys []string) error {
-	sh := s.shardFor(projectID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.roleOfLocked(requester, projectID) != RoleOwner {
-		return fmt.Errorf("only the project owner can edit catalog references")
-	}
-	return sh.logApply(opCatalogs, walCatalogs{
-		ProjectID:    projectID,
-		DBMSKeys:     append([]string(nil), dbmsKeys...),
-		PlatformKeys: append([]string(nil), platformKeys...),
-	})
 }
 
 // Invite adds a registered user as contributor and returns the contributor
@@ -586,15 +538,6 @@ func (s *Store) AddExperiment(requester string, projectID int, title, baselineSQ
 // ReplaceQueries replaces the query pool snapshot of an experiment; owner
 // only (the owner moderates pool growth). The store keeps a copy of queries.
 func (s *Store) ReplaceQueries(requester string, projectID, experimentID int, queries []QueryRecord) error {
-	return s.updateQueries(requester, projectID, experimentID, opQueriesReplace, walQueries{projectID, experimentID, slices.Clone(queries)})
-}
-
-// AppendQueries appends new queries to the pool snapshot; owner only.
-func (s *Store) AppendQueries(requester string, projectID, experimentID int, queries []QueryRecord) error {
-	return s.updateQueries(requester, projectID, experimentID, opQueriesAppend, walQueriesAppend{projectID, experimentID, queries})
-}
-
-func (s *Store) updateQueries(requester string, projectID, experimentID int, op string, r shardRecord) error {
 	sh := s.shardFor(projectID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -604,19 +547,18 @@ func (s *Store) updateQueries(requester string, projectID, experimentID int, op 
 	if sh.experiment(projectID, experimentID) == nil {
 		return fmt.Errorf("unknown experiment %d", experimentID)
 	}
-	return sh.logApply(op, r)
+	return sh.logApply(opQueriesReplace, walQueries{projectID, experimentID, slices.Clone(queries)})
 }
 
 // --- results ----------------------------------------------------------------
 
-// AddResult records a measurement submitted with a contributor key.
-func (s *Store) AddResult(contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra map[string]string) (*Result, error) {
-	return s.AddResultTraced(contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extra, nil)
-}
-
-// AddResultTraced is AddResult with an optional per-operator trace attached
-// to the result row; nil records an untraced result. The row holds the
-// trace's encoding, taken before the shard lock.
+// AddResultTraced records a measurement submitted with a contributor key
+// outside the lease protocol, with an optional per-operator trace attached
+// to the row; nil records an untraced result. The row holds the trace's
+// encoding, taken before the shard lock. No route issues it; drivers
+// report through CompleteTasks.
+//
+//lint:api the server's page fixtures need rows no lease makes (two successful rows of one query on one lane), as old logs' result records hold them
 func (s *Store) AddResultTraced(contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
 	p, _, err := s.FindContributor(contributorKey)
 	if err != nil {
@@ -626,17 +568,7 @@ func (s *Store) AddResultTraced(contributorKey string, experimentID, queryID int
 	sh := s.shardFor(p.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.addResultLocked(sh, p.ID, contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extras, spans)
-}
-
-// addResultLocked validates and records a result on a shard whose lock the
-// caller holds.
-func (s *Store) addResultLocked(sh *shard, projectID int, contributorKey string, experimentID, queryID int, dbmsKey, platformKey string, seconds []float64, errMsg string, extra Extras, spans TraceJSON) (*Result, error) {
-	p := sh.projects[projectID]
-	if p == nil {
-		return nil, fmt.Errorf("unknown project %d", projectID)
-	}
-	r, err := s.buildResultLocked(sh, p, contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extra, spans)
+	r, err := s.buildResultLocked(sh, sh.projects[p.ID], contributorKey, experimentID, queryID, dbmsKey, platformKey, seconds, errMsg, extras, spans)
 	if err != nil {
 		return nil, err
 	}
@@ -815,21 +747,10 @@ func (s *Store) LatestTraces(viewer string, projectID, experimentID, queryID int
 	return labels, traces
 }
 
-// HideResult toggles the hidden flag of a result; owner only.
+// HideResult toggles the hidden flag of a result; owner only. The owning
+// shard is found under read locks (shardWithResult) and is the only one
+// write-locked; the row is looked for again there, under the lock.
 func (s *Store) HideResult(requester string, resultID int, hidden bool) error {
-	return s.moderate(requester, resultID, opResultHide, walResultHide{resultID, hidden})
-}
-
-// DeleteResult removes a result, e.g. when a re-run is required; owner only.
-func (s *Store) DeleteResult(requester string, resultID int) error {
-	return s.moderate(requester, resultID, opResultDelete, walResultDelete{resultID})
-}
-
-// moderate logs an owner's moderation of a result. The owning shard is found
-// under read locks (shardWithResult) and is the only one write-locked; the
-// row is looked for again there, since a concurrent deletion may have
-// removed it in between.
-func (s *Store) moderate(requester string, resultID int, op string, r shardRecord) error {
 	sh := s.shardWithResult(resultID)
 	if sh == nil {
 		return fmt.Errorf("unknown result %d", resultID)
@@ -843,7 +764,7 @@ func (s *Store) moderate(requester string, resultID int, op string, r shardRecor
 	if sh.roleOfLocked(requester, sh.results[i].ProjectID) != RoleOwner {
 		return fmt.Errorf("only the project owner can moderate results")
 	}
-	return sh.logApply(op, r)
+	return sh.logApply(opResultHide, walResultHide{resultID, hidden})
 }
 
 // --- comments ---------------------------------------------------------------

@@ -3,11 +3,22 @@ package repository
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// leaseOne leases at most one task, nil when the experiment has nothing
+// left for the target.
+func leaseOne(s *Store, key string, expID int, dbms, platform string) (*Task, error) {
+	tasks, err := s.RequestTasks(key, expID, dbms, platform, 1)
+	if err != nil || len(tasks) == 0 {
+		return nil, err
+	}
+	return tasks[0], nil
+}
 
 // fixture builds a store with two users, a public and a private project and
 // one experiment with two queries.
@@ -114,9 +125,6 @@ func TestProjectCreationAndVisibility(t *testing.T) {
 	if got := len(s.Projects("visitor")); got != 2 {
 		t.Errorf("after publishing, visitor sees %d projects", got)
 	}
-	if s.ProjectByName("tpch-public") == nil || s.ProjectByName("nope") != nil {
-		t.Error("ProjectByName wrong")
-	}
 }
 
 func TestInvitationsAndContributorKeys(t *testing.T) {
@@ -140,10 +148,10 @@ func TestInvitationsAndContributorKeys(t *testing.T) {
 		t.Error("cannot invite unregistered users")
 	}
 	// The contributor can now view and contribute to the private project.
-	if !s.CanView("ying", priv.ID) || !s.CanContribute("ying", priv.ID) {
+	if !s.CanView("ying", priv.ID) || s.RoleOf("ying", priv.ID) != RoleContributor {
 		t.Error("contributor permissions wrong")
 	}
-	if s.CanContribute("visitor", pub.ID) {
+	if s.RoleOf("visitor", pub.ID) != RoleReader {
 		t.Error("readers cannot contribute")
 	}
 	// Key resolution.
@@ -168,13 +176,14 @@ func TestExperimentAndQueryPoolManagement(t *testing.T) {
 	if exp.Query(1) == nil || exp.Query(99) != nil {
 		t.Error("Query lookup wrong")
 	}
-	if err := s.AppendQueries("martin", pub.ID, 1, []QueryRecord{{ID: 3, SQL: "SELECT n_comment FROM nation", Strategy: "alter", ParentID: 2}}); err != nil {
+	grown := append(slices.Clone(exp.Queries), QueryRecord{ID: 3, SQL: "SELECT n_comment FROM nation", Strategy: "alter", ParentID: 2})
+	if err := s.ReplaceQueries("martin", pub.ID, 1, grown); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Project(pub.ID).Experiment(1).Queries) != 3 {
-		t.Error("append did not extend the pool")
+		t.Error("replacing did not grow the pool")
 	}
-	if err := s.AppendQueries("ying", pub.ID, 1, nil); err == nil {
+	if err := s.ReplaceQueries("ying", pub.ID, 1, nil); err == nil {
 		t.Error("non-owner cannot manage the pool")
 	}
 	if err := s.ReplaceQueries("martin", pub.ID, 42, nil); err == nil {
@@ -186,7 +195,7 @@ func TestResultsAndModeration(t *testing.T) {
 	s, pub, _ := fixture(t)
 	ownerKey := s.Project(pub.ID).Contributors[0].Key
 
-	r, err := s.AddResult(ownerKey, 1, 1, "columba-1.0", "laptop", []float64{0.12, 0.11, 0.13}, "", map[string]string{"load_avg_1": "0.5"})
+	r, err := s.AddResultTraced(ownerKey, 1, 1, "columba-1.0", "laptop", []float64{0.12, 0.11, 0.13}, "", map[string]string{"load_avg_1": "0.5"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +205,14 @@ func TestResultsAndModeration(t *testing.T) {
 	if r.Failed() {
 		t.Error("result should not be failed")
 	}
-	if _, err := s.AddResult(ownerKey, 1, 99, "columba-1.0", "laptop", nil, "", nil); err == nil {
+	if _, err := s.AddResultTraced(ownerKey, 1, 99, "columba-1.0", "laptop", nil, "", nil, nil); err == nil {
 		t.Error("unknown query should fail")
 	}
-	if _, err := s.AddResult("bogus", 1, 1, "columba-1.0", "laptop", nil, "", nil); err == nil {
+	if _, err := s.AddResultTraced("bogus", 1, 1, "columba-1.0", "laptop", nil, "", nil, nil); err == nil {
 		t.Error("unknown key should fail")
 	}
 	// An error result.
-	if _, err := s.AddResult(ownerKey, 1, 2, "tuplestore-1.0", "laptop", nil, "syntax error", nil); err != nil {
+	if _, err := s.AddResultTraced(ownerKey, 1, 2, "tuplestore-1.0", "laptop", nil, "syntax error", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,15 +232,15 @@ func TestResultsAndModeration(t *testing.T) {
 	if got := len(s.Results("martin", pub.ID)); got != 2 {
 		t.Errorf("owner sees %d results, want 2", got)
 	}
-	// Deleting removes entirely.
-	if err := s.DeleteResult("martin", r.ID); err != nil {
+	if err := s.HideResult("martin", 999, true); err == nil {
+		t.Error("hiding an unknown result should fail")
+	}
+	// An old log's delete record removes the row entirely.
+	if err := s.logRecord(pub.ID, opResultDelete, walResultDelete{r.ID}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s.Results("martin", pub.ID)); got != 1 {
 		t.Errorf("after delete, owner sees %d results", got)
-	}
-	if err := s.DeleteResult("martin", 999); err == nil {
-		t.Error("deleting an unknown result should fail")
 	}
 	// Results of invisible projects are not returned.
 	if s.Results("visitor", 999) != nil {
@@ -269,7 +278,7 @@ func TestTaskQueue(t *testing.T) {
 	s, pub, _ := fixture(t)
 	key := s.Project(pub.ID).Contributors[0].Key
 
-	task, err := s.RequestTask(key, 1, "columba-1.0", "laptop")
+	task, err := leaseOne(s, key, 1, "columba-1.0", "laptop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +286,7 @@ func TestTaskQueue(t *testing.T) {
 		t.Fatalf("task = %+v", task)
 	}
 	// A second request hands out the next query, not the same one.
-	task2, err := s.RequestTask(key, 1, "columba-1.0", "laptop")
+	task2, err := leaseOne(s, key, 1, "columba-1.0", "laptop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +294,7 @@ func TestTaskQueue(t *testing.T) {
 		t.Fatalf("second task = %+v", task2)
 	}
 	// A different DBMS starts over from query 1.
-	taskOther, err := s.RequestTask(key, 1, "tuplestore-1.0", "laptop")
+	taskOther, err := leaseOne(s, key, 1, "tuplestore-1.0", "laptop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +302,7 @@ func TestTaskQueue(t *testing.T) {
 		t.Fatalf("other-dbms task = %+v", taskOther)
 	}
 	// Completing task 1 records a result.
-	res, err := s.CompleteTask(task.ID, key, []float64{0.5, 0.4}, "", nil)
+	res, err := s.CompleteTaskTraced(task.ID, key, []float64{0.5, 0.4}, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,18 +310,18 @@ func TestTaskQueue(t *testing.T) {
 		t.Errorf("result = %+v", res)
 	}
 	// Completing twice fails; completing with the wrong key fails.
-	if _, err := s.CompleteTask(task.ID, key, nil, "", nil); err == nil {
+	if _, err := s.CompleteTaskTraced(task.ID, key, nil, "", nil, nil); err == nil {
 		t.Error("double completion should fail")
 	}
-	if _, err := s.CompleteTask(task2.ID, "wrong", nil, "", nil); err == nil {
+	if _, err := s.CompleteTaskTraced(task2.ID, "wrong", nil, "", nil, nil); err == nil {
 		t.Error("wrong key should fail")
 	}
 	// When everything is handed out, no more tasks for that combination.
-	if task3, _ := s.RequestTask(key, 1, "columba-1.0", "laptop"); task3 != nil {
+	if task3, _ := leaseOne(s, key, 1, "columba-1.0", "laptop"); task3 != nil {
 		t.Errorf("expected no further tasks, got %+v", task3)
 	}
 	// Unknown experiment.
-	if _, err := s.RequestTask(key, 9, "columba-1.0", "laptop"); err == nil {
+	if _, err := leaseOne(s, key, 9, "columba-1.0", "laptop"); err == nil {
 		t.Error("unknown experiment should fail")
 	}
 	// Queue listing visible to readers.
@@ -330,13 +339,13 @@ func TestTaskTimeoutAndKill(t *testing.T) {
 	current := time.Date(2026, 6, 16, 12, 0, 0, 0, time.UTC)
 	s.now = func() time.Time { return current }
 
-	task, err := s.RequestTask(key, 1, "columba-1.0", "laptop")
+	task, err := leaseOne(s, key, 1, "columba-1.0", "laptop")
 	if err != nil || task == nil {
 		t.Fatal(err)
 	}
 	// Before the deadline the same query is not handed out again; the next
 	// request gets the other pool query instead.
-	t2, _ := s.RequestTask(key, 1, "columba-1.0", "laptop")
+	t2, _ := leaseOne(s, key, 1, "columba-1.0", "laptop")
 	if t2 != nil && t2.QueryID == task.QueryID {
 		t.Error("query handed out twice while the task was active")
 	}
@@ -349,40 +358,38 @@ func TestTaskTimeoutAndKill(t *testing.T) {
 	if s.Tasks("martin", pub.ID)[0].Status != TaskTimeout {
 		t.Error("task should be marked timeout")
 	}
-	t3, err := s.RequestTask(key, 1, "columba-1.0", "laptop")
+	t3, err := leaseOne(s, key, 1, "columba-1.0", "laptop")
 	if err != nil || t3 == nil || t3.QueryID != task.QueryID {
 		t.Errorf("expired query should be reassigned, got %+v", t3)
 	}
 	// Completing an expired task is rejected.
-	if _, err := s.CompleteTask(task.ID, key, nil, "", nil); err == nil {
+	if _, err := s.CompleteTaskTraced(task.ID, key, nil, "", nil, nil); err == nil {
 		t.Error("completing a timed out task should fail")
 	}
 
-	// Killing.
-	if err := s.KillTask("visitor", t3.ID); err == nil {
-		t.Error("only the owner can kill tasks")
-	}
-	if err := s.KillTask("martin", t3.ID); err != nil {
+	// An old log's kill record frees the slot: the query is handed out
+	// again, and the killed lease cannot complete.
+	if err := s.logRecord(pub.ID, opTaskKill, walTaskKill{TaskID: t3.ID, Finished: current}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.KillTask("martin", t3.ID); err == nil {
-		t.Error("killing twice should fail")
+	if t4, err := leaseOne(s, key, 1, "columba-1.0", "laptop"); err != nil || t4 == nil || t4.QueryID != t3.QueryID {
+		t.Errorf("the killed task's query should be reassigned, got %+v, %v", t4, err)
 	}
-	if err := s.KillTask("martin", 999); err == nil {
-		t.Error("unknown task should fail")
+	if _, err := s.CompleteTaskTraced(t3.ID, key, nil, "", nil, nil); !errors.Is(err, ErrLeaseLost) {
+		t.Errorf("completing a killed task: %v", err)
 	}
 }
 
 func TestPersistence(t *testing.T) {
 	s, pub, _ := fixture(t)
 	key := s.Project(pub.ID).Contributors[0].Key
-	if _, err := s.AddResult(key, 1, 1, "columba-1.0", "laptop", []float64{0.2}, "", nil); err != nil {
+	if _, err := s.AddResultTraced(key, 1, 1, "columba-1.0", "laptop", []float64{0.2}, "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddComment("visitor", pub.ID, "nice project"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RequestTask(key, 1, "columba-1.0", "laptop"); err != nil {
+	if _, err := leaseOne(s, key, 1, "columba-1.0", "laptop"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -500,10 +507,10 @@ func TestBatchLeaseExpiryRequeue(t *testing.T) {
 	}
 	// The late driver coming back cannot deliver into the expired lease, so
 	// the re-leased measurement stays the only one — no duplicates.
-	if _, err := s.CompleteTask(first[0].ID, key, []float64{0.1}, "", nil); err == nil {
+	if _, err := s.CompleteTaskTraced(first[0].ID, key, []float64{0.1}, "", nil, nil); err == nil {
 		t.Error("completing an expired lease should be rejected")
 	}
-	if _, err := s.CompleteTask(second[0].ID, key, []float64{0.1}, "", nil); err != nil {
+	if _, err := s.CompleteTaskTraced(second[0].ID, key, []float64{0.1}, "", nil, nil); err != nil {
 		t.Errorf("completing the live lease failed: %v", err)
 	}
 	results := s.Results("martin", pub.ID)
@@ -547,7 +554,7 @@ func TestConcurrentBatchLeasingNeverDuplicates(t *testing.T) {
 				}
 				mu.Unlock()
 				for _, task := range tasks {
-					if _, err := s.CompleteTask(task.ID, key, []float64{0.01}, "", nil); err != nil {
+					if _, err := s.CompleteTaskTraced(task.ID, key, []float64{0.01}, "", nil, nil); err != nil {
 						t.Error(err)
 					}
 				}
@@ -578,12 +585,12 @@ func TestLateCompletionExpiresLazily(t *testing.T) {
 	current := time.Date(2026, 7, 27, 9, 0, 0, 0, time.UTC)
 	s.now = func() time.Time { return current }
 
-	task, err := s.RequestTask(key, 1, "columba-1.0", "laptop")
+	task, err := leaseOne(s, key, 1, "columba-1.0", "laptop")
 	if err != nil || task == nil {
 		t.Fatal(err)
 	}
 	current = current.Add(time.Hour)
-	_, err = s.CompleteTask(task.ID, key, []float64{0.1}, "", nil)
+	_, err = s.CompleteTaskTraced(task.ID, key, []float64{0.1}, "", nil, nil)
 	if !errors.Is(err, ErrLeaseLost) {
 		t.Errorf("late completion error = %v, want ErrLeaseLost", err)
 	}

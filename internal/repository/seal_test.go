@@ -67,14 +67,14 @@ func TestSealedRowsMatchEncoder(t *testing.T) {
 	badKeys := map[string]string{"\xff<": "a&b", " ": "\xfe", "k": "plain"}
 	hostileTrace := &trace.QueryTrace{SchemaVersion: 1, Engine: "vek<tor>& ", Spans: []trace.Span{{OpID: "scan.\xff", Kind: "scan", Rows: 1}}}
 	for i, m := range append(goldenMaps, badKeys) {
-		if _, err := s.AddResult(key, expID, 1, "vektor<&>", "laptop ", []float64{0.5}, "", m); err != nil {
+		if _, err := s.AddResultTraced(key, expID, 1, "vektor<&>", "laptop ", []float64{0.5}, "", m, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.AddResultTraced(key, expID, 2, "vektor-2.0", "laptop", []float64{1e-7}, "boom <&>", m, []*trace.QueryTrace{nil, hostileTrace}[i%2]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	task, err := s.RequestTask(key, expID, "vektor", "laptop")
+	task, err := leaseOne(s, key, expID, "vektor", "laptop")
 	if err != nil || task == nil {
 		t.Fatalf("lease: %v %v", task, err)
 	}

@@ -213,11 +213,12 @@ func (sh *shard) captureLocked() image {
 }
 
 // captured returns a copy of the project that no mutation of the live one
-// can reach. The scalar fields are copied; DBMSKeys and PlatformKeys are only
-// ever replaced whole; Contributors, Experiments and an experiment's Queries
-// only grow by append (or, for Queries, are replaced whole), and the copied
-// slice headers keep the length they had — an append writes beyond it or
-// into a new array. Contributors and query records never change in place.
+// can reach. The scalar fields are copied; DBMSKeys, PlatformKeys and an
+// experiment's Queries are only ever replaced whole (replaying an old log's
+// queries-append grows a pool, but recovery runs before any checkpoint);
+// Contributors and Experiments only grow by append, and the copied slice
+// headers keep the length they had — an append writes beyond it or into a
+// new array. Contributors and query records never change in place.
 func (p *Project) captured() *Project {
 	cp := *p
 	cp.Experiments = nil

@@ -66,7 +66,7 @@ func BenchmarkRepositoryShards(b *testing.B) {
 							break
 						}
 						for _, task := range tasks {
-							if _, err := s.CompleteTask(task.ID, ln.key, []float64{0.1}, "", nil); err != nil {
+							if _, err := s.CompleteTaskTraced(task.ID, ln.key, []float64{0.1}, "", nil, nil); err != nil {
 								done <- err
 								return
 							}

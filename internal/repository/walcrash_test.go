@@ -1,11 +1,13 @@
 package repository
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -112,7 +114,9 @@ type goldenRun struct {
 // single-shard store: catalog edits, batch leases, completions (successful
 // and failed, single and a reported batch with a lost lease in it),
 // moderation, a kill, and a lease still in flight at the end. Every step is
-// exactly one shard-WAL record.
+// exactly one shard-WAL record. The pool append, the catalog reference and
+// the kill are ops only old logs hold; they are logged directly
+// (logRecord), so the harness still replays every op.
 func runGoldenWorkload(t testing.TB, s *Store) *goldenRun {
 	t.Helper()
 	g := &goldenRun{owner: "martin", dbms: "mariadb", platform: "jetson"}
@@ -149,13 +153,13 @@ func runGoldenWorkload(t testing.TB, s *Store) *goldenRun {
 		{ID: 3, SQL: "SELECT 3"}, {ID: 4, SQL: "SELECT 4"},
 	}))
 	g.readyAt = len(g.resultsAt)
-	must(s.AppendQueries("martin", p.ID, e.ID, []QueryRecord{ // record 4
+	must(s.logRecord(p.ID, opQueriesAppend, walQueriesAppend{p.ID, e.ID, []QueryRecord{ // record 4
 		{ID: 5, SQL: "SELECT 5"}, {ID: 6, SQL: "SELECT 6"}, {ID: 7, SQL: "SELECT 7"},
-	}))
+	}}))
 	g.queryIDs = []int{1, 2, 3, 4, 5, 6, 7}
 	driverKey, err := s.Invite("martin", p.ID, "ying")
-	step(nil, err)                                                                    // record 5
-	must(s.ReferenceCatalogs("martin", p.ID, []string{g.dbms}, []string{g.platform})) // record 6
+	step(nil, err)                                                                                 // record 5
+	must(s.logRecord(p.ID, opCatalogs, walCatalogs{p.ID, []string{g.dbms}, []string{g.platform}})) // record 6
 
 	lease := func(max int) []*Task { // one record per batch
 		t.Helper()
@@ -165,7 +169,7 @@ func runGoldenWorkload(t testing.TB, s *Store) *goldenRun {
 	}
 	complete := func(task *Task, errMsg string) *Result {
 		t.Helper()
-		r, err := s.CompleteTask(task.ID, driverKey, []float64{0.25, 0.24}, errMsg, nil)
+		r, err := s.CompleteTaskTraced(task.ID, driverKey, []float64{0.25, 0.24}, errMsg, nil, nil)
 		step(r, err)
 		return r
 	}
@@ -179,17 +183,17 @@ func runGoldenWorkload(t testing.TB, s *Store) *goldenRun {
 	step(nil, err) // record 9
 	_ = c
 	complete(batch[1], "syntax error near FROM") // record 10: failed result, still covers query 2
-	r3, err := s.AddResult(g.ownerKey, g.expID, 1, g.dbms, "cloud", []float64{0.5}, "", nil)
+	r3, err := s.AddResultTraced(g.ownerKey, g.expID, 1, g.dbms, "cloud", []float64{0.5}, "", nil, nil)
 	step(r3, err) // record 11: direct result on another platform slot
 
 	batch = lease(2) // record 12: queries 3,4
 	if len(batch) != 2 {
 		t.Fatalf("leased %d tasks, want 2", len(batch))
 	}
-	complete(batch[0], "")                       // record 13: result for query 3
-	must(s.HideResult("martin", first.ID, true)) // record 14
-	must(s.KillTask("martin", batch[1].ID))      // record 15: query 4 slot free again
-	batch = lease(10)                            // record 16: queries 4,5,6,7
+	complete(batch[0], "")                                                 // record 13: result for query 3
+	must(s.HideResult("martin", first.ID, true))                           // record 14
+	must(s.logRecord(p.ID, opTaskKill, walTaskKill{batch[1].ID, s.now()})) // record 15: query 4 slot free again
+	batch = lease(10)                                                      // record 16: queries 4,5,6,7
 	if len(batch) != 4 {
 		t.Fatalf("leased %d tasks, want 4", len(batch))
 	}
@@ -318,7 +322,7 @@ func drainQueue(t *testing.T, s *Store, g *goldenRun) {
 			break
 		}
 		for _, task := range tasks {
-			if _, err := s.CompleteTask(task.ID, g.ownerKey, []float64{0.1}, "", nil); err != nil {
+			if _, err := s.CompleteTaskTraced(task.ID, g.ownerKey, []float64{0.1}, "", nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -505,7 +509,7 @@ func TestCrashAfterCheckpoint(t *testing.T) {
 	}
 	measure := func(pr *proj, queryID int) {
 		t.Helper()
-		r, err := s.AddResult(pr.key, pr.exp, queryID, "duckdb", "laptop", []float64{0.1}, "", nil)
+		r, err := s.AddResultTraced(pr.key, pr.exp, queryID, "duckdb", "laptop", []float64{0.1}, "", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -633,7 +637,7 @@ func TestCrashInsideCheckpoint(t *testing.T) {
 	ack := func() { // one more acknowledged result, off the drained lane
 		t.Helper()
 		extra++
-		r, err := s.AddResult(g.ownerKey, g.expID, 1, g.dbms, fmt.Sprintf("cloud-%d", extra), []float64{0.5}, "", nil)
+		r, err := s.AddResultTraced(g.ownerKey, g.expID, 1, g.dbms, fmt.Sprintf("cloud-%d", extra), []float64{0.5}, "", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -743,5 +747,37 @@ func TestCrashInsideCheckpoint(t *testing.T) {
 		if err := recovered.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestGoldenWorkloadRecords pins the log the crash harness's golden workload
+// writes, one "op data" line per record of the meta and the shard log, to
+// testdata/workload_records.golden. The file was written while every record
+// of the workload still had a mutator of its own; the records the workload
+// now logs directly (logRecord) must be the same bytes. Contributor keys
+// and clock times are replaced.
+func TestGoldenWorkloadRecords(t *testing.T) {
+	rec := newSinkRecorder()
+	s, err := open(t.TempDir(), 1, quietLogf, rec.factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	runGoldenWorkload(t, s)
+	var got bytes.Buffer
+	for _, part := range []string{"meta.wal", "s000.wal"} {
+		for _, r := range decodeWAL(rec.sinks[part].buf, part, t.Logf) {
+			fmt.Fprintf(&got, "%s %d %s %s\n", part, r.LSN, r.Op, r.Data)
+		}
+	}
+	lines := regexp.MustCompile(`"[0-9a-f]{32}"`).ReplaceAllLiteral(got.Bytes(), []byte(`"$KEY"`))
+	lines = regexp.MustCompile(`"\d{4}-\d\d-\d\dT[^"]*"`).ReplaceAllLiteral(lines, []byte(`"$NOW"`))
+	file := filepath.Join("testdata", "workload_records.golden")
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lines, want) {
+		t.Fatalf("the golden workload logged\n%s\nwant\n%s", lines, want)
 	}
 }

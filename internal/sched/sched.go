@@ -121,11 +121,10 @@ func New(opts Options) *Scheduler {
 	return &Scheduler{opts: opts.withDefaults(), cache: map[string]*cacheEntry{}}
 }
 
-// Workers returns the effective worker count.
-func (s *Scheduler) Workers() int { return s.opts.Workers }
-
 // Stats returns how many cells were freshly measured and how many were
 // served from the result cache since the scheduler was created.
+//
+//lint:api the benchmark module's sched.cache_hit_ratio probe
 func (s *Scheduler) Stats() (measured, cached int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -61,7 +61,7 @@ func tpchPoolOn(tb testing.TB, n int, targets [][2]string) (srv *Server, pool, h
 					errMsg = "timeout"
 				}
 			}
-			_, err := store.AddResult(key, e.ID, q.ID, target[0], target[1], seconds, errMsg, nil)
+			_, err := store.AddResultTraced(key, e.ID, q.ID, target[0], target[1], seconds, errMsg, nil, nil)
 			must(err)
 		}
 	}

@@ -78,7 +78,7 @@ func pagesFixture(t *testing.T) (srv *Server, pid, emptyPID int, eids [2]int) {
 		{eids[0], 1, "tuple<store>&", "cloud 'x' " + hostile, []float64{0.125}, ""},
 		{eids[0], 5, "tuple<store>&", "cloud 'x' " + hostile, []float64{9.99995}, ""},
 	} {
-		_, err := store.AddResult(key, r.eid, r.qid, r.dbms, r.platform, r.seconds, r.err, nil)
+		_, err := store.AddResultTraced(key, r.eid, r.qid, r.dbms, r.platform, r.seconds, r.err, nil, nil)
 		must(err)
 	}
 	return New(Options{Store: store}), p.ID, empty.ID, eids

@@ -265,8 +265,10 @@ func poolPage(t *testing.T, srv http.Handler, pid, eid int) string {
 
 // TestPoolPageFollowsPool: a server that has served an experiment's pool
 // page serves what a fresh server over the same store serves after the
-// pool is grown, replaced by as many queries with other SQL, appended to,
-// and after the store is closed and opened again — each a new page.
+// pool is grown, replaced by as many queries with other SQL, and replaced
+// by one more query after the store is closed and opened — each a new
+// page. A live store no longer appends to a pool: only replaying an old
+// log does.
 func TestPoolPageFollowsPool(t *testing.T) {
 	dir := t.TempDir()
 	store, err := repository.Open(dir, 2)
@@ -302,21 +304,12 @@ func TestPoolPageFollowsPool(t *testing.T) {
 		}
 		page = got
 	}
-	queries := func() []repository.QueryRecord { return store.Project(pid).Experiment(eid).Queries }
-	appendOne := func() {
-		t.Helper()
-		n := len(queries())
-		if err := store.AppendQueries("owner", pid, eid, []repository.QueryRecord{{ID: n + 1, SQL: fmt.Sprintf("SELECT %d", n), Strategy: "alter", ParentID: n}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	if status, resp := c.do("POST", fmt.Sprintf("/api/projects/%d/experiments/%d/grow", pid, eid), map[string]any{"count": 5}); status != http.StatusOK {
 		t.Fatalf("grow = %d %v", status, resp)
 	}
 	check("a grow")
 
-	replaced := slices.Clone(queries())
+	replaced := slices.Clone(store.Project(pid).Experiment(eid).Queries)
 	for i := range replaced {
 		replaced[i].SQL += " -- replaced"
 	}
@@ -324,9 +317,6 @@ func TestPoolPageFollowsPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("a replacement by as many queries")
-
-	appendOne()
-	check("an append")
 
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -338,6 +328,9 @@ func TestPoolPageFollowsPool(t *testing.T) {
 	if got := poolPage(t, s, pid, eid); got != page {
 		t.Fatalf("after a restart the page differs from the one before:\n%s\nwant\n%s", got, page)
 	}
-	appendOne()
-	check("an append after a restart")
+	replaced = append(slices.Clone(store.Project(pid).Experiment(eid).Queries), repository.QueryRecord{ID: len(replaced) + 1, SQL: "SELECT 1", Strategy: "alter", ParentID: 1})
+	if err := store.ReplaceQueries("owner", pid, eid, replaced); err != nil {
+		t.Fatal(err)
+	}
+	check("a replacement by one more query after a restart")
 }

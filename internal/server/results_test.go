@@ -162,7 +162,7 @@ func TestResultsPageWithoutRows(t *testing.T) {
 	if err := store.ReplaceQueries("martin", p.ID, e.ID, []repository.QueryRecord{{ID: 1, SQL: "SELECT 1"}}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := store.AddResult(p.Contributors[0].Key, e.ID, 1, "vektor-2.0", "laptop", []float64{0.5}, "", nil)
+	r, err := store.AddResultTraced(p.Contributors[0].Key, e.ID, 1, "vektor-2.0", "laptop", []float64{0.5}, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

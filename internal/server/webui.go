@@ -205,9 +205,10 @@ type poolRows struct {
 
 // pageRows returns the pool page's rows for queries, the experiment's
 // stored pool: the kept ones when they were built from the same value,
-// freshly built and kept otherwise. A stored pool is replaced or appended
-// to, never changed in place, so the same backing array and length mean
-// the same queries.
+// freshly built and kept otherwise. A stored pool is replaced whole, never
+// changed in place (only replaying an old log appends to one, before a
+// server reads it), so the same backing array and length mean the same
+// queries.
 func (lp *livePool) pageRows(queries []repository.QueryRecord) []byte {
 	if kept := lp.rows.Load(); kept != nil && len(kept.queries) == len(queries) &&
 		(len(queries) == 0 || &kept.queries[0] == &queries[0]) {

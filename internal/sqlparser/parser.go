@@ -41,8 +41,9 @@ func Parse(sql string) (*SelectStatement, error) {
 	return stmt, nil
 }
 
-// ParseExpr parses a single scalar or boolean expression, used by the engine
-// to evaluate snippets and by tests.
+// ParseExpr parses a single scalar or boolean expression.
+//
+//lint:api the parser's expression entry, which its precedence tests and derive's conjunct tests parse with
 func ParseExpr(src string) (Expr, error) {
 	toks, err := Tokenize(src)
 	if err != nil {

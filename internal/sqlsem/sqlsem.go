@@ -56,6 +56,8 @@ func Of(b bool) Tri {
 // CASE WHEN arms take a row/arm only when the predicate is definitely True;
 // False and Unknown both reject. This is the only place UNKNOWN legally
 // becomes two-valued.
+//
+//lint:api the collapse sqlsemroute's findings point an executor to
 func (t Tri) Accept() bool { return t == True }
 
 // Not is ternary negation: NOT UNKNOWN = UNKNOWN.

@@ -77,16 +77,6 @@ func Explain(p *plan.Plan, sql string) *PlanDoc {
 // the golden files; struct field order keeps the output stable.
 func (d *PlanDoc) JSON() ([]byte, error) { return json.MarshalIndent(d, "", "  ") }
 
-// OperatorIDs returns the set of operator ids in the document; the
-// differential tests assert every engine's span ids are a subset.
-func (d *PlanDoc) OperatorIDs() map[string]bool {
-	ids := make(map[string]bool, len(d.Operators))
-	for _, op := range d.Operators {
-		ids[op.ID] = true
-	}
-	return ids
-}
-
 // emitStatement emits one statement chain: the head core plus its
 // set-operation branches, mirroring the executors' executeSelect loop.
 func emitStatement(doc *PlanDoc, p *plan.Plan, ids IDs, sp *plan.Select) {

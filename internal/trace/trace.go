@@ -230,6 +230,8 @@ func ParseTrace(data []byte) (*QueryTrace, error) {
 }
 
 // Span returns the span with the given operator id, or nil.
+//
+//lint:api a span by operator id, the lookup the paper benchmarks and trace tests read spans with
 func (qt *QueryTrace) Span(opID string) *Span {
 	if qt == nil {
 		return nil

@@ -16,9 +16,6 @@ type Dictionary struct {
 	Vals []string
 }
 
-// Len returns the number of distinct values in the dictionary.
-func (d *Dictionary) Len() int { return len(d.Vals) }
-
 // Code returns the code of val and whether it is present. When absent, the
 // returned code is the insertion point: every value with a smaller code
 // sorts strictly below val and every value at or above it sorts strictly

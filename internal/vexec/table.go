@@ -34,18 +34,6 @@ func NewTable(name string, cols ...TableColumn) *Table {
 	return t
 }
 
-// DictFor returns the dictionary of the named column, or nil when the
-// column is absent or stored raw; used by tests and the explain surface to
-// report encoding routes.
-func (t *Table) DictFor(name string) *Dictionary {
-	for _, c := range t.Cols {
-		if c.Name == name {
-			return c.Vec.Dict
-		}
-	}
-	return nil
-}
-
 // NumRows returns the number of rows.
 func (t *Table) NumRows() int { return t.rows }
 

@@ -191,9 +191,6 @@ func (t *Table) BlockMayMatch(preds []ZonePred, b int) bool {
 	return true
 }
 
-// NumZoneBlocks returns how many zone blocks cover the table's rows.
-func (t *Table) NumZoneBlocks() int { return numBlocks(t.rows) }
-
 // zoneColumn resolves a conjunct-side expression to a zoned column index.
 func (t *Table) zoneColumn(alias string, e sqlparser.Expr) (int, bool) {
 	e = stripParens(e)

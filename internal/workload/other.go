@@ -85,6 +85,8 @@ ORDER BY d_year, c_nation`,
 }
 
 // SSB returns the Star Schema Benchmark query subset.
+//
+//lint:api the SSB workload the paper's benchmarks and the engine goldens run
 func SSB() []Query {
 	out := make([]Query, len(ssb))
 	copy(out, ssb)
@@ -129,17 +131,10 @@ ORDER BY carrier, fl_month`,
 }
 
 // Airtraffic returns the airtraffic analytics queries.
+//
+//lint:api the airtraffic workload the paper's benchmarks and the engine goldens run
 func Airtraffic() []Query {
 	out := make([]Query, len(airtraffic))
 	copy(out, airtraffic)
 	return out
-}
-
-// All returns every workload query keyed by workload name.
-func All() map[string][]Query {
-	return map[string][]Query{
-		"tpch":       TPCH(),
-		"ssb":        SSB(),
-		"airtraffic": Airtraffic(),
-	}
 }

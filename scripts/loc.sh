@@ -1,26 +1,40 @@
 #!/usr/bin/env bash
-# The executor LoC gate (ROADMAP "Surface diet"): prints the non-test Go
-# lines of internal/engine, internal/vexec, internal/plan and internal/sqlsem
-# and fails when their total exceeds scripts/loc.budget — a ceiling against
-# re-growth, so raising it needs a stated reason in CHANGES.md.
+# The LoC gates (ROADMAP "Surface diet"): prints the non-test Go lines of
+# two package groups and fails when a group's total exceeds its budget —
+# a ceiling against re-growth, so raising one needs a stated reason in
+# CHANGES.md.
 #
-#   scripts/loc.sh            # print the table, gate against loc.budget
+#   executor  internal/engine, vexec, plan, sqlsem   scripts/loc.budget
+#   platform  internal/repository, server, webui     scripts/loc.platform.budget
+#
+#   scripts/loc.sh            # print both tables, gate against the budgets
 set -u
 cd "$(dirname "$0")/.."
 
-total=0
-for pkg in engine vexec plan sqlsem; do
-  n=0
-  for f in internal/$pkg/*.go; do
-    case "$f" in *_test.go) continue ;; esac
-    n=$((n + $(wc -l <"$f")))
+fail=0
+# gate <name> <budget file> <package>... prints the group's table and
+# checks its total against the budget file.
+gate() {
+  local name=$1 budget_file=$2 total=0 n f pkg
+  shift 2
+  for pkg in "$@"; do
+    n=0
+    for f in internal/$pkg/*.go; do
+      case "$f" in *_test.go) continue ;; esac
+      n=$((n + $(wc -l <"$f")))
+    done
+    printf '%-20s %6d\n' "internal/$pkg" "$n"
+    total=$((total + n))
   done
-  printf '%-18s %6d\n' "internal/$pkg" "$n"
-  total=$((total + n))
-done
-budget=$(cat scripts/loc.budget)
-printf '%-18s %6d  (budget %d)\n' total "$total" "$budget"
-if [ "$total" -gt "$budget" ]; then
-  echo "loc: non-test lines in the executor packages exceed the budget"
-  exit 1
-fi
+  local budget
+  budget=$(cat "$budget_file")
+  printf '%-20s %6d  (budget %d)\n' "$name total" "$total" "$budget"
+  if [ "$total" -gt "$budget" ]; then
+    echo "loc: non-test lines in the $name packages exceed the budget"
+    fail=1
+  fi
+}
+
+gate executor scripts/loc.budget engine vexec plan sqlsem
+gate platform scripts/loc.platform.budget repository server webui
+exit "$fail"
