@@ -11,10 +11,12 @@
 package analytics
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,13 +68,19 @@ type HistoryPoint struct {
 // History builds the experiment-history series for one target: queries in
 // pool order, each annotated with its morph action and provenance edge.
 func History(runs []Run, target string) []HistoryPoint {
-	var filtered []Run
+	n := 0
+	for i := range runs {
+		if runs[i].Target == target {
+			n++
+		}
+	}
+	filtered := make([]Run, 0, n)
 	for _, r := range runs {
 		if r.Target == target {
 			filtered = append(filtered, r)
 		}
 	}
-	sort.SliceStable(filtered, func(i, j int) bool { return filtered[i].QueryID < filtered[j].QueryID })
+	slices.SortStableFunc(filtered, func(a, b Run) int { return cmp.Compare(a.QueryID, b.QueryID) })
 	out := make([]HistoryPoint, 0, len(filtered))
 	for i, r := range filtered {
 		out = append(out, HistoryPoint{

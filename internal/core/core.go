@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"sqalpel/internal/analytics"
@@ -94,9 +95,10 @@ func (t *EngineTarget) RunContext(ctx context.Context, query string) (int, map[s
 	if err != nil {
 		return 0, nil, err
 	}
-	extra := map[string]string{}
-	for k, v := range res.Stats.Map() {
-		extra[k] = fmt.Sprintf("%d", v)
+	stats := res.Stats.Map()
+	extra := make(map[string]string, len(stats)+1)
+	for k, v := range stats {
+		extra[k] = strconv.FormatInt(v, 10)
 	}
 	if tr != nil {
 		key := engine.EngineKey(t.Engine.Name(), t.Engine.Version())

@@ -3,7 +3,7 @@ package loader
 import "testing"
 
 func TestSmokeLoad(t *testing.T) {
-	pkgs, err := LoadPackages("/root/repo", "./internal/sqlsem", "./internal/plan")
+	pkgs, err := LoadPackages("../../..", "./internal/sqlsem", "./internal/plan")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,6 +200,11 @@ func MeasureContext(ctx context.Context, target Target, query string, opts Optio
 				elapsed = time.Duration(ns)
 			}
 		}
+		if i == 0 {
+			// Sized for the first repetition's extras and the load samples.
+			m.Runs = make([]time.Duration, 0, runs)
+			m.Extra = make(map[string]string, len(extra)+2*len(sysload.Keys))
+		}
 		m.Runs = append(m.Runs, elapsed)
 		m.Rows = rows
 		for k, v := range extra {
@@ -222,13 +227,24 @@ func MeasureContext(ctx context.Context, target Target, query string, opts Optio
 		}
 	}
 	m.LoadAfter = sysload.Sample()
-	for k, v := range m.LoadBefore.Map() {
-		m.Extra["before_"+k] = v
+	for i, v := range m.LoadBefore.Values() {
+		m.Extra[beforeKeys[i]] = v
 	}
-	for k, v := range m.LoadAfter.Map() {
-		m.Extra["after_"+k] = v
+	for i, v := range m.LoadAfter.Values() {
+		m.Extra[afterKeys[i]] = v
 	}
 	return m
+}
+
+// beforeKeys and afterKeys name the load samples around a run in its
+// extras: sysload.Keys prefixed with "before_" and "after_".
+var beforeKeys, afterKeys = loadKeys("before_"), loadKeys("after_")
+
+func loadKeys(prefix string) (keys [len(sysload.Keys)]string) {
+	for i, k := range sysload.Keys {
+		keys[i] = prefix + k
+	}
+	return keys
 }
 
 // runOnce executes a single repetition under the per-repetition timeout. A

@@ -158,7 +158,8 @@ func canonicalExtras(data []byte) bool {
 
 // plainString returns the contents of the JSON string at data[i] and the
 // position behind it, or next -1 when there is no string there or it holds
-// an escape or a byte outside printable ASCII.
+// an escape or a byte outside printable ASCII. The span-tree scanner
+// (trace.ScanCanonical) keeps a copy of its own.
 func plainString(data []byte, i int) (s []byte, next int) {
 	if i >= len(data) || data[i] != '"' {
 		return nil, -1

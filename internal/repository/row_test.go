@@ -3,47 +3,41 @@ package repository
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"sqalpel/internal/trace"
 )
 
-// traceCases are span trees as JSON text a driver could send: canonical,
-// spaced and reordered, with unknown fields, without or with a null span
-// list, with <>& and line separators in strings, ones that do not decode —
-// a number in 1e3 form, a fraction, a string, an array, a number out of
-// range — and ones that are almost canonical: an empty engine, a zero
-// counter, counters out of order, a leading zero, -0, a trailing comma or
-// space, an escape.
-var traceCases = []string{
-	`{"schema_version":1,"engine":"vektor-2.0","spans":[{"op":"scan.0","kind":"scan","wall_ns":1200,"rows":25,"batches":1,"calls":2,"alloc_bytes":3,"blocks_skipped":4}]}`,
-	` { "spans" : [ { "rows" : 7 , "kind" : "scan" , "op" : "scan.0" , "wall_ns" : 1500 , "future" : [1, {"a": null}] } ] , "unknown" : "x" , "schema_version" : 1 , "engine" : "fusil-1.0" } `,
-	`{}`,
-	`{"schema_version":1,"spans":null}`,
-	`{"schema_version":1,"engine":"","spans":[]}`,
-	"{\"spans\":[{\"op\":\"scan.<0>&1  \",\"kind\":\"sc\\\"an\\\\\\t\\u0001\\u003c\xff\"}]}",
-	`{"schema_version":-0,"spans":[{"wall_ns":-9223372036854775808}]}`,
-	`null`,
-	`{"schema_version":1e3}`,
-	`{"spans":[{"rows":1.5}]}`,
-	`{"spans":[{"rows":9223372036854775808}]}`,
-	`"not-a-trace"`,
-	`[]`,
-	`{"engine":"a"}{"engine":"b"}`,
-	`{"schema_version":1,"engine":"vektor-2.0","spans":[{"op":"scan.0","kind":"scan","wall_ns":0,"rows":9223372036854775807,"batches":-9223372036854775808}]}`,
-	`{"schema_version":1,"engine":"","spans":null}`,
-	`{"schema_version":01,"spans":null}`,
-	`{"schema_version":-0,"spans":null}`,
-	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1,"rows":2,"calls":0}]}`,
-	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1,"rows":2,"calls":3,"batches":4}]}`,
-	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1,"rows":92233720368547758070}]}`,
-	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1,"rows":2},]}`,
-	`{"schema_version":1,"spans":[{"op":"a<>&","kind":"\u003c","wall_ns":1,"rows":2}]}`,
-	`{"schema_version":1,"spans":[]} `,
-	`{"schema_version":1,"spans":[{"op":"a","kind":"b","wall_ns":1.0,"rows":2}]}`,
+// traceCases are span trees as JSON text a driver could send, the cases
+// internal/trace/testdata/trace_cases.txt describes.
+var traceCases = readTraceCases("../trace/testdata/trace_cases.txt")
+
+// readTraceCases reads a file of Go string literals, one a line; blank
+// lines and lines that begin with // are skipped.
+func readTraceCases(path string) []string {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		panic(err)
+	}
+	var cases []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "//") {
+			continue
+		}
+		c, err := strconv.Unquote(line)
+		if err != nil {
+			panic(fmt.Sprintf("%s: %q: %v", path, line, err))
+		}
+		cases = append(cases, c)
+	}
+	return cases
 }
 
 // FuzzResultRowJSON holds the results page's row encoder to encoding/json,

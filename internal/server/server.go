@@ -1039,7 +1039,7 @@ func experimentOf(w http.ResponseWriter, r *http.Request, p *repository.Project)
 func projectRuns(p *repository.Project, results []*repository.Result, exp *repository.Experiment) []analytics.Run {
 	type pair struct{ dbms, platform string }
 	labels := map[pair]string{}
-	var runs []analytics.Run
+	runs := make([]analytics.Run, 0, len(results))
 	for _, res := range results {
 		e := exp
 		if e == nil {

@@ -3,16 +3,19 @@
 // Linux 1/5/15-minute load averages as an indication of processor load
 // during a run. On systems without /proc/loadavg a portable fallback based
 // on the Go runtime is used so the reporting shape stays identical.
-// Sampling is read-only and safe for concurrent use, so the scheduler's
-// measurement workers can sample around overlapping runs.
+// Sampling is safe for concurrent use, so the scheduler's measurement
+// workers can sample around overlapping runs.
 package sysload
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
+	"sync"
+
+	"sqalpel/internal/ftoa"
 )
 
 // Load is a snapshot of the system load.
@@ -31,19 +34,34 @@ func (l Load) String() string {
 	return fmt.Sprintf("%.2f %.2f %.2f (%s)", l.Avg1, l.Avg5, l.Avg15, l.Source)
 }
 
-// Map returns the load as the key/value pairs attached to experiment
-// results.
-func (l Load) Map() map[string]string {
-	return map[string]string{
-		"load_avg_1":  fmt.Sprintf("%.2f", l.Avg1),
-		"load_avg_5":  fmt.Sprintf("%.2f", l.Avg5),
-		"load_avg_15": fmt.Sprintf("%.2f", l.Avg15),
-		"load_source": l.Source,
-	}
+// Keys are the names under which a load is attached to experiment results,
+// in the order of Values.
+var Keys = [4]string{"load_avg_1", "load_avg_5", "load_avg_15", "load_source"}
+
+// Values returns the load as the strings attached to experiment results, in
+// the order of Keys: the averages as %.2f formats them, then the source.
+func (l Load) Values() [4]string {
+	return [4]string{format2(l.Avg1), format2(l.Avg5), format2(l.Avg15), l.Source}
+}
+
+// format2 formats v as %.2f does.
+func format2(v float64) string {
+	var buf [24]byte
+	return string(ftoa.AppendFixed(buf[:0], v, 2))
 }
 
 // procLoadavgPath is a variable so tests can point it at a fixture.
 var procLoadavgPath = "/proc/loadavg"
+
+// proc is the file a sample reads, kept open between samples: a read at
+// offset 0 makes procfs generate /proc/loadavg afresh, so an open file
+// reads the current load every time. A fixture is read fresh as long as it
+// is rewritten in place.
+var proc struct {
+	sync.Mutex
+	f    *os.File
+	path string // the procLoadavgPath f was opened on
+}
 
 // Sample captures the current load.
 func Sample() Load {
@@ -53,28 +71,55 @@ func Sample() Load {
 	return fromRuntime()
 }
 
-// fromProc parses /proc/loadavg when available.
+// fromProc reads and parses /proc/loadavg when available, reopening the
+// file when procLoadavgPath has been pointed elsewhere.
 func fromProc() (Load, bool) {
-	data, err := os.ReadFile(procLoadavgPath)
-	if err != nil {
+	proc.Lock()
+	defer proc.Unlock()
+	if proc.f == nil || proc.path != procLoadavgPath {
+		if proc.f != nil {
+			proc.f.Close()
+		}
+		f, err := os.Open(procLoadavgPath)
+		if err != nil {
+			proc.f = nil
+			return Load{}, false
+		}
+		proc.f, proc.path = f, procLoadavgPath
+	}
+	var buf [128]byte
+	n, err := proc.f.ReadAt(buf[:], 0)
+	if err != nil && err != io.EOF {
 		return Load{}, false
 	}
-	return ParseProcLoadavg(string(data))
+	return ParseProcLoadavg(buf[:n])
 }
 
 // ParseProcLoadavg parses the /proc/loadavg format: "0.42 0.36 0.30 1/123 456".
-func ParseProcLoadavg(content string) (Load, bool) {
-	fields := strings.Fields(content)
-	if len(fields) < 3 {
-		return Load{}, false
+// Fields are separated by ASCII white space.
+func ParseProcLoadavg(content []byte) (Load, bool) {
+	var avg [3]float64
+	i := 0
+	for k := range avg {
+		for i < len(content) && isSpace(content[i]) {
+			i++
+		}
+		start := i
+		for i < len(content) && !isSpace(content[i]) {
+			i++
+		}
+		v, err := strconv.ParseFloat(string(content[start:i]), 64)
+		if err != nil {
+			return Load{}, false
+		}
+		avg[k] = v
 	}
-	a1, err1 := strconv.ParseFloat(fields[0], 64)
-	a5, err2 := strconv.ParseFloat(fields[1], 64)
-	a15, err3 := strconv.ParseFloat(fields[2], 64)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return Load{}, false
-	}
-	return Load{Avg1: a1, Avg5: a5, Avg15: a15, Source: "proc"}, true
+	return Load{Avg1: avg[0], Avg5: avg[1], Avg15: avg[2], Source: "proc"}, true
+}
+
+// isSpace reports whether c is ASCII white space.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // fromRuntime approximates load from the number of running goroutines

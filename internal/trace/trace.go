@@ -220,8 +220,14 @@ type QueryTrace struct {
 // the driver wire format.
 func (qt *QueryTrace) JSON() ([]byte, error) { return json.Marshal(qt) }
 
-// ParseTrace decodes a QueryTrace from its JSON form.
+// ParseTrace decodes a QueryTrace from its JSON form: what json.Unmarshal
+// makes of data, with its error. Canonical bytes (ScanCanonical), which is
+// what JSON writes for a trace whose strings hold no <, > or &, are read
+// by the scan instead of by encoding/json.
 func ParseTrace(data []byte) (*QueryTrace, error) {
+	if qt := new(QueryTrace); ScanCanonical(data, qt) {
+		return qt, nil
+	}
 	var qt QueryTrace
 	if err := json.Unmarshal(data, &qt); err != nil {
 		return nil, err

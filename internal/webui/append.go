@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 
+	"sqalpel/internal/ftoa"
 	"sqalpel/internal/repository"
 )
 
@@ -185,7 +186,7 @@ report the zone-map blocks they skipped ("+N skipped").</p>
 // appendMillis appends nanoseconds as milliseconds, %.3f; a finite value
 // has no byte to escape.
 func appendMillis(dst []byte, ns int64) []byte {
-	return strconv.AppendFloat(dst, float64(ns)/1e6, 'f', 3, 64)
+	return ftoa.AppendFixed(dst, float64(ns)/1e6, 3)
 }
 
 // appendRatio appends a ratio as %.2fx, a dash for NaN, the sign of +Inf
@@ -197,7 +198,7 @@ func appendRatio(dst []byte, v float64) []byte {
 	case math.IsInf(v, 1):
 		return append(dst, "&#43;Infx"...)
 	}
-	return append(strconv.AppendFloat(dst, v, 'f', 2, 64), 'x')
+	return append(ftoa.AppendFixed(dst, v, 2), 'x')
 }
 
 // appendStrategy appends a strategy cell, coloured by its class.
@@ -223,7 +224,7 @@ func appendSeconds(dst []byte, v float64) []byte {
 	if math.IsInf(v, 1) {
 		return append(dst, "&#43;Inf"...)
 	}
-	return strconv.AppendFloat(dst, v, 'f', 4, 64)
+	return ftoa.AppendFixed(dst, v, 4)
 }
 
 // htmlEscapes is what html/template's text and quoted-attribute escapers
