@@ -185,12 +185,11 @@ func BenchmarkFigure2DominantComponents(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := pool.New(g, pool.Options{Seed: 29, Steering: pool.Steering{
-		Strategies: []pool.Strategy{pool.StrategyPrune, pool.StrategyAlter},
-	}})
+	pl, err := pool.New(g, pool.Options{Seed: 29})
 	if err != nil {
 		b.Fatal(err)
 	}
+	pl.SetSteering(pool.Steering{Strategies: []pool.Strategy{pool.StrategyPrune, pool.StrategyAlter}})
 	if _, err := pl.SeedRandom(6); err != nil {
 		b.Fatal(err)
 	}

@@ -111,52 +111,24 @@ func (t *EngineTarget) RunContext(ctx context.Context, query string) (int, map[s
 
 // ProjectOptions configure a local project.
 type ProjectOptions struct {
-	// Derive are the SQL-to-grammar heuristics; zero value means defaults.
-	Derive derive.Options
-	// Pool configures the query pool (seed, cap, dialect, steering).
+	// Pool configures the query pool (seed, cap, enumeration).
 	Pool pool.Options
 	// Runs is the number of repetitions per measurement (default 5).
 	Runs int
-	// SearchGrowPerRound and SearchTopK tune the guided walk.
-	SearchGrowPerRound int
-	SearchTopK         int
-	// Parallelism is the total concurrency budget of the measurement
-	// plane: the scheduler measures Parallelism/QueryParallelism cells at
-	// once (floored at one — so a QueryParallelism above the budget still
-	// measures, one over-wide execution at a time). 0 or 1 measures
-	// serially. The findings are identical at any worker count — only
-	// wall-clock changes.
+	// Parallelism is how many measurement cells the scheduler runs at
+	// once. 0 or 1 measures serially. The findings are identical at any
+	// worker count — only wall-clock changes.
 	Parallelism int
-	// QueryParallelism is the intra-query morsel worker cap of every
-	// engine target the project registers (vektor's morsel-parallel
-	// pipelines; the interpreters ignore it). The measurement scheduler
-	// divides the Parallelism budget by it, so intra- and inter-query
-	// parallelism share one cap. 0 or 1 executes queries serially.
-	QueryParallelism int
 	// Timeout bounds a single query repetition: every execution of the
 	// project's engine targets and every repetition the search measures.
 	// Zero bounds the engine targets by defaultEngineTimeout (30 s) and
 	// leaves other targets unbounded.
 	Timeout time.Duration
-	// Trace enables per-operator tracing on every engine target the project
-	// registers; traces surface as Measurement.Trace and feed the
-	// operator-level discriminative attribution.
-	Trace bool
 }
 
 // defaultEngineTimeout bounds an engine target's executions when the
 // project sets no Timeout.
 const defaultEngineTimeout = 30 * time.Second
-
-func (o ProjectOptions) withDefaults() ProjectOptions {
-	if o.Derive == (derive.Options{}) {
-		o.Derive = derive.DefaultOptions()
-	}
-	if o.Runs <= 0 {
-		o.Runs = metrics.DefaultRuns
-	}
-	return o
-}
 
 // Project is a local, in-process performance project: a grammar, its query
 // pool and a set of target systems.
@@ -170,15 +142,14 @@ type Project struct {
 	targets map[string]metrics.Target
 	search  *discriminative.Search
 	// plans is shared by every engine target of the project, so the
-	// repetition discipline (5 runs × warmups × every engine) pays the SQL
+	// repetition discipline (5 runs × every engine) pays the SQL
 	// front end once per distinct variant.
 	plans *plan.Cache
 }
 
 // NewProject derives the grammar from the baseline query and seeds the pool.
 func NewProject(name, baselineSQL string, opts ProjectOptions) (*Project, error) {
-	opts = opts.withDefaults()
-	g, err := derive.FromSQL(baselineSQL, opts.Derive)
+	g, err := derive.FromSQL(baselineSQL, derive.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -241,13 +212,7 @@ func (p *Project) AddEngineTarget(name string, eng engine.Engine, db *engine.Dat
 	if timeout <= 0 {
 		timeout = defaultEngineTimeout
 	}
-	p.AddTarget(name, &EngineTarget{
-		Engine:      eng,
-		DB:          db,
-		Timeout:     timeout,
-		Parallelism: p.opts.QueryParallelism,
-		Trace:       p.opts.Trace,
-	})
+	p.AddTarget(name, &EngineTarget{Engine: eng, DB: db, Timeout: timeout})
 }
 
 // Matrix computes the pairwise discrimination matrix over every registered
@@ -287,12 +252,9 @@ func (p *Project) ensureSearch() (*discriminative.Search, error) {
 		return p.search, nil
 	}
 	s, err := discriminative.New(p.pool, p.targets, discriminative.Options{
-		Runs:             p.opts.Runs,
-		GrowPerRound:     p.opts.SearchGrowPerRound,
-		TopK:             p.opts.SearchTopK,
-		Parallelism:      p.opts.Parallelism,
-		QueryParallelism: p.opts.QueryParallelism,
-		Timeout:          p.opts.Timeout,
+		Runs:        p.opts.Runs,
+		Parallelism: p.opts.Parallelism,
+		Timeout:     p.opts.Timeout,
 	})
 	if err != nil {
 		return nil, err

@@ -252,25 +252,21 @@ func TestParallelProjectRunMatchesSerial(t *testing.T) {
 }
 
 // TestQueryParallelismUnderScheduler drives vektor's morsel-parallel
-// executor through the measurement scheduler: a project whose total
-// concurrency budget is split between measurement workers and intra-query
-// morsel workers must grow the same pool and measure the same row counts
-// as a fully serial project. Under -race this doubles as the concurrency
-// audit of the new hash table and morsel pool inside the sched worker
-// fan-out.
+// executor through the measurement scheduler: a project measuring with
+// several workers on an engine target with intra-query morsel workers must
+// measure the same queries as a fully serial project. Under -race this
+// doubles as the concurrency audit of the hash table and morsel pool inside
+// the sched worker fan-out.
 func TestQueryParallelismUnderScheduler(t *testing.T) {
 	q1, _ := workload.TPCHQuery("Q1")
 	rowsOf := func(parallelism, queryParallelism int) map[int]float64 {
-		p, err := NewProject("q1", q1.SQL, ProjectOptions{
-			Runs:             1,
-			Parallelism:      parallelism,
-			QueryParallelism: queryParallelism,
-			Timeout:          30 * time.Second,
-		})
+		p, err := NewProject("q1", q1.SQL, ProjectOptions{Runs: 1, Parallelism: parallelism, Timeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.AddEngineTarget("vektor-1.0", engine.NewVektorEngine(), smallTPCH)
+		p.AddTarget("vektor-1.0", &EngineTarget{
+			Engine: engine.NewVektorEngine(), DB: smallTPCH, Timeout: 30 * time.Second, Parallelism: queryParallelism,
+		})
 		p.AddEngineTarget("columba-1.0", engine.NewColEngine(), smallTPCH)
 		if err := p.SeedPool(5); err != nil {
 			t.Fatal(err)
@@ -293,7 +289,7 @@ func TestQueryParallelismUnderScheduler(t *testing.T) {
 	}
 	for id := range serial {
 		if _, ok := shared[id]; !ok {
-			t.Errorf("query %d measured serially but not under the shared budget", id)
+			t.Errorf("query %d measured serially but not in parallel", id)
 		}
 	}
 }

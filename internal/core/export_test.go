@@ -10,7 +10,6 @@ import (
 // other entry point the paper names; the tests build projects from
 // hand-written grammars with it.
 func NewProjectFromGrammar(name, grammarText string, opts ProjectOptions) (*Project, error) {
-	opts = opts.withDefaults()
 	g, err := grammar.Parse(grammarText)
 	if err != nil {
 		return nil, err

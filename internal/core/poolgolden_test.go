@@ -78,7 +78,8 @@ func goldenPools(t *testing.T) []string {
 
 	// Steered growth: random seeding and morphing under an include list, then
 	// under an exclude list with alter and prune only, then unrestricted.
-	p := derivedPool(t, "Q1", pool.Options{Seed: 9, Steering: pool.Steering{IncludeLiterals: []string{"l_returnflag"}}})
+	p := derivedPool(t, "Q1", pool.Options{Seed: 9})
+	p.SetSteering(pool.Steering{IncludeLiterals: []string{"l_returnflag"}})
 	seeded, err := p.SeedRandom(12)
 	if err != nil {
 		t.Fatal(err)

@@ -17,11 +17,10 @@ type FuzzOptions struct {
 	Rows int
 	// Seed makes the data set reproducible; zero selects the default seed.
 	Seed uint64
-	// NullRate is the probability of each nullable slot being NULL. Zero
-	// (the field's default) selects 0.3; pass a negative value for a
-	// NULL-free data set. Positive values are capped at 0.9.
-	NullRate float64
 }
+
+// fuzzNullRate is the probability of each nullable slot being NULL.
+const fuzzNullRate = 0.3
 
 // fuzzWords is the string domain: deliberately overlapping prefixes and
 // suffixes so LIKE patterns split the data non-trivially.
@@ -36,25 +35,16 @@ var fuzzLabels = []string{"north", "south", "east", "west", "nowhere"}
 // Fuzz generates the nullable-rich database the grammar-driven differential
 // fuzzer explores: a fact table t (nullable int/float/string/date columns
 // plus non-NULL id and join key) and a small dimension table dim with a
-// nullable label. Deterministic in (Rows, Seed, NullRate).
+// nullable label. Deterministic in (Rows, Seed).
 func Fuzz(opts FuzzOptions) *engine.Database {
 	if opts.Rows <= 0 {
 		opts.Rows = 400
-	}
-	if opts.NullRate == 0 {
-		opts.NullRate = 0.3
-	}
-	if opts.NullRate < 0 {
-		opts.NullRate = 0
-	}
-	if opts.NullRate > 0.9 {
-		opts.NullRate = 0.9
 	}
 	r := newRNG(opts.Seed)
 	db := engine.NewDatabase(fmt.Sprintf("fuzz-%d", opts.Rows))
 
 	nullable := func(v engine.Value) engine.Value {
-		if r.Float() < opts.NullRate {
+		if r.Float() < fuzzNullRate {
 			return sqlsem.Null()
 		}
 		return v

@@ -25,17 +25,11 @@ type Options struct {
 	// paper recommends to avoid a combinatorial explosion of semantically
 	// silly cross products; it is on by default.
 	ExplicitJoinPaths bool
-	// SplitOrTerms expands a top-level OR conjunct into its own sub-rule so
-	// individual OR arms can be toggled (important for queries such as
-	// TPC-H Q19).
-	SplitOrTerms bool
-	// KeepLimit includes the LIMIT clause as an optional literal.
-	KeepLimit bool
 }
 
 // DefaultOptions are the options used by the platform.
 func DefaultOptions() Options {
-	return Options{ExplicitJoinPaths: true, SplitOrTerms: true, KeepLimit: true}
+	return Options{ExplicitJoinPaths: true}
 }
 
 // FromSQL parses the baseline query and derives its grammar.
@@ -164,21 +158,21 @@ func (d *deriver) build(stmt *sqlparser.SelectStatement) error {
 				joinTexts = append(joinTexts, c.SQL())
 				continue
 			}
-			if d.opts.SplitOrTerms {
-				if terms := splitDisjuncts(c); len(terms) > 1 {
-					d.orCount++
-					name := fmt.Sprintf("orterm%d", d.orCount)
-					og := orGroup{name: name}
-					for _, t := range terms {
-						var armTexts []string
-						for _, part := range splitConjuncts(t) {
-							armTexts = append(armTexts, part.SQL())
-						}
-						og.arms = append(og.arms, armTexts)
+			// A top-level OR conjunct becomes its own sub-rule, so its arms
+			// can be toggled one by one (TPC-H Q19).
+			if terms := splitDisjuncts(c); len(terms) > 1 {
+				d.orCount++
+				name := fmt.Sprintf("orterm%d", d.orCount)
+				og := orGroup{name: name}
+				for _, t := range terms {
+					var armTexts []string
+					for _, part := range splitConjuncts(t) {
+						armTexts = append(armTexts, part.SQL())
 					}
-					orGroups = append(orGroups, og)
-					continue
+					og.arms = append(og.arms, armTexts)
 				}
+				orGroups = append(orGroups, og)
+				continue
 			}
 			filterElems = append(filterElems, c.SQL())
 		}
@@ -288,8 +282,8 @@ func (d *deriver) build(stmt *sqlparser.SelectStatement) error {
 		d.addLexical("l_order", terms)
 	}
 
-	// LIMIT / OFFSET.
-	if d.opts.KeepLimit && stmt.Limit != nil {
+	// LIMIT / OFFSET, an optional literal.
+	if stmt.Limit != nil {
 		query = append(query, opt("l_limit"))
 		text := fmt.Sprintf("LIMIT %d", *stmt.Limit)
 		if stmt.Offset != nil {

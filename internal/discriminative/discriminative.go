@@ -61,16 +61,10 @@ type Options struct {
 	GrowPerRound int
 	// TopK is how many extreme queries each round morphs from (default 3).
 	TopK int
-	// Parallelism is the total concurrency budget of the measurement
-	// plane; 0 or 1 measures serially. With Parallelism > 1 every target
-	// must be safe for concurrent use.
+	// Parallelism is how many cells the scheduler measures at once; 0 or
+	// 1 measures serially. With Parallelism > 1 every target must be safe
+	// for concurrent use.
 	Parallelism int
-	// QueryParallelism is the intra-query morsel worker count each
-	// measured execution spends (the caller configures its targets to
-	// match); the scheduler divides the Parallelism budget by it, floored
-	// at one measurement worker, so the two levels of parallelism share
-	// one cap (see sched.Options.QueryParallelism for the floor case).
-	QueryParallelism int
 	// Timeout bounds a single query repetition; zero means no limit.
 	Timeout time.Duration
 }
@@ -117,7 +111,7 @@ func New(p *pool.Pool, targets map[string]metrics.Target, opts Options) (*Search
 		targets:  targets,
 		names:    names,
 		opts:     opts,
-		sched:    sched.New(sched.Options{Workers: opts.Parallelism, QueryParallelism: opts.QueryParallelism, Timeout: opts.Timeout}),
+		sched:    sched.New(sched.Options{Workers: opts.Parallelism, Timeout: opts.Timeout}),
 		outcomes: map[int]*Outcome{},
 	}, nil
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -63,6 +64,10 @@ type Config struct {
 	Trace bool
 }
 
+// maxTimeoutSeconds is the largest timeout_seconds whose doubled duration,
+// the HTTP client's timeout, still fits a time.Duration.
+const maxTimeoutSeconds = math.MaxInt64 / (2 * int64(time.Second))
+
 // ParseConfig parses the driver configuration format: one `key = value` pair
 // per line, with '#' comments, mirroring the paper's description of a simple
 // local configuration file.
@@ -102,8 +107,8 @@ func ParseConfig(text string) (Config, error) {
 			cfg.Runs = n
 		case "timeout_seconds":
 			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return cfg, fmt.Errorf("line %d: timeout_seconds must be a positive number", lineNo+1)
+			if err != nil || n <= 0 || int64(n) > maxTimeoutSeconds {
+				return cfg, fmt.Errorf("line %d: timeout_seconds must be a positive number up to %d", lineNo+1, maxTimeoutSeconds)
 			}
 			cfg.Timeout = time.Duration(n) * time.Second
 		case "workers":

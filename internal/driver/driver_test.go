@@ -57,6 +57,9 @@ func TestParseConfigErrors(t *testing.T) {
 		"server=s\nkey=k\ndbms=d\nplatform=p\nexperiment=zero",
 		"server=s\nkey=k\ndbms=d\nplatform=p\nexperiment=1\nruns=-1",
 		"server=s\nkey=k\ndbms=d\nplatform=p\nexperiment=1\ntimeout_seconds=x",
+		// A timeout whose duration, or the client's doubled one, overflows.
+		"server=s\nkey=k\ndbms=d\nplatform=p\nexperiment=1\ntimeout_seconds=4611686019",
+		"server=s\nkey=k\ndbms=d\nplatform=p\nexperiment=1\ntimeout_seconds=9223372037",
 		"key=k\ndbms=d\nplatform=p\nexperiment=1",    // missing server
 		"server=s\ndbms=d\nplatform=p\nexperiment=1", // missing key
 		"server=s\nkey=k\nplatform=p\nexperiment=1",  // missing dbms
@@ -68,6 +71,28 @@ func TestParseConfigErrors(t *testing.T) {
 			t.Errorf("config %q should be rejected", src)
 		}
 	}
+}
+
+// FuzzParseConfig: ParseConfig never panics, and a config it accepts is
+// one a client can run with — positive runs, workers and timeout, a
+// doubled timeout that does not overflow, and the mandatory fields set.
+func FuzzParseConfig(f *testing.F) {
+	f.Add("server=http://x\nkey=k\ndbms=d\nplatform=p\nexperiment=3\n")
+	f.Add("server=s\nkey=k\ndbms=d\nhost=p\nexperiment=1\nruns=2\ntimeout_seconds=4611686018\nworkers=4\nbatch=8\ntrace=true")
+	f.Add("server=s\nkey=k\ndbms=d\nplatform=p\nexperiment=1\ntimeout_seconds=9223372037")
+	f.Add("# comment\n\nruns = -1\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		cfg, err := ParseConfig(text)
+		if err != nil {
+			return
+		}
+		if cfg.Runs <= 0 || cfg.Workers <= 0 || cfg.Timeout <= 0 || 2*cfg.Timeout <= 0 {
+			t.Fatalf("accepted %q as %+v", text, cfg)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted %q, but Validate: %v", text, err)
+		}
+	})
 }
 
 func TestLoadConfig(t *testing.T) {

@@ -188,13 +188,9 @@ type EnumerateOptions struct {
 	// recursive grammars terminate quickly at the cost of missing deep
 	// derivations.
 	MaxDepth int
-	// MaxStar bounds how many times a starred reference may repeat beyond
-	// what the literal-once rule already enforces; zero means "limited only
-	// by literal capacity".
-	MaxStar int
 	// LiteralOnce enforces the paper's rule that a literal is used at most
 	// once per query. Enumerations with the rule disabled (used by the
-	// ablation bench) bound starred repetitions by MaxStar or 3.
+	// ablation bench) bound starred repetitions by 3.
 	LiteralOnce bool
 	// OrderSensitive switches space counting to ordered enumeration; it only
 	// affects SpaceSize, not the template set.
@@ -362,14 +358,11 @@ func (g *Grammar) Enumerate(opts EnumerateOptions) (*Enumeration, error) {
 		case RefStar:
 			// Zero or more required occurrences. The repetition bound is the
 			// total literal capacity reachable from the referenced rule (the
-			// literal-once rule caps deeper anyway) or MaxStar when literal
-			// reuse is allowed.
+			// literal-once rule caps deeper anyway) or 3 when literal reuse
+			// is allowed.
 			maxRep := norm.literalCapacity(target.Ref)
 			if !opts.LiteralOnce {
 				maxRep = 3
-			}
-			if opts.MaxStar > 0 && maxRep > opts.MaxStar {
-				maxRep = opts.MaxStar
 			}
 			for rep := 0; rep <= maxRep; rep++ {
 				middle := make([]Element, 0, rep)

@@ -52,10 +52,6 @@ type Measurement struct {
 	// from the target's trace.MeasurementExtraKey extra; nil when the target
 	// does not trace.
 	Trace *trace.QueryTrace
-	// FromCache marks a measurement replayed from the scheduler's
-	// result cache rather than measured fresh; its timings and trace
-	// describe the original execution.
-	FromCache bool
 }
 
 // Failed reports whether the measurement captured an error.
@@ -151,8 +147,6 @@ type ContextTarget interface {
 type Options struct {
 	// Runs is the number of repetitions; zero means DefaultRuns.
 	Runs int
-	// WarmupRuns are executed before measuring, not recorded.
-	WarmupRuns int
 	// Timeout bounds a single repetition; zero means no limit. Targets that
 	// implement ContextTarget are aborted mid-flight; plain targets are
 	// measured to completion and the repetition is then failed post hoc.
@@ -178,14 +172,6 @@ func MeasureContext(ctx context.Context, target Target, query string, opts Optio
 		m.Runs = nil
 		m.LoadAfter = sysload.Sample()
 		return m
-	}
-	for i := 0; i < opts.WarmupRuns; i++ {
-		if err := ctx.Err(); err != nil {
-			return fail(err)
-		}
-		if _, _, _, err := runOnce(ctx, target, query, opts.Timeout); err != nil {
-			return fail(err)
-		}
 	}
 	for i := 0; i < runs; i++ {
 		if err := ctx.Err(); err != nil {

@@ -43,18 +43,18 @@ func TestMeasureDefaults(t *testing.T) {
 	}
 }
 
-func TestMeasureCustomRunsAndWarmup(t *testing.T) {
+func TestMeasureCustomRuns(t *testing.T) {
 	calls := 0
 	target := TargetFunc(func(query string) (int, map[string]string, error) {
 		calls++
 		return 1, nil, nil
 	})
-	m := Measure(target, "SELECT 1", Options{Runs: 3, WarmupRuns: 2})
+	m := Measure(target, "SELECT 1", Options{Runs: 3})
 	if len(m.Runs) != 3 {
 		t.Errorf("runs = %d, want 3", len(m.Runs))
 	}
-	if calls != 5 {
-		t.Errorf("target calls = %d, want 5 (2 warmup + 3 measured)", calls)
+	if calls != 3 {
+		t.Errorf("target calls = %d, want 3, one per measured run", calls)
 	}
 }
 
@@ -74,18 +74,6 @@ func TestMeasureFailure(t *testing.T) {
 	}
 	if !strings.Contains(m.String(), "error") {
 		t.Errorf("String() = %q", m.String())
-	}
-}
-
-func TestMeasureWarmupFailure(t *testing.T) {
-	calls := 0
-	target := TargetFunc(func(query string) (int, map[string]string, error) {
-		calls++
-		return 0, nil, errors.New("boom")
-	})
-	m := Measure(target, "SELECT 1", Options{Runs: 3, WarmupRuns: 1})
-	if !m.Failed() || calls != 1 {
-		t.Errorf("warmup failure should abort immediately (calls=%d)", calls)
 	}
 }
 

@@ -125,11 +125,6 @@ type Options struct {
 	// MaxSize caps the pool, mirroring the platform's hard limit on derived
 	// queries; zero means 10000.
 	MaxSize int
-	// Dialect selects dialect-tagged literals.
-	Dialect string
-	// Steering is the initial steering configuration; it can be replaced
-	// later with SetSteering.
-	Steering Steering
 	// Enumerate overrides the grammar enumeration options.
 	Enumerate grammar.EnumerateOptions
 }
@@ -160,7 +155,6 @@ func New(g *grammar.Grammar, opts Options) (*Pool, error) {
 	}
 	gen, err := grammar.NewGenerator(g, grammar.GeneratorOptions{
 		Seed:      opts.Seed,
-		Dialect:   opts.Dialect,
 		Enumerate: opts.Enumerate,
 	})
 	if err != nil {
@@ -171,7 +165,6 @@ func New(g *grammar.Grammar, opts Options) (*Pool, error) {
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		byKey:   map[string]*Entry{},
 		maxSize: opts.MaxSize,
-		steer:   opts.Steering,
 	}
 	base, err := gen.Baseline()
 	if err != nil {
@@ -181,7 +174,8 @@ func New(g *grammar.Grammar, opts Options) (*Pool, error) {
 	return p, nil
 }
 
-// SetSteering replaces the steering configuration.
+// SetSteering replaces the steering configuration; a new pool is
+// unsteered.
 func (p *Pool) SetSteering(s Steering) {
 	p.steer = s
 	p.allowed = nil

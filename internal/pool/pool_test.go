@@ -145,7 +145,8 @@ func TestGrowMixesStrategies(t *testing.T) {
 }
 
 func TestGrowRespectsStrategySteering(t *testing.T) {
-	p := nationPool(t, Options{Seed: 17, Steering: Steering{Strategies: []Strategy{StrategyPrune}}})
+	p := nationPool(t, Options{Seed: 17})
+	p.SetSteering(Steering{Strategies: []Strategy{StrategyPrune}})
 	added := p.Grow(5)
 	for _, e := range added {
 		if e.Strategy != StrategyPrune {
@@ -155,10 +156,8 @@ func TestGrowRespectsStrategySteering(t *testing.T) {
 }
 
 func TestSteeringExcludeInclude(t *testing.T) {
-	p := nationPool(t, Options{
-		Seed:     19,
-		Steering: Steering{ExcludeLiterals: []string{"n_comment"}},
-	})
+	p := nationPool(t, Options{Seed: 19})
+	p.SetSteering(Steering{ExcludeLiterals: []string{"n_comment"}})
 	added, err := p.SeedRandom(20)
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +174,8 @@ func TestSteeringExcludeInclude(t *testing.T) {
 		}
 	}
 
-	pInc := nationPool(t, Options{
-		Seed:     23,
-		Steering: Steering{IncludeLiterals: []string{"WHERE n_name = 'BRAZIL'"}},
-	})
+	pInc := nationPool(t, Options{Seed: 23})
+	pInc.SetSteering(Steering{IncludeLiterals: []string{"WHERE n_name = 'BRAZIL'"}})
 	addedInc, err := pInc.SeedRandom(10)
 	if err != nil {
 		t.Fatal(err)

@@ -28,18 +28,9 @@ import (
 
 // Options configure a scheduler.
 type Options struct {
-	// Workers is the total concurrency budget of the measurement plane;
-	// values below 1 select runtime.GOMAXPROCS(0).
+	// Workers is how many cells are measured at once; values below 1
+	// select runtime.GOMAXPROCS(0).
 	Workers int
-	// QueryParallelism is the intra-query morsel worker count each
-	// measured execution may spend (see engine.ExecOptions.Parallelism).
-	// The scheduler divides its worker budget by it — Workers/QueryParallelism
-	// measurement workers, floored at 1 — so the two levels of parallelism
-	// share one cap. With the floor in effect (QueryParallelism > Workers)
-	// a single measurement still runs at a time, and that one execution's
-	// own morsel fan-out is what exceeds the budget. 0 or 1 leaves the
-	// budget to the measurement workers alone.
-	QueryParallelism int
 	// Timeout bounds a single query repetition; zero means no limit. It is
 	// forwarded to metrics.Options.Timeout for every cell.
 	Timeout time.Duration
@@ -48,12 +39,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.QueryParallelism > 1 {
-		o.Workers = o.Workers / o.QueryParallelism
-		if o.Workers < 1 {
-			o.Workers = 1
-		}
 	}
 	return o
 }
@@ -66,24 +51,17 @@ type Cell struct {
 	// Runner executes the query. When Workers > 1 it must be safe for
 	// concurrent use (the built-in engine targets are).
 	Runner metrics.Target
-	// SQL is the query text to measure.
+	// SQL is the query text to measure; Normalize(SQL) is its cache
+	// identity.
 	SQL string
-	// CacheKey overrides the cache identity of the query; when empty,
-	// Normalize(SQL) is used.
-	CacheKey string
-	// Runs and WarmupRuns configure the repetitions (see metrics.Options).
-	Runs       int
-	WarmupRuns int
+	// Runs is the number of repetitions (see metrics.Options).
+	Runs int
 }
 
 func (c Cell) key() string {
-	k := c.CacheKey
-	if k == "" {
-		k = Normalize(c.SQL)
-	}
-	// The repetition configuration is part of the identity: a 1-run probe
-	// must not satisfy a later 10-run measurement of the same query.
-	return fmt.Sprintf("%s\x00%d\x00%d\x00%s", c.Target, c.Runs, c.WarmupRuns, k)
+	// The repetition count is part of the identity: a 1-run probe must not
+	// satisfy a later 10-run measurement of the same query.
+	return fmt.Sprintf("%s\x00%d\x00%s", c.Target, c.Runs, Normalize(c.SQL))
 }
 
 // Result pairs a cell with its measurement.
@@ -200,11 +178,7 @@ func (s *Scheduler) measureCell(ctx context.Context, c Cell, key string) Result 
 			s.measured++
 			s.mu.Unlock()
 
-			e.m = metrics.MeasureContext(ctx, c.Runner, c.SQL, metrics.Options{
-				Runs:       c.Runs,
-				WarmupRuns: c.WarmupRuns,
-				Timeout:    s.opts.Timeout,
-			})
+			e.m = metrics.MeasureContext(ctx, c.Runner, c.SQL, metrics.Options{Runs: c.Runs, Timeout: s.opts.Timeout})
 			// A measurement aborted by cancellation says nothing about the
 			// query; evict it — before waking the waiters, so they re-check
 			// and measure for real with their own contexts — and a later
@@ -236,12 +210,7 @@ func (s *Scheduler) measureCell(ctx context.Context, c Cell, key string) Result 
 		if cur, still := s.cache[key]; still && cur == e {
 			s.hits++
 			s.mu.Unlock()
-			// Tag the replay on a shallow copy — the cached measurement is
-			// shared read-only with other waiters — so its timings and trace
-			// are never mistaken for a fresh execution.
-			cp := *e.m
-			cp.FromCache = true
-			return Result{Cell: c, Measurement: &cp, Cached: true}
+			return Result{Cell: c, Measurement: e.m, Cached: true}
 		}
 		s.mu.Unlock()
 	}

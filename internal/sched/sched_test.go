@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,36 +40,6 @@ func (c *countingTarget) count(query string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.calls[query]
-}
-
-// TestWorkerBudgetSharedWithQueryParallelism pins the shared-cap rule:
-// the worker budget divides by the intra-query parallelism each measured
-// execution spends, so measurement fan-out times morsel fan-out never
-// exceeds the configured cap.
-func TestWorkerBudgetSharedWithQueryParallelism(t *testing.T) {
-	cases := []struct {
-		workers, queryPar, want int
-	}{
-		{8, 1, 8},  // no intra-query parallelism: full fan-out
-		{8, 4, 2},  // 2 concurrent measurements x 4 morsel workers = 8
-		{8, 8, 1},  // the whole budget goes to one query at a time
-		{4, 16, 1}, // intra-query demand above the budget still measures
-		{0, 2, 0},  // default budget (GOMAXPROCS) also divides
-	}
-	for _, tc := range cases {
-		s := New(Options{Workers: tc.workers, QueryParallelism: tc.queryPar})
-		want := tc.want
-		if want == 0 {
-			want = runtime.GOMAXPROCS(0) / tc.queryPar
-			if want < 1 {
-				want = 1
-			}
-		}
-		if got := s.Workers(); got != want {
-			t.Errorf("Workers(%d)/QueryParallelism(%d) = %d workers, want %d",
-				tc.workers, tc.queryPar, got, want)
-		}
-	}
 }
 
 func TestNormalize(t *testing.T) {
@@ -128,18 +96,13 @@ func TestResultCacheDeduplicatesByTargetAndNormalizedSQL(t *testing.T) {
 	if got := target.count("SELECT 1") + target.count("  SELECT  1 ;"); got != 4 {
 		t.Errorf("the duplicate cell should be served from cache; %d executions, want 4 (2 runs x 2 targets)", got)
 	}
-	// The replay is a tagged shallow copy of the shared cache entry, so a
-	// cached timing (or trace) is never mistaken for a fresh execution.
-	if results[0].Measurement.FromCache {
-		t.Error("the measuring cell must not be marked FromCache")
+	// The replay is the cache entry itself, shared read-only; only
+	// Result.Cached tells it from the fresh execution.
+	if results[0].Cached || !results[1].Cached {
+		t.Errorf("Cached = %v, %v; want the duplicate cell alone replayed", results[0].Cached, results[1].Cached)
 	}
-	if !results[1].Measurement.FromCache {
-		t.Error("the duplicate cell's measurement should be marked FromCache")
-	}
-	fresh, replay := *results[0].Measurement, *results[1].Measurement
-	replay.FromCache = false
-	if !reflect.DeepEqual(fresh, replay) {
-		t.Errorf("replay should match the cached measurement apart from the tag:\n fresh  %+v\n replay %+v", fresh, replay)
+	if results[1].Measurement != results[0].Measurement {
+		t.Error("the replay should share the measuring cell's measurement")
 	}
 	if results[0].Measurement == results[2].Measurement {
 		t.Error("different targets must not share measurements")

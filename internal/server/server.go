@@ -50,16 +50,13 @@ type Options struct {
 	// Store is the repository backing the platform; a fresh one is created
 	// when nil.
 	Store *repository.Store
-	// Catalog is the global DBMS/platform catalog; the bootstrap catalog is
-	// used when nil.
-	Catalog *catalog.Catalog
 }
 
 // New creates a server and registers all routes.
 func New(opts Options) *Server {
 	s := &Server{
 		store:    opts.Store,
-		catalog:  opts.Catalog,
+		catalog:  catalog.Bootstrap(),
 		sessions: map[string]string{},
 		pools:    map[poolID]*livePool{},
 		mux:      http.NewServeMux(),
@@ -67,9 +64,6 @@ func New(opts Options) *Server {
 	}
 	if s.store == nil {
 		s.store = repository.NewStore()
-	}
-	if s.catalog == nil {
-		s.catalog = catalog.Bootstrap()
 	}
 	s.routes()
 	return s

@@ -9,9 +9,9 @@
 //   - EXPLAIN plan-JSON (explain.go): a schema-versioned JSON rendering of
 //     the physical plan, read from the same table;
 //   - the Tracer/Span runtime seam: per-operator wall time, row counts,
-//     batch counts and coordinator-side allocation deltas, collected into
-//     one QueryTrace per execution and comparable across engines because
-//     the span ids come from the shared plan.
+//     batch, call and skipped-block counts, collected into one QueryTrace
+//     per execution and comparable across engines because the span ids
+//     come from the shared plan.
 //
 // The seam is zero-cost when disabled: every operator holds a *Span that is
 // nil when no Tracer is installed, and the hot paths guard on that nil with
@@ -25,7 +25,6 @@ package trace
 import (
 	"encoding/json"
 	"math"
-	"runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -79,9 +78,9 @@ type Span struct {
 	Batches int64 `json:"batches,omitempty"`
 	// Calls counts one-shot applications and sub-query evaluations.
 	Calls int64 `json:"calls,omitempty"`
-	// AllocBytes is the coordinator's view of heap bytes allocated during
-	// one-shot applications; approximate under concurrency and absent for
-	// streaming operators.
+	// AllocBytes is no longer measured; it is kept so that stored and
+	// in-flight traces that carry heap bytes of one-shot applications
+	// decode and re-encode with them.
 	AllocBytes int64 `json:"alloc_bytes,omitempty"`
 	// BlocksSkipped counts the zone-map blocks a scan proved unsatisfiable
 	// and never visited; zero for engines without zone maps. Deterministic
@@ -112,13 +111,12 @@ func (s *Span) Merge(d SpanDelta) {
 	s.BlocksSkipped += d.BlocksSkipped
 }
 
-// Timer measures one one-shot operator application: wall time plus the
-// coordinator's view of heap allocation. A Timer started from a nil span is
-// inert, so call sites need no second nil-check.
+// Timer measures the wall time of one one-shot operator application. A
+// Timer started from a nil span is inert, so call sites need no second
+// nil-check.
 type Timer struct {
 	span  *Span
 	start time.Time
-	alloc int64
 }
 
 // Start opens a timing window on the span; on a nil span it returns an
@@ -127,27 +125,18 @@ func (s *Span) Start() Timer {
 	if s == nil {
 		return Timer{}
 	}
-	return Timer{span: s, start: time.Now(), alloc: heapAllocBytes()}
+	return Timer{span: s, start: time.Now()}
 }
 
-// Done closes the window, attributing the elapsed wall time, the allocation
-// delta and the given output row count to the span.
+// Done closes the window, attributing the elapsed wall time and the given
+// output row count to the span.
 func (t Timer) Done(rows int64) {
 	if t.span == nil {
 		return
 	}
 	t.span.WallNS += time.Since(t.start).Nanoseconds()
-	t.span.AllocBytes += heapAllocBytes() - t.alloc
 	t.span.Rows += rows
 	t.span.Calls++
-}
-
-// heapAllocBytes reads the runtime's cumulative heap allocation counter;
-// only called on the enabled-trace path.
-func heapAllocBytes() int64 {
-	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s[:])
-	return int64(s[0].Value.Uint64())
 }
 
 // Tracer collects the operator spans of one execution. A nil *Tracer is the
