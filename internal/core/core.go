@@ -58,7 +58,7 @@ type EngineTarget struct {
 	Parallelism int
 	// Trace enables per-operator span collection (internal/trace): every
 	// execution carries its serialized QueryTrace back through the reserved
-	// measurement extra, where it surfaces as Measurement.Trace.
+	// measurement extra, whose bytes Measurement.Trace keeps as they are.
 	Trace bool
 }
 

@@ -64,7 +64,7 @@ func TestExtrasMatchSprintf(t *testing.T) {
 // BenchmarkMeasureTraced measures one traced repetition of a small query
 // through metrics.Measure, as the experiment driver measures a task: the
 // engine's work plus the measurement's own — two load samples, the stats
-// extras, the span tree's JSON and its parse.
+// extras and the span tree's JSON, which the measurement keeps unparsed.
 func BenchmarkMeasureTraced(b *testing.B) {
 	reg := engine.NewRegistry()
 	for _, key := range []string{"vektor-2.0", "columba-2.0"} {

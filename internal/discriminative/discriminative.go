@@ -332,7 +332,9 @@ func (s *Search) Matrix() []MatrixCell {
 
 // OperatorRatios is trace.KindRatios over the compare rows of every measured
 // outcome where both targets succeeded with a trace: the operator kinds
-// ranked by how lopsided the two targets' summed span times are.
+// ranked by how lopsided the two targets' summed span times are. The span
+// trees are decoded here, from the bytes the measurements keep; an outcome
+// whose trace does not decode is left out.
 //
 //lint:api library API that README documents beside trace.KindRatios
 func (s *Search) OperatorRatios(a, b string) []trace.KindRatio {
@@ -342,7 +344,12 @@ func (s *Search) OperatorRatios(a, b string) []trace.KindRatio {
 		if ma == nil || mb == nil || ma.Failed() || mb.Failed() || ma.Trace == nil || mb.Trace == nil {
 			continue
 		}
-		rows = append(rows, trace.Compare([]*trace.QueryTrace{ma.Trace, mb.Trace})...)
+		qa, errA := trace.ParseTrace(ma.Trace)
+		qb, errB := trace.ParseTrace(mb.Trace)
+		if errA != nil || errB != nil {
+			continue
+		}
+		rows = append(rows, trace.Compare([]*trace.QueryTrace{qa, qb})...)
 	}
 	return trace.KindRatios(rows)
 }

@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"os"
@@ -31,7 +30,7 @@ import (
 
 	"sqalpel/internal/metrics"
 	"sqalpel/internal/repository"
-	"sqalpel/internal/trace"
+	"sqalpel/internal/wire"
 )
 
 // Config is the locally controlled driver configuration.
@@ -166,6 +165,9 @@ func (c Config) Validate() error {
 type Client struct {
 	cfg  Config
 	http *http.Client
+	// bodySize is the length of the longest completion body posted: the
+	// capacity the next one starts with.
+	bodySize atomic.Int64
 }
 
 // NewClient builds a client from a validated configuration.
@@ -176,59 +178,55 @@ func NewClient(cfg Config) (*Client, error) {
 	return &Client{cfg: cfg, http: &http.Client{Timeout: 2 * cfg.Timeout}}, nil
 }
 
-func (c *Client) post(path string, body any, out any) (int, error) {
-	payload, err := json.Marshal(body)
+// answers hold the answers of the server while the driver reads them.
+var answers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// post sends the JSON body to path and returns the status of the answer and,
+// for a status below 400 other than 204, its bytes, read into buf. A status
+// of 400 or above is an error that carries the server's message.
+func (c *Client) post(path string, body []byte, buf *bytes.Buffer) (int, []byte, error) {
+	resp, err := c.http.Post(strings.TrimSuffix(c.cfg.Server, "/")+path, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	resp, err := c.http.Post(strings.TrimSuffix(c.cfg.Server, "/")+path, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
-	}
-	// The body is drained on every path before it is closed: net/http only
-	// returns a connection to the pool when its response was read to EOF, so
-	// a reply left unread (the 201 of a report, whose JSON nobody needs)
-	// would cost the next request a new TCP connection.
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body) // best effort: a failed drain only costs the connection
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusNoContent {
-		return resp.StatusCode, nil
-	}
-	if resp.StatusCode >= 400 {
+	defer resp.Body.Close()
+	// The answer is read to EOF on every path: net/http only returns a
+	// connection to the pool when its response was read to the end, so a
+	// reply left unread would cost the next request a new TCP connection.
+	buf.Reset()
+	_, err = buf.ReadFrom(resp.Body)
+	switch {
+	case resp.StatusCode == http.StatusNoContent:
+		return resp.StatusCode, nil, nil
+	case resp.StatusCode >= 400:
 		var apiErr struct {
 			Error string `json:"error"`
 		}
-		_ = json.NewDecoder(resp.Body).Decode(&apiErr)
-		return resp.StatusCode, fmt.Errorf("server returned %d: %s", resp.StatusCode, apiErr.Error)
+		_ = json.NewDecoder(buf).Decode(&apiErr)
+		return resp.StatusCode, nil, fmt.Errorf("server returned %d: %s", resp.StatusCode, apiErr.Error)
+	case err != nil:
+		return resp.StatusCode, nil, fmt.Errorf("decoding server response: %w", err)
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("decoding server response: %w", err)
-		}
+	return resp.StatusCode, buf.Bytes(), nil
+}
+
+// decodeAnswer is the reader of an answer wire's scanner does not take:
+// encoding/json, into out.
+func decodeAnswer(answer []byte, out any) error {
+	if err := json.NewDecoder(bytes.NewReader(answer)).Decode(out); err != nil {
+		return fmt.Errorf("decoding server response: %w", err)
 	}
-	return resp.StatusCode, nil
+	return nil
 }
 
 // RequestTask asks the server for the next query to run. It returns nil when
 // the pool is exhausted for this DBMS + platform combination.
 func (c *Client) RequestTask() (*repository.Task, error) {
-	req := map[string]any{
-		"key":           c.cfg.Key,
-		"experiment_id": c.cfg.Experiment,
-		"dbms":          c.cfg.DBMS,
-		"platform":      c.cfg.Platform,
-	}
-	var task repository.Task
-	status, err := c.post("/api/task/request", req, &task)
-	if err != nil {
+	tasks, err := c.lease(0)
+	if len(tasks) == 0 {
 		return nil, err
 	}
-	if status == http.StatusNoContent {
-		return nil, nil
-	}
-	return &task, nil
+	return tasks[0], err
 }
 
 // RequestTasks leases up to max tasks in one round trip. An empty slice
@@ -241,24 +239,35 @@ func (c *Client) RequestTasks(max int) ([]*repository.Task, error) {
 		}
 		return []*repository.Task{task}, nil
 	}
-	req := map[string]any{
-		"key":           c.cfg.Key,
-		"experiment_id": c.cfg.Experiment,
-		"dbms":          c.cfg.DBMS,
-		"platform":      c.cfg.Platform,
-		"max":           max,
-	}
-	var resp struct {
-		Tasks []*repository.Task `json:"tasks"`
-	}
-	status, err := c.post("/api/task/request", req, &resp)
-	if err != nil {
+	return c.lease(max)
+}
+
+// lease asks for up to max tasks, as a batch when max > 1 and as the
+// single-task form when max is 0.
+func (c *Client) lease(max int) ([]*repository.Task, error) {
+	req := wire.LeaseRequest{Key: c.cfg.Key, ExperimentID: c.cfg.Experiment, DBMS: c.cfg.DBMS, Platform: c.cfg.Platform, Max: max}
+	buf := answers.Get().(*bytes.Buffer)
+	defer answers.Put(buf)
+	status, answer, err := c.post("/api/task/request", wire.AppendLeaseRequest(nil, &req), buf)
+	if err != nil || status == http.StatusNoContent {
 		return nil, err
 	}
-	if status == http.StatusNoContent {
-		return nil, nil
+	batch := max > 1
+	if tasks, ok := wire.ScanLease(answer, batch); ok {
+		return tasks, nil
 	}
-	return resp.Tasks, nil
+	if batch {
+		var resp struct {
+			Tasks []*repository.Task `json:"tasks"`
+		}
+		err := decodeAnswer(answer, &resp)
+		return resp.Tasks, err
+	}
+	var task repository.Task
+	if err := decodeAnswer(answer, &task); err != nil {
+		return nil, err
+	}
+	return []*repository.Task{&task}, nil
 }
 
 // Report sends a finished measurement back to the server. A lease lost in
@@ -273,16 +282,6 @@ func (c *Client) Report(taskID int, m *metrics.Measurement) error {
 	return err
 }
 
-// completionReport is one measured task in the batch form of
-// POST /api/task/complete.
-type completionReport struct {
-	TaskID  int               `json:"task_id"`
-	Seconds []float64         `json:"seconds"`
-	Error   string            `json:"error"`
-	Extra   map[string]string `json:"extra"`
-	Trace   *trace.QueryTrace `json:"trace,omitempty"`
-}
-
 // report sends the measurements of tasks back in one request, the batch
 // form of POST /api/task/complete, and returns how many the server recorded
 // (201). A task whose lease was lost in the meantime (409: expired and
@@ -290,26 +289,40 @@ type completionReport struct {
 // path, not a driver failure; the first other status is the error, returned
 // beside the count of every task that did land.
 func (c *Client) report(tasks []*repository.Task, ms []*metrics.Measurement) (int, error) {
-	items := make([]completionReport, len(tasks))
+	reports := make([]wire.Report, len(tasks))
 	for i, task := range tasks {
-		items[i] = completionReport{TaskID: task.ID, Seconds: ms[i].Seconds(), Error: ms[i].Err, Extra: ms[i].Extra, Trace: ms[i].Trace}
+		reports[i] = wire.Report{TaskID: task.ID, Seconds: ms[i].Seconds(), Error: ms[i].Err, Extra: ms[i].Extra, Trace: ms[i].Trace}
 	}
-	var resp struct {
-		Results []struct {
-			TaskID int    `json:"task_id"`
-			Status int    `json:"status"`
-			Error  string `json:"error"`
-		} `json:"results"`
-	}
-	if _, err := c.post("/api/task/complete", map[string]any{"key": c.cfg.Key, "tasks": items}, &resp); err != nil {
+	// A body is not reused: net/http may still read it after the answer.
+	body, err := wire.AppendReports(make([]byte, 0, c.bodySize.Load()), c.cfg.Key, reports)
+	if err != nil {
 		return 0, err
 	}
-	if len(resp.Results) != len(tasks) {
-		return 0, fmt.Errorf("server answered %d of %d completions", len(resp.Results), len(tasks))
+	if n := int64(len(body)); n > c.bodySize.Load() {
+		c.bodySize.Store(n)
+	}
+	buf := answers.Get().(*bytes.Buffer)
+	defer answers.Put(buf)
+	status, answer, err := c.post("/api/task/complete", body, buf)
+	if err != nil {
+		return 0, err
+	}
+	results, ok := wire.ScanCompletionResults(answer)
+	if !ok && status != http.StatusNoContent {
+		var resp struct {
+			Results []wire.CompletionResult `json:"results"`
+		}
+		if err := decodeAnswer(answer, &resp); err != nil {
+			return 0, err
+		}
+		results = resp.Results
+	}
+	if len(results) != len(tasks) {
+		return 0, fmt.Errorf("server answered %d of %d completions", len(results), len(tasks))
 	}
 	landed := 0
 	var first error
-	for _, r := range resp.Results {
+	for _, r := range results {
 		switch {
 		case r.Status == http.StatusCreated:
 			landed++

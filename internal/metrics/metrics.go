@@ -3,7 +3,10 @@
 // (five by default, as in the paper), the wall-clock time of every step is
 // recorded, the system load is sampled at the beginning and the end of the
 // run, and an open-ended key/value list carries system-specific performance
-// indicators for post inspection.
+// indicators for post inspection. A target that traces its operators hands
+// over the span tree as JSON, which the measurement keeps as the bytes the
+// target wrote (Measurement.Trace): the driver sends them as they are, and
+// nothing on its path decodes them.
 //
 // Measurements are cancellable: MeasureContext checks its context between
 // repetitions and forwards a per-repetition deadline to targets that
@@ -13,6 +16,7 @@ package metrics
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -48,10 +52,11 @@ type Measurement struct {
 	LoadAfter  sysload.Load
 	// Extra is the open-ended key/value list of system specific indicators.
 	Extra map[string]string
-	// Trace is the per-operator span tree of the last repetition, decoded
-	// from the target's trace.MeasurementExtraKey extra; nil when the target
-	// does not trace.
-	Trace *trace.QueryTrace
+	// Trace is the per-operator span tree of the last traced repetition as
+	// the bytes the target wrote under trace.MeasurementExtraKey: a driver
+	// sends them as they are, and an in-process reader decodes them with
+	// trace.ParseTrace. nil when the target does not trace.
+	Trace json.RawMessage
 }
 
 // Failed reports whether the measurement captured an error.
@@ -167,10 +172,17 @@ func MeasureContext(ctx context.Context, target Target, query string, opts Optio
 		runs = DefaultRuns
 	}
 	m := &Measurement{Extra: map[string]string{}, LoadBefore: sysload.Sample()}
+	var traced string // the span tree of the last traced repetition
+	keepTrace := func() {
+		if traced != "" {
+			m.Trace = json.RawMessage(traced)
+		}
+	}
 	fail := func(err error) *Measurement {
 		m.Err = err.Error()
 		m.Runs = nil
 		m.LoadAfter = sysload.Sample()
+		keepTrace()
 		return m
 	}
 	for i := 0; i < runs; i++ {
@@ -200,19 +212,18 @@ func MeasureContext(ctx context.Context, target Target, query string, opts Optio
 			if k == SimulatedDurationKey {
 				continue
 			}
-			// Operator traces ride the same reserved-key channel: decoded
-			// into Measurement.Trace (last repetition wins), never recorded
-			// as a plain extra.
+			// Operator traces ride the same reserved-key channel: kept as
+			// Measurement.Trace (last repetition wins), never recorded as a
+			// plain extra.
 			if k == trace.MeasurementExtraKey {
-				if qt, perr := trace.ParseTrace([]byte(v)); perr == nil {
-					m.Trace = qt
-				}
+				traced = v
 				continue
 			}
 			m.Extra[k] = v
 		}
 	}
 	m.LoadAfter = sysload.Sample()
+	keepTrace()
 	for i, v := range m.LoadBefore.Values() {
 		m.Extra[beforeKeys[i]] = v
 	}

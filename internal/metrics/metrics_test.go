@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sqalpel/internal/trace"
 )
 
 func fixedTarget(delay time.Duration, rows int) Target {
@@ -183,5 +185,38 @@ func TestMeasurePanicFailsTheRepetition(t *testing.T) {
 	m := Measure(TargetFunc(func(string) (int, map[string]string, error) { panic("boom") }), "SELECT 42", Options{Runs: 3})
 	if !m.Failed() || !strings.Contains(m.Err, "panic: boom") || !strings.Contains(m.Err, `"SELECT 42"`) || len(m.Runs) != 0 {
 		t.Errorf("measurement of a panicking target = %+v", m)
+	}
+}
+
+// TestTraceKeptAsWritten pins what a measurement keeps of its span trees:
+// the bytes the last traced repetition wrote, unparsed — also bytes that
+// are no trace at all, which only a reader that decodes them refuses — and
+// the last traced one when a later repetition fails or writes none.
+func TestTraceKeptAsWritten(t *testing.T) {
+	run := 0
+	target := TargetFunc(func(string) (int, map[string]string, error) {
+		run++
+		switch run {
+		case 1:
+			return 1, map[string]string{trace.MeasurementExtraKey: `{"schema_version":1,"spans":[]}`}, nil
+		case 2:
+			return 1, map[string]string{trace.MeasurementExtraKey: `not a trace <&>`}, nil
+		case 3:
+			return 1, nil, nil
+		}
+		return 0, nil, errors.New("failed")
+	})
+	for runs, want := range map[int]string{1: `{"schema_version":1,"spans":[]}`, 3: `not a trace <&>`, 4: `not a trace <&>`} {
+		run = 0
+		m := Measure(target, "SELECT 1", Options{Runs: runs})
+		if string(m.Trace) != want || m.Failed() != (runs == 4) {
+			t.Errorf("%d runs: trace %q (failed %v), want %q", runs, m.Trace, m.Failed(), want)
+		}
+		if _, ok := m.Extra[trace.MeasurementExtraKey]; ok {
+			t.Errorf("%d runs: the trace was recorded as an extra", runs)
+		}
+	}
+	if m := Measure(fixedTarget(0, 1), "SELECT 1", Options{Runs: 2}); m.Trace != nil {
+		t.Errorf("an untraced measurement kept a trace: %q", m.Trace)
 	}
 }

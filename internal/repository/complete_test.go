@@ -180,3 +180,57 @@ func TestSingleCompletionRecordStillReplays(t *testing.T) {
 		t.Fatalf("recovered tasks %+v, want task %d done", got, task.ID)
 	}
 }
+
+// TestOversizedRecordIsRefused pins the bound of a log record: a completion
+// whose record is longer than recovery reads back (maxWALRecord) would be
+// dropped at the next start as a corrupt tail, and every record behind it
+// with it. So it fails before anything is written, applied or acknowledged,
+// and the log stays open for the next mutation, which survives a restart.
+func TestOversizedRecordIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	s, err := open(dir, 1, logf, nosyncFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, expID := drainFixture(t, s, 2)
+	tasks, err := s.RequestTasks(key, expID, "vektor", "laptop", 2)
+	if err != nil || len(tasks) != 2 {
+		t.Fatalf("lease: %v %v", tasks, err)
+	}
+	big := make([]byte, maxWALRecord+16)
+	for i := range big {
+		big[i] = 'x'
+	}
+	copy(big, `{"k":"`)
+	copy(big[len(big)-2:], `"}`)
+	out := s.CompleteTasks(key, []Completion{{TaskID: tasks[0].ID, Seconds: []float64{1}, Extra: Extras(big)}})
+	big = nil
+	if out[0].Err == nil {
+		t.Fatal("a completion whose record exceeds the log's bound was acknowledged")
+	}
+	if n := len(s.Results("", tasks[0].ProjectID)); n != 0 {
+		t.Fatalf("the refused completion left %d results", n)
+	}
+	out = s.CompleteTasks(key, []Completion{{TaskID: tasks[1].ID, Seconds: []float64{0.5}}})
+	if out[0].Err != nil {
+		t.Fatalf("the completion after a refused one: %v", out[0].Err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = open(dir, 1, logf, nosyncFactory); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	results := s.Results("", tasks[0].ProjectID)
+	if len(results) != 1 || results[0].Seconds[0] != 0.5 {
+		t.Fatalf("recovered %d results, want the acknowledged one; log: %q", len(results), logged)
+	}
+	for _, task := range s.Tasks("", tasks[0].ProjectID) {
+		if task.ID == tasks[0].ID && task.Status != TaskRunning {
+			t.Fatalf("the refused completion's task is %s after recovery", task.Status)
+		}
+	}
+}

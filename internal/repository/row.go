@@ -3,13 +3,13 @@ package repository
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"slices"
 	"strconv"
 	"sync"
 	"time"
 	"unicode/utf8"
 
+	"sqalpel/internal/jsonenc"
 	"sqalpel/internal/trace"
 )
 
@@ -202,11 +202,12 @@ func verbatim(b []byte) bool {
 // json.NewEncoder — HTML escaping on — writes for the row, without the
 // trailing newline. It encodes the fields itself and appends the extras and
 // the span tree as they are held, escaping the <, > and & they may hold, so
-// a row costs no reflection, no compaction and — its strings plain ASCII —
-// no allocation. A second that is not finite, which no JSON text carries
-// and a durable store never records, is written as null. extra and spans
-// are where the extras and the span tree begin in the bytes appended, 0
-// when the row has none. It is the sealer's encoder, and the tests'.
+// a row costs no reflection, no compaction and no allocation (package
+// jsonenc writes each value as encoding/json does). A second that is not
+// finite, which no JSON text carries and a durable store never records, is
+// written as null. extra and spans are where the extras and the span tree
+// begin in the bytes appended, 0 when the row has none. It is the sealer's
+// encoder, and the tests'.
 func (r *Result) appendJSON(dst []byte) (row []byte, extra, spans int) {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, int64(r.ID), 10)
@@ -217,34 +218,37 @@ func (r *Result) appendJSON(dst []byte) (row []byte, extra, spans int) {
 	dst = append(dst, `,"query_id":`...)
 	dst = strconv.AppendInt(dst, int64(r.QueryID), 10)
 	dst = append(dst, `,"contributor_key":`...)
-	dst = appendString(dst, r.ContributorKey)
+	dst = jsonenc.AppendString(dst, r.ContributorKey)
 	dst = append(dst, `,"dbms_key":`...)
-	dst = appendString(dst, r.DBMSKey)
+	dst = jsonenc.AppendString(dst, r.DBMSKey)
 	dst = append(dst, `,"platform_key":`...)
-	dst = appendString(dst, r.PlatformKey)
+	dst = jsonenc.AppendString(dst, r.PlatformKey)
 	if len(r.Seconds) > 0 {
 		dst = append(dst, `,"seconds":[`...)
 		for i, s := range r.Seconds {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendFloat(dst, s)
+			var finite bool
+			if dst, finite = jsonenc.AppendFloat(dst, s); !finite {
+				dst = append(dst, "null"...)
+			}
 		}
 		dst = append(dst, ']')
 	}
 	if r.Error != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendString(dst, r.Error)
+		dst = jsonenc.AppendString(dst, r.Error)
 	}
 	if len(r.Extra) > 0 {
 		dst = append(dst, `,"extra":`...)
 		extra = len(dst)
-		dst = appendHTMLSafe(dst, r.Extra)
+		dst = jsonenc.AppendHTMLSafe(dst, r.Extra)
 	}
 	if len(r.Trace) > 0 {
 		dst = append(dst, `,"trace":`...)
 		spans = len(dst)
-		dst = appendHTMLSafe(dst, r.Trace)
+		dst = jsonenc.AppendHTMLSafe(dst, r.Trace)
 	}
 	if r.Hidden {
 		dst = append(dst, `,"hidden":true`...)
@@ -254,63 +258,4 @@ func (r *Result) appendJSON(dst []byte) (row []byte, extra, spans int) {
 	dst = append(dst, `,"created":"`...)
 	dst = r.Created.AppendFormat(dst, time.RFC3339Nano)
 	return append(dst, `"}`...), extra, spans
-}
-
-// appendString appends s as encoding/json writes a string with HTML
-// escaping on. Printable ASCII other than " \ < > & is written as it is;
-// any other string is left to json.Marshal.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always encodes
-			return append(dst, quoted...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
-
-// appendFloat appends f as encoding/json writes a float64: the shortest
-// decimal, in exponent form below 1e-6 and from 1e21 on, with a one-digit
-// negative exponent written without its leading zero.
-func appendFloat(dst []byte, f float64) []byte {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return append(dst, "null"...)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 becomes e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-// appendHTMLSafe appends canonical JSON bytes as an encoder with HTML
-// escaping on writes them: <, > and &, which can only stand inside a
-// string, become \u003c, \u003e and \u0026.
-func appendHTMLSafe(dst, b []byte) []byte {
-	if verbatim(b) {
-		return append(dst, b...)
-	}
-	for _, c := range b {
-		switch c {
-		case '<':
-			dst = append(dst, `\u003c`...)
-		case '>':
-			dst = append(dst, `\u003e`...)
-		case '&':
-			dst = append(dst, `\u0026`...)
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return dst
 }

@@ -146,7 +146,9 @@ const maxWALRecord = 64 << 20
 // log encodes r as the data of the partition's next record, frames it,
 // writes the frame in a single call and syncs the sink. The record only
 // counts as logged — and the caller may only apply it — when log returns
-// nil.
+// nil. A record longer than recovery reads back (maxWALRecord) is refused
+// before anything is written: written, it would be dropped at the next
+// start as a corrupt tail, and every record behind it with it.
 func (w *walWriter) log(op string, r any) error {
 	if w.broken != nil {
 		return fmt.Errorf("wal unavailable after earlier write failure: %w", w.broken)
@@ -156,6 +158,9 @@ func (w *walWriter) log(op string, r any) error {
 		return fmt.Errorf("encoding %s record: %w", op, err)
 	}
 	frame := frameRecord(w.lsn+1, op, data)
+	if n := len(frame) - walHeaderSize; n > maxWALRecord {
+		return fmt.Errorf("%s record of %d bytes exceeds the log's bound of %d", op, n, maxWALRecord)
+	}
 	if _, err := w.sink.Write(frame); err != nil {
 		w.broken = err
 		return fmt.Errorf("appending wal record: %w", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +17,7 @@ import (
 
 	"sqalpel/internal/repository"
 	"sqalpel/internal/trace"
+	"sqalpel/internal/wire"
 )
 
 // completeFixture is a server on an in-memory store with one project of four
@@ -83,7 +85,7 @@ func (fx *completeFixture) results() int { return len(fx.store.Results("martin",
 func batchStatuses(tb testing.TB, reply []byte) []int {
 	tb.Helper()
 	var resp struct {
-		Results []completionResult `json:"results"`
+		Results []wire.CompletionResult `json:"results"`
 	}
 	if err := json.Unmarshal(reply, &resp); err != nil {
 		tb.Fatalf("batch reply %s: %v", reply, err)
@@ -346,5 +348,54 @@ func TestResultsPageExtrasGolden(t *testing.T) {
 	}
 	if !bytes.Equal(page, want) {
 		t.Fatalf("the results page differs from %s:\n%s\nwant\n%s", path, page, want)
+	}
+}
+
+// spaces reads as n ASCII spaces, which JSON allows between tokens.
+type spaces struct{ n int }
+
+func (s *spaces) Read(p []byte) (int, error) {
+	if s.n == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), s.n)
+	for i := range p[:n] {
+		p[i] = ' '
+	}
+	s.n -= n
+	return n, nil
+}
+
+// TestOversizedBodyAnswers413 pins the bound on a JSON body: one byte more
+// than maxBodyBytes is answered 413 on every route that decodes one, the
+// completion route included, and records nothing — unread when the request
+// declares its length, and cut off at the bound when it does not. A body
+// that long is valid JSON here — spaces between tokens — so only the bound
+// refuses it.
+func TestOversizedBodyAnswers413(t *testing.T) {
+	fx := newCompleteFixture(t)
+	for _, c := range []struct {
+		path, head, tail string
+		declared         bool
+	}{
+		{"/api/task/complete", `{"key":"` + fx.owner + `",`, `"task_id":1,"seconds":[0.5]}`, true},
+		{"/api/task/complete", `{"key":"` + fx.owner + `","tasks":[{"task_id":1,"seconds":[0.5]}]`, `}`, true},
+		{"/api/task/request", `{"key":"` + fx.owner + `",`, `"experiment_id":1,"dbms":"vektor","platform":"laptop"}`, true},
+		{"/api/register", `{"nickname":"ada",`, `"email":"ada@example.org"}`, true},
+		{"/api/task/complete", `{"key":"` + fx.owner + `","tasks":[{"task_id":1,"seconds":[0.5]}]`, `}`, false},
+	} {
+		pad := maxBodyBytes + 1 - len(c.head) - len(c.tail)
+		req := httptest.NewRequest(http.MethodPost, c.path, io.MultiReader(strings.NewReader(c.head), &spaces{pad}, strings.NewReader(c.tail)))
+		if c.declared {
+			req.ContentLength = maxBodyBytes + 1
+		}
+		w := httptest.NewRecorder()
+		fx.srv.ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a body of %d bytes (length declared: %v) = %d %s, want 413", c.path, maxBodyBytes+1, c.declared, w.Code, bytes.TrimSpace(w.Body.Bytes()))
+		}
+	}
+	if n := fx.results(); n != 0 {
+		t.Fatalf("an oversized body recorded %d results", n)
 	}
 }

@@ -10,6 +10,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -29,6 +30,7 @@ import (
 	"sqalpel/internal/grammar"
 	"sqalpel/internal/pool"
 	"sqalpel/internal/repository"
+	"sqalpel/internal/wire"
 )
 
 // Server is the sqalpel platform server.
@@ -166,11 +168,54 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	defer r.Body.Close()
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// maxBodyBytes bounds a request body: the longest record the store logs,
+// which is what a completion's body becomes.
+const maxBodyBytes = 64 << 20
+
+// decodeJSON decodes the request's JSON body into v, as readJSON does.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
+	return readJSON(w, r, new([]byte), nil, v)
+}
+
+// bodies hold a driver's request while its handler reads it, and then the
+// answer.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// readJSON reads the request's body, of at most maxBodyBytes, into *bp and
+// decodes it into v: by scan when scan takes it, by encoding/json — which
+// refuses fields v does not have — otherwise. ok is false once a failure
+// has been answered: 413 for a body too long, 400 for one that does not
+// decode.
+func readJSON(w http.ResponseWriter, r *http.Request, bp *[]byte, scan func([]byte) bool, v any) (ok bool) {
+	var err error = &http.MaxBytesError{Limit: maxBodyBytes} // a body that says it is too long is not read
+	if r.ContentLength <= maxBodyBytes {
+		buf := bytes.NewBuffer((*bp)[:0])
+		_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if *bp = buf.Bytes(); err == nil && scan != nil && scan(*bp) {
+			return true
+		}
+	}
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(*bp))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	}
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, new(*http.MaxBytesError)):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+	default:
+		writeError(w, http.StatusBadRequest, err)
+	}
+	return false
+}
+
+// writeAnswer writes the JSON answer an appender of package wire built.
+func writeAnswer(w http.ResponseWriter, status int, answer []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(answer)
 }
 
 func newToken() string {
@@ -234,8 +279,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Nickname string `json:"nickname"`
 		Email    string `json:"email"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if _, err := s.store.RegisterUser(req.Nickname, req.Email); err != nil {
@@ -251,8 +295,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 		Nickname string `json:"nickname"`
 		Email    string `json:"email"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	u := s.store.User(req.Nickname)
@@ -283,8 +326,7 @@ func (s *Server) handleAddDBMS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var d catalog.DBMS
-	if err := decodeJSON(r, &d); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &d) {
 		return
 	}
 	if err := s.catalog.AddDBMS(d); err != nil {
@@ -303,8 +345,7 @@ func (s *Server) handleAddPlatform(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var p catalog.Platform
-	if err := decodeJSON(r, &p); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &p) {
 		return
 	}
 	if err := s.catalog.AddPlatform(p); err != nil {
@@ -376,8 +417,7 @@ func (s *Server) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 		Attribution string `json:"attribution"`
 		Public      bool   `json:"public"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	p, err := s.store.CreateProject(nick, req.Name, req.Synopsis, req.Public)
@@ -432,8 +472,7 @@ func (s *Server) handleVisibility(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Public bool `json:"public"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if err := s.store.SetVisibility(nick, id, req.Public); err != nil {
@@ -456,8 +495,7 @@ func (s *Server) handleInvite(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Nickname string `json:"nickname"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	key, err := s.store.Invite(nick, id, req.Nickname)
@@ -486,8 +524,7 @@ func (s *Server) handleAddExperiment(w http.ResponseWriter, r *http.Request) {
 		GrammarText string `json:"grammar_text"`
 		SeedRandom  int    `json:"seed_random"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	var g *grammar.Grammar
@@ -635,8 +672,7 @@ func (s *Server) handleGrowPool(w http.ResponseWriter, r *http.Request) {
 		Include    []string `json:"include"`
 		Exclude    []string `json:"exclude"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	p := s.store.Project(id)
@@ -822,8 +858,7 @@ func (s *Server) handleHideResult(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Hidden bool `json:"hidden"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if err := s.store.HideResult(nick, rid, req.Hidden); err != nil {
@@ -854,8 +889,7 @@ func (s *Server) handleAddComment(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Text string `json:"text"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	c, err := s.store.AddComment(nick, id, req.Text)
@@ -877,18 +911,10 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 // --- driver protocol ----------------------------------------------------------
 
 func (s *Server) handleTaskRequest(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Key          string `json:"key"`
-		ExperimentID int    `json:"experiment_id"`
-		DBMS         string `json:"dbms"`
-		Platform     string `json:"platform"`
-		// Max switches to batch leasing: with max > 1 up to that many tasks
-		// are leased in one round trip and returned as {"tasks": [...]}.
-		// Absent or 1 keeps the original single-task wire format.
-		Max int `json:"max"`
-	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	bp := bodies.Get().(*[]byte)
+	defer bodies.Put(bp)
+	var req wire.LeaseRequest
+	if !readJSON(w, r, bp, func(b []byte) bool { return wire.ScanLeaseRequest(b, &req) }, &req) {
 		return
 	}
 	tasks, err := s.store.RequestTasks(req.Key, req.ExperimentID, req.DBMS, req.Platform, req.Max)
@@ -900,36 +926,11 @@ func (s *Server) handleTaskRequest(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	if req.Max > 1 {
-		writeJSON(w, http.StatusOK, map[string]any{"tasks": tasks})
-		return
+	answer, ok := wire.AppendLease((*bp)[:0], tasks, req.Max > 1)
+	if *bp = answer; !ok {
+		answer = nil // a time encoding/json cannot write, and then it writes nothing
 	}
-	writeJSON(w, http.StatusOK, tasks[0])
-}
-
-// completionItem is one finished task as a driver reports it: the whole body
-// of the single-task form of /api/task/complete, one element of the batch
-// form's tasks.
-type completionItem struct {
-	TaskID  int       `json:"task_id"`
-	Seconds []float64 `json:"seconds"`
-	Error   string    `json:"error"`
-	// Extra is nil only when the body sent no object: {} holds no extras,
-	// yet a batch body that sends it at the top level mixes the two forms.
-	Extra *repository.Extras `json:"extra"`
-	// Trace optionally carries the driver's per-operator span tree as a
-	// trace.QueryTrace document; it is stored on the result row. A trace
-	// that does not decode fails the whole body.
-	Trace repository.TraceJSON `json:"trace"`
-}
-
-// completion returns the item as the store records it.
-func (it *completionItem) completion() repository.Completion {
-	c := repository.Completion{TaskID: it.TaskID, Seconds: it.Seconds, Error: it.Error, Trace: it.Trace}
-	if it.Extra != nil {
-		c.Extra = *it.Extra
-	}
-	return c
+	writeAnswer(w, http.StatusOK, answer)
 }
 
 // completionStatus is the HTTP status of one completion's outcome. A lost
@@ -947,37 +948,23 @@ func completionStatus(err error) int {
 	}
 }
 
-// completionResult is the batch form's answer for one reported task.
-type completionResult struct {
-	TaskID int    `json:"task_id"`
-	Status int    `json:"status"`
-	Error  string `json:"error,omitempty"`
-}
-
 func (s *Server) handleTaskComplete(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Key string `json:"key"`
-		completionItem
-		// Tasks switches to the batch form: the tasks of a lease reported in
-		// one round trip, recorded as one batch and answered with
-		// {"results": [...]}, one status per task. Absent keeps the
-		// single-task wire format.
-		Tasks []completionItem `json:"tasks"`
-	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	bp := bodies.Get().(*[]byte)
+	defer bodies.Put(bp)
+	var req wire.CompletionRequest
+	if !readJSON(w, r, bp, func(b []byte) bool { return wire.ScanCompletions(b, &req) }, &req) {
 		return
 	}
 	items := req.Tasks
 	if items == nil {
-		items = []completionItem{req.completionItem}
+		items = []wire.Completion{req.Completion}
 	} else if req.TaskID != 0 || req.Seconds != nil || req.Error != "" || req.Extra != nil || req.Trace != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("a completion carries either task_id or tasks, not both"))
 		return
 	}
 	batch := make([]repository.Completion, len(items))
 	for i := range items {
-		batch[i] = items[i].completion()
+		batch[i] = items[i].Record()
 	}
 	outcomes := s.store.CompleteTasks(req.Key, batch)
 	if req.Tasks == nil {
@@ -988,14 +975,15 @@ func (s *Server) handleTaskComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	results := make([]completionResult, len(outcomes))
+	results := make([]wire.CompletionResult, len(outcomes))
 	for i, out := range outcomes {
-		results[i] = completionResult{TaskID: items[i].TaskID, Status: completionStatus(out.Err)}
+		results[i] = wire.CompletionResult{TaskID: items[i].TaskID, Status: completionStatus(out.Err)}
 		if out.Err != nil {
 			results[i].Error = out.Err.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	*bp = wire.AppendCompletionResults((*bp)[:0], results)
+	writeAnswer(w, http.StatusOK, *bp)
 }
 
 // --- analytics ------------------------------------------------------------------

@@ -40,7 +40,8 @@ var escapedNames = &QueryTrace{SchemaVersion: SchemaVersion, Engine: "vek<tor>&"
 // FuzzParseTrace holds ParseTrace to encoding/json, the oracle: for
 // arbitrary bytes it fails exactly when json.Unmarshal into a QueryTrace
 // fails, with the same error, and otherwise returns the same tree, whether
-// ScanCanonical read the bytes or encoding/json did. The seeds are
+// ScanCanonical read the bytes or encoding/json did; and JSON writes for
+// that tree what json.Marshal writes. The seeds are
 // testdata/trace_cases.txt and a trace with <>& in its names.
 func FuzzParseTrace(f *testing.F) {
 	for _, c := range readTraceCases(f) {
@@ -61,21 +62,31 @@ func FuzzParseTrace(f *testing.F) {
 		if err == nil && !reflect.DeepEqual(*got, want) {
 			t.Fatalf("%q: ParseTrace = %+v, json.Unmarshal = %+v", data, *got, want)
 		}
+		if err == nil {
+			marshalled, _ := json.Marshal(&want)
+			if appended, _ := want.JSON(); string(appended) != string(marshalled) {
+				t.Fatalf("%q: JSON = %s, json.Marshal = %s", data, appended, marshalled)
+			}
+		}
 	})
 }
 
-// TestJSONIsCanonical: what JSON writes for a trace of plain names — what
-// an engine target hands the measurement — is read by the scan, and a
-// trace with <>& in its names by encoding/json, into the same tree.
+// TestJSONIsCanonical: JSON writes what json.Marshal writes; for a trace
+// of plain names — what an engine target hands the measurement — it is read
+// by the scan, and for a trace with <>& in its names by encoding/json, into
+// the same tree.
 func TestJSONIsCanonical(t *testing.T) {
 	tr := NewTracer()
 	tr.Span("scan.0", KindScan).Merge(SpanDelta{WallNS: 1200, Rows: 25, Batches: 1, BlocksSkipped: 4})
 	tr.Span("aggregate.0", KindAgg).Start().Done(1)
 	tr.Span("project.0", KindProject)
-	for _, qt := range []*QueryTrace{tr.Trace("vektor-2.0"), {SchemaVersion: SchemaVersion}, escapedNames} {
+	for _, qt := range []*QueryTrace{tr.Trace("vektor-2.0"), {SchemaVersion: SchemaVersion}, escapedNames, nil} {
 		data, err := qt.JSON()
-		if err != nil {
-			t.Fatal(err)
+		if want, _ := json.Marshal(qt); err != nil || string(data) != string(want) {
+			t.Fatalf("JSON = %s, %v; json.Marshal writes %s", data, err, want)
+		}
+		if qt == nil {
+			continue
 		}
 		if canonical := ScanCanonical(data, nil); canonical != (qt != escapedNames) {
 			t.Errorf("%s: ScanCanonical = %v", data, canonical)

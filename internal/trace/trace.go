@@ -26,8 +26,11 @@ import (
 	"encoding/json"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
+
+	"sqalpel/internal/jsonenc"
 )
 
 // SchemaVersion versions both the plan-JSON document and the QueryTrace wire
@@ -206,8 +209,49 @@ type QueryTrace struct {
 }
 
 // JSON renders the trace compactly for the measurement extra channel and
-// the driver wire format.
-func (qt *QueryTrace) JSON() ([]byte, error) { return json.Marshal(qt) }
+// the driver wire format: what json.Marshal writes for it, appended field
+// by field instead of by reflection. The error is always nil.
+func (qt *QueryTrace) JSON() ([]byte, error) {
+	if qt == nil {
+		return []byte("null"), nil
+	}
+	b := make([]byte, 0, 64+112*len(qt.Spans))
+	b = append(b, `{"schema_version":`...)
+	b = strconv.AppendInt(b, int64(qt.SchemaVersion), 10)
+	if qt.Engine != "" {
+		b = append(b, `,"engine":`...)
+		b = jsonenc.AppendString(b, qt.Engine)
+	}
+	if qt.Spans == nil {
+		return append(b, `,"spans":null}`...), nil
+	}
+	b = append(b, `,"spans":[`...)
+	for i := range qt.Spans {
+		sp := &qt.Spans[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"op":`...)
+		b = jsonenc.AppendString(b, sp.OpID)
+		b = append(b, `,"kind":`...)
+		b = jsonenc.AppendString(b, sp.Kind)
+		b = append(b, `,"wall_ns":`...)
+		b = strconv.AppendInt(b, sp.WallNS, 10)
+		b = append(b, `,"rows":`...)
+		b = strconv.AppendInt(b, sp.Rows, 10)
+		for _, f := range [...]struct {
+			key string
+			v   int64
+		}{{`,"batches":`, sp.Batches}, {`,"calls":`, sp.Calls}, {`,"alloc_bytes":`, sp.AllocBytes}, {`,"blocks_skipped":`, sp.BlocksSkipped}} {
+			if f.v != 0 {
+				b = append(b, f.key...)
+				b = strconv.AppendInt(b, f.v, 10)
+			}
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...), nil
+}
 
 // ParseTrace decodes a QueryTrace from its JSON form: what json.Unmarshal
 // makes of data, with its error. Canonical bytes (ScanCanonical), which is
