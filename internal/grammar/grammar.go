@@ -34,7 +34,6 @@ package grammar
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -425,21 +424,11 @@ func parseElements(text string, line int) ([]Element, error) {
 }
 
 // LexicalClasses returns, for every lexical rule, the number of literals it
-// offers, keyed by rule name. The result is deterministic (sorted keys are
-// available through sortedKeys).
+// offers, keyed by rule name.
 func (g *Grammar) LexicalClasses() map[string]int {
 	out := map[string]int{}
 	for _, r := range g.LexicalRules() {
 		out[r.Name] = len(r.Literals())
 	}
 	return out
-}
-
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

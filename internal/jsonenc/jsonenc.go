@@ -1,8 +1,12 @@
-// Package jsonenc appends JSON values exactly as encoding/json writes them
-// with HTML escaping on — json.Marshal, and a json.Encoder not told
-// otherwise — without reflection. The platform's result rows and the
+// Package jsonenc writes and reads JSON values exactly as encoding/json
+// writes them with HTML escaping on — json.Marshal, and a json.Encoder not
+// told otherwise — without reflection. The platform's result rows and the
 // driver protocol's forms (internal/wire) are appended by hand from these
-// pieces, and their tests hold them to encoding/json.
+// pieces, and their tests hold them to encoding/json. Scanner reads such
+// text back, and the canonical bytes of span trees and extras too: the
+// driver protocol's scanners, trace.ScanCanonical and the repository's
+// test of canonical extras are built of its steps, each a fast path in
+// front of encoding/json, which stays the fallback and the oracle.
 package jsonenc
 
 import (
@@ -103,8 +107,8 @@ func AppendFloat(dst []byte, f float64) (out []byte, ok bool) {
 // as an encoder with HTML escaping on writes it: <, > and &, which can only
 // stand inside a string, become \u003c, \u003e and \u0026.
 func AppendHTMLSafe(dst, b []byte) []byte {
-	if bytes.IndexByte(b, '<') < 0 && bytes.IndexByte(b, '>') < 0 && bytes.IndexByte(b, '&') < 0 {
-		return append(dst, b...) // the common case, found by three vectorised scans
+	if Verbatim(b) {
+		return append(dst, b...) // the common case
 	}
 	for {
 		i := bytes.IndexAny(b, "<>&")
@@ -117,5 +121,8 @@ func AppendHTMLSafe(dst, b []byte) []byte {
 	}
 }
 
-// Safe reports whether AppendString writes the byte c as it is.
-func Safe(c byte) bool { return c < utf8.RuneSelf && safe[c] }
+// Verbatim reports whether AppendHTMLSafe appends b as it is: whether b
+// holds no <, > or &, found by three vectorised scans.
+func Verbatim(b []byte) bool {
+	return bytes.IndexByte(b, '<') < 0 && bytes.IndexByte(b, '>') < 0 && bytes.IndexByte(b, '&') < 0
+}

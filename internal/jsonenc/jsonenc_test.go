@@ -33,8 +33,8 @@ func TestAppendMatchesMarshal(t *testing.T) {
 			t.Fatalf("AppendString(%q) = %s, want %s", s, got, want)
 		}
 		for i := 0; i < len(s); i++ {
-			if c := s[i]; Safe(c) != (c < utf8.RuneSelf && bytes.Equal(AppendString(nil, s[i:i+1]), []byte{'"', c, '"'})) {
-				t.Fatalf("Safe(%q) = %v", c, Safe(c))
+			if c := s[i]; (c < utf8.RuneSelf && safe[c]) != (c < utf8.RuneSelf && bytes.Equal(AppendString(nil, s[i:i+1]), []byte{'"', c, '"'})) {
+				t.Fatalf("safe[%q] = %v", c, safe[c])
 			}
 		}
 	}

@@ -56,12 +56,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Diagnostic is one finding: a position and a message. Category is the
-// reporting analyzer's name, filled in by the driver.
+// Diagnostic is one finding: a position and a message.
 type Diagnostic struct {
-	Pos      token.Pos
-	Category string
-	Message  string
+	Pos     token.Pos
+	Message string
 }
 
 // Inspect walks every file of the pass in depth-first order, calling f for

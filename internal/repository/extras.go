@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"unicode/utf8"
+
+	"sqalpel/internal/jsonenc"
 )
 
 // Extras is a result's extra indicators — the open-ended key/value list a
@@ -129,48 +131,24 @@ func (e *Extras) UnmarshalJSON(data []byte) error {
 // canonicalExtras reports whether data is what EncodeExtras writes for the
 // object it holds, by a test that is sure only of the common case: a compact
 // object whose keys strictly increase bytewise and whose strings hold nothing
-// but printable ASCII other than `"` and `\`, which no encoder escapes. {} is
-// not: it holds no extras, which are nil.
+// but printable ASCII other than `"` and `\`, which no encoder escapes
+// (jsonenc.Scanner's Plain). {} is not: it holds no extras, which are nil.
 func canonicalExtras(data []byte) bool {
-	if len(data) < 2 || data[0] != '{' {
-		return false
-	}
+	s := jsonenc.NewScanner(data)
+	s.Lit("{")
 	var prev []byte
-	for i, first := 1, true; ; first = false {
-		key, next := plainString(data, i)
-		if next < 0 || (!first && bytes.Compare(prev, key) >= 0) || next >= len(data) || data[next] != ':' {
+	for n := 0; s.OK(); n++ {
+		key := s.Plain()
+		if n > 0 && bytes.Compare(prev, key) >= 0 {
 			return false
 		}
-		_, i = plainString(data, next+1)
-		if i < 0 || i >= len(data) {
-			return false
+		s.Lit(":")
+		s.Plain()
+		if !s.Opt(",") {
+			break
 		}
-		switch data[i] {
-		case '}':
-			return i == len(data)-1
-		case ',':
-			prev, i = key, i+1
-		default:
-			return false
-		}
+		prev = key
 	}
-}
-
-// plainString returns the contents of the JSON string at data[i] and the
-// position behind it, or next -1 when there is no string there or it holds
-// an escape or a byte outside printable ASCII. The span-tree scanner
-// (trace.ScanCanonical) keeps a copy of its own.
-func plainString(data []byte, i int) (s []byte, next int) {
-	if i >= len(data) || data[i] != '"' {
-		return nil, -1
-	}
-	for j := i + 1; j < len(data); j++ {
-		switch c := data[j]; {
-		case c == '"':
-			return data[i+1 : j], j + 1
-		case c < 0x20 || c > 0x7e || c == '\\':
-			return nil, -1
-		}
-	}
-	return nil, -1
+	s.Lit("}")
+	return s.Done()
 }

@@ -137,16 +137,18 @@ func (h *history) prune(genDir, part string, lsn uint64, retained []uint64) {
 // writeFrames encodes the rows as frames of up to historyFrameRows rows,
 // results first, and writes each in one call; it returns the bytes written.
 // A frame is the header's room, then the historyFrame object built by the
-// snapshot's own list encoder.
+// snapshot's own list encoder. A frame whose payload passes maxWALRecord,
+// the longest recovery reads back, is encoded again with half its rows; a
+// single row that long, which the log's own bound keeps a row from
+// becoming, would still get a frame of its own.
 func writeFrames(w io.Writer, results []*Result, tasks []*Task) (int64, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false) // tasks carry SQL, full of < and >
 	var written int64
-	for len(results)+len(tasks) > 0 {
-		rs := results[:min(len(results), historyFrameRows)]
-		ts := tasks[:min(len(tasks), historyFrameRows-len(rs))]
-		results, tasks = results[len(rs):], tasks[len(ts):]
+	for rows := historyFrameRows; len(results)+len(tasks) > 0; {
+		rs := results[:min(len(results), rows)]
+		ts := tasks[:min(len(tasks), rows-len(rs))]
 		buf.Reset()
 		buf.Write(make([]byte, walHeaderSize))
 		buf.WriteByte('{')
@@ -155,6 +157,11 @@ func writeFrames(w io.Writer, results []*Result, tasks []*Task) (int64, error) {
 		}
 		buf.Truncate(buf.Len() - 1) // the comma encodeList puts after a list
 		buf.WriteByte('}')
+		if n := len(rs) + len(ts); n > 1 && buf.Len()-walHeaderSize > maxWALRecord {
+			rows = n / 2
+			continue
+		}
+		results, tasks, rows = results[len(rs):], tasks[len(ts):], historyFrameRows
 		frame := buf.Bytes()
 		putFrameHeader(frame)
 		n, err := w.Write(frame)

@@ -114,6 +114,51 @@ func filesOf(t *testing.T, dir string) map[string]string {
 	return files
 }
 
+// TestLongRowsSplitHistoryFrames pins a frame's bound: two completions
+// whose records each stay under the log's bound (maxWALRecord) hold more
+// than it together, so the checkpoint must put them in two frames — one
+// frame would be longer than recovery reads back, the newest snapshot
+// unreadable, and once both retained snapshots covered it, the store
+// unopenable. The reopened store adopts the newest snapshot, with both rows.
+func TestLongRowsSplitHistoryFrames(t *testing.T) {
+	dir := t.TempDir()
+	s, err := open(dir, 1, quietLogf, nosyncFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, expID := drainFixture(t, s, 2)
+	tasks, err := s.RequestTasks(key, expID, "vektor", "laptop", 2)
+	if err != nil || len(tasks) != 2 {
+		t.Fatalf("lease: %v %v", tasks, err)
+	}
+	big := bytes.Repeat([]byte("x"), 40<<20)
+	copy(big, `{"k":"`)
+	copy(big[len(big)-2:], `"}`)
+	for _, task := range tasks {
+		if out := s.CompleteTasks(key, []Completion{{TaskID: task.ID, Seconds: []float64{1}, Extra: Extras(big)}}); out[0].Err != nil {
+			t.Fatal(out[0].Err)
+		}
+	}
+	big = nil
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logs := &logCollector{}
+	if s, err = open(dir, 1, logs.logf, nosyncFactory); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if logs.contains("unreadable") || logs.contains("falling back") {
+		t.Fatalf("the newest snapshot was not adopted: %v", logs.lines)
+	}
+	if n := len(s.Results("", tasks[0].ProjectID)); n != 2 {
+		t.Fatalf("recovered %d results, want 2", n)
+	}
+}
+
 // TestCorruptSharedFrameRefusesToOpen flips a bit in the first frame of a
 // shard's history, which the prefixes of both retained snapshots cover. The
 // log was compacted past those rows, so no snapshot plus replay can give

@@ -53,18 +53,14 @@ func validTrace(qt *trace.QueryTrace) *trace.QueryTrace {
 	return &cp
 }
 
-// Decode returns the span tree; nil for an untraced result. Bytes that
-// canonicalTrace accepts, which a stored trace almost always is, are read
-// by trace.ScanCanonical instead of by encoding/json, into the same tree.
+// Decode returns the span tree; nil for an untraced result. It is
+// trace.ParseTrace's tree: canonical bytes, which a stored trace almost
+// always is, are read by trace.ScanCanonical instead of by encoding/json.
 func (t TraceJSON) Decode() *trace.QueryTrace {
 	if t == nil {
 		return nil
 	}
-	if qt := new(trace.QueryTrace); trace.ScanCanonical(t, qt) {
-		return qt
-	}
-	var qt *trace.QueryTrace
-	_ = json.Unmarshal(t, &qt) // canonical bytes always decode
+	qt, _ := trace.ParseTrace(t) // stored bytes always decode
 	return qt
 }
 
@@ -84,7 +80,7 @@ func (t TraceJSON) MarshalJSON() ([]byte, error) {
 // already — what a driver's json.Marshal sends and what recovery reads back
 // — is copied as it is; anything else is decoded and encoded again.
 func (t *TraceJSON) UnmarshalJSON(data []byte) error {
-	if *t == nil && canonicalTrace(data) {
+	if *t == nil && trace.ScanCanonical(data, nil) {
 		*t = TraceJSON(bytes.Clone(data))
 		return nil
 	}
@@ -95,11 +91,6 @@ func (t *TraceJSON) UnmarshalJSON(data []byte) error {
 	*t = EncodeTrace(qt)
 	return nil
 }
-
-// canonicalTrace reports whether data is what EncodeTrace writes for the
-// trace it holds, by trace.ScanCanonical's test, which is sure only of the
-// common case.
-func canonicalTrace(data []byte) bool { return trace.ScanCanonical(data, nil) }
 
 // JSON returns the row as the results page serves it: what json.NewEncoder
 // — HTML escaping on — writes for the row, without the trailing newline.
@@ -184,18 +175,12 @@ func (r *Result) seal(a *arena) {
 	*bp = b
 	sealBuffers.Put(bp)
 	sealed := r.JSON()
-	if extra > 0 && verbatim(r.Extra) {
+	if extra > 0 && jsonenc.Verbatim(r.Extra) {
 		r.Extra = Extras(sealed[extra : extra+len(r.Extra) : extra+len(r.Extra)])
 	}
-	if spans > 0 && verbatim(r.Trace) {
+	if spans > 0 && jsonenc.Verbatim(r.Trace) {
 		r.Trace = TraceJSON(sealed[spans : spans+len(r.Trace) : spans+len(r.Trace)])
 	}
-}
-
-// verbatim reports whether an encoder with HTML escaping on writes the
-// canonical bytes b as they are.
-func verbatim(b []byte) bool {
-	return bytes.IndexByte(b, '<') < 0 && bytes.IndexByte(b, '>') < 0 && bytes.IndexByte(b, '&') < 0
 }
 
 // appendJSON appends the row as the results page serves it: what

@@ -48,8 +48,8 @@ func readTraceCases(path string) []string {
 // TraceJSON.UnmarshalJSON, which must fail exactly when decoding them into
 // a *trace.QueryTrace fails, with the same error, and otherwise store that
 // trace's canonical encoding — bare and as a row field that may come twice.
-// Bytes canonicalTrace accepts, given or stored, must Decode into what
-// encoding/json decodes.
+// Bytes that decode into a trace, given or stored, must Decode into what
+// encoding/json decodes, whether trace.ScanCanonical reads them or not.
 // Extras or a trace that do not decode are built from the strings instead,
 // invalid UTF-8 and all. The seeds are testdata/extras_cases.txt and
 // traceCases.
@@ -75,7 +75,7 @@ func FuzzResultRowJSON(f *testing.F) {
 		}
 		for _, b := range []TraceJSON{got, TraceJSON(spans)} {
 			var viaJSON *trace.QueryTrace
-			if json.Unmarshal(b, &viaJSON) == nil && canonicalTrace(b) && !reflect.DeepEqual(b.Decode(), viaJSON) {
+			if json.Unmarshal(b, &viaJSON) == nil && viaJSON != nil && !reflect.DeepEqual(b.Decode(), viaJSON) {
 				t.Fatalf("%q decodes as %+v, encoding/json as %+v", b, b.Decode(), viaJSON)
 			}
 		}
@@ -165,10 +165,10 @@ func TestAppendJSONAllocatesNothing(t *testing.T) {
 func TestDriverTracesAreCanonical(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		data := driverTrace(i)
-		if !canonicalTrace(data) {
+		if !trace.ScanCanonical(data, nil) {
 			t.Fatalf("a driver's trace is not taken as canonical: %s", data)
 		}
-		if qt := TraceJSON(data).Decode(); !canonicalTrace(EncodeTrace(qt)) {
+		if qt := TraceJSON(data).Decode(); !trace.ScanCanonical(EncodeTrace(qt), nil) {
 			t.Fatalf("EncodeTrace wrote what it does not take as canonical: %s", EncodeTrace(qt))
 		}
 	}

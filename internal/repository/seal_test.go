@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"sqalpel/internal/jsonenc"
 	"sqalpel/internal/trace"
 )
 
@@ -29,7 +30,7 @@ func checkSealed(tb testing.TB, r *Result) {
 		name string
 		b    []byte
 	}{{"extra", r.Extra}, {"trace", r.Trace}} {
-		if len(f.b) > 0 && insideOf(r.JSON(), f.b) != verbatim(f.b) {
+		if len(f.b) > 0 && insideOf(r.JSON(), f.b) != jsonenc.Verbatim(f.b) {
 			tb.Fatalf("result %d: %s %q points into the sealed row: %v", r.ID, f.name, f.b, insideOf(r.JSON(), f.b))
 		}
 	}

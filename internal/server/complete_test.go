@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -397,5 +398,34 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 	}
 	if n := fx.results(); n != 0 {
 		t.Fatalf("an oversized body recorded %d results", n)
+	}
+}
+
+// TestBodyBuffersFollowTheBytesSent pins what readJSON allocates for a
+// body that declares its length: about the body when it all arrives (growing
+// by doubling allocated about four times an 8 MiB body), and about what was
+// sent when less arrives (sizing the buffer by the declared length pinned
+// 64 MiB for 2 bytes).
+func TestBodyBuffersFollowTheBytesSent(t *testing.T) {
+	for _, c := range []struct{ declared, sent int }{
+		{8 << 20, 8 << 20},
+		{64 << 20, 1 << 20},
+		{64 << 20, 2},
+	} {
+		body := bytes.Repeat([]byte(" "), c.sent)
+		req := httptest.NewRequest(http.MethodPost, "/api/task/complete", bytes.NewReader(body))
+		req.ContentLength = int64(c.declared)
+		w := httptest.NewRecorder()
+		var bp []byte
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ok := readJSON(w, req, &bp, func([]byte) bool { return true }, nil)
+		runtime.ReadMemStats(&after)
+		if !ok || len(bp) != c.sent {
+			t.Fatalf("readJSON = %v, read %d bytes of %d; answered %d", ok, len(bp), c.sent, w.Code)
+		}
+		if allocated := after.TotalAlloc - before.TotalAlloc; allocated >= uint64(c.sent)*5/4+8<<10 {
+			t.Errorf("reading %d bytes of a body declared %d long allocated %d bytes", c.sent, c.declared, allocated)
+		}
 	}
 }

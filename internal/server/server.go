@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -181,17 +182,16 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
 // answer.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
-// readJSON reads the request's body, of at most maxBodyBytes, into *bp and
-// decodes it into v: by scan when scan takes it, by encoding/json — which
-// refuses fields v does not have — otherwise. ok is false once a failure
-// has been answered: 413 for a body too long, 400 for one that does not
-// decode.
+// readJSON reads the request's body, of at most maxBodyBytes, into *bp (see
+// readBody) and decodes it into v: by scan when scan takes it, by
+// encoding/json — which refuses fields v does not have — otherwise. ok is
+// false once a failure has been answered: 413 for a body too long, 400 for
+// one that does not decode.
 func readJSON(w http.ResponseWriter, r *http.Request, bp *[]byte, scan func([]byte) bool, v any) (ok bool) {
 	var err error = &http.MaxBytesError{Limit: maxBodyBytes} // a body that says it is too long is not read
 	if r.ContentLength <= maxBodyBytes {
-		buf := bytes.NewBuffer((*bp)[:0])
-		_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if *bp = buf.Bytes(); err == nil && scan != nil && scan(*bp) {
+		*bp, err = readBody((*bp)[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+		if err == nil && scan != nil && scan(*bp) {
 			return true
 		}
 	}
@@ -209,6 +209,32 @@ func readJSON(w http.ResponseWriter, r *http.Request, bp *[]byte, scan func([]by
 		writeError(w, http.StatusBadRequest, err)
 	}
 	return false
+}
+
+// readBody appends r's bytes to b, growing b only as they arrive: for a
+// declared length n eightfold, in steps whose last holds n bytes and the one
+// a read needs to see EOF (about 1.15 times the body, and at most eight times
+// what was sent, or 2 KiB); otherwise, or past n, by doubling.
+func readBody(b []byte, r io.Reader, n int64) ([]byte, error) {
+	first, last := int(n)+1, int(n)+1
+	for first > 2<<10 {
+		first = (first + 7) / 8
+	}
+	for {
+		if len(b) == cap(b) {
+			size := max(2*cap(b), bytes.MinRead)
+			if n >= 0 && cap(b) < last {
+				size = min(max(8*cap(b), first), last)
+			}
+			b = append(make([]byte, 0, size), b...)
+		}
+		k, err := r.Read(b[len(b):cap(b)])
+		if b = b[:len(b)+k]; err == io.EOF {
+			return b, nil
+		} else if err != nil {
+			return b, err
+		}
+	}
 }
 
 // writeAnswer writes the JSON answer an appender of package wire built.

@@ -1,8 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"strconv"
+
+	"sqalpel/internal/jsonenc"
 )
 
 // ScanCanonical reports whether data is the canonical JSON of the trace it
@@ -15,139 +16,63 @@ import (
 // trace into qt, which then holds what json.Unmarshal makes of the bytes
 // when they pass; when they do not, qt holds a part of them.
 func ScanCanonical(data []byte, qt *QueryTrace) bool {
-	c := scan{data: data, ok: true, decode: qt != nil}
-	if qt == nil {
+	decode := qt != nil
+	if !decode {
 		qt = new(QueryTrace) // scratch: its strings and spans are left out
 	}
-	c.lit(`{"schema_version":`)
-	qt.SchemaVersion = int(c.int(strconv.IntSize, false))
-	if c.opt(`,"engine":`) {
-		qt.Engine = c.str(true)
+	s := jsonenc.NewScanner(data)
+	// str consumes a plain string, not empty when nonempty is set, and
+	// returns it when decoding.
+	str := func(nonempty bool) string {
+		b := s.Plain()
+		if nonempty && len(b) == 0 {
+			s.Fail()
+		}
+		if !decode {
+			return ""
+		}
+		return string(b)
 	}
-	c.lit(`,"spans":`)
-	if !c.opt("null") {
-		c.lit("[")
-		if c.decode {
+	s.Lit(`{"schema_version":`)
+	qt.SchemaVersion = int(s.Int(strconv.IntSize))
+	if s.Opt(`,"engine":`) {
+		qt.Engine = str(true)
+	}
+	s.Lit(`,"spans":`)
+	if !s.Opt("null") {
+		s.Lit("[")
+		if decode {
 			qt.Spans = []Span{}
 		}
-		for n := 0; c.ok && !c.opt("]"); n++ {
+		for n := 0; s.OK() && !s.Opt("]"); n++ {
 			if n > 0 {
-				c.lit(",")
+				s.Lit(",")
 			}
 			var sp Span
-			c.lit(`{"op":`)
-			sp.OpID = c.str(false)
-			c.lit(`,"kind":`)
-			sp.Kind = c.str(false)
-			c.lit(`,"wall_ns":`)
-			sp.WallNS = c.int(64, false)
-			c.lit(`,"rows":`)
-			sp.Rows = c.int(64, false)
+			s.Lit(`{"op":`)
+			sp.OpID = str(false)
+			s.Lit(`,"kind":`)
+			sp.Kind = str(false)
+			s.Lit(`,"wall_ns":`)
+			sp.WallNS = s.Int(64)
+			s.Lit(`,"rows":`)
+			sp.Rows = s.Int(64)
 			for _, f := range []struct {
 				key string
 				to  *int64
 			}{{`,"batches":`, &sp.Batches}, {`,"calls":`, &sp.Calls}, {`,"alloc_bytes":`, &sp.AllocBytes}, {`,"blocks_skipped":`, &sp.BlocksSkipped}} {
-				if c.opt(f.key) {
-					*f.to = c.int(64, true)
+				if s.Opt(f.key) {
+					if *f.to = s.Int(64); *f.to == 0 {
+						s.Fail() // omitempty leaves a zero out
+					}
 				}
 			}
-			c.lit("}")
-			if c.decode {
+			s.Lit("}")
+			if decode {
 				qt.Spans = append(qt.Spans, sp)
 			}
 		}
 	}
-	c.lit("}")
-	return c.ok && c.i == len(data)
-}
-
-// scan walks canonical JSON text; ok turns false at the first byte that is
-// not what was asked for, and every step after that is a no-op. With
-// decode set, str returns the strings it consumes.
-type scan struct {
-	data   []byte
-	i      int
-	ok     bool
-	decode bool
-}
-
-// opt consumes s when the text goes on with it.
-func (c *scan) opt(s string) bool {
-	if c.ok && bytes.HasPrefix(c.data[c.i:], []byte(s)) {
-		c.i += len(s)
-		return true
-	}
-	return false
-}
-
-// lit consumes s, which must come next.
-func (c *scan) lit(s string) {
-	if !c.opt(s) {
-		c.ok = false
-	}
-}
-
-// str consumes a string of printable ASCII other than `"` and `\`, not
-// empty when nonempty is set, and returns it when decoding.
-func (c *scan) str(nonempty bool) string {
-	if !c.ok {
-		return ""
-	}
-	s, next := plainString(c.data, c.i)
-	c.ok, c.i = next >= 0 && (len(s) > 0 || !nonempty), next
-	if !c.ok || !c.decode {
-		return ""
-	}
-	return string(s)
-}
-
-// int consumes an integer as encoding/json writes one of the given bits: no
-// leading zero, no -0, in range, and not 0 when nonzero is set. It returns
-// the integer.
-func (c *scan) int(bits int, nonzero bool) int64 {
-	if !c.ok {
-		return 0
-	}
-	j := c.i
-	if j < len(c.data) && c.data[j] == '-' {
-		j++
-	}
-	digits := j
-	var v int64
-	for j < len(c.data) && '0' <= c.data[j] && c.data[j] <= '9' {
-		v = v*10 + int64(c.data[j]-'0') // wraps only past 18 digits, parsed below
-		j++
-	}
-	if digits > c.i {
-		v = -v
-	}
-	switch n := c.data[c.i:j]; {
-	case j == digits, c.data[digits] == '0' && (j-c.i > 1 || nonzero):
-		c.ok = false
-	case j-digits >= bits*3/10: // as many digits as the largest value may have
-		var err error
-		v, err = strconv.ParseInt(string(n), 10, bits)
-		c.ok = err == nil
-	}
-	c.i = j
-	return v
-}
-
-// plainString returns the contents of the JSON string at data[i] and the
-// position behind it, or next -1 when there is no string there or it holds
-// an escape or a byte outside printable ASCII. The repository keeps a copy
-// for its extras.
-func plainString(data []byte, i int) (s []byte, next int) {
-	if i >= len(data) || data[i] != '"' {
-		return nil, -1
-	}
-	for j := i + 1; j < len(data); j++ {
-		switch c := data[j]; {
-		case c == '"':
-			return data[i+1 : j], j + 1
-		case c < 0x20 || c > 0x7e || c == '\\':
-			return nil, -1
-		}
-	}
-	return nil, -1
+	s.Lit("}")
+	return s.Done()
 }

@@ -3,11 +3,12 @@
 // defined once, for both sides. Each form has an appender, which writes
 // exactly the bytes encoding/json writes for it (json.Marshal for the
 // driver's bodies, a json.Encoder with its trailing newline for the
-// server's answers), and a scanner, which reads exactly what the appender
-// writes and reports ok == false for anything else. A caller whose scanner
-// says no decodes the text with encoding/json as before: the scanner is a
-// fast path that never changes what a body means, and encoding/json stays
-// the fallback and the tests' oracle.
+// server's answers), and a scanner, built of jsonenc.Scanner's steps, which
+// reads exactly what the appender writes and reports ok == false for
+// anything else. A caller whose scanner says no decodes the text with
+// encoding/json as before: the scanner is a fast path that never changes
+// what a body means, and encoding/json stays the fallback and the tests'
+// oracle.
 //
 // The forms, by route:
 //
@@ -21,6 +22,7 @@ package wire
 import (
 	"encoding/json"
 	"slices"
+	"strconv"
 	"time"
 
 	"sqalpel/internal/jsonenc"
@@ -61,23 +63,23 @@ func AppendLeaseRequest(dst []byte, r *LeaseRequest) []byte {
 
 // ScanLeaseRequest reads what AppendLeaseRequest writes into r.
 func ScanLeaseRequest(data []byte, r *LeaseRequest) (ok bool) {
-	s := newScan(data)
-	s.lit(`{"dbms":`)
-	dbms := s.str()
-	s.lit(`,"experiment_id":`)
-	exp := s.int()
-	s.lit(`,"key":`)
-	key := s.str()
+	s := jsonenc.NewScanner(data)
+	s.Lit(`{"dbms":`)
+	dbms := s.Str()
+	s.Lit(`,"experiment_id":`)
+	exp := int(s.Int(strconv.IntSize))
+	s.Lit(`,"key":`)
+	key := s.Str()
 	max := 0
-	if s.opt(`,"max":`) {
-		if max = s.int(); max == 0 {
+	if s.Opt(`,"max":`) {
+		if max = int(s.Int(strconv.IntSize)); max == 0 {
 			return false
 		}
 	}
-	s.lit(`,"platform":`)
-	platform := s.str()
-	s.lit("}")
-	if !s.done() {
+	s.Lit(`,"platform":`)
+	platform := s.Str()
+	s.Lit("}")
+	if !s.Done() {
 		return false
 	}
 	*r = LeaseRequest{Key: key, ExperimentID: exp, DBMS: dbms, Platform: platform, Max: max}
@@ -141,48 +143,48 @@ func appendTask(dst []byte, t *repository.Task) (out []byte, ok bool) {
 // ScanLease reads the answer to a lease as AppendLease writes it: a batch
 // of tasks when batch is set, one task otherwise.
 func ScanLease(data []byte, batch bool) (tasks []*repository.Task, ok bool) {
-	s := newScan(data)
+	s := jsonenc.NewScanner(data)
 	if !batch {
-		t := scanTask(s)
-		s.lit("\n")
-		return []*repository.Task{t}, s.done()
+		t := scanTask(&s)
+		s.Lit("\n")
+		return []*repository.Task{t}, s.Done()
 	}
-	s.lit(`{"tasks":[`)
-	for s.ok && (len(tasks) == 0 || s.opt(",")) {
-		tasks = append(tasks, scanTask(s))
+	s.Lit(`{"tasks":[`)
+	for s.OK() && (len(tasks) == 0 || s.Opt(",")) {
+		tasks = append(tasks, scanTask(&s))
 	}
-	s.lit("]}\n")
-	return tasks, s.done()
+	s.Lit("]}\n")
+	return tasks, s.Done()
 }
 
 // scanTask reads a task as appendTask writes it.
-func scanTask(s *scan) *repository.Task {
+func scanTask(s *jsonenc.Scanner) *repository.Task {
 	t := new(repository.Task)
-	s.lit(`{"id":`)
-	t.ID = s.int()
-	s.lit(`,"project_id":`)
-	t.ProjectID = s.int()
-	s.lit(`,"experiment_id":`)
-	t.ExperimentID = s.int()
-	s.lit(`,"query_id":`)
-	t.QueryID = s.int()
-	s.lit(`,"sql":`)
-	t.SQL = s.str()
-	s.lit(`,"contributor_key":`)
-	t.ContributorKey = s.str()
-	s.lit(`,"dbms_key":`)
-	t.DBMSKey = s.str()
-	s.lit(`,"platform_key":`)
-	t.PlatformKey = s.str()
-	s.lit(`,"status":`)
-	t.Status = repository.TaskStatus(s.str())
-	s.lit(`,"assigned":`)
-	t.Assigned = s.time()
-	s.lit(`,"deadline":`)
-	t.Deadline = s.time()
-	s.lit(`,"finished":`)
-	t.Finished = s.time()
-	s.lit("}")
+	s.Lit(`{"id":`)
+	t.ID = int(s.Int(strconv.IntSize))
+	s.Lit(`,"project_id":`)
+	t.ProjectID = int(s.Int(strconv.IntSize))
+	s.Lit(`,"experiment_id":`)
+	t.ExperimentID = int(s.Int(strconv.IntSize))
+	s.Lit(`,"query_id":`)
+	t.QueryID = int(s.Int(strconv.IntSize))
+	s.Lit(`,"sql":`)
+	t.SQL = s.Str()
+	s.Lit(`,"contributor_key":`)
+	t.ContributorKey = s.Str()
+	s.Lit(`,"dbms_key":`)
+	t.DBMSKey = s.Str()
+	s.Lit(`,"platform_key":`)
+	t.PlatformKey = s.Str()
+	s.Lit(`,"status":`)
+	t.Status = repository.TaskStatus(s.Str())
+	s.Lit(`,"assigned":`)
+	t.Assigned = scanTime(s)
+	s.Lit(`,"deadline":`)
+	t.Deadline = scanTime(s)
+	s.Lit(`,"finished":`)
+	t.Finished = scanTime(s)
+	s.Lit("}")
 	return t
 }
 
@@ -319,47 +321,47 @@ type CompletionRequest struct {
 // repository.TraceJSON's UnmarshalJSON over the object's text, as
 // encoding/json reads them, so the store keeps the same bytes.
 func ScanCompletions(data []byte, req *CompletionRequest) (ok bool) {
-	s := newScan(data)
-	s.lit(`{"key":`)
-	key := s.str()
-	s.lit(`,"tasks":[`)
+	s := jsonenc.NewScanner(data)
+	s.Lit(`{"key":`)
+	key := s.Str()
+	s.Lit(`,"tasks":[`)
 	tasks := []Completion{}
-	for s.ok && !s.opt("]}") {
+	for s.OK() && !s.Opt("]}") {
 		if len(tasks) > 0 {
-			s.lit(",")
+			s.Lit(",")
 		}
 		var c Completion
-		s.lit(`{"task_id":`)
-		c.TaskID = s.int()
-		s.lit(`,"seconds":`)
-		if !s.opt("null") {
-			s.lit("[")
+		s.Lit(`{"task_id":`)
+		c.TaskID = int(s.Int(strconv.IntSize))
+		s.Lit(`,"seconds":`)
+		if !s.Opt("null") {
+			s.Lit("[")
 			c.Seconds = []float64{}
-			for s.ok && !s.opt("]") {
+			for s.OK() && !s.Opt("]") {
 				if len(c.Seconds) > 0 {
-					s.lit(",")
+					s.Lit(",")
 				}
-				c.Seconds = append(c.Seconds, s.float())
+				c.Seconds = append(c.Seconds, s.Float())
 			}
 		}
-		s.lit(`,"error":`)
-		c.Error = s.str()
-		s.lit(`,"extra":`)
-		if !s.opt("null") {
+		s.Lit(`,"error":`)
+		c.Error = s.Str()
+		s.Lit(`,"extra":`)
+		if !s.Opt("null") {
 			c.Extra = new(repository.Extras)
-			if obj := s.object(); s.ok && c.Extra.UnmarshalJSON(obj) != nil {
+			if obj := s.Object(); s.OK() && c.Extra.UnmarshalJSON(obj) != nil {
 				return false
 			}
 		}
-		if s.opt(`,"trace":`) {
-			if obj := s.object(); s.ok && c.Trace.UnmarshalJSON(obj) != nil {
+		if s.Opt(`,"trace":`) {
+			if obj := s.Object(); s.OK() && c.Trace.UnmarshalJSON(obj) != nil {
 				return false
 			}
 		}
-		s.lit("}")
+		s.Lit("}")
 		tasks = append(tasks, c)
 	}
-	if !s.done() {
+	if !s.Done() {
 		return false
 	}
 	*req = CompletionRequest{Key: key, Tasks: tasks}
@@ -399,28 +401,28 @@ func AppendCompletionResults(dst []byte, results []CompletionResult) []byte {
 
 // ScanCompletionResults reads what AppendCompletionResults writes.
 func ScanCompletionResults(data []byte) (results []CompletionResult, ok bool) {
-	s := newScan(data)
-	if s.opt(`{"results":null}` + "\n") {
-		return nil, s.done()
+	s := jsonenc.NewScanner(data)
+	if s.Opt(`{"results":null}` + "\n") {
+		return nil, s.Done()
 	}
-	s.lit(`{"results":[`)
+	s.Lit(`{"results":[`)
 	results = []CompletionResult{}
-	for s.ok && !s.opt("]}\n") {
+	for s.OK() && !s.Opt("]}\n") {
 		if len(results) > 0 {
-			s.lit(",")
+			s.Lit(",")
 		}
 		var r CompletionResult
-		s.lit(`{"task_id":`)
-		r.TaskID = s.int()
-		s.lit(`,"status":`)
-		r.Status = s.int()
-		if s.opt(`,"error":`) {
-			if r.Error = s.str(); r.Error == "" {
+		s.Lit(`{"task_id":`)
+		r.TaskID = int(s.Int(strconv.IntSize))
+		s.Lit(`,"status":`)
+		r.Status = int(s.Int(strconv.IntSize))
+		if s.Opt(`,"error":`) {
+			if r.Error = s.Str(); r.Error == "" {
 				return nil, false
 			}
 		}
-		s.lit("}")
+		s.Lit("}")
 		results = append(results, r)
 	}
-	return results, s.done()
+	return results, s.Done()
 }
