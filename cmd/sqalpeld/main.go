@@ -26,6 +26,35 @@ import (
 	"sqalpel/internal/server"
 )
 
+// The read bounds of every connection. WriteTimeout stays unset: the
+// results, history and pool pages stream, and a long page to a slow reader
+// must not be cut off.
+const (
+	// readHeaderTimeout bounds the request line and headers, a few hundred
+	// bytes that any client sends at once; a client that stalls inside them
+	// holds a connection and a goroutine for nothing.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds the whole request, body included. It must admit the
+	// largest body the server accepts — a 64 MiB completion report — from a
+	// slow driver: five minutes is 64 MiB at about 220 KB/s.
+	readTimeout = 5 * time.Minute
+	// idleTimeout bounds a keep-alive connection between requests. A driver
+	// measures between its lease and its report, which can take longer; a
+	// closed connection only costs it a new dial.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer is the platform's HTTP server with its read bounds.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data", "sqalpel-data", "data directory (write-ahead logs + snapshots)")
@@ -41,7 +70,7 @@ func main() {
 	store.TaskTimeout = *taskTimeout
 	srv := server.New(server.Options{Store: store})
 
-	httpServer := &http.Server{Addr: *addr, Handler: srv}
+	httpServer := newHTTPServer(*addr, srv)
 
 	// Periodic maintenance: expire stuck tasks and checkpoint the store.
 	// Durability does not depend on the checkpoint — the logs already hold

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"sqalpel/internal/plan"
@@ -45,19 +46,24 @@ func errEval(e sqlparser.Expr, err error) error {
 }
 
 // slotObserver, when set, sees every column read: the reference, the scope
-// it is evaluated in and the slot (or the error) the plan gave it. Tests hold
-// the slots to the name lookup they replaced.
-var slotObserver func(c *sqlparser.ColumnRef, sc *scope, sl plan.Slot, err error)
+// it is evaluated in and the slot the plan gave it. Tests hold the slots to
+// the name lookup they replaced.
+var slotObserver func(c *sqlparser.ColumnRef, sc *scope, sl plan.Slot)
+
+// errUnboundRef is a read of a reference the plan gave no slot: plan.Build
+// refuses an unknown or ambiguous name, so only an executor that evaluates
+// what the plan never binds (an equi-join key) can meet it.
+var errUnboundRef = errors.New("internal: column reference has no slot")
 
 // column reads a column reference through its plan-assigned slot: hop to the
 // scope that knows the name, index its relation.
 func (ev *evaluator) column(c *sqlparser.ColumnRef) (Value, error) {
 	sl := ev.ex.slots[c.Ord]
 	if slotObserver != nil {
-		slotObserver(c, ev.sc, sl, ev.ex.plan.SlotErr(sl))
+		slotObserver(c, ev.sc, sl)
 	}
 	if sl.Depth < 0 {
-		return Value{}, ev.ex.plan.SlotErr(sl)
+		return Value{}, errUnboundRef
 	}
 	if sl.Depth == 0 && ev.group != nil && len(ev.group) == 0 {
 		// The global group of an ungrouped aggregate over empty input has no
@@ -152,8 +158,6 @@ func (ev *evaluator) eval(e sqlparser.Expr) (Value, error) {
 		return ev.evalSubstring(v)
 	case *sqlparser.CastExpr:
 		return ev.evalCast(v)
-	case *sqlparser.ParamRef:
-		return Value{}, fmt.Errorf("unresolved template parameter ${%s}", v.Name)
 	default:
 		return Value{}, fmt.Errorf("unsupported expression %T", e)
 	}
@@ -385,9 +389,6 @@ func (ev *evaluator) evalCast(v *sqlparser.CastExpr) (Value, error) {
 // functions over the current group.
 func (ev *evaluator) evalFunc(v *sqlparser.FuncCall) (Value, error) {
 	if v.IsAggregate() {
-		if ev.group == nil {
-			return Value{}, fmt.Errorf("aggregate %s used outside GROUP BY context", v.Name)
-		}
 		return ev.evalAggregate(v)
 	}
 	args := make([]Value, len(v.Args))
@@ -397,9 +398,6 @@ func (ev *evaluator) evalFunc(v *sqlparser.FuncCall) (Value, error) {
 			return Value{}, err
 		}
 		args[i] = val
-	}
-	if err := sqlsem.CheckFunc(v.Name, len(args)); err != nil {
-		return Value{}, err
 	}
 	return sqlsem.ApplyFunc(v.Name, args), nil
 }
@@ -411,13 +409,7 @@ func (ev *evaluator) evalFunc(v *sqlparser.FuncCall) (Value, error) {
 func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
 	name := v.Name // the parser's canonical lower-case name
 	if v.Star {
-		if name != "count" {
-			return Value{}, fmt.Errorf("%s(*) is not valid", name)
-		}
 		return sqlsem.NewInt(int64(len(ev.group))), nil
-	}
-	if len(v.Args) != 1 {
-		return Value{}, fmt.Errorf("aggregate %s expects exactly 1 argument", name)
 	}
 	arg := v.Args[0]
 
@@ -558,10 +550,9 @@ func (ev *evaluator) materializeVector(e sqlparser.Expr) ([]Value, error) {
 	case *sqlparser.ColumnRef:
 		out := make([]Value, len(rows))
 		if len(rows) > 0 {
-			// One slot read for the vector (and, like the per-row reads it
-			// replaces, an unresolvable reference fails only if a row reaches
-			// it): a column of the group's own relation is gathered at the
-			// group's rows, an enclosing scope's is one value for all of them.
+			// One slot read for the vector: a column of the group's own
+			// relation is gathered at the group's rows, an enclosing scope's
+			// is one value for all of them.
 			val, err := ev.column(v)
 			if err != nil {
 				return nil, err

@@ -75,23 +75,20 @@ func resolve(sc *scope, c *sqlparser.ColumnRef) (plan.Slot, error) {
 
 // CheckSlots holds every column read of the interpreters to the name lookup
 // until the returned function is called: the plan's slot must name the scope
-// and the column the lookup finds in the runtime scope chain, or carry the
-// error the lookup raises. stop returns the number of reads checked. Not for
-// concurrent executions: the observer is a package variable.
+// and the column the lookup finds in the runtime scope chain. plan.Build
+// refuses a statement with an unknown or ambiguous name, so a read the
+// lookup fails is a mismatch too. stop returns the number of reads checked.
+// Not for concurrent executions: the observer is a package variable.
 func CheckSlots(t testing.TB) (stop func() int) {
 	t.Helper()
 	reads, failures := 0, 0
-	slotObserver = func(c *sqlparser.ColumnRef, sc *scope, got plan.Slot, gotErr error) {
+	slotObserver = func(c *sqlparser.ColumnRef, sc *scope, got plan.Slot) {
 		reads++
-		want, wantErr := resolve(sc, c)
+		want, err := resolve(sc, c)
 		var diff string
 		switch {
-		case gotErr != nil && wantErr != nil:
-			if gotErr.Error() != wantErr.Error() {
-				diff = fmt.Sprintf("slot fails with %q, name lookup with %q", gotErr, wantErr)
-			}
-		case gotErr != nil || wantErr != nil:
-			diff = fmt.Sprintf("slot error %v, name lookup error %v", gotErr, wantErr)
+		case err != nil:
+			diff = fmt.Sprintf("slot (depth %d, column %d), name lookup error %v", got.Depth, got.Col, err)
 		case got != want:
 			diff = fmt.Sprintf("slot (depth %d, column %d), name lookup (depth %d, column %d)", got.Depth, got.Col, want.Depth, want.Col)
 		}

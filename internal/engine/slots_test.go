@@ -17,7 +17,7 @@ func TestSlotsMatchNameLookup(t *testing.T) {
 	cases := []struct {
 		id, sql string
 		want    string // rows as "a|b;c|d", or "error: <substring>"
-		reads   bool   // the statement reads at least one column
+		reads   bool   // the statement reads at least one column; a refused one reads none
 	}{
 		{"correlation-depth-1",
 			"SELECT n_name FROM nation WHERE EXISTS (SELECT 1 FROM orders WHERE o_nationkey = n_nationkey AND o_total > 200)",
@@ -33,22 +33,22 @@ func TestSlotsMatchNameLookup(t *testing.T) {
 			"ALGERIA;ARGENTINA", true},
 		{"self-join-ambiguity",
 			"SELECT n_name FROM nation a, nation b WHERE a.n_nationkey = b.n_regionkey",
-			`error: ambiguous column reference "n_name"`, true},
+			`error: ambiguous column reference "n_name"`, false},
 		{"self-join-ambiguity-no-row-reaches-it",
 			"SELECT n_name FROM nation a, nation b WHERE a.n_nationkey = b.n_regionkey AND a.n_nationkey > 100",
-			"", true},
+			`error: ambiguous column reference "n_name"`, false},
 		{"unknown-column-no-row-reaches-it",
 			"SELECT nosuch FROM nation WHERE n_nationkey > 100",
-			"", true},
+			"error: unknown column nosuch", false},
 		{"unknown-qualified-column",
 			"SELECT n.nosuch FROM nation n",
-			"error: unknown column n.nosuch", true},
+			"error: unknown column n.nosuch", false},
 		{"derived-table-alias-rename",
 			"SELECT d.k, d.total FROM (SELECT o_nationkey AS k, sum(o_total) AS total FROM orders GROUP BY o_nationkey) d WHERE d.k < 2 ORDER BY d.k",
 			"0|252;1|283.5", true},
 		{"derived-table-hides-base-alias",
 			"SELECT orders.o_nationkey FROM (SELECT o_nationkey FROM orders) d",
-			"error: unknown column orders.o_nationkey", true},
+			"error: unknown column orders.o_nationkey", false},
 		{"set-operation-branches",
 			"SELECT n_name FROM nation WHERE n_nationkey < 2 UNION ALL SELECT r_name FROM region WHERE r_regionkey = 2",
 			"ALGERIA;ARGENTINA;ASIA", true},

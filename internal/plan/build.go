@@ -30,7 +30,9 @@ func BuildStmt(cat Catalog, stmt *sqlparser.SelectStatement) (*Plan, error) {
 		return nil, err
 	}
 	b.p.Root = root
-	b.bindSlots()
+	if err := b.bindSlots(); err != nil {
+		return nil, err
+	}
 	b.p.NotVectorizableReason = b.checkSelect(root)
 	b.p.Vectorizable = b.p.NotVectorizableReason == ""
 	return b.p, nil
@@ -43,6 +45,8 @@ type builder struct {
 	// refs is one past the largest ColumnRef.Ord of the statement: the size
 	// of the slot tables.
 	refs int
+	// err is the first statement error bindSlots met.
+	err error
 }
 
 // buildChain plans a statement and its set-operation continuations.
@@ -169,11 +173,13 @@ func (b *builder) buildInput(te sqlparser.TableExpr) (*Input, error) {
 		if alias == "" {
 			alias = t.Name
 		}
+		cols, ok := b.cat.TableColumns(t.Name)
+		if !ok {
+			return nil, fmt.Errorf("unknown table %q", t.Name)
+		}
 		in := &Input{Table: t.Name, Alias: alias}
-		if cols, ok := b.cat.TableColumns(t.Name); ok {
-			for _, c := range cols {
-				in.Schema = append(in.Schema, ColumnMeta{Table: strings.ToLower(alias), Name: strings.ToLower(c)})
-			}
+		for _, c := range cols {
+			in.Schema = append(in.Schema, ColumnMeta{Table: strings.ToLower(alias), Name: strings.ToLower(c)})
 		}
 		return in, nil
 	case *sqlparser.DerivedTable:
@@ -661,15 +667,6 @@ func resolveAggregates(sp *Select) {
 	sqlparser.WalkExprs(sp.Stmt.Having, visit)
 	for _, o := range sp.OrderBy {
 		sqlparser.WalkExprs(o.Expr, visit)
-	}
-	for _, a := range sp.Aggs {
-		switch {
-		case sp.AggErr != nil:
-		case a.Call.Star && a.Func != "count":
-			sp.AggErr = fmt.Errorf("%s(*) is not valid", a.Func)
-		case !a.Call.Star && len(a.Call.Args) != 1:
-			sp.AggErr = fmt.Errorf("aggregate %s expects exactly 1 argument", a.Func)
-		}
 	}
 }
 

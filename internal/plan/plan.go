@@ -24,6 +24,13 @@
 //     core (Layout) and, per layout, the scope depth and column ordinal of
 //     every column reference an interpreter evaluates (Slot, Plan.Slots), so
 //     execution reads a column with a slice index instead of a name search,
+//   - the statement's one validity check: an unknown table, an unknown or
+//     ambiguous column, a misplaced or malformed aggregate call, a scalar
+//     function's name or arity, a template parameter, a star beside
+//     grouping, an empty projection and set-operation branches of unequal
+//     width are Build errors whether or not a row would reach them, so every
+//     engine refuses the same statements with the same text (type errors
+//     that depend on the data stay the executors'),
 //   - sub-query classification (correlated or cacheable) for every nested
 //     SELECT reachable from the statement,
 //   - a precomputed Vectorizable verdict with the reason a statement is
@@ -42,8 +49,7 @@ import (
 )
 
 // Catalog supplies the schema information name resolution runs against. The
-// engine's Database implements it; unknown tables resolve to no columns so
-// execution reports the error exactly where it used to.
+// engine's Database implements it; a table it does not know is a build error.
 type Catalog interface {
 	// TableColumns returns the column names of a base table in declaration
 	// order, or false when the table does not exist.
@@ -79,10 +85,11 @@ const (
 // Slot is one column reference resolved for one layout with the executors'
 // name rule (innermost scope first, an unqualified name matching two aliases
 // is ambiguous): hop Depth scopes outwards from the scope evaluating the
-// reference and read column Col of that scope's relation. A negative Depth
-// marks a reference that is unknown or ambiguous; Plan.SlotErr has its
-// error, which the interpreters raise when — and only when — a row reaches
-// the reference. Eight bytes: a cached plan keeps two slots per reference.
+// reference and read column Col of that scope's relation. A reference that
+// is unknown or ambiguous is Build's error, so every slot of a plan resolves;
+// a negative Depth marks a reference the interpreters never evaluate (an
+// equi-join key, read through KeyCols). Eight bytes: a cached plan keeps two
+// slots per reference.
 type Slot struct {
 	Depth, Col int32
 }
@@ -251,14 +258,13 @@ type Select struct {
 	// every occurrence to its entry. Carried are the distinct column
 	// references of the same clauses outside aggregate arguments — a group
 	// answers them with its first row's value — and CarriedOf maps every
-	// such reference to its entry. AggErr is the error of a malformed call
-	// (sum(*), a missing argument); the interpreters meet it lazily, per
-	// group, so it is raised by the executor that aggregates, not by Build.
+	// such reference to its entry. Build refuses a malformed call (sum(*), a
+	// missing argument) and an aggregate anywhere else, so these are all of
+	// the core's aggregates and each has one argument or is count(*).
 	Aggs      []Agg
 	AggOf     map[*sqlparser.FuncCall]int
 	Carried   []*sqlparser.ColumnRef
 	CarriedOf map[*sqlparser.ColumnRef]int
-	AggErr    error
 	// SetNext chains the plan of the next set-operation branch; the
 	// operator is Stmt.SetOp.
 	SetNext *Select
@@ -345,10 +351,8 @@ type Plan struct {
 	// the statement has none.
 	subs map[*sqlparser.SelectStatement]subquery
 	// slots holds, per Layout, the slot of every column reference of the
-	// statement, indexed by sqlparser.ColumnRef.Ord; slotErrs the errors of
-	// the references that do not resolve.
-	slots    [2][]Slot
-	slotErrs []error
+	// statement, indexed by sqlparser.ColumnRef.Ord.
+	slots [2][]Slot
 }
 
 // Slots returns the layout's slot table, indexed by ColumnRef.Ord. Every
@@ -359,14 +363,6 @@ type Plan struct {
 // common-OR lift can make one reference both a key and part of a residual.
 // The table is shared by every execution of the plan: read only.
 func (p *Plan) Slots(l Layout) []Slot { return p.slots[l] }
-
-// SlotErr returns the error of a slot that does not resolve, nil otherwise.
-func (p *Plan) SlotErr(s Slot) error {
-	if s.Depth >= 0 {
-		return nil
-	}
-	return p.slotErrs[s.Col]
-}
 
 // subquery is one nested SELECT of the statement: its plan, its correlation
 // verdict and, when it is correlated and decorrelatable, the recipe.

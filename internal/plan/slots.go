@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 )
 
 // layout computes the LayoutColumn of a SELECT core and of every input and
@@ -123,9 +125,10 @@ type frame struct {
 // chained to its caller's scope, an ON condition in the join's layout chained
 // to the core's caller (not to the core), a correlated sub-query chains to
 // the scope of the expression holding it, and derived tables and uncorrelated
-// sub-queries start a new chain.
-func (b *builder) bindSlots() {
-	b.p.slotErrs = []error{errUnboundRef}
+// sub-queries start a new chain. The same walk is the plan's validity check:
+// it returns the first statement error (checkShape, bindExprs) of the
+// expressions an executor evaluates, whether or not a row would reach it.
+func (b *builder) bindSlots() error {
 	for l := range b.p.slots {
 		b.p.slots[l] = make([]Slot, b.refs)
 		for i := range b.p.slots[l] {
@@ -133,23 +136,44 @@ func (b *builder) bindSlots() {
 		}
 	}
 	b.bindChain(b.p.Root, nil)
+	return b.err
 }
 
-var errUnboundRef = fmt.Errorf("internal: column reference has no slot")
+// fail keeps the first statement error the walk meets; nil is no error.
+func (b *builder) fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
+}
 
 func (b *builder) bindChain(sp *Select, outer *frame) {
-	for ; sp != nil; sp = sp.SetNext {
+	for head := sp; sp != nil; sp = sp.SetNext {
+		b.checkShape(head, sp)
 		for _, in := range sp.From {
 			b.bindInput(in, outer)
 		}
 		fr := &frame{layouts: [2][]ColumnMeta{sp.Schema, sp.Pruned}, outer: outer}
-		b.bindExprs(fr, sp.Residual...)
-		b.bindExprs(fr, sp.Stmt.GroupBy...)
-		b.bindExprs(fr, sp.Items...)
-		b.bindExprs(fr, sp.Stmt.Having)
+		b.bindExprs(fr, false, sp.Residual...)
+		b.bindExprs(fr, false, sp.Stmt.GroupBy...)
+		b.bindExprs(fr, sp.Grouped, sp.Items...)
+		b.bindExprs(fr, sp.Grouped, sp.Stmt.Having)
 		for _, k := range sp.OrderBy {
-			b.bindExprs(fr, k.Expr)
+			b.bindExprs(fr, sp.Grouped, k.Expr)
 		}
+	}
+}
+
+// checkShape rules on the shape of one SELECT core of a set-operation chain
+// headed by head: a projection, no star beside grouping, and the head's
+// width.
+func (b *builder) checkShape(head, sp *Select) {
+	switch {
+	case len(sp.Stmt.Projection) == 0:
+		b.fail(errors.New("query has no projection"))
+	case sp.Grouped && len(sp.Items) < len(sp.Stmt.Projection):
+		b.fail(errors.New("SELECT * is not supported with GROUP BY or aggregates"))
+	case len(sp.OutSchema) != len(head.OutSchema):
+		b.fail(fmt.Errorf("set operation requires matching column counts (%d vs %d)", len(head.OutSchema), len(sp.OutSchema)))
 	}
 }
 
@@ -160,11 +184,17 @@ func (b *builder) bindInput(in *Input, outer *frame) {
 	case in.Join != nil:
 		b.bindInput(in.Join.Left, outer)
 		b.bindInput(in.Join.Right, outer)
-		b.bindExprs(&frame{layouts: [2][]ColumnMeta{in.Schema, in.Pruned}, outer: outer}, in.Join.AllConds...)
+		b.bindExprs(&frame{layouts: [2][]ColumnMeta{in.Schema, in.Pruned}, outer: outer}, false, in.Join.AllConds...)
 	}
 }
 
-func (b *builder) bindExprs(fr *frame, exprs ...sqlparser.Expr) {
+// bindExprs binds the column references of the expressions and checks their
+// calls: an aggregate only where aggs allows one (a grouped core's
+// projection, HAVING and ORDER BY, never inside another aggregate), with
+// count(*) the only star and one argument otherwise; a scalar function by
+// sqlsem.CheckFunc after its arguments, as the executors evaluate it; and
+// no template parameter anywhere.
+func (b *builder) bindExprs(fr *frame, aggs bool, exprs ...sqlparser.Expr) {
 	sub := func(s *sqlparser.SelectStatement) {
 		if s == nil {
 			return
@@ -175,20 +205,39 @@ func (b *builder) bindExprs(fr *frame, exprs ...sqlparser.Expr) {
 		}
 		b.bindChain(b.p.Sub(s), outer)
 	}
-	for _, e := range exprs {
-		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
-			switch v := x.(type) {
-			case *sqlparser.ColumnRef:
-				b.bind(fr, v)
-			case *sqlparser.SubqueryExpr:
-				sub(v.Select)
-			case *sqlparser.InExpr:
-				sub(v.Subquery)
-			case *sqlparser.ExistsExpr:
-				sub(v.Subquery)
+	visit := func(x sqlparser.Expr) bool {
+		switch v := x.(type) {
+		case *sqlparser.ColumnRef:
+			b.bind(fr, v)
+		case *sqlparser.FuncCall:
+			if !v.IsAggregate() {
+				b.bindExprs(fr, aggs, v.Args...)
+				b.fail(sqlsem.CheckFunc(v.Name, len(v.Args)))
+				return false
 			}
-			return true
-		})
+			switch {
+			case !aggs:
+				b.fail(fmt.Errorf("aggregate %s used outside GROUP BY context", v.Name))
+			case v.Star && v.Name != "count":
+				b.fail(fmt.Errorf("%s(*) is not valid", v.Name))
+			case !v.Star && len(v.Args) != 1:
+				b.fail(fmt.Errorf("aggregate %s expects exactly 1 argument", v.Name))
+			}
+			b.bindExprs(fr, false, v.Args...)
+			return false
+		case *sqlparser.ParamRef:
+			b.fail(fmt.Errorf("unresolved template parameter ${%s}", v.Name))
+		case *sqlparser.SubqueryExpr:
+			sub(v.Select)
+		case *sqlparser.InExpr:
+			sub(v.Subquery)
+		case *sqlparser.ExistsExpr:
+			sub(v.Subquery)
+		}
+		return true
+	}
+	for _, e := range exprs {
+		sqlparser.WalkExprs(e, visit)
 	}
 }
 
@@ -196,28 +245,24 @@ func (b *builder) bindExprs(fr *frame, exprs ...sqlparser.Expr) {
 // level that knows the name decides, an ambiguity at a level ends the search
 // with its error, and a name no level knows is unknown.
 func (b *builder) bind(fr *frame, c *sqlparser.ColumnRef) {
-	fail := func(err error) Slot {
-		b.p.slotErrs = append(b.p.slotErrs, err)
-		return Slot{Depth: -1, Col: int32(len(b.p.slotErrs) - 1)}
-	}
 	for l := range b.p.slots {
 		sl := Slot{}
 		for f := fr; ; f = f.outer {
 			if f == nil {
-				sl = fail(fmt.Errorf("unknown column %s", c.SQL()))
+				b.fail(fmt.Errorf("unknown column %s", c.SQL()))
 				break
 			}
 			col, err := schemaFind(f.layouts[l], c.Table, c.Column)
 			if err == nil {
 				sl.Col = int32(col)
+				b.p.slots[l][c.Ord] = sl
 				break
 			}
 			if err != errColumnNotFound {
-				sl = fail(err)
+				b.fail(err)
 				break
 			}
 			sl.Depth++
 		}
-		b.p.slots[l][c.Ord] = sl
 	}
 }

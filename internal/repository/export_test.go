@@ -1,6 +1,9 @@
 package repository
 
-import "sort"
+import (
+	"path/filepath"
+	"sort"
+)
 
 // Load reads a store previously written by Save (any generation layout) or
 // by the legacy single-file format, without attaching a write-ahead log: a
@@ -13,6 +16,20 @@ func Load(dir string) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// Save persists the store to dir: a checkpoint on the store's own data
+// directory, and on any other directory (or for an in-memory store) a
+// complete new generation of snapshots, which Load reads back.
+func (s *Store) Save(dir string) error {
+	if s.dir != "" && filepath.Clean(dir) == filepath.Clean(s.dir) {
+		return s.Checkpoint()
+	}
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	//lint:iolocked persistMu serialises whole-store persistence only (no reader ever takes it); the export must not interleave with another Save
+	_, err := s.writeGeneration(dir, nil)
+	return err
 }
 
 // Users returns all users sorted by nickname.

@@ -449,36 +449,23 @@ func (s *Store) metaLogApply(u *userRecord) error {
 	return nil
 }
 
-// Save persists the store to dir. On the store's own data directory (a
-// store opened with Open) it runs a checkpoint: every partition is
-// snapshotted and its log compacted, one partition at a time and mostly
-// without its lock — there is no stop-the-world pass over the whole store.
-// On any other directory (or an in-memory store) it exports a complete new
-// generation of snapshots.
-func (s *Store) Save(dir string) error {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.dir != "" && filepath.Clean(dir) == filepath.Clean(s.dir) {
-		for _, pt := range s.partitions() {
-			//lint:iolocked persistMu serialises whole-store persistence only (no reader or mutator ever takes it)
-			if err := s.checkpointPartition(pt); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	//lint:iolocked persistMu serialises whole-store persistence only (no reader ever takes it); the export must not interleave with another Save
-	_, err := s.writeGeneration(dir, nil)
-	return err
-}
-
 // Checkpoint snapshots every partition and compacts the write-ahead logs
-// of a durable store; it is what the daemon runs periodically.
+// of a durable store, one partition at a time and mostly without its lock —
+// there is no stop-the-world pass over the whole store; it is what the
+// daemon runs periodically.
 func (s *Store) Checkpoint() error {
 	if s.dir == "" {
 		return fmt.Errorf("checkpoint requires a store opened with Open")
 	}
-	return s.Save(s.dir)
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	for _, pt := range s.partitions() {
+		//lint:iolocked persistMu serialises whole-store persistence only (no reader or mutator ever takes it)
+		if err := s.checkpointPartition(pt); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkpointPartition brings a shard's history up to date, writes a

@@ -51,8 +51,8 @@ type Cell struct {
 	// Runner executes the query. When Workers > 1 it must be safe for
 	// concurrent use (the built-in engine targets are).
 	Runner metrics.Target
-	// SQL is the query text to measure; Normalize(SQL) is its cache
-	// identity.
+	// SQL is the query text to measure; plan.Normalize(SQL) is its cache
+	// identity, the plan cache's too.
 	SQL string
 	// Runs is the number of repetitions (see metrics.Options).
 	Runs int
@@ -61,7 +61,7 @@ type Cell struct {
 func (c Cell) key() string {
 	// The repetition count is part of the identity: a 1-run probe must not
 	// satisfy a later 10-run measurement of the same query.
-	return fmt.Sprintf("%s\x00%d\x00%s", c.Target, c.Runs, Normalize(c.SQL))
+	return fmt.Sprintf("%s\x00%d\x00%s", c.Target, c.Runs, plan.Normalize(c.SQL))
 }
 
 // Result pairs a cell with its measurement.
@@ -214,16 +214,4 @@ func (s *Scheduler) measureCell(ctx context.Context, c Cell, key string) Result 
 		}
 		s.mu.Unlock()
 	}
-}
-
-// Normalize canonicalises a SQL text for use as a cache key: whitespace runs
-// outside single-quoted string literals collapse to a single space, and
-// leading/trailing whitespace and a trailing semicolon are dropped. Letter
-// case and everything inside quotes are preserved — string literals are
-// case- and space-significant, so touching them would conflate semantically
-// different queries. The definition is shared with the engines' plan cache
-// (plan.Normalize), so a morph that collapses onto an already measured
-// variant shares both the measurement and the logical plan.
-func Normalize(sql string) string {
-	return plan.Normalize(sql)
 }

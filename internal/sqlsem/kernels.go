@@ -175,8 +175,8 @@ func Cast(v Value, typeName string) (Value, error) {
 // --- scalar functions ----------------------------------------------------------
 
 // CheckFunc validates a scalar function's name and arity, the statement
-// property half of a call: executors raise it once their arguments are
-// evaluated (or compiled) and before ApplyFunc runs.
+// property half of a call: plan.Build calls it for every call of a
+// statement, so the executors apply only calls it accepted.
 func CheckFunc(name string, nargs int) error {
 	switch name {
 	case "abs", "length", "char_length", "upper", "lower":
@@ -195,7 +195,7 @@ func CheckFunc(name string, nargs int) error {
 }
 
 // ApplyFunc applies a scalar function CheckFunc accepted to its evaluated
-// arguments.
+// arguments; an unknown name is taken for coalesce.
 func ApplyFunc(name string, args []Value) Value {
 	switch name {
 	case "abs":

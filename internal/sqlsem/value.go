@@ -335,7 +335,9 @@ func Arithmetic(op string, a, b Value) (Value, error) {
 		}
 		return NewFloat(af / bf), nil
 	case "%":
-		if bf == 0 {
+		// The remainder is of the truncated operands: a divisor that
+		// truncates to 0 (0.5, not only 0) is a division by zero.
+		if int64(bf) == 0 {
 			return Null(), nil
 		}
 		return NewFloat(float64(int64(af) % int64(bf))), nil

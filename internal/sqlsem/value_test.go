@@ -77,6 +77,9 @@ func TestArithmetic(t *testing.T) {
 	check("-", NewDate(10), NewDate(3), NewInt(7))
 	check("||", NewString("a"), NewString("b"), NewString("ab"))
 
+	if v, _ := Arithmetic("%", NewInt(1), NewFloat(0.5)); !v.IsNull() {
+		t.Error("a remainder by a divisor that truncates to 0 must be NULL")
+	}
 	if v, _ := Arithmetic("/", NewInt(1), NewInt(0)); !v.IsNull() {
 		t.Error("division by zero should be NULL")
 	}

@@ -390,9 +390,6 @@ func aggBatchVectors(ex *executor, b *Batch, sp *plan.Select) (keyVecs, argVecs,
 // With intra-query parallelism enabled and a morsel-splittable pipeline
 // below, the work fans out across the morsel pool instead.
 func (ex *executor) hashAggregate(child operator, sp *plan.Select) (*aggResult, error) {
-	if sp.AggErr != nil {
-		return nil, sp.AggErr
-	}
 	if ex.parallelism() > 1 {
 		// Single-morsel inputs skip the 3-phase machinery: its thread-local
 		// tables and remap passes only pay off with morsels to fan out.

@@ -130,8 +130,6 @@ func compileExpr(e sqlparser.Expr, b *Batch) (rowFn, error) {
 			}
 			return sqlsem.Cast(s, v.Type)
 		}, nil
-	case *sqlparser.ParamRef:
-		return nil, fmt.Errorf("unresolved template parameter ${%s}", v.Name)
 	default:
 		// Includes the sub-query use sites, which the fused source never
 		// hands in.
@@ -436,18 +434,12 @@ func compileSubstring(v *sqlparser.SubstringExpr, b *Batch) (rowFn, error) {
 }
 
 func compileFunc(v *sqlparser.FuncCall, b *Batch) (rowFn, error) {
-	if v.IsAggregate() {
-		return nil, fmt.Errorf("aggregate %s used outside GROUP BY context", v.Name)
-	}
 	args := make([]rowFn, len(v.Args))
 	for ai, a := range v.Args {
 		var err error
 		if args[ai], err = compileExpr(a, b); err != nil {
 			return nil, err
 		}
-	}
-	if err := sqlsem.CheckFunc(v.Name, len(args)); err != nil {
-		return nil, err
 	}
 	return func(i int) (sqlsem.Value, error) {
 		// All arguments evaluate before the function applies; the common

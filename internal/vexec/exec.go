@@ -121,9 +121,6 @@ func (ex *executor) checkDeadline() error { return ex.opts.Limits.Expired() }
 // run executes one SELECT core.
 func (ex *executor) run(sp *plan.Select) (*Result, error) {
 	stmt := sp.Stmt
-	if len(stmt.Projection) == 0 {
-		return nil, fmt.Errorf("query has no projection")
-	}
 	// Materialize the statement's sub-query states before its pipeline runs:
 	// filters probe them read-only.
 	if err := ex.prepareSubqueries(stmt); err != nil {
@@ -424,9 +421,6 @@ func (ex *executor) runGrouped(sp *plan.Select, pipe operator) (*Result, error) 
 		}
 	}
 
-	if len(sp.Items) < len(stmt.Projection) {
-		return nil, fmt.Errorf("SELECT * is not supported with GROUP BY or aggregates")
-	}
 	var tm trace.Timer
 	if o != nil {
 		tm = ex.tracer.Span(o.Project, trace.KindProject).Start()

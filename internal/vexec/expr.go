@@ -109,8 +109,6 @@ func (ctx *evalCtx) eval(e sqlparser.Expr) (*Vector, error) {
 		return ctx.evalSubstring(v)
 	case *sqlparser.CastExpr:
 		return ctx.evalCast(v)
-	case *sqlparser.ParamRef:
-		return nil, fmt.Errorf("unresolved template parameter ${%s}", v.Name)
 	default:
 		return nil, fmt.Errorf("%w: expression %T", ErrUnsupported, e)
 	}
@@ -991,9 +989,6 @@ func (ctx *evalCtx) evalCast(v *sqlparser.CastExpr) (*Vector, error) {
 
 func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
 	if v.IsAggregate() {
-		if ctx.grp == nil {
-			return nil, fmt.Errorf("aggregate %s used outside GROUP BY context", v.Name)
-		}
 		i, ok := ctx.grp.sp.AggOf[v]
 		if !ok {
 			return nil, fmt.Errorf("internal: aggregate %s was not precomputed", v.SQL())
@@ -1007,9 +1002,6 @@ func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
 		if args[ai], err = ctx.eval(a); err != nil {
 			return nil, err
 		}
-	}
-	if err := sqlsem.CheckFunc(v.Name, len(args)); err != nil {
-		return nil, err
 	}
 	bld := newBuilder(n)
 	vals := make([]sqlsem.Value, len(args))

@@ -234,9 +234,6 @@ func (as *applyState) prober(keyVecs []*Vector) (*hashTable, keyCoder) {
 // row" — and evaluates the sub-query's projection over the groups, plus once
 // over an empty group for outer rows with no match (count 0, NULL sums).
 func (ex *executor) buildApplyAgg(as *applyState, sp *plan.Select, b *Batch, rowGroup []int32) error {
-	if sp.AggErr != nil {
-		return deferToFallback(sp.AggErr)
-	}
 	_, argVecs, refVecs, err := aggBatchVectors(ex, b, sp)
 	if err != nil {
 		return deferToFallback(err)
