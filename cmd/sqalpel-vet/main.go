@@ -4,36 +4,20 @@
 // discipline, NULL semantics, the zero-alloc trace seam and WAL
 // durability. See ARCHITECTURE.md, "Enforced invariants".
 //
-// Two modes:
+//	sqalpel-vet [packages]
 //
-//	sqalpel-vet [./...]                 standalone: load packages via the
-//	                                    go tool, analyze, report; exit 2
-//	                                    if any diagnostic fired
-//	go vet -vettool=$(pwd)/bin/sqalpel-vet ./...
-//	                                    unitchecker: cmd/go drives the
-//	                                    tool one package at a time through
-//	                                    vet.cfg files, sharing its build
-//	                                    cache and import maps
-//
-// Individual analyzers can be selected with -<name> flags; by default the
-// whole suite runs. Diagnostics in _test.go files are suppressed unless
-// -tests is set: the invariants guard production semantics, and test
-// helpers range over maps freely.
+// loads the package patterns (default ./...) through the go command, runs
+// every analyzer over each package and prints the findings. It exits 0
+// when there are none and 2 when there are. It exits 1 when a pattern
+// names no package, a package does not type-check, or an argument starts
+// with "-": the command has no flags.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -42,130 +26,61 @@ import (
 	"sqalpel/internal/lint/loader"
 )
 
-const progname = "sqalpel-vet"
-
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string) int {
-	fs := flag.NewFlagSet(progname, flag.ExitOnError)
-	versionFlag := fs.String("V", "", "print version and exit (cmd/go tool-ID handshake)")
-	flagsFlag := fs.Bool("flags", false, "print analyzer flags in JSON (cmd/go handshake)")
-	jsonFlag := fs.Bool("json", false, "accepted for cmd/go compatibility (output is always plain text)")
-	testsFlag := fs.Bool("tests", false, "also report diagnostics in _test.go files")
-	enabled := map[string]*bool{}
-	for _, a := range lint.Analyzers() {
-		enabled[a.Name] = fs.Bool(a.Name, false, a.Doc)
-	}
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	_ = jsonFlag
-
-	switch {
-	case *versionFlag != "":
-		printVersion()
-		return 0
-	case *flagsFlag:
-		printFlags()
-		return 0
-	}
-
-	analyzers := selected(enabled)
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitcheck(rest[0], analyzers, *testsFlag)
-	}
-	return standalone(rest, analyzers, *testsFlag)
-}
-
-// selected returns the analyzers picked by -<name> flags, or the full
-// suite when none was picked.
-func selected(enabled map[string]*bool) []*analysis.Analyzer {
-	var picked []*analysis.Analyzer
-	for _, a := range lint.Analyzers() {
-		if *enabled[a.Name] {
-			picked = append(picked, a)
-		}
-	}
-	if len(picked) == 0 {
-		return lint.Analyzers()
-	}
-	return picked
-}
-
-// printVersion implements the -V=full tool-ID handshake: cmd/go requires
-// "<name> version <non-devel-version> ..." and uses the whole line as a
-// cache key, so the self-hash makes rebuilt tools invalidate stale vet
-// results.
-func printVersion() {
-	h := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			hash := sha256.New()
-			if _, err := io.Copy(hash, f); err == nil {
-				h = fmt.Sprintf("%x", hash.Sum(nil)[:16])
-			}
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version 1.0.0 sha256:%s\n", progname, h)
-}
-
-// printFlags implements the -flags handshake: cmd/go mirrors these into
-// `go vet`'s own flag set.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	out := []jsonFlag{{Name: "tests", Bool: true, Usage: "also report diagnostics in _test.go files"}}
-	for _, a := range lint.Analyzers() {
-		out = append(out, jsonFlag{Name: a.Name, Bool: true, Usage: a.Doc})
-	}
-	data, _ := json.MarshalIndent(out, "", "\t")
-	fmt.Println(string(data))
-}
-
-// diagnostic is one rendered finding.
-type diagnostic struct {
+// finding is one rendered diagnostic.
+type finding struct {
 	pos      token.Position
 	analyzer string
 	message  string
 }
 
-// runAnalyzers applies the analyzers to one type-checked package and
-// returns the findings, filtered to non-test files unless tests is set.
-func runAnalyzers(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.File,
-	pkg *types.Package, info *types.Info, tests bool) ([]diagnostic, error) {
-	var diags []diagnostic
-	for _, a := range analyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report: func(d analysis.Diagnostic) {
-				pos := fset.Position(d.Pos)
-				if !tests && strings.HasSuffix(pos.Filename, "_test.go") {
-					return
-				}
-				diags = append(diags, diagnostic{pos: pos, analyzer: a.Name, message: d.Message})
-			},
-		}
-		if _, err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
+// run vets the packages the patterns name, writing findings and errors to
+// w, and returns the exit code.
+func run(patterns []string, w io.Writer) int {
+	for _, p := range patterns {
+		if strings.HasPrefix(p, "-") {
+			fmt.Fprintf(w, "sqalpel-vet: %s: the command takes no flags\n", p)
+			usage(w)
+			return 1
 		}
 	}
-	return diags, nil
-}
-
-func printDiags(diags []diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
+	pkgs, err := loader.LoadPackages(".", patterns...)
+	if err != nil {
+		fmt.Fprintf(w, "sqalpel-vet: %v\n", err)
+		return 1
+	}
+	var found []finding
+	failed := false
+	for _, pkg := range pkgs {
+		for _, e := range pkg.Errors {
+			fmt.Fprintf(w, "sqalpel-vet: %s: %v\n", pkg.Path, e)
+			failed = true
+		}
+		if len(pkg.Errors) > 0 {
+			continue
+		}
+		for _, a := range lint.Analyzers() {
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Report: func(d analysis.Diagnostic) {
+					found = append(found, finding{pos: pkg.Fset.Position(d.Pos), analyzer: a.Name, message: d.Message})
+				},
+			}
+			if _, err := a.Run(pass); err != nil {
+				fmt.Fprintf(w, "sqalpel-vet: %s: %s: %v\n", pkg.Path, a.Name, err)
+				failed = true
+			}
+		}
+	}
+	sort.Slice(found, func(i, j int) bool {
+		a, b := found[i], found[j]
 		if a.pos.Filename != b.pos.Filename {
 			return a.pos.Filename < b.pos.Filename
 		}
@@ -174,163 +89,22 @@ func printDiags(diags []diagnostic) {
 		}
 		return a.analyzer < b.analyzer
 	})
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.pos, d.analyzer, d.message)
+	for _, f := range found {
+		fmt.Fprintf(w, "%s: [%s] %s\n", f.pos, f.analyzer, f.message)
 	}
-}
-
-// standalone loads the named package patterns (default ./...) from the
-// current module and analyzes them all in one process.
-func standalone(patterns []string, analyzers []*analysis.Analyzer, tests bool) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := loader.LoadPackages(".", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-		return 1
-	}
-	var all []diagnostic
-	failed := false
-	for _, pkg := range pkgs {
-		for _, e := range pkg.Errors {
-			fmt.Fprintf(os.Stderr, "%s: %s: %v\n", progname, pkg.Path, e)
-			failed = true
-		}
-		if len(pkg.Errors) > 0 {
-			continue
-		}
-		diags, err := runAnalyzers(analyzers, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, tests)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %s: %v\n", progname, pkg.Path, err)
-			failed = true
-			continue
-		}
-		all = append(all, diags...)
-	}
-	printDiags(all)
 	switch {
 	case failed:
 		return 1
-	case len(all) > 0:
+	case len(found) > 0:
 		return 2
 	}
 	return 0
 }
 
-// vetConfig mirrors the JSON cmd/go writes to <objdir>/vet.cfg for each
-// package when driving a vet tool.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	GoVersion                 string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes the single package described by a cmd/go vet.cfg
-// file: parse its GoFiles, type-check against the export data cmd/go
-// already built for its dependencies, run the suite, and write the
-// (empty — this suite exports no facts) vetx output cmd/go expects.
-func unitcheck(cfgFile string, analyzers []*analysis.Analyzer, tests bool) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-		return 1
+// usage lists the command's one form and the analyzers it runs.
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: sqalpel-vet [packages]  (default ./...; exit 0 clean, 2 findings, 1 error)")
+	for _, a := range lint.Analyzers() {
+		fmt.Fprintf(w, "  %-13s %s\n", a.Name, a.Doc)
 	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: parsing %s: %v\n", progname, cfgFile, err)
-		return 1
-	}
-
-	// cmd/go treats a missing output file as a tool failure even when
-	// there is nothing to say, so write it unconditionally and first.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	// Resolve imports through the maps cmd/go handed us: source import
-	// path -> canonical package path -> export-data file.
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canon, ok := cfg.ImportMap[path]; ok {
-			path = canon
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	tc := &types.Config{
-		Importer: importer.ForCompiler(fset, cfg.Compiler, lookup),
-		Sizes:    types.SizesFor(cfg.Compiler, build()),
-		Error:    func(error) {}, // collect nothing; the compiler reports type errors
-	}
-	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "%s: typechecking %s: %v\n", progname, cfg.ImportPath, err)
-		return 1
-	}
-
-	diags, err := runAnalyzers(analyzers, fset, files, pkg, info, tests)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %s: %v\n", progname, cfg.ImportPath, err)
-		return 1
-	}
-	printDiags(diags)
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// build returns the architecture for types.SizesFor: GOARCH if set (cmd/go
-// sets the build environment), else the arch this tool was built for.
-func build() string {
-	if v := os.Getenv("GOARCH"); v != "" {
-		return v
-	}
-	return runtime.GOARCH
 }

@@ -53,7 +53,7 @@
 //     sqlsemroute, tracenilalloc, walack) that mechanically hold the tree
 //     to the determinism, lock-discipline, NULL-semantics, trace-seam and
 //     WAL-durability contracts the earlier PRs established, as a blocking
-//     CI gate (scripts/lint.sh, or go vet -vettool). See ARCHITECTURE.md,
+//     CI gate (scripts/lint.sh, or sqalpel-vet ./...). See ARCHITECTURE.md,
 //     "Enforced invariants".
 //
 // The benchmarks in bench_test.go regenerate every table and figure of the

@@ -180,8 +180,6 @@ func newProject(name, baseline string, g *grammar.Grammar, opts ProjectOptions) 
 }
 
 // Pool exposes the query pool.
-//
-//lint:api the benchmark module grows and reads a project's pool
 func (p *Project) Pool() *pool.Pool { return p.pool }
 
 // Space returns the query-space summary of the project's grammar (the
@@ -264,8 +262,6 @@ func (p *Project) ensureSearch() (*discriminative.Search, error) {
 }
 
 // MeasureAll measures every pool entry on every registered target.
-//
-//lint:api the benchmark module's search_variants workload
 func (p *Project) MeasureAll() error {
 	s, err := p.ensureSearch()
 	if err != nil {

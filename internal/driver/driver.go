@@ -272,8 +272,6 @@ func (c *Client) lease(max int) ([]*repository.Task, error) {
 
 // Report sends a finished measurement back to the server. A lease lost in
 // the meantime is an error here; the run loops skip it instead.
-//
-//lint:api the benchmark module's driver.report_ms probe
 func (c *Client) Report(taskID int, m *metrics.Measurement) error {
 	landed, err := c.report([]*repository.Task{{ID: taskID}}, []*metrics.Measurement{m})
 	if err == nil && landed == 0 {

@@ -174,7 +174,7 @@ type PlanCached interface {
 
 // planFor resolves the logical plan of the query: from the cache when one is
 // installed — keyed by the database identity, its schema/data version and
-// the normalized SQL, so repetitions pay zero parse/analysis work — or by
+// the SQL text, so repetitions pay zero parse/analysis work — or by
 // building fresh.
 func planFor(cache *plan.Cache, db *Database, sql string) (*plan.Plan, error) {
 	if cache == nil {
@@ -351,8 +351,6 @@ func NewRegistry() *Registry {
 }
 
 // PlanCache returns the registry's shared plan cache.
-//
-//lint:api the benchmark module's plan.cache_hit_ratio probe
 func (r *Registry) PlanCache() *plan.Cache { return r.plans }
 
 // Explain resolves the query's logical plan through the registry's shared

@@ -44,6 +44,10 @@ func TestPlanCacheDifferentialAllWorkloads(t *testing.T) {
 			{ID: "aliases-in-join-tree-and-derived", SQL: "SELECT c.c_name, d.total, n.n_name FROM customer c JOIN (SELECT o_custkey AS ck, sum(o_totalprice) AS total FROM orders GROUP BY o_custkey) d ON d.ck = c.c_custkey LEFT JOIN nation n ON n.n_nationkey = c.c_nationkey AND n.n_name <> 'FRANCE' WHERE d.total > 100000 ORDER BY c.c_name"},
 			{ID: "self-join-different-columns", SQL: "SELECT a.n_name, b.n_comment FROM nation a, nation b WHERE a.n_nationkey = b.n_regionkey ORDER BY a.n_name, b.n_comment"},
 			{ID: "date-interval-chain", SQL: "SELECT count(*), min(o_orderdate), max(o_orderdate) FROM orders WHERE o_orderdate >= DATE '1994-01-31' + INTERVAL '1' MONTH AND o_orderdate < (DATE '1994-01-01' + INTERVAL '1' YEAR) - INTERVAL '1' DAY"},
+			// CAST and a non-equi INNER JOIN: the interpreters' evalCast and
+			// nestedLoopJoin, which no workload query reaches.
+			{ID: "cast", SQL: "SELECT CAST(n_nationkey AS double) AS k, CAST(n_name AS varchar) AS s FROM nation ORDER BY k"},
+			{ID: "non-equi-inner-join", SQL: "SELECT n_name, r_name FROM nation JOIN region ON n_regionkey < r_regionkey ORDER BY n_name, r_name"},
 		}},
 	}
 	// Shapes every engine must reject, with the same complaint: pruning a
@@ -132,12 +136,37 @@ func TestPlanCacheEliminatesFrontendWork(t *testing.T) {
 		t.Errorf("plan cache hits = %d, want %d", hits, want)
 	}
 
-	// Whitespace-morphed SQL collapses onto the same normalized key.
+	// Whitespace-morphed SQL is another text: it gets a plan of its own.
 	if _, err := reg.Get(reg.Keys()[0]).Execute(tpchDB, "  "+q1.SQL+"\n\t;", opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses = reg.PlanCache().Stats(); misses != 1 {
-		t.Errorf("normalized rewrite re-planned (misses = %d)", misses)
+	if _, misses = reg.PlanCache().Stats(); misses != 2 {
+		t.Errorf("whitespace rewrite planned %d times in all, want 2", misses)
+	}
+}
+
+// TestPlanCacheKeepsErrorPositions: a text that fails to build after
+// another one that normalizes equal gets its own error, at its own
+// position, from every engine on the shared cache — as plan.Build says.
+func TestPlanCacheKeepsErrorPositions(t *testing.T) {
+	reg := engine.NewRegistry()
+	for _, pair := range [][2]string{
+		{"SELEC 1", "  SELEC 1"},
+		{"SELECT 1 +", "SELECT  1 +"},
+		{"", "   "},
+	} {
+		for _, sql := range pair {
+			_, buildErr := plan.Build(tpchDB, sql)
+			if buildErr == nil {
+				t.Fatalf("plan.Build accepted %q", sql)
+			}
+			for _, key := range reg.Keys() {
+				_, err := reg.Get(key).Execute(tpchDB, sql, engine.ExecOptions{})
+				if planErr(err) != buildErr.Error() {
+					t.Errorf("%s on %q after %q: %v; plan.Build says %q", key, sql, pair[0], err, buildErr)
+				}
+			}
+		}
 	}
 }
 
@@ -291,7 +320,9 @@ func TestVektorTypedCacheInvalidation(t *testing.T) {
 }
 
 // TestPlanCacheSharedNormalization double-checks the scheduler contract: the
-// plan cache keys on the same normalization the sched result cache uses.
+// sched result cache keys on Normalize, which collapses whitespace outside
+// string literals and leaves their contents alone. The plan cache keys on
+// the text as written (TestPlanCacheKeepsErrorPositions).
 func TestPlanCacheSharedNormalization(t *testing.T) {
 	a := plan.Normalize("SELECT  x\nFROM t;")
 	b := plan.Normalize("SELECT x FROM t")

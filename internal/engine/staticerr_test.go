@@ -138,12 +138,7 @@ func FuzzPlanBuild(f *testing.F) {
 		}
 		dbs = append(dbs, db)
 	}
-	// No plan cache: it keys on the normalized text, so a parse error's
-	// position would be that of the first input with the same key.
 	reg := engine.NewRegistry()
-	for _, e := range reg.Engines() {
-		e.(engine.PlanCached).SetPlanCache(nil)
-	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		for _, db := range dbs {
 			_, buildErr := plan.Build(db, sql)

@@ -308,8 +308,6 @@ func totallyOrdered(sql string) bool {
 
 // Fingerprint is the exact-bit multiset fingerprint of a result,
 // engine.Result.Fingerprint under the name the benchmark imports.
-//
-//lint:api the benchmark module's answer check (benchmarks/sqalpelbench/tpch.go)
 func Fingerprint(r *engine.Result) string { return r.Fingerprint() }
 
 // normalizeError strips the engine-name prefix Execute attaches, so two

@@ -19,15 +19,14 @@ import (
 	"go/types"
 )
 
-// Analyzer describes one static check: a name (used in diagnostics and in
-// suppression comments), a doc string, and the Run function applied once
-// per package.
+// Analyzer describes one static check: a name, a doc string, and the Run
+// function applied once per package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, CLI flags and the
-	// per-analyzer suppression token (//lint:<token>).
+	// Name identifies the analyzer in diagnostics and in sqalpel-vet's
+	// usage text.
 	Name string
-	// Doc is the analyzer's documentation: the invariant it enforces, the
-	// historical violation that motivated it, and the suppression token.
+	// Doc is one line on what the analyzer flags and its suppression
+	// comment (//lint:<token> <reason>); sqalpel-vet's usage text lists it.
 	Doc string
 	// Run applies the check to one package and reports findings through
 	// pass.Report. The returned value is ignored by this suite (x/tools

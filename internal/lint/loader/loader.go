@@ -5,10 +5,11 @@
 //
 //   - LoadPackages: module mode. `go list -deps -export -json` enumerates
 //     the requested packages plus their dependency closure; packages of the
-//     main module are parsed and type-checked from source in dependency
-//     order, while standard-library dependencies are imported from the
-//     compiler export data the go command just produced. No network, no
-//     third-party modules.
+//     main module and of modules it replaces with a local directory are
+//     parsed and type-checked from source in dependency order, while
+//     standard-library dependencies are imported from the compiler export
+//     data the go command just produced. No network, no third-party
+//     modules.
 //   - LoadFixtures: analysistest mode. Packages live under a
 //     testdata/src/<importpath> tree, import each other by those relative
 //     paths, and may import the standard library; the loader resolves
@@ -60,6 +61,7 @@ type listedPackage struct {
 	Standard   bool
 	DepOnly    bool
 	Imports    []string
+	Match      []string
 	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
@@ -165,10 +167,13 @@ func typeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 	return pkg, info, errs
 }
 
-// LoadPackages loads the main-module packages matched by the patterns
-// (e.g. "./...") rooted at dir, type-checked against their full dependency
-// closure. Only main-module packages are returned; dependencies are
-// imported from export data.
+// LoadPackages loads the module packages matched by the patterns (e.g.
+// "./...") rooted at dir, type-checked against their full dependency
+// closure. Module packages are those of the main module and of any module
+// its go.mod replaces with a local directory; the standard library is
+// imported from export data. A pattern that matches no module package, or
+// names one that cannot be listed, is an error: a gate that loads nothing
+// checks nothing.
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -179,13 +184,24 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	}
 	byPath := map[string]*listedPackage{}
 	exportFiles := map[string]string{}
+	matched := map[string]bool{}
 	for _, p := range listed {
 		byPath[p.ImportPath] = p
 		if p.Export != "" {
 			exportFiles[p.ImportPath] = p.Export
 		}
-		if p.Error != nil && p.Module != nil {
+		if p.Error != nil && (p.Module != nil || !p.DepOnly) {
 			return nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
+		}
+		if p.Module != nil {
+			for _, m := range p.Match {
+				matched[m] = true
+			}
+		}
+	}
+	for _, pat := range patterns {
+		if !matched[pat] {
+			return nil, fmt.Errorf("pattern %s matched no module package", pat)
 		}
 	}
 

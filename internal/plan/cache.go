@@ -22,7 +22,7 @@ const DefaultCacheEntries = 1024
 
 // CacheKey identifies one cached plan: the catalog identity (comparable —
 // the engines use the *Database pointer), the catalog's schema/data version
-// at build time, and the normalized SQL text. A schema or data mutation
+// at build time, and the SQL text as written. A schema or data mutation
 // bumps the version, so stale plans are never served; they simply stop
 // being referenced: the first lookup at the newer version purges them.
 type CacheKey struct {
@@ -31,9 +31,10 @@ type CacheKey struct {
 	SQL     string
 }
 
-// Key builds a cache key, normalizing the SQL text.
+// Key builds a cache key from the text as written, not its Normalize form:
+// a cached build failure carries positions in the text it was built from.
 func Key(catalog any, version uint64, sql string) CacheKey {
-	return CacheKey{Catalog: catalog, Version: version, SQL: Normalize(sql)}
+	return CacheKey{Catalog: catalog, Version: version, SQL: sql}
 }
 
 // Cache is a concurrency-safe plan cache with a size cap and least-recently-

@@ -7,9 +7,9 @@ import "strings"
 // leading/trailing whitespace and a trailing semicolon are dropped. Letter
 // case and everything inside quotes are preserved — string literals are
 // case- and space-significant, so touching them would conflate semantically
-// different queries. The measurement scheduler's result cache and the plan
-// cache share this one definition, so a morph whose SQL text collapses onto
-// an already planned variant shares both the plan and the measurement.
+// different queries. The measurement scheduler's result cache keys on it,
+// so a morph whose text collapses onto a measured variant shares the
+// measurement; the plan cache keys on the text as written (see Key).
 func Normalize(sql string) string {
 	var sb strings.Builder
 	sb.Grow(len(sql))

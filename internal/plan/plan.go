@@ -4,7 +4,7 @@
 // the typed executor of internal/vexec, vectorized or fused) consume instead
 // of re-walking the raw AST on every execution.
 //
-// A Plan is built once per (schema, normalized SQL) and captures everything
+// A Plan is built once per (schema, SQL text) and captures everything
 // the engines previously re-derived on each Execute call:
 //
 //   - name resolution of every FROM item against the catalog, including the
@@ -39,8 +39,7 @@
 //
 // Plans are immutable after Build and safe for concurrent use; the Cache in
 // this package shares them between repetitions, engines and scheduler
-// workers, keyed by the same quote-aware normalized SQL (Normalize) the
-// measurement scheduler's result cache uses and invalidated by the
+// workers, keyed by the SQL text as written (Key) and invalidated by the
 // catalog's schema/data version.
 package plan
 

@@ -261,23 +261,27 @@ func TestCacheHitMissAndVersionInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Whitespace variants share the normalized key.
+	if builds != 1 {
+		t.Errorf("builds = %d, want 1", builds)
+	}
+	// A whitespace variant is another text, with its own key: a build
+	// error's position is the text's own.
 	if _, err := c.GetOrBuild(Key(id, 1, "  SELECT   o_total FROM orders ;"), build); err != nil {
 		t.Fatal(err)
 	}
-	if builds != 1 {
-		t.Errorf("builds = %d, want 1", builds)
+	if builds != 2 {
+		t.Errorf("builds after a whitespace variant = %d, want 2", builds)
 	}
 	// A version bump invalidates.
 	if _, err := c.GetOrBuild(Key(id, 2, "SELECT o_total FROM orders"), build); err != nil {
 		t.Fatal(err)
 	}
-	if builds != 2 {
-		t.Errorf("builds after version bump = %d, want 2", builds)
+	if builds != 3 {
+		t.Errorf("builds after version bump = %d, want 3", builds)
 	}
 	hits, misses := c.Stats()
-	if hits != 3 || misses != 2 {
-		t.Errorf("stats = %d hits / %d misses, want 3/2", hits, misses)
+	if hits != 2 || misses != 3 {
+		t.Errorf("stats = %d hits / %d misses, want 2/3", hits, misses)
 	}
 }
 

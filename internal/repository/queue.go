@@ -156,8 +156,6 @@ type CompletionOutcome struct {
 // CompleteTaskTraced reports one task as a batch of one (CompleteTasks),
 // with an optional per-operator trace attached to the recorded result; nil
 // records an untraced result.
-//
-//lint:api the benchmark module's completion probe (benchmarks/sqalpelbench/probes.go)
 func (s *Store) CompleteTaskTraced(taskID int, contributorKey string, seconds []float64, errMsg string, extra map[string]string, qt *trace.QueryTrace) (*Result, error) {
 	out := s.CompleteTasks(contributorKey, []Completion{{TaskID: taskID, Seconds: seconds, Error: errMsg, Extra: EncodeExtras(extra), Trace: EncodeTrace(qt)}})[0]
 	return out.Result, out.Err

@@ -101,8 +101,6 @@ func New(opts Options) *Scheduler {
 
 // Stats returns how many cells were freshly measured and how many were
 // served from the result cache since the scheduler was created.
-//
-//lint:api the benchmark module's sched.cache_hit_ratio probe
 func (s *Scheduler) Stats() (measured, cached int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

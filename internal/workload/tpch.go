@@ -404,8 +404,6 @@ ORDER BY cntrycode`,
 
 // TPCH returns the 22 TPC-H queries in order Q1..Q22. The slice is a copy;
 // callers may modify it freely.
-//
-//lint:api the benchmark module's tpch_power queries
 func TPCH() []Query {
 	out := make([]Query, len(tpch))
 	copy(out, tpch)

@@ -12,13 +12,10 @@
 #   2. gofmt -l             — formatting gate.
 #   3. sqalpel-vet          — the project analyzers (internal/lint):
 #                             mapiterdet, lockmarshal, sqlsemroute,
-#                             tracenilalloc, walack. Exit 2 on findings.
+#                             tracenilalloc, walack. Exit 2 on findings,
+#                             1 when a pattern names no package.
 #   4. govulncheck          — informational only, skipped when the binary
 #                             is not installed (it needs network anyway).
-#
-# sqalpel-vet is also usable through the standard vet driver:
-#   go build -o bin/sqalpel-vet ./cmd/sqalpel-vet
-#   go vet -vettool=$(pwd)/bin/sqalpel-vet ./...
 set -u
 cd "$(dirname "$0")/.."
 
